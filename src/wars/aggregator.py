@@ -9,6 +9,8 @@ aggregators.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -104,72 +106,196 @@ def mentions_x(expr) -> bool:
     return False
 
 
-def evaluate(expr, desc: Semiring, args: Sequence, truncation: int = 64):
+DEFAULT_TRUNCATION = 64
+
+
+def evaluate(expr, desc: Semiring, args: Sequence, truncation: int = DEFAULT_TRUNCATION):
     """Evaluate an aggregator over ``desc`` at the argument vector.
 
     Returns (value, exact).  Finite expressions evaluate exactly; a countable
     sum is cut off after ``truncation`` generated terms and any term whose
     variables exceed the argument vector is skipped, so the result is always
-    below the untruncated value.
+    below the untruncated value.  Constants are checked against the carrier
+    when the expression is compiled, the arguments once here.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    mv = max_var(expr)
-    if mv is not INF and mv > len(args) and not isinstance(expr, CountableSum):
-        raise ArityError(
-            f"aggregator mentions v{mv} but only {len(args)} arguments were supplied"
-        )
-    return _eval(expr, desc, args, truncation)
+    fn = _compiled(expr, desc, len(args))
+    for v in args:
+        desc.require(v)
+    exact = [True]
+    value = fn(args, truncation, exact)
+    return value, exact[0]
 
 
-def _eval(expr, desc, args, truncation):
+# Compiled aggregators.  ``_compiled`` turns an expression into a closure
+# ``fn(args, truncation, exact)`` over the carrier's unchecked operations; the
+# arguments must already be carrier values.  ``exact`` is a one-item list that
+# a countable sum clears when it cuts its stream short, or None when the
+# caller does not ask.  Equal expressions share one closure per carrier, for
+# as long as the expression it was compiled from is alive.
+
+# Per carrier, a weak table from expression to (fn, max_var, weak reference
+# to the expression it was compiled from).
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _compiled(expr, desc: Semiring, arity: int):
+    """The compiled form of ``expr`` over ``desc`` for ``arity`` arguments.
+
+    An expression that mentions more variables than ``arity`` (and is not
+    itself a countable sum) compiles to a function raising ArityError.
+    """
+    fn, mv = _entry(expr, desc)
+    if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
+        message = _arity_message(mv, arity)
+
+        def arity_error(args, truncation, exact):
+            raise ArityError(message)
+
+        return arity_error
+    return fn
+
+
+def _arity_message(index: int, arity: int) -> str:
+    return f"aggregator mentions v{index} but only {arity} arguments were supplied"
+
+
+def _entry(expr, desc):
+    table = _TABLES.get(desc)
+    if table is None:
+        table = _TABLES[desc] = weakref.WeakKeyDictionary()
+    try:
+        entry = table.get(expr)
+    except TypeError:
+        # Not hashable or not weakly referable: no expression node or carrier
+        # value is either, so compiling reports the problem.
+        return _compile(expr, desc)
+    if entry is None:
+        fn, mv = _compile(expr, desc)
+        table[expr] = fn, mv, weakref.ref(expr)
+        return fn, mv
+    fn, mv, source = entry
+    if source() is not expr:
+        # Equal constants may differ in type (1 == True == Fraction(1)), so
+        # an equal expression still has its own constants checked.
+        _check_constants(expr, desc)
+    return fn, mv
+
+
+def _check_constants(expr, desc):
     if isinstance(expr, Const):
         desc.require(expr.value)
-        return expr.value, True
+    elif isinstance(expr, (SumNode, ProdNode)):
+        for child in _children(expr):
+            _check_constants(child, desc)
+
+
+def _children(expr) -> tuple:
+    return expr.terms if isinstance(expr, SumNode) else expr.factors
+
+
+def _compile(expr, desc):
+    """(fn, max_var) for an expression compiled as a whole."""
+    fn, mv = _compile_node(expr, desc, False)
+    if mv is INF and not isinstance(expr, CountableSum):
+        # A countable sum inside hides how many arguments the rest needs, so
+        # the variables outside it check their index on every call.
+        fn, mv = _compile_node(expr, desc, True)
+    return fn, mv
+
+
+def _compile_node(expr, desc, check_vars: bool):
+    if isinstance(expr, Const):
+        desc.require(expr.value)
+        value = expr.value
+        return (lambda args, truncation, exact: value), 0
     if isinstance(expr, Var):
-        if expr.index > len(args):
-            raise ArityError(
-                f"aggregator mentions v{expr.index} but only {len(args)} arguments were supplied"
-            )
-        return args[expr.index - 1], True
+        i = expr.index - 1
+        if not check_vars:
+            return (lambda args, truncation, exact: args[i]), expr.index
+
+        def checked_var(args, truncation, exact):
+            if i >= len(args):
+                raise ArityError(_arity_message(i + 1, len(args)))
+            return args[i]
+
+        return checked_var, expr.index
+    if isinstance(expr, (SumNode, ProdNode)):
+        op = desc._plus if isinstance(expr, SumNode) else desc._times
+        parts = [_compile_node(e, desc, check_vars) for e in _children(expr)]
+        return _fold(op, [fn for fn, _ in parts]), max(mv for _, mv in parts)
+    if isinstance(expr, CountableSum):
+        return _compile_countable(expr, desc), expr.var_bound
     if isinstance(expr, XVar):
         raise AggregatorError("X is only meaningful inside loop polynomials")
-    if isinstance(expr, SumNode):
-        acc, exact = None, True
-        for term in expr.terms:
-            v, e = _eval(term, desc, args, truncation)
-            exact = exact and e
-            acc = v if acc is None else desc.plus(acc, v)
-        return acc, exact
-    if isinstance(expr, ProdNode):
-        acc, exact = None, True
-        for factor in expr.factors:
-            v, e = _eval(factor, desc, args, truncation)
-            exact = exact and e
-            acc = v if acc is None else desc.times(acc, v)
-        return acc, exact
-    if isinstance(expr, CountableSum):
-        acc = desc.zero
-        clean = True  # no skipped terms, every summand evaluated exactly
-        exact = False
-        for i in range(truncation):
-            term = expr.term(i)
-            if term is None:
-                exact = clean
-                break
-            mv = max_var(term)
-            if mv is not INF and mv > len(args):
-                clean = False
-                continue
-            v, e = _eval(term, desc, args, truncation)
-            clean = clean and e
-            acc = desc.plus(acc, v)
-            if acc == desc.top:
-                # Everything that could follow is absorbed by the maximum.
-                exact = True
-                break
-        return acc, exact
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+
+def _fold(op, fns):
+    """Left fold of ``op`` over the children's values, in order."""
+    if len(fns) == 1:
+        return fns[0]
+    if len(fns) == 2:
+        f, g = fns
+        return lambda args, truncation, exact: op(f(args, truncation, exact), g(args, truncation, exact))
+    first, rest = fns[0], fns[1:]
+
+    def fold(args, truncation, exact):
+        acc = first(args, truncation, exact)
+        for f in rest:
+            acc = op(acc, f(args, truncation, exact))
+        return acc
+
+    return fold
+
+
+def _compile_countable(expr: CountableSum, desc):
+    plus, zero, top = desc._plus, desc.zero, desc.top
+    # Generated terms, each as [max_var, expression, fn]: a term is compiled
+    # on its first use, since a skipped term is never evaluated.  The lock
+    # keeps the list in stream order when several threads extend it.
+    terms: list = []
+    ended = False
+    lock = threading.Lock()
+
+    def term_at(i):
+        nonlocal ended
+        if i >= len(terms) and not ended:
+            with lock:
+                while len(terms) <= i and not ended:
+                    term = expr.term(len(terms))
+                    if term is None:
+                        ended = True
+                    else:
+                        terms.append([max_var(term), term, None])
+        return terms[i] if i < len(terms) else None
+
+    def countable(args, truncation, exact):
+        n = len(args)
+        clean = [True]  # no term skipped, every summand exact
+        acc, done = zero, False
+        for i in range(truncation):
+            term = term_at(i)
+            if term is None:
+                done = clean[0]
+                break
+            mv, source, fn = term
+            if mv is not INF and mv > n:
+                clean[0] = False
+                continue
+            if fn is None:
+                fn = term[2] = _compile(source, desc)[0]
+            acc = plus(acc, fn(args, truncation, clean))
+            if acc == top:
+                # Everything that could follow is absorbed by the maximum.
+                done = True
+                break
+        if not done and exact is not None:
+            exact[0] = False
+        return acc
+
+    return countable
 
 
 def substitute_x(expr, inner):
@@ -229,11 +355,11 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
     if form is None:
         return None
     c, d = form
+    direct = _compiled(substitute_x(expr, Var(1)), desc, 1)
     for n in _AFFINE_PROBES:
         x = desc.from_count(n)
-        direct, _ = evaluate(substitute_x(expr, Const(x)), desc, [])
         linear = desc.plus(desc.times(c, x), d)
-        if direct != linear:
+        if direct([x], DEFAULT_TRUNCATION, None) != linear:
             return None
     return c, d
 

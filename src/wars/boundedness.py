@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .aggregator import evaluate
 from .semiring import INF, NatInf, Semiring, Tropical
 from .system import SystemHandle
 
@@ -368,7 +367,7 @@ def verify_embedding(
                         witness=b,
                     )
                 args.append(eb)
-            step, _ = evaluate(r.aggregator, desc, args, branch_trunc)
+            step = agg._compiled(r.aggregator, desc, len(args))(args, branch_trunc, None)
             if not desc.leq(step, ea):
                 return BoundednessReport(
                     UNKNOWN,
@@ -458,12 +457,14 @@ def search_affine_embedding(
         rules, complete = sys.successors(a, rule_budget)
         if not complete:
             raise PreconditionError("affine embedding search needs complete rule lists")
-        rules_of[a] = rules
         for r in rules:
             if _multi_affine(r.aggregator, desc, len(r.rhs)) is None:
                 raise UnsupportedAggregatorError(
                     f"rule {r.tag}: aggregator is not affine in its variables"
                 )
+        rules_of[a] = [
+            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs))) for r in rules
+        ]
 
     nf_weight = {
         a: sys.nf_weight(a) for a in objects if not rules_of[a]
@@ -482,8 +483,8 @@ def search_affine_embedding(
                     ok = False
                     break
                 continue
-            for r in rules_of[a]:
-                step, _ = evaluate(r.aggregator, desc, [table[b] for b in r.rhs])
+            for rhs, step_fn in rules_of[a]:
+                step = step_fn([table[b] for b in rhs], agg.DEFAULT_TRUNCATION, None)
                 if not desc.leq(step, ea):
                     ok = False
                     break

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .aggregator import evaluate
+from .aggregator import _compiled
 from .system import SystemHandle
 
 LOWER_BOUND = "lower_bound"
@@ -95,7 +95,9 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
                 f"leaf {sys.format_object(tree.label)} carries rule {tree.rule_tag!r}"
             )
         if sys.is_normal_form(tree.label):
-            return sys.nf_weight(tree.label)
+            weight = sys.nf_weight(tree.label)
+            desc.require(weight)
+            return weight
         return desc.zero
     if sys.is_normal_form(tree.label):
         raise StructuralTreeError(
@@ -113,8 +115,7 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
             f"{tree.rule_tag!r}"
         )
     args = [tree_weight(sys, c, branch_trunc) for c in tree.children]
-    value, _ = evaluate(rule.aggregator, desc, args, branch_trunc)
-    return value
+    return _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
 
 
 def truncate(tree: ReductionTree, n: int) -> ReductionTree:
@@ -135,7 +136,11 @@ class _Exploration:
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
         self.sys = sys
+        desc = sys.semiring
         self.objects: list = []
+        # Per object, its rules as (rhs, compiled aggregator, aggregator).
+        # Holding the aggregator keeps its compilation shared with equal
+        # aggregators that later objects' rules bring.
         self.rules: dict = {}
         self.nf: dict = {}
         self.cap_hit = False
@@ -158,9 +163,14 @@ class _Exploration:
                 if not r.rhs_complete:
                     self.enumeration_complete = False
             if not rules and complete:
-                self.nf[obj] = sys._nf_weight(obj)
+                weight = sys._nf_weight(obj)
+                desc.require(weight)
+                self.nf[obj] = weight
             else:
-                self.rules[obj] = rules
+                self.rules[obj] = [
+                    (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
+                    for r in rules
+                ]
             return True
 
         admit(start)
@@ -169,8 +179,8 @@ class _Exploration:
         while frontier and level < depth:
             nxt = []
             for a in frontier:
-                for r in self.rules.get(a, []):
-                    for b in r.rhs:
+                for rhs, _, _ in self.rules.get(a, ()):
+                    for b in rhs:
                         if admit(b):
                             nxt.append(b)
             frontier = nxt
@@ -183,8 +193,8 @@ class _Exploration:
         if self.cap_hit:
             return False
         for a in self.frontier:
-            for r in self.rules.get(a, []):
-                if any(b not in self._seen for b in r.rhs):
+            for rhs, _, _ in self.rules.get(a, ()):
+                if any(b not in self._seen for b in rhs):
                     return False
         return True
 
@@ -197,10 +207,8 @@ class _Exploration:
                 cur[a] = self.nf[a]
                 continue
             vals = [zero]
-            for r in self.rules[a]:
-                args = [prev.get(b, zero) for b in r.rhs]
-                v, _ = evaluate(r.aggregator, desc, args, branch_trunc)
-                vals.append(v)
+            for rhs, fn, _ in self.rules[a]:
+                vals.append(fn([prev.get(b, zero) for b in rhs], branch_trunc, None))
             cur[a] = vals[0] if len(vals) == 1 else desc._join(vals)
         return cur
 

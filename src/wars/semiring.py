@@ -135,9 +135,21 @@ class Semiring:
             )
 
     def plus(self, a, b):
-        raise NotImplementedError
+        self.require(a)
+        self.require(b)
+        return self._plus(a, b)
 
     def times(self, a, b):
+        self.require(a)
+        self.require(b)
+        return self._times(a, b)
+
+    def _plus(self, a, b):
+        """``plus`` on values already known to be in the carrier."""
+        raise NotImplementedError
+
+    def _times(self, a, b):
+        """``times`` on values already known to be in the carrier."""
         raise NotImplementedError
 
     def leq(self, a, b) -> bool:
@@ -222,16 +234,12 @@ class _NumericCounting(Semiring):
     one = 1
     top = INF
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         if a is INF or b is INF:
             return INF
         return a + b
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         if a == 0 or b == 0:
             return 0
         if a is INF or b is INF:
@@ -319,14 +327,10 @@ class Tropical(Semiring):
     def contains(self, value) -> bool:
         return value is INF or (isinstance(value, int) and not isinstance(value, bool) and value >= 0)
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         return min(a, b)
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         if a is INF or b is INF:
             return INF
         return a + b
@@ -375,14 +379,10 @@ class Arctic(Semiring):
             return True
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         return max(a, b)
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         if a is NEG_INF or b is NEG_INF:
             return NEG_INF
         if a is INF or b is INF:
@@ -437,14 +437,10 @@ class Boolean(Semiring):
     def contains(self, value) -> bool:
         return isinstance(value, bool)
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         return a or b
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         return a and b
 
     def leq(self, a, b) -> bool:
@@ -493,14 +489,10 @@ class Confidence(Semiring):
             return False
         return isinstance(value, (int, Fraction)) and 0 <= value <= 1
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         return max(a, b)
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         return a * b
 
     def leq(self, a, b) -> bool:
@@ -549,14 +541,10 @@ class Bottleneck(Semiring):
             return True
         return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         return max(a, b)
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         return min(a, b)
 
     def leq(self, a, b) -> bool:
@@ -609,13 +597,13 @@ class Language(Semiring):
             raise ValueError("alphabet must be a non-empty set of distinct symbols")
         self.alphabet = symbols
         self.one = frozenset({""})
+        self._longest_first = sorted(symbols, key=len, reverse=True)
 
     def _split_word(self, word: str) -> bool:
         # Greedy longest-match decomposition into alphabet symbols.
         i = 0
-        syms = sorted(self.alphabet, key=len, reverse=True)
         while i < len(word):
-            for s in syms:
+            for s in self._longest_first:
                 if word.startswith(s, i):
                     i += len(s)
                     break
@@ -630,16 +618,12 @@ class Language(Semiring):
             return False
         return all(isinstance(w, str) and self._split_word(w) for w in value)
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _plus(self, a, b):
         if a is ALL_WORDS or b is ALL_WORDS:
             return ALL_WORDS
         return a | b
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
+    def _times(self, a, b):
         if a == self.zero or b == self.zero:
             return self.zero
         if a is ALL_WORDS or b is ALL_WORDS:
@@ -744,15 +728,11 @@ class Product(Semiring):
             return False
         return all(c.contains(v) for c, v in zip(self.components, value))
 
-    def plus(self, a, b):
-        self.require(a)
-        self.require(b)
-        return tuple(c.plus(x, y) for c, x, y in zip(self.components, a, b))
+    def _plus(self, a, b):
+        return tuple(c._plus(x, y) for c, x, y in zip(self.components, a, b))
 
-    def times(self, a, b):
-        self.require(a)
-        self.require(b)
-        return tuple(c.times(x, y) for c, x, y in zip(self.components, a, b))
+    def _times(self, a, b):
+        return tuple(c._times(x, y) for c, x, y in zip(self.components, a, b))
 
     def leq(self, a, b) -> bool:
         self.require(a)

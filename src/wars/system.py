@@ -9,7 +9,6 @@ weight.  Handles are immutable; successor enumeration is deterministic.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -221,9 +220,12 @@ def load_explicit(source: str) -> SystemHandle:
     label must have one.
     """
     text = source
-    if not source.lstrip().startswith("{") and os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    if not source.lstrip().startswith("{"):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError as exc:
+            raise SystemFormatError(f"system file not found: {source}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -319,24 +321,27 @@ def _mentions_top(expr, desc) -> bool:
 
 
 def _has_cycle(rules_by_lhs: dict[str, list[RuleInstance]]) -> bool:
-    edges = {
-        lhs: sorted({b for r in rs for b in r.rhs})
-        for lhs, rs in rules_by_lhs.items()
-    }
+    # Depth-first search with an explicit stack, so chain length is not
+    # bounded by the recursion limit.
+    edges = {lhs: {b for r in rs for b in r.rhs} for lhs, rs in rules_by_lhs.items()}
     WHITE, GREY, BLACK = 0, 1, 2
     color = {}
-
-    def visit(node) -> bool:
-        color[node] = GREY
-        for succ in edges.get(node, []):
-            c = color.get(succ, WHITE)
-            if c == GREY:
-                return True
-            if c == WHITE and visit(succ):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(
-        color.get(node, WHITE) == WHITE and visit(node) for node in sorted(edges)
-    )
+    for root in edges:
+        if color.get(root, WHITE) != WHITE:
+            continue
+        color[root] = GREY
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                c = color.get(succ, WHITE)
+                if c == GREY:
+                    return True
+                if c == WHITE:
+                    color[succ] = GREY
+                    stack.append((succ, iter(edges.get(succ, ()))))
+                    break
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return False

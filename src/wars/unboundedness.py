@@ -194,11 +194,6 @@ def _apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
     raise UnboundednessError(f"cannot substitute into {expr!r}")
 
 
-def _poly_at(polynomial, desc, s):
-    value, _ = agg.evaluate(agg.substitute_x(polynomial, Const(s)), desc, [])
-    return value
-
-
 def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
     """Search for an increment t that the polynomial always gains.
 
@@ -217,6 +212,12 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
         candidates.append(affine[1])
     candidates.append(desc.one)
 
+    # The polynomial as a function of X, which becomes its one variable.
+    compiled = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
+
+    def poly_at(s):
+        return compiled([s], agg.DEFAULT_TRUNCATION, None)
+
     seen = []
     for t in candidates:
         if any(t == prev for prev in seen):
@@ -234,13 +235,13 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
             continue
         if desc.kind == "boolean":
             if all(
-                desc.leq(desc.plus(s, t), _poly_at(polynomial, desc, s))
+                desc.leq(desc.plus(s, t), poly_at(s))
                 for s in (False, True)
             ):
                 return t, CERTIFIED
             continue
         if all(
-            desc.leq(desc.plus(s, t), _poly_at(polynomial, desc, s))
+            desc.leq(desc.plus(s, t), poly_at(s))
             for s in desc.probe_values()
         ):
             return t, CANDIDATE

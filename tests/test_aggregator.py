@@ -26,7 +26,24 @@ from wars.aggregator import (
     parse_expr,
     substitute_x,
 )
-from wars.semiring import ARCTIC, INF, NAT_INF, REAL_INF, Product, BOOLEAN
+from wars.semiring import (
+    ALL_WORDS,
+    ARCTIC,
+    BOOLEAN,
+    BOTTLENECK,
+    CONFIDENCE,
+    INF,
+    NAT_INF,
+    NEG_INF,
+    REAL_INF,
+    TROPICAL,
+    CarrierMismatch,
+    Language,
+    Product,
+    SemiringError,
+)
+
+from reference_eval import reference_evaluate
 
 FIG_WALK = SumNode(
     (
@@ -235,15 +252,35 @@ def _bool_cast(expr):
 
 
 @st.composite
-def expr_strategy(draw, depth=0):
+def expr_strategy(draw, depth=0, consts=st.integers(0, 9), countable=False):
     # The grammar has no singleton sums or products, so stay in its image.
-    kind = draw(st.integers(0, 3 if depth < 2 else 1))
+    # Countable sums have no syntax; they are drawn only when asked for.
+    kind = draw(st.integers(0, (4 if countable else 3) if depth < 2 else 1))
     if kind == 0:
-        return Const(draw(st.integers(0, 9)))
+        return Const(draw(consts))
     if kind == 1:
         return Var(draw(st.integers(1, 4)))
-    children = draw(st.lists(expr_strategy(depth=depth + 1), min_size=2, max_size=3))
+    if kind == 4:
+        return draw(countable_strategy(depth, consts))
+    children = draw(
+        st.lists(expr_strategy(depth + 1, consts, countable), min_size=2, max_size=3)
+    )
     return (SumNode if kind == 2 else ProdNode)(tuple(children))
+
+
+@st.composite
+def countable_strategy(draw, depth, consts):
+    """A countable sum over a drawn term list, finite or repeated forever."""
+    terms = draw(st.lists(expr_strategy(depth + 1, consts, True), max_size=4))
+    forever = draw(st.booleans()) and bool(terms)
+    var_bound = draw(st.one_of(st.just(INF), st.integers(0, 4)))
+
+    def term(i):
+        if forever:
+            return terms[i % len(terms)]
+        return terms[i] if i < len(terms) else None
+
+    return CountableSum(term, var_bound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,3 +288,139 @@ def expr_strategy(draw, depth=0):
 def test_parse_print_round_trip(expr):
     printed = format_expr(expr, NAT_INF)
     assert parse_expr(printed, NAT_INF) == expr
+
+
+# -- compiled evaluation against the naive reference ------------------------
+
+CARRIERS = [
+    NAT_INF,
+    REAL_INF,
+    TROPICAL,
+    ARCTIC,
+    BOOLEAN,
+    CONFIDENCE,
+    BOTTLENECK,
+    Language(("a", "bc")),
+    Product((NAT_INF, BOOLEAN)),
+    Product((TROPICAL, Language(("x",)))),
+]
+
+# Values that belong to some carriers and not to others, including ones equal
+# to carrier values of another type (True == 1 == Fraction(1)) and one that
+# cannot be hashed.
+FOREIGN = [-1, 0, 1, True, False, Fraction(1, 2), Fraction(3), INF, NEG_INF,
+           ALL_WORDS, frozenset({"a"}), frozenset({"zz"}), (1, True), "x", None, [1]]
+
+
+@st.composite
+def carrier_value(draw, desc):
+    if draw(st.integers(0, 24)) == 0:
+        return draw(st.sampled_from(FOREIGN))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(desc.probe_values()))
+    return desc.sample(draw(st.randoms(use_true_random=False)))
+
+
+def _outcome(evaluator, expr, desc, args, truncation):
+    try:
+        value, exact = evaluator(expr, desc, args, truncation)
+    except (AggregatorError, SemiringError) as exc:
+        return type(exc), str(exc)
+    return desc.format_literal(value), exact
+
+
+def _retyped(expr):
+    """An equal expression whose constants change type where they can
+    (1 and True and Fraction(1) are all equal)."""
+    if isinstance(expr, Const):
+        v = expr.value
+        if isinstance(v, bool):
+            return Const(int(v))
+        if isinstance(v, int) and v in (0, 1):
+            return Const(bool(v))
+        if isinstance(v, int):
+            return Const(Fraction(v))
+        if isinstance(v, Fraction) and v.denominator == 1:
+            return Const(int(v))
+        return expr
+    if isinstance(expr, SumNode):
+        return SumNode(tuple(_retyped(e) for e in expr.terms))
+    if isinstance(expr, ProdNode):
+        return ProdNode(tuple(_retyped(e) for e in expr.factors))
+    return expr
+
+
+def _check_against_reference(data, desc, values, min_args=0):
+    expr = data.draw(expr_strategy(consts=values, countable=True))
+    # The second call runs on the cached compilation and cached sum terms;
+    # the retyped twin, equal to ``expr``, finds that compilation too.
+    for candidate in (expr, expr, _retyped(expr)):
+        args = data.draw(st.lists(values, min_size=min_args, max_size=4))
+        truncation = data.draw(st.integers(1, 8))
+        got = _outcome(evaluate, candidate, desc, args, truncation)
+        assert got == _outcome(reference_evaluate, candidate, desc, args, truncation)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_compiled_matches_reference(data):
+    desc = data.draw(st.sampled_from(CARRIERS))
+    _check_against_reference(data, desc, carrier_value(desc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_matches_reference_around_sigma_star(data):
+    # Concatenating SIGMA* with a proper non-empty language has no finite
+    # representation and raises; it needs SIGMA* next to small languages.
+    words = Language(("a", "bc"))
+    values = st.sampled_from(
+        [ALL_WORDS, frozenset(), frozenset({""}), frozenset({"a"}), frozenset({"", "bc"})]
+    )
+    _check_against_reference(data, words, values, min_args=4)
+
+
+class TestCompiledBoundaries:
+    def test_equal_constant_of_another_type_is_checked(self):
+        # Const(True) == Const(1), so both share one compiled form while the
+        # first is alive; the second must still fail the carrier check.
+        first = SumNode((Const(1), Var(1)))
+        assert evaluate(first, NAT_INF, [2]) == (3, True)
+        with pytest.raises(CarrierMismatch):
+            evaluate(SumNode((Const(True), Var(1))), NAT_INF, [2])
+        with pytest.raises(CarrierMismatch):
+            evaluate(SumNode((Const(Fraction(1)), Var(1))), NAT_INF, [2])
+
+    def test_argument_outside_carrier(self):
+        with pytest.raises(CarrierMismatch):
+            evaluate(Var(1), NAT_INF, [-1])
+
+    def test_arity_error_beside_countable_sum(self):
+        # The countable sum hides the arity, so the variable checks itself.
+        with pytest.raises(ArityError, match="v3 but only 2 arguments"):
+            evaluate(SumNode((GEOMETRIC, Var(3))), REAL_INF, [Fraction(1)] * 2)
+
+    def test_sigma_star_concatenation(self):
+        words = Language(("a",))
+        with pytest.raises(SemiringError, match="SIGMA"):
+            evaluate(ProdNode((Const(ALL_WORDS), Var(1))), words, [frozenset({"a"})])
+
+    def test_countable_sum_exactness_propagates(self):
+        endless = CountableSum(lambda i: Const(1))
+        once = CountableSum(lambda i: Const(1) if i == 0 else None, var_bound=0)
+        outer = CountableSum(lambda i: endless if i == 0 else None, var_bound=0)
+        assert evaluate(outer, NAT_INF, [], truncation=4) == (4, False)
+        assert evaluate(SumNode((endless, once)), NAT_INF, [], truncation=3) == (4, False)
+
+    def test_cached_countable_terms(self):
+        calls = []
+
+        def term(i):
+            calls.append(i)
+            return Const(1) if i < 3 else None
+
+        finite = CountableSum(term, var_bound=0)
+        assert evaluate(finite, NAT_INF, [], truncation=2) == (2, False)
+        assert evaluate(finite, NAT_INF, [], truncation=10) == (3, True)
+        assert evaluate(finite, NAT_INF, [], truncation=10) == (3, True)
+        assert calls == [0, 1, 2, 3]

@@ -77,6 +77,14 @@ class TestEval:
         assert main(["eval", "--system", "builtin:nope", "--start", "1", "--depth", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_missing_system_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code = main(["eval", "--system", f"file:{missing}", "--start", "a", "--depth", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"system file not found: {missing}" in err
+        assert "invalid JSON" not in err
+
     def test_visit_cap_partial_exit(self, capsys):
         code = main(
             [
@@ -123,6 +131,25 @@ class TestBound:
         )
         assert code == 0
         assert "bounded_certified" in capsys.readouterr().out
+
+    def test_extremal_long_chain(self, tmp_path, capsys):
+        # Loading checks the chain for cycles; that must not recurse per link.
+        length = 10_000
+        chain = {
+            "semiring": {"kind": "nat_inf"},
+            "rules": [
+                {"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1", "tag": "next"}
+                for i in range(length - 1)
+            ],
+            "nf": {f"c{length - 1}": "0"},
+        }
+        path = tmp_path / "long-chain.json"
+        path.write_text(json.dumps(chain))
+        code = main(["bound", "--system", f"file:{path}", "--mode", "extremal", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["verdict"] == "bounded_certified"
+        assert "Traceback" not in captured.err
 
     def test_extremal_unknown_for_scheduler(self, capsys):
         code = main(["bound", "--system", "builtin:os_size", "--mode", "extremal"])
