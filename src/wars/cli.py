@@ -31,11 +31,11 @@ from .boundedness import (
 from .builtins import builtin, builtin_names
 from .evaluator import (
     CountCapExceeded,
+    DepthProfile,
     VisitCapExceeded,
     enumerate_trees,
     evaluate_to_fixpoint,
     tree_weight,
-    weight_lower_bound,
 )
 from .semiring import SemiringError
 from .system import SystemError_, SystemFormatError, load_explicit
@@ -43,7 +43,7 @@ from .unboundedness import (
     CERTIFIED,
     UnboundednessError,
     analyze_loop,
-    conclude_unbounded,
+    conclude_witnesses,
     find_loops,
 )
 
@@ -169,8 +169,12 @@ def cmd_bound(args) -> int:
     elif args.mode.startswith("embed:"):
         ref = args.mode[len("embed:"):]
         if os.path.exists(ref):
-            with open(ref, "r", encoding="utf-8") as fh:
-                embedding = Embedding.from_json(json.load(fh), system, name=ref)
+            try:
+                with open(ref, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except OSError as exc:
+                raise CliError(f"cannot read embedding file {ref}: {exc.strerror}") from exc
+            embedding = Embedding.from_json(data, system, name=ref)
         else:
             try:
                 embedding = builtin_embedding(ref)
@@ -221,6 +225,15 @@ def cmd_loop(args) -> int:
         max_witnesses=args.max_witnesses,
     )
     witnesses = [analyze_loop(system, tree, path) for tree, path in candidates]
+    verdicts = iter(
+        conclude_witnesses(
+            system,
+            [w for w in witnesses if w.status == CERTIFIED],
+            rule_budget=args.rule_budget,
+            branch_trunc=args.branch_trunc,
+            visit_cap=args.visit_cap,
+        )
+    )
 
     reports = []
     for w in witnesses:
@@ -233,13 +246,7 @@ def cmd_loop(args) -> int:
             "t": desc.format_literal(w.t) if w.t is not None else None,
         }
         if w.status == CERTIFIED:
-            verdict = conclude_unbounded(
-                system,
-                w,
-                rule_budget=args.rule_budget,
-                branch_trunc=args.branch_trunc,
-                visit_cap=args.visit_cap,
-            )
+            verdict = next(verdicts)
             entry["verdict"] = "unbounded"
             entry["method"] = verdict.method
             entry["cross_check"] = verdict.cross_check
@@ -279,16 +286,18 @@ def cmd_oracle(args) -> int:
     objects = enum[0]
 
     checks = []
-    for a in objects:
+    # A negative depth asks for no checks, so nothing is explored.
+    for a in objects if args.depth >= 0 else ():
+        profile = DepthProfile(
+            system,
+            a,
+            args.depth,
+            rule_budget=args.rule_budget,
+            branch_trunc=args.branch_trunc,
+            visit_cap=args.visit_cap,
+        )
         for depth in range(args.depth + 1):
-            iterated = weight_lower_bound(
-                system,
-                a,
-                depth,
-                rule_budget=args.rule_budget,
-                branch_trunc=args.branch_trunc,
-                visit_cap=args.visit_cap,
-            ).value
+            iterated = profile.bound(depth).value
             weights = [
                 tree_weight(system, t, args.branch_trunc)
                 for t in enumerate_trees(

@@ -11,6 +11,7 @@ nothing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -129,99 +130,189 @@ def truncate(tree: ReductionTree, n: int) -> ReductionTree:
     )
 
 
-class _Exploration:
-    """The object ball reachable from a start within a depth radius and budgets."""
+class _Ball:
+    """The objects reachable from a start within a radius and budgets.
 
-    def __init__(self, sys, start, depth, rule_budget, visit_cap):
+    Objects are numbered in the breadth-first order they were admitted, so
+    the objects within distance ``r`` of the start are ``objects[:ends[r]]``.
+    Per object, ``rules`` holds ``None`` for a normal form, else its rules as
+    (successor numbers, compiled aggregator, aggregator); a successor outside
+    the ball is numbered -1.  Holding the aggregator keeps its compilation
+    shared with equal aggregators that later objects' rules bring.
+    """
+
+    def __init__(self, sys, start, radius, rule_budget, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
-        self.sys = sys
         desc = sys.semiring
+        self.semiring = desc
         self.objects: list = []
-        # Per object, its rules as (rhs, compiled aggregator, aggregator).
-        # Holding the aggregator keeps its compilation shared with equal
-        # aggregators that later objects' rules bring.
-        self.rules: dict = {}
-        self.nf: dict = {}
-        self.cap_hit = False
+        self.rules: list = []
+        # Level-zero values: normal forms weigh their interpretation.
+        self.initial: list = []
+        # The radius whose admission the visit cap cut short, if any.
+        self.cap_radius: Optional[int] = None
         self.enumeration_complete = True
+        index: dict = {}
 
-        seen = set()
-
-        def admit(obj) -> bool:
-            if obj in seen:
-                return False
-            if len(seen) >= visit_cap:
-                self.cap_hit = True
-                return False
-            seen.add(obj)
+        def admit(obj, distance) -> None:
+            if obj in index:
+                return
+            if len(index) >= visit_cap:
+                if self.cap_radius is None:
+                    self.cap_radius = distance
+                return
+            index[obj] = len(self.objects)
             self.objects.append(obj)
             rules, complete = sys.successors(obj, rule_budget)
-            if not complete:
+            if not complete or not all(r.rhs_complete for r in rules):
                 self.enumeration_complete = False
-            for r in rules:
-                if not r.rhs_complete:
-                    self.enumeration_complete = False
             if not rules and complete:
                 weight = sys._nf_weight(obj)
                 desc.require(weight)
-                self.nf[obj] = weight
+                self.rules.append(None)
+                self.initial.append(weight)
             else:
-                self.rules[obj] = [
-                    (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
-                    for r in rules
-                ]
-            return True
+                self.rules.append(
+                    [
+                        (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
+                        for r in rules
+                    ]
+                )
+                self.initial.append(desc.zero)
 
-        admit(start)
-        frontier = [start]
-        level = 0
-        while frontier and level < depth:
-            nxt = []
-            for a in frontier:
-                for rhs, _, _ in self.rules.get(a, ()):
+        admit(start, 0)
+        ends = [1]
+        first = 0  # the first object at the outermost distance
+        while len(ends) <= radius and first < ends[-1]:
+            distance = len(ends)
+            for i in range(first, ends[-1]):
+                for rhs, _, _ in self.rules[i] or ():
                     for b in rhs:
-                        if admit(b):
-                            nxt.append(b)
-            frontier = nxt
-            level += 1
-        self.frontier = frontier
-        self._seen = seen
+                        admit(b, distance)
+            first = ends[-1]
+            ends.append(len(self.objects))
+        ends.extend([len(self.objects)] * (radius + 1 - len(ends)))
+        self.ends = ends
 
-    def closed(self) -> bool:
-        """True when every successor of every visited object was visited."""
-        if self.cap_hit:
-            return False
-        for a in self.frontier:
-            for rhs, _, _ in self.rules.get(a, ()):
-                if any(b not in self._seen for b in rhs):
-                    return False
-        return True
-
-    def step(self, prev: dict, branch_trunc: int) -> dict:
-        desc = self.sys.semiring
-        zero = desc.zero
-        cur = {}
-        for a in self.objects:
-            if a in self.nf:
-                cur[a] = self.nf[a]
-                continue
-            vals = [zero]
-            for rhs, fn, _ in self.rules[a]:
-                vals.append(fn([prev.get(b, zero) for b in rhs], branch_trunc, None))
-            cur[a] = vals[0] if len(vals) == 1 else desc._join(vals)
-        return cur
-
-    def initial(self) -> dict:
-        zero = self.sys.semiring.zero
-        return {a: self.nf.get(a, zero) for a in self.objects}
+        # Successor-closed: no rule leads outside the ball.
+        self.closed = self.cap_radius is None
+        for i, rules in enumerate(self.rules):
+            if rules:
+                numbered = []
+                for rhs, fn, aggregator in rules:
+                    succ = tuple(index.get(b, -1) for b in rhs)
+                    if -1 in succ:
+                        self.closed = False
+                    numbered.append((succ, fn, aggregator))
+                self.rules[i] = numbered
 
 
-def _iterate(exploration: _Exploration, depth: int, branch_trunc: int) -> list:
-    levels = [exploration.initial()]
-    for _ in range(depth):
-        levels.append(exploration.step(levels[-1], branch_trunc))
-    return levels
+def _levels(ball: _Ball, branch_trunc: int, depth: Optional[int] = None) -> Iterator:
+    """Value iteration over ``ball``, one level per step.
+
+    Yields ``(values, changed)`` for level 0, 1, ...: ``values`` is a single
+    list, updated in place, indexed like ``ball.objects`` plus one last slot
+    holding zero, where successors outside the ball point; ``changed`` counts
+    the objects whose value differs from the level before (at level 0, all).
+
+    Level j recomputes only the objects with a successor that changed at
+    level j-1 (at level 1, every object with rules).  Any other object would
+    get its level j-1 value back, so this is exactly the level-by-level
+    (Jacobi) iteration.  Given ``depth``, level j also skips the objects
+    farther than ``depth - j`` from the start: they cannot reach the start's
+    value at level ``depth``.  Their entries go stale, and the iteration ends
+    after level ``depth``.
+    """
+    desc = ball.semiring
+    join = desc._join
+    rules = ball.rules
+    ends = ball.ends
+    n = len(rules)
+    values = ball.initial + [desc.zero]
+    yield values, n
+
+    # Objects that level 1 recomputes; no later level recomputes others.
+    reach = n if depth is None else (ends[depth - 1] if depth > 0 else 0)
+    pending = [i for i in range(reach) if rules[i]]
+    preds: list = [[] for _ in range(n)]
+    for i in pending:
+        for succ, _, _ in rules[i]:
+            for s in succ:
+                if s >= 0:
+                    preds[s].append(i)
+
+    level = 1
+    while depth is None or level <= depth:
+        if depth is not None:
+            pending = pending[: bisect.bisect_left(pending, ends[depth - level])]
+        changed = []
+        for i in pending:
+            rs = rules[i]
+            if len(rs) == 1:
+                succ, fn, _ = rs[0]
+                v = fn([values[s] for s in succ], branch_trunc, None)
+            else:
+                v = join(
+                    [fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs]
+                )
+            if v != values[i]:
+                changed.append((i, v))
+        for i, v in changed:
+            values[i] = v
+        yield values, len(changed)
+        marked: set = set()
+        for i, _ in changed:
+            marked.update(preds[i])
+        pending = sorted(marked)
+        level += 1
+
+
+def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
+    return {
+        "rule_budget": rule_budget,
+        "branch_trunc": branch_trunc,
+        "visit_cap": visit_cap,
+    }
+
+
+class DepthProfile:
+    """The lower bounds at ``a`` for every level 0..depth, from one exploration.
+
+    ``bound(level)`` returns or raises exactly what ``weight_lower_bound`` at
+    that depth would: the objects within ``level`` of ``a`` are explored the
+    same way, so the value, the visited count and whether the visit cap was
+    hit all agree.
+    """
+
+    def __init__(
+        self,
+        sys: SystemHandle,
+        a,
+        depth: int,
+        rule_budget: int = DEFAULT_RULE_BUDGET,
+        branch_trunc: int = DEFAULT_BRANCH_TRUNC,
+        visit_cap: int = DEFAULT_VISIT_CAP,
+    ):
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        ball = _Ball(sys, a, depth, rule_budget, visit_cap)
+        self.values = [values[0] for values, _ in _levels(ball, branch_trunc, depth)]
+        self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
+        self._ends = ball.ends
+        self._cap_radius = ball.cap_radius
+
+    def bound(self, level: int) -> WeightBound:
+        bound = WeightBound(
+            value=self.values[level],
+            status=LOWER_BOUND,
+            depth_explored=level,
+            budgets=dict(self.budgets),
+            visited=self._ends[level],
+        )
+        if self._cap_radius is not None and level >= self._cap_radius:
+            raise VisitCapExceeded(bound)
+        return bound
 
 
 def weight_lower_bound(
@@ -238,24 +329,7 @@ def weight_lower_bound(
     by the semiring minimum; each further level joins, over the enumerated
     rules, the aggregator applied to the previous level's successor weights.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
-    levels = _iterate(ex, depth, branch_trunc)
-    bound = WeightBound(
-        value=levels[-1][a],
-        status=LOWER_BOUND,
-        depth_explored=depth,
-        budgets={
-            "rule_budget": rule_budget,
-            "branch_trunc": branch_trunc,
-            "visit_cap": visit_cap,
-        },
-        visited=len(ex.objects),
-    )
-    if ex.cap_hit:
-        raise VisitCapExceeded(bound)
-    return bound
+    return DepthProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap).bound(depth)
 
 
 def weight_profile(
@@ -267,13 +341,9 @@ def weight_profile(
     visit_cap: int = DEFAULT_VISIT_CAP,
 ) -> list:
     """The lower-bound values at ``a`` for every level 0..depth."""
-    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
-    levels = _iterate(ex, depth, branch_trunc)
-    if ex.cap_hit:
-        raise VisitCapExceeded(
-            WeightBound(levels[-1][a], LOWER_BOUND, depth, visited=len(ex.objects))
-        )
-    return [lvl[a] for lvl in levels]
+    profile = DepthProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap)
+    profile.bound(depth)  # raises VisitCapExceeded as weight_lower_bound would
+    return profile.values
 
 
 def iterate_lower_bounds(
@@ -289,12 +359,9 @@ def iterate_lower_bounds(
     Produces up to ``max_depth + 1`` values; consumers may stop early once a
     threshold is crossed, skipping the remaining iteration work.
     """
-    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
-    current = ex.initial()
-    yield current[a]
-    for _ in range(max_depth):
-        current = ex.step(current, branch_trunc)
-        yield current[a]
+    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
+    for values, _ in _levels(ball, branch_trunc, max_depth):
+        yield values[0]
 
 
 def evaluate_to_fixpoint(
@@ -314,35 +381,30 @@ def evaluate_to_fixpoint(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
-    budgets = {
-        "rule_budget": rule_budget,
-        "branch_trunc": branch_trunc,
-        "visit_cap": visit_cap,
-    }
-
-    current = ex.initial()
-    depth_explored = 0
-    stable = False
-    while depth_explored < max(max_depth, 1):
-        nxt = ex.step(current, branch_trunc)
-        if nxt == current:
+    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
+    levels = _levels(ball, branch_trunc)
+    values, _ = next(levels)
+    value, depth_explored, stable = values[0], 0, False
+    # The extra level that can show stability is within the step budget,
+    # except at max_depth 0, which still gets one level to compare.
+    for values, changed in itertools.islice(levels, max(max_depth, 1)):
+        if not changed:
             stable = True
             break
-        if depth_explored >= max_depth:
+        if depth_explored == max_depth:
             break
-        current = nxt
         depth_explored += 1
+        value = values[0]
 
-    certified = stable and ex.closed() and ex.enumeration_complete
+    certified = stable and ball.closed and ball.enumeration_complete
     bound = WeightBound(
-        value=current[a],
+        value=value,
         status=STABILIZED if certified else LOWER_BOUND,
         depth_explored=depth_explored,
-        budgets=budgets,
-        visited=len(ex.objects),
+        budgets=_budgets(rule_budget, branch_trunc, visit_cap),
+        visited=len(ball.objects),
     )
-    if ex.cap_hit:
+    if ball.cap_radius is not None:
         raise VisitCapExceeded(bound)
     return bound
 

@@ -226,6 +226,8 @@ def load_explicit(source: str) -> SystemHandle:
                 text = fh.read()
         except FileNotFoundError as exc:
             raise SystemFormatError(f"system file not found: {source}") from exc
+        except OSError as exc:
+            raise SystemFormatError(f"cannot read system file {source}: {exc.strerror}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

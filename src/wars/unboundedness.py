@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import aggregator as agg
 from .aggregator import Const, CountableSum, ProdNode, SumNode, Var, X, XVar
-from .evaluator import ReductionTree, enumerate_trees, weight_lower_bound
+from .evaluator import DepthProfile, ReductionTree, enumerate_trees
 from .semiring import NatInf, RealInf, Semiring
 from .system import SystemHandle
 
@@ -281,21 +281,50 @@ def conclude_unbounded(
     Cross-checks the evaluator: the depth-indexed lower bound at multiples of
     the loop depth must climb at least as fast as the accumulated increments.
     """
-    if witness.status != CERTIFIED:
-        raise UncertifiedWitnessError(
-            "only a certified loop witness proves unboundedness"
-        )
-    desc = sys.semiring
-    a = witness.root
-    loop_depth = witness.tree.depth()
+    return conclude_witnesses(
+        sys, [witness], k_max, rule_budget, branch_trunc, visit_cap
+    )[0]
 
+
+def conclude_witnesses(
+    sys: SystemHandle,
+    witnesses: list,
+    k_max: int = 5,
+    rule_budget: int = 64,
+    branch_trunc: int = 64,
+    visit_cap: int = 100_000,
+) -> list[UnboundednessReport]:
+    """``conclude_unbounded`` for each witness in turn, from one pass per root.
+
+    Each root is evaluated once, to ``k_max`` times its deepest loop.  The
+    checks then run witness by witness and ``k`` by ``k``, so a failed check
+    or a visit cap hit is raised at the same witness and ``k`` as when every
+    depth is evaluated on its own.
+    """
+    for witness in witnesses:
+        if witness.status != CERTIFIED:
+            raise UncertifiedWitnessError(
+                "only a certified loop witness proves unboundedness"
+            )
+    radius: dict = {}
+    for witness in witnesses:
+        depth = k_max * witness.tree.depth()
+        radius[witness.root] = max(radius.get(witness.root, 0), depth)
+    profiles = {
+        root: DepthProfile(sys, root, depth, rule_budget, branch_trunc, visit_cap)
+        for root, depth in radius.items()
+    }
+    return [_conclude(sys, w, profiles[w.root], k_max) for w in witnesses]
+
+
+def _conclude(sys, witness, profile, k_max) -> UnboundednessReport:
+    desc = sys.semiring
+    loop_depth = witness.tree.depth()
     values = []
     accumulated = desc.zero
     previous = desc.zero
     for k in range(1, k_max + 1):
-        bound = weight_lower_bound(
-            sys, a, k * loop_depth, rule_budget, branch_trunc, visit_cap
-        )
+        bound = profile.bound(k * loop_depth)
         accumulated = desc.plus(accumulated, witness.t)
         if not desc.leq(previous, bound.value):
             raise UnboundednessError(
@@ -309,7 +338,7 @@ def conclude_unbounded(
         values.append(desc.format_literal(bound.value))
 
     return UnboundednessReport(
-        object_label=sys.format_object(a),
+        object_label=sys.format_object(witness.root),
         t_literal=desc.format_literal(witness.t),
         polynomial=agg.format_expr(witness.polynomial, desc),
         trace=witness.trace(),

@@ -1,15 +1,30 @@
-"""A deliberately naive aggregator evaluator: the reference for compiled evaluation.
+"""Deliberately naive references for the fast paths of the library.
 
+``reference_evaluate`` is the reference for compiled aggregator evaluation.
 It re-walks the expression on every call and uses only the checked public
 carrier operations.  The checks run in the order the library promises:
 truncation, the expression's constants, the arguments, the arity, then the
 evaluation itself, where a countable-sum term has its constants checked just
 before its first use.
+
+``reference_weight_lower_bound`` and its siblings are the references for the
+evaluator's level core.  Each call explores the whole ball around its start
+from scratch and recomputes every explored object at every level.
 """
 
 from __future__ import annotations
 
-from wars.aggregator import ArityError, Const, CountableSum, ProdNode, SumNode, Var, max_var
+from wars.aggregator import (
+    ArityError,
+    Const,
+    CountableSum,
+    ProdNode,
+    SumNode,
+    Var,
+    _compiled,
+    max_var,
+)
+from wars.evaluator import LOWER_BOUND, STABILIZED, VisitCapExceeded, WeightBound
 from wars.semiring import INF
 
 
@@ -74,3 +89,189 @@ def _value(expr, desc, args, truncation):
                 return acc, True
         return acc, False
     raise TypeError(f"not an aggregator expression: {expr!r}")
+
+
+# --------------------------------------------------------------------------
+# Weight evaluation: the full level-by-level (Jacobi) sweep.
+
+
+class _Exploration:
+    """The object ball reachable from a start within a depth radius and budgets."""
+
+    def __init__(self, sys, start, depth, rule_budget, visit_cap):
+        if visit_cap < 1:
+            raise ValueError("visit_cap must be >= 1")
+        self.sys = sys
+        desc = sys.semiring
+        self.objects: list = []
+        self.rules: dict = {}
+        self.nf: dict = {}
+        self.cap_hit = False
+        self.enumeration_complete = True
+
+        seen = set()
+
+        def admit(obj) -> bool:
+            if obj in seen:
+                return False
+            if len(seen) >= visit_cap:
+                self.cap_hit = True
+                return False
+            seen.add(obj)
+            self.objects.append(obj)
+            rules, complete = sys.successors(obj, rule_budget)
+            if not complete:
+                self.enumeration_complete = False
+            for r in rules:
+                if not r.rhs_complete:
+                    self.enumeration_complete = False
+            if not rules and complete:
+                weight = sys._nf_weight(obj)
+                desc.require(weight)
+                self.nf[obj] = weight
+            else:
+                self.rules[obj] = [
+                    (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
+                    for r in rules
+                ]
+            return True
+
+        admit(start)
+        frontier = [start]
+        level = 0
+        while frontier and level < depth:
+            nxt = []
+            for a in frontier:
+                for rhs, _, _ in self.rules.get(a, ()):
+                    for b in rhs:
+                        if admit(b):
+                            nxt.append(b)
+            frontier = nxt
+            level += 1
+        self.frontier = frontier
+        self._seen = seen
+
+    def closed(self) -> bool:
+        if self.cap_hit:
+            return False
+        for a in self.frontier:
+            for rhs, _, _ in self.rules.get(a, ()):
+                if any(b not in self._seen for b in rhs):
+                    return False
+        return True
+
+    def step(self, prev: dict, branch_trunc: int) -> dict:
+        desc = self.sys.semiring
+        zero = desc.zero
+        cur = {}
+        for a in self.objects:
+            if a in self.nf:
+                cur[a] = self.nf[a]
+                continue
+            vals = [zero]
+            for rhs, fn, _ in self.rules[a]:
+                vals.append(fn([prev.get(b, zero) for b in rhs], branch_trunc, None))
+            cur[a] = vals[0] if len(vals) == 1 else desc._join(vals)
+        return cur
+
+    def initial(self) -> dict:
+        zero = self.sys.semiring.zero
+        return {a: self.nf.get(a, zero) for a in self.objects}
+
+
+def _iterate(exploration: _Exploration, depth: int, branch_trunc: int) -> list:
+    levels = [exploration.initial()]
+    for _ in range(depth):
+        levels.append(exploration.step(levels[-1], branch_trunc))
+    return levels
+
+
+def _budgets(rule_budget, branch_trunc, visit_cap) -> dict:
+    return {"rule_budget": rule_budget, "branch_trunc": branch_trunc, "visit_cap": visit_cap}
+
+
+def reference_weight_lower_bound(
+    sys, a, depth, rule_budget=64, branch_trunc=64, visit_cap=100_000
+):
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
+    levels = _iterate(ex, depth, branch_trunc)
+    bound = WeightBound(
+        levels[-1][a],
+        LOWER_BOUND,
+        depth,
+        _budgets(rule_budget, branch_trunc, visit_cap),
+        len(ex.objects),
+    )
+    if ex.cap_hit:
+        raise VisitCapExceeded(bound)
+    return bound
+
+
+def reference_weight_profile(
+    sys, a, depth, rule_budget=64, branch_trunc=64, visit_cap=100_000
+):
+    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
+    levels = _iterate(ex, depth, branch_trunc)
+    if ex.cap_hit:
+        raise VisitCapExceeded(
+            WeightBound(levels[-1][a], LOWER_BOUND, depth, visited=len(ex.objects))
+        )
+    return [lvl[a] for lvl in levels]
+
+
+def reference_iterate_lower_bounds(
+    sys, a, max_depth, rule_budget=64, branch_trunc=64, visit_cap=100_000
+):
+    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
+    current = ex.initial()
+    yield current[a]
+    for _ in range(max_depth):
+        current = ex.step(current, branch_trunc)
+        yield current[a]
+
+
+def reference_evaluate_to_fixpoint(
+    sys, a, max_depth=256, rule_budget=64, branch_trunc=64, visit_cap=100_000
+):
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
+    current = ex.initial()
+    depth_explored = 0
+    stable = False
+    while depth_explored < max(max_depth, 1):
+        nxt = ex.step(current, branch_trunc)
+        if nxt == current:
+            stable = True
+            break
+        if depth_explored >= max_depth:
+            break
+        current = nxt
+        depth_explored += 1
+
+    certified = stable and ex.closed() and ex.enumeration_complete
+    bound = WeightBound(
+        current[a],
+        STABILIZED if certified else LOWER_BOUND,
+        depth_explored,
+        _budgets(rule_budget, branch_trunc, visit_cap),
+        len(ex.objects),
+    )
+    if ex.cap_hit:
+        raise VisitCapExceeded(bound)
+    return bound
+
+
+class ReferenceProfile:
+    """Stands in for ``DepthProfile``: every ``bound(level)`` is a separate,
+    full ``reference_weight_lower_bound`` run, so a command that uses it
+    explores and iterates every depth on its own."""
+
+    def __init__(self, sys, a, depth, rule_budget=64, branch_trunc=64, visit_cap=100_000):
+        self._args = (sys, a)
+        self._budgets = (rule_budget, branch_trunc, visit_cap)
+
+    def bound(self, level):
+        return reference_weight_lower_bound(*self._args, level, *self._budgets)

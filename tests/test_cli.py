@@ -85,6 +85,13 @@ class TestEval:
         assert f"system file not found: {missing}" in err
         assert "invalid JSON" not in err
 
+    def test_directory_as_system_file(self, tmp_path, capsys):
+        code = main(["eval", "--system", f"file:{tmp_path}", "--start", "a", "--depth", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read system file {tmp_path}")
+        assert "Traceback" not in err
+
     def test_visit_cap_partial_exit(self, capsys):
         code = main(
             [
@@ -177,6 +184,13 @@ class TestBound:
     def test_missing_embedding(self, chain, capsys):
         code = main(["bound", "--system", f"file:{chain}", "--mode", "embed:nope"])
         assert code == 1
+
+    def test_directory_as_embedding_file(self, chain, tmp_path, capsys):
+        code = main(["bound", "--system", f"file:{chain}", "--mode", f"embed:{tmp_path}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read embedding file {tmp_path}")
+        assert "Traceback" not in err
 
 
 class TestLoop:
