@@ -35,7 +35,7 @@ from .evaluator import (
     VisitCapExceeded,
     enumerate_trees,
     evaluate_to_fixpoint,
-    tree_weight,
+    tree_weights,
 )
 from .semiring import SemiringError
 from .system import SystemError_, SystemFormatError, load_explicit
@@ -174,6 +174,8 @@ def cmd_bound(args) -> int:
                     data = json.load(fh)
             except OSError as exc:
                 raise CliError(f"cannot read embedding file {ref}: {exc.strerror}") from exc
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise CliError(f"embedding file {ref} is not valid JSON: {exc}") from exc
             embedding = Embedding.from_json(data, system, name=ref)
         else:
             try:
@@ -298,12 +300,13 @@ def cmd_oracle(args) -> int:
         )
         for depth in range(args.depth + 1):
             iterated = profile.bound(depth).value
-            weights = [
-                tree_weight(system, t, args.branch_trunc)
-                for t in enumerate_trees(
-                    system, a, depth, args.rule_budget, args.count_cap
-                )
-            ]
+            # Every tree is still weighed and joined; only the weighing of
+            # the subtrees that the enumeration shares is done once.
+            weights = tree_weights(
+                system,
+                enumerate_trees(system, a, depth, args.rule_budget, args.count_cap),
+                args.branch_trunc,
+            )
             joined = desc.join(weights)
             checks.append(
                 {
@@ -402,6 +405,12 @@ def main(argv=None) -> int:
     except CountCapExceeded as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except VisitCapExceeded as exc:
+        # `eval` reports a cap hit as a partial result itself.  For `oracle`
+        # it is a budget blow-up like the count cap; for `loop` the budgets
+        # are too small for its cross-check.
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2 if args.command == "oracle" else 1
     except (
         CliError,
         BoundednessError,

@@ -59,12 +59,19 @@ class ReductionTree:
     children: tuple = ()
 
     def depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
+        deepest, stack = 0, [(self, 0)]
+        while stack:
+            node, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((c, d + 1) for c in node.children)
+        return deepest
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
 
 @dataclass
@@ -83,51 +90,93 @@ class WeightBound:
 
 
 def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFAULT_BRANCH_TRUNC):
-    """Bottom-up weight of a finite reduction tree.
+    """Bottom-up weight of a finite reduction tree; see ``tree_weights``."""
+    return tree_weights(sys, [tree], branch_trunc)[0]
 
-    Normal-form nodes weigh their interpretation, other leaves weigh the
+
+def tree_weights(sys: SystemHandle, trees, branch_trunc: int = DEFAULT_BRANCH_TRUNC) -> list:
+    """The bottom-up weight of each finite reduction tree in ``trees``.
+
+    Normal-form leaves weigh their interpretation, other leaves weigh the
     semiring minimum, and each inner node applies its rule's aggregator to the
-    child weights in order.
+    child weights in order.  Each distinct node object is checked and weighed
+    once per call, so a subtree shared within or across trees (as
+    ``enumerate_trees`` shares them) costs one weighing.  The walk is
+    depth-first and left to right, with a node's structural checks before its
+    children and its aggregator after them, so a malformed tree raises its
+    first fault in that order.
     """
     desc = sys.semiring
-    if not tree.children:
-        if tree.rule_tag is not None:
-            raise StructuralTreeError(
-                f"leaf {sys.format_object(tree.label)} carries rule {tree.rule_tag!r}"
-            )
-        if sys.is_normal_form(tree.label):
-            weight = sys.nf_weight(tree.label)
-            desc.require(weight)
-            return weight
-        return desc.zero
-    if sys.is_normal_form(tree.label):
-        raise StructuralTreeError(
-            f"normal form {sys.format_object(tree.label)} has children"
-        )
-    if tree.rule_tag is None:
-        raise StructuralTreeError(
-            f"inner node {sys.format_object(tree.label)} names no rule"
-        )
-    rule = sys.find_rule(tree.label, tree.rule_tag)
-    child_labels = tuple(c.label for c in tree.children)
-    if child_labels != rule.rhs:
-        raise StructuralTreeError(
-            f"children of {sys.format_object(tree.label)} do not match rule "
-            f"{tree.rule_tag!r}"
-        )
-    args = [tree_weight(sys, c, branch_trunc) for c in tree.children]
-    return _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
+    # id(node) -> (node, weight).  Holding the node keeps its id from being
+    # reused by a later object, even when ``trees`` drops each tree.
+    memo: dict = {}
+    weights = []
+    for tree in trees:
+        # Entries are (node, None) before its children, (node, rule) after.
+        stack = [(tree, None)]
+        while stack:
+            node, rule = stack.pop()
+            if rule is not None:
+                args = [memo[id(c)][1] for c in node.children]
+                fn = _compiled(rule.aggregator, desc, len(args))
+                memo[id(node)] = node, fn(args, branch_trunc, None)
+                continue
+            if id(node) in memo:
+                continue
+            label = node.label
+            if not node.children:
+                if node.rule_tag is not None:
+                    raise StructuralTreeError(
+                        f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
+                    )
+                if sys.is_normal_form(label):
+                    weight = sys._nf_weight(label)
+                    desc.require(weight)
+                else:
+                    weight = desc.zero
+                memo[id(node)] = node, weight
+                continue
+            if sys.is_normal_form(label):
+                raise StructuralTreeError(
+                    f"normal form {sys.format_object(label)} has children"
+                )
+            if node.rule_tag is None:
+                raise StructuralTreeError(
+                    f"inner node {sys.format_object(label)} names no rule"
+                )
+            rule = sys.find_rule(label, node.rule_tag)
+            if tuple(c.label for c in node.children) != rule.rhs:
+                raise StructuralTreeError(
+                    f"children of {sys.format_object(label)} do not match rule "
+                    f"{node.rule_tag!r}"
+                )
+            stack.append((node, rule))
+            stack.extend((c, None) for c in reversed(node.children))
+        weights.append(memo[id(tree)][1])
+    return weights
 
 
 def truncate(tree: ReductionTree, n: int) -> ReductionTree:
     """Drop all nodes deeper than ``n``; cut nodes become plain leaves."""
     if n < 0:
         raise ValueError("depth must be >= 0")
-    if n == 0 or not tree.children:
-        return ReductionTree(tree.label)
-    return ReductionTree(
-        tree.label, tree.rule_tag, tuple(truncate(c, n - 1) for c in tree.children)
-    )
+    # Entries are (node, depth left, False) before the node's children and
+    # (node, depth left, True) after them; ``built`` holds finished subtrees.
+    built: list = []
+    stack = [(tree, n, False)]
+    while stack:
+        node, left, expanded = stack.pop()
+        if expanded:
+            k = len(node.children)
+            children = tuple(built[-k:])
+            del built[-k:]
+            built.append(ReductionTree(node.label, node.rule_tag, children))
+        elif left == 0 or not node.children:
+            built.append(ReductionTree(node.label))
+        else:
+            stack.append((node, left, True))
+            stack.extend((c, left - 1, False) for c in reversed(node.children))
+    return built[0]
 
 
 class _Ball:

@@ -10,6 +10,9 @@ before its first use.
 ``reference_weight_lower_bound`` and its siblings are the references for the
 evaluator's level core.  Each call explores the whole ball around its start
 from scratch and recomputes every explored object at every level.
+
+``reference_tree_weight`` is the reference for ``tree_weights``.  It recurses
+over one tree and checks and weighs every node it meets, shared or not.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from wars.aggregator import (
     _compiled,
     max_var,
 )
-from wars.evaluator import LOWER_BOUND, STABILIZED, VisitCapExceeded, WeightBound
+from wars.evaluator import (
+    LOWER_BOUND,
+    STABILIZED,
+    StructuralTreeError,
+    VisitCapExceeded,
+    WeightBound,
+)
 from wars.semiring import INF
 
 
@@ -275,3 +284,38 @@ class ReferenceProfile:
 
     def bound(self, level):
         return reference_weight_lower_bound(*self._args, level, *self._budgets)
+
+
+# --------------------------------------------------------------------------
+# Tree weighing: one recursive call per node, nothing shared.
+
+
+def reference_tree_weight(sys, tree, branch_trunc=64):
+    desc = sys.semiring
+    if not tree.children:
+        if tree.rule_tag is not None:
+            raise StructuralTreeError(
+                f"leaf {sys.format_object(tree.label)} carries rule {tree.rule_tag!r}"
+            )
+        if sys.is_normal_form(tree.label):
+            weight = sys.nf_weight(tree.label)
+            desc.require(weight)
+            return weight
+        return desc.zero
+    if sys.is_normal_form(tree.label):
+        raise StructuralTreeError(
+            f"normal form {sys.format_object(tree.label)} has children"
+        )
+    if tree.rule_tag is None:
+        raise StructuralTreeError(
+            f"inner node {sys.format_object(tree.label)} names no rule"
+        )
+    rule = sys.find_rule(tree.label, tree.rule_tag)
+    child_labels = tuple(c.label for c in tree.children)
+    if child_labels != rule.rhs:
+        raise StructuralTreeError(
+            f"children of {sys.format_object(tree.label)} do not match rule "
+            f"{tree.rule_tag!r}"
+        )
+    args = [reference_tree_weight(sys, c, branch_trunc) for c in tree.children]
+    return _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)

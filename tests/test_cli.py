@@ -192,6 +192,17 @@ class TestBound:
         assert err.startswith(f"error: cannot read embedding file {tmp_path}")
         assert "Traceback" not in err
 
+    def test_malformed_embedding_json(self, tmp_path, capsys):
+        table = tmp_path / "bad.json"
+        table.write_text("{bad")
+        code = main(
+            ["bound", "--system", "builtin:walk_expected", "--mode", f"embed:{table}"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: embedding file {table} is not valid JSON")
+        assert "Traceback" not in err
+
 
 class TestLoop:
     def test_runtime_loop_certifies(self, capsys):
@@ -233,6 +244,25 @@ class TestLoop:
         assert code == 4
         assert "no loops" in capsys.readouterr().out
 
+    def test_visit_cap_hit_is_bad_configuration(self, capsys):
+        code = main(
+            [
+                "loop",
+                "--system",
+                "builtin:os_runtime",
+                "--start",
+                "idle()",
+                "--depth",
+                "4",
+                "--visit-cap",
+                "10",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: visit cap hit after 10 objects")
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_twostate_matches(self, twostate, capsys):
@@ -267,6 +297,15 @@ class TestOracle:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_visit_cap_hit_is_blowup(self, twostate, capsys):
+        code = main(
+            ["oracle", "--system", f"file:{twostate}", "--depth", "2", "--visit-cap", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: visit cap hit after 1 objects")
+        assert "Traceback" not in err
 
 
 class TestOutput:
