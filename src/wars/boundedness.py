@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .semiring import INF, NatInf, Semiring, Tropical
-from .system import SystemHandle
+from .semiring import INF, NatInf, Semiring, SemiringError, Tropical
+from .system import SystemError_, SystemHandle
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -76,11 +76,22 @@ class Embedding:
         return Embedding(lambda obj: values[obj], name)
 
     @staticmethod
-    def from_json(data: dict, sys: SystemHandle, name: str = "file") -> "Embedding":
-        table = {
-            sys.parse_object(label): sys.semiring.parse_literal(str(literal))
-            for label, literal in data.items()
-        }
+    def from_json(data, sys: SystemHandle, name: str = "file") -> "Embedding":
+        """The table in a decoded JSON object mapping object labels to value
+        literals; ``name`` (the file) is named in every error."""
+        if not isinstance(data, dict):
+            raise BoundednessError(
+                f"embedding file {name} must hold a JSON object of object labels "
+                f"to values, not a {type(data).__name__}"
+            )
+        table = {}
+        for label, literal in data.items():
+            try:
+                table[sys.parse_object(label)] = sys.semiring.parse_literal(str(literal))
+            except (ValueError, SemiringError, SystemError_) as exc:
+                raise BoundednessError(
+                    f"embedding file {name}: bad entry {label!r}: {exc}"
+                ) from exc
         return Embedding.from_table(table, name)
 
     def __repr__(self) -> str:

@@ -102,13 +102,28 @@ def _budget_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_at_least(args, **least) -> None:
+    """Reject a numeric flag below its least meaningful value."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise CliError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
+def _parse_start(system, text: str):
+    try:
+        return system.parse_object(text)
+    except ValueError as exc:
+        raise CliError(f"cannot parse object {text!r}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
+    _check_at_least(args, depth=0, rule_budget=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     results = []
     exit_code = 0
-    for start_text in args.start:
-        start = system.parse_object(start_text)
+    for start in [_parse_start(system, text) for text in args.start]:
         try:
             bound = evaluate_to_fixpoint(
                 system,
@@ -154,6 +169,7 @@ _BOUND_EXIT = {BOUNDED_CERTIFIED: 0, BOUNDED_SAMPLED: 3, UNKNOWN: 4, UNBOUNDED: 
 
 
 def cmd_bound(args) -> int:
+    _check_at_least(args, rule_budget=1, visit_cap=1, samples=1)
     system = resolve_system(args.system)
     desc = system.semiring
 
@@ -216,9 +232,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_loop(args) -> int:
+    _check_at_least(args, depth=1, rule_budget=1, visit_cap=1, max_witnesses=1)
     system = resolve_system(args.system)
     desc = system.semiring
-    start = system.parse_object(args.start[0])
+    start = _parse_start(system, args.start[0])
     candidates = find_loops(
         system,
         start,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -110,33 +111,42 @@ def tree_weights(sys: SystemHandle, trees, branch_trunc: int = DEFAULT_BRANCH_TR
     # id(node) -> (node, weight).  Holding the node keeps its id from being
     # reused by a later object, even when ``trees`` drops each tree.
     memo: dict = {}
+    # Per call, whether a label is a normal form, and per (label, tag) the
+    # rule with its compiled aggregator, compiled once its node's children
+    # are weighed.
+    normal: dict = {}
+    found: dict = {}
     weights = []
     for tree in trees:
-        # Entries are (node, None) before its children, (node, rule) after.
+        # Entries are (node, None) before its children, (node, found entry)
+        # after them.
         stack = [(tree, None)]
         while stack:
-            node, rule = stack.pop()
-            if rule is not None:
+            node, entry = stack.pop()
+            if entry is not None:
+                if entry[1] is None:
+                    entry[1] = _compiled(entry[0].aggregator, desc, len(node.children))
                 args = [memo[id(c)][1] for c in node.children]
-                fn = _compiled(rule.aggregator, desc, len(args))
-                memo[id(node)] = node, fn(args, branch_trunc, None)
+                memo[id(node)] = node, entry[1](args, branch_trunc, None)
                 continue
             if id(node) in memo:
                 continue
             label = node.label
+            if not node.children and node.rule_tag is not None:
+                raise StructuralTreeError(
+                    f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
+                )
+            if label not in normal:
+                normal[label] = sys.is_normal_form(label)
             if not node.children:
-                if node.rule_tag is not None:
-                    raise StructuralTreeError(
-                        f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
-                    )
-                if sys.is_normal_form(label):
+                if normal[label]:
                     weight = sys._nf_weight(label)
                     desc.require(weight)
                 else:
                     weight = desc.zero
                 memo[id(node)] = node, weight
                 continue
-            if sys.is_normal_form(label):
+            if normal[label]:
                 raise StructuralTreeError(
                     f"normal form {sys.format_object(label)} has children"
                 )
@@ -144,13 +154,16 @@ def tree_weights(sys: SystemHandle, trees, branch_trunc: int = DEFAULT_BRANCH_TR
                 raise StructuralTreeError(
                     f"inner node {sys.format_object(label)} names no rule"
                 )
-            rule = sys.find_rule(label, node.rule_tag)
-            if tuple(c.label for c in node.children) != rule.rhs:
+            key = (label, node.rule_tag)
+            if key not in found:
+                found[key] = [sys.find_rule(label, node.rule_tag), None]
+            entry = found[key]
+            if tuple(c.label for c in node.children) != entry[0].rhs:
                 raise StructuralTreeError(
                     f"children of {sys.format_object(label)} do not match rule "
                     f"{node.rule_tag!r}"
                 )
-            stack.append((node, rule))
+            stack.append((node, entry))
             stack.extend((c, None) for c in reversed(node.children))
         weights.append(memo[id(tree)][1])
     return weights
@@ -257,64 +270,357 @@ class _Ball:
                 self.rules[i] = numbered
 
 
-def _levels(ball: _Ball, branch_trunc: int, depth: Optional[int] = None) -> Iterator:
-    """Value iteration over ``ball``, one level per step.
+def _value(rs, values, join, branch_trunc):
+    """An object's value from the ``values`` of its successors; ``rs`` are its
+    numbered rules."""
+    if len(rs) == 1:
+        succ, fn, _ = rs[0]
+        return fn([values[s] for s in succ], branch_trunc, None)
+    return join([fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs])
 
-    Yields ``(values, changed)`` for level 0, 1, ...: ``values`` is a single
-    list, updated in place, indexed like ``ball.objects`` plus one last slot
-    holding zero, where successors outside the ball point; ``changed`` counts
-    the objects whose value differs from the level before (at level 0, all).
+
+def _recompute(pending, rules, values, join, branch_trunc) -> list:
+    """``(object, value)`` for each object in ``pending`` whose value differs
+    from its entry in ``values``."""
+    changed = []
+    for i in pending:
+        # ``_value``, inlined: this loop runs every level of every sweep.
+        rs = rules[i]
+        if len(rs) == 1:
+            succ, fn, _ = rs[0]
+            v = fn([values[s] for s in succ], branch_trunc, None)
+        else:
+            v = join([fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs])
+        if v != values[i]:
+            changed.append((i, v))
+    return changed
+
+
+def _at(levels: list, level: int) -> int:
+    """The index of the newest change at or below ``level`` in a history's
+    levels, which run newest first."""
+    if levels[0] <= level:
+        return 0
+    return bisect.bisect_left(levels, -level, key=operator.neg)
+
+
+def _successors(rules) -> tuple:
+    """The distinct successor numbers of one object's numbered rules."""
+    return tuple(dict.fromkeys(s for succ, _, _ in rules or () for s in succ))
+
+
+def _components(succs: list) -> list:
+    """The strongly connected components of the graph ``i -> succs[i]``,
+    sinks first: Tarjan's algorithm with an explicit stack.  Negative
+    successors stand for objects outside the graph and are skipped."""
+    n = len(succs)
+    index = [-1] * n
+    low = [0] * n
+    edge = [0] * n  # per object on the walk, the next successor to follow
+    on_stack = [False] * n
+    stack: list = []
+    components: list = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        walk = [root]
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        while walk:
+            v = walk[-1]
+            succ = succs[v]
+            if edge[v] < len(succ):
+                w = succ[edge[v]]
+                edge[v] += 1
+                if w < 0:
+                    continue
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    walk.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            walk.pop()
+            if walk and low[v] < low[walk[-1]]:
+                low[walk[-1]] = low[v]
+            if low[v] == index[v]:
+                component = []
+                while not component or component[-1] != v:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                components.append(component)
+    return components
+
+
+def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
+    """Value iteration towards the start's value at ``depth``, one level per step.
+
+    Yields, for level 0..depth, a single list updated in place, indexed like
+    ``ball.objects`` plus one last slot holding zero, where successors outside
+    the ball point.
 
     Level j recomputes only the objects with a successor that changed at
     level j-1 (at level 1, every object with rules).  Any other object would
     get its level j-1 value back, so this is exactly the level-by-level
-    (Jacobi) iteration.  Given ``depth``, level j also skips the objects
-    farther than ``depth - j`` from the start: they cannot reach the start's
-    value at level ``depth``.  Their entries go stale, and the iteration ends
-    after level ``depth``.
+    (Jacobi) iteration.  Level j also skips the objects farther than
+    ``depth - j`` from the start: they cannot reach the start's value at
+    level ``depth``.  Their entries go stale.
     """
     desc = ball.semiring
     join = desc._join
     rules = ball.rules
     ends = ball.ends
-    n = len(rules)
     values = ball.initial + [desc.zero]
-    yield values, n
+    yield values
 
     # Objects that level 1 recomputes; no later level recomputes others.
-    reach = n if depth is None else (ends[depth - 1] if depth > 0 else 0)
-    pending = [i for i in range(reach) if rules[i]]
-    preds: list = [[] for _ in range(n)]
+    pending = [i for i in range(ends[depth - 1] if depth > 0 else 0) if rules[i]]
+    preds: list = [[] for _ in rules]
     for i in pending:
-        for succ, _, _ in rules[i]:
-            for s in succ:
-                if s >= 0:
-                    preds[s].append(i)
+        for s in _successors(rules[i]):
+            if s >= 0:
+                preds[s].append(i)
 
-    level = 1
-    while depth is None or level <= depth:
-        if depth is not None:
-            pending = pending[: bisect.bisect_left(pending, ends[depth - level])]
-        changed = []
-        for i in pending:
-            rs = rules[i]
-            if len(rs) == 1:
-                succ, fn, _ = rs[0]
-                v = fn([values[s] for s in succ], branch_trunc, None)
-            else:
-                v = join(
-                    [fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs]
-                )
-            if v != values[i]:
-                changed.append((i, v))
+    for level in range(1, depth + 1):
+        pending = pending[: bisect.bisect_left(pending, ends[depth - level])]
+        changed = _recompute(pending, rules, values, join, branch_trunc)
         for i, v in changed:
             values[i] = v
-        yield values, len(changed)
+        yield values
         marked: set = set()
         for i, _ in changed:
             marked.update(preds[i])
         pending = sorted(marked)
-        level += 1
+
+
+class _Settled:
+    """The full level-by-level sweep of a ball, settled component by component.
+
+    The strongly connected components of the ball are solved sinks first.  An
+    object outside every cycle is settled from its successors' histories, the
+    levels at which a value changes under the sweep and the values it takes
+    there: it can only change one level after a successor does, so its value
+    is final one level after the last change among its successors (the top
+    level ``t``), and comparing its values at ``t`` and ``t - 1`` tells
+    whether ``t`` is its last change.  That takes two evaluations.  Only when
+    the two agree (an absorbing aggregator, such as a minimum) does it look
+    further down, and then only at levels where some successor changed,
+    extending the histories it reads on demand, newest first.  A cyclic
+    component runs the delta-driven sweep on its own members, with the values
+    of the objects it reads below written in level by level.
+
+    The sweep stops at level ``steps``.  ``depth`` is the last level at which
+    any object changes; if some object still changes at level ``steps``,
+    ``stable`` is false, and ``value`` is the start's value at that level when
+    the start's own cyclic component was the one cut, else None.
+    """
+
+    def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
+        desc = ball.semiring
+        n = len(ball.rules)
+        self.rules = ball.rules
+        self.initial = ball.initial
+        self.join = desc._join
+        self.branch_trunc = branch_trunc
+        # Scratch values, indexed like ``ball.objects`` plus the zero that
+        # successors outside the ball (numbered -1) read.  Each evaluation
+        # writes in the successor values it reads.
+        self.values = ball.initial + [desc.zero]
+        self.succs = [_successors(rs) for rs in ball.rules]
+        # An object's history, newest first: the levels at which its value
+        # changes and the values it takes there, down to level 0 and its
+        # initial value.  A history may stop short of level 0; ``cursor``
+        # then holds ``(h, v, inexact)``: at every level from ``h`` to the
+        # one before the oldest known change the value equals ``v``, which
+        # is exactly the value computed at ``h`` unless ``inexact`` lists
+        # (successor, value) pairs it was computed from that may differ in
+        # type from the successor's own value there.
+        self.levels: list = [None] * n + [[0]]
+        self.taken: list = [None] * n + [[desc.zero]]
+        self.cursor: list = [None] * n
+        self.depth = 0
+        self.stable = False
+        self.value = None
+
+        components = _components(self.succs)
+        component_of = [0] * n
+        for k, component in enumerate(components):
+            for i in component:
+                component_of[i] = k
+        # Members of a cyclic component keep a history only if a higher
+        # component reads them.
+        read = [False] * n
+        for i, succ in enumerate(self.succs):
+            for s in succ:
+                if s >= 0 and component_of[s] != component_of[i]:
+                    read[s] = True
+
+        for component in components:
+            x = component[0]
+            if len(component) == 1 and x not in self.succs[x]:
+                last = self._acyclic(x)
+            else:
+                last = self._cyclic(component, read, steps)
+                if last >= steps and component_of[0] == component_of[x]:
+                    self.value = self.values[0]
+            if last >= steps:
+                return
+            self.depth = max(self.depth, last)
+        self.stable = True
+        self.value = self.values[0] if self.levels[0] is None else self.taken[0][0]
+
+    def _evaluate(self, x, level):
+        """Object ``x``'s value computed at ``level``, from its successors'
+        values at ``level - 1``; their histories must reach that far down."""
+        values, levels, taken = self.values, self.levels, self.taken
+        for s in self.succs[x]:
+            values[s] = taken[s][_at(levels[s], level - 1)]
+        return _value(self.rules[x], values, self.join, self.branch_trunc)
+
+    def _acyclic(self, x) -> int:
+        """Settle an object on no cycle; return its last change level."""
+        rs = self.rules[x]
+        initial = self.initial[x]
+        if not rs:
+            self.levels[x], self.taken[x] = [0], [initial]
+            return 0
+        values, levels, taken = self.values, self.levels, self.taken
+        succ = self.succs[x]
+        top = 1
+        for s in succ:
+            values[s] = taken[s][0]
+            if levels[s][0] >= top:
+                top = levels[s][0] + 1
+        v = _value(rs, values, self.join, self.branch_trunc)
+        if top == 1:
+            levels[x], taken[x] = ([1, 0], [v, initial]) if v != initial else ([0], [initial])
+            return levels[x][0]
+        inexact: tuple = ()
+        for s in succ:
+            if levels[s][0] == top - 1:
+                if len(levels[s]) > 1:
+                    values[s] = taken[s][1]
+                else:
+                    values[s] = self.cursor[s][1]
+                    inexact += ((s, values[s]),)
+        below = _value(rs, values, self.join, self.branch_trunc)
+        self.cursor[x] = (top - 1, below, inexact)
+        if v != below:
+            levels[x], taken[x] = [top], [v]
+        else:
+            levels[x], taken[x] = [], []
+            self._extend(x, top)
+        return levels[x][0]
+
+    def _extend(self, x, level) -> None:
+        """Extend ``x``'s history down to a change at or below ``level``."""
+        levels = self.levels
+        stack = [(x, level)]
+        while stack:
+            y, level = stack[-1]
+            if levels[y] and levels[y][-1] <= level:
+                stack.pop()
+            else:
+                stack.extend(self._step(y))
+
+    def _step(self, x) -> list:
+        """Move ``x``'s cursor down one run of equal successor values.
+
+        Returns the (successor, level) histories that must be extended first,
+        or an empty list once the cursor has moved."""
+        levels, taken = self.levels, self.taken
+        h, v, inexact = self.cursor[x]
+        succ = self.succs[x]
+        # The successor values read at h last changed at level q, so x reads
+        # the same values at every level from q + 1 to h.
+        q = 0
+        for s in succ:
+            lv = levels[s]
+            if lv[-1] > h - 1:
+                return [(s, h - 1) for s in succ if levels[s][-1] > h - 1]
+            q = max(q, lv[_at(lv, h - 1)])
+        if q == 0:
+            if v != self.initial[x]:
+                levels[x].append(1)
+                taken[x].append(self._exact(x, h, v, inexact))
+            levels[x].append(0)
+            taken[x].append(self.initial[x])
+            self.cursor[x] = None
+            return []
+        missing = [(s, q - 1) for s in succ if levels[s][-1] > q - 1]
+        if missing:
+            return missing
+        w = self._evaluate(x, q)
+        if w != v:
+            levels[x].append(q + 1)
+            taken[x].append(self._exact(x, h, v, inexact))
+        self.cursor[x] = (q, w, ())
+        return []
+
+    def _exact(self, x, h, v, inexact):
+        """The value computed at ``h``, given ``v`` computed from possibly
+        inexact inputs: recomputed only if an input was not the exact one."""
+        levels, taken = self.levels, self.taken
+        if all(taken[s][_at(levels[s], h - 1)] is u for s, u in inexact):
+            return v
+        return self._evaluate(x, h)
+
+    def _cyclic(self, component, read, steps) -> int:
+        """Run the sweep on one cyclic component; return its last change
+        level, at most ``steps``."""
+        values, levels, taken = self.values, self.levels, self.taken
+        members = sorted(component)
+        inside = set(component)
+        preds: dict = {m: [] for m in members}
+        readers: dict = {}
+        for m in members:
+            values[m] = self.initial[m]
+            for s in self.succs[m]:
+                (preds[s] if s in inside else readers.setdefault(s, [])).append(m)
+        # The changes of the objects read below, latest first.
+        inputs = []
+        for s in readers:
+            self._extend(s, 0)
+            values[s] = taken[s][-1]
+            inputs.extend(zip(levels[s][:-1], itertools.repeat(s), taken[s][:-1]))
+        inputs.sort(key=lambda change: change[0], reverse=True)
+        history = {m: ([], []) for m in members if read[m]}
+
+        last, level, pending = 0, 1, members
+        while True:
+            changed = _recompute(pending, self.rules, values, self.join, self.branch_trunc)
+            marked: set = set()
+            for i, u in changed:
+                values[i] = u
+                marked.update(preds[i])
+                if i in history:
+                    history[i][0].append(level)
+                    history[i][1].append(u)
+            if changed:
+                last = level
+            if level >= steps:
+                break
+            if not marked and inputs:
+                level = inputs[-1][0]  # nothing moves before the next input does
+            while inputs and inputs[-1][0] == level:
+                _, s, u = inputs.pop()
+                values[s] = u
+                marked.update(readers[s])
+            if not marked:
+                break
+            pending = sorted(marked)
+            level += 1
+        for m, (lv, vs) in history.items():
+            levels[m] = lv[::-1] + [0]
+            taken[m] = vs[::-1] + [self.initial[m]]
+        return last
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
@@ -346,7 +652,7 @@ class DepthProfile:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         ball = _Ball(sys, a, depth, rule_budget, visit_cap)
-        self.values = [values[0] for values, _ in _levels(ball, branch_trunc, depth)]
+        self.values = [values[0] for values in _levels(ball, branch_trunc, depth)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
         self._ends = ball.ends
         self._cap_radius = ball.cap_radius
@@ -409,7 +715,7 @@ def iterate_lower_bounds(
     threshold is crossed, skipping the remaining iteration work.
     """
     ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
-    for values, _ in _levels(ball, branch_trunc, max_depth):
+    for values in _levels(ball, branch_trunc, max_depth):
         yield values[0]
 
 
@@ -426,26 +732,27 @@ def evaluate_to_fixpoint(
     The result is stabilized only when the explored set is successor-closed,
     every rule enumeration and successor sequence was complete, and an extra
     iteration reproduces the same values everywhere; otherwise it is a plain
-    lower bound at the explored depth.
+    lower bound at the explored depth.  The explored depth is the last level
+    at which the level-by-level iteration of the whole explored set changes
+    any value, or ``max_depth`` if some value still changes there.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
-    levels = _levels(ball, branch_trunc)
-    values, _ = next(levels)
-    value, depth_explored, stable = values[0], 0, False
     # The extra level that can show stability is within the step budget,
     # except at max_depth 0, which still gets one level to compare.
-    for values, changed in itertools.islice(levels, max(max_depth, 1)):
-        if not changed:
-            stable = True
-            break
-        if depth_explored == max_depth:
-            break
-        depth_explored += 1
-        value = values[0]
+    settled = _Settled(ball, branch_trunc, max(max_depth, 1))
+    if settled.stable:
+        value, depth_explored = settled.value, settled.depth
+    else:
+        depth_explored = max_depth
+        if settled.value is not None and max_depth > 0:
+            value = settled.value
+        else:
+            for values in _levels(ball, branch_trunc, max_depth):
+                value = values[0]
 
-    certified = stable and ball.closed and ball.enumeration_complete
+    certified = settled.stable and ball.closed and ball.enumeration_complete
     bound = WeightBound(
         value=value,
         status=STABILIZED if certified else LOWER_BOUND,

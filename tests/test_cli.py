@@ -110,6 +110,74 @@ class TestEval:
         assert "lower_bound" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "agg, nf, depth, want",
+        [
+            ("1 + v1", "3", "20000", ("10003", "stabilized", 10_000, 10_001)),
+            ("v1", "0", "20000", ("0", "stabilized", 0, 10_001)),
+            ("1 + v1", "3", "100", ("100", "lower_bound", 100, 101)),
+        ],
+    )
+    def test_long_chain(self, tmp_path, capsys, agg, nf, depth, want):
+        # Settled component by component, a 10^4-object chain takes two
+        # evaluations per object, not one level per object.
+        length = 10_000
+        chain = {
+            "semiring": {"kind": "nat_inf"},
+            "rules": [
+                {"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": agg, "tag": "next"}
+                for i in range(length)
+            ],
+            "nf": {f"c{length}": nf},
+        }
+        path = tmp_path / "long-chain.json"
+        path.write_text(json.dumps(chain))
+        argv = ["eval", "--system", f"file:{path}", "--start", "c0", "--depth", depth]
+        code = main(argv + ["--format", "json"])
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert code == 0
+        assert (result["value"], result["status"], result["depth"], result["visited"]) == want
+
+
+# Each flag value is rejected before any work, as a bad configuration.
+INVALID_ARGV = {
+    "eval negative depth": ["eval", "--system", "builtin:walk_termprob", "--start", "2",
+                            "--depth", "-1"],
+    "eval zero rule budget": ["eval", "--system", "builtin:walk_termprob", "--start", "2",
+                              "--depth", "2", "--rule-budget", "0"],
+    "eval zero visit cap": ["eval", "--system", "builtin:walk_termprob", "--start", "2",
+                            "--depth", "2", "--visit-cap", "0"],
+    "eval unparsable start": ["eval", "--system", "builtin:walk_termprob", "--start", "x(",
+                              "--depth", "2"],
+    "bound zero rule budget": ["bound", "--system", "builtin:walk_expected", "--mode",
+                               "extremal", "--rule-budget", "0"],
+    "bound zero visit cap": ["bound", "--system", "builtin:walk_expected", "--mode",
+                             "extremal", "--visit-cap", "0"],
+    "bound negative samples": ["bound", "--system", "builtin:walk_expected", "--mode",
+                               "embed:walk3n", "--samples", "-5"],
+    "loop zero depth": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
+                        "--depth", "0"],
+    "loop zero rule budget": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
+                              "--depth", "4", "--rule-budget", "0"],
+    "loop zero visit cap": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
+                            "--depth", "4", "--visit-cap", "0"],
+    "loop negative max witnesses": ["loop", "--system", "builtin:os_runtime", "--start",
+                                    "idle()", "--depth", "4", "--max-witnesses", "-1"],
+    "loop unparsable start": ["loop", "--system", "builtin:walk_termprob", "--start", "x(",
+                              "--depth", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGV.values(), ids=list(INVALID_ARGV))
+def test_invalid_flags_are_bad_configuration(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 class TestBound:
     def test_embedding_sampled(self, capsys):
         code = main(
@@ -201,6 +269,28 @@ class TestBound:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: embedding file {table} is not valid JSON")
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([1], "must hold a JSON object of object labels to values, not a list"),
+            ({"x": "1"}, "bad entry 'x'"),
+            ({"3": "zz"}, "bad entry '3'"),
+        ],
+        ids=["not an object", "unparsable label", "unparsable literal"],
+    )
+    def test_malformed_embedding_table(self, tmp_path, capsys, content, message):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(content))
+        code = main(
+            ["bound", "--system", "builtin:walk_expected", "--mode", f"embed:{table}"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: embedding file {table}")
+        assert message in err
         assert "Traceback" not in err
 
 
