@@ -346,16 +346,18 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
 
     Works for the additive counting carriers (and products of them), where
     distributivity lets sums and constant-scaled products of affine forms stay
-    affine.  Returns (c, d) or None; a successful extraction is re-checked by
-    evaluating both forms on a few probe points.
+    affine.  Returns (c, d) or None, also when a variable vN occurs; a
+    successful extraction is re-checked by evaluating both forms on a few
+    probe points.
     """
-    if not _affine_capable(desc):
+    if not _affine_capable(desc) or max_var(expr) != 0:
         return None
-    form = _affine_form(expr, desc)
+    in_v1 = substitute_x(expr, Var(1))
+    form = affine_form(in_v1, desc, 1)
     if form is None:
         return None
-    c, d = form
-    direct = _compiled(substitute_x(expr, Var(1)), desc, 1)
+    (c,), d = form
+    direct = _compiled(in_v1, desc, 1)
     for n in _AFFINE_PROBES:
         x = desc.from_count(n)
         linear = desc.plus(desc.times(c, x), d)
@@ -364,38 +366,58 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
     return c, d
 
 
-def _affine_form(expr, desc):
-    if isinstance(expr, Const):
-        return desc.zero, expr.value
-    if isinstance(expr, XVar):
-        return desc.one, desc.zero
-    if isinstance(expr, Var):
-        return None
-    if isinstance(expr, SumNode):
-        c, d = desc.zero, desc.zero
-        for term in expr.terms:
-            f = _affine_form(term, desc)
-            if f is None:
-                return None
-            c, d = desc.plus(c, f[0]), desc.plus(d, f[1])
-        return c, d
-    if isinstance(expr, ProdNode):
-        acc = _affine_form(expr.factors[0], desc)
-        if acc is None:
+def affine_form(
+    expr, desc: Semiring, arity: int, const: Optional[Callable[[object], bool]] = None
+) -> Optional[tuple]:
+    """The affine form ``(coefficient per variable, constant)`` of a rule
+    aggregator over ``arity`` arguments, or None.
+
+    None when a product has two factors that mention variables, when a node
+    is neither a constant, a variable, a sum nor a product, when a variable
+    exceeds ``arity``, or when a constant fails the test ``const``.  The walk
+    uses an explicit stack and folds each child into its parent as soon as
+    the child is done, left to right, as a recursive walk would.
+    """
+    zero, one = desc.zero, desc.one
+
+    def frame(node) -> list:
+        # [node, next child, form so far]; a product has no form before its
+        # first factor, a sum starts from zero.
+        return [node, 0, ([zero] * arity, zero) if isinstance(node, SumNode) else None]
+
+    stack = [frame(expr)]
+    while True:
+        top = stack[-1]
+        node = top[0]
+        if isinstance(node, (SumNode, ProdNode)):
+            children = _children(node)
+            if top[1] < len(children):
+                top[1] += 1
+                stack.append(frame(children[top[1] - 1]))
+                continue
+            form = top[2]
+        elif isinstance(node, Const) and (const is None or const(node.value)):
+            form = [zero] * arity, node.value
+        elif isinstance(node, Var) and node.index <= arity:
+            form = [zero] * arity, zero
+            form[0][node.index - 1] = one
+        else:
             return None
-        for factor in expr.factors[1:]:
-            f = _affine_form(factor, desc)
-            if f is None:
+        stack.pop()
+        if not stack:
+            return form
+        parent = stack[-1]
+        acc = parent[2]
+        if isinstance(parent[0], SumNode):
+            parent[2] = [desc.plus(a, b) for a, b in zip(acc[0], form[0])], desc.plus(acc[1], form[1])
+        elif acc is None:
+            parent[2] = form
+        elif any(c != zero for c in acc[0]):
+            if any(c != zero for c in form[0]):
                 return None
-            (c1, d1), (c2, d2) = acc, f
-            if c1 == desc.zero:
-                acc = desc.times(d1, c2), desc.times(d1, d2)
-            elif c2 == desc.zero:
-                acc = desc.times(c1, d2), desc.times(d1, d2)
-            else:
-                return None
-        return acc
-    return None
+            parent[2] = [desc.times(c, form[1]) for c in acc[0]], desc.times(acc[1], form[1])
+        else:
+            parent[2] = [desc.times(acc[1], c) for c in form[0]], desc.times(acc[1], form[1])
 
 
 _TOKEN = re.compile(

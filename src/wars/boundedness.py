@@ -408,46 +408,6 @@ def verify_embedding(
     )
 
 
-def _multi_affine(expr, desc, arity: int):
-    """Affine form (coeffs per variable, constant) of a rule aggregator, or None."""
-    zero, one = desc.zero, desc.one
-    if isinstance(expr, agg.Const):
-        return [zero] * arity, expr.value
-    if isinstance(expr, agg.Var):
-        coeffs = [zero] * arity
-        coeffs[expr.index - 1] = one
-        return coeffs, zero
-    if isinstance(expr, agg.SumNode):
-        coeffs, const = [zero] * arity, zero
-        for term in expr.terms:
-            f = _multi_affine(term, desc, arity)
-            if f is None:
-                return None
-            coeffs = [desc.plus(a, b) for a, b in zip(coeffs, f[0])]
-            const = desc.plus(const, f[1])
-        return coeffs, const
-    if isinstance(expr, agg.ProdNode):
-        acc = _multi_affine(expr.factors[0], desc, arity)
-        if acc is None:
-            return None
-        for factor in expr.factors[1:]:
-            f = _multi_affine(factor, desc, arity)
-            if f is None:
-                return None
-            left_linear = any(c != zero for c in acc[0])
-            right_linear = any(c != zero for c in f[0])
-            if left_linear and right_linear:
-                return None
-            if left_linear:
-                scale = f[1]
-                acc = [desc.times(c, scale) for c in acc[0]], desc.times(acc[1], scale)
-            else:
-                scale = acc[1]
-                acc = [desc.times(scale, c) for c in f[0]], desc.times(scale, f[1])
-        return acc
-    return None
-
-
 def search_affine_embedding(
     sys: SystemHandle, coeff_cap: int, rule_budget: int = 64
 ) -> Optional[Embedding]:
@@ -469,7 +429,7 @@ def search_affine_embedding(
         if not complete:
             raise PreconditionError("affine embedding search needs complete rule lists")
         for r in rules:
-            if _multi_affine(r.aggregator, desc, len(r.rhs)) is None:
+            if agg.affine_form(r.aggregator, desc, len(r.rhs)) is None:
                 raise UnsupportedAggregatorError(
                     f"rule {r.tag}: aggregator is not affine in its variables"
                 )

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Optional
 
-from .aggregator import _compiled
+from .aggregator import _compiled, affine_form
+from .semiring import RealInf
 from .system import SystemHandle
 
 LOWER_BOUND = "lower_bound"
@@ -201,6 +204,10 @@ class _Ball:
     (successor numbers, compiled aggregator, aggregator); a successor outside
     the ball is numbered -1.  Holding the aggregator keeps its compilation
     shared with equal aggregators that later objects' rules bring.
+
+    An affine rational ball stores every value as an integer numerator over
+    one denominator ``scale``, and its rules compile to integer closures; a
+    value leaves the core through ``out``.
     """
 
     def __init__(self, sys, start, radius, rule_budget, visit_cap):
@@ -256,6 +263,7 @@ class _Ball:
             ends.append(len(self.objects))
         ends.extend([len(self.objects)] * (radius + 1 - len(ends)))
         self.ends = ends
+        self.scale = None
 
         # Successor-closed: no rule leads outside the ball.
         self.closed = self.cap_radius is None
@@ -268,6 +276,74 @@ class _Ball:
                         self.closed = False
                     numbered.append((succ, fn, aggregator))
                 self.rules[i] = numbered
+        if isinstance(desc, RealInf):
+            self._scale(max(radius, 1))
+
+    def _scale(self, levels: int) -> None:
+        """Switch to integer numerators if the ball is an affine rational
+        system: finite ``Fraction`` normal-form weights and constants, and
+        aggregators affine in their variables.
+
+        Every value at level j <= ``levels`` is then a multiple of 1/D_j,
+        D_j = L^j * d, where L is the lcm of the coefficient denominators and
+        d that of the constant and normal-form denominators.  So over the
+        fixed denominator D = D_levels, a rule with affine form
+        ``sum(c_k * v_k) + b`` maps numerators exactly to
+        ``sum(P_k * n_k) // L + B``, with ``P_k = c_k * L`` and ``B = b * D``.
+        """
+        weights = [w for w, rs in zip(self.initial, self.rules) if rs is None]
+        if not all(map(_is_fraction, weights)):
+            return
+        desc = self.semiring
+        forms: dict = {}  # (aggregator id, arity) -> affine form
+        for rs in self.rules:
+            for succ, _, aggregator in rs or ():
+                key = id(aggregator), len(succ)
+                if key not in forms:
+                    form = affine_form(aggregator, desc, len(succ), _is_fraction)
+                    if form is None:
+                        return
+                    forms[key] = form
+        coeffs = [c for cs, _ in forms.values() for c in cs]
+        consts = [b for _, b in forms.values()] + weights
+        L = math.lcm(*(c.denominator for c in coeffs))
+        D = L ** levels * math.lcm(*(b.denominator for b in consts))
+        fns = {key: _integer_closure(cs, b, L, D) for key, (cs, b) in forms.items()}
+        self.rules = [
+            rs and [(succ, fns[id(aggregator), len(succ)], aggregator) for succ, _, aggregator in rs]
+            for rs in self.rules
+        ]
+        self.weights, self.scale = self.initial, D
+        self.initial = [w.numerator * (D // w.denominator) if rs is None else 0
+                        for w, rs in zip(self.initial, self.rules)]
+
+    def out(self, i, v):
+        """Object ``i``'s stored value ``v`` as the carrier value: itself,
+        unless values are scaled; then a normal form's own weight, a zero as
+        the zero first stored, and any other numerator as a ``Fraction``."""
+        if self.scale is None:
+            return v
+        if self.rules[i] is None:
+            return self.weights[i]
+        return Fraction(v, self.scale) if v else v
+
+
+def _is_fraction(value) -> bool:
+    return type(value) is Fraction
+
+
+def _integer_closure(coeffs, const, L, D):
+    """A compiled-aggregator stand-in on numerators over ``D``:
+    ``sum(P_k * args[k]) // L + B``; see ``_Ball._scale``."""
+    terms = [(k, c.numerator * (L // c.denominator)) for k, c in enumerate(coeffs) if c]
+    b = const.numerator * (D // const.denominator)
+    if len(terms) == 1:
+        (i, p), = terms
+        return lambda args, truncation, exact: p * args[i] // L + b
+    if len(terms) == 2:
+        (i, p), (j, q) = terms
+        return lambda args, truncation, exact: (p * args[i] + q * args[j]) // L + b
+    return lambda args, truncation, exact: sum(p * args[i] for i, p in terms) // L + b
 
 
 def _value(rs, values, join, branch_trunc):
@@ -469,12 +545,12 @@ class _Settled:
             else:
                 last = self._cyclic(component, read, steps)
                 if last >= steps and component_of[0] == component_of[x]:
-                    self.value = self.values[0]
+                    self.value = ball.out(0, self.values[0])
             if last >= steps:
                 return
             self.depth = max(self.depth, last)
         self.stable = True
-        self.value = self.values[0] if self.levels[0] is None else self.taken[0][0]
+        self.value = ball.out(0, self.values[0] if self.levels[0] is None else self.taken[0][0])
 
     def _evaluate(self, x, level):
         """Object ``x``'s value computed at ``level``, from its successors'
@@ -652,7 +728,7 @@ class DepthProfile:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         ball = _Ball(sys, a, depth, rule_budget, visit_cap)
-        self.values = [values[0] for values in _levels(ball, branch_trunc, depth)]
+        self.values = [ball.out(0, values[0]) for values in _levels(ball, branch_trunc, depth)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
         self._ends = ball.ends
         self._cap_radius = ball.cap_radius
@@ -716,7 +792,7 @@ def iterate_lower_bounds(
     """
     ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
     for values in _levels(ball, branch_trunc, max_depth):
-        yield values[0]
+        yield ball.out(0, values[0])
 
 
 def evaluate_to_fixpoint(
@@ -750,7 +826,7 @@ def evaluate_to_fixpoint(
             value = settled.value
         else:
             for values in _levels(ball, branch_trunc, max_depth):
-                value = values[0]
+                value = ball.out(0, values[0])
 
     certified = settled.stable and ball.closed and ball.enumeration_complete
     bound = WeightBound(

@@ -9,7 +9,7 @@ weight.  Handles are immutable; successor enumeration is deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 from . import aggregator as agg
@@ -38,7 +38,9 @@ class RuleInstance:
 
     ``rhs_complete`` is False when rhs is a finite prefix of an infinite
     successor sequence.  The aggregator may mention at most ``len(rhs)``
-    variables when the sequence is complete.
+    variables when the sequence is complete.  ``facts``, if given, is
+    ``_facts(aggregator)``, computed once by a caller that builds many rules
+    from one expression.
     """
 
     lhs: object
@@ -46,18 +48,24 @@ class RuleInstance:
     aggregator: object
     tag: str
     rhs_complete: bool = True
+    facts: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, facts):
         if not self.rhs:
             raise SystemError_(f"rule {self.tag}: empty successor sequence")
-        if agg.mentions_x(self.aggregator):
+        mentions_x, mv = facts or _facts(self.aggregator)
+        if mentions_x:
             raise SystemError_(f"rule {self.tag}: rule aggregators cannot mention X")
-        mv = agg.max_var(self.aggregator)
         if self.rhs_complete and isinstance(mv, int) and mv > len(self.rhs):
             raise SystemError_(
                 f"rule {self.tag}: aggregator mentions v{mv} but rhs has "
                 f"{len(self.rhs)} entries"
             )
+
+
+def _facts(expr) -> tuple:
+    """Whether a rule aggregator mentions X, and its largest variable index."""
+    return agg.mentions_x(expr), agg.max_var(expr)
 
 
 @dataclass
@@ -239,18 +247,27 @@ def load_explicit(source: str) -> SystemHandle:
 
     rules_by_lhs: dict[str, list[RuleInstance]] = {}
     objects: set[str] = set()
+    # Aggregator text -> (expression, its facts): each text is parsed and
+    # walked once per load.
+    parsed: dict = {}
     for i, spec in enumerate(data.get("rules", [])):
         lhs = spec.get("lhs")
         rhs = spec.get("rhs")
         if not isinstance(lhs, str) or not isinstance(rhs, list) or not rhs:
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
         tag = spec.get("tag", f"r{i}")
+        text = spec.get("agg", "")
+        if not isinstance(text, str):
+            raise SystemFormatError(f"rule {tag}: 'agg' must be a string")
+        if text not in parsed:
+            try:
+                expr = agg.parse_expr(text, desc)
+            except agg.AggregatorError as exc:
+                raise SystemFormatError(f"rule {tag}: {exc}") from exc
+            parsed[text] = expr, _facts(expr)
+        expr, facts = parsed[text]
         try:
-            expr = agg.parse_expr(spec.get("agg", ""), desc)
-        except agg.AggregatorError as exc:
-            raise SystemFormatError(f"rule {tag}: {exc}") from exc
-        try:
-            rule = RuleInstance(lhs, tuple(rhs), expr, tag)
+            rule = RuleInstance(lhs, tuple(rhs), expr, tag, facts=facts)
         except SystemError_ as exc:
             raise SystemFormatError(str(exc)) from exc
         if any(r.tag == tag for r in rules_by_lhs.get(lhs, [])):
@@ -305,9 +322,7 @@ def load_explicit(source: str) -> SystemHandle:
         enumerate_objects_fn=lambda: (sorted(objects), True),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
         aggregators_finite_no_top=all(
-            not _mentions_top(r.aggregator, desc)
-            for rs in rules_by_lhs.values()
-            for r in rs
+            not _mentions_top(expr, desc) for expr, _ in parsed.values()
         ),
     )
 

@@ -180,7 +180,10 @@ class _Exploration:
             vals = [zero]
             for rhs, fn, _ in self.rules[a]:
                 vals.append(fn([prev.get(b, zero) for b in rhs], branch_trunc, None))
-            cur[a] = vals[0] if len(vals) == 1 else desc._join(vals)
+            value = vals[0] if len(vals) == 1 else desc._join(vals)
+            # An equal value does not replace the stored one, so of two equal
+            # values of different types an object keeps the older.
+            cur[a] = prev[a] if value == prev[a] else value
         return cur
 
     def initial(self) -> dict:

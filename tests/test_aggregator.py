@@ -19,6 +19,7 @@ from wars.aggregator import (
     SumNode,
     Var,
     X,
+    affine_form,
     evaluate,
     extract_affine,
     format_expr,
@@ -218,6 +219,31 @@ class TestExtractAffine:
                 direct, _ = evaluate(substitute_x(expr, Const(x)), NAT_INF, [])
                 assert direct == c * x + d
         assert extracted > 50
+
+
+class TestAffineForm:
+    def test_coefficients_per_variable(self):
+        expr = parse_expr("(1/2 * v1 + v3 + 1/3) * 3/4 + 1/6 * v1", REAL_INF)
+        assert affine_form(expr, REAL_INF, 3) == (
+            [Fraction(1, 2) * Fraction(3, 4) + Fraction(1, 6), 0, Fraction(3, 4)],
+            Fraction(1, 4),
+        )
+
+    def test_rejections(self):
+        for text, arity in (("v1 * v2", 2), ("v2", 1), ("inf + v1", 1)):
+            form = affine_form(parse_expr(text, REAL_INF), REAL_INF, arity,
+                               lambda v: isinstance(v, Fraction))
+            assert form is None, text
+        geometric = CountableSum(lambda i: Var(i + 1))
+        assert affine_form(SumNode((Var(1), geometric)), REAL_INF, 1) is None
+
+    def test_deep_expression_without_recursion(self):
+        expr = Var(1)
+        for _ in range(10_000):
+            expr = ProdNode((Const(Fraction(1, 2)), SumNode((expr, Const(1)))))
+        coeffs, const = affine_form(expr, REAL_INF, 1)
+        assert coeffs == [Fraction(1, 2 ** 10_000)]
+        assert const == 1 - Fraction(1, 2 ** 10_000)
 
 
 @pytest.mark.parametrize("desc", [NAT_INF, ARCTIC, BOOLEAN])

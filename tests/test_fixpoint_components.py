@@ -4,8 +4,8 @@ full level-by-level sweep in ``reference_eval``.
 The systems are mostly chains with a few back edges, so cycles sit above and
 below acyclic stretches, and they mix strict aggregators (which change at
 every level their successor does), absorbing ones (which stop changing before
-their successors do) and two-successor ones.  The value, status,
-explored depth and visit count must match the sweep, and a visit cap must
+their successors do) and two-successor ones.  The value and its type, the
+status, explored depth and visit count must match the sweep, and a visit cap must
 raise with the same partial bound.
 """
 
@@ -126,11 +126,7 @@ def outcome(fn, *args, **kwargs):
 def check(system, start, max_depth, **budgets):
     got = outcome(evaluate_to_fixpoint, system, start, max_depth, **budgets)
     want = outcome(reference_evaluate_to_fixpoint, system, start, max_depth, **budgets)
-    # The reference recomputes every value at every level, so of two equal
-    # values of different types it ends on the newest.  The sweep, like the
-    # level core, stores a value only when it differs from the stored one:
-    # the value type must be the level core's at the explored depth.
-    assert got[:2] + got[3:] == want[:2] + want[3:]
+    assert got == want
     level = outcome(weight_lower_bound, system, start, got[4], **budgets)
     assert got[1:3] == level[1:3]
     return want

@@ -1,10 +1,11 @@
 """The level core against the full-sweep reference in ``reference_eval``.
 
-Every entry point must return the same value, status, explored depth and
-visit count as the reference, and raise ``VisitCapExceeded`` with the same
-partial bound.  The ``loop`` and ``oracle`` commands, which now read one
-profile per root, must print the same bytes as when every depth is explored
-on its own, and hit a visit cap at the same witness, ``k`` or depth.
+Every entry point must return the same value, of the same type, status,
+explored depth and visit count as the reference, and raise
+``VisitCapExceeded`` with the same partial bound.  The ``loop`` and
+``oracle`` commands, which now read one profile per root, must print the
+same bytes as when every depth is explored on its own, and hit a visit cap
+at the same witness, ``k`` or depth.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ def outcome(system, fn, *args, **kwargs):
         return "visit cap", _bound(system, exc.partial)
     if isinstance(result, WeightBound):
         return "bound", _bound(system, result)
-    return "values", [(v, system.semiring.format_literal(v)) for v in result]
+    return "values", [(v, type(v), system.semiring.format_literal(v)) for v in result]
 
 
 def _bound(system, bound: WeightBound) -> tuple:
     literal = system.semiring.format_literal(bound.value)
-    return bound.value, literal, bound.status, bound.depth_explored, bound.visited
+    value = bound.value
+    return value, type(value), literal, bound.status, bound.depth_explored, bound.visited
 
 
 @settings(max_examples=250, deadline=None)

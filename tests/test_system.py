@@ -308,6 +308,44 @@ class TestLoadExplicit:
         with pytest.raises(SystemFormatError, match="X"):
             load_explicit(bad)
 
+    def test_rules_with_one_text_share_one_expression(self):
+        text = json.dumps(
+            {
+                "semiring": {"kind": "nat_inf"},
+                "rules": [
+                    {"lhs": "a", "rhs": ["b"], "agg": "1 + v1"},
+                    {"lhs": "b", "rhs": ["c"], "agg": "1 + v1"},
+                    {"lhs": "b", "rhs": ["c", "c"], "agg": "v1 + v2"},
+                ],
+                "nf": {"c": "0"},
+            }
+        )
+        sys_ = load_explicit(text)
+        (ra,), _ = sys_.successors("a")
+        (rb, _), _ = sys_.successors("b")
+        assert ra.aggregator is rb.aggregator
+
+    @pytest.mark.parametrize(
+        "aggs,message",
+        [
+            (["v1", "v1 +", "v1 +"], "rule r1: unexpected end of input (at position 4)"),
+            (["v2", "v2"], "rule r0: aggregator mentions v2 but rhs has 1 entries"),
+            (["v1", "v1", "X"], "rule r2: rule aggregators cannot mention X"),
+            (["v1", 5], "rule r1: 'agg' must be a string"),
+        ],
+    )
+    def test_first_bad_rule_raises_with_shared_texts(self, aggs, message):
+        bad = json.dumps(
+            {
+                "semiring": {"kind": "nat_inf"},
+                "rules": [{"lhs": f"a{i}", "rhs": ["b"], "agg": a} for i, a in enumerate(aggs)],
+                "nf": {"b": "0"},
+            }
+        )
+        with pytest.raises(SystemFormatError) as info:
+            load_explicit(bad)
+        assert str(info.value) == message
+
 
 class TestObjectSyntax:
     @pytest.mark.parametrize(
