@@ -81,29 +81,69 @@ class CountableSum:
 X = XVar()
 
 
+def _reduce(expr, leaf, node):
+    """Fold an expression bottom-up on an explicit stack.
+
+    ``leaf(e)`` gives the value of every node that is neither a sum nor a
+    product; ``node(e, values)`` gives that of a sum or product from its
+    children's values, in order.  Children are folded left to right before
+    their parent, as a recursive walk would, so the first exception raised
+    is the same; depth is not bounded by the recursion limit.
+    """
+    if isinstance(expr, SumNode):
+        children = expr.terms
+    elif isinstance(expr, ProdNode):
+        children = expr.factors
+    else:
+        return leaf(expr)
+    # The node being folded, its children, their values so far and the next
+    # child; the stack holds the same for each unfinished ancestor.
+    values, i, stack = [], 0, []
+    while True:
+        while i < len(children):
+            child = children[i]
+            i += 1
+            if isinstance(child, SumNode):
+                stack.append((expr, children, values, i))
+                expr, children, values, i = child, child.terms, [], 0
+            elif isinstance(child, ProdNode):
+                stack.append((expr, children, values, i))
+                expr, children, values, i = child, child.factors, [], 0
+            else:
+                values.append(leaf(child))
+        value = node(expr, values)
+        if not stack:
+            return value
+        expr, children, values, i = stack.pop()
+        values.append(value)
+
+
+def _children(expr) -> tuple:
+    return expr.terms if isinstance(expr, SumNode) else expr.factors
+
+
+def _rebuild(expr, children: list):
+    """A sum or product like ``expr`` over new children."""
+    return type(expr)(tuple(children))
+
+
 def max_var(expr):
     """Supremum of variable indices mentioned; 0 when no variable occurs."""
+    return _reduce(expr, _var_bound, lambda e, values: max(values))
+
+
+def _var_bound(expr):
     if isinstance(expr, (Const, XVar)):
         return 0
     if isinstance(expr, Var):
         return expr.index
-    if isinstance(expr, SumNode):
-        return max(max_var(e) for e in expr.terms)
-    if isinstance(expr, ProdNode):
-        return max(max_var(e) for e in expr.factors)
     if isinstance(expr, CountableSum):
         return expr.var_bound
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
 
 
 def mentions_x(expr) -> bool:
-    if isinstance(expr, XVar):
-        return True
-    if isinstance(expr, SumNode):
-        return any(mentions_x(e) for e in expr.terms)
-    if isinstance(expr, ProdNode):
-        return any(mentions_x(e) for e in expr.factors)
-    return False
+    return _reduce(expr, lambda e: isinstance(e, XVar), lambda e, values: any(values))
 
 
 DEFAULT_TRUNCATION = 64
@@ -184,15 +224,11 @@ def _entry(expr, desc):
 
 
 def _check_constants(expr, desc):
-    if isinstance(expr, Const):
-        desc.require(expr.value)
-    elif isinstance(expr, (SumNode, ProdNode)):
-        for child in _children(expr):
-            _check_constants(child, desc)
+    def check(e):
+        if isinstance(e, Const):
+            desc.require(e.value)
 
-
-def _children(expr) -> tuple:
-    return expr.terms if isinstance(expr, SumNode) else expr.factors
+    _reduce(expr, check, lambda e, values: None)
 
 
 def _compile(expr, desc):
@@ -206,30 +242,33 @@ def _compile(expr, desc):
 
 
 def _compile_node(expr, desc, check_vars: bool):
-    if isinstance(expr, Const):
-        desc.require(expr.value)
-        value = expr.value
-        return (lambda args, truncation, exact: value), 0
-    if isinstance(expr, Var):
-        i = expr.index - 1
-        if not check_vars:
-            return (lambda args, truncation, exact: args[i]), expr.index
+    def compile_leaf(e):
+        if isinstance(e, Const):
+            desc.require(e.value)
+            value = e.value
+            return (lambda args, truncation, exact: value), 0
+        if isinstance(e, Var):
+            i = e.index - 1
+            if not check_vars:
+                return (lambda args, truncation, exact: args[i]), e.index
 
-        def checked_var(args, truncation, exact):
-            if i >= len(args):
-                raise ArityError(_arity_message(i + 1, len(args)))
-            return args[i]
+            def checked_var(args, truncation, exact):
+                if i >= len(args):
+                    raise ArityError(_arity_message(i + 1, len(args)))
+                return args[i]
 
-        return checked_var, expr.index
-    if isinstance(expr, (SumNode, ProdNode)):
-        op = desc._plus if isinstance(expr, SumNode) else desc._times
-        parts = [_compile_node(e, desc, check_vars) for e in _children(expr)]
+            return checked_var, e.index
+        if isinstance(e, CountableSum):
+            return _compile_countable(e, desc), e.var_bound
+        if isinstance(e, XVar):
+            raise AggregatorError("X is only meaningful inside loop polynomials")
+        raise AggregatorError(f"not an aggregator expression: {e!r}")
+
+    def compile_op(e, parts):
+        op = desc._plus if isinstance(e, SumNode) else desc._times
         return _fold(op, [fn for fn, _ in parts]), max(mv for _, mv in parts)
-    if isinstance(expr, CountableSum):
-        return _compile_countable(expr, desc), expr.var_bound
-    if isinstance(expr, XVar):
-        raise AggregatorError("X is only meaningful inside loop polynomials")
-    raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+    return _reduce(expr, compile_leaf, compile_op)
 
 
 def _fold(op, fns):
@@ -300,34 +339,22 @@ def _compile_countable(expr: CountableSum, desc):
 
 def substitute_x(expr, inner):
     """Replace every X leaf by ``inner``; all other nodes are unchanged."""
-    if isinstance(expr, XVar):
-        return inner
-    if isinstance(expr, SumNode):
-        return SumNode(tuple(substitute_x(e, inner) for e in expr.terms))
-    if isinstance(expr, ProdNode):
-        return ProdNode(tuple(substitute_x(e, inner) for e in expr.factors))
-    return expr
+    return _reduce(expr, lambda e: inner if isinstance(e, XVar) else e, _rebuild)
 
 
 def fold_constants(expr, desc: Semiring):
     """Collapse constant-only subtrees so the result mentions X and constants only."""
-    if isinstance(expr, SumNode):
-        kids = [fold_constants(e, desc) for e in expr.terms]
-        if all(isinstance(k, Const) for k in kids):
-            acc = kids[0].value
-            for k in kids[1:]:
-                acc = desc.plus(acc, k.value)
-            return Const(acc)
-        return SumNode(tuple(kids))
-    if isinstance(expr, ProdNode):
-        kids = [fold_constants(e, desc) for e in expr.factors]
-        if all(isinstance(k, Const) for k in kids):
-            acc = kids[0].value
-            for k in kids[1:]:
-                acc = desc.times(acc, k.value)
-            return Const(acc)
-        return ProdNode(tuple(kids))
-    return expr
+
+    def fold(e, kids):
+        if not all(isinstance(k, Const) for k in kids):
+            return _rebuild(e, kids)
+        op = desc.plus if isinstance(e, SumNode) else desc.times
+        acc = kids[0].value
+        for k in kids[1:]:
+            acc = op(acc, k.value)
+        return Const(acc)
+
+    return _reduce(expr, lambda e: e, fold)
 
 
 _AFFINE_PROBES = (0, 1, 2, 5)
@@ -433,132 +460,138 @@ class ParseError(AggregatorError):
         self.position = position
 
 
-class _Parser:
-    """Recursive-descent parser for the aggregator grammar.
+_BRACKETS = re.compile(r"[(){},]")
 
-    expr := term ('+' term)* ; term := factor ('*' factor)* ;
-    factor := literal | vN | X | '(' expr ')'.  Parenthesized groups that
-    contain a top-level comma are tuple literals instead of grouping.
-    """
 
-    def __init__(self, text: str, desc: Semiring):
-        self.text = text
-        self.desc = desc
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self):
-        expr = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("trailing input", self.pos)
-        return expr
-
-    def expr(self):
-        terms = [self.term()]
-        while self._peek() == "+":
-            self.pos += 1
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else SumNode(tuple(terms))
-
-    def term(self):
-        factors = [self.factor()]
-        while self._peek() == "*":
-            self.pos += 1
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else ProdNode(tuple(factors))
-
-    def factor(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of input", self.pos)
-        ch = self.text[self.pos]
-        if ch == "(":
-            end = self._matching_paren(self.pos)
-            inner = self.text[self.pos + 1 : end]
-            if self._has_top_level_comma(inner):
-                literal = self.text[self.pos : end + 1]
-                self.pos = end + 1
-                return self._const(literal)
-            self.pos += 1
-            expr = self.expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return expr
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", self.pos)
-        self.pos = m.end()
-        if m.group("var"):
-            return Var(int(m.group("var")[1:]))
-        if m.group("x"):
-            return X
-        if m.group("op"):
-            raise ParseError(f"unexpected operator {m.group('op')!r}", m.start())
-        return self._const(m.group(0).strip())
-
-    def _const(self, literal: str):
-        try:
-            return Const(self.desc.parse_literal(literal))
-        except LiteralError as exc:
-            raise ParseError(str(exc), self.pos) from exc
-
-    def _matching_paren(self, start: int) -> int:
-        depth = 0
-        for i in range(start, len(self.text)):
-            if self.text[i] == "(":
-                depth += 1
-            elif self.text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    return i
-        raise ParseError("unbalanced '('", start)
-
-    @staticmethod
-    def _has_top_level_comma(inner: str) -> bool:
-        depth = 0
-        for ch in inner:
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return True
-        return False
+def _groups(text: str) -> tuple:
+    """Each '(' with its matching ')', and the set of '(' whose group holds a
+    top-level comma, in one pass.  Parentheses match as a plain count of
+    '(' and ')'; a comma is top-level when the '(', ')', '{' and '}' between
+    the group's '(' and it balance."""
+    closing, tuples = {}, set()
+    open_groups, depth = [], 0
+    # Per bracket depth, the open '(' whose content starts at that depth and
+    # that have not met a top-level comma yet, innermost last.
+    waiting: dict = {}
+    for m in _BRACKETS.finditer(text):
+        i, ch = m.start(), m.group()
+        if ch == ",":
+            tuples.update(waiting.pop(depth, ()))
+        elif ch in "({":
+            depth += 1
+            if ch == "(":
+                open_groups.append((i, depth))
+                waiting.setdefault(depth, []).append(i)
+        else:
+            if ch == ")" and open_groups:
+                start, base = open_groups.pop()
+                closing[start] = i
+                pending = waiting.get(base)
+                if pending and pending[-1] == start:
+                    pending.pop()
+            depth -= 1
+    return closing, tuples
 
 
 def parse_expr(text: str, desc: Semiring):
-    """Parse the textual aggregator syntax over the given carrier."""
-    return _Parser(text, desc).parse()
+    """Parse the textual aggregator syntax over the given carrier.
+
+    expr := term ('+' term)* ; term := factor ('*' factor)* ;
+    factor := literal | vN | X | '(' expr ')'.  Parenthesized groups that
+    contain a top-level comma are tuple literals instead of grouping.  Open
+    groups wait on an explicit stack, so nesting is not bounded by the
+    recursion limit.
+    """
+    closing, tuples = _groups(text)
+    n, pos = len(text), 0
+    # Per open group: its finished terms and the factors of its current term.
+    stack = [([], [])]
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            raise ParseError("unexpected end of input", pos)
+        if text[pos] != "(":
+            factor, pos = _token(text, pos, desc)
+        elif pos not in closing:
+            raise ParseError("unbalanced '('", pos)
+        elif pos in tuples:
+            literal, pos = text[pos : closing[pos] + 1], closing[pos] + 1
+            factor = _const(literal, desc, pos)
+        else:
+            stack.append(([], []))
+            pos += 1
+            continue
+        terms, factors = stack[-1]
+        factors.append(factor)
+        # Close terms and groups until an operator asks for another factor.
+        while True:
+            while pos < n and text[pos].isspace():
+                pos += 1
+            ch = text[pos] if pos < n else ""
+            if ch == "*":
+                break
+            terms.append(factors[0] if len(factors) == 1 else ProdNode(tuple(factors)))
+            factors.clear()
+            if ch == "+":
+                break
+            stack.pop()
+            expr = terms[0] if len(terms) == 1 else SumNode(tuple(terms))
+            if not stack:
+                if pos != n:
+                    raise ParseError("trailing input", pos)
+                return expr
+            if ch != ")":
+                raise ParseError("expected ')'", pos)
+            pos += 1
+            terms, factors = stack[-1]
+            factors.append(expr)
+        pos += 1
+
+
+def _token(text: str, pos: int, desc: Semiring) -> tuple:
+    """The factor that starts at ``pos`` with no parenthesis, and its end."""
+    m = _TOKEN.match(text, pos)
+    if not m:
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    if m.group("var"):
+        return Var(int(m.group("var")[1:])), m.end()
+    if m.group("x"):
+        return X, m.end()
+    if m.group("op"):
+        raise ParseError(f"unexpected operator {m.group('op')!r}", m.start())
+    return _const(m.group(0).strip(), desc, m.end()), m.end()
+
+
+def _const(literal: str, desc: Semiring, pos: int):
+    try:
+        return Const(desc.parse_literal(literal))
+    except LiteralError as exc:
+        raise ParseError(str(exc), pos) from exc
 
 
 def format_expr(expr, desc: Semiring) -> str:
     """Print an expression so that parsing it back restores the same tree."""
-    if isinstance(expr, Const):
-        return desc.format_literal(expr.value)
-    if isinstance(expr, Var):
-        return f"v{expr.index}"
-    if isinstance(expr, XVar):
-        return "X"
-    if isinstance(expr, SumNode):
-        return " + ".join(_wrap(t, desc, in_sum=True) for t in expr.terms)
-    if isinstance(expr, ProdNode):
-        return " * ".join(_wrap(f, desc, in_sum=False) for f in expr.factors)
-    if isinstance(expr, CountableSum):
-        return "<countable sum>"
-    raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+    def leaf(e):
+        if isinstance(e, Const):
+            return desc.format_literal(e.value)
+        if isinstance(e, Var):
+            return f"v{e.index}"
+        if isinstance(e, XVar):
+            return "X"
+        if isinstance(e, CountableSum):
+            return "<countable sum>"
+        raise AggregatorError(f"not an aggregator expression: {e!r}")
+
+    return _reduce(expr, leaf, _join_texts)
 
 
-def _wrap(expr, desc, in_sum: bool) -> str:
-    text = format_expr(expr, desc)
-    if isinstance(expr, SumNode) or (isinstance(expr, ProdNode) and not in_sum):
-        return f"({text})"
-    return text
+def _join_texts(expr, texts: list) -> str:
+    """A sum's or product's text from its children's; a child sum, or a
+    product inside a product, is parenthesized."""
+    in_sum = isinstance(expr, SumNode)
+    for i, child in enumerate(_children(expr)):
+        if isinstance(child, SumNode) or (isinstance(child, ProdNode) and not in_sum):
+            texts[i] = f"({texts[i]})"
+    return (" + " if in_sum else " * ").join(texts)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
 from .semiring import INF, NatInf, Semiring, SemiringError, Tropical
-from .system import SystemError_, SystemHandle
+from .system import SystemError_, SystemHandle, _finite_no_top
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -151,19 +151,14 @@ def check_nf_top(sys: SystemHandle, nfs: Optional[Iterable] = None) -> Optional[
 
 
 def _syntactically_selective(expr, desc: Semiring) -> bool:
-    if isinstance(expr, agg.Var):
-        return True
-    if isinstance(expr, agg.Const):
-        return False
-    if isinstance(expr, agg.SumNode):
-        return desc.plus_is_selective and all(
-            _syntactically_selective(e, desc) for e in expr.terms
-        )
-    if isinstance(expr, agg.ProdNode):
-        return desc.times_is_selective and all(
-            _syntactically_selective(e, desc) for e in expr.factors
-        )
-    return False
+    """Whether every sum and product in the aggregator is selective and
+    every leaf is a variable, so that it returns one of its arguments."""
+
+    def selective(e, values):
+        op = desc.plus_is_selective if isinstance(e, agg.SumNode) else desc.times_is_selective
+        return op and all(values)
+
+    return agg._reduce(expr, lambda e: isinstance(e, agg.Var), selective)
 
 
 def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
@@ -226,18 +221,6 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
     )
 
 
-def _aggregator_finite_no_top(expr, desc) -> bool:
-    if isinstance(expr, agg.CountableSum):
-        return False
-    if isinstance(expr, agg.Const):
-        return expr.value != desc.top
-    if isinstance(expr, agg.SumNode):
-        return all(_aggregator_finite_no_top(e, desc) for e in expr.terms)
-    if isinstance(expr, agg.ProdNode):
-        return all(_aggregator_finite_no_top(e, desc) for e in expr.factors)
-    return True
-
-
 def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
     """Bounded when the system is terminating, finitely non-deterministic and
     finitely branching, the semiring is extremal, no normal form weighs top,
@@ -281,7 +264,7 @@ def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
     obj_enum = sys.enumerate_objects()
     if obj_enum is not None and obj_enum[1]:
         agg_ok = all(
-            _aggregator_finite_no_top(r.aggregator, desc)
+            _finite_no_top(r.aggregator, desc)
             for a in obj_enum[0]
             for r in sys.successors(a)[0]
         )

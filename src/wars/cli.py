@@ -92,7 +92,8 @@ def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
             print(line)
 
 
-def _budget_args(parser: argparse.ArgumentParser) -> None:
+def _common_args(parser: argparse.ArgumentParser, fn) -> None:
+    """The budget and output options every analysis command ends with."""
     parser.add_argument("--rule-budget", type=int, default=64)
     parser.add_argument("--branch-trunc", type=int, default=64)
     parser.add_argument(
@@ -100,6 +101,9 @@ def _budget_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=int(os.environ.get("WARS_VISIT_CAP", 100_000)),
     )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(fn=fn)
 
 
 def _check_at_least(args, **least) -> None:
@@ -371,30 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--system", required=True)
     p_eval.add_argument("--start", action="append", required=True)
     p_eval.add_argument("--depth", type=int, required=True)
-    _budget_args(p_eval)
-    p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.set_defaults(fn=cmd_eval)
+    _common_args(p_eval, cmd_eval)
 
     p_bound = sub.add_parser("bound", help="run a boundedness check")
     p_bound.add_argument("--system", required=True)
     p_bound.add_argument("--mode", required=True, help="selective | extremal | embed:<name|path>")
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
-    _budget_args(p_bound)
-    p_bound.add_argument("--format", choices=("text", "json"), default="text")
-    p_bound.add_argument("--seed", type=int, default=0)
-    p_bound.set_defaults(fn=cmd_bound)
+    _common_args(p_bound, cmd_bound)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")
     p_loop.add_argument("--system", required=True)
     p_loop.add_argument("--start", action="append", required=True)
     p_loop.add_argument("--depth", type=int, required=True)
     p_loop.add_argument("--max-witnesses", type=int, default=16)
-    _budget_args(p_loop)
-    p_loop.add_argument("--format", choices=("text", "json"), default="text")
-    p_loop.add_argument("--seed", type=int, default=0)
-    p_loop.set_defaults(fn=cmd_loop)
+    _common_args(p_loop, cmd_loop)
 
     p_oracle = sub.add_parser(
         "oracle", help="compare value iteration against tree enumeration"
@@ -402,10 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--system", required=True)
     p_oracle.add_argument("--depth", type=int, required=True)
     p_oracle.add_argument("--count-cap", type=int, default=200_000)
-    _budget_args(p_oracle)
-    p_oracle.add_argument("--format", choices=("text", "json"), default="text")
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.set_defaults(fn=cmd_oracle)
+    _common_args(p_oracle, cmd_oracle)
 
     p_list = sub.add_parser("list", help="list built-in systems")
     p_list.add_argument("--format", choices=("text", "json"), default="text")

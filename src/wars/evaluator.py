@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .aggregator import _compiled, affine_form
 from .semiring import RealInf
-from .system import SystemHandle
+from .system import SystemHandle, _components
 
 LOWER_BOUND = "lower_bound"
 STABILIZED = "stabilized"
@@ -383,56 +383,6 @@ def _at(levels: list, level: int) -> int:
 def _successors(rules) -> tuple:
     """The distinct successor numbers of one object's numbered rules."""
     return tuple(dict.fromkeys(s for succ, _, _ in rules or () for s in succ))
-
-
-def _components(succs: list) -> list:
-    """The strongly connected components of the graph ``i -> succs[i]``,
-    sinks first: Tarjan's algorithm with an explicit stack.  Negative
-    successors stand for objects outside the graph and are skipped."""
-    n = len(succs)
-    index = [-1] * n
-    low = [0] * n
-    edge = [0] * n  # per object on the walk, the next successor to follow
-    on_stack = [False] * n
-    stack: list = []
-    components: list = []
-    count = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        walk = [root]
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        while walk:
-            v = walk[-1]
-            succ = succs[v]
-            if edge[v] < len(succ):
-                w = succ[edge[v]]
-                edge[v] += 1
-                if w < 0:
-                    continue
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    walk.append(w)
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-                continue
-            walk.pop()
-            if walk and low[v] < low[walk[-1]]:
-                low[walk[-1]] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while not component or component[-1] != v:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                components.append(component)
-    return components
 
 
 def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
@@ -856,25 +806,36 @@ def enumerate_trees(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     memo: dict = {}
-    built = [0]
+    built = 0
 
-    def trees(obj, d) -> list:
-        key = (obj, d)
-        if key in memo:
-            return memo[key]
-        out = [ReductionTree(obj)]
-        if d > 0:
-            rules, _ = sys.successors(obj, rule_budget)
-            for r in rules:
-                child_options = [trees(b, d - 1) for b in r.rhs]
-                for combo in itertools.product(*child_options):
-                    built[0] += 1
-                    if built[0] > count_cap:
-                        raise CountCapExceeded(
-                            f"more than {count_cap} trees at depth {depth}"
-                        )
-                    out.append(ReductionTree(obj, r.tag, combo))
-        memo[key] = out
-        return out
+    def frame(obj, d) -> list:
+        # [object, depth, its rules, next rule, the next rule's child tree
+        # lists so far, the trees built so far]
+        rules = sys.successors(obj, rule_budget)[0] if d > 0 else []
+        return [obj, d, rules, 0, [], [ReductionTree(obj)]]
 
-    return iter(trees(a, depth))
+    # Depth first with an explicit stack: each rule's child tree lists are
+    # complete, in order, before that rule's trees are built.
+    stack = [frame(a, depth)]
+    while stack:
+        top = stack[-1]
+        obj, d, rules, i, options, out = top
+        if i < len(rules):
+            rhs = rules[i].rhs
+            if len(options) < len(rhs):
+                key = (rhs[len(options)], d - 1)
+                if key in memo:
+                    options.append(memo[key])
+                else:
+                    stack.append(frame(*key))
+                continue
+            for combo in itertools.product(*options):
+                built += 1
+                if built > count_cap:
+                    raise CountCapExceeded(f"more than {count_cap} trees at depth {depth}")
+                out.append(ReductionTree(obj, rules[i].tag, combo))
+            top[3], top[4] = i + 1, []
+            continue
+        memo[obj, d] = out
+        stack.pop()
+    return iter(memo[a, depth])

@@ -98,11 +98,15 @@ def _parse_number(text: str):
 
 
 def _format_number(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value) if isinstance(value, _Extreme) else str(value)
+    try:
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return str(value.numerator)
+            return f"{value.numerator}/{value.denominator}"
+        return repr(value) if isinstance(value, _Extreme) else str(value)
+    except ValueError as exc:
+        # The interpreter's limit on digits in integer-to-text conversion.
+        raise SemiringError(f"cannot print the value: {exc}") from exc
 
 
 class Semiring:
@@ -173,36 +177,10 @@ class Semiring:
         raise NotImplementedError
 
     def omega_sum(self, t):
-        """Closed form of the infinite sum t + t + ... (supremum of partial sums)."""
-        raise NotImplementedError
-
-    def sum_stream(self, stream: Iterable, budget: int):
-        """Add up to ``budget`` stream elements; return (partial sum, exact).
-
-        The result is always below the full sum.  ``exact`` is claimed only
-        when the stream ended within the budget or the partial sum reached
-        ``top`` (which absorbs everything that could follow).
-        """
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        acc = self.zero
-        it = iter(stream)
-        taken = 0
-        while taken < budget:
-            try:
-                v = next(it)
-            except StopIteration:
-                return acc, True
-            self.require(v)
-            acc = self.plus(acc, v)
-            taken += 1
-            if acc == self.top:
-                return acc, True
-        try:
-            next(it)
-        except StopIteration:
-            return acc, True
-        return acc, False
+        """Closed form of the infinite sum t + t + ... (supremum of partial
+        sums): t itself wherever addition is idempotent."""
+        self.require(t)
+        return t
 
     def parse_literal(self, text: str):
         raise NotImplementedError
@@ -226,7 +204,31 @@ class Semiring:
         return f"<semiring {self.kind}>"
 
 
-class _NumericCounting(Semiring):
+class _Numeric(Semiring):
+    """Shared behaviour of the carriers of numbers and infinities: the usual
+    order with the maximum as join, and number literals.  A carrier whose
+    order differs overrides them."""
+
+    def leq(self, a, b) -> bool:
+        self.require(a)
+        self.require(b)
+        return a <= b
+
+    def _join(self, vals):
+        return max(vals)
+
+    def parse_literal(self, text: str):
+        v = _parse_number(text)
+        if not self.contains(v):
+            raise LiteralError(f"{text!r} is outside the {self.kind} carrier")
+        return v
+
+    def format_literal(self, value) -> str:
+        self.require(value)
+        return _format_number(value)
+
+
+class _NumericCounting(_Numeric):
     """Shared behaviour of the extended naturals and extended nonnegative reals."""
 
     has_extremal_property = True
@@ -246,30 +248,12 @@ class _NumericCounting(Semiring):
             return INF
         return a * b
 
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return a <= b
-
-    def _join(self, vals):
-        return max(vals)
-
     def omega_sum(self, t):
         self.require(t)
         return 0 if t == 0 else INF
 
     def from_count(self, n: int):
         return n
-
-    def parse_literal(self, text: str):
-        v = _parse_number(text)
-        if not self.contains(v):
-            raise LiteralError(f"{text!r} is outside the {self.kind} carrier")
-        return v
-
-    def format_literal(self, value) -> str:
-        self.require(value)
-        return _format_number(value)
 
 
 class NatInf(_NumericCounting):
@@ -309,7 +293,7 @@ class RealInf(_NumericCounting):
         return [0, Fraction(1, 3), 1, 2, Fraction(9, 2), 10 ** 6, INF]
 
 
-class Tropical(Semiring):
+class Tropical(_Numeric):
     """Extended naturals under minimum and addition.
 
     The natural order is the reverse of the usual one: the additive identity
@@ -343,20 +327,6 @@ class Tropical(Semiring):
     def _join(self, vals):
         return min(vals)
 
-    def omega_sum(self, t):
-        self.require(t)
-        return t
-
-    def parse_literal(self, text: str):
-        v = _parse_number(text)
-        if not self.contains(v):
-            raise LiteralError(f"{text!r} is outside the tropical carrier")
-        return v
-
-    def format_literal(self, value) -> str:
-        self.require(value)
-        return _format_number(value)
-
     def sample(self, rng):
         return INF if rng.random() < 0.08 else rng.randrange(0, 24)
 
@@ -364,7 +334,7 @@ class Tropical(Semiring):
         return [INF, 10 ** 6, 10, 5, 2, 1, 0]
 
 
-class Arctic(Semiring):
+class Arctic(_Numeric):
     """Naturals extended by -inf and inf, under maximum and addition."""
 
     kind = "arctic"
@@ -388,28 +358,6 @@ class Arctic(Semiring):
         if a is INF or b is INF:
             return INF
         return a + b
-
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return a <= b
-
-    def _join(self, vals):
-        return max(vals)
-
-    def omega_sum(self, t):
-        self.require(t)
-        return t
-
-    def parse_literal(self, text: str):
-        v = _parse_number(text)
-        if not self.contains(v):
-            raise LiteralError(f"{text!r} is outside the arctic carrier")
-        return v
-
-    def format_literal(self, value) -> str:
-        self.require(value)
-        return _format_number(value)
 
     def sample(self, rng):
         r = rng.random()
@@ -451,10 +399,6 @@ class Boolean(Semiring):
     def _join(self, vals):
         return any(vals)
 
-    def omega_sum(self, t):
-        self.require(t)
-        return t
-
     def parse_literal(self, text: str):
         text = text.strip()
         if text == "true":
@@ -474,7 +418,7 @@ class Boolean(Semiring):
         return [False, True]
 
 
-class Confidence(Semiring):
+class Confidence(_Numeric):
     """Rationals in [0, 1] under maximum and multiplication."""
 
     kind = "confidence"
@@ -495,27 +439,11 @@ class Confidence(Semiring):
     def _times(self, a, b):
         return a * b
 
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return a <= b
-
-    def _join(self, vals):
-        return max(vals)
-
-    def omega_sum(self, t):
-        self.require(t)
-        return t
-
     def parse_literal(self, text: str):
         v = _parse_number(text)
         if not self.contains(v):
             raise LiteralError(f"{text!r} is outside [0, 1]")
         return v
-
-    def format_literal(self, value) -> str:
-        self.require(value)
-        return _format_number(value)
 
     def sample(self, rng):
         d = rng.randrange(1, 9)
@@ -525,7 +453,7 @@ class Confidence(Semiring):
         return [0, Fraction(1, 4), Fraction(1, 2), Fraction(7, 8), 1]
 
 
-class Bottleneck(Semiring):
+class Bottleneck(_Numeric):
     """Extended reals under maximum and minimum."""
 
     kind = "bottleneck"
@@ -546,25 +474,6 @@ class Bottleneck(Semiring):
 
     def _times(self, a, b):
         return min(a, b)
-
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return a <= b
-
-    def _join(self, vals):
-        return max(vals)
-
-    def omega_sum(self, t):
-        self.require(t)
-        return t
-
-    def parse_literal(self, text: str):
-        return _parse_number(text)
-
-    def format_literal(self, value) -> str:
-        self.require(value)
-        return _format_number(value)
 
     def sample(self, rng):
         r = rng.random()
@@ -651,10 +560,6 @@ class Language(Semiring):
         for v in vals:
             out |= v
         return out
-
-    def omega_sum(self, t):
-        self.require(t)
-        return t
 
     def parse_literal(self, text: str):
         text = text.strip()
@@ -773,13 +678,8 @@ class Product(Semiring):
     def probe_values(self):
         probes = [c.probe_values() for c in self.components]
         width = max(len(p) for p in probes)
-        out = []
-        for i in range(width):
-            out.append(tuple(p[min(i, len(p) - 1)] for p in probes))
-        out.append(self.zero)
-        out.append(self.one)
-        out.append(self.top)
-        return out
+        out = [tuple(p[min(i, len(p) - 1)] for p in probes) for i in range(width)]
+        return out + [self.zero, self.one, self.top]
 
     def __repr__(self) -> str:
         inner = ", ".join(c.kind for c in self.components)

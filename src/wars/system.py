@@ -65,7 +65,33 @@ class RuleInstance:
 
 def _facts(expr) -> tuple:
     """Whether a rule aggregator mentions X, and its largest variable index."""
-    return agg.mentions_x(expr), agg.max_var(expr)
+    return agg._reduce(expr, _leaf_facts, _node_facts)
+
+
+def _leaf_facts(expr) -> tuple:
+    return isinstance(expr, agg.XVar), agg._var_bound(expr)
+
+
+def _node_facts(expr, facts: list) -> tuple:
+    xs, mvs = zip(*facts)
+    return any(xs), max(mvs)
+
+
+def _finite_no_top(expr, desc) -> bool:
+    """Whether an aggregator has no countable sum and no constant ``top``."""
+
+    def leaf(e):
+        if isinstance(e, agg.Const):
+            return e.value != desc.top
+        return not isinstance(e, agg.CountableSum)
+
+    return agg._reduce(expr, leaf, lambda e, values: all(values))
+
+
+# The deepest aggregator the loader accepts, in levels (a leaf is one).
+# Compiled aggregators and expression hashing still take a frame or two per
+# level, so deeper input would exhaust the recursion limit.
+MAX_AGGREGATOR_DEPTH = 400
 
 
 @dataclass
@@ -189,14 +215,18 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
     """
     from .semiring import NAT_INF
 
+    steps: dict = {}  # successor count -> (aggregator, its facts)
+
     def successors(a, budget):
         rules, complete = base._successors(a, budget)
         wrapped = []
         for r in rules:
-            parts = (agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(len(r.rhs)))
-            wrapped.append(
-                RuleInstance(r.lhs, r.rhs, agg.SumNode(parts), r.tag, r.rhs_complete)
-            )
+            n = len(r.rhs)
+            if n not in steps:
+                step = agg.SumNode((agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(n)))
+                steps[n] = step, _facts(step)
+            step, facts = steps[n]
+            wrapped.append(RuleInstance(r.lhs, r.rhs, step, r.tag, r.rhs_complete, facts))
         return wrapped, complete
 
     return SystemHandle(
@@ -264,6 +294,12 @@ def load_explicit(source: str) -> SystemHandle:
                 expr = agg.parse_expr(text, desc)
             except agg.AggregatorError as exc:
                 raise SystemFormatError(f"rule {tag}: {exc}") from exc
+            depth = agg._reduce(expr, lambda e: 1, lambda e, depths: 1 + max(depths))
+            if depth > MAX_AGGREGATOR_DEPTH:
+                raise SystemFormatError(
+                    f"rule {tag}: aggregator nested deeper than "
+                    f"{MAX_AGGREGATOR_DEPTH} levels"
+                )
             parsed[text] = expr, _facts(expr)
         expr, facts = parsed[text]
         try:
@@ -298,7 +334,13 @@ def load_explicit(source: str) -> SystemHandle:
         return rules[:budget], budget >= len(rules)
 
     deterministic = all(len(rs) <= 1 for rs in rules_by_lhs.values())
-    terminating = not _has_cycle(rules_by_lhs)
+    # Terminating when no strongly connected component is a cycle; normal
+    # forms (-1) have no successors and cannot be on one.
+    number = {lhs: i for i, lhs in enumerate(rules_by_lhs)}
+    succs = [[number.get(b, -1) for r in rs for b in r.rhs] for rs in rules_by_lhs.values()]
+    terminating = not any(
+        len(c) > 1 or c[0] in succs[c[0]] for c in _components(succs)
+    )
 
     def parse_object(textual: str):
         label = textual.strip()
@@ -322,43 +364,56 @@ def load_explicit(source: str) -> SystemHandle:
         enumerate_objects_fn=lambda: (sorted(objects), True),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
         aggregators_finite_no_top=all(
-            not _mentions_top(expr, desc) for expr, _ in parsed.values()
+            _finite_no_top(expr, desc) for expr, _ in parsed.values()
         ),
     )
 
 
-def _mentions_top(expr, desc) -> bool:
-    if isinstance(expr, agg.Const):
-        return expr.value == desc.top
-    if isinstance(expr, agg.SumNode):
-        return any(_mentions_top(e, desc) for e in expr.terms)
-    if isinstance(expr, agg.ProdNode):
-        return any(_mentions_top(e, desc) for e in expr.factors)
-    return False
-
-
-def _has_cycle(rules_by_lhs: dict[str, list[RuleInstance]]) -> bool:
-    # Depth-first search with an explicit stack, so chain length is not
-    # bounded by the recursion limit.
-    edges = {lhs: {b for r in rs for b in r.rhs} for lhs, rs in rules_by_lhs.items()}
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-    for root in edges:
-        if color.get(root, WHITE) != WHITE:
+def _components(succs: list) -> list:
+    """The strongly connected components of the graph ``i -> succs[i]``,
+    sinks first: Tarjan's algorithm with an explicit stack.  Negative
+    successors stand for objects outside the graph and are skipped."""
+    n = len(succs)
+    index = [-1] * n
+    low = [0] * n
+    edge = [0] * n  # per object on the walk, the next successor to follow
+    on_stack = [False] * n
+    stack: list = []
+    components: list = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        color[root] = GREY
-        stack = [(root, iter(edges[root]))]
-        while stack:
-            node, successors = stack[-1]
-            for succ in successors:
-                c = color.get(succ, WHITE)
-                if c == GREY:
-                    return True
-                if c == WHITE:
-                    color[succ] = GREY
-                    stack.append((succ, iter(edges.get(succ, ()))))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return False
+        walk = [root]
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        while walk:
+            v = walk[-1]
+            succ = succs[v]
+            if edge[v] < len(succ):
+                w = succ[edge[v]]
+                edge[v] += 1
+                if w < 0:
+                    continue
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    walk.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            walk.pop()
+            if walk and low[v] < low[walk[-1]]:
+                low[walk[-1]] = low[v]
+            if low[v] == index[v]:
+                component = []
+                while not component or component[-1] != v:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                components.append(component)
+    return components

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
-from .aggregator import Const, CountableSum, ProdNode, SumNode, Var, X, XVar
+from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
 from .evaluator import DepthProfile, ReductionTree, enumerate_trees
 from .semiring import NatInf, RealInf, Semiring
 from .system import SystemHandle
@@ -46,11 +46,7 @@ class LoopWitness:
 
     def trace(self) -> list[str]:
         """Rule tags along the path from the root to the designated leaf."""
-        tags, node = [], self.tree
-        for idx in self.leaf_path:
-            tags.append(node.rule_tag)
-            node = node.children[idx]
-        return tags
+        return list(_tag_path(self.tree, self.leaf_path))
 
 
 @dataclass
@@ -103,17 +99,27 @@ def find_loops(
 
 
 def _loop_leaves(tree: ReductionTree):
-    root_label = tree.label
-
-    def walk(node, path):
-        if not node.children:
-            if path and node.label == root_label:
-                yield path
+    """The paths to the leaves below the root that carry the root's object,
+    left to right, walked with an explicit stack."""
+    nodes, path = [tree], []
+    while True:
+        node = nodes[-1]
+        if node.children:
+            nodes.append(node.children[0])
+            path.append(0)
+            continue
+        if path and node.label == tree.label:
+            yield tuple(path)
+        # Climb to the nearest ancestor with a child still to visit.
+        while path:
+            nodes.pop()
+            i = path.pop() + 1
+            if i < len(nodes[-1].children):
+                nodes.append(nodes[-1].children[i])
+                path.append(i)
+                break
+        else:
             return
-        for i, child in enumerate(node.children):
-            yield from walk(child, path + (i,))
-
-    yield from walk(tree, ())
 
 
 def _tag_path(tree: ReductionTree, path: tuple) -> tuple:
@@ -165,33 +171,27 @@ def _node_at(tree, path):
 
 def _apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
     """Substitute child expressions for the rule variables."""
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        if expr.index > len(child_exprs):
-            return Const(desc.zero)
-        return child_exprs[expr.index - 1]
-    if isinstance(expr, SumNode):
-        return SumNode(
-            tuple(_apply_aggregator(e, child_exprs, desc, truncation) for e in expr.terms)
-        )
-    if isinstance(expr, ProdNode):
-        return ProdNode(
-            tuple(_apply_aggregator(e, child_exprs, desc, truncation) for e in expr.factors)
-        )
-    if isinstance(expr, CountableSum):
+
+    def substitute(e):
+        if isinstance(e, Const):
+            return e
+        if isinstance(e, Var):
+            if e.index > len(child_exprs):
+                return Const(desc.zero)
+            return child_exprs[e.index - 1]
+        if not isinstance(e, CountableSum):
+            raise UnboundednessError(f"cannot substitute into {e!r}")
         terms = []
         for i in range(truncation):
-            term = expr.term(i)
+            term = e.term(i)
             if term is None:
                 break
             mv = agg.max_var(term)
             if isinstance(mv, int) and mv <= len(child_exprs):
                 terms.append(_apply_aggregator(term, child_exprs, desc, truncation))
-        if not terms:
-            return Const(desc.zero)
-        return SumNode(tuple(terms))
-    raise UnboundednessError(f"cannot substitute into {expr!r}")
+        return SumNode(tuple(terms)) if terms else Const(desc.zero)
+
+    return agg._reduce(expr, substitute, agg._rebuild)
 
 
 def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
@@ -249,13 +249,9 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
 
 
 def _mentions_only_x(expr) -> bool:
-    if isinstance(expr, (Const, XVar)):
-        return True
-    if isinstance(expr, SumNode):
-        return all(_mentions_only_x(e) for e in expr.terms)
-    if isinstance(expr, ProdNode):
-        return all(_mentions_only_x(e) for e in expr.factors)
-    return False
+    return agg._reduce(
+        expr, lambda e: isinstance(e, (Const, XVar)), lambda e, values: all(values)
+    )
 
 
 def analyze_loop(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple) -> LoopWitness:

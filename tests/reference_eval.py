@@ -13,37 +13,53 @@ from scratch and recomputes every explored object at every level.
 
 ``reference_tree_weight`` is the reference for ``tree_weights``.  It recurses
 over one tree and checks and weighs every node it meets, shared or not.
+
+``reference_parse``, the ``reference_*`` expression walkers,
+``reference_enumerate_trees`` and ``reference_loop_leaves`` are the references
+for the iterative parser, the fold-based walkers and the iterative tree
+walks.  They recurse once per level, so they only take shallow input.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from wars.aggregator import (
+    _TOKEN,
+    AggregatorError,
     ArityError,
     Const,
     CountableSum,
+    ParseError,
     ProdNode,
     SumNode,
     Var,
+    X,
+    XVar,
+    _compile_countable,
     _compiled,
-    max_var,
+    _fold,
 )
 from wars.evaluator import (
     LOWER_BOUND,
     STABILIZED,
+    CountCapExceeded,
+    ReductionTree,
     StructuralTreeError,
     VisitCapExceeded,
     WeightBound,
 )
-from wars.semiring import INF
+from wars.semiring import INF, LiteralError
+from wars.unboundedness import UnboundednessError
 
 
 def reference_evaluate(expr, desc, args, truncation: int = 64):
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    _check_constants(expr, desc)
+    reference_check_constants(expr, desc)
     for v in args:
         desc.require(v)
-    mv = max_var(expr)
+    mv = reference_max_var(expr)
     if mv is not INF and mv > len(args) and not isinstance(expr, CountableSum):
         raise ArityError(_arity_message(mv, args))
     return _value(expr, desc, args, truncation)
@@ -53,15 +69,15 @@ def _arity_message(index, args) -> str:
     return f"aggregator mentions v{index} but only {len(args)} arguments were supplied"
 
 
-def _check_constants(expr, desc) -> None:
+def reference_check_constants(expr, desc) -> None:
     if isinstance(expr, Const):
         desc.require(expr.value)
     elif isinstance(expr, SumNode):
         for e in expr.terms:
-            _check_constants(e, desc)
+            reference_check_constants(e, desc)
     elif isinstance(expr, ProdNode):
         for e in expr.factors:
-            _check_constants(e, desc)
+            reference_check_constants(e, desc)
 
 
 def _value(expr, desc, args, truncation):
@@ -86,11 +102,11 @@ def _value(expr, desc, args, truncation):
             term = expr.term(i)
             if term is None:
                 return acc, clean
-            mv = max_var(term)
+            mv = reference_max_var(term)
             if mv is not INF and mv > len(args):
                 clean = False
                 continue
-            _check_constants(term, desc)
+            reference_check_constants(term, desc)
             v, e = _value(term, desc, args, truncation)
             acc = desc.plus(acc, v)
             clean = clean and e
@@ -322,3 +338,345 @@ def reference_tree_weight(sys, tree, branch_trunc=64):
         )
     args = [reference_tree_weight(sys, c, branch_trunc) for c in tree.children]
     return _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
+
+
+# --------------------------------------------------------------------------
+# Aggregator walkers: one recursive call per node.
+
+
+def reference_max_var(expr):
+    if isinstance(expr, (Const, XVar)):
+        return 0
+    if isinstance(expr, Var):
+        return expr.index
+    if isinstance(expr, SumNode):
+        return max(reference_max_var(e) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return max(reference_max_var(e) for e in expr.factors)
+    if isinstance(expr, CountableSum):
+        return expr.var_bound
+    raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+
+def reference_mentions_x(expr) -> bool:
+    if isinstance(expr, XVar):
+        return True
+    if isinstance(expr, SumNode):
+        return any(reference_mentions_x(e) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return any(reference_mentions_x(e) for e in expr.factors)
+    return False
+
+
+def reference_compile_node(expr, desc, check_vars: bool):
+    if isinstance(expr, Const):
+        desc.require(expr.value)
+        value = expr.value
+        return (lambda args, truncation, exact: value), 0
+    if isinstance(expr, Var):
+        i = expr.index - 1
+        if not check_vars:
+            return (lambda args, truncation, exact: args[i]), expr.index
+
+        def checked_var(args, truncation, exact):
+            if i >= len(args):
+                raise ArityError(_arity_message(i + 1, args))
+            return args[i]
+
+        return checked_var, expr.index
+    if isinstance(expr, (SumNode, ProdNode)):
+        op = desc._plus if isinstance(expr, SumNode) else desc._times
+        children = expr.terms if isinstance(expr, SumNode) else expr.factors
+        parts = [reference_compile_node(e, desc, check_vars) for e in children]
+        return _fold(op, [fn for fn, _ in parts]), max(mv for _, mv in parts)
+    if isinstance(expr, CountableSum):
+        return _compile_countable(expr, desc), expr.var_bound
+    if isinstance(expr, XVar):
+        raise AggregatorError("X is only meaningful inside loop polynomials")
+    raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+
+def reference_substitute_x(expr, inner):
+    if isinstance(expr, XVar):
+        return inner
+    if isinstance(expr, SumNode):
+        return SumNode(tuple(reference_substitute_x(e, inner) for e in expr.terms))
+    if isinstance(expr, ProdNode):
+        return ProdNode(tuple(reference_substitute_x(e, inner) for e in expr.factors))
+    return expr
+
+
+def reference_fold_constants(expr, desc):
+    if isinstance(expr, SumNode):
+        kids = [reference_fold_constants(e, desc) for e in expr.terms]
+        if all(isinstance(k, Const) for k in kids):
+            acc = kids[0].value
+            for k in kids[1:]:
+                acc = desc.plus(acc, k.value)
+            return Const(acc)
+        return SumNode(tuple(kids))
+    if isinstance(expr, ProdNode):
+        kids = [reference_fold_constants(e, desc) for e in expr.factors]
+        if all(isinstance(k, Const) for k in kids):
+            acc = kids[0].value
+            for k in kids[1:]:
+                acc = desc.times(acc, k.value)
+            return Const(acc)
+        return ProdNode(tuple(kids))
+    return expr
+
+
+def reference_format_expr(expr, desc) -> str:
+    if isinstance(expr, Const):
+        return desc.format_literal(expr.value)
+    if isinstance(expr, Var):
+        return f"v{expr.index}"
+    if isinstance(expr, XVar):
+        return "X"
+    if isinstance(expr, SumNode):
+        return " + ".join(_reference_wrap(t, desc, True) for t in expr.terms)
+    if isinstance(expr, ProdNode):
+        return " * ".join(_reference_wrap(f, desc, False) for f in expr.factors)
+    if isinstance(expr, CountableSum):
+        return "<countable sum>"
+    raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+
+def _reference_wrap(expr, desc, in_sum: bool) -> str:
+    text = reference_format_expr(expr, desc)
+    if isinstance(expr, SumNode) or (isinstance(expr, ProdNode) and not in_sum):
+        return f"({text})"
+    return text
+
+
+def reference_mentions_top(expr, desc) -> bool:
+    if isinstance(expr, Const):
+        return expr.value == desc.top
+    if isinstance(expr, SumNode):
+        return any(reference_mentions_top(e, desc) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return any(reference_mentions_top(e, desc) for e in expr.factors)
+    return False
+
+
+def reference_finite_no_top(expr, desc) -> bool:
+    if isinstance(expr, CountableSum):
+        return False
+    if isinstance(expr, Const):
+        return expr.value != desc.top
+    if isinstance(expr, SumNode):
+        return all(reference_finite_no_top(e, desc) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return all(reference_finite_no_top(e, desc) for e in expr.factors)
+    return True
+
+
+def reference_syntactically_selective(expr, desc) -> bool:
+    if isinstance(expr, Var):
+        return True
+    if isinstance(expr, Const):
+        return False
+    if isinstance(expr, SumNode):
+        return desc.plus_is_selective and all(
+            reference_syntactically_selective(e, desc) for e in expr.terms
+        )
+    if isinstance(expr, ProdNode):
+        return desc.times_is_selective and all(
+            reference_syntactically_selective(e, desc) for e in expr.factors
+        )
+    return False
+
+
+def reference_mentions_only_x(expr) -> bool:
+    if isinstance(expr, (Const, XVar)):
+        return True
+    if isinstance(expr, SumNode):
+        return all(reference_mentions_only_x(e) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return all(reference_mentions_only_x(e) for e in expr.factors)
+    return False
+
+
+def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Var):
+        if expr.index > len(child_exprs):
+            return Const(desc.zero)
+        return child_exprs[expr.index - 1]
+    if isinstance(expr, SumNode):
+        return SumNode(
+            tuple(reference_apply_aggregator(e, child_exprs, desc, truncation)
+                  for e in expr.terms)
+        )
+    if isinstance(expr, ProdNode):
+        return ProdNode(
+            tuple(reference_apply_aggregator(e, child_exprs, desc, truncation)
+                  for e in expr.factors)
+        )
+    if isinstance(expr, CountableSum):
+        terms = []
+        for i in range(truncation):
+            term = expr.term(i)
+            if term is None:
+                break
+            mv = reference_max_var(term)
+            if isinstance(mv, int) and mv <= len(child_exprs):
+                terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
+        if not terms:
+            return Const(desc.zero)
+        return SumNode(tuple(terms))
+    raise UnboundednessError(f"cannot substitute into {expr!r}")
+
+
+# --------------------------------------------------------------------------
+# The recursive-descent parser.
+
+
+class _ReferenceParser:
+    """expr := term ('+' term)* ; term := factor ('*' factor)* ;
+    factor := literal | vN | X | '(' expr ')'.  Parenthesized groups that
+    contain a top-level comma are tuple literals instead of grouping."""
+
+    def __init__(self, text: str, desc):
+        self.text = text
+        self.desc = desc
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self) -> str:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self):
+        expr = self.expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError("trailing input", self.pos)
+        return expr
+
+    def expr(self):
+        terms = [self.term()]
+        while self._peek() == "+":
+            self.pos += 1
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else SumNode(tuple(terms))
+
+    def term(self):
+        factors = [self.factor()]
+        while self._peek() == "*":
+            self.pos += 1
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ProdNode(tuple(factors))
+
+    def factor(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            raise ParseError("unexpected end of input", self.pos)
+        ch = self.text[self.pos]
+        if ch == "(":
+            end = self._matching_paren(self.pos)
+            inner = self.text[self.pos + 1 : end]
+            if self._has_top_level_comma(inner):
+                literal = self.text[self.pos : end + 1]
+                self.pos = end + 1
+                return self._const(literal)
+            self.pos += 1
+            expr = self.expr()
+            if self._peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return expr
+        m = _TOKEN.match(self.text, self.pos)
+        if not m:
+            raise ParseError(f"unexpected character {ch!r}", self.pos)
+        self.pos = m.end()
+        if m.group("var"):
+            return Var(int(m.group("var")[1:]))
+        if m.group("x"):
+            return X
+        if m.group("op"):
+            raise ParseError(f"unexpected operator {m.group('op')!r}", m.start())
+        return self._const(m.group(0).strip())
+
+    def _const(self, literal: str):
+        try:
+            return Const(self.desc.parse_literal(literal))
+        except LiteralError as exc:
+            raise ParseError(str(exc), self.pos) from exc
+
+    def _matching_paren(self, start: int) -> int:
+        depth = 0
+        for i in range(start, len(self.text)):
+            if self.text[i] == "(":
+                depth += 1
+            elif self.text[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    return i
+        raise ParseError("unbalanced '('", start)
+
+    @staticmethod
+    def _has_top_level_comma(inner: str) -> bool:
+        depth = 0
+        for ch in inner:
+            if ch in "({":
+                depth += 1
+            elif ch in ")}":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                return True
+        return False
+
+
+def reference_parse(text: str, desc):
+    return _ReferenceParser(text, desc).parse()
+
+
+# --------------------------------------------------------------------------
+# Tree enumeration and loop leaves: one recursive call per level.
+
+
+def reference_enumerate_trees(sys, a, depth, rule_budget=8, count_cap=200_000):
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    memo: dict = {}
+    built = [0]
+
+    def trees(obj, d) -> list:
+        key = (obj, d)
+        if key in memo:
+            return memo[key]
+        out = [ReductionTree(obj)]
+        if d > 0:
+            rules, _ = sys.successors(obj, rule_budget)
+            for r in rules:
+                child_options = [trees(b, d - 1) for b in r.rhs]
+                for combo in itertools.product(*child_options):
+                    built[0] += 1
+                    if built[0] > count_cap:
+                        raise CountCapExceeded(
+                            f"more than {count_cap} trees at depth {depth}"
+                        )
+                    out.append(ReductionTree(obj, r.tag, combo))
+        memo[key] = out
+        return out
+
+    return iter(trees(a, depth))
+
+
+def reference_loop_leaves(tree):
+    root_label = tree.label
+
+    def walk(node, path):
+        if not node.children:
+            if path and node.label == root_label:
+                yield path
+            return
+        for i, child in enumerate(node.children):
+            yield from walk(child, path + (i,))
+
+    yield from walk(tree, ())

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from wars.cli import main, resolve_system, CliError
+from wars.system import MAX_AGGREGATOR_DEPTH
+
+from system_gen import random_system_json
+
+# Whether the interpreter limits the digits of an integer printed as text.
+LIMITED_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
 
 TWO_STATE = {
     "semiring": {"kind": "nat_inf"},
@@ -137,6 +144,70 @@ class TestEval:
         result = json.loads(capsys.readouterr().out)["results"][0]
         assert code == 0
         assert (result["value"], result["status"], result["depth"], result["visited"]) == want
+
+
+def _nested_sum(levels: int) -> str:
+    """``1 + (1 + (... (1 + v1)))``, ``levels`` deep counting the leaf."""
+    return "1 + (" * (levels - 2) + "1 + v1" + ")" * (levels - 2)
+
+
+def _one_rule(tmp_path, agg: str) -> str:
+    system = {
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["b"], "agg": agg}],
+        "nf": {"b": "1"},
+    }
+    path = tmp_path / "one-rule.json"
+    path.write_text(json.dumps(system))
+    return f"file:{path}"
+
+
+def _single_error_line(captured) -> str:
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestDeepAggregators:
+    def test_bound_lies_between_parent_limit_and_hashing_limit(self):
+        # 329 levels was the deepest aggregator `wars eval` evaluated before
+        # the parser was iterative; hashing an expression fails near 490.
+        assert 329 <= MAX_AGGREGATOR_DEPTH < 490
+
+    @pytest.mark.parametrize("levels", [329, MAX_AGGREGATOR_DEPTH])
+    def test_evaluated_up_to_the_bound(self, tmp_path, capsys, levels):
+        system = _one_rule(tmp_path, _nested_sum(levels))
+        code = main(["eval", "--system", system, "--start", "a", "--depth", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == f"a: {levels} (stabilized, depth 1, 2 objects)\n"
+
+    @pytest.mark.parametrize("levels", [MAX_AGGREGATOR_DEPTH + 1, 10_000])
+    def test_deeper_aggregator_is_rejected_by_the_loader(self, tmp_path, capsys, levels):
+        system = _one_rule(tmp_path, _nested_sum(levels))
+        code = main(["eval", "--system", system, "--start", "a", "--depth", "3"])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr()) == (
+            f"error: rule r0: aggregator nested deeper than {MAX_AGGREGATOR_DEPTH} levels"
+        )
+
+    def test_deep_parentheses_alone_add_no_level(self, tmp_path, capsys):
+        system = _one_rule(tmp_path, "(" * 10_000 + "2 * v1" + ")" * 10_000)
+        assert main(["eval", "--system", system, "--start", "a", "--depth", "3"]) == 0
+        assert capsys.readouterr().out.startswith("a: 2 (stabilized")
+
+
+@pytest.mark.skipif(not LIMITED_DIGITS, reason="integers print at any length here")
+def test_value_too_long_to_print_is_an_error(tmp_path, capsys):
+    # A nat_inf self-loop whose value passes the interpreter's limit on the
+    # digits of an integer printed as text.
+    path = tmp_path / "gen240.json"
+    path.write_text(json.dumps(random_system_json(240)))
+    argv = ["eval", "--system", f"file:{path}", "--depth", "8", "--format", "json",
+            "--start", "a2"]
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr()).startswith("error: cannot print the value")
 
 
 # Each flag value is rejected before any work, as a bad configuration.
@@ -333,6 +404,24 @@ class TestLoop:
         )
         assert code == 4
         assert "no loops" in capsys.readouterr().out
+
+    def test_deep_chain_hits_the_count_cap(self, tmp_path, capsys):
+        # Trees deeper than the recursion limit are enumerated without
+        # recursion, until the count cap stops them.
+        length = 1500
+        chain = {
+            "semiring": {"kind": "nat_inf"},
+            "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"}
+                      for i in range(length - 1)],
+            "nf": {f"c{length - 1}": "0"},
+        }
+        path = tmp_path / "deep-chain.json"
+        path.write_text(json.dumps(chain))
+        code = main(["loop", "--system", f"file:{path}", "--start", "c0", "--depth", "1200"])
+        assert code == 2
+        assert _single_error_line(capsys.readouterr()) == (
+            "error: more than 200000 trees at depth 1200"
+        )
 
     def test_visit_cap_hit_is_bad_configuration(self, capsys):
         code = main(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from wars.semiring import (
     descriptor_to_spec,
 )
 
+# Whether the interpreter limits the digits of an integer printed as text.
+LIMITED_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
 LANG01 = Language(("0", "1"))
 NAT_BOOL = Product((NAT_INF, BOOLEAN))
 ALL_DESCRIPTORS = [
@@ -156,30 +159,6 @@ class TestOmegaSum:
         assert ARCTIC.omega_sum(5) == 5
 
 
-class TestSumStream:
-    def test_geometric_prefix(self):
-        stream = (Fraction(1, 2 ** (m + 1)) for m in range(10 ** 6))
-        value, exact = REAL_INF.sum_stream(stream, 3)
-        assert value == Fraction(7, 8)
-        assert exact is False
-
-    def test_empty_stream(self):
-        value, exact = NAT_INF.sum_stream([], 5)
-        assert value == 0 and exact is True
-
-    def test_unit_summands(self):
-        value, exact = NAT_INF.sum_stream(iter([1, 1, 1, 1, 1, 1, 1]), 5)
-        assert value == 5 and exact is False
-
-    def test_stream_ending_exactly_at_budget_is_exact(self):
-        value, exact = NAT_INF.sum_stream(iter([2, 3]), 2)
-        assert value == 5 and exact is True
-
-    def test_top_absorbs_early(self):
-        value, exact = BOOLEAN.sum_stream(iter([False, True, False]), 2)
-        assert value is True and exact is True
-
-
 class TestProductDescriptor:
     def test_identities_are_pointwise(self):
         assert NAT_BOOL.zero == (0, False)
@@ -229,6 +208,23 @@ class TestLiterals:
             CONFIDENCE.parse_literal("3/2")
         with pytest.raises(LiteralError):
             LANG01.parse_literal("{2}")
+
+    @pytest.mark.parametrize(
+        "desc,value",
+        [
+            (NAT_INF, 10 ** 5000),
+            (REAL_INF, Fraction(1, 10 ** 5000)),
+            (BOTTLENECK, -(10 ** 5000)),
+            (NAT_BOOL, (10 ** 5000, True)),
+        ],
+        ids=["nat_inf", "real_inf", "bottleneck", "product"],
+    )
+    @pytest.mark.skipif(not LIMITED_DIGITS, reason="integers print at any length here")
+    def test_too_many_digits_is_a_semiring_error(self, desc, value):
+        # The interpreter limits the digits of an integer printed as text;
+        # the limit stays, and hitting it is a carrier-level error.
+        with pytest.raises(SemiringError, match="cannot print the value"):
+            desc.format_literal(value)
 
     def test_descriptor_specs_round_trip(self):
         for desc in (NAT_INF, TROPICAL, LANG01, NAT_BOOL):

@@ -21,6 +21,7 @@ from wars.builtins import (
     term_size,
     term_value,
 )
+from system_gen import random_system_json
 from wars.semiring import INF
 from wars.system import (
     NotNormalFormError,
@@ -271,6 +272,27 @@ class TestLoadExplicit:
             }
         )
         assert load_explicit(looped).flags.terminating is False
+
+    @pytest.mark.parametrize("seed", range(0, 300, 3))
+    def test_terminating_exactly_without_a_cycle(self, seed):
+        data = random_system_json(seed)
+        edges: dict = {}
+        for r in data["rules"]:
+            edges.setdefault(r["lhs"], set()).update(r["rhs"])
+
+        def reaches_itself(start) -> bool:
+            seen, todo = set(), list(edges.get(start, ()))
+            while todo:
+                obj = todo.pop()
+                if obj == start:
+                    return True
+                if obj not in seen:
+                    seen.add(obj)
+                    todo.extend(edges.get(obj, ()))
+            return False
+
+        cyclic = any(reaches_itself(obj) for obj in edges)
+        assert load_explicit(json.dumps(data)).flags.terminating is (not cyclic)
 
     def test_formula_tree_evaluates_downstream(self):
         from wars.evaluator import weight_lower_bound
