@@ -118,6 +118,11 @@ def _reduce(expr, leaf, node):
         values.append(value)
 
 
+def nesting_depth(expr) -> int:
+    """Levels of an expression: one for a leaf, one more per sum or product."""
+    return _reduce(expr, lambda e: 1, lambda e, depths: 1 + max(depths))
+
+
 def _children(expr) -> tuple:
     return expr.terms if isinstance(expr, SumNode) else expr.factors
 

@@ -33,9 +33,8 @@ from .evaluator import (
     CountCapExceeded,
     DepthProfile,
     VisitCapExceeded,
-    enumerate_trees,
+    enumerate_tree_weights,
     evaluate_to_fixpoint,
-    tree_weights,
 )
 from .semiring import SemiringError
 from .system import SystemError_, SystemFormatError, load_explicit
@@ -196,6 +195,8 @@ def cmd_bound(args) -> int:
                 raise CliError(f"cannot read embedding file {ref}: {exc.strerror}") from exc
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise CliError(f"embedding file {ref} is not valid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise CliError(f"embedding file {ref} is not valid JSON: nested too deeply") from exc
             embedding = Embedding.from_json(data, system, name=ref)
         else:
             try:
@@ -301,6 +302,7 @@ def cmd_loop(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_at_least(args, rule_budget=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     enum = system.enumerate_objects()
@@ -321,12 +323,9 @@ def cmd_oracle(args) -> int:
         )
         for depth in range(args.depth + 1):
             iterated = profile.bound(depth).value
-            # Every tree is still weighed and joined; only the weighing of
-            # the subtrees that the enumeration shares is done once.
-            weights = tree_weights(
-                system,
-                enumerate_trees(system, a, depth, args.rule_budget, args.count_cap),
-                args.branch_trunc,
+            # One weight per tree, joined only here.
+            weights = enumerate_tree_weights(
+                system, a, depth, args.rule_budget, args.count_cap, args.branch_trunc
             )
             joined = desc.join(weights)
             checks.append(
@@ -430,8 +429,10 @@ def main(argv=None) -> int:
         agg.AggregatorError,
         FileNotFoundError,
     ) as exc:
+        # For `oracle`, exit 1 means a mismatch, so a bad configuration has
+        # its own code.
         print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        return 3 if args.command == "oracle" else 1
 
 
 if __name__ == "__main__":

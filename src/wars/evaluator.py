@@ -12,6 +12,7 @@ nothing.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -803,39 +804,111 @@ def enumerate_trees(
     Includes trees that stop early at non-normal-form leaves.  Exponential;
     meant as an oracle for small systems, guarded by ``count_cap``.
     """
+    trees = _enumerate(
+        sys, a, depth, rule_budget, count_cap,
+        ReductionTree, lambda obj, rule: functools.partial(ReductionTree, obj, rule.tag),
+    )
+    return iter(trees)
+
+
+def enumerate_tree_weights(
+    sys: SystemHandle,
+    a,
+    depth: int,
+    rule_budget: int = 8,
+    count_cap: int = 200_000,
+    branch_trunc: int = DEFAULT_BRANCH_TRUNC,
+) -> list:
+    """The weight of each tree of ``enumerate_trees``, in its order.
+
+    Equal to ``tree_weights(sys, enumerate_trees(sys, a, depth, rule_budget,
+    count_cap), branch_trunc)``, weight for weight, but no tree is built: a
+    tree that stops at an object weighs its normal-form weight or zero, and a
+    rule applies its compiled aggregator to its children's weights.  Weights
+    are neither deduplicated nor joined.  The trees are counted first, so
+    ``CountCapExceeded`` comes before any aggregator runs.
+    """
+    desc = sys.semiring
+    # Per call, each (aggregator, arity)'s compiled closure.  The enumeration
+    # holds every rule it applies until it returns, so no aggregator's id is
+    # reused meanwhile.
+    compiled: dict = {}
+
+    def leaf(obj):
+        if not sys.is_normal_form(obj):
+            return desc.zero
+        weight = sys._nf_weight(obj)
+        desc.require(weight)
+        return weight
+
+    def node(obj, rule):
+        key = (id(rule.aggregator), len(rule.rhs))
+        if key not in compiled:
+            compiled[key] = _compiled(rule.aggregator, desc, len(rule.rhs))
+        fn = compiled[key]
+        return lambda args: fn(args, branch_trunc, None)
+
+    return _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node)
+
+
+def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
+    """One output per reduction tree rooted at ``a`` of depth at most
+    ``depth``, in enumeration order: ``leaf(obj)`` for the tree that stops at
+    ``obj``, and ``node(obj, rule)(combo)`` for ``rule`` applied at ``obj`` to
+    a combination of its children's outputs.
+
+    Every tree is counted before any output is made, so more than
+    ``count_cap`` trees raise ``CountCapExceeded`` before the builders run.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    memo: dict = {}
+    # (object, (rule, child positions) of its rules) and the tree count of
+    # each finished frame, each after those of its children.
+    done: list = []
+    counts: list = []
+    # (object, depth) -> position of its finished frame.
+    position: dict = {}
     built = 0
 
     def frame(obj, d) -> list:
-        # [object, depth, its rules, next rule, the next rule's child tree
-        # lists so far, the trees built so far]
+        # [object, depth, its rules, next rule, the next rule's child
+        # positions so far, (rule, child positions) of the rules done, trees
+        # counted so far]
         rules = sys.successors(obj, rule_budget)[0] if d > 0 else []
-        return [obj, d, rules, 0, [], [ReductionTree(obj)]]
+        return [obj, d, rules, 0, [], [], 1]
 
-    # Depth first with an explicit stack: each rule's child tree lists are
-    # complete, in order, before that rule's trees are built.
+    # Depth first with an explicit stack: each rule's children are counted,
+    # in order, before that rule's trees are.
     stack = [frame(a, depth)]
     while stack:
         top = stack[-1]
-        obj, d, rules, i, options, out = top
+        obj, d, rules, i, children, applied, count = top
         if i < len(rules):
             rhs = rules[i].rhs
-            if len(options) < len(rhs):
-                key = (rhs[len(options)], d - 1)
-                if key in memo:
-                    options.append(memo[key])
+            if len(children) < len(rhs):
+                key = (rhs[len(children)], d - 1)
+                if key in position:
+                    children.append(position[key])
                 else:
                     stack.append(frame(*key))
                 continue
-            for combo in itertools.product(*options):
-                built += 1
-                if built > count_cap:
-                    raise CountCapExceeded(f"more than {count_cap} trees at depth {depth}")
-                out.append(ReductionTree(obj, rules[i].tag, combo))
-            top[3], top[4] = i + 1, []
+            combos = math.prod(map(counts.__getitem__, children))
+            built += combos
+            if built > count_cap:
+                raise CountCapExceeded(f"more than {count_cap} trees at depth {depth}")
+            applied.append((rules[i], children))
+            top[3], top[4], top[6] = i + 1, [], count + combos
             continue
-        memo[obj, d] = out
+        position[obj, d] = len(done)
+        done.append((obj, applied))
+        counts.append(count)
         stack.pop()
-    return iter(memo[a, depth])
+
+    outputs: list = []
+    for obj, applied in done:
+        out = [leaf(obj)]
+        for rule, children in applied:
+            combos = itertools.product(*map(outputs.__getitem__, children))
+            out.extend(map(node(obj, rule), combos))
+        outputs.append(out)
+    return outputs[-1]

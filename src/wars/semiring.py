@@ -729,8 +729,19 @@ _SIMPLE_KINDS = {
 }
 
 
-def descriptor_from_spec(spec: dict) -> Semiring:
-    """Build a descriptor from its JSON form (see the system file format)."""
+# Product carriers apply every operation componentwise, a few stack frames
+# per level, so their nesting stays far below the recursion limit.
+MAX_PRODUCT_DEPTH = 16
+
+
+def descriptor_from_spec(spec: dict, nesting: int = 1) -> Semiring:
+    """Build a descriptor from its JSON form (see the system file format).
+
+    ``nesting`` is the number of products the spec sits in, this one
+    included; products nest at most ``MAX_PRODUCT_DEPTH`` deep.
+    """
+    if not isinstance(spec, dict):
+        raise LiteralError("a semiring spec must be a JSON object")
     kind = spec.get("kind")
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind]
@@ -741,9 +752,11 @@ def descriptor_from_spec(spec: dict) -> Semiring:
         return Language(alphabet)
     if kind == "product":
         comps = spec.get("components")
-        if not comps:
+        if not comps or not isinstance(comps, list):
             raise LiteralError("product semiring needs a 'components' list")
-        return Product(descriptor_from_spec(c) for c in comps)
+        if nesting > MAX_PRODUCT_DEPTH:
+            raise LiteralError(f"product semirings nest at most {MAX_PRODUCT_DEPTH} deep")
+        return Product(descriptor_from_spec(c, nesting + 1) for c in comps)
     raise LiteralError(f"unknown semiring kind: {kind!r}")
 
 

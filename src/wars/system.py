@@ -270,7 +270,11 @@ def load_explicit(source: str) -> SystemHandle:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SystemFormatError("invalid JSON: nested too deeply") from exc
 
+    if not isinstance(data, dict):
+        raise SystemFormatError("a system must be a JSON object")
     if "semiring" not in data:
         raise SystemFormatError("missing 'semiring' entry")
     desc = descriptor_from_spec(data["semiring"])
@@ -294,8 +298,7 @@ def load_explicit(source: str) -> SystemHandle:
                 expr = agg.parse_expr(text, desc)
             except agg.AggregatorError as exc:
                 raise SystemFormatError(f"rule {tag}: {exc}") from exc
-            depth = agg._reduce(expr, lambda e: 1, lambda e, depths: 1 + max(depths))
-            if depth > MAX_AGGREGATOR_DEPTH:
+            if agg.nesting_depth(expr) > MAX_AGGREGATOR_DEPTH:
                 raise SystemFormatError(
                     f"rule {tag}: aggregator nested deeper than "
                     f"{MAX_AGGREGATOR_DEPTH} levels"

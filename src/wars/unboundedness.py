@@ -16,7 +16,7 @@ from . import aggregator as agg
 from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
 from .evaluator import DepthProfile, ReductionTree, enumerate_trees
 from .semiring import NatInf, RealInf, Semiring
-from .system import SystemHandle
+from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
@@ -155,8 +155,14 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
             child_exprs.append(build(child, sub if sub is not None else _OFF_PATH))
         return _apply_aggregator(rule.aggregator, child_exprs, desc)
 
-    expr = build(tree, leaf_path)
-    return agg.fold_constants(expr, desc)
+    polynomial = agg.fold_constants(build(tree, leaf_path), desc)
+    # The polynomial nests an aggregator once per loop step; hashing or
+    # compiling it takes a stack frame or two per level.
+    if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
+        raise UnboundednessError(
+            f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
+        )
+    return polynomial
 
 
 _OFF_PATH = ("off",)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from wars.cli import main, resolve_system, CliError
+from wars.semiring import MAX_PRODUCT_DEPTH
 from wars.system import MAX_AGGREGATOR_DEPTH
 
 from system_gen import random_system_json
@@ -450,7 +451,7 @@ class TestOracle:
 
     def test_builtin_is_rejected(self, capsys):
         code = main(["oracle", "--system", "builtin:walk_termprob", "--depth", "2"])
-        assert code == 1
+        assert code == 3
 
     def test_blowup_guarded_by_count_cap(self, tmp_path, capsys):
         dense = {
@@ -485,6 +486,98 @@ class TestOracle:
         assert code == 2
         assert err.startswith("error: visit cap hit after 1 objects")
         assert "Traceback" not in err
+
+
+# A bad `oracle` configuration exits 3, apart from 1 ("mismatch").
+INVALID_ORACLE_ARGV = {
+    "zero rule budget": ["--rule-budget", "0"],
+    "zero visit cap": ["--visit-cap", "0"],
+    "missing system file": ["--system", "file:/nonexistent/wars-system.json"],
+    "bad system spec": ["--system", "nowhere"],
+}
+
+
+@pytest.mark.parametrize("extra", INVALID_ORACLE_ARGV.values(), ids=list(INVALID_ORACLE_ARGV))
+def test_oracle_bad_configuration_exits_3(twostate, capsys, extra):
+    code = main(["oracle", "--system", f"file:{twostate}", "--depth", "2", *extra])
+    assert code == 3
+    _single_error_line(capsys.readouterr())
+
+
+def _nested_products(levels: int) -> str:
+    """A nat_inf system whose carrier is ``levels`` products deep, as text:
+    ``json.dumps`` itself recurses on the nesting."""
+    spec = '{"kind": "product", "components": [' * levels + '{"kind": "nat_inf"}' + "]}" * levels
+    weight = "(" * levels + "0" + ")" * levels
+    return (f'{{"semiring": {spec}, "rules": [{{"lhs": "a", "rhs": ["b"], "agg": "v1"}}], '
+            f'"nf": {{"b": "{weight}"}}}}')
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            (600, "error: invalid JSON: nested too deeply"),
+            (450, f"error: product semirings nest at most {MAX_PRODUCT_DEPTH} deep"),
+            (MAX_PRODUCT_DEPTH + 1, f"error: product semirings nest at most {MAX_PRODUCT_DEPTH} deep"),
+        ],
+    )
+    def test_deep_system_file_is_bad_configuration(self, tmp_path, capsys, levels, message):
+        path = tmp_path / "nested.json"
+        path.write_text(_nested_products(levels))
+        code = main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr()) == message
+
+    def test_products_up_to_the_bound_load(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text(_nested_products(MAX_PRODUCT_DEPTH))
+        assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 0
+        assert capsys.readouterr().out.startswith("a: " + "(" * MAX_PRODUCT_DEPTH + "0")
+
+    def test_deep_embedding_file_is_bad_configuration(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text("[" * 5000 + "]" * 5000)
+        code = main(["bound", "--system", "builtin:walk_expected", "--mode", f"embed:{table}"])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr()) == (
+            f"error: embedding file {table} is not valid JSON: nested too deeply"
+        )
+
+
+def _deep_loop(tmp_path, levels: int) -> str:
+    """A self-loop through a ``levels``-deep aggregator, with an exit."""
+    system = {
+        "semiring": {"kind": "nat_inf"},
+        "rules": [
+            {"lhs": "a", "rhs": ["a"], "agg": _nested_sum(levels), "tag": "loop"},
+            {"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": "exit"},
+        ],
+        "nf": {"b": "0"},
+    }
+    path = tmp_path / "deep-loop.json"
+    path.write_text(json.dumps(system))
+    return f"file:{path}"
+
+
+class TestLoopThroughDeepAggregator:
+    def test_polynomial_deeper_than_the_bound_is_an_error(self, tmp_path, capsys):
+        # Two loop steps nest the 248-level aggregator about 495 levels deep,
+        # past what hashing the polynomial survives.
+        argv = ["loop", "--system", _deep_loop(tmp_path, 248), "--start", "a", "--depth", "2"]
+        assert main(argv) == 1
+        assert _single_error_line(capsys.readouterr()) == (
+            f"error: the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
+        )
+
+    @pytest.mark.parametrize("levels, depth", [(248, 1), (150, 2)])
+    def test_polynomial_within_the_bound_is_certified(self, tmp_path, capsys, levels, depth):
+        argv = ["loop", "--system", _deep_loop(tmp_path, levels), "--start", "a",
+                "--depth", str(depth), "--format", "json"]
+        assert main(argv) == 0
+        loops = json.loads(capsys.readouterr().out)["loops"]
+        assert len(loops) == depth
+        assert all(entry["verdict"] == "unbounded" for entry in loops)
 
 
 class TestOutput:

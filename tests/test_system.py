@@ -22,7 +22,7 @@ from wars.builtins import (
     term_value,
 )
 from system_gen import random_system_json
-from wars.semiring import INF
+from wars.semiring import INF, LiteralError
 from wars.system import (
     NotNormalFormError,
     SystemFormatError,
@@ -304,6 +304,25 @@ class TestLoadExplicit:
         path = tmp_path / "sys.json"
         path.write_text(TWO_STATE)
         assert load_explicit(str(path)).nf_weight("c") == 2
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("5", SystemFormatError, "a system must be a JSON object"),
+            ('{"semiring": [1]}', LiteralError, "a semiring spec must be a JSON object"),
+            ('{"semiring": {"kind": "product", "components": {"kind": "nat_inf"}}}',
+             LiteralError, "product semiring needs a 'components' list"),
+            ('{"semiring": {"kind": "product", "components": [2]}}',
+             LiteralError, "a semiring spec must be a JSON object"),
+        ],
+        ids=["system not an object", "spec not an object", "components not a list",
+             "component not an object"],
+    )
+    def test_json_of_the_wrong_shape_rejected(self, tmp_path, text, error, message):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{message}$"):
+            load_explicit(str(path))
 
     def test_duplicate_tags_rejected(self):
         bad = json.dumps(
