@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
 from .semiring import INF, NatInf, Semiring, SemiringError, Tropical
-from .system import SystemError_, SystemHandle, _finite_no_top
+from .system import SystemError_, SystemHandle
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -224,7 +224,8 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
 def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
     """Bounded when the system is terminating, finitely non-deterministic and
     finitely branching, the semiring is extremal, no normal form weighs top,
-    and every aggregator is finite without a top constant."""
+    and every aggregator is finite without a top constant.  The last is read
+    from ``sys.aggregators_finite_no_top``; ``None`` leaves it unknown."""
     desc = sys.semiring
     details = {}
     missing = []
@@ -260,14 +261,9 @@ def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
         else:
             details["normal_form_weights"] = f"checked {len(nf_enum[0])}, none top"
 
+    # Walking every rule again would cost a pass over the objects, and a
+    # rule budget could hide a rule; the system states the fact instead.
     agg_ok = sys.aggregators_finite_no_top
-    obj_enum = sys.enumerate_objects()
-    if obj_enum is not None and obj_enum[1]:
-        agg_ok = all(
-            _finite_no_top(r.aggregator, desc)
-            for a in obj_enum[0]
-            for r in sys.successors(a)[0]
-        )
     if agg_ok is True:
         details["aggregators"] = "finite, no top constant"
     else:

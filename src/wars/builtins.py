@@ -16,9 +16,12 @@ from .semiring import (
     Language,
     Product,
 )
-from .system import Flags, RuleInstance, SystemHandle, SystemError_, cplx_wrap
+from .system import Flags, RuleInstance, SystemError_, SystemHandle, cplx_wrap
+from .system import _built_once, _facts
 
+# Each handle builds each distinct rule aggregator once and passes its facts.
 V1 = Var(1)
+_V1_FACTS = _facts(V1)
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +41,14 @@ def _walk(expected_steps: bool) -> SystemHandle:
         step = SumNode(parts)
         nf_value = Fraction(1)
         name = "walk_termprob"
+    facts = _facts(step)
 
     def successors(n, budget):
         if not isinstance(n, int) or n < 0:
             raise SystemError_(f"walk positions are naturals, got {n!r}")
         if n == 0:
             return [], True
-        return [RuleInstance(n, (n - 1, n + 1), step, "step")], True
+        return [RuleInstance(n, (n - 1, n + 1), step, "step", facts=facts)], True
 
     return SystemHandle(
         name=name,
@@ -71,12 +75,13 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
     body = CountableSum(
         lambda m: ProdNode((Const(Fraction(1, 2 ** (m + 1))), Var(m + 1)))
     )
+    facts = _facts(body)
 
     def successors(n, budget):
         if n == 0:
             return [], True
         rhs = tuple(range(prefix))
-        return [RuleInstance(n, rhs, body, "jump", rhs_complete=False)], True
+        return [RuleInstance(n, rhs, body, "jump", rhs_complete=False, facts=facts)], True
 
     return SystemHandle(
         name="geometric_walk",
@@ -106,33 +111,29 @@ _PROCS = ("P1", "P2")
 
 
 def _os_successors(agg_for):
+    """``agg_for(kind, queue)`` is the (aggregator, facts) of a state's rules."""
+
     def successors(state, budget):
         kind, queue = state
         rules = []
         if kind == "idle":
-            rules.append(
-                RuleInstance(state, (("wait", queue),), agg_for("idle", queue), "idle_wait")
-            )
-            rules.append(
-                RuleInstance(state, (("run", queue),), agg_for("idle", queue), "idle_run")
-            )
+            expr, facts = agg_for("idle", queue)
+            rules.append(RuleInstance(state, (("wait", queue),), expr, "idle_wait", facts=facts))
+            rules.append(RuleInstance(state, (("run", queue),), expr, "idle_run", facts=facts))
         elif kind == "wait":
+            expr, facts = agg_for("wait", queue)
             for proc in _PROCS:
                 rules.append(
                     RuleInstance(
-                        state,
-                        (("idle", queue + (proc,)),),
-                        agg_for("wait", queue),
-                        f"wait_{proc}",
+                        state, (("idle", queue + (proc,)),), expr, f"wait_{proc}", facts=facts
                     )
                 )
         elif kind == "run":
             if queue:
                 head, rest = queue[0], queue[1:]
+                expr, facts = agg_for("run", queue)
                 rules.append(
-                    RuleInstance(
-                        state, (("idle", rest),), agg_for("run", queue), f"run_{head}"
-                    )
+                    RuleInstance(state, (("idle", rest),), expr, f"run_{head}", facts=facts)
                 )
         else:
             raise SystemError_(f"not a scheduler state: {state!r}")
@@ -170,7 +171,7 @@ def _format_os_state(state) -> str:
 def _sample_os(rng, count):
     # Deterministic breadth-first closure from idle(()).
     seen, frontier, out = set(), [("idle", ())], []
-    succ = _os_successors(lambda kind, queue: V1)
+    succ = _os_successors(lambda kind, queue: (V1, _V1_FACTS))
     while frontier and len(out) < count:
         state = frontier.pop(0)
         if state in seen:
@@ -205,33 +206,32 @@ def _os_common(name, semiring, agg_for, nf_value) -> SystemHandle:
 def _os_size() -> SystemHandle:
     # Queue length tracking: waiting appends, so the step that grows the queue
     # takes the maximum of the successor weight and the new length.
+    grow = _built_once(lambda length: SumNode((Var(1), Const(length))))
+
     def agg_for(kind, queue):
-        if kind == "wait":
-            return SumNode((Var(1), Const(len(queue) + 1)))
-        return V1
+        return grow(len(queue) + 1) if kind == "wait" else (V1, _V1_FACTS)
 
     return _os_common("os_size", ARCTIC, agg_for, 0)
 
 
 def _os_fair() -> SystemHandle:
     lang = Language(_PROCS)
+    serve = _built_once(lambda proc: ProdNode((Const(frozenset({proc})), Var(1))))
 
     def agg_for(kind, queue):
-        if kind == "run" and queue:
-            return ProdNode((Const(frozenset({queue[0]})), Var(1)))
-        return V1
+        return serve(queue[0]) if kind == "run" and queue else (V1, _V1_FACTS)
 
     return _os_common("os_fair", lang, agg_for, frozenset({""}))
 
 
 def _os_starv() -> SystemHandle:
     pair = Product((NAT_INF, NAT_INF))
+    serve = _built_once(
+        lambda proc: SumNode((Const((1, 0) if proc == "P1" else (0, 1)), Var(1)))
+    )
 
     def agg_for(kind, queue):
-        if kind == "run" and queue:
-            served = (1, 0) if queue[0] == "P1" else (0, 1)
-            return SumNode((Const(served), Var(1)))
-        return V1
+        return serve(queue[0]) if kind == "run" and queue else (V1, _V1_FACTS)
 
     return _os_common("os_starv", pair, agg_for, (0, 0))
 
@@ -245,18 +245,19 @@ def _os_runtime() -> SystemHandle:
 
 def _z_walk() -> SystemHandle:
     pair = Product((NAT_INF, BOOLEAN))
+    step_for = _built_once(lambda even: SumNode((Const((1, even)), Var(1))))
 
     def successors(n, budget):
         if n == 0:
             return [], True
         even = n % 2 == 0
-        step = SumNode((Const((1, even)), Var(1)))
+        step, facts = step_for(even)
         if not even:
-            rule = RuleInstance(n, (n - 2,), step, "odd_down")
+            rule = RuleInstance(n, (n - 2,), step, "odd_down", facts=facts)
         elif n >= 2:
-            rule = RuleInstance(n, (n - 2,), step, "even_down")
+            rule = RuleInstance(n, (n - 2,), step, "even_down", facts=facts)
         else:
-            rule = RuleInstance(n, (n + 2,), step, "even_up")
+            rule = RuleInstance(n, (n + 2,), step, "even_up", facts=facts)
         return [rule][:budget], True
 
     def sample(rng, count):
@@ -428,10 +429,11 @@ def format_term(t) -> str:
 
 def _addition_trs(max_size: int = 8) -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
+    facts = _facts(step)
 
     def successors(t, budget):
         rules = [
-            RuleInstance(t, (result,), step, tag)
+            RuleInstance(t, (result,), step, tag, facts=facts)
             for tag, result in rewrite_steps(t)
         ]
         return rules[:budget], budget >= len(rules)
@@ -552,16 +554,17 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
     table = dict(costs) if costs is not None else dict(
         _FINITE_COSTS if finite_costs else _EX_COSTS
     )
-    and_agg = ProdNode((Var(1), Var(2)))
-    or_agg = SumNode((Var(1), Var(2)))
+    connective = _built_once(
+        lambda op: (ProdNode if op == "and" else SumNode)((Var(1), Var(2)))
+    )
 
     def successors(f, budget):
         if f[0] == "atom":
             if f[1] not in table:
                 raise SystemError_(f"unknown atom {f[1]!r}")
             return [], True
-        expr = and_agg if f[0] == "and" else or_agg
-        rule = RuleInstance(f, (f[1], f[2]), expr, f[0])
+        expr, facts = connective(f[0])
+        rule = RuleInstance(f, (f[1], f[2]), expr, f[0], facts=facts)
         return [rule][:budget], True
 
     return SystemHandle(
@@ -588,16 +591,17 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
 
 def _na_system() -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
+    facts = _facts(step)
 
     def successors(a, budget):
         if a == "a":
             rules = [
-                RuleInstance("a", (n,), step, f"pick{n}") for n in range(budget)
+                RuleInstance("a", (n,), step, f"pick{n}", facts=facts) for n in range(budget)
             ]
             return rules, False
         if a == 0:
             return [], True
-        return [RuleInstance(a, (a - 1,), step, "down")], True
+        return [RuleInstance(a, (a - 1,), step, "down", facts=facts)], True
 
     def parse(text):
         text = text.strip()
@@ -629,21 +633,17 @@ def _na_system() -> SystemHandle:
 def _ski_rental(y: int) -> SystemHandle:
     if y < 0:
         raise SystemError_("ski_rental needs y >= 0")
+    body = SumNode((ProdNode((Const(1), Var(1))), ProdNode((Const(y), Var(2)))))
+    facts = _facts(body)
 
     def successors(state, budget):
         if state == ("halt",):
             return [], True
         _, n = state
         if n > 0:
-            body = SumNode(
-                (
-                    ProdNode((Const(1), Var(1))),
-                    ProdNode((Const(y), Var(2))),
-                )
-            )
-            rule = RuleInstance(state, (("loop", n - 1), ("loop", 0)), body, "day")
+            rule = RuleInstance(state, (("loop", n - 1), ("loop", 0)), body, "day", facts=facts)
         else:
-            rule = RuleInstance(state, (("halt",),), V1, "exit")
+            rule = RuleInstance(state, (("halt",),), V1, "exit", facts=_V1_FACTS)
         return [rule][:budget], True
 
     def parse(text):
@@ -683,15 +683,17 @@ def _ski_rental(y: int) -> SystemHandle:
 
 def _bitstring_prefixes() -> SystemHandle:
     lang = Language(("0", "1"))
+    emit = _built_once(lambda b: SumNode((ProdNode((Const(frozenset({b})), Var(1))), Var(2))))
 
     def successors(b, budget):
         if b == "*":
             return [], True
         if b not in ("0", "1"):
             raise SystemError_(f"objects are '0', '1', '*'; got {b!r}")
-        expr = SumNode((ProdNode((Const(frozenset({b})), Var(1))), Var(2)))
+        expr, facts = emit(b)
         rules = [
-            RuleInstance(b, (nxt, "*"), expr, f"{b}_to_{nxt}") for nxt in ("0", "1")
+            RuleInstance(b, (nxt, "*"), expr, f"{b}_to_{nxt}", facts=facts)
+            for nxt in ("0", "1")
         ]
         return rules[:budget], budget >= len(rules)
 
@@ -727,6 +729,7 @@ def _bitstring_prefixes() -> SystemHandle:
 def _loop_language() -> SystemHandle:
     lang = Language(("0", "1"))
     stay = SumNode((ProdNode((Const(frozenset({"1"})), Var(1))), Var(1)))
+    facts = _facts(stay)
 
     def successors(a, budget):
         if a == "b":
@@ -734,8 +737,8 @@ def _loop_language() -> SystemHandle:
         if a != "a":
             raise SystemError_(f"objects are 'a' and 'b'; got {a!r}")
         rules = [
-            RuleInstance("a", ("a",), stay, "stay"),
-            RuleInstance("a", ("b",), V1, "exit"),
+            RuleInstance("a", ("a",), stay, "stay", facts=facts),
+            RuleInstance("a", ("b",), V1, "exit", facts=_V1_FACTS),
         ]
         return rules[:budget], budget >= len(rules)
 

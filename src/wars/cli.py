@@ -8,6 +8,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -91,18 +92,22 @@ def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
             print(line)
 
 
-def _common_args(parser: argparse.ArgumentParser, fn) -> None:
+def _common_args(parser: argparse.ArgumentParser) -> None:
     """The budget and output options every analysis command ends with."""
     parser.add_argument("--rule-budget", type=int, default=64)
     parser.add_argument("--branch-trunc", type=int, default=64)
-    parser.add_argument(
-        "--visit-cap",
-        type=int,
-        default=int(os.environ.get("WARS_VISIT_CAP", 100_000)),
-    )
+    # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
+    parser.add_argument("--visit-cap", type=int)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.set_defaults(fn=fn)
+
+
+def _default_visit_cap() -> int:
+    text = os.environ.get("WARS_VISIT_CAP", "100000")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"WARS_VISIT_CAP must be an integer, got {text!r}") from None
 
 
 def _check_at_least(args, **least) -> None:
@@ -374,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--system", required=True)
     p_eval.add_argument("--start", action="append", required=True)
     p_eval.add_argument("--depth", type=int, required=True)
-    _common_args(p_eval, cmd_eval)
+    _common_args(p_eval)
 
     p_bound = sub.add_parser("bound", help="run a boundedness check")
     p_bound.add_argument("--system", required=True)
     p_bound.add_argument("--mode", required=True, help="selective | extremal | embed:<name|path>")
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
-    _common_args(p_bound, cmd_bound)
+    _common_args(p_bound)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")
     p_loop.add_argument("--system", required=True)
     p_loop.add_argument("--start", action="append", required=True)
     p_loop.add_argument("--depth", type=int, required=True)
     p_loop.add_argument("--max-witnesses", type=int, default=16)
-    _common_args(p_loop, cmd_loop)
+    _common_args(p_loop)
 
     p_oracle = sub.add_parser(
         "oracle", help="compare value iteration against tree enumeration"
@@ -396,20 +401,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--system", required=True)
     p_oracle.add_argument("--depth", type=int, required=True)
     p_oracle.add_argument("--count-cap", type=int, default=200_000)
-    _common_args(p_oracle, cmd_oracle)
+    _common_args(p_oracle)
 
     p_list = sub.add_parser("list", help="list built-in systems")
     p_list.add_argument("--format", choices=("text", "json"), default="text")
-    p_list.set_defaults(fn=cmd_list)
 
     return parser
 
 
+# Built on the first call, not at import; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command != "list" and args.visit_cap is None:
+            args.visit_cap = _default_visit_cap()
+        # Looked up per call, so that a wrapper put on a command after the
+        # parser was built (as perfbench's tracer does) is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except CountCapExceeded as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

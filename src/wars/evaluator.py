@@ -203,8 +203,9 @@ class _Ball:
     the objects within distance ``r`` of the start are ``objects[:ends[r]]``.
     Per object, ``rules`` holds ``None`` for a normal form, else its rules as
     (successor numbers, compiled aggregator, aggregator); a successor outside
-    the ball is numbered -1.  Holding the aggregator keeps its compilation
-    shared with equal aggregators that later objects' rules bring.
+    the ball is numbered -1.  ``succs`` holds each object's distinct
+    successor numbers, in order.  Each aggregator is compiled once per ball
+    and arity; holding it keeps its id, the compiled closure's key, unique.
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and its rules compile to integer closures; a
@@ -224,6 +225,7 @@ class _Ball:
         self.cap_radius: Optional[int] = None
         self.enumeration_complete = True
         index: dict = {}
+        compiled = _compiler(desc)
 
         def admit(obj, distance) -> None:
             if obj in index:
@@ -244,10 +246,7 @@ class _Ball:
                 self.initial.append(weight)
             else:
                 self.rules.append(
-                    [
-                        (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
-                        for r in rules
-                    ]
+                    [(r.rhs, compiled(r.aggregator, len(r.rhs)), r.aggregator) for r in rules]
                 )
                 self.initial.append(desc.zero)
 
@@ -268,15 +267,16 @@ class _Ball:
 
         # Successor-closed: no rule leads outside the ball.
         self.closed = self.cap_radius is None
+        self.succs: list = []
         for i, rules in enumerate(self.rules):
-            if rules:
-                numbered = []
-                for rhs, fn, aggregator in rules:
-                    succ = tuple(index.get(b, -1) for b in rhs)
-                    if -1 in succ:
-                        self.closed = False
-                    numbered.append((succ, fn, aggregator))
-                self.rules[i] = numbered
+            numbered = []
+            for rhs, fn, aggregator in rules or ():
+                succ = tuple(index.get(b, -1) for b in rhs)
+                if -1 in succ:
+                    self.closed = False
+                numbered.append((succ, fn, aggregator))
+            self.rules[i] = rules and numbered
+            self.succs.append(tuple(dict.fromkeys(s for succ, _, _ in numbered for s in succ)))
         if isinstance(desc, RealInf):
             self._scale(max(radius, 1))
 
@@ -327,6 +327,20 @@ class _Ball:
         if self.rules[i] is None:
             return self.weights[i]
         return Fraction(v, self.scale) if v else v
+
+
+def _compiler(desc):
+    """``(aggregator, arity) -> compiled closure`` over ``desc``, looked up once
+    per key.  Keys are ids: the caller holds every aggregator it passes."""
+    compiled: dict = {}
+
+    def get(aggregator, arity):
+        key = id(aggregator), arity
+        if key not in compiled:
+            compiled[key] = _compiled(aggregator, desc, arity)
+        return compiled[key]
+
+    return get
 
 
 def _is_fraction(value) -> bool:
@@ -381,11 +395,6 @@ def _at(levels: list, level: int) -> int:
     return bisect.bisect_left(levels, -level, key=operator.neg)
 
 
-def _successors(rules) -> tuple:
-    """The distinct successor numbers of one object's numbered rules."""
-    return tuple(dict.fromkeys(s for succ, _, _ in rules or () for s in succ))
-
-
 def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
     """Value iteration towards the start's value at ``depth``, one level per step.
 
@@ -411,7 +420,7 @@ def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
     pending = [i for i in range(ends[depth - 1] if depth > 0 else 0) if rules[i]]
     preds: list = [[] for _ in rules]
     for i in pending:
-        for s in _successors(rules[i]):
+        for s in ball.succs[i]:
             if s >= 0:
                 preds[s].append(i)
 
@@ -460,7 +469,7 @@ class _Settled:
         # successors outside the ball (numbered -1) read.  Each evaluation
         # writes in the successor values it reads.
         self.values = ball.initial + [desc.zero]
-        self.succs = [_successors(rs) for rs in ball.rules]
+        self.succs = ball.succs
         # An object's history, newest first: the levels at which its value
         # changes and the values it takes there, down to level 0 and its
         # initial value.  A history may stop short of level 0; ``cursor``
@@ -829,10 +838,8 @@ def enumerate_tree_weights(
     ``CountCapExceeded`` comes before any aggregator runs.
     """
     desc = sys.semiring
-    # Per call, each (aggregator, arity)'s compiled closure.  The enumeration
-    # holds every rule it applies until it returns, so no aggregator's id is
-    # reused meanwhile.
-    compiled: dict = {}
+    # The enumeration holds every rule it applies until it returns.
+    compiled = _compiler(desc)
 
     def leaf(obj):
         if not sys.is_normal_form(obj):
@@ -842,10 +849,7 @@ def enumerate_tree_weights(
         return weight
 
     def node(obj, rule):
-        key = (id(rule.aggregator), len(rule.rhs))
-        if key not in compiled:
-            compiled[key] = _compiled(rule.aggregator, desc, len(rule.rhs))
-        fn = compiled[key]
+        fn = compiled(rule.aggregator, len(rule.rhs))
         return lambda args: fn(args, branch_trunc, None)
 
     return _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node)

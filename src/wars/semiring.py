@@ -502,8 +502,9 @@ class Language(Semiring):
 
     def __init__(self, alphabet: Iterable[str]):
         symbols = tuple(alphabet)
-        if not symbols or len(set(symbols)) != len(symbols):
-            raise ValueError("alphabet must be a non-empty set of distinct symbols")
+        # An empty symbol would let word splitting loop without advancing.
+        if not symbols or "" in symbols or len(set(symbols)) != len(symbols):
+            raise ValueError("alphabet must be a non-empty set of distinct non-empty symbols")
         self.alphabet = symbols
         self.one = frozenset({""})
         self._longest_first = sorted(symbols, key=len, reverse=True)
@@ -747,9 +748,12 @@ def descriptor_from_spec(spec: dict, nesting: int = 1) -> Semiring:
         return _SIMPLE_KINDS[kind]
     if kind == "language":
         alphabet = spec.get("alphabet")
-        if not alphabet:
-            raise LiteralError("language semiring needs an 'alphabet' list")
-        return Language(alphabet)
+        if isinstance(alphabet, list) and all(isinstance(a, str) for a in alphabet):
+            try:
+                return Language(alphabet)
+            except ValueError:
+                pass
+        raise LiteralError("language semiring needs an 'alphabet' list of distinct symbols")
     if kind == "product":
         comps = spec.get("components")
         if not comps or not isinstance(comps, list):

@@ -8,6 +8,7 @@ weight.  Handles are immutable; successor enumeration is deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
@@ -66,6 +67,12 @@ class RuleInstance:
 def _facts(expr) -> tuple:
     """Whether a rule aggregator mentions X, and its largest variable index."""
     return agg._reduce(expr, _leaf_facts, _node_facts)
+
+
+def _built_once(build: Callable) -> Callable:
+    """``key -> (build(key), its facts)``, building and walking each key's
+    aggregator once, so that every rule made from it shares one expression."""
+    return functools.cache(lambda key: (expr := build(key), _facts(expr)))
 
 
 def _leaf_facts(expr) -> tuple:
@@ -215,18 +222,17 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
     """
     from .semiring import NAT_INF
 
-    steps: dict = {}  # successor count -> (aggregator, its facts)
+    # Per successor count, one plus the sum of that many successors.
+    step = _built_once(
+        lambda n: agg.SumNode((agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(n)))
+    )
 
     def successors(a, budget):
         rules, complete = base._successors(a, budget)
         wrapped = []
         for r in rules:
-            n = len(r.rhs)
-            if n not in steps:
-                step = agg.SumNode((agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(n)))
-                steps[n] = step, _facts(step)
-            step, facts = steps[n]
-            wrapped.append(RuleInstance(r.lhs, r.rhs, step, r.tag, r.rhs_complete, facts))
+            expr, facts = step(len(r.rhs))
+            wrapped.append(RuleInstance(r.lhs, r.rhs, expr, r.tag, r.rhs_complete, facts))
         return wrapped, complete
 
     return SystemHandle(
@@ -281,13 +287,16 @@ def load_explicit(source: str) -> SystemHandle:
 
     rules_by_lhs: dict[str, list[RuleInstance]] = {}
     objects: set[str] = set()
+    rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
+    if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
+        raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
     # Aggregator text -> (expression, its facts): each text is parsed and
     # walked once per load.
     parsed: dict = {}
-    for i, spec in enumerate(data.get("rules", [])):
-        lhs = spec.get("lhs")
-        rhs = spec.get("rhs")
-        if not isinstance(lhs, str) or not isinstance(rhs, list) or not rhs:
+    for i, spec in enumerate(rule_specs):
+        spec = spec if isinstance(spec, dict) else {}
+        lhs, rhs = spec.get("lhs"), spec.get("rhs")
+        if not isinstance(rhs, list) or not rhs or not all(isinstance(b, str) for b in [lhs, *rhs]):
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
         tag = spec.get("tag", f"r{i}")
         text = spec.get("agg", "")
@@ -316,7 +325,7 @@ def load_explicit(source: str) -> SystemHandle:
         objects.update(rhs)
 
     nf_weights = {}
-    for label, literal in data.get("nf", {}).items():
+    for label, literal in nf_specs.items():
         if label in rules_by_lhs:
             raise SystemFormatError(
                 f"{label!r} has rules but also a normal-form weight"

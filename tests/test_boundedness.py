@@ -3,6 +3,7 @@ sufficient conditions, embedding verification, and the affine search."""
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 
@@ -24,10 +25,12 @@ from wars.boundedness import (
     search_affine_embedding,
     verify_embedding,
 )
-from wars.builtins import builtin, ground_terms
+from wars.builtins import builtin, builtin_names, ground_terms
 from wars.evaluator import weight_lower_bound
 from wars.semiring import INF
-from wars.system import load_explicit
+from wars.system import _finite_no_top, load_explicit
+
+from system_gen import random_system
 
 
 def explicit(spec: dict):
@@ -152,6 +155,49 @@ class TestExtremalCondition:
     def test_terminating_chain_certifies(self):
         report = check_sufficient_extremal(CHAIN)
         assert report.verdict == BOUNDED_CERTIFIED
+
+    def test_unstated_aggregator_facts_leave_it_unknown(self):
+        sys_ = copy.copy(CHAIN)
+        sys_.aggregators_finite_no_top = None
+        report = check_sufficient_extremal(sys_)
+        assert report.verdict == UNKNOWN
+        assert report.details["aggregators"] == "unknown"
+        assert report.details["missing"] == ["aggregators"]
+
+    def test_top_constant_past_the_default_rule_budget_blocks(self):
+        # The 65th rule of one object: walking each object's first 64 rules
+        # missed it and certified a system whose weight at a is top.
+        rules = [{"lhs": "a", "rhs": ["b"], "agg": "1 + v1", "tag": f"r{i}"} for i in range(64)]
+        rules.append({"lhs": "a", "rhs": ["b"], "agg": "inf + v1", "tag": "r64"})
+        sys_ = explicit({"semiring": {"kind": "nat_inf"}, "rules": rules, "nf": {"b": "0"}})
+        report = check_sufficient_extremal(sys_)
+        assert report.verdict == UNKNOWN
+        assert report.details["aggregators"] == "refuted"
+        assert weight_lower_bound(sys_, "a", 1, rule_budget=65).value == INF
+
+
+def _enumerable_builtins() -> list:
+    handles = [builtin(name, **({"y": 3} if name == "ski_rental" else {}))
+               for name in builtin_names()]
+    return [h for h in handles if h.enumerate_objects() is not None]
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    _enumerable_builtins() + [random_system(seed) for seed in range(30)],
+    ids=lambda h: h.name,
+)
+def test_stated_aggregator_facts_match_every_rule(sys_):
+    """``check_sufficient_extremal`` trusts ``aggregators_finite_no_top``;
+    it must agree with walking every rule of every object."""
+    objects, complete = sys_.enumerate_objects()
+    assert complete
+    walked = all(
+        _finite_no_top(r.aggregator, sys_.semiring)
+        for a in objects
+        for r in sys_.successors(a, 65536)[0]
+    )
+    assert sys_.aggregators_finite_no_top is walked
 
 
 class TestVerifyEmbedding:

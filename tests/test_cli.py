@@ -651,3 +651,47 @@ def test_visit_cap_env_default(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["budgets"]["visit_cap"] == 5
+
+
+def test_visit_cap_env_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["eval", "--system", "builtin:walk_termprob", "--start", "2", "--depth", "40",
+            "--format", "json"]
+    for cap, code in (("5", 2), ("7", 2), ("100000", 0)):
+        monkeypatch.setenv("WARS_VISIT_CAP", cap)
+        assert main(argv) == code
+        assert json.loads(capsys.readouterr().out)["budgets"]["visit_cap"] == int(cap)
+
+
+@pytest.mark.parametrize("command, code", [("eval", 1), ("oracle", 3)])
+def test_unparsable_visit_cap_env_is_bad_configuration(monkeypatch, capsys, chain, command, code):
+    monkeypatch.setenv("WARS_VISIT_CAP", "lots")
+    start = ["--start", "a"] if command == "eval" else []
+    assert main([command, "--system", f"file:{chain}", *start, "--depth", "1"]) == code
+    assert _single_error_line(capsys.readouterr()) == (
+        "error: WARS_VISIT_CAP must be an integer, got 'lots'"
+    )
+    # An explicit flag needs no default.
+    assert main([command, "--system", f"file:{chain}", *start, "--depth", "1",
+                 "--visit-cap", "10"]) == 0
+
+
+SYSTEM_FILE_SHAPES = {
+    "rules an object": ({"semiring": {"kind": "nat_inf"}, "rules": {"x": 1}},
+                        "'rules' must be a JSON array and 'nf' a JSON object"),
+    "rule not an object": ({"semiring": {"kind": "nat_inf"}, "rules": [5]},
+                           "rule 0: needs a string lhs and a non-empty rhs"),
+    "nf a list": ({"semiring": {"kind": "nat_inf"}, "rules": [], "nf": [1]},
+                  "'rules' must be a JSON array and 'nf' a JSON object"),
+    "alphabet a number": ({"semiring": {"kind": "language", "alphabet": 5}},
+                          "language semiring needs an 'alphabet' list of distinct symbols"),
+}
+
+
+@pytest.mark.parametrize(
+    "system, message", SYSTEM_FILE_SHAPES.values(), ids=list(SYSTEM_FILE_SHAPES)
+)
+def test_system_file_of_the_wrong_shape_is_bad_configuration(tmp_path, capsys, system, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(system))
+    assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 1
+    assert _single_error_line(capsys.readouterr()) == f"error: {message}"

@@ -37,6 +37,7 @@ from wars.evaluator import (
     weight_lower_bound,
     weight_profile,
 )
+from wars.semiring import SemiringError
 from wars.system import load_explicit
 
 # Loops of depth 1 and 2 at the same root, next to a tail that grows the
@@ -90,13 +91,22 @@ def outcome(system, fn, *args, **kwargs):
         return "visit cap", _bound(system, exc.partial)
     if isinstance(result, WeightBound):
         return "bound", _bound(system, result)
-    return "values", [(v, type(v), system.semiring.format_literal(v)) for v in result]
+    return "values", [(v, type(v), _literal(system, v)) for v in result]
 
 
 def _bound(system, bound: WeightBound) -> tuple:
-    literal = system.semiring.format_literal(bound.value)
+    literal = _literal(system, bound.value)
     value = bound.value
     return value, type(value), literal, bound.status, bound.depth_explored, bound.visited
+
+
+def _literal(system, value):
+    """The value's literal, or the error printing it raises: a drawn system
+    can reach an integer longer than the interpreter prints as text."""
+    try:
+        return system.semiring.format_literal(value)
+    except SemiringError as exc:
+        return "unprintable", str(exc)
 
 
 @settings(max_examples=250, deadline=None)

@@ -95,6 +95,12 @@ class TestTimes:
         with pytest.raises(SemiringError):
             LANG01.times(ALL_WORDS, frozenset({"1"}))
 
+    @pytest.mark.parametrize("alphabet", [(), ("a", "a"), ("",), ("0", "")])
+    def test_language_alphabet_of_distinct_non_empty_symbols(self, alphabet):
+        # Splitting a word into symbols would never advance past an empty one.
+        with pytest.raises(ValueError, match="distinct non-empty symbols"):
+            Language(alphabet)
+
 
 class TestLeq:
     def test_tropical_order_is_reversed(self):

@@ -314,9 +314,13 @@ class TestLoadExplicit:
              LiteralError, "product semiring needs a 'components' list"),
             ('{"semiring": {"kind": "product", "components": [2]}}',
              LiteralError, "a semiring spec must be a JSON object"),
+            ('{"semiring": {"kind": "language", "alphabet": ["a", "a"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["a", ""]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
         ],
         ids=["system not an object", "spec not an object", "components not a list",
-             "component not an object"],
+             "component not an object", "repeated symbol", "empty symbol"],
     )
     def test_json_of_the_wrong_shape_rejected(self, tmp_path, text, error, message):
         path = tmp_path / "sys.json"
