@@ -99,14 +99,20 @@ class Embedding:
 
 
 def _trs_embedding(term):
-    # Recursive interpretation dominating the step-count weighting of the
-    # addition rewrite system: successor adds one, addition doubles its first
-    # argument's share and adds one.
-    if term[0] == "0":
-        return 0
-    if term[0] == "s":
-        return _trs_embedding(term[1]) + 1
-    return 2 * _trs_embedding(term[1]) + _trs_embedding(term[2]) + 1
+    # Interpretation dominating the step-count weighting of the addition
+    # rewrite system: successor adds one, addition doubles its first
+    # argument's share and adds one.  So every non-zero node adds its share,
+    # 2^k when it lies in the first argument of k additions above it.
+    total, stack = 0, [(term, 1)]
+    while stack:
+        term, share = stack.pop()
+        if term[0] == "s":
+            total += share
+            stack.append((term[1], share))
+        elif term[0] == "plus":
+            total += share
+            stack += [(term[1], 2 * share), (term[2], share)]
+    return total
 
 
 def _zwalk_embedding(n: int):

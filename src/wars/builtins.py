@@ -312,52 +312,58 @@ def numeral(n: int):
 
 
 def term_size(t) -> int:
-    if t[0] == "0":
-        return 1
-    if t[0] == "s":
-        return 1 + term_size(t[1])
-    return 1 + term_size(t[1]) + term_size(t[2])
+    size, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        size += 1
+        stack.extend(t[1:])
+    return size
 
 
 def term_value(t) -> int:
-    """The natural number a ground term denotes (plus is addition)."""
-    if t[0] == "0":
-        return 0
-    if t[0] == "s":
-        return 1 + term_value(t[1])
-    return term_value(t[1]) + term_value(t[2])
+    """The natural number a ground term denotes (plus is addition): its
+    number of ``s`` nodes."""
+    value, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        value += t[0] == "s"
+        stack.extend(t[1:])
+    return value
 
 
 def rewrite_steps(t) -> list[tuple[str, tuple]]:
-    """All single rewrite steps from ``t`` as (position-tagged rule tag, result)."""
+    """All single rewrite steps from ``t`` as (position-tagged rule tag, result),
+    positions in pre-order."""
     steps = []
-
-    def walk(sub, pos):
+    stack = [(t, "")]
+    while stack:
+        sub, pos = stack.pop()
         if sub[0] == "plus":
             first, second = sub[1], sub[2]
             if first[0] == "s":
                 steps.append((f"plus_s@{pos}", _replace(t, pos, s_term(plus_term(first[1], second)))))
             elif first[0] == "0":
                 steps.append((f"plus_0@{pos}", _replace(t, pos, second)))
-        if sub[0] == "s":
-            walk(sub[1], pos + "1")
-        elif sub[0] == "plus":
-            walk(sub[1], pos + "1")
-            walk(sub[2], pos + "2")
-
-    walk(t, "")
+            stack += [(second, pos + "2"), (first, pos + "1")]
+        elif sub[0] == "s":
+            stack.append((sub[1], pos + "1"))
     return steps
 
 
 def _replace(t, pos: str, new):
-    if not pos:
-        return new
-    head = int(pos[0])
-    if t[0] == "s":
-        return ("s", _replace(t[1], pos[1:], new))
-    if head == 1:
-        return ("plus", _replace(t[1], pos[1:], new), t[2])
-    return ("plus", t[1], _replace(t[2], pos[1:], new))
+    """``t`` with the subterm at ``pos`` replaced by ``new``."""
+    spine = []
+    for head in pos:
+        spine.append((t, head))
+        t = t[int(head)]
+    for t, head in reversed(spine):
+        if t[0] == "s":
+            new = ("s", new)
+        elif head == "1":
+            new = ("plus", new, t[2])
+        else:
+            new = ("plus", t[1], new)
+    return new
 
 
 def ground_terms(max_size: int) -> list[tuple]:
@@ -378,6 +384,16 @@ def ground_terms(max_size: int) -> list[tuple]:
 
 _TERM_TOKEN = re.compile(r"\s*(plus|s|0|\(|\)|,)")
 
+# The deepest term or formula the built-in parsers accept, in nodes on a path
+# from the root (a leaf is one).  The helpers here walk terms without
+# recursion, but hashing and comparing nested tuples still recurses in the
+# interpreter.
+MAX_TERM_DEPTH = 10_000
+
+
+def _too_deep(what: str) -> SystemError_:
+    return SystemError_(f"{what} nested deeper than {MAX_TERM_DEPTH} levels")
+
 
 def parse_term(text: str):
     pos = 0
@@ -390,41 +406,52 @@ def parse_term(text: str):
         pos = m.end()
         return m.group(1)
 
-    def term():
+    # The constructors still open around the next term: ["s"], ["plus"], or
+    # ["plus", first argument].
+    open_: list = []
+    while True:
         tok = take()
-        if tok == "0":
-            return ZERO_TERM
-        if tok == "s":
+        if tok in ("s", "plus"):
             if take() != "(":
-                raise SystemError_("expected '(' after s")
-            inner = term()
+                raise SystemError_(f"expected '(' after {tok}")
+            open_.append([tok])
+            if len(open_) >= MAX_TERM_DEPTH:
+                raise _too_deep("term")
+            continue
+        if tok != "0":
+            raise SystemError_(f"unexpected token {tok!r}")
+        t = ZERO_TERM
+        while open_ and not (open_[-1][0] == "plus" and len(open_[-1]) == 1):
             if take() != ")":
                 raise SystemError_("expected ')'")
-            return s_term(inner)
-        if tok == "plus":
-            if take() != "(":
-                raise SystemError_("expected '(' after plus")
-            a = term()
-            if take() != ",":
-                raise SystemError_("expected ','")
-            b = term()
-            if take() != ")":
-                raise SystemError_("expected ')'")
-            return plus_term(a, b)
-        raise SystemError_(f"unexpected token {tok!r}")
+            frame = open_.pop()
+            t = s_term(t) if frame[0] == "s" else plus_term(frame[1], t)
+        if not open_:
+            break
+        if take() != ",":
+            raise SystemError_("expected ','")
+        open_[-1].append(t)
 
-    t = term()
     if text[pos:].strip():
         raise SystemError_(f"trailing input after term: {text[pos:]!r}")
     return t
 
 
 def format_term(t) -> str:
-    if t[0] == "0":
-        return "0"
-    if t[0] == "s":
-        return f"s({format_term(t[1])})"
-    return f"plus({format_term(t[1])},{format_term(t[2])})"
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item[0] == "0":
+            out.append("0")
+        elif item[0] == "s":
+            out.append("s(")
+            stack += [")", item[1]]
+        else:
+            out.append("plus(")
+            stack += [")", item[2], ",", item[1]]
+    return "".join(out)
 
 
 def _addition_trs(max_size: int = 8) -> SystemHandle:
@@ -488,7 +515,12 @@ def or_(l, r):
     return ("or", l, r)
 
 
+_ATOM = re.compile(r"[A-Za-z]\w*")
+
+
 def _parse_formula(text: str, atoms):
+    """Parse ``|`` over ``&`` over atoms and parenthesized formulas, both
+    left-associative, as recursive descent would, on explicit stacks."""
     pos = 0
 
     def skip():
@@ -496,58 +528,67 @@ def _parse_formula(text: str, atoms):
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def disjunction():
-        nonlocal pos
-        left = conjunction()
-        skip()
-        while pos < len(text) and text[pos] == "|":
-            pos += 1
-            left = or_(left, conjunction())
-            skip()
-        return left
+    def joined(node, left, right):
+        if left is None:
+            return right
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_TERM_DEPTH:
+            raise _too_deep("formula")
+        return node(left[0], right[0]), depth
 
-    def conjunction():
-        nonlocal pos
-        left = primary()
-        skip()
-        while pos < len(text) and text[pos] == "&":
-            pos += 1
-            left = and_(left, primary())
-            skip()
-        return left
-
-    def primary():
-        nonlocal pos
+    # Per open parenthesis, the (formula, depth) pairs of the disjunction and
+    # conjunction it interrupted; None before their first operand.
+    groups: list = []
+    disjunction = conjunction = None
+    while True:
         skip()
         if pos < len(text) and text[pos] == "(":
             pos += 1
-            inner = disjunction()
-            skip()
-            if pos >= len(text) or text[pos] != ")":
-                raise SystemError_("unbalanced '(' in formula")
-            pos += 1
-            return inner
-        m = re.match(r"[A-Za-z]\w*", text[pos:])
+            groups.append((disjunction, conjunction))
+            disjunction = conjunction = None
+            continue
+        m = _ATOM.match(text, pos)
         if not m:
             raise SystemError_(f"bad formula syntax at {text[pos:]!r}")
         name = m.group(0)
-        pos += len(name)
+        pos = m.end()
         if name not in atoms:
             raise SystemError_(f"unknown atom {name!r}")
-        return atom(name)
-
-    result = disjunction()
-    skip()
-    if pos != len(text):
-        raise SystemError_(f"trailing input in formula: {text[pos:]!r}")
-    return result
+        primary = atom(name), 1
+        # Close every operator chain the primary ends, innermost first.
+        while True:
+            conjunction = joined(and_, conjunction, primary)
+            skip()
+            if pos < len(text) and text[pos] == "&":
+                pos += 1
+                break
+            disjunction, conjunction = joined(or_, disjunction, conjunction), None
+            if pos < len(text) and text[pos] == "|":
+                pos += 1
+                break
+            if not groups:
+                if pos != len(text):
+                    raise SystemError_(f"trailing input in formula: {text[pos:]!r}")
+                return disjunction[0]
+            if pos >= len(text) or text[pos] != ")":
+                raise SystemError_("unbalanced '(' in formula")
+            pos += 1
+            primary = disjunction
+            disjunction, conjunction = groups.pop()
 
 
 def format_formula(f) -> str:
-    if f[0] == "atom":
-        return f[1]
-    op = "&" if f[0] == "and" else "|"
-    return f"({format_formula(f[1])} {op} {format_formula(f[2])})"
+    out, stack = [], [f]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item[0] == "atom":
+            out.append(item[1])
+        else:
+            out.append("(")
+            stack += [")", item[2], " & " if item[0] == "and" else " | ", item[1]]
+    return "".join(out)
 
 
 def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHandle:

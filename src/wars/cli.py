@@ -99,7 +99,6 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
     parser.add_argument("--visit-cap", type=int)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _default_visit_cap() -> int:
@@ -386,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--mode", required=True, help="selective | extremal | embed:<name|path>")
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
+    p_bound.add_argument("--seed", type=int, default=0, help="seeds the --samples draw")
     _common_args(p_bound)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")

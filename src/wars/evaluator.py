@@ -395,6 +395,11 @@ def _at(levels: list, level: int) -> int:
     return bisect.bisect_left(levels, -level, key=operator.neg)
 
 
+def _cone(pending: list, ends: list, radius: int) -> list:
+    """The objects of the sorted ``pending`` within ``radius`` of the start."""
+    return pending[: bisect.bisect_left(pending, ends[min(radius, len(ends) - 1)])]
+
+
 def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
     """Value iteration towards the start's value at ``depth``, one level per step.
 
@@ -425,7 +430,7 @@ def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
                 preds[s].append(i)
 
     for level in range(1, depth + 1):
-        pending = pending[: bisect.bisect_left(pending, ends[depth - level])]
+        pending = _cone(pending, ends, depth - level)
         changed = _recompute(pending, rules, values, join, branch_trunc)
         for i, v in changed:
             values[i] = v
@@ -455,7 +460,9 @@ class _Settled:
     The sweep stops at level ``steps``.  ``depth`` is the last level at which
     any object changes; if some object still changes at level ``steps``,
     ``stable`` is false, and ``value`` is the start's value at that level when
-    the start's own cyclic component was the one cut, else None.
+    the start's own cyclic component was the one cut, else None.  That
+    component comes last and no other reads it, so it sweeps only the start's
+    cone plus one ring, and again in full if that cannot tell its stability.
     """
 
     def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
@@ -503,8 +510,11 @@ class _Settled:
             if len(component) == 1 and x not in self.succs[x]:
                 last = self._acyclic(x)
             else:
-                last = self._cyclic(component, read, steps)
-                if last >= steps and component_of[0] == component_of[x]:
+                start = component_of[0] == component_of[x]
+                last = self._cyclic(component, read, steps, ball.ends if start else None)
+                if last is None:
+                    last = self._cyclic(component, read, steps)
+                if last >= steps and start:
                     self.value = ball.out(0, self.values[0])
             if last >= steps:
                 return
@@ -608,9 +618,16 @@ class _Settled:
             return v
         return self._evaluate(x, h)
 
-    def _cyclic(self, component, read, steps) -> int:
+    def _cyclic(self, component, read, steps, ends=None) -> Optional[int]:
         """Run the sweep on one cyclic component; return its last change
-        level, at most ``steps``."""
+        level, at most ``steps``.
+
+        Given the ball's ``ends`` (for the start's component, which no other
+        component reads), level j recomputes only the members within
+        ``steps - j + 1`` of the start, so the start and its successors keep
+        their exact values.  If that left out a member and nothing changed at
+        level ``steps``, the stability of the rest is unknown: return None.
+        """
         values, levels, taken = self.values, self.levels, self.taken
         members = sorted(component)
         inside = set(component)
@@ -629,8 +646,12 @@ class _Settled:
         inputs.sort(key=lambda change: change[0], reverse=True)
         history = {m: ([], []) for m in members if read[m]}
 
-        last, level, pending = 0, 1, members
+        last, level, pending, pruned = 0, 1, members, False
         while True:
+            if ends is not None:
+                cone = _cone(pending, ends, steps - level + 1)
+                pruned = pruned or len(cone) < len(pending)
+                pending = cone
             changed = _recompute(pending, self.rules, values, self.join, self.branch_trunc)
             marked: set = set()
             for i, u in changed:
@@ -656,7 +677,7 @@ class _Settled:
         for m, (lv, vs) in history.items():
             levels[m] = lv[::-1] + [0]
             taken[m] = vs[::-1] + [self.initial[m]]
-        return last
+        return None if pruned and last < steps else last
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:

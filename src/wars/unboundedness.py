@@ -102,13 +102,16 @@ def _loop_leaves(tree: ReductionTree):
     """The paths to the leaves below the root that carry the root's object,
     left to right, walked with an explicit stack."""
     nodes, path = [tree], []
+    # Hashes first: an unequal object then differs without a comparison,
+    # which recurses as deep as the two objects share a shape.
+    root = hash(tree.label)
     while True:
         node = nodes[-1]
         if node.children:
             nodes.append(node.children[0])
             path.append(0)
             continue
-        if path and node.label == tree.label:
+        if path and hash(node.label) == root and node.label == tree.label:
             yield tuple(path)
         # Climb to the nearest ancestor with a child still to visit.
         while path:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wars.builtins import MAX_TERM_DEPTH
 from wars.cli import main, resolve_system, CliError
 from wars.semiring import MAX_PRODUCT_DEPTH
 from wars.system import MAX_AGGREGATOR_DEPTH
@@ -197,6 +198,63 @@ class TestDeepAggregators:
         system = _one_rule(tmp_path, "(" * 10_000 + "2 * v1" + ")" * 10_000)
         assert main(["eval", "--system", system, "--start", "a", "--depth", "3"]) == 0
         assert capsys.readouterr().out.startswith("a: 2 (stabilized")
+
+
+def _deep_term(levels: int) -> str:
+    """``plus(s(s(... 0 ...)),0)``, ``levels`` deep counting the leaf."""
+    return "plus(" + "s(" * (levels - 2) + "0" + ")" * (levels - 2) + ",0)"
+
+
+def _deep_formula(levels: int) -> str:
+    """``(Ra & (Ra & (... Rb)))``, ``levels`` deep counting the leaf."""
+    return "(Ra & " * (levels - 1) + "Rb" + ")" * (levels - 1)
+
+
+class TestDeepStarts:
+    def test_bound_admits_every_start_the_recursive_parsers_took(self):
+        # With recursive parsers, the deepest start any command took was a
+        # chain `Ra & Rb & ...` of 993 atoms (993 levels).
+        assert 993 <= MAX_TERM_DEPTH
+
+    @pytest.mark.parametrize(
+        "system, start, value",
+        [
+            ("builtin:addition_trs", _deep_term(2_000), "3 (lower_bound, depth 3, 4 objects)"),
+            ("builtin:addition_trs", _deep_term(MAX_TERM_DEPTH), "3 (lower_bound, depth 3, 4 objects)"),
+            ("builtin:boolform", "(" * 10_000 + "Ra" + ")" * 10_000, "2 (stabilized, depth 0, 1 objects)"),
+            ("builtin:boolform", _deep_formula(MAX_TERM_DEPTH), "-inf (lower_bound, depth 0, 5 objects)"),
+        ],
+        ids=["term 2000", "term at the bound", "10^4 parentheses", "formula at the bound"],
+    )
+    def test_evaluated_up_to_the_bound(self, capsys, system, start, value):
+        assert main(["eval", "--system", system, "--start", start, "--depth", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out.endswith(f": {value}\n")
+
+    @pytest.mark.parametrize(
+        "system, start",
+        [("builtin:addition_trs", _deep_term(MAX_TERM_DEPTH)),
+         ("builtin:boolform", _deep_formula(MAX_TERM_DEPTH))],
+        ids=["term", "formula"],
+    )
+    def test_loop_search_up_to_the_bound(self, capsys, system, start):
+        assert main(["loop", "--system", system, "--start", start, "--depth", "3"]) == 4
+        assert capsys.readouterr().out == "no loops found\n"
+
+    @pytest.mark.parametrize(
+        "system, start, what",
+        [("builtin:addition_trs", _deep_term(MAX_TERM_DEPTH + 1), "term"),
+         ("builtin:boolform", _deep_formula(MAX_TERM_DEPTH + 1), "formula"),
+         ("builtin:boolform", "Ra" + " & Rb" * MAX_TERM_DEPTH, "formula")],
+        ids=["term", "nested formula", "chained formula"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "loop"])
+    def test_deeper_start_is_bad_configuration(self, capsys, command, system, start, what):
+        assert main([command, "--system", system, "--start", start, "--depth", "3"]) == 1
+        assert _single_error_line(capsys.readouterr()) == (
+            f"error: {what} nested deeper than {MAX_TERM_DEPTH} levels"
+        )
 
 
 @pytest.mark.skipif(not LIMITED_DIGITS, reason="integers print at any length here")
@@ -592,14 +650,43 @@ class TestOutput:
             "3",
             "--format",
             "json",
-            "--seed",
-            "7",
         ]
         main(argv)
         first = capsys.readouterr().out
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_seeded_samples_are_deterministic(self, capsys):
+        argv = [
+            "bound",
+            "--system",
+            "builtin:walk_expected",
+            "--mode",
+            "embed:walk3n",
+            "--samples",
+            "20",
+            "--seed",
+            "7",
+            "--format",
+            "json",
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 3
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["sample_count"] == 20
+
+    @pytest.mark.parametrize("command", ["eval", "loop", "oracle"])
+    def test_only_bound_takes_a_seed(self, twostate, capsys, command):
+        argv = [command, "--system", f"file:{twostate}", "--depth", "1", "--seed", "7"]
+        if command != "oracle":
+            argv += ["--start", "a"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_json_values_reparse(self, twostate, capsys):
         main(

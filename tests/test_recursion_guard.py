@@ -22,17 +22,6 @@ ALLOWED = {
                        "compile_leaf", "countable")):
         "a countable sum compiles each generated term on first use; countable "
         "sums nest only as deep as the program that built them",
-    ("boundedness.py", ("_trs_embedding",)):
-        "the built-in trs_add embedding recurses on term depth",
-    ("builtins.py", ("_replace",)): "the built-in term helpers recurse on term depth",
-    ("builtins.py", ("format_term",)): "the built-in term helpers recurse on term depth",
-    ("builtins.py", ("term",)): "the built-in term parser recurses on term depth",
-    ("builtins.py", ("term_size",)): "the built-in term helpers recurse on term depth",
-    ("builtins.py", ("term_value",)): "the built-in term helpers recurse on term depth",
-    ("builtins.py", ("walk",)): "the built-in rewrite-step search recurses on term depth",
-    ("builtins.py", ("conjunction", "disjunction", "primary")):
-        "the built-in formula parser recurses on formula depth",
-    ("builtins.py", ("format_formula",)): "the built-in formula printer recurses on formula depth",
     ("semiring.py", ("descriptor_from_spec",)): "recurses on the nesting of product carriers",
     ("semiring.py", ("descriptor_to_spec",)): "recurses on the nesting of product carriers",
     ("unboundedness.py", ("_apply_aggregator", "substitute")):
