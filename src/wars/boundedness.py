@@ -10,14 +10,14 @@ explicit upper-bound map.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .semiring import INF, NatInf, Semiring, SemiringError, Tropical
+from .evaluator import STABILIZED, evaluate_to_fixpoint
+from .semiring import INF, NatInf, Semiring, SemiringError
 from .system import SystemError_, SystemHandle
 
 BOUNDED_CERTIFIED = "bounded_certified"
@@ -194,10 +194,11 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
     if obj_enum is not None:
         objects, objects_complete = obj_enum
     else:
-        # No complete universe: probe the aggregators on sampled objects.
+        # No complete universe: probe the aggregators on sampled objects, or
+        # on the normal forms when the system has no sampler.
         try:
             objects = sys.sample_objects(random.Random(0), 64)
-        except Exception:
+        except SystemError_:
             objects = list(nfs)
         objects_complete = False
 
@@ -396,19 +397,23 @@ def verify_embedding(
 def search_affine_embedding(
     sys: SystemHandle, coeff_cap: int, rule_budget: int = 64
 ) -> Optional[Embedding]:
-    """Enumerate finite value tables up to ``coeff_cap`` and return the first
-    that verifies exhaustively; None when no table within the cap works."""
+    """The least table of values up to ``coeff_cap`` that verifies
+    exhaustively over ``nat_inf``; None when no table within the cap works.
+
+    Valid tables are the pre-fixpoints of the rule operator and are closed
+    under pointwise minimum, so the least one is the least fixpoint, which
+    settling each object finds.  Each non-normal-form value is an integer up
+    to the cap, so n objects settle within n * (coeff_cap + 1) levels unless
+    the least fixpoint exceeds the cap.
+    """
     desc = sys.semiring
-    if not isinstance(desc, (NatInf, Tropical)):
-        raise PreconditionError(
-            "affine embedding search works over the counting or tropical carriers"
-        )
+    if not isinstance(desc, NatInf):
+        raise PreconditionError("affine embedding search works over the counting carrier")
     enum = sys.enumerate_objects()
     if enum is None or not enum[1]:
         raise PreconditionError("affine embedding search needs a finite explicit system")
     objects = sorted(enum[0], key=str)
 
-    rules_of = {}
     for a in objects:
         rules, complete = sys.successors(a, rule_budget)
         if not complete:
@@ -418,34 +423,15 @@ def search_affine_embedding(
                 raise UnsupportedAggregatorError(
                     f"rule {r.tag}: aggregator is not affine in its variables"
                 )
-        rules_of[a] = [
-            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs))) for r in rules
-        ]
 
-    nf_weight = {
-        a: sys.nf_weight(a) for a in objects if not rules_of[a]
-    }
-
-    for combo in itertools.product(range(coeff_cap + 1), repeat=len(objects)):
-        table = dict(zip(objects, combo))
-        ok = True
-        for a in objects:
-            ea = table[a]
-            if ea == desc.top:
-                ok = False
-                break
-            if not rules_of[a]:
-                if not desc.leq(nf_weight[a], ea):
-                    ok = False
-                    break
-                continue
-            for rhs, step_fn in rules_of[a]:
-                step = step_fn([table[b] for b in rhs], agg.DEFAULT_TRUNCATION, None)
-                if not desc.leq(step, ea):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Embedding.from_table(table, f"affine<={coeff_cap}")
+    table = {}
+    for a in objects:
+        result = evaluate_to_fixpoint(sys, a, len(objects) * (coeff_cap + 1), rule_budget)
+        # inf is above every cap.
+        if result.status != STABILIZED or result.value > coeff_cap:
+            return None
+        table[a] = result.value
+    embedding = Embedding.from_table(table, f"affine<={coeff_cap}")
+    if verify_embedding(sys, embedding, rule_budget=rule_budget).certified():
+        return embedding
     return None

@@ -335,35 +335,37 @@ def rewrite_steps(t) -> list[tuple[str, tuple]]:
     """All single rewrite steps from ``t`` as (position-tagged rule tag, result),
     positions in pre-order."""
     steps = []
-    stack = [(t, "")]
+    # Entries are (subterm, link), where a link is (parent, digit, the
+    # parent's link) and None at the root: a position is spelled out only at
+    # a redex.
+    stack = [(t, None)]
     while stack:
-        sub, pos = stack.pop()
+        sub, link = stack.pop()
         if sub[0] == "plus":
             first, second = sub[1], sub[2]
             if first[0] == "s":
-                steps.append((f"plus_s@{pos}", _replace(t, pos, s_term(plus_term(first[1], second)))))
+                steps.append(_step("plus_s", link, s_term(plus_term(first[1], second))))
             elif first[0] == "0":
-                steps.append((f"plus_0@{pos}", _replace(t, pos, second)))
-            stack += [(second, pos + "2"), (first, pos + "1")]
+                steps.append(_step("plus_0", link, second))
+            stack += [(second, (sub, "2", link)), (first, (sub, "1", link))]
         elif sub[0] == "s":
-            stack.append((sub[1], pos + "1"))
+            stack.append((sub[1], (sub, "1", link)))
     return steps
 
 
-def _replace(t, pos: str, new):
-    """``t`` with the subterm at ``pos`` replaced by ``new``."""
-    spine = []
-    for head in pos:
-        spine.append((t, head))
-        t = t[int(head)]
-    for t, head in reversed(spine):
-        if t[0] == "s":
+def _step(rule: str, link, new) -> tuple[str, tuple]:
+    """The tag and result of replacing the subterm below ``link`` by ``new``."""
+    digits = []
+    while link is not None:
+        parent, digit, link = link
+        digits.append(digit)
+        if parent[0] == "s":
             new = ("s", new)
-        elif head == "1":
-            new = ("plus", new, t[2])
+        elif digit == "1":
+            new = ("plus", new, parent[2])
         else:
-            new = ("plus", t[1], new)
-    return new
+            new = ("plus", parent[1], new)
+    return f"{rule}@{''.join(reversed(digits))}", new
 
 
 def ground_terms(max_size: int) -> list[tuple]:

@@ -95,82 +95,71 @@ class WeightBound:
 
 
 def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFAULT_BRANCH_TRUNC):
-    """Bottom-up weight of a finite reduction tree; see ``tree_weights``."""
-    return tree_weights(sys, [tree], branch_trunc)[0]
-
-
-def tree_weights(sys: SystemHandle, trees, branch_trunc: int = DEFAULT_BRANCH_TRUNC) -> list:
-    """The bottom-up weight of each finite reduction tree in ``trees``.
+    """The bottom-up weight of a finite reduction tree.
 
     Normal-form leaves weigh their interpretation, other leaves weigh the
     semiring minimum, and each inner node applies its rule's aggregator to the
     child weights in order.  Each distinct node object is checked and weighed
-    once per call, so a subtree shared within or across trees (as
-    ``enumerate_trees`` shares them) costs one weighing.  The walk is
-    depth-first and left to right, with a node's structural checks before its
-    children and its aggregator after them, so a malformed tree raises its
-    first fault in that order.
+    once, so a subtree shared within the tree (as ``enumerate_trees`` shares
+    them) costs one weighing.  The walk is depth-first and left to right, with
+    a node's structural checks before its children and its aggregator after
+    them, so a malformed tree raises its first fault in that order.
     """
     desc = sys.semiring
-    # id(node) -> (node, weight).  Holding the node keeps its id from being
-    # reused by a later object, even when ``trees`` drops each tree.
+    # id(node) -> weight.  The tree holds its nodes, so no id is reused.
     memo: dict = {}
-    # Per call, whether a label is a normal form, and per (label, tag) the
-    # rule with its compiled aggregator, compiled once its node's children
-    # are weighed.
+    # Whether a label is a normal form, and per (label, tag) the rule with its
+    # compiled aggregator, compiled once its node's children are weighed.
     normal: dict = {}
     found: dict = {}
-    weights = []
-    for tree in trees:
-        # Entries are (node, None) before its children, (node, found entry)
-        # after them.
-        stack = [(tree, None)]
-        while stack:
-            node, entry = stack.pop()
-            if entry is not None:
-                if entry[1] is None:
-                    entry[1] = _compiled(entry[0].aggregator, desc, len(node.children))
-                args = [memo[id(c)][1] for c in node.children]
-                memo[id(node)] = node, entry[1](args, branch_trunc, None)
-                continue
-            if id(node) in memo:
-                continue
-            label = node.label
-            if not node.children and node.rule_tag is not None:
-                raise StructuralTreeError(
-                    f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
-                )
-            if label not in normal:
-                normal[label] = sys.is_normal_form(label)
-            if not node.children:
-                if normal[label]:
-                    weight = sys._nf_weight(label)
-                    desc.require(weight)
-                else:
-                    weight = desc.zero
-                memo[id(node)] = node, weight
-                continue
+    # Entries are (node, None) before its children, (node, found entry) after
+    # them.
+    stack = [(tree, None)]
+    while stack:
+        node, entry = stack.pop()
+        if entry is not None:
+            if entry[1] is None:
+                entry[1] = _compiled(entry[0].aggregator, desc, len(node.children))
+            args = [memo[id(c)] for c in node.children]
+            memo[id(node)] = entry[1](args, branch_trunc, None)
+            continue
+        if id(node) in memo:
+            continue
+        label = node.label
+        if not node.children and node.rule_tag is not None:
+            raise StructuralTreeError(
+                f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
+            )
+        if label not in normal:
+            normal[label] = sys.is_normal_form(label)
+        if not node.children:
             if normal[label]:
-                raise StructuralTreeError(
-                    f"normal form {sys.format_object(label)} has children"
-                )
-            if node.rule_tag is None:
-                raise StructuralTreeError(
-                    f"inner node {sys.format_object(label)} names no rule"
-                )
-            key = (label, node.rule_tag)
-            if key not in found:
-                found[key] = [sys.find_rule(label, node.rule_tag), None]
-            entry = found[key]
-            if tuple(c.label for c in node.children) != entry[0].rhs:
-                raise StructuralTreeError(
-                    f"children of {sys.format_object(label)} do not match rule "
-                    f"{node.rule_tag!r}"
-                )
-            stack.append((node, entry))
-            stack.extend((c, None) for c in reversed(node.children))
-        weights.append(memo[id(tree)][1])
-    return weights
+                weight = sys._nf_weight(label)
+                desc.require(weight)
+            else:
+                weight = desc.zero
+            memo[id(node)] = weight
+            continue
+        if normal[label]:
+            raise StructuralTreeError(
+                f"normal form {sys.format_object(label)} has children"
+            )
+        if node.rule_tag is None:
+            raise StructuralTreeError(
+                f"inner node {sys.format_object(label)} names no rule"
+            )
+        key = (label, node.rule_tag)
+        if key not in found:
+            found[key] = [sys.find_rule(label, node.rule_tag), None]
+        entry = found[key]
+        if tuple(c.label for c in node.children) != entry[0].rhs:
+            raise StructuralTreeError(
+                f"children of {sys.format_object(label)} do not match rule "
+                f"{node.rule_tag!r}"
+            )
+        stack.append((node, entry))
+        stack.extend((c, None) for c in reversed(node.children))
+    return memo[id(tree)]
 
 
 def truncate(tree: ReductionTree, n: int) -> ReductionTree:
@@ -851,12 +840,12 @@ def enumerate_tree_weights(
 ) -> list:
     """The weight of each tree of ``enumerate_trees``, in its order.
 
-    Equal to ``tree_weights(sys, enumerate_trees(sys, a, depth, rule_budget,
-    count_cap), branch_trunc)``, weight for weight, but no tree is built: a
-    tree that stops at an object weighs its normal-form weight or zero, and a
-    rule applies its compiled aggregator to its children's weights.  Weights
-    are neither deduplicated nor joined.  The trees are counted first, so
-    ``CountCapExceeded`` comes before any aggregator runs.
+    Equal to ``tree_weight(sys, t, branch_trunc)`` for each ``t`` of
+    ``enumerate_trees(sys, a, depth, rule_budget, count_cap)``, but no tree is
+    built: a tree that stops at an object weighs its normal-form weight or
+    zero, and a rule applies its compiled aggregator to its children's
+    weights.  Weights are neither deduplicated nor joined.  The trees are
+    counted first, so ``CountCapExceeded`` comes before any aggregator runs.
     """
     desc = sys.semiring
     # The enumeration holds every rule it applies until it returns.

@@ -299,6 +299,8 @@ def load_explicit(source: str) -> SystemHandle:
         if not isinstance(rhs, list) or not rhs or not all(isinstance(b, str) for b in [lhs, *rhs]):
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
         tag = spec.get("tag", f"r{i}")
+        if not isinstance(tag, str):
+            raise SystemFormatError(f"rule {i}: 'tag' must be a string")
         text = spec.get("agg", "")
         if not isinstance(text, str):
             raise SystemFormatError(f"rule {tag}: 'agg' must be a string")

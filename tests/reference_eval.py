@@ -11,8 +11,13 @@ before its first use.
 evaluator's level core.  Each call explores the whole ball around its start
 from scratch and recomputes every explored object at every level.
 
-``reference_tree_weight`` is the reference for ``tree_weights``.  It recurses
-over one tree and checks and weighs every node it meets, shared or not.
+``reference_tree_weight`` is the reference for ``tree_weight``.  It recurses
+over the tree and checks and weighs every node it meets, shared or not.
+
+``reference_search_affine_embedding`` is the reference for
+``search_affine_embedding``.  It tries every table of values up to the cap in
+lexicographic order and checks each with its own copy of the embedding
+inequalities, so its cost grows exponentially with the number of objects.
 
 ``reference_parse``, the ``reference_*`` expression walkers,
 ``reference_enumerate_trees`` and ``reference_loop_leaves`` are the references
@@ -23,7 +28,9 @@ walks.  They recurse once per level, so they only take shallow input.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
+from wars import aggregator as agg
 from wars.aggregator import (
     _TOKEN,
     AggregatorError,
@@ -40,6 +47,11 @@ from wars.aggregator import (
     _compiled,
     _fold,
 )
+from wars.boundedness import (
+    Embedding,
+    PreconditionError,
+    UnsupportedAggregatorError,
+)
 from wars.evaluator import (
     LOWER_BOUND,
     STABILIZED,
@@ -49,7 +61,8 @@ from wars.evaluator import (
     VisitCapExceeded,
     WeightBound,
 )
-from wars.semiring import INF, LiteralError
+from wars.semiring import INF, LiteralError, NatInf, Tropical
+from wars.system import SystemHandle
 from wars.unboundedness import UnboundednessError
 
 
@@ -680,3 +693,65 @@ def reference_loop_leaves(tree):
             yield from walk(child, path + (i,))
 
     yield from walk(tree, ())
+
+
+# --------------------------------------------------------------------------
+# Embedding search: every table up to the cap, in lexicographic order.
+
+
+def reference_search_affine_embedding(
+    sys: SystemHandle, coeff_cap: int, rule_budget: int = 64
+) -> Optional[Embedding]:
+    """Enumerate finite value tables up to ``coeff_cap`` and return the first
+    that verifies exhaustively; None when no table within the cap works."""
+    desc = sys.semiring
+    if not isinstance(desc, (NatInf, Tropical)):
+        raise PreconditionError(
+            "affine embedding search works over the counting or tropical carriers"
+        )
+    enum = sys.enumerate_objects()
+    if enum is None or not enum[1]:
+        raise PreconditionError("affine embedding search needs a finite explicit system")
+    objects = sorted(enum[0], key=str)
+
+    rules_of = {}
+    for a in objects:
+        rules, complete = sys.successors(a, rule_budget)
+        if not complete:
+            raise PreconditionError("affine embedding search needs complete rule lists")
+        for r in rules:
+            if agg.affine_form(r.aggregator, desc, len(r.rhs)) is None:
+                raise UnsupportedAggregatorError(
+                    f"rule {r.tag}: aggregator is not affine in its variables"
+                )
+        rules_of[a] = [
+            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs))) for r in rules
+        ]
+
+    nf_weight = {
+        a: sys.nf_weight(a) for a in objects if not rules_of[a]
+    }
+
+    for combo in itertools.product(range(coeff_cap + 1), repeat=len(objects)):
+        table = dict(zip(objects, combo))
+        ok = True
+        for a in objects:
+            ea = table[a]
+            if ea == desc.top:
+                ok = False
+                break
+            if not rules_of[a]:
+                if not desc.leq(nf_weight[a], ea):
+                    ok = False
+                    break
+                continue
+            for rhs, step_fn in rules_of[a]:
+                step = step_fn([table[b] for b in rhs], agg.DEFAULT_TRUNCATION, None)
+                if not desc.leq(step, ea):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return Embedding.from_table(table, f"affine<={coeff_cap}")
+    return None

@@ -27,9 +27,10 @@ from wars.boundedness import (
 )
 from wars.builtins import builtin, builtin_names, ground_terms
 from wars.evaluator import weight_lower_bound
-from wars.semiring import INF
-from wars.system import _finite_no_top, load_explicit
+from wars.semiring import BOTTLENECK, INF
+from wars.system import SystemHandle, _finite_no_top, load_explicit
 
+from reference_eval import reference_search_affine_embedding
 from system_gen import random_system
 
 
@@ -122,6 +123,33 @@ class TestSelectiveCondition:
         report = check_sufficient_selective(walk, Fraction(1))
         assert report.verdict == UNKNOWN
         assert "non_selective_rule" in report.details
+
+
+def _unsampled_handle(sampler=None):
+    # No object enumeration; the only normal form is 0.
+    return SystemHandle(
+        "open",
+        BOTTLENECK,
+        lambda obj, budget: ([], True),
+        lambda obj: 3,
+        enumerate_nfs_fn=lambda: ([0], True),
+        sample_objects_fn=sampler,
+    )
+
+
+class TestSelectiveSampling:
+    def test_crashing_sampler_propagates(self):
+        def sampler(rng, count):
+            raise RuntimeError("sampler bug")
+
+        with pytest.raises(RuntimeError, match="sampler bug"):
+            check_sufficient_selective(_unsampled_handle(sampler), 3)
+
+    def test_no_sampler_falls_back_to_normal_forms(self):
+        report = check_sufficient_selective(_unsampled_handle(), 3)
+        assert report.verdict == BOUNDED_SAMPLED
+        assert report.details == {"normal_forms_checked": 1, "rules_checked": 0}
+        assert report.sample_count == 1
 
 
 class TestExtremalCondition:
@@ -346,6 +374,90 @@ class TestSearchAffineEmbedding:
     def test_wrong_carrier_rejected(self):
         with pytest.raises(PreconditionError):
             search_affine_embedding(BOTTLENECK_NET, 4)
+
+    def test_tropical_rejected(self):
+        # The tropical order is reversed: the first table in lexicographic
+        # order would be the weakest valid bound, not the least fixpoint.
+        sys_ = explicit(
+            {
+                "semiring": {"kind": "tropical"},
+                "rules": [
+                    {"lhs": "a", "rhs": ["b"], "agg": "3 * v1"},
+                    {"lhs": "b", "rhs": ["c"], "agg": "2 * v1"},
+                ],
+                "nf": {"c": "1"},
+            }
+        )
+        with pytest.raises(PreconditionError, match="counting carrier"):
+            search_affine_embedding(sys_, 4)
+
+    def test_long_chain_settles(self):
+        # Far beyond the reach of trying every table: 201^200 of them.
+        n = 200
+        sys_ = explicit(
+            {
+                "semiring": {"kind": "nat_inf"},
+                "rules": [
+                    {"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"}
+                    for i in range(n - 1)
+                ],
+                "nf": {f"c{n - 1}": "0"},
+            }
+        )
+        e = search_affine_embedding(sys_, n)
+        assert {f"c{i}": e(f"c{i}") for i in range(n)} == {
+            f"c{i}": n - 1 - i for i in range(n)
+        }
+
+
+def _search_outcome(search, sys_, cap):
+    """The table ``search`` returns, None, or what it raised."""
+    try:
+        e = search(sys_, cap)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if e is None:
+        return None
+    return e.name, {a: e(a) for a in sys_.enumerate_objects()[0]}
+
+
+SELF_LOOP = {
+    "semiring": {"kind": "nat_inf"},
+    "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1"}],
+    "nf": {},
+}
+TWO_CYCLE = {
+    "semiring": {"kind": "nat_inf"},
+    "rules": [
+        {"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": "ab"},
+        {"lhs": "b", "rhs": ["a"], "agg": "v1", "tag": "ba"},
+    ],
+    "nf": {},
+}
+
+
+@pytest.mark.parametrize("spec", [SELF_LOOP, TWO_CYCLE], ids=["self-loop", "two-cycle"])
+@pytest.mark.parametrize("cap", range(5))
+def test_search_matches_trying_every_table_on_cycles(spec, cap):
+    sys_ = explicit(spec)
+    assert _search_outcome(search_affine_embedding, sys_, cap) == _search_outcome(
+        reference_search_affine_embedding, sys_, cap
+    )
+
+
+def test_search_matches_trying_every_table_on_generated_systems():
+    # seed % 3 == 0 draws nat_inf systems of three to six objects.
+    tables = 0
+    for seed in range(0, 600, 3):
+        sys_ = random_system(seed)
+        for cap in range(4):
+            got = _search_outcome(search_affine_embedding, sys_, cap)
+            assert got == _search_outcome(reference_search_affine_embedding, sys_, cap), (
+                seed,
+                cap,
+            )
+            tables += isinstance(got, tuple) and isinstance(got[1], dict)
+    assert tables == 91
 
 
 def test_unknown_builtin_embedding():

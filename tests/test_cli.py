@@ -782,3 +782,19 @@ def test_system_file_of_the_wrong_shape_is_bad_configuration(tmp_path, capsys, s
     path.write_text(json.dumps(system))
     assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 1
     assert _single_error_line(capsys.readouterr()) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["eval", "loop", "oracle"])
+def test_rule_tag_that_is_no_string_is_bad_configuration(tmp_path, capsys, command):
+    # The loop search joins rule tags into its trace, so it crashed on this.
+    path = tmp_path / "tag.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1", "tag": 5}],
+    }))
+    start = [] if command == "oracle" else ["--start", "a"]
+    code = main([command, "--system", f"file:{path}", *start, "--depth", "2"])
+    assert code == (3 if command == "oracle" else 1)
+    assert _single_error_line(capsys.readouterr()) == (
+        "error: rule 0: 'tag' must be a string"
+    )

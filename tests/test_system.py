@@ -318,9 +318,17 @@ class TestLoadExplicit:
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
             ('{"semiring": {"kind": "language", "alphabet": ["a", ""]}}',
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "nat_inf"}, "rules": [{"lhs": "a", "rhs": ["a"], '
+             '"agg": "1 + v1", "tag": 5}]}',
+             SystemFormatError, "rule 0: 'tag' must be a string"),
+            ('{"semiring": {"kind": "nat_inf"}, "rules": [{"lhs": "a", "rhs": ["b"], '
+             '"agg": "v1", "tag": "ab"}, {"lhs": "b", "rhs": ["c"], "agg": "v1", '
+             '"tag": null}], "nf": {"c": "0"}}',
+             SystemFormatError, "rule 1: 'tag' must be a string"),
         ],
         ids=["system not an object", "spec not an object", "components not a list",
-             "component not an object", "repeated symbol", "empty symbol"],
+             "component not an object", "repeated symbol", "empty symbol",
+             "tag a number", "tag null"],
     )
     def test_json_of_the_wrong_shape_rejected(self, tmp_path, text, error, message):
         path = tmp_path / "sys.json"

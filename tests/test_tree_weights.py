@@ -1,10 +1,10 @@
-"""``tree_weights`` against the recursive ``reference_tree_weight``.
+"""``tree_weight`` against the recursive ``reference_tree_weight``.
 
-``tree_weights`` weighs each distinct node object once and walks with an
-explicit stack.  It must give the reference's weight for every tree, raise the
-reference's first exception (type and message) on malformed trees, and stay
-right when the trees it is given are dropped as soon as they are weighed.
-The tree helpers must handle trees far deeper than the recursion limit.
+``tree_weight`` weighs each distinct node object of its tree once and walks
+with an explicit stack.  It must give the reference's weight for every tree
+and raise the reference's first exception (type and message) on malformed
+trees, also where one node object sits at several places in the tree.  The
+tree helpers must handle trees far deeper than the recursion limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from wars.evaluator import (
     ReductionTree,
     enumerate_trees,
     tree_weight,
-    tree_weights,
     truncate,
 )
 from wars.system import load_explicit
@@ -44,20 +43,17 @@ def typed(weights):
 
 # "cat" raises while evaluating: SIGMA* concatenated with a finite language
 # leaves the carrier.
-LANG = load_explicit(
-    json.dumps(
-        {
-            "semiring": {"kind": "language", "alphabet": ["0", "1"]},
-            "rules": [
-                {"lhs": "a", "rhs": ["s", "w"], "agg": "v1 * v2", "tag": "cat"},
-                {"lhs": "a", "rhs": ["w", "w"], "agg": "v1 * v2", "tag": "ww"},
-                {"lhs": "b", "rhs": ["a", "a"], "agg": "v1 + v2", "tag": "both"},
-                {"lhs": "b", "rhs": ["w"], "agg": "v1", "tag": "one"},
-            ],
-            "nf": {"s": "SIGMA*", "w": "{0}"},
-        }
-    )
-)
+LANG_SPEC = {
+    "semiring": {"kind": "language", "alphabet": ["0", "1"]},
+    "rules": [
+        {"lhs": "a", "rhs": ["s", "w"], "agg": "v1 * v2", "tag": "cat"},
+        {"lhs": "a", "rhs": ["w", "w"], "agg": "v1 * v2", "tag": "ww"},
+        {"lhs": "b", "rhs": ["a", "a"], "agg": "v1 + v2", "tag": "both"},
+        {"lhs": "b", "rhs": ["w"], "agg": "v1", "tag": "one"},
+    ],
+    "nf": {"s": "SIGMA*", "w": "{0}"},
+}
+LANG = load_explicit(json.dumps(LANG_SPEC))
 
 GOOD_A = ReductionTree("a", "ww", (leaf("w"), leaf("w")))
 LEAF_WITH_RULE = ReductionTree("w", "one")
@@ -107,7 +103,7 @@ def test_enumerated_trees_match_reference(seed):
         for depth in range(4):
             trees = list(enumerate_trees(sys_, a, depth))
             expected = [reference_tree_weight(sys_, t) for t in trees]
-            assert typed(tree_weights(sys_, trees)) == typed(expected)
+            assert typed([tree_weight(sys_, t) for t in trees]) == typed(expected)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_FAULT.keys() | TWO_FAULTS.keys()))
@@ -115,40 +111,26 @@ def test_malformed_tree_raises_reference_error(name):
     tree = ONE_FAULT.get(name) or TWO_FAULTS[name]
     expected = outcome(lambda: reference_tree_weight(LANG, tree))
     assert expected[0] != "ok"
-    assert outcome(lambda: tree_weights(LANG, [tree])) == expected
     assert outcome(lambda: tree_weight(LANG, tree)) == expected
 
 
-def test_faulty_subtree_shared_by_two_trees():
-    # The last two trees hold the same faulty node; GOOD_A is in two trees.
-    trees = [
+def test_faulty_subtree_shared_within_one_tree():
+    # LANG plus a rule over three b's, so that one tree holds all three b
+    # subtrees: the faulty node twice and GOOD_A three times.
+    three = {"lhs": "c", "rhs": ["b", "b", "b"], "agg": "v1 + v2 + v3", "tag": "three"}
+    system = load_explicit(json.dumps(dict(LANG_SPEC, rules=LANG_SPEC["rules"] + [three])))
+    subtrees = [
         ReductionTree("b", "both", (GOOD_A, GOOD_A)),
         ReductionTree("b", "both", (GOOD_A, AGGREGATOR_ERROR)),
         ReductionTree("b", "both", (NO_RULE, AGGREGATOR_ERROR)),
     ]
-    for order in (trees, trees[::-1], [trees[0], trees[2], trees[1]]):
-        expected = outcome(lambda: [reference_tree_weight(LANG, t) for t in order])
+    for order in (subtrees, subtrees[::-1], [subtrees[0], subtrees[2], subtrees[1]]):
+        tree = ReductionTree("c", "three", tuple(order))
+        expected = outcome(lambda: reference_tree_weight(system, tree))
         assert expected[0] != "ok"
-        assert outcome(lambda: tree_weights(LANG, order)) == expected
-
-
-def _fresh_tree(i):
-    # Same shapes, different weights, so a reused id would show.
-    kind = i % 4
-    if kind == 0:
-        return leaf("w")
-    if kind == 1:
-        return leaf("s")
-    if kind == 2:
-        return leaf("a")
-    return ReductionTree("a", "ww", (leaf("w"), leaf("w")))
-
-
-def test_generator_that_drops_each_tree():
-    count = 400
-    expected = [reference_tree_weight(LANG, _fresh_tree(i)) for i in range(count)]
-    got = tree_weights(LANG, (_fresh_tree(i) for i in range(count)))
-    assert typed(got) == typed(expected)
+        assert outcome(lambda: tree_weight(system, tree)) == expected
+    good = ReductionTree("c", "three", (subtrees[0],) * 3)
+    assert typed([tree_weight(system, good)]) == typed([reference_tree_weight(system, good)])
 
 
 # --------------------------------------------------------------------------
