@@ -4,13 +4,19 @@ An aggregator combines the weights of a reduction step's successors into the
 weight of the step.  Expressions are immutable trees; evaluation is pure.  The
 distinguished variable ``X`` only occurs in loop polynomials, never in rule
 aggregators.
+
+Each expression object remembers what the analyses ask of it: its facts
+(whether it mentions X, its largest variable) and its compiled form per
+carrier and arity, each computed on first use.  Expressions are found by
+identity, never hashed, so equal expressions built apart are walked and
+compiled apart.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -25,13 +31,30 @@ class ArityError(AggregatorError):
     """A variable index exceeds the number of supplied arguments."""
 
 
+class _Expr:
+    """An expression node.  Its memos live in its ``__dict__``, apart from the
+    dataclass fields that ``==``, ``hash`` and ``repr`` read; a failed
+    computation stores nothing, so it raises again on the next read."""
+
+    @functools.cached_property
+    def facts(self) -> tuple:
+        """Whether the expression mentions X, and its largest variable index
+        (INF when a countable sum's is unbounded)."""
+        return _reduce(self, _leaf_facts, _node_facts)
+
+    @functools.cached_property
+    def _forms(self) -> dict:
+        """(carrier, arity) -> compiled closure, filled by ``_compiled``."""
+        return {}
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Expr):
     value: object
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Expr):
     index: int
 
     def __post_init__(self):
@@ -40,7 +63,7 @@ class Var:
 
 
 @dataclass(frozen=True)
-class SumNode:
+class SumNode(_Expr):
     terms: tuple
 
     def __post_init__(self):
@@ -49,7 +72,7 @@ class SumNode:
 
 
 @dataclass(frozen=True)
-class ProdNode:
+class ProdNode(_Expr):
     factors: tuple
 
     def __post_init__(self):
@@ -58,11 +81,11 @@ class ProdNode:
 
 
 @dataclass(frozen=True)
-class XVar:
+class XVar(_Expr):
     """The distinguished polynomial variable of loop analysis."""
 
 
-class CountableSum:
+class CountableSum(_Expr):
     """A sum over countably many generated terms, available programmatically.
 
     ``term(i)`` yields the i-th summand expression (i from 0) or None once the
@@ -134,17 +157,27 @@ def _rebuild(expr, children: list):
 
 def max_var(expr):
     """Supremum of variable indices mentioned; 0 when no variable occurs."""
-    return _reduce(expr, _var_bound, lambda e, values: max(values))
+    return _facts(expr)[1]
 
 
-def _var_bound(expr):
+def _facts(expr) -> tuple:
+    """``expr.facts``, also for a leaf that is no expression (which raises)."""
+    return expr.facts if isinstance(expr, _Expr) else _leaf_facts(expr)
+
+
+def _leaf_facts(expr) -> tuple:
     if isinstance(expr, (Const, XVar)):
-        return 0
+        return isinstance(expr, XVar), 0
     if isinstance(expr, Var):
-        return expr.index
+        return False, expr.index
     if isinstance(expr, CountableSum):
-        return expr.var_bound
+        return False, expr.var_bound
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
+
+
+def _node_facts(expr, facts: list) -> tuple:
+    xs, mvs = zip(*facts)
+    return any(xs), max(mvs)
 
 
 def mentions_x(expr) -> bool:
@@ -177,63 +210,36 @@ def evaluate(expr, desc: Semiring, args: Sequence, truncation: int = DEFAULT_TRU
 # ``fn(args, truncation, exact)`` over the carrier's unchecked operations; the
 # arguments must already be carrier values.  ``exact`` is a one-item list that
 # a countable sum clears when it cuts its stream short, or None when the
-# caller does not ask.  Equal expressions share one closure per carrier, for
-# as long as the expression it was compiled from is alive.
-
-# Per carrier, a weak table from expression to (fn, max_var, weak reference
-# to the expression it was compiled from).
-_TABLES = weakref.WeakKeyDictionary()
+# caller does not ask.
 
 
 def _compiled(expr, desc: Semiring, arity: int):
-    """The compiled form of ``expr`` over ``desc`` for ``arity`` arguments.
+    """The compiled form of ``expr`` over ``desc`` for ``arity`` arguments,
+    built on first use and kept on the expression.
 
     An expression that mentions more variables than ``arity`` (and is not
     itself a countable sum) compiles to a function raising ArityError.
     """
-    fn, mv = _entry(expr, desc)
-    if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
-        message = _arity_message(mv, arity)
+    # A leaf that is no expression has nowhere to keep a form; compiling it
+    # raises.
+    forms = expr._forms if isinstance(expr, _Expr) else {}
+    key = desc, arity
+    fn = forms.get(key)
+    if fn is None:
+        fn, mv = _compile(expr, desc)
+        if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
+            message = _arity_message(mv, arity)
 
-        def arity_error(args, truncation, exact):
-            raise ArityError(message)
+            def arity_error(args, truncation, exact):
+                raise ArityError(message)
 
-        return arity_error
+            fn = arity_error
+        forms[key] = fn
     return fn
 
 
 def _arity_message(index: int, arity: int) -> str:
     return f"aggregator mentions v{index} but only {arity} arguments were supplied"
-
-
-def _entry(expr, desc):
-    table = _TABLES.get(desc)
-    if table is None:
-        table = _TABLES[desc] = weakref.WeakKeyDictionary()
-    try:
-        entry = table.get(expr)
-    except TypeError:
-        # Not hashable or not weakly referable: no expression node or carrier
-        # value is either, so compiling reports the problem.
-        return _compile(expr, desc)
-    if entry is None:
-        fn, mv = _compile(expr, desc)
-        table[expr] = fn, mv, weakref.ref(expr)
-        return fn, mv
-    fn, mv, source = entry
-    if source() is not expr:
-        # Equal constants may differ in type (1 == True == Fraction(1)), so
-        # an equal expression still has its own constants checked.
-        _check_constants(expr, desc)
-    return fn, mv
-
-
-def _check_constants(expr, desc):
-    def check(e):
-        if isinstance(e, Const):
-            desc.require(e.value)
-
-    _reduce(expr, check, lambda e, values: None)
 
 
 def _compile(expr, desc):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import aggregator as agg
 from .evaluator import STABILIZED, evaluate_to_fixpoint
 from .semiring import INF, NatInf, Semiring, SemiringError
-from .system import SystemError_, SystemHandle
+from .system import SystemError_, SystemHandle, _literal_text
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -87,7 +87,7 @@ class Embedding:
         table = {}
         for label, literal in data.items():
             try:
-                table[sys.parse_object(label)] = sys.semiring.parse_literal(str(literal))
+                table[sys.parse_object(label)] = sys.semiring.parse_literal(_literal_text(literal))
             except (ValueError, SemiringError, SystemError_) as exc:
                 raise BoundednessError(
                     f"embedding file {name}: bad entry {label!r}: {exc}"

@@ -1,7 +1,14 @@
-"""Built-in weighted reduction systems used throughout the analyses and tests."""
+"""Built-in weighted reduction systems used throughout the analyses and tests.
+
+Each handle builds each distinct rule aggregator once and shares it among
+the rules made from it, so its facts and compiled forms are computed once.
+No expression is kept at module level: an expression holds the carriers it
+was compiled for, and some families build a carrier per handle.
+"""
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -17,11 +24,6 @@ from .semiring import (
     Product,
 )
 from .system import Flags, RuleInstance, SystemError_, SystemHandle, cplx_wrap
-from .system import _built_once, _facts
-
-# Each handle builds each distinct rule aggregator once and passes its facts.
-V1 = Var(1)
-_V1_FACTS = _facts(V1)
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +43,13 @@ def _walk(expected_steps: bool) -> SystemHandle:
         step = SumNode(parts)
         nf_value = Fraction(1)
         name = "walk_termprob"
-    facts = _facts(step)
 
     def successors(n, budget):
         if not isinstance(n, int) or n < 0:
             raise SystemError_(f"walk positions are naturals, got {n!r}")
         if n == 0:
             return [], True
-        return [RuleInstance(n, (n - 1, n + 1), step, "step", facts=facts)], True
+        return [RuleInstance(n, (n - 1, n + 1), step, "step")], True
 
     return SystemHandle(
         name=name,
@@ -56,7 +57,6 @@ def _walk(expected_steps: bool) -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda n: nf_value,
         flags=Flags(
-            deterministic=True,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
@@ -75,13 +75,12 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
     body = CountableSum(
         lambda m: ProdNode((Const(Fraction(1, 2 ** (m + 1))), Var(m + 1)))
     )
-    facts = _facts(body)
 
     def successors(n, budget):
         if n == 0:
             return [], True
         rhs = tuple(range(prefix))
-        return [RuleInstance(n, rhs, body, "jump", rhs_complete=False, facts=facts)], True
+        return [RuleInstance(n, rhs, body, "jump", rhs_complete=False)], True
 
     return SystemHandle(
         name="geometric_walk",
@@ -89,7 +88,6 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda n: Fraction(1),
         flags=Flags(
-            deterministic=True,
             finitely_nondeterministic=True,
             finitely_branching=False,
             terminating=False,
@@ -111,30 +109,26 @@ _PROCS = ("P1", "P2")
 
 
 def _os_successors(agg_for):
-    """``agg_for(kind, queue)`` is the (aggregator, facts) of a state's rules."""
+    """``agg_for(kind, queue)`` is the aggregator of a state's rules."""
 
     def successors(state, budget):
         kind, queue = state
         rules = []
         if kind == "idle":
-            expr, facts = agg_for("idle", queue)
-            rules.append(RuleInstance(state, (("wait", queue),), expr, "idle_wait", facts=facts))
-            rules.append(RuleInstance(state, (("run", queue),), expr, "idle_run", facts=facts))
+            expr = agg_for("idle", queue)
+            rules.append(RuleInstance(state, (("wait", queue),), expr, "idle_wait"))
+            rules.append(RuleInstance(state, (("run", queue),), expr, "idle_run"))
         elif kind == "wait":
-            expr, facts = agg_for("wait", queue)
+            expr = agg_for("wait", queue)
             for proc in _PROCS:
                 rules.append(
-                    RuleInstance(
-                        state, (("idle", queue + (proc,)),), expr, f"wait_{proc}", facts=facts
-                    )
+                    RuleInstance(state, (("idle", queue + (proc,)),), expr, f"wait_{proc}")
                 )
         elif kind == "run":
             if queue:
                 head, rest = queue[0], queue[1:]
-                expr, facts = agg_for("run", queue)
-                rules.append(
-                    RuleInstance(state, (("idle", rest),), expr, f"run_{head}", facts=facts)
-                )
+                expr = agg_for("run", queue)
+                rules.append(RuleInstance(state, (("idle", rest),), expr, f"run_{head}"))
         else:
             raise SystemError_(f"not a scheduler state: {state!r}")
         return rules[:budget], budget >= len(rules)
@@ -171,7 +165,8 @@ def _format_os_state(state) -> str:
 def _sample_os(rng, count):
     # Deterministic breadth-first closure from idle(()).
     seen, frontier, out = set(), [("idle", ())], []
-    succ = _os_successors(lambda kind, queue: (V1, _V1_FACTS))
+    v1 = Var(1)
+    succ = _os_successors(lambda kind, queue: v1)
     while frontier and len(out) < count:
         state = frontier.pop(0)
         if state in seen:
@@ -190,7 +185,6 @@ def _os_common(name, semiring, agg_for, nf_value) -> SystemHandle:
         successors_fn=_os_successors(agg_for),
         nf_weight_fn=lambda state: nf_value,
         flags=Flags(
-            deterministic=False,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
@@ -206,32 +200,35 @@ def _os_common(name, semiring, agg_for, nf_value) -> SystemHandle:
 def _os_size() -> SystemHandle:
     # Queue length tracking: waiting appends, so the step that grows the queue
     # takes the maximum of the successor weight and the new length.
-    grow = _built_once(lambda length: SumNode((Var(1), Const(length))))
+    grow = functools.cache(lambda length: SumNode((Var(1), Const(length))))
+    v1 = Var(1)
 
     def agg_for(kind, queue):
-        return grow(len(queue) + 1) if kind == "wait" else (V1, _V1_FACTS)
+        return grow(len(queue) + 1) if kind == "wait" else v1
 
     return _os_common("os_size", ARCTIC, agg_for, 0)
 
 
 def _os_fair() -> SystemHandle:
     lang = Language(_PROCS)
-    serve = _built_once(lambda proc: ProdNode((Const(frozenset({proc})), Var(1))))
+    serve = functools.cache(lambda proc: ProdNode((Const(frozenset({proc})), Var(1))))
+    v1 = Var(1)
 
     def agg_for(kind, queue):
-        return serve(queue[0]) if kind == "run" and queue else (V1, _V1_FACTS)
+        return serve(queue[0]) if kind == "run" and queue else v1
 
     return _os_common("os_fair", lang, agg_for, frozenset({""}))
 
 
 def _os_starv() -> SystemHandle:
     pair = Product((NAT_INF, NAT_INF))
-    serve = _built_once(
+    serve = functools.cache(
         lambda proc: SumNode((Const((1, 0) if proc == "P1" else (0, 1)), Var(1)))
     )
+    v1 = Var(1)
 
     def agg_for(kind, queue):
-        return serve(queue[0]) if kind == "run" and queue else (V1, _V1_FACTS)
+        return serve(queue[0]) if kind == "run" and queue else v1
 
     return _os_common("os_starv", pair, agg_for, (0, 0))
 
@@ -245,19 +242,19 @@ def _os_runtime() -> SystemHandle:
 
 def _z_walk() -> SystemHandle:
     pair = Product((NAT_INF, BOOLEAN))
-    step_for = _built_once(lambda even: SumNode((Const((1, even)), Var(1))))
+    step_for = functools.cache(lambda even: SumNode((Const((1, even)), Var(1))))
 
     def successors(n, budget):
         if n == 0:
             return [], True
         even = n % 2 == 0
-        step, facts = step_for(even)
+        step = step_for(even)
         if not even:
-            rule = RuleInstance(n, (n - 2,), step, "odd_down", facts=facts)
+            rule = RuleInstance(n, (n - 2,), step, "odd_down")
         elif n >= 2:
-            rule = RuleInstance(n, (n - 2,), step, "even_down", facts=facts)
+            rule = RuleInstance(n, (n - 2,), step, "even_down")
         else:
-            rule = RuleInstance(n, (n + 2,), step, "even_up", facts=facts)
+            rule = RuleInstance(n, (n + 2,), step, "even_up")
         return [rule][:budget], True
 
     def sample(rng, count):
@@ -276,7 +273,6 @@ def _z_walk() -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda n: (0, True),
         flags=Flags(
-            deterministic=True,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
@@ -458,11 +454,10 @@ def format_term(t) -> str:
 
 def _addition_trs(max_size: int = 8) -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
-    facts = _facts(step)
 
     def successors(t, budget):
         rules = [
-            RuleInstance(t, (result,), step, tag, facts=facts)
+            RuleInstance(t, (result,), step, tag)
             for tag, result in rewrite_steps(t)
         ]
         return rules[:budget], budget >= len(rules)
@@ -476,7 +471,6 @@ def _addition_trs(max_size: int = 8) -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda t: 0,
         flags=Flags(
-            deterministic=False,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
@@ -597,7 +591,7 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
     table = dict(costs) if costs is not None else dict(
         _FINITE_COSTS if finite_costs else _EX_COSTS
     )
-    connective = _built_once(
+    connective = functools.cache(
         lambda op: (ProdNode if op == "and" else SumNode)((Var(1), Var(2)))
     )
 
@@ -606,8 +600,7 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
             if f[1] not in table:
                 raise SystemError_(f"unknown atom {f[1]!r}")
             return [], True
-        expr, facts = connective(f[0])
-        rule = RuleInstance(f, (f[1], f[2]), expr, f[0], facts=facts)
+        rule = RuleInstance(f, (f[1], f[2]), connective(f[0]), f[0])
         return [rule][:budget], True
 
     return SystemHandle(
@@ -616,7 +609,6 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
         successors_fn=successors,
         nf_weight_fn=lambda f: table[f[1]],
         flags=Flags(
-            deterministic=True,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
@@ -634,17 +626,16 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
 
 def _na_system() -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
-    facts = _facts(step)
 
     def successors(a, budget):
         if a == "a":
             rules = [
-                RuleInstance("a", (n,), step, f"pick{n}", facts=facts) for n in range(budget)
+                RuleInstance("a", (n,), step, f"pick{n}") for n in range(budget)
             ]
             return rules, False
         if a == 0:
             return [], True
-        return [RuleInstance(a, (a - 1,), step, "down", facts=facts)], True
+        return [RuleInstance(a, (a - 1,), step, "down")], True
 
     def parse(text):
         text = text.strip()
@@ -656,7 +647,6 @@ def _na_system() -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda a: 0,
         flags=Flags(
-            deterministic=False,
             finitely_nondeterministic=False,
             finitely_branching=True,
             terminating=True,
@@ -677,16 +667,16 @@ def _ski_rental(y: int) -> SystemHandle:
     if y < 0:
         raise SystemError_("ski_rental needs y >= 0")
     body = SumNode((ProdNode((Const(1), Var(1))), ProdNode((Const(y), Var(2)))))
-    facts = _facts(body)
+    v1 = Var(1)
 
     def successors(state, budget):
         if state == ("halt",):
             return [], True
         _, n = state
         if n > 0:
-            rule = RuleInstance(state, (("loop", n - 1), ("loop", 0)), body, "day", facts=facts)
+            rule = RuleInstance(state, (("loop", n - 1), ("loop", 0)), body, "day")
         else:
-            rule = RuleInstance(state, (("halt",),), V1, "exit", facts=_V1_FACTS)
+            rule = RuleInstance(state, (("halt",),), v1, "exit")
         return [rule][:budget], True
 
     def parse(text):
@@ -707,7 +697,6 @@ def _ski_rental(y: int) -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda state: 0,
         flags=Flags(
-            deterministic=True,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
@@ -726,16 +715,15 @@ def _ski_rental(y: int) -> SystemHandle:
 
 def _bitstring_prefixes() -> SystemHandle:
     lang = Language(("0", "1"))
-    emit = _built_once(lambda b: SumNode((ProdNode((Const(frozenset({b})), Var(1))), Var(2))))
+    emit = functools.cache(lambda b: SumNode((ProdNode((Const(frozenset({b})), Var(1))), Var(2))))
 
     def successors(b, budget):
         if b == "*":
             return [], True
         if b not in ("0", "1"):
             raise SystemError_(f"objects are '0', '1', '*'; got {b!r}")
-        expr, facts = emit(b)
         rules = [
-            RuleInstance(b, (nxt, "*"), expr, f"{b}_to_{nxt}", facts=facts)
+            RuleInstance(b, (nxt, "*"), emit(b), f"{b}_to_{nxt}")
             for nxt in ("0", "1")
         ]
         return rules[:budget], budget >= len(rules)
@@ -752,7 +740,6 @@ def _bitstring_prefixes() -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda b: frozenset({""}),
         flags=Flags(
-            deterministic=False,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
@@ -772,7 +759,7 @@ def _bitstring_prefixes() -> SystemHandle:
 def _loop_language() -> SystemHandle:
     lang = Language(("0", "1"))
     stay = SumNode((ProdNode((Const(frozenset({"1"})), Var(1))), Var(1)))
-    facts = _facts(stay)
+    v1 = Var(1)
 
     def successors(a, budget):
         if a == "b":
@@ -780,8 +767,8 @@ def _loop_language() -> SystemHandle:
         if a != "a":
             raise SystemError_(f"objects are 'a' and 'b'; got {a!r}")
         rules = [
-            RuleInstance("a", ("a",), stay, "stay", facts=facts),
-            RuleInstance("a", ("b",), V1, "exit", facts=_V1_FACTS),
+            RuleInstance("a", ("a",), stay, "stay"),
+            RuleInstance("a", ("b",), v1, "exit"),
         ]
         return rules[:budget], budget >= len(rules)
 
@@ -791,7 +778,6 @@ def _loop_language() -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda a: frozenset({""}),
         flags=Flags(
-            deterministic=False,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,

@@ -108,20 +108,17 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
     desc = sys.semiring
     # id(node) -> weight.  The tree holds its nodes, so no id is reused.
     memo: dict = {}
-    # Whether a label is a normal form, and per (label, tag) the rule with its
-    # compiled aggregator, compiled once its node's children are weighed.
+    # Whether a label is a normal form, and the rule per (label, tag).
     normal: dict = {}
     found: dict = {}
-    # Entries are (node, None) before its children, (node, found entry) after
+    # Entries are (node, None) before its children, (node, its rule) after
     # them.
     stack = [(tree, None)]
     while stack:
-        node, entry = stack.pop()
-        if entry is not None:
-            if entry[1] is None:
-                entry[1] = _compiled(entry[0].aggregator, desc, len(node.children))
+        node, rule = stack.pop()
+        if rule is not None:
             args = [memo[id(c)] for c in node.children]
-            memo[id(node)] = entry[1](args, branch_trunc, None)
+            memo[id(node)] = _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
             continue
         if id(node) in memo:
             continue
@@ -150,14 +147,14 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
             )
         key = (label, node.rule_tag)
         if key not in found:
-            found[key] = [sys.find_rule(label, node.rule_tag), None]
-        entry = found[key]
-        if tuple(c.label for c in node.children) != entry[0].rhs:
+            found[key] = sys.find_rule(label, node.rule_tag)
+        rule = found[key]
+        if tuple(c.label for c in node.children) != rule.rhs:
             raise StructuralTreeError(
                 f"children of {sys.format_object(label)} do not match rule "
                 f"{node.rule_tag!r}"
             )
-        stack.append((node, entry))
+        stack.append((node, rule))
         stack.extend((c, None) for c in reversed(node.children))
     return memo[id(tree)]
 
@@ -193,8 +190,8 @@ class _Ball:
     Per object, ``rules`` holds ``None`` for a normal form, else its rules as
     (successor numbers, compiled aggregator, aggregator); a successor outside
     the ball is numbered -1.  ``succs`` holds each object's distinct
-    successor numbers, in order.  Each aggregator is compiled once per ball
-    and arity; holding it keeps its id, the compiled closure's key, unique.
+    successor numbers, in order.  Each aggregator keeps its compiled form
+    per carrier and arity, so no ball compiles it twice.
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and its rules compile to integer closures; a
@@ -214,7 +211,6 @@ class _Ball:
         self.cap_radius: Optional[int] = None
         self.enumeration_complete = True
         index: dict = {}
-        compiled = _compiler(desc)
 
         def admit(obj, distance) -> None:
             if obj in index:
@@ -235,7 +231,8 @@ class _Ball:
                 self.initial.append(weight)
             else:
                 self.rules.append(
-                    [(r.rhs, compiled(r.aggregator, len(r.rhs)), r.aggregator) for r in rules]
+                    [(r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
+                     for r in rules]
                 )
                 self.initial.append(desc.zero)
 
@@ -316,20 +313,6 @@ class _Ball:
         if self.rules[i] is None:
             return self.weights[i]
         return Fraction(v, self.scale) if v else v
-
-
-def _compiler(desc):
-    """``(aggregator, arity) -> compiled closure`` over ``desc``, looked up once
-    per key.  Keys are ids: the caller holds every aggregator it passes."""
-    compiled: dict = {}
-
-    def get(aggregator, arity):
-        key = id(aggregator), arity
-        if key not in compiled:
-            compiled[key] = _compiled(aggregator, desc, arity)
-        return compiled[key]
-
-    return get
 
 
 def _is_fraction(value) -> bool:
@@ -848,8 +831,6 @@ def enumerate_tree_weights(
     counted first, so ``CountCapExceeded`` comes before any aggregator runs.
     """
     desc = sys.semiring
-    # The enumeration holds every rule it applies until it returns.
-    compiled = _compiler(desc)
 
     def leaf(obj):
         if not sys.is_normal_form(obj):
@@ -859,7 +840,7 @@ def enumerate_tree_weights(
         return weight
 
     def node(obj, rule):
-        fn = compiled(rule.aggregator, len(rule.rhs))
+        fn = _compiled(rule.aggregator, desc, len(rule.rhs))
         return lambda args: fn(args, branch_trunc, None)
 
     return _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import aggregator as agg
@@ -38,10 +38,9 @@ class RuleInstance:
     """One reduction step: lhs rewrites to the ordered sequence rhs.
 
     ``rhs_complete`` is False when rhs is a finite prefix of an infinite
-    successor sequence.  The aggregator may mention at most ``len(rhs)``
-    variables when the sequence is complete.  ``facts``, if given, is
-    ``_facts(aggregator)``, computed once by a caller that builds many rules
-    from one expression.
+    successor sequence.  The aggregator may not mention X, nor more than
+    ``len(rhs)`` variables when the sequence is complete; both are read from
+    its facts, walked once however many rules share it.
     """
 
     lhs: object
@@ -49,12 +48,11 @@ class RuleInstance:
     aggregator: object
     tag: str
     rhs_complete: bool = True
-    facts: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self, facts):
+    def __post_init__(self):
         if not self.rhs:
             raise SystemError_(f"rule {self.tag}: empty successor sequence")
-        mentions_x, mv = facts or _facts(self.aggregator)
+        mentions_x, mv = agg._facts(self.aggregator)
         if mentions_x:
             raise SystemError_(f"rule {self.tag}: rule aggregators cannot mention X")
         if self.rhs_complete and isinstance(mv, int) and mv > len(self.rhs):
@@ -62,26 +60,6 @@ class RuleInstance:
                 f"rule {self.tag}: aggregator mentions v{mv} but rhs has "
                 f"{len(self.rhs)} entries"
             )
-
-
-def _facts(expr) -> tuple:
-    """Whether a rule aggregator mentions X, and its largest variable index."""
-    return agg._reduce(expr, _leaf_facts, _node_facts)
-
-
-def _built_once(build: Callable) -> Callable:
-    """``key -> (build(key), its facts)``, building and walking each key's
-    aggregator once, so that every rule made from it shares one expression."""
-    return functools.cache(lambda key: (expr := build(key), _facts(expr)))
-
-
-def _leaf_facts(expr) -> tuple:
-    return isinstance(expr, agg.XVar), agg._var_bound(expr)
-
-
-def _node_facts(expr, facts: list) -> tuple:
-    xs, mvs = zip(*facts)
-    return any(xs), max(mvs)
 
 
 def _finite_no_top(expr, desc) -> bool:
@@ -96,8 +74,8 @@ def _finite_no_top(expr, desc) -> bool:
 
 
 # The deepest aggregator the loader accepts, in levels (a leaf is one).
-# Compiled aggregators and expression hashing still take a frame or two per
-# level, so deeper input would exhaust the recursion limit.
+# Compiled aggregators still nest a frame per level when they are called, so
+# deeper input would exhaust the recursion limit.
 MAX_AGGREGATOR_DEPTH = 400
 
 
@@ -105,7 +83,6 @@ MAX_AGGREGATOR_DEPTH = 400
 class Flags:
     """Three-valued structural metadata: True asserted, False refuted, None unknown."""
 
-    deterministic: Optional[bool] = None
     finitely_nondeterministic: Optional[bool] = None
     finitely_branching: Optional[bool] = None
     terminating: Optional[bool] = None
@@ -223,29 +200,21 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
     from .semiring import NAT_INF
 
     # Per successor count, one plus the sum of that many successors.
-    step = _built_once(
+    step = functools.cache(
         lambda n: agg.SumNode((agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(n)))
     )
 
     def successors(a, budget):
         rules, complete = base._successors(a, budget)
-        wrapped = []
-        for r in rules:
-            expr, facts = step(len(r.rhs))
-            wrapped.append(RuleInstance(r.lhs, r.rhs, expr, r.tag, r.rhs_complete, facts))
-        return wrapped, complete
+        return [RuleInstance(r.lhs, r.rhs, step(len(r.rhs)), r.tag, r.rhs_complete)
+                for r in rules], complete
 
     return SystemHandle(
         name=f"cplx({base.name})",
         semiring=NAT_INF,
         successors_fn=successors,
         nf_weight_fn=lambda a: 0,
-        flags=Flags(
-            deterministic=base.flags.deterministic,
-            finitely_nondeterministic=base.flags.finitely_nondeterministic,
-            finitely_branching=base.flags.finitely_branching,
-            terminating=base.flags.terminating,
-        ),
+        flags=replace(base.flags),
         parse_object_fn=base._parse_object,
         format_object_fn=base._format_object,
         enumerate_objects_fn=base._enumerate_objects,
@@ -253,6 +222,12 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
         sample_objects_fn=base._sample_objects,
         aggregators_finite_no_top=base.flags.finitely_branching,
     )
+
+
+def _literal_text(value) -> str:
+    """The literal text of a decoded JSON value: a string is the text itself,
+    any other value its JSON text (``true``, not Python's ``True``)."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def load_explicit(source: str) -> SystemHandle:
@@ -290,8 +265,7 @@ def load_explicit(source: str) -> SystemHandle:
     rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
     if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
         raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
-    # Aggregator text -> (expression, its facts): each text is parsed and
-    # walked once per load.
+    # Aggregator text -> expression: each text is parsed once per load.
     parsed: dict = {}
     for i, spec in enumerate(rule_specs):
         spec = spec if isinstance(spec, dict) else {}
@@ -314,10 +288,9 @@ def load_explicit(source: str) -> SystemHandle:
                     f"rule {tag}: aggregator nested deeper than "
                     f"{MAX_AGGREGATOR_DEPTH} levels"
                 )
-            parsed[text] = expr, _facts(expr)
-        expr, facts = parsed[text]
+            parsed[text] = expr
         try:
-            rule = RuleInstance(lhs, tuple(rhs), expr, tag, facts=facts)
+            rule = RuleInstance(lhs, tuple(rhs), parsed[text], tag)
         except SystemError_ as exc:
             raise SystemFormatError(str(exc)) from exc
         if any(r.tag == tag for r in rules_by_lhs.get(lhs, [])):
@@ -332,7 +305,7 @@ def load_explicit(source: str) -> SystemHandle:
             raise SystemFormatError(
                 f"{label!r} has rules but also a normal-form weight"
             )
-        nf_weights[label] = desc.parse_literal(str(literal))
+        nf_weights[label] = desc.parse_literal(_literal_text(literal))
         objects.add(label)
 
     for label in sorted(objects):
@@ -347,7 +320,6 @@ def load_explicit(source: str) -> SystemHandle:
         rules = rules_by_lhs.get(a, [])
         return rules[:budget], budget >= len(rules)
 
-    deterministic = all(len(rs) <= 1 for rs in rules_by_lhs.values())
     # Terminating when no strongly connected component is a cycle; normal
     # forms (-1) have no successors and cannot be on one.
     number = {lhs: i for i, lhs in enumerate(rules_by_lhs)}
@@ -368,7 +340,6 @@ def load_explicit(source: str) -> SystemHandle:
         successors_fn=successors,
         nf_weight_fn=lambda a: nf_weights[a],
         flags=Flags(
-            deterministic=deterministic,
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=terminating,
@@ -378,7 +349,7 @@ def load_explicit(source: str) -> SystemHandle:
         enumerate_objects_fn=lambda: (sorted(objects), True),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
         aggregators_finite_no_top=all(
-            _finite_no_top(expr, desc) for expr, _ in parsed.values()
+            _finite_no_top(expr, desc) for expr in parsed.values()
         ),
     )
 

