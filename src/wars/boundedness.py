@@ -312,25 +312,31 @@ def verify_embedding(
     else:
         objects = list(instances)
 
+    # Each touched object's embedding, called and checked on first use (None
+    # is no carrier value), and each compiled closure, kept with its aggregator.
+    bound_map = {}
+    compiled = {}  # (id(aggregator), arity) -> (aggregator, closure)
+
     def embed(obj):
-        value = embedding(obj)
-        desc.require(value)
-        if value == desc.top:
-            return value, False
-        return value, True
+        """The embedding of obj, or None when it is the maximum."""
+        value = bound_map.get(obj)
+        if value is None:
+            value = embedding(obj)
+            desc.require(value)
+            if value == desc.top:
+                return None
+            bound_map[obj] = value
+        return value
+
+    def top_valued(obj) -> BoundednessReport:
+        details = {"top_valued_embedding": sys.format_object(obj)}
+        return BoundednessReport(UNKNOWN, "interpretation-method", details, witness=obj)
 
     checked = 0
-    bound_map = {}
     for a in objects:
-        ea, ok = embed(a)
-        bound_map[a] = ea
-        if not ok:
-            return BoundednessReport(
-                UNKNOWN,
-                "interpretation-method",
-                {"top_valued_embedding": sys.format_object(a)},
-                witness=a,
-            )
+        ea = embed(a)
+        if ea is None:
+            return top_valued(a)
         rules, complete = sys.successors(a, rule_budget)
         if not rules and complete:
             checked += 1
@@ -354,17 +360,14 @@ def verify_embedding(
             checked += 1
             args = []
             for b in r.rhs:
-                eb, ok = embed(b)
-                bound_map.setdefault(b, eb)
-                if not ok:
-                    return BoundednessReport(
-                        UNKNOWN,
-                        "interpretation-method",
-                        {"top_valued_embedding": sys.format_object(b)},
-                        witness=b,
-                    )
+                eb = embed(b)
+                if eb is None:
+                    return top_valued(b)
                 args.append(eb)
-            step = agg._compiled(r.aggregator, desc, len(args))(args, branch_trunc, None)
+            key = id(r.aggregator), len(args)
+            if key not in compiled:
+                compiled[key] = r.aggregator, agg._compiled(r.aggregator, desc, len(args))
+            step = compiled[key][1](args, branch_trunc, None)
             if not desc.leq(step, ea):
                 return BoundednessReport(
                     UNKNOWN,

@@ -197,7 +197,7 @@ def cmd_bound(args) -> int:
                     data = json.load(fh)
             except OSError as exc:
                 raise CliError(f"cannot read embedding file {ref}: {exc.strerror}") from exc
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # bad JSON, bad UTF-8, or too many digits
                 raise CliError(f"embedding file {ref} is not valid JSON: {exc}") from exc
             except RecursionError as exc:
                 raise CliError(f"embedding file {ref} is not valid JSON: nested too deeply") from exc

@@ -88,12 +88,13 @@ def _parse_number(text: str):
         return INF
     if text == "-inf":
         return NEG_INF
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    if re.fullmatch(r"-?\d+/\d+", text):
-        return Fraction(text)
-    if re.fullmatch(r"-?\d+\.\d+", text):
-        return Fraction(text)
+    try:
+        if re.fullmatch(r"-?\d+", text):
+            return int(text)
+        if re.fullmatch(r"-?\d+[/.]\d+", text):
+            return Fraction(text)
+    except ValueError as exc:  # past the interpreter's limit on digits
+        raise LiteralError(f"numeric literal too long: {exc}") from exc
     raise LiteralError(f"not a numeric literal: {text!r}")
 
 
@@ -277,9 +278,9 @@ class RealInf(_NumericCounting):
     kind = "real_inf"
 
     def contains(self, value) -> bool:
-        if value is INF:
-            return True
-        return isinstance(value, (int, Fraction)) and not isinstance(value, bool) and value >= 0
+        if type(value) is Fraction:  # the common case, without Fraction's slow `>=`
+            return value.numerator >= 0
+        return value is INF or (isinstance(value, (int, Fraction)) and not isinstance(value, bool) and value >= 0)
 
     def from_count(self, n: int):
         return Fraction(n)

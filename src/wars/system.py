@@ -8,9 +8,11 @@ weight.  Handles are immutable; successor enumeration is deterministic.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
-from dataclasses import dataclass, replace
+from collections import defaultdict, namedtuple
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import aggregator as agg
@@ -33,33 +35,37 @@ class SystemFormatError(SystemError_):
     """The explicit-system file is malformed."""
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(namedtuple("RuleInstance", "lhs rhs aggregator tag rhs_complete")):
     """One reduction step: lhs rewrites to the ordered sequence rhs.
 
     ``rhs_complete`` is False when rhs is a finite prefix of an infinite
     successor sequence.  The aggregator may not mention X, nor more than
     ``len(rhs)`` variables when the sequence is complete; both are read from
-    its facts, walked once however many rules share it.
+    its facts, walked once however many rules share it.  A tuple equal only
+    to another record; ``_make`` builds one without these checks.
     """
 
-    lhs: object
-    rhs: tuple
-    aggregator: object
-    tag: str
-    rhs_complete: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rhs:
-            raise SystemError_(f"rule {self.tag}: empty successor sequence")
-        mentions_x, mv = agg._facts(self.aggregator)
+    def __new__(cls, lhs, rhs, aggregator, tag, rhs_complete=True):
+        if not rhs:
+            raise SystemError_(f"rule {tag}: empty successor sequence")
+        mentions_x, mv = agg._facts(aggregator)
         if mentions_x:
-            raise SystemError_(f"rule {self.tag}: rule aggregators cannot mention X")
-        if self.rhs_complete and isinstance(mv, int) and mv > len(self.rhs):
+            raise SystemError_(f"rule {tag}: rule aggregators cannot mention X")
+        if rhs_complete and isinstance(mv, int) and mv > len(rhs):
             raise SystemError_(
-                f"rule {self.tag}: aggregator mentions v{mv} but rhs has "
-                f"{len(self.rhs)} entries"
+                f"rule {tag}: aggregator mentions v{mv} but rhs has {len(rhs)} entries"
             )
+        return tuple.__new__(cls, (lhs, rhs, aggregator, tag, rhs_complete))
+
+    def __eq__(self, other):
+        return type(other) is RuleInstance and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _finite_no_top(expr, desc) -> bool:
@@ -86,6 +92,23 @@ class Flags:
     finitely_nondeterministic: Optional[bool] = None
     finitely_branching: Optional[bool] = None
     terminating: Optional[bool] = None
+
+
+class _ExplicitFlags(Flags):
+    """An explicit system's flags.  ``terminating`` costs a quarter to a third
+    of a load and only the extremal check reads it, so it is computed on read."""
+
+    def __init__(self, rules_by_lhs: dict):
+        super().__init__(finitely_nondeterministic=True, finitely_branching=True)
+        del self.terminating  # the property below computes it
+        self._rules_by_lhs = rules_by_lhs
+
+    @functools.cached_property
+    def terminating(self) -> bool:
+        # No component is a cycle; normal forms (-1) cannot be on one.
+        number = {lhs: i for i, lhs in enumerate(self._rules_by_lhs)}
+        succs = [[number.get(b, -1) for r in rs for b in r.rhs] for rs in self._rules_by_lhs.values()]
+        return not any(len(c) > 1 or c[0] in succs[c[0]] for c in _components(succs))
 
 
 class SystemHandle:
@@ -206,7 +229,8 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
 
     def successors(a, budget):
         rules, complete = base._successors(a, budget)
-        return [RuleInstance(r.lhs, r.rhs, step(len(r.rhs)), r.tag, r.rhs_complete)
+        # The base rule passed the checks, which the step cannot fail.
+        return [RuleInstance._make((r.lhs, r.rhs, step(len(r.rhs)), r.tag, r.rhs_complete))
                 for r in rules], complete
 
     return SystemHandle(
@@ -214,7 +238,7 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
         semiring=NAT_INF,
         successors_fn=successors,
         nf_weight_fn=lambda a: 0,
-        flags=replace(base.flags),
+        flags=copy.copy(base.flags),
         parse_object_fn=base._parse_object,
         format_object_fn=base._format_object,
         enumerate_objects_fn=base._enumerate_objects,
@@ -249,7 +273,7 @@ def load_explicit(source: str) -> SystemHandle:
             raise SystemFormatError(f"cannot read system file {source}: {exc.strerror}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise SystemFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SystemFormatError("invalid JSON: nested too deeply") from exc
@@ -260,25 +284,28 @@ def load_explicit(source: str) -> SystemHandle:
         raise SystemFormatError("missing 'semiring' entry")
     desc = descriptor_from_spec(data["semiring"])
 
-    rules_by_lhs: dict[str, list[RuleInstance]] = {}
+    rules_by_lhs: dict[str, list[RuleInstance]] = defaultdict(list)
     objects: set[str] = set()
+    tags: set = set()  # (lhs, tag) of every rule so far
     rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
     if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
         raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
     # Aggregator text -> expression: each text is parsed once per load.
     parsed: dict = {}
+    # One pass, each rule's checks in order (JSON gives exact types).
     for i, spec in enumerate(rule_specs):
-        spec = spec if isinstance(spec, dict) else {}
+        spec = spec if type(spec) is dict else {}
         lhs, rhs = spec.get("lhs"), spec.get("rhs")
-        if not isinstance(rhs, list) or not rhs or not all(isinstance(b, str) for b in [lhs, *rhs]):
+        if type(lhs) is not str or type(rhs) is not list or not rhs or not all(type(b) is str for b in rhs):
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
         tag = spec.get("tag", f"r{i}")
-        if not isinstance(tag, str):
+        if type(tag) is not str:
             raise SystemFormatError(f"rule {i}: 'tag' must be a string")
         text = spec.get("agg", "")
-        if not isinstance(text, str):
+        if type(text) is not str:
             raise SystemFormatError(f"rule {tag}: 'agg' must be a string")
-        if text not in parsed:
+        expr = parsed.get(text)
+        if expr is None:
             try:
                 expr = agg.parse_expr(text, desc)
             except agg.AggregatorError as exc:
@@ -290,14 +317,15 @@ def load_explicit(source: str) -> SystemHandle:
                 )
             parsed[text] = expr
         try:
-            rule = RuleInstance(lhs, tuple(rhs), parsed[text], tag)
+            rule = RuleInstance(lhs, tuple(rhs), expr, tag)
         except SystemError_ as exc:
             raise SystemFormatError(str(exc)) from exc
-        if any(r.tag == tag for r in rules_by_lhs.get(lhs, [])):
+        if (lhs, tag) in tags:
             raise SystemFormatError(f"duplicate rule tag {tag!r} for {lhs!r}")
-        rules_by_lhs.setdefault(lhs, []).append(rule)
-        objects.add(lhs)
+        tags.add((lhs, tag))
+        rules_by_lhs[lhs].append(rule)
         objects.update(rhs)
+    objects.update(rules_by_lhs)
 
     nf_weights = {}
     for label, literal in nf_specs.items():
@@ -308,25 +336,17 @@ def load_explicit(source: str) -> SystemHandle:
         nf_weights[label] = desc.parse_literal(_literal_text(literal))
         objects.add(label)
 
-    for label in sorted(objects):
-        if label not in rules_by_lhs and label not in nf_weights:
-            raise SystemFormatError(
-                f"{label!r} is a normal form but has no weight in 'nf'"
-            )
+    unweighted = objects.difference(rules_by_lhs, nf_weights)
+    if unweighted:
+        raise SystemFormatError(
+            f"{min(unweighted)!r} is a normal form but has no weight in 'nf'"
+        )
 
     def successors(a, budget):
         if a not in objects:
             raise UnknownObjectError(f"unknown object {a!r}")
         rules = rules_by_lhs.get(a, [])
         return rules[:budget], budget >= len(rules)
-
-    # Terminating when no strongly connected component is a cycle; normal
-    # forms (-1) have no successors and cannot be on one.
-    number = {lhs: i for i, lhs in enumerate(rules_by_lhs)}
-    succs = [[number.get(b, -1) for r in rs for b in r.rhs] for rs in rules_by_lhs.values()]
-    terminating = not any(
-        len(c) > 1 or c[0] in succs[c[0]] for c in _components(succs)
-    )
 
     def parse_object(textual: str):
         label = textual.strip()
@@ -339,11 +359,7 @@ def load_explicit(source: str) -> SystemHandle:
         semiring=desc,
         successors_fn=successors,
         nf_weight_fn=lambda a: nf_weights[a],
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=terminating,
-        ),
+        flags=_ExplicitFlags(rules_by_lhs),
         parse_object_fn=parse_object,
         format_object_fn=str,
         enumerate_objects_fn=lambda: (sorted(objects), True),

@@ -828,3 +828,44 @@ def test_rule_tag_that_is_no_string_is_bad_configuration(tmp_path, capsys, comma
     assert _single_error_line(capsys.readouterr()) == (
         "error: rule 0: 'tag' must be a string"
     )
+
+
+# An integer literal past the interpreter's limit on digits read from text.
+LONG_INTEGER = "7" * 5000
+TOO_LONG = "Exceeds the limit (4300 digits)"
+
+
+@pytest.mark.skipif(not LIMITED_DIGITS, reason="integers parse at any length here")
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        (LONG_INTEGER, f"invalid JSON: {TOO_LONG}"),
+        (f'"{LONG_INTEGER}"', f"numeric literal too long: {TOO_LONG}"),
+        (f'"{LONG_INTEGER}/3"', f"numeric literal too long: {TOO_LONG}"),
+    ],
+    ids=["JSON integer", "JSON string", "JSON string fraction"],
+)
+def test_overlong_integer_in_a_system_file_is_bad_configuration(tmp_path, capsys, literal,
+                                                                message):
+    path = tmp_path / "long.json"
+    path.write_text('{"semiring": {"kind": "real_inf"}, "rules": [], "nf": {"a": %s}}' % literal)
+    assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 1
+    assert _single_error_line(capsys.readouterr()).startswith(f"error: {message}")
+
+
+@pytest.mark.skipif(not LIMITED_DIGITS, reason="integers parse at any length here")
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        (LONG_INTEGER, f" is not valid JSON: {TOO_LONG}"),
+        (f'"{LONG_INTEGER}"', f": bad entry 'a': numeric literal too long: {TOO_LONG}"),
+    ],
+    ids=["JSON integer", "JSON string"],
+)
+def test_overlong_integer_in_an_embedding_file_is_bad_configuration(chain, tmp_path, capsys,
+                                                                    literal, message):
+    table = tmp_path / "long-embed.json"
+    table.write_text('{"a": %s, "b": 0}' % literal)
+    assert main(["bound", "--system", f"file:{chain}", "--mode", f"embed:{table}"]) == 1
+    line = _single_error_line(capsys.readouterr())
+    assert line.startswith(f"error: embedding file {table}{message}")

@@ -1,15 +1,19 @@
 """Exploration work per object: each aggregator's facts are walked and its
 compiled forms built once, not once per object, and the rule checks still
-raise as before."""
+raise as before.  Loading and checking work: each rule is checked once, the
+loader's component pass runs only when read, and an embedding is called once
+per object."""
 
 from __future__ import annotations
 
 import functools
+import json
 import sys
 
 import pytest
 
-from wars import aggregator
+from wars import aggregator, builtins, system
+from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
 from wars.evaluator import weight_lower_bound
@@ -100,3 +104,76 @@ def test_rules_built_once_are_checked_like_any_rule(expr, message):
             with pytest.raises(SystemError_) as error:
                 weight_lower_bound(wrapped, 0, 3)
             assert str(error.value) == message
+
+
+def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
+    # os_runtime is cplx_wrap(os_size): the wrapper rewraps each checked base
+    # rule without checking it again, where it once built every rule twice.
+    checks, base_rules = [0], [0]
+    new = RuleInstance.__new__
+
+    def checked(cls, *args, **kwargs):
+        checks[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_wrap(base):
+        inner = base._successors
+
+        def successors(a, budget):
+            rules, complete = inner(a, budget)
+            base_rules[0] += len(rules)
+            return rules, complete
+
+        base._successors = successors
+        return cplx_wrap(base)
+
+    monkeypatch.setattr(RuleInstance, "__new__", checked)
+    monkeypatch.setattr(builtins, "cplx_wrap", counting_wrap)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
+    assert main(argv) == 0
+    assert "is the maximum" in capsys.readouterr().out
+    assert checks[0] == base_rules[0] > 0
+
+
+def test_component_pass_runs_only_when_termination_is_read(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["b"], "agg": "1 + v1"},
+                  {"lhs": "b", "rhs": ["a"], "agg": "v1"},
+                  {"lhs": "b", "rhs": ["c"], "agg": "v1"}],
+        "nf": {"c": "0"},
+    }))
+    # Only the loader's binding: the evaluator runs its own component pass.
+    passes = [0]
+    components = system._components
+
+    def counted(succs):
+        passes[0] += 1
+        return components(succs)
+
+    monkeypatch.setattr(system, "_components", counted)
+    assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "5"]) == 0
+    assert passes[0] == 0
+    assert main(["bound", "--system", f"file:{path}", "--mode", "extremal"]) == 4
+    assert "terminating: refuted" in capsys.readouterr().out
+    assert passes[0] == 1
+
+
+@pytest.mark.parametrize("samples", [2, 20])
+def test_embedding_is_called_once_per_object(monkeypatch, capsys, samples):
+    # The samples are 0 .. N-1 (0 a normal form), and their rules touch N:
+    # N + 1 objects, where every use embedded again (3N - 2 calls).
+    calls = [0]
+    call = Embedding.__call__
+
+    def counted(self, obj):
+        calls[0] += 1
+        return call(self, obj)
+
+    monkeypatch.setattr(Embedding, "__call__", counted)
+    argv = ["bound", "--system", "builtin:walk_expected", "--mode", "embed:walk3n",
+            "--samples", str(samples)]
+    assert main(argv) == 3
+    assert f"verified on {samples} instances" in capsys.readouterr().out
+    assert calls[0] == samples + 1

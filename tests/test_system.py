@@ -26,6 +26,7 @@ from system_gen import random_system_json
 from wars.semiring import INF, LiteralError
 from wars.system import (
     NotNormalFormError,
+    RuleInstance,
     SystemFormatError,
     SystemError_,
     UnknownObjectError,
@@ -427,6 +428,64 @@ class TestLoadExplicit:
         with pytest.raises(SystemFormatError) as info:
             load_explicit(bad)
         assert str(info.value) == message
+
+
+    def test_first_duplicate_tag_raises_among_interleaved_rules(self):
+        # Tags repeat for other objects and the duplicates are not adjacent;
+        # a later duplicate and a later bad rule do not decide the message.
+        bad = json.dumps(
+            {
+                "semiring": {"kind": "nat_inf"},
+                "rules": [
+                    {"lhs": "a", "rhs": ["c"], "agg": "v1", "tag": "r"},
+                    {"lhs": "b", "rhs": ["c"], "agg": "v1", "tag": "r"},
+                    {"lhs": "a", "rhs": ["c"], "agg": "v1", "tag": "s"},
+                    {"lhs": "b", "rhs": ["c"], "agg": "v1", "tag": "s"},
+                    {"lhs": "b", "rhs": ["c"], "agg": "v1", "tag": "r"},
+                    {"lhs": "a", "rhs": ["c"], "agg": "v1", "tag": "r"},
+                    {"lhs": "a", "rhs": ["c"], "agg": "v1 +", "tag": "t"},
+                ],
+                "nf": {"c": "0"},
+            }
+        )
+        with pytest.raises(SystemFormatError) as info:
+            load_explicit(bad)
+        assert str(info.value) == "duplicate rule tag 'r' for 'b'"
+
+
+class TestRuleRecord:
+    @staticmethod
+    def _rule(**fields):
+        return RuleInstance(**{"lhs": "a", "rhs": ("b", "c"),
+                               "aggregator": SumNode((Var(1), Var(2))), "tag": "split", **fields})
+
+    def test_repr(self):
+        assert repr(self._rule(rhs_complete=False)) == (
+            "RuleInstance(lhs='a', rhs=('b', 'c'), "
+            "aggregator=SumNode(terms=(Var(index=1), Var(index=2))), "
+            "tag='split', rhs_complete=False)"
+        )
+
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        first, second = self._rule(), self._rule()
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert first != self._rule(tag="other") and not first == self._rule(tag="other")
+
+    def test_unequal_to_a_plain_tuple_of_its_fields(self):
+        rule = self._rule()
+        fields = (rule.lhs, rule.rhs, rule.aggregator, rule.tag, rule.rhs_complete)
+        assert rule != fields and fields != rule
+        assert not rule == fields and not fields == rule
+        # The hash is the fields' hash, as it was for the frozen dataclass.
+        assert hash(rule) == hash(fields) and len({rule, fields}) == 2
+
+    @pytest.mark.parametrize("name", ["lhs", "rhs", "aggregator", "tag", "rhs_complete", "extra"])
+    def test_fields_cannot_be_assigned(self, name):
+        rule = self._rule()
+        with pytest.raises(AttributeError):
+            setattr(rule, name, None)
+        assert rule == self._rule()
 
 
 class TestObjectSyntax:
