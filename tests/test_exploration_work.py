@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from wars import aggregator, builtins, system
+from wars import aggregator, system
+from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
@@ -128,7 +129,7 @@ def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
         return cplx_wrap(base)
 
     monkeypatch.setattr(RuleInstance, "__new__", checked)
-    monkeypatch.setattr(builtins, "cplx_wrap", counting_wrap)
+    monkeypatch.setattr(wars_builtins, "cplx_wrap", counting_wrap)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
     assert main(argv) == 0
     assert "is the maximum" in capsys.readouterr().out
