@@ -194,8 +194,9 @@ class _Ball:
     per carrier and arity, so no ball compiles it twice.
 
     An affine rational ball stores every value as an integer numerator over
-    one denominator ``scale``, and its rules compile to integer closures; a
-    value leaves the core through ``out``.
+    one denominator ``scale``, and ``kernels`` holds, per object with rules,
+    one closure from the values to its numerator; a value leaves the core
+    through ``out``.
     """
 
     def __init__(self, sys, start, radius, rule_budget, visit_cap):
@@ -249,7 +250,7 @@ class _Ball:
             ends.append(len(self.objects))
         ends.extend([len(self.objects)] * (radius + 1 - len(ends)))
         self.ends = ends
-        self.scale = None
+        self.scale = self.kernels = None
 
         # Successor-closed: no rule leads outside the ball.
         self.closed = self.cap_radius is None
@@ -277,6 +278,9 @@ class _Ball:
         fixed denominator D = D_levels, a rule with affine form
         ``sum(c_k * v_k) + b`` maps numerators exactly to
         ``sum(P_k * n_k) // L + B``, with ``P_k = c_k * L`` and ``B = b * D``.
+        An object's kernel reads each successor's numerator straight from
+        the values (one numbered -1 from the zero slot) and joins its rules
+        with ``max``, the join of ``_Numeric``.
         """
         weights = [w for w, rs in zip(self.initial, self.rules) if rs is None]
         if not all(map(_is_fraction, weights)):
@@ -295,9 +299,12 @@ class _Ball:
         consts = [b for _, b in forms.values()] + weights
         L = math.lcm(*(c.denominator for c in coeffs))
         D = L ** levels * math.lcm(*(b.denominator for b in consts))
-        fns = {key: _integer_closure(cs, b, L, D) for key, (cs, b) in forms.items()}
-        self.rules = [
-            rs and [(succ, fns[id(aggregator), len(succ)], aggregator) for succ, _, aggregator in rs]
+        # Per form, the argument positions with their nonzero P_k, and B.
+        ints = {key: ([(k, c.numerator * (L // c.denominator)) for k, c in enumerate(cs) if c],
+                      b.numerator * (D // b.denominator))
+                for key, (cs, b) in forms.items()}
+        self.kernels = [
+            rs and _kernel([(succ, *ints[id(agg), len(succ)]) for succ, _, agg in rs], L)
             for rs in self.rules
         ]
         self.weights, self.scale = self.initial, D
@@ -319,32 +326,45 @@ def _is_fraction(value) -> bool:
     return type(value) is Fraction
 
 
-def _integer_closure(coeffs, const, L, D):
-    """A compiled-aggregator stand-in on numerators over ``D``:
-    ``sum(P_k * args[k]) // L + B``; see ``_Ball._scale``."""
-    terms = [(k, c.numerator * (L // c.denominator)) for k, c in enumerate(coeffs) if c]
-    b = const.numerator * (D // const.denominator)
+def _kernel(rules, L):
+    """An object's kernel on numerators: the ``max`` over its rules
+    ``(succ, terms, B)`` of ``sum(P_k * values[succ[k]] for k, P_k in terms)
+    // L + B``; see ``_Ball._scale``."""
+    kernels = [_rule_kernel([(succ[k], p) for k, p in terms], b, L) for succ, terms, b in rules]
+    if len(kernels) == 1:
+        return kernels[0]
+    return lambda values: max([kernel(values) for kernel in kernels])
+
+
+def _rule_kernel(terms, b, L):
+    """``sum(P * values[s] for s, P in terms) // L + b``."""
     if len(terms) == 1:
-        (i, p), = terms
-        return lambda args, truncation, exact: p * args[i] // L + b
+        (s, p), = terms
+        return lambda values: p * values[s] // L + b
     if len(terms) == 2:
-        (i, p), (j, q) = terms
-        return lambda args, truncation, exact: (p * args[i] + q * args[j]) // L + b
-    return lambda args, truncation, exact: sum(p * args[i] for i, p in terms) // L + b
+        (s, p), (t, q) = terms
+        return lambda values: (p * values[s] + q * values[t]) // L + b
+    return lambda values: sum(p * values[s] for s, p in terms) // L + b
 
 
-def _value(rs, values, join, branch_trunc):
-    """An object's value from the ``values`` of its successors; ``rs`` are its
-    numbered rules."""
+def _value(ball, i, values, branch_trunc):
+    """Object ``i``'s value from the ``values`` of its successors."""
+    if ball.kernels is not None:
+        return ball.kernels[i](values)
+    rs, join = ball.rules[i], ball.semiring._join
     if len(rs) == 1:
         succ, fn, _ = rs[0]
         return fn([values[s] for s in succ], branch_trunc, None)
     return join([fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs])
 
 
-def _recompute(pending, rules, values, join, branch_trunc) -> list:
+def _recompute(pending, ball, values, branch_trunc) -> list:
     """``(object, value)`` for each object in ``pending`` whose value differs
     from its entry in ``values``."""
+    kernels = ball.kernels
+    if kernels is not None:
+        return [(i, v) for i in pending if (v := kernels[i](values)) != values[i]]
+    rules, join = ball.rules, ball.semiring._join
     changed = []
     for i in pending:
         # ``_value``, inlined: this loop runs every level of every sweep.
@@ -386,11 +406,9 @@ def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
     ``depth - j`` from the start: they cannot reach the start's value at
     level ``depth``.  Their entries go stale.
     """
-    desc = ball.semiring
-    join = desc._join
     rules = ball.rules
     ends = ball.ends
-    values = ball.initial + [desc.zero]
+    values = ball.initial + [ball.semiring.zero]
     yield values
 
     # Objects that level 1 recomputes; no later level recomputes others.
@@ -403,14 +421,11 @@ def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
 
     for level in range(1, depth + 1):
         pending = _cone(pending, ends, depth - level)
-        changed = _recompute(pending, rules, values, join, branch_trunc)
+        changed = _recompute(pending, ball, values, branch_trunc)
         for i, v in changed:
             values[i] = v
         yield values
-        marked: set = set()
-        for i, _ in changed:
-            marked.update(preds[i])
-        pending = sorted(marked)
+        pending = sorted({p for i, _ in changed for p in preds[i]})
 
 
 class _Settled:
@@ -440,9 +455,8 @@ class _Settled:
     def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
         desc = ball.semiring
         n = len(ball.rules)
-        self.rules = ball.rules
+        self.ball = ball
         self.initial = ball.initial
-        self.join = desc._join
         self.branch_trunc = branch_trunc
         # Scratch values, indexed like ``ball.objects`` plus the zero that
         # successors outside the ball (numbered -1) read.  Each evaluation
@@ -500,13 +514,12 @@ class _Settled:
         values, levels, taken = self.values, self.levels, self.taken
         for s in self.succs[x]:
             values[s] = taken[s][_at(levels[s], level - 1)]
-        return _value(self.rules[x], values, self.join, self.branch_trunc)
+        return _value(self.ball, x, values, self.branch_trunc)
 
     def _acyclic(self, x) -> int:
         """Settle an object on no cycle; return its last change level."""
-        rs = self.rules[x]
         initial = self.initial[x]
-        if not rs:
+        if not self.ball.rules[x]:
             self.levels[x], self.taken[x] = [0], [initial]
             return 0
         values, levels, taken = self.values, self.levels, self.taken
@@ -516,7 +529,7 @@ class _Settled:
             values[s] = taken[s][0]
             if levels[s][0] >= top:
                 top = levels[s][0] + 1
-        v = _value(rs, values, self.join, self.branch_trunc)
+        v = _value(self.ball, x, values, self.branch_trunc)
         if top == 1:
             levels[x], taken[x] = ([1, 0], [v, initial]) if v != initial else ([0], [initial])
             return levels[x][0]
@@ -528,7 +541,7 @@ class _Settled:
                 else:
                     values[s] = self.cursor[s][1]
                     inexact += ((s, values[s]),)
-        below = _value(rs, values, self.join, self.branch_trunc)
+        below = _value(self.ball, x, values, self.branch_trunc)
         self.cursor[x] = (top - 1, below, inexact)
         if v != below:
             levels[x], taken[x] = [top], [v]
@@ -624,14 +637,13 @@ class _Settled:
                 cone = _cone(pending, ends, steps - level + 1)
                 pruned = pruned or len(cone) < len(pending)
                 pending = cone
-            changed = _recompute(pending, self.rules, values, self.join, self.branch_trunc)
-            marked: set = set()
+            changed = _recompute(pending, self.ball, values, self.branch_trunc)
             for i, u in changed:
                 values[i] = u
-                marked.update(preds[i])
                 if i in history:
                     history[i][0].append(level)
                     history[i][1].append(u)
+            marked = {p for i, _ in changed for p in preds[i]}
             if changed:
                 last = level
             if level >= steps:

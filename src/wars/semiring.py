@@ -95,6 +95,8 @@ def _parse_number(text: str):
             return Fraction(text)
     except ValueError as exc:  # past the interpreter's limit on digits
         raise LiteralError(f"numeric literal too long: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise LiteralError(f"zero denominator: {text!r}") from exc
     raise LiteralError(f"not a numeric literal: {text!r}")
 
 

@@ -814,6 +814,50 @@ def test_system_file_of_the_wrong_shape_is_bad_configuration(tmp_path, capsys, s
     assert _single_error_line(capsys.readouterr()) == f"error: {message}"
 
 
+ZERO_DENOMINATOR = "zero denominator: '1/0'"
+
+
+@pytest.mark.parametrize("command", ["eval", "loop", "oracle"])
+@pytest.mark.parametrize(
+    "agg, nf, message",
+    [
+        ("1/2 * v1", "1/0", ZERO_DENOMINATOR),
+        ("1/0 + v1", "1/2", f"rule ab: {ZERO_DENOMINATOR} (at position 3)"),
+    ],
+    ids=["normal-form weight", "aggregator constant"],
+)
+def test_zero_denominator_in_a_system_file_is_bad_configuration(tmp_path, capsys, command,
+                                                                agg, nf, message):
+    # Fraction("1/0") raised ZeroDivisionError, which ended in a traceback.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "real_inf"},
+        "rules": [{"lhs": "a", "rhs": ["b"], "agg": agg, "tag": "ab"}],
+        "nf": {"b": nf},
+    }))
+    start = [] if command == "oracle" else ["--start", "a"]
+    code = main([command, "--system", f"file:{path}", *start, "--depth", "2"])
+    assert code == (3 if command == "oracle" else 1)
+    assert _single_error_line(capsys.readouterr()) == f"error: {message}"
+
+
+@pytest.mark.parametrize("system", ["builtin:walk_expected", "chain"])
+def test_zero_denominator_as_selective_bound_is_bad_configuration(chain, capsys, system):
+    system = f"file:{chain}" if system == "chain" else system
+    code = main(["bound", "--system", system, "--mode", "selective", "--bound", "1/0"])
+    assert code == 1
+    assert _single_error_line(capsys.readouterr()) == f"error: {ZERO_DENOMINATOR}"
+
+
+def test_zero_denominator_in_an_embedding_file_is_bad_configuration(chain, tmp_path, capsys):
+    table = tmp_path / "zero-embed.json"
+    table.write_text('{"a": "1/0", "b": 0}')
+    assert main(["bound", "--system", f"file:{chain}", "--mode", f"embed:{table}"]) == 1
+    assert _single_error_line(capsys.readouterr()) == (
+        f"error: embedding file {table}: bad entry 'a': {ZERO_DENOMINATOR}"
+    )
+
+
 @pytest.mark.parametrize("command", ["eval", "loop", "oracle"])
 def test_rule_tag_that_is_no_string_is_bad_configuration(tmp_path, capsys, command):
     # The loop search joins rule tags into its trace, so it crashed on this.

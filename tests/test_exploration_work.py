@@ -2,7 +2,8 @@
 compiled forms built once, not once per object, and the rule checks still
 raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
-per object."""
+per object.  Sweeping an affine rational ball runs its per-object kernels
+only, never a compiled aggregator."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
-from wars.evaluator import weight_lower_bound
+from wars.evaluator import evaluate_to_fixpoint, iterate_lower_bounds, weight_lower_bound
 from wars.semiring import NAT_INF
-from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap
+from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap, load_explicit
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -178,3 +179,37 @@ def test_embedding_is_called_once_per_object(monkeypatch, capsys, samples):
     assert main(argv) == 3
     assert f"verified on {samples} instances" in capsys.readouterr().out
     assert calls[0] == samples + 1
+
+
+def _closure_calls(run) -> int:
+    """The calls ``run()`` makes to functions of the compiled-aggregator
+    convention ``fn(args, truncation, exact)``, each given an argument list."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_varnames[:3] == ("args", "truncation", "exact"):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
+
+
+def test_scaled_sweep_calls_no_compiled_closure():
+    # Each recomputation built an argument list and called an integer
+    # closure of that convention: 5,349 calls for the fixpoint sweep.
+    walk = wars_builtins.builtin("walk_expected")
+    assert _closure_calls(lambda: evaluate_to_fixpoint(walk, 3, 100)) == 0
+    assert _closure_calls(lambda: weight_lower_bound(walk, 3, 100)) == 0
+    assert _closure_calls(lambda: list(iterate_lower_bounds(walk, 3, 100))) == 0
+    # A ball off the integer path still calls its compiled aggregators.
+    chain = load_explicit(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["b"], "agg": "1 + v1"}],
+        "nf": {"b": "0"},
+    }))
+    assert _closure_calls(lambda: evaluate_to_fixpoint(chain, "a", 100)) > 0

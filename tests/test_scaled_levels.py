@@ -109,6 +109,7 @@ def check(system, start, depth, scaled=None, **budgets) -> None:
         ball = _Ball(system, start, depth, budgets.get("rule_budget", 64),
                      budgets.get("visit_cap", 100_000))
         assert (ball.scale is not None) == scaled
+        assert (ball.kernels is not None) == scaled
     for fast, reference in (
         (evaluate_to_fixpoint, reference_evaluate_to_fixpoint),
         (weight_lower_bound, reference_weight_lower_bound),
@@ -137,6 +138,42 @@ def test_scaled_levels_match_the_fraction_sweep(data_json, data):
     }
     check(system, start, depth, scaled=True, **budgets)
     event(outcome(evaluate_to_fixpoint, system, start, depth, **budgets)[3])
+
+
+def rule(lhs: str, rhs: list, agg: str, tag: str) -> dict:
+    return {"lhs": lhs, "rhs": rhs, "agg": agg, "tag": tag}
+
+
+# Objects with two and three rules, aggregators of three and four terms
+# (one successor read twice), zero coefficients, and a chain e0..e5 long
+# enough that small depths and visit caps leave successors outside the ball.
+KERNEL_SHAPES = {
+    "semiring": {"kind": "real_inf"},
+    "rules": [
+        rule("a", ["b", "c", "d"], "1/2 * v1 + 1/3 * v2 + 1/6 * v3 + 1/5", "a3"),
+        rule("a", ["a"], "3/4 * v1 + 1/4", "aa"),
+        rule("a", ["e0", "b"], "0/1 * v1 + 1/2 * v2", "ae"),
+        rule("b", ["c", "a"], "2/3 * v1 + 1/3 * v2", "bc"),
+        rule("b", ["n"], "v1", "bn"),
+        rule("c", ["d", "d", "b", "e0"], "1/4 * v1 + 1/4 * v2 + 1/4 * v3 + 1/4 * v4 + 1/8", "c4"),
+        rule("d", ["e0", "m"], "5/4 * v1 + 0/1 * v2 + 1/3", "de"),
+        rule("d", ["m"], "0/1 * v1 + 1/7", "dm"),
+        rule("d", ["a", "b", "c"], "(1/3 * v1 + 1/3 * v2 + 1/3 * v3) * 7/8", "dabc"),
+        *(rule(f"e{k}", [f"e{k + 1}"], "1/2 * v1 + 1/2", f"e{k}") for k in range(5)),
+        rule("e5", ["n"], "2/3 * v1", "e5"),
+    ],
+    "nf": {"n": "1/2", "m": "0/1"},
+}
+
+
+def test_kernels_match_the_fraction_sweep():
+    system = load_explicit(json.dumps(KERNEL_SHAPES))
+    for start in ("a", "b", "c", "d", "e0", "e3", "n"):
+        for depth in (0, 1, 2, 3, 5, 8, 13, 30):
+            check(system, start, depth, scaled=True)
+        for visit_cap in (1, 2, 4, 7):
+            check(system, start, 6, scaled=True, visit_cap=visit_cap)
+        check(system, start, 6, scaled=True, rule_budget=2)
 
 
 def near_miss(agg: str, weight: str = "1/2") -> dict:
