@@ -113,25 +113,18 @@ def _os_successors(agg_for):
 
     def successors(state, budget):
         kind, queue = state
-        rules = []
+        # (successor, tag) per rule; only the first ``budget`` become records.
         if kind == "idle":
-            expr = agg_for("idle", queue)
-            rules.append(RuleInstance(state, (("wait", queue),), expr, "idle_wait"))
-            rules.append(RuleInstance(state, (("run", queue),), expr, "idle_run"))
+            steps = [(("wait", queue), "idle_wait"), (("run", queue), "idle_run")]
         elif kind == "wait":
-            expr = agg_for("wait", queue)
-            for proc in _PROCS:
-                rules.append(
-                    RuleInstance(state, (("idle", queue + (proc,)),), expr, f"wait_{proc}")
-                )
+            steps = [(("idle", queue + (proc,)), f"wait_{proc}") for proc in _PROCS]
         elif kind == "run":
-            if queue:
-                head, rest = queue[0], queue[1:]
-                expr = agg_for("run", queue)
-                rules.append(RuleInstance(state, (("idle", rest),), expr, f"run_{head}"))
+            steps = [(("idle", queue[1:]), f"run_{queue[0]}")] if queue else []
         else:
             raise SystemError_(f"not a scheduler state: {state!r}")
-        return rules[:budget], budget >= len(rules)
+        expr = agg_for(kind, queue) if steps else None
+        rules = [RuleInstance(state, (b,), expr, tag) for b, tag in steps[:budget]]
+        return rules, budget >= len(steps)
 
     return successors
 

@@ -186,12 +186,18 @@ class _Ball:
     """The objects reachable from a start within a radius and budgets.
 
     Objects are numbered in the breadth-first order they were admitted, so
-    the objects within distance ``r`` of the start are ``objects[:ends[r]]``.
-    Per object, ``rules`` holds ``None`` for a normal form, else its rules as
-    (successor numbers, compiled aggregator, aggregator); a successor outside
-    the ball is numbered -1.  ``succs`` holds each object's distinct
-    successor numbers, in order.  Each aggregator keeps its compiled form
-    per carrier and arity, so no ball compiles it twice.
+    the objects within distance ``r`` of the start are ``objects[:ends[r]]``;
+    one pass numbers each successor as it is admitted, and the rules of the
+    last distance after it.  Per object, ``rules`` holds ``None`` for a normal
+    form, else its rules as (successor numbers, compiled aggregator,
+    aggregator); a successor outside the ball is numbered -1.  ``succs``
+    holds each object's distinct successor numbers, in order.  Each
+    (aggregator, arity) is looked up once per ball.
+
+    Without ``ring``, the objects at distance ``radius`` get no rules, only
+    their normal-form status and weight: a depth query never recomputes
+    them.  With it, the ball also knows if it is ``closed`` (no rule leads
+    outside it) and its ``enumeration_complete``.
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and ``kernels`` holds, per object with rules,
@@ -199,71 +205,91 @@ class _Ball:
     through ``out``.
     """
 
-    def __init__(self, sys, start, radius, rule_budget, visit_cap):
+    def __init__(self, sys, start, radius, rule_budget, visit_cap, ring=True):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
+        if rule_budget < 1:
+            raise ValueError("rule_budget must be >= 1")
         desc = sys.semiring
         self.semiring = desc
-        self.objects: list = []
-        self.rules: list = []
+        self.objects = objects = []
+        # Until numbered, an object's rules as the system enumerated them.
+        self.rules = rules_of = []
+        self.succs = succs = []
         # Level-zero values: normal forms weigh their interpretation.
-        self.initial: list = []
+        self.initial = initial = []
         # The radius whose admission the visit cap cut short, if any.
         self.cap_radius: Optional[int] = None
-        self.enumeration_complete = True
+        complete = True
         index: dict = {}
+        forms: dict = {}  # (aggregator id, arity) -> compiled form
+        distance = 0
 
-        def admit(obj, distance) -> None:
-            if obj in index:
-                return
-            if len(index) >= visit_cap:
+        def admit(obj) -> int:
+            """``obj``'s number, admitting it at ``distance``; -1 if refused."""
+            nonlocal complete
+            i = index.get(obj)
+            if i is not None:
+                return i
+            i = len(objects)
+            if i >= visit_cap:
                 if self.cap_radius is None:
                     self.cap_radius = distance
-                return
-            index[obj] = len(self.objects)
-            self.objects.append(obj)
-            rules, complete = sys.successors(obj, rule_budget)
-            if not complete or not all(r.rhs_complete for r in rules):
-                self.enumeration_complete = False
-            if not rules and complete:
+                return -1
+            index[obj] = i
+            objects.append(obj)
+            if ring or distance < radius:
+                rules, done = sys.successors(obj, rule_budget)
+                complete = complete and done
+            else:
+                rules, done = [], sys.is_normal_form(obj)
+            if not rules and done:
                 weight = sys._nf_weight(obj)
                 desc.require(weight)
-                self.rules.append(None)
-                self.initial.append(weight)
+                rules_of.append(None)
+                initial.append(weight)
             else:
-                self.rules.append(
-                    [(r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
-                     for r in rules]
-                )
-                self.initial.append(desc.zero)
+                rules_of.append(rules)
+                initial.append(desc.zero)
+            return i
 
-        admit(start, 0)
+        def number(i, find) -> None:
+            """Number object ``i``'s rules, ``find`` numbering each successor."""
+            nonlocal complete
+            rules = rules_of[i]
+            if not rules:
+                succs.append(())
+                return
+            numbered, flat = [], []
+            for _, rhs, aggregator, _, whole in rules:
+                key = id(aggregator), len(rhs)
+                fn = forms.get(key)
+                if fn is None:
+                    fn = forms[key] = _compiled(aggregator, desc, len(rhs))
+                succ = tuple(map(find, rhs))
+                numbered.append((succ, fn, aggregator))
+                flat += succ
+                complete = complete and whole
+            rules_of[i] = numbered
+            succs.append(tuple(dict.fromkeys(flat)) if len(flat) > 1 else succ)
+
+        admit(start)
         ends = [1]
         first = 0  # the first object at the outermost distance
         while len(ends) <= radius and first < ends[-1]:
             distance = len(ends)
             for i in range(first, ends[-1]):
-                for rhs, _, _ in self.rules[i] or ():
-                    for b in rhs:
-                        admit(b, distance)
+                number(i, admit)
             first = ends[-1]
-            ends.append(len(self.objects))
-        ends.extend([len(self.objects)] * (radius + 1 - len(ends)))
+            ends.append(len(objects))
+        for i in range(first, len(objects)):
+            number(i, lambda b: index.get(b, -1))
+        ends.extend([len(objects)] * (radius + 1 - len(ends)))
         self.ends = ends
         self.scale = self.kernels = None
-
-        # Successor-closed: no rule leads outside the ball.
-        self.closed = self.cap_radius is None
-        self.succs: list = []
-        for i, rules in enumerate(self.rules):
-            numbered = []
-            for rhs, fn, aggregator in rules or ():
-                succ = tuple(index.get(b, -1) for b in rhs)
-                if -1 in succ:
-                    self.closed = False
-                numbered.append((succ, fn, aggregator))
-            self.rules[i] = rules and numbered
-            self.succs.append(tuple(dict.fromkeys(s for succ, _, _ in numbered for s in succ)))
+        if ring:
+            self.closed = self.cap_radius is None and all(-1 not in s for s in succs[first:])
+            self.enumeration_complete = complete
         if isinstance(desc, RealInf):
             self._scale(max(radius, 1))
 
@@ -692,7 +718,7 @@ class DepthProfile:
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        ball = _Ball(sys, a, depth, rule_budget, visit_cap)
+        ball = _Ball(sys, a, depth, rule_budget, visit_cap, ring=False)
         self.values = [ball.out(0, values[0]) for values in _levels(ball, branch_trunc, depth)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
         self._ends = ball.ends
@@ -755,7 +781,7 @@ def iterate_lower_bounds(
     Produces up to ``max_depth + 1`` values; consumers may stop early once a
     threshold is crossed, skipping the remaining iteration work.
     """
-    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
+    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap, ring=False)
     for values in _levels(ball, branch_trunc, max_depth):
         yield ball.out(0, values[0])
 

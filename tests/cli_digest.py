@@ -1,9 +1,13 @@
 """Digest of the CLI's bytes on a fixed set of ops, to check byte identity.
 
 The ops are the benchmark's op lists (``perfbench/workloads.py``, every
-workload at seeds 0-4, each with its probe) and an ``eval`` sweep over the
+workload at seeds 0-4, each with its probe), an ``eval`` sweep over the
 systems of ``tests/system_gen.py`` (seeds 0-199, every object, depths 0, 3
-and 8, in text and in JSON).  Each op runs through ``wars.cli.main`` in
+and 8, in text and in JSON), and ``loop`` over the scheduler built-ins
+(``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
+``wait(P1)`` and ``run(P2P1)``, depths 1-7, in text and in JSON, and
+``os_runtime`` from ``idle()`` at depth 8, whose cross-check hits the visit
+cap).  Each op runs through ``wars.cli.main`` in
 process, and one line per op is printed: its label, then the sha256 of its
 stdout, of its stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
@@ -34,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(200)
 SWEEP_DEPTHS = (0, 3, 8)
 BENCH_SEEDS = range(5)
+LOOP_SYSTEMS = ("os_runtime", "os_size", "os_fair", "os_starv")
+LOOP_STARTS = ("idle()", "wait(P1)", "run(P2P1)")
+LOOP_DEPTHS = range(1, 8)
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
 
@@ -88,6 +95,19 @@ def sweep_ops(workdir: Path):
                     yield f"eval system_seed={seed} {obj} depth={depth} {fmt}", argv
 
 
+def loop_ops():
+    """(label, argv) of ``loop`` over the scheduler built-ins."""
+    for name in LOOP_SYSTEMS:
+        for start in LOOP_STARTS:
+            for depth in LOOP_DEPTHS:
+                for fmt in ("text", "json"):
+                    argv = ["loop", "--system", f"builtin:{name}", "--start", start,
+                            "--depth", str(depth), "--format", fmt]
+                    yield f"loop {name} {start} depth={depth} {fmt}", argv
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "8"]
+    yield "loop os_runtime idle() depth=8 text", argv
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -97,7 +117,7 @@ def main() -> int:
     shutil.rmtree(WORKDIR, ignore_errors=True)
     WORKDIR.mkdir()
     try:
-        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR)):
+        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops()):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

@@ -3,10 +3,12 @@ compiled forms built once, not once per object, and the rule checks still
 raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
-only, never a compiled aggregator."""
+only, never a compiled aggregator.  A depth query looks each compiled form
+up once per ball and asks its outer ring for normal-form status only."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import sys
@@ -18,7 +20,7 @@ from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
-from wars.evaluator import evaluate_to_fixpoint, iterate_lower_bounds, weight_lower_bound
+from wars.evaluator import DepthProfile, evaluate_to_fixpoint, iterate_lower_bounds, weight_lower_bound
 from wars.semiring import NAT_INF
 from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap, load_explicit
 
@@ -65,6 +67,26 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     assert "=> weight of idle() is the maximum" in capsys.readouterr().out
     assert 0 < walks[0] <= 20
     assert 0 < compiles[0] <= 20
+
+
+def test_depth_profile_enumerates_no_rules_on_its_outer_ring(monkeypatch):
+    # The ring at distance 20 holds 2,560 of the 7,677 objects.  Each object
+    # was asked for its rules at the full budget, and each of the 12,794
+    # rules looked up its compiled form.
+    handle = wars_builtins.builtin("os_runtime")
+    lookups = _count_calls(monkeypatch, aggregator._compiled)
+    budgets = collections.Counter()
+    successors = handle.successors
+
+    def counted(a, rule_budget=64):
+        budgets[rule_budget] += 1
+        return successors(a, rule_budget)
+
+    monkeypatch.setattr(handle, "successors", counted)
+    profile = DepthProfile(handle, handle.parse_object("wait(P1)"), 20)
+    assert lookups[0] == 1
+    assert budgets == {64: 5_117, 1: 2_560}
+    assert profile.values[4::4] == [4, 8, 12, 16, 20]
 
 
 def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):
