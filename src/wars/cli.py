@@ -43,7 +43,7 @@ from .unboundedness import (
     CERTIFIED,
     UnboundednessError,
     analyze_loop,
-    conclude_witnesses,
+    conclude_unbounded,
     find_loops,
 )
 
@@ -92,12 +92,14 @@ def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
             print(line)
 
 
-def _common_args(parser: argparse.ArgumentParser) -> None:
-    """The budget and output options every analysis command ends with."""
-    parser.add_argument("--rule-budget", type=int, default=64)
-    parser.add_argument("--branch-trunc", type=int, default=64)
-    # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
-    parser.add_argument("--visit-cap", type=int)
+def _common_args(parser: argparse.ArgumentParser, budgets: bool = True) -> None:
+    """The budget options of ``eval`` and ``oracle``, which ``bound`` and
+    ``loop`` do without, then the output option."""
+    if budgets:
+        parser.add_argument("--rule-budget", type=int, default=64)
+        parser.add_argument("--branch-trunc", type=int, default=64)
+        # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
+        parser.add_argument("--visit-cap", type=int)
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -176,7 +178,7 @@ _BOUND_EXIT = {BOUNDED_CERTIFIED: 0, BOUNDED_SAMPLED: 3, UNKNOWN: 4, UNBOUNDED: 
 
 
 def cmd_bound(args) -> int:
-    _check_at_least(args, rule_budget=1, visit_cap=1, samples=1)
+    _check_at_least(args, samples=1)
     system = resolve_system(args.system)
     desc = system.semiring
 
@@ -241,7 +243,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_loop(args) -> int:
-    _check_at_least(args, depth=1, rule_budget=1, visit_cap=1, max_witnesses=1)
+    _check_at_least(args, depth=1, rule_budget=1, max_witnesses=1)
     system = resolve_system(args.system)
     desc = system.semiring
     start = _parse_start(system, args.start[0])
@@ -253,15 +255,6 @@ def cmd_loop(args) -> int:
         max_witnesses=args.max_witnesses,
     )
     witnesses = [analyze_loop(system, tree, path) for tree, path in candidates]
-    verdicts = iter(
-        conclude_witnesses(
-            system,
-            [w for w in witnesses if w.status == CERTIFIED],
-            rule_budget=args.rule_budget,
-            branch_trunc=args.branch_trunc,
-            visit_cap=args.visit_cap,
-        )
-    )
 
     reports = []
     for w in witnesses:
@@ -274,7 +267,7 @@ def cmd_loop(args) -> int:
             "t": desc.format_literal(w.t) if w.t is not None else None,
         }
         if w.status == CERTIFIED:
-            verdict = next(verdicts)
+            verdict = conclude_unbounded(system, w)
             entry["verdict"] = "unbounded"
             entry["method"] = verdict.method
             entry["cross_check"] = verdict.cross_check
@@ -386,14 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
     p_bound.add_argument("--seed", type=int, default=0, help="seeds the --samples draw")
-    _common_args(p_bound)
+    _common_args(p_bound, budgets=False)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")
     p_loop.add_argument("--system", required=True)
     p_loop.add_argument("--start", action="append", required=True)
     p_loop.add_argument("--depth", type=int, required=True)
     p_loop.add_argument("--max-witnesses", type=int, default=16)
-    _common_args(p_loop)
+    # The loop search's only budget.
+    p_loop.add_argument("--rule-budget", type=int, default=64)
+    _common_args(p_loop, budgets=False)
 
     p_oracle = sub.add_parser(
         "oracle", help="compare value iteration against tree enumeration"
@@ -416,20 +411,17 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command != "list" and args.visit_cap is None:
+        # Only the commands that take a visit cap read WARS_VISIT_CAP.
+        if getattr(args, "visit_cap", 0) is None:
             args.visit_cap = _default_visit_cap()
         # Looked up per call, so that a wrapper put on a command after the
         # parser was built (as perfbench's tracer does) is the one that runs.
         return globals()[f"cmd_{args.command}"](args)
-    except CountCapExceeded as exc:
+    except (CountCapExceeded, VisitCapExceeded) as exc:
+        # A budget blow-up.  `eval` reports a visit cap hit as a partial
+        # result itself, so only `oracle` lets one through.
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except VisitCapExceeded as exc:
-        # `eval` reports a cap hit as a partial result itself.  For `oracle`
-        # it is a budget blow-up like the count cap; for `loop` the budgets
-        # are too small for its cross-check.
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2 if args.command == "oracle" else 1
     except (
         CliError,
         BoundednessError,

@@ -14,12 +14,16 @@ from typing import Optional
 
 from . import aggregator as agg
 from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
-from .evaluator import DepthProfile, ReductionTree, enumerate_trees
+from .evaluator import ReductionTree, enumerate_trees, tree_weight
 from .semiring import NatInf, RealInf, Semiring
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
+
+# A countable sum keeps this many generated terms, both in a loop polynomial
+# and when its pumped witness is weighed, so the two sides agree.
+TRUNCATION = 64
 
 
 class UnboundednessError(Exception):
@@ -51,6 +55,9 @@ class LoopWitness:
 
 @dataclass
 class UnboundednessReport:
+    """``cross_check`` holds the loop's depth and, as literals, the weight of
+    k nested copies of the loop for k = 1..k_max (``iteration_values``)."""
+
     object_label: str
     t_literal: str
     polynomial: str
@@ -178,7 +185,7 @@ def _node_at(tree, path):
     return node
 
 
-def _apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
+def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
     """Substitute child expressions for the rule variables."""
 
     def substitute(e):
@@ -221,12 +228,7 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
         candidates.append(affine[1])
     candidates.append(desc.one)
 
-    # The polynomial as a function of X, which becomes its one variable.
-    compiled = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
-
-    def poly_at(s):
-        return compiled([s], agg.DEFAULT_TRUNCATION, None)
-
+    poly_at = _as_function(polynomial, desc)
     seen = []
     for t in candidates:
         if any(t == prev for prev in seen):
@@ -257,6 +259,13 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
     return None
 
 
+def _as_function(polynomial, desc: Semiring):
+    """The polynomial compiled as a function of X, which becomes its one
+    variable."""
+    compiled = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
+    return lambda s: compiled([s], agg.DEFAULT_TRUNCATION, None)
+
+
 def _mentions_only_x(expr) -> bool:
     return agg._reduce(
         expr, lambda e: isinstance(e, (Const, XVar)), lambda e, values: all(values)
@@ -274,78 +283,56 @@ def analyze_loop(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple) -> Lo
 
 
 def conclude_unbounded(
-    sys: SystemHandle,
-    witness: LoopWitness,
-    k_max: int = 5,
-    rule_budget: int = 64,
-    branch_trunc: int = 64,
-    visit_cap: int = 100_000,
+    sys: SystemHandle, witness: LoopWitness, k_max: int = 5
 ) -> UnboundednessReport:
     """Turn a certified loop into an unboundedness verdict for its root.
 
-    Cross-checks the evaluator: the depth-indexed lower bound at multiples of
-    the loop depth must climb at least as fast as the accumulated increments.
+    Checks the polynomial P against the naive oracle: for k = 1..k_max the
+    tree of k nested copies of the loop (the loop grafted into its own
+    designated leaf k - 1 times) must weigh P^k(zero) under ``tree_weight``,
+    and the weights must not drop and must cover k increments.  Any
+    mismatch raises ``UnboundednessError``.
     """
-    return conclude_witnesses(
-        sys, [witness], k_max, rule_budget, branch_trunc, visit_cap
-    )[0]
-
-
-def conclude_witnesses(
-    sys: SystemHandle,
-    witnesses: list,
-    k_max: int = 5,
-    rule_budget: int = 64,
-    branch_trunc: int = 64,
-    visit_cap: int = 100_000,
-) -> list[UnboundednessReport]:
-    """``conclude_unbounded`` for each witness in turn, from one pass per root.
-
-    Each root is evaluated once, to ``k_max`` times its deepest loop.  The
-    checks then run witness by witness and ``k`` by ``k``, so a failed check
-    or a visit cap hit is raised at the same witness and ``k`` as when every
-    depth is evaluated on its own.
-    """
-    for witness in witnesses:
-        if witness.status != CERTIFIED:
-            raise UncertifiedWitnessError(
-                "only a certified loop witness proves unboundedness"
-            )
-    radius: dict = {}
-    for witness in witnesses:
-        depth = k_max * witness.tree.depth()
-        radius[witness.root] = max(radius.get(witness.root, 0), depth)
-    profiles = {
-        root: DepthProfile(sys, root, depth, rule_budget, branch_trunc, visit_cap)
-        for root, depth in radius.items()
-    }
-    return [_conclude(sys, w, profiles[w.root], k_max) for w in witnesses]
-
-
-def _conclude(sys, witness, profile, k_max) -> UnboundednessReport:
+    if witness.status != CERTIFIED:
+        raise UncertifiedWitnessError("only a certified loop witness proves unboundedness")
     desc = sys.semiring
-    loop_depth = witness.tree.depth()
-    values = []
-    accumulated = desc.zero
-    previous = desc.zero
+    poly_at = _as_function(witness.polynomial, desc)
+    pumped, values = witness.tree, []
+    expected = accumulated = previous = desc.zero
     for k in range(1, k_max + 1):
-        bound = profile.bound(k * loop_depth)
+        if k > 1:
+            pumped = _graft(witness.tree, witness.leaf_path, pumped)
+        weight = tree_weight(sys, pumped, TRUNCATION)
+        expected = poly_at(expected)
         accumulated = desc.plus(accumulated, witness.t)
-        if not desc.leq(previous, bound.value):
+        if weight != expected:
             raise UnboundednessError(
-                f"lower bound dropped between loop iterations at k={k}"
+                f"at k={k} the pumped loop weighs {desc.format_literal(weight)}, "
+                f"but its polynomial gives {desc.format_literal(expected)}"
             )
-        if not desc.leq(accumulated, bound.value):
-            raise UnboundednessError(
-                f"lower bound does not cover {k} accumulated increments"
-            )
-        previous = bound.value
-        values.append(desc.format_literal(bound.value))
+        if not desc.leq(previous, weight):
+            raise UnboundednessError(f"the pumped loop's weight dropped at k={k}")
+        if not desc.leq(accumulated, weight):
+            raise UnboundednessError(f"the pumped loop does not cover {k} increments")
+        previous = weight
+        values.append(desc.format_literal(weight))
 
     return UnboundednessReport(
         object_label=sys.format_object(witness.root),
         t_literal=desc.format_literal(witness.t),
         polynomial=agg.format_expr(witness.polynomial, desc),
         trace=witness.trace(),
-        cross_check={"iteration_values": values, "loop_depth": loop_depth},
+        cross_check={"iteration_values": values, "loop_depth": witness.tree.depth()},
     )
+
+
+def _graft(tree: ReductionTree, path: tuple, scion: ReductionTree) -> ReductionTree:
+    """``tree`` with ``scion`` in place of the leaf at ``path``.  Only the
+    nodes on the path are rebuilt; every subtree off it is shared."""
+    nodes = [tree]
+    for idx in path[:-1]:
+        nodes.append(nodes[-1].children[idx])
+    for node, idx in zip(reversed(nodes), reversed(path)):
+        kids = node.children
+        scion = ReductionTree(node.label, node.rule_tag, kids[:idx] + (scion,) + kids[idx + 1:])
+    return scion

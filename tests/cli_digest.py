@@ -3,13 +3,15 @@
 The ops are the benchmark's op lists (``perfbench/workloads.py``, every
 workload at seeds 0-4, each with its probe), an ``eval`` sweep over the
 systems of ``tests/system_gen.py`` (seeds 0-199, every object, depths 0, 3
-and 8, in text and in JSON), and ``loop`` over the scheduler built-ins
+and 8, in text and in JSON), ``loop`` over the scheduler built-ins
 (``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
 ``wait(P1)`` and ``run(P2P1)``, depths 1-7, in text and in JSON, and
-``os_runtime`` from ``idle()`` at depth 8, whose cross-check hits the visit
-cap).  Each op runs through ``wars.cli.main`` in
-process, and one line per op is printed: its label, then the sha256 of its
-stdout, of its stderr and of its exit code.  Two checkouts print the same
+``os_runtime`` from ``idle()`` at depth 8, which certifies 10 loops), and
+``loop`` on the generated systems of ``LOOP_SWEEP``, in text and in JSON,
+whose certified loops weigh less when pumped than the start's depth-indexed
+lower bound.  Each op runs through ``wars.cli.main`` in process, and one
+line per op is printed: its label, then the sha256 of its stdout, of its
+stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
 
 Run from a checkout's root (pytest does not collect this file):
@@ -41,6 +43,23 @@ BENCH_SEEDS = range(5)
 LOOP_SYSTEMS = ("os_runtime", "os_size", "os_fair", "os_starv")
 LOOP_STARTS = ("idle()", "wait(P1)", "run(P2P1)")
 LOOP_DEPTHS = range(1, 8)
+# (``tests/system_gen.py`` seed, start, depths) of generated loop ops.
+LOOP_SWEEP = (
+    (63, "a3", (2, 3)),
+    (93, "a0", (2, 3)),
+    (93, "a2", (2, 3)),
+    (111, "a0", (2, 3)),
+    (114, "a0", (3,)),
+    (114, "a1", (2, 3)),
+    (114, "a3", (2, 3)),
+    (144, "a2", (2, 3)),
+    (144, "a3", (2, 3)),
+    (330, "a1", (1, 2, 3)),
+    (351, "a2", (1, 2, 3)),
+    (354, "a1", (3,)),
+    (354, "a3", (3,)),
+    (378, "a0", (2, 3)),
+)
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
 
@@ -76,16 +95,22 @@ def benchmark_ops(workdir: Path):
                 yield f"{name} seed={seed} probe", workload.probe(seed, inputs)
 
 
-def sweep_ops(workdir: Path):
-    """(label, argv) of the ``eval`` sweep over generated systems."""
+def _system_file(inputs: Path, seed: int):
+    """(data, path) of the generated system of ``seed``, written to ``inputs``."""
     from system_gen import random_system_json
 
+    data = random_system_json(seed)
+    path = inputs / f"system-{seed}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return data, path
+
+
+def sweep_ops(workdir: Path):
+    """(label, argv) of the ``eval`` sweep over generated systems."""
     inputs = workdir / "sweep"
     inputs.mkdir()
     for seed in SWEEP_SEEDS:
-        data = random_system_json(seed)
-        path = inputs / f"system-{seed}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
+        data, path = _system_file(inputs, seed)
         objects = {label for r in data["rules"] for label in [r["lhs"], *r["rhs"]]}
         for obj in sorted(objects | set(data["nf"])):
             for depth in SWEEP_DEPTHS:
@@ -108,6 +133,19 @@ def loop_ops():
     yield "loop os_runtime idle() depth=8 text", argv
 
 
+def loop_sweep_ops(workdir: Path):
+    """(label, argv) of ``loop`` on the generated systems of ``LOOP_SWEEP``."""
+    inputs = workdir / "loop-sweep"
+    inputs.mkdir()
+    for seed, start, depths in LOOP_SWEEP:
+        _, path = _system_file(inputs, seed)
+        for depth in depths:
+            for fmt in ("text", "json"):
+                argv = ["loop", "--system", f"file:{path}", "--start", start,
+                        "--depth", str(depth), "--format", fmt]
+                yield f"loop system_seed={seed} {start} depth={depth} {fmt}", argv
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -117,7 +155,8 @@ def main() -> int:
     shutil.rmtree(WORKDIR, ignore_errors=True)
     WORKDIR.mkdir()
     try:
-        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops()):
+        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops(),
+                    loop_sweep_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

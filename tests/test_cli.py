@@ -298,18 +298,12 @@ INVALID_ARGV = {
                             "--depth", "2", "--visit-cap", "0"],
     "eval unparsable start": ["eval", "--system", "builtin:walk_termprob", "--start", "x(",
                               "--depth", "2"],
-    "bound zero rule budget": ["bound", "--system", "builtin:walk_expected", "--mode",
-                               "extremal", "--rule-budget", "0"],
-    "bound zero visit cap": ["bound", "--system", "builtin:walk_expected", "--mode",
-                             "extremal", "--visit-cap", "0"],
     "bound negative samples": ["bound", "--system", "builtin:walk_expected", "--mode",
                                "embed:walk3n", "--samples", "-5"],
     "loop zero depth": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
                         "--depth", "0"],
     "loop zero rule budget": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
                               "--depth", "4", "--rule-budget", "0"],
-    "loop zero visit cap": ["loop", "--system", "builtin:os_runtime", "--start", "idle()",
-                            "--depth", "4", "--visit-cap", "0"],
     "loop negative max witnesses": ["loop", "--system", "builtin:os_runtime", "--start",
                                     "idle()", "--depth", "4", "--max-witnesses", "-1"],
     "loop unparsable start": ["loop", "--system", "builtin:walk_termprob", "--start", "x(",
@@ -325,6 +319,23 @@ def test_invalid_flags_are_bad_configuration(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_bound_and_loop_take_no_budget_flag_they_do_not_read(capsys):
+    # `bound` reads no budget at all, and `loop` only the rule budget of its
+    # loop search, so argparse rejects the others.
+    commands = {
+        ("bound", "--system", "builtin:walk_expected", "--mode", "extremal"):
+            ("--rule-budget", "--branch-trunc", "--visit-cap"),
+        ("loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"):
+            ("--branch-trunc", "--visit-cap"),
+    }
+    for argv, flags in commands.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "10"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
 
 
 class TestBound:
@@ -512,24 +523,20 @@ class TestLoop:
             "error: more than 200000 trees at depth 1200"
         )
 
-    def test_visit_cap_hit_is_bad_configuration(self, capsys):
-        code = main(
-            [
-                "loop",
-                "--system",
-                "builtin:os_runtime",
-                "--start",
-                "idle()",
-                "--depth",
-                "4",
-                "--visit-cap",
-                "10",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: visit cap hit after 10 objects")
-        assert "Traceback" not in err
+    def test_depth_eight_pumps_every_certified_loop(self, capsys):
+        # Each loop counts one step per rule, so k nested copies of a loop of
+        # depth L weigh k * L.
+        argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "8",
+                "--format", "json"]
+        assert main(argv) == 0
+        loops = json.loads(capsys.readouterr().out)["loops"]
+        assert len(loops) == 10 and all(e["status"] == "certified" for e in loops)
+        for entry in loops:
+            depth = entry["depth"]
+            assert entry["cross_check"] == {
+                "iteration_values": [str(k * depth) for k in range(1, 6)],
+                "loop_depth": depth,
+            }
 
 
 class TestOracle:
@@ -790,6 +797,13 @@ def test_unparsable_visit_cap_env_is_bad_configuration(monkeypatch, capsys, chai
     # An explicit flag needs no default.
     assert main([command, "--system", f"file:{chain}", *start, "--depth", "1",
                  "--visit-cap", "10"]) == 0
+
+
+def test_commands_without_a_visit_cap_ignore_its_env(monkeypatch, capsys, chain):
+    monkeypatch.setenv("WARS_VISIT_CAP", "lots")
+    assert main(["bound", "--system", f"file:{chain}", "--mode", "extremal"]) == 0
+    assert main(["loop", "--system", f"file:{chain}", "--start", "a", "--depth", "2"]) == 4
+    assert "WARS_VISIT_CAP" not in capsys.readouterr().err
 
 
 SYSTEM_FILE_SHAPES = {

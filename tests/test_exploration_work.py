@@ -4,7 +4,8 @@ raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
-up once per ball and asks its outer ring for normal-form status only."""
+up once per ball and asks its outer ring for normal-form status only.
+``wars loop`` explores no ball at all."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-from wars import aggregator, system
+from wars import aggregator, evaluator, system
 from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
@@ -58,8 +59,8 @@ def _count_facts_walks(monkeypatch) -> list:
 
 
 def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
-    # The cross-check explores 4,093 objects; walking or looking up every
-    # rule's aggregator per object made 7,191 walks and 7,166 lookups.
+    # A cross-check that explored 4,093 objects and walked or looked up every
+    # rule's aggregator per object once made 7,191 walks and 7,166 lookups.
     walks = _count_facts_walks(monkeypatch)
     compiles = _count_calls(monkeypatch, aggregator._compile)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
@@ -67,6 +68,27 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     assert "=> weight of idle() is the maximum" in capsys.readouterr().out
     assert 0 < walks[0] <= 20
     assert 0 < compiles[0] <= 20
+
+
+def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
+    # The cross-check once read a radius-20 DepthProfile of 7,677 objects
+    # around wait(P1); the pumped witness is weighed on its own.
+    built = collections.Counter()
+    for cls in (evaluator._Ball, evaluator.DepthProfile):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
+    assert main(argv) == 0
+    assert "is the maximum" in capsys.readouterr().out
+    assert built == {}
+    # The counters see a depth query.
+    handle = wars_builtins.builtin("os_runtime")
+    weight_lower_bound(handle, handle.parse_object("idle()"), 2)
+    assert built == {"_Ball": 1, "DepthProfile": 1}
 
 
 def test_depth_profile_enumerates_no_rules_on_its_outer_ring(monkeypatch):

@@ -2,10 +2,9 @@
 
 Every entry point must return the same value, of the same type, status,
 explored depth and visit count as the reference, and raise
-``VisitCapExceeded`` with the same partial bound.  The ``loop`` and
-``oracle`` commands, which now read one profile per root, must print the
-same bytes as when every depth is explored on its own, and hit a visit cap
-at the same witness, ``k`` or depth.
+``VisitCapExceeded`` with the same partial bound.  The ``oracle`` command,
+which reads one profile per object, must print the same bytes as when every
+depth is explored on its own, and hit a visit cap at the same depth.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from reference_eval import (
     reference_weight_profile,
 )
 from system_gen import random_system_json
-from wars import cli, unboundedness
+from wars import cli
 from wars.builtins import builtin
 from wars.evaluator import (
     DepthProfile,
@@ -41,7 +40,7 @@ from wars.semiring import SemiringError
 from wars.system import load_explicit
 
 # Loops of depth 1 and 2 at the same root, next to a tail that grows the
-# explored ball, so a visit cap can cut in at any witness and k.
+# explored ball.
 LOOPS = {
     "semiring": {"kind": "nat_inf"},
     "rules": [
@@ -157,40 +156,6 @@ def run_both(argv: list[str], module) -> tuple:
 
 def record(result: tuple) -> None:
     event("unbounded" if '"unbounded"' in str(result) else str(result[0]))
-
-
-@st.composite
-def loop_commands(draw):
-    kind = draw(st.sampled_from(["os_runtime", "loops", "generated"]))
-    if kind == "os_runtime":
-        system, start = "builtin:os_runtime", "idle()"
-        depth, cap = 4, draw(st.integers(1, 300))
-    elif kind == "loops":
-        system, start = f"file:{json.dumps(LOOPS)}", draw(st.sampled_from(["a", "b"]))
-        depth, cap = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    else:
-        text = json.dumps(random_system_json(draw(st.integers(0, 299))))
-        system = f"file:{text}"
-        start = draw(st.sampled_from(load_explicit(text).enumerate_objects()[0]))
-        depth, cap = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    return [
-        "loop", "--system", system, "--start", start, "--depth", str(depth),
-        "--visit-cap", str(cap), "--format", "json",
-    ]
-
-
-@settings(max_examples=120, deadline=None)
-@given(loop_commands())
-def test_loop_command_reads_one_profile_per_root(argv):
-    record(run_both(argv, unboundedness))
-
-
-def test_loop_command_without_cap_matches():
-    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4",
-            "--format", "json"]
-    run_both(argv, unboundedness)
-    payload = json.loads(run_cli(argv)[1])
-    assert [e["verdict"] for e in payload["loops"] if "verdict" in e] == ["unbounded"] * 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,14 +6,20 @@ import json
 
 import pytest
 
-from wars.aggregator import Const, SumNode, X, evaluate, parse_expr, substitute_x
+from reference_eval import reference_tree_weight, reference_weight_profile
+from system_gen import random_system_json
+from test_level_core import LOOPS
+from wars import unboundedness
+from wars.aggregator import Const, SumNode, X, evaluate, format_expr, parse_expr, substitute_x
 from wars.builtins import builtin
-from wars.evaluator import weight_lower_bound
+from wars.cli import main
+from wars.evaluator import ReductionTree, weight_lower_bound
 from wars.semiring import ARCTIC, BOOLEAN, NAT_INF, REAL_INF, Language
 from wars.system import load_explicit
 from wars.unboundedness import (
     CANDIDATE,
     CERTIFIED,
+    UnboundednessError,
     UncertifiedWitnessError,
     analyze_loop,
     certify_loop,
@@ -197,6 +203,108 @@ class TestConcludeUnbounded:
         for k in range(1, 6):
             bound = weight_lower_bound(osr, witness.root, k * d)
             assert bound.value >= k * witness.t
+
+
+def _nested(tree: ReductionTree, path: tuple, k: int) -> ReductionTree:
+    """k copies of the loop ``tree``, each put in the designated leaf of
+    the one around it."""
+
+    def graft(node, rest, scion):
+        if not rest:
+            return scion
+        kids = list(node.children)
+        kids[rest[0]] = graft(kids[rest[0]], rest[1:], scion)
+        return ReductionTree(node.label, node.rule_tag, tuple(kids))
+
+    pumped = tree
+    for _ in range(k - 1):
+        pumped = graft(tree, path, pumped)
+    return pumped
+
+
+SCHEDULERS = ("os_runtime", "os_size", "os_fair", "os_starv")
+SCHEDULER_STARTS = ("idle()", "wait(P1)", "run(P2P1)")
+# The reference explores the root's whole ball, which on the schedulers
+# grows about fourfold every four levels (4,093 objects at 20 from idle()),
+# so the bound is checked up to this depth.
+REFERENCE_DEPTH = 16
+
+
+def _loop_inputs():
+    """(system, start, depth) of every ``loop`` input the property covers."""
+    for name in SCHEDULERS:
+        system = builtin(name)
+        for start in SCHEDULER_STARTS:
+            for depth in range(1, 9):
+                yield system, system.parse_object(start), depth
+    for data in [LOOPS, *map(random_system_json, range(400))]:
+        system = explicit(data)
+        for start in system.enumerate_objects()[0]:
+            for depth in (1, 2, 3):
+                yield system, start, depth
+
+
+def test_pumped_witness_weighs_the_iterated_polynomial():
+    checked, profiled, profiles = 0, None, {}
+    for system, start, depth in _loop_inputs():
+        if system is not profiled:
+            profiled, profiles = system, {}
+        desc = system.semiring
+        for tree, path in find_loops(system, start, depth, rule_budget=64):
+            witness = analyze_loop(system, tree, path)
+            if witness.status != CERTIFIED:
+                continue
+            report = conclude_unbounded(system, witness)
+            loop_depth = tree.depth()
+            assert report.cross_check["loop_depth"] == loop_depth
+            reach = min(5 * loop_depth, REFERENCE_DEPTH)
+            if len(profiles.get(start, ())) <= reach:
+                profiles[start] = reference_weight_profile(system, start, reach)
+            value = desc.zero
+            for k in range(1, 6):
+                value = poly_at(desc, witness.polynomial, value)
+                weight = reference_tree_weight(system, _nested(tree, path, k))
+                assert (weight, type(weight)) == (value, type(value)), (system.name, start, k)
+                assert report.cross_check["iteration_values"][k - 1] == desc.format_literal(value)
+                if k * loop_depth <= REFERENCE_DEPTH:
+                    assert desc.leq(value, profiles[start][k * loop_depth]), (system.name, start, k)
+            checked += 1
+    assert checked > 500
+
+
+# A nat_inf self-loop whose polynomial is 1 + X.
+SPIN = {
+    "semiring": {"kind": "nat_inf"},
+    "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1", "tag": "spin"}],
+    "nf": {},
+}
+
+
+class TestPumpedWitnessMismatch:
+    def test_changed_polynomial_is_refused(self):
+        system = explicit(SPIN)
+        witness = analyze_loop(system, *find_loops(system, "a", 1)[0])
+        assert witness.status == CERTIFIED
+        assert format_expr(witness.polynomial, NAT_INF) == "1 + X"
+        witness.polynomial = parse_expr("2 + X", NAT_INF)
+        with pytest.raises(UnboundednessError, match="weighs 1, but its polynomial gives 2"):
+            conclude_unbounded(system, witness)
+
+    def test_cli_prints_one_error_line(self, monkeypatch, capsys, tmp_path):
+        derive = unboundedness.induced_polynomial
+        monkeypatch.setattr(
+            unboundedness,
+            "induced_polynomial",
+            lambda *args: SumNode((Const(1), derive(*args))),
+        )
+        path = tmp_path / "spin.json"
+        path.write_text(json.dumps(SPIN))
+        assert main(["loop", "--system", f"file:{path}", "--start", "a", "--depth", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: at k=1 the pumped loop weighs 1, but its polynomial gives 2"
+        ]
 
 
 class TestLanguageLoopStaysBounded:
