@@ -4,7 +4,9 @@ Every entry point must return the same value, of the same type, status,
 explored depth and visit count as the reference, and raise
 ``VisitCapExceeded`` with the same partial bound.  The ``oracle`` command,
 which reads one profile per object, must print the same bytes as when every
-depth is explored on its own, and hit a visit cap at the same depth.
+depth is explored on its own, and hit a visit cap at the same depth.  The
+``loop`` command's iteration values must not exceed one reference profile
+of each loop's root.
 """
 
 from __future__ import annotations
@@ -156,6 +158,71 @@ def run_both(argv: list[str], module) -> tuple:
 
 def record(result: tuple) -> None:
     event("unbounded" if '"unbounded"' in str(result) else str(result[0]))
+
+
+# The reference explores a root's whole ball, which on os_runtime grows about
+# fourfold every four levels, so iteration values are checked up to this depth.
+LOOP_REFERENCE_DEPTH = 16
+
+
+def check_loop_command(argv: list[str]) -> tuple:
+    """Run a ``loop`` command in JSON and check each certified loop's
+    iteration values, k = 1..5, to rise and to stay within one reference
+    profile of its root at depth k times the loop's depth."""
+    code, out = run_cli(argv)
+    payload = json.loads(out)
+    system = cli.resolve_system(argv[argv.index("--system") + 1])
+    desc = system.semiring
+    profiles = {}
+    for entry in payload["loops"]:
+        if entry["status"] != "certified":
+            continue
+        depth = entry["depth"]
+        assert entry["cross_check"]["loop_depth"] == depth
+        values = [desc.parse_literal(v) for v in entry["cross_check"]["iteration_values"]]
+        assert len(values) == 5
+        assert all(desc.leq(a, b) for a, b in zip(values, values[1:]))
+        root, reach = entry["root"], min(5 * depth, LOOP_REFERENCE_DEPTH)
+        if len(profiles.get(root, ())) <= reach:
+            profiles[root] = reference_weight_profile(system, system.parse_object(root), reach)
+        for k, value in enumerate(values, 1):
+            if k * depth <= reach:
+                assert desc.leq(value, profiles[root][k * depth]), (root, k)
+    certified = any(e["status"] == "certified" for e in payload["loops"])
+    assert code == (0 if certified else 3 if payload["loops"] else 4)
+    return code, payload
+
+
+@st.composite
+def loop_commands(draw):
+    kind = draw(st.sampled_from(["os_runtime", "loops", "generated"]))
+    if kind == "os_runtime":
+        system, start, depth = "builtin:os_runtime", "idle()", 4
+    elif kind == "loops":
+        system, start = f"file:{json.dumps(LOOPS)}", draw(st.sampled_from(["a", "b"]))
+        depth = draw(st.integers(1, 3))
+    else:
+        text = json.dumps(random_system_json(draw(st.integers(0, 299))))
+        system = f"file:{text}"
+        start = draw(st.sampled_from(load_explicit(text).enumerate_objects()[0]))
+        depth = draw(st.integers(1, 3))
+    return ["loop", "--system", system, "--start", start, "--depth", str(depth),
+            "--format", "json"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(loop_commands())
+def test_loop_command_reads_one_profile_per_root(argv):
+    code, payload = check_loop_command(argv)
+    event("unbounded" if code == 0 else str(code))
+
+
+def test_loop_command_without_cap_matches():
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4",
+            "--format", "json"]
+    code, payload = check_loop_command(argv)
+    assert code == 0
+    assert [e["verdict"] for e in payload["loops"] if "verdict" in e] == ["unbounded"] * 2
 
 
 @settings(max_examples=60, deadline=None)
