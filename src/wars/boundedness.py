@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import aggregator as agg
 from .evaluator import STABILIZED, evaluate_to_fixpoint
 from .semiring import INF, NatInf, Semiring, SemiringError
-from .system import SystemError_, SystemHandle, _literal_text
+from .system import SystemError_, SystemHandle, _literal_text, _record
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -204,17 +204,17 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
 
     checked_rules = 0
     for a in objects:
-        rules, complete = sys.successors(a)
+        rules, complete = sys._rows(a, 64)
         if not complete:
             objects_complete = False
         for r in rules:
             checked_rules += 1
-            if not _syntactically_selective(r.aggregator, desc):
+            if not _syntactically_selective(r[2], desc):
                 return BoundednessReport(
                     UNKNOWN,
                     "selective-bounded",
-                    {"non_selective_rule": r.tag},
-                    witness=r,
+                    {"non_selective_rule": r[3]},
+                    witness=_record(r),
                 )
     details["rules_checked"] = checked_rules
 
@@ -337,16 +337,17 @@ def verify_embedding(
         ea = embed(a)
         if ea is None:
             return top_valued(a)
-        rules, complete = sys.successors(a, rule_budget)
+        rules, complete = sys._rows(a, rule_budget)
         if not rules and complete:
             checked += 1
-            if not desc.leq(sys.nf_weight(a), ea):
+            weight = sys._nf_weight(a)
+            if not desc.leq(weight, ea):
                 return BoundednessReport(
                     UNKNOWN,
                     "interpretation-method",
                     {
                         "violated_normal_form": sys.format_object(a),
-                        "weight": desc.format_literal(sys.nf_weight(a)),
+                        "weight": desc.format_literal(weight),
                         "embedding": desc.format_literal(ea),
                     },
                     witness=a,
@@ -357,28 +358,29 @@ def verify_embedding(
                 f"rule enumeration for {sys.format_object(a)} is not complete"
             )
         for r in rules:
+            _, rhs, aggregator, tag, _ = r
             checked += 1
             args = []
-            for b in r.rhs:
+            for b in rhs:
                 eb = embed(b)
                 if eb is None:
                     return top_valued(b)
                 args.append(eb)
-            key = id(r.aggregator), len(args)
+            key = id(aggregator), len(args)
             if key not in compiled:
-                compiled[key] = r.aggregator, agg._compiled(r.aggregator, desc, len(args))
+                compiled[key] = aggregator, agg._compiled(aggregator, desc, len(args))
             step = compiled[key][1](args, branch_trunc, None)
             if not desc.leq(step, ea):
                 return BoundednessReport(
                     UNKNOWN,
                     "interpretation-method",
                     {
-                        "violated_rule": r.tag,
+                        "violated_rule": tag,
                         "lhs": sys.format_object(a),
                         "aggregated": desc.format_literal(step),
                         "embedding": desc.format_literal(ea),
                     },
-                    witness=r,
+                    witness=_record(r),
                 )
 
     if exhaustive:
@@ -418,13 +420,13 @@ def search_affine_embedding(
     objects = sorted(enum[0], key=str)
 
     for a in objects:
-        rules, complete = sys.successors(a, rule_budget)
+        rules, complete = sys._rows(a, rule_budget)
         if not complete:
             raise PreconditionError("affine embedding search needs complete rule lists")
-        for r in rules:
-            if agg.affine_form(r.aggregator, desc, len(r.rhs)) is None:
+        for _, rhs, aggregator, tag, _ in rules:
+            if agg.affine_form(aggregator, desc, len(rhs)) is None:
                 raise UnsupportedAggregatorError(
-                    f"rule {r.tag}: aggregator is not affine in its variables"
+                    f"rule {tag}: aggregator is not affine in its variables"
                 )
 
     table = {}

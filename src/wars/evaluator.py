@@ -239,7 +239,7 @@ class _Ball:
             index[obj] = i
             objects.append(obj)
             if ring or distance < radius:
-                rules, done = sys.successors(obj, rule_budget)
+                rules, done = sys._rows(obj, rule_budget)
                 complete = complete and done
             else:
                 rules, done = [], sys.is_normal_form(obj)
@@ -846,7 +846,7 @@ def enumerate_trees(
     """
     trees = _enumerate(
         sys, a, depth, rule_budget, count_cap,
-        ReductionTree, lambda obj, rule: functools.partial(ReductionTree, obj, rule.tag),
+        ReductionTree, lambda obj, rule: functools.partial(ReductionTree, obj, rule[3]),
     )
     return iter(trees)
 
@@ -878,7 +878,7 @@ def enumerate_tree_weights(
         return weight
 
     def node(obj, rule):
-        fn = _compiled(rule.aggregator, desc, len(rule.rhs))
+        fn = _compiled(rule[2], desc, len(rule[1]))
         return lambda args: fn(args, branch_trunc, None)
 
     return _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node)
@@ -887,8 +887,8 @@ def enumerate_tree_weights(
 def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
     """One output per reduction tree rooted at ``a`` of depth at most
     ``depth``, in enumeration order: ``leaf(obj)`` for the tree that stops at
-    ``obj``, and ``node(obj, rule)(combo)`` for ``rule`` applied at ``obj`` to
-    a combination of its children's outputs.
+    ``obj``, and ``node(obj, rule)(combo)`` for ``rule`` (a row) applied at
+    ``obj`` to a combination of its children's outputs.
 
     Every tree is counted before any output is made, so more than
     ``count_cap`` trees raise ``CountCapExceeded`` before the builders run.
@@ -907,7 +907,7 @@ def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
         # [object, depth, its rules, next rule, the next rule's child
         # positions so far, (rule, child positions) of the rules done, trees
         # counted so far]
-        rules = sys.successors(obj, rule_budget)[0] if d > 0 else []
+        rules = sys._rows(obj, rule_budget)[0] if d > 0 else []
         return [obj, d, rules, 0, [], [], 1]
 
     # Depth first with an explicit stack: each rule's children are counted,
@@ -917,7 +917,7 @@ def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
         top = stack[-1]
         obj, d, rules, i, children, applied, count = top
         if i < len(rules):
-            rhs = rules[i].rhs
+            rhs = rules[i][1]
             if len(children) < len(rhs):
                 key = (rhs[len(children)], d - 1)
                 if key in position:

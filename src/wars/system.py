@@ -48,15 +48,7 @@ class RuleInstance(namedtuple("RuleInstance", "lhs rhs aggregator tag rhs_comple
     __slots__ = ()
 
     def __new__(cls, lhs, rhs, aggregator, tag, rhs_complete=True):
-        if not rhs:
-            raise SystemError_(f"rule {tag}: empty successor sequence")
-        mentions_x, mv = agg._facts(aggregator)
-        if mentions_x:
-            raise SystemError_(f"rule {tag}: rule aggregators cannot mention X")
-        if rhs_complete and isinstance(mv, int) and mv > len(rhs):
-            raise SystemError_(
-                f"rule {tag}: aggregator mentions v{mv} but rhs has {len(rhs)} entries"
-            )
+        _check_rule(rhs, aggregator, tag, rhs_complete)
         return tuple.__new__(cls, (lhs, rhs, aggregator, tag, rhs_complete))
 
     def __eq__(self, other):
@@ -66,6 +58,19 @@ class RuleInstance(namedtuple("RuleInstance", "lhs rhs aggregator tag rhs_comple
         return not self == other
 
     __hash__ = tuple.__hash__
+
+
+def _check_rule(rhs, aggregator, tag, rhs_complete=True) -> None:
+    """Raise ``SystemError_`` for a rule that ``RuleInstance`` refuses."""
+    if not rhs:
+        raise SystemError_(f"rule {tag}: empty successor sequence")
+    mentions_x, mv = agg._facts(aggregator)
+    if mentions_x:
+        raise SystemError_(f"rule {tag}: rule aggregators cannot mention X")
+    if rhs_complete and isinstance(mv, int) and mv > len(rhs):
+        raise SystemError_(
+            f"rule {tag}: aggregator mentions v{mv} but rhs has {len(rhs)} entries"
+        )
 
 
 def _finite_no_top(expr, desc) -> bool:
@@ -107,7 +112,7 @@ class _ExplicitFlags(Flags):
     def terminating(self) -> bool:
         # No component is a cycle; normal forms (-1) cannot be on one.
         number = {lhs: i for i, lhs in enumerate(self._rules_by_lhs)}
-        succs = [[number.get(b, -1) for r in rs for b in r.rhs] for rs in self._rules_by_lhs.values()]
+        succs = [[number.get(b, -1) for r in rs for b in r[1]] for rs in self._rules_by_lhs.values()]
         return not any(len(c) > 1 or c[0] in succs[c[0]] for c in _components(succs))
 
 
@@ -115,8 +120,10 @@ class SystemHandle:
     """A weighted sequence reduction system.
 
     ``successors_fn(a, budget)`` returns up to ``budget`` rules for ``a`` in a
-    fixed enumeration order together with a completeness flag.  ``nf_weight_fn``
-    is defined exactly on the normal forms.
+    fixed enumeration order together with a completeness flag.  A rule is a
+    row: a 5-tuple in ``RuleInstance`` field order (a record is one), checked
+    where it was made, in a list no caller changes.  ``nf_weight_fn`` is
+    defined exactly on the normal forms.
     """
 
     def __init__(
@@ -145,16 +152,21 @@ class SystemHandle:
         self._sample_objects = sample_objects_fn
         self.aggregators_finite_no_top = aggregators_finite_no_top
 
+    def _rows(self, a, budget: int) -> tuple:
+        """Up to ``budget`` rules applicable to ``a`` as rows, plus
+        completeness: what every reader inside ``wars`` takes."""
+        if budget < 1:
+            raise ValueError("rule_budget must be >= 1")
+        return self._successors(a, budget)
+
     def successors(self, a, rule_budget: int = 64) -> tuple[list[RuleInstance], bool]:
         """Up to ``rule_budget`` rules applicable to ``a``, plus completeness."""
-        if rule_budget < 1:
-            raise ValueError("rule_budget must be >= 1")
-        rules, complete = self._successors(a, rule_budget)
-        return list(rules), complete
+        rows, complete = self._rows(a, rule_budget)
+        return list(map(_record, rows)), complete
 
     def is_normal_form(self, a) -> bool:
-        rules, complete = self.successors(a, 1)
-        return not rules and complete
+        rows, complete = self._rows(a, 1)
+        return not rows and complete
 
     def nf_weight(self, a):
         if not self.is_normal_form(a):
@@ -164,10 +176,10 @@ class SystemHandle:
     def find_rule(self, a, tag: str, max_budget: int = 65536) -> RuleInstance:
         budget = 64
         while True:
-            rules, complete = self.successors(a, budget)
-            for r in rules:
-                if r.tag == tag:
-                    return r
+            rows, complete = self._rows(a, budget)
+            for r in rows:
+                if r[3] == tag:
+                    return _record(r)
             if complete or budget >= max_budget:
                 raise SystemError_(
                     f"no rule tagged {tag!r} for {self.format_object(a)}"
@@ -213,6 +225,11 @@ class SystemHandle:
         return f"<system {self.name} over {self.semiring.kind}>"
 
 
+def _record(row) -> RuleInstance:
+    """The public record of a row, which was checked where it was made."""
+    return row if type(row) is RuleInstance else RuleInstance._make(row)
+
+
 def cplx_wrap(base: SystemHandle) -> SystemHandle:
     """Reweigh a system so that weights count reduction steps.
 
@@ -228,10 +245,10 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
     )
 
     def successors(a, budget):
-        rules, complete = base._successors(a, budget)
+        rows, complete = base._successors(a, budget)
         # The base rule passed the checks, which the step cannot fail.
-        return [RuleInstance._make((r.lhs, r.rhs, step(len(r.rhs)), r.tag, r.rhs_complete))
-                for r in rules], complete
+        return [(lhs, rhs, step(len(rhs)), tag, whole)
+                for lhs, rhs, _, tag, whole in rows], complete
 
     return SystemHandle(
         name=f"cplx({base.name})",
@@ -284,21 +301,23 @@ def load_explicit(source: str) -> SystemHandle:
         raise SystemFormatError("missing 'semiring' entry")
     desc = descriptor_from_spec(data["semiring"])
 
-    rules_by_lhs: dict[str, list[RuleInstance]] = defaultdict(list)
+    rules_by_lhs: dict[str, list] = defaultdict(list)  # lhs -> its rows
     objects: set[str] = set()
     tags: set = set()  # (lhs, tag) of every rule so far
     rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
     if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
         raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
-    # Aggregator text -> expression: each text is parsed once per load.
+    # Aggregator text -> expression: each text is parsed once per load, and
+    # the expressions it keeps alive key the (id, arity) pairs checked.
     parsed: dict = {}
+    checked: set = set()
     # One pass, each rule's checks in order (JSON gives exact types).
     for i, spec in enumerate(rule_specs):
         spec = spec if type(spec) is dict else {}
         lhs, rhs = spec.get("lhs"), spec.get("rhs")
-        if type(lhs) is not str or type(rhs) is not list or not rhs or not all(type(b) is str for b in rhs):
+        if type(lhs) is not str or type(rhs) is not list or not rhs or not all(map(str.__instancecheck__, rhs)):
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
-        tag = spec.get("tag", f"r{i}")
+        tag = spec["tag"] if "tag" in spec else f"r{i}"
         if type(tag) is not str:
             raise SystemFormatError(f"rule {i}: 'tag' must be a string")
         text = spec.get("agg", "")
@@ -316,14 +335,16 @@ def load_explicit(source: str) -> SystemHandle:
                     f"{MAX_AGGREGATOR_DEPTH} levels"
                 )
             parsed[text] = expr
-        try:
-            rule = RuleInstance(lhs, tuple(rhs), expr, tag)
-        except SystemError_ as exc:
-            raise SystemFormatError(str(exc)) from exc
+        if (id(expr), len(rhs)) not in checked:
+            try:
+                _check_rule(rhs, expr, tag)
+            except SystemError_ as exc:
+                raise SystemFormatError(str(exc)) from exc
+            checked.add((id(expr), len(rhs)))
         if (lhs, tag) in tags:
             raise SystemFormatError(f"duplicate rule tag {tag!r} for {lhs!r}")
         tags.add((lhs, tag))
-        rules_by_lhs[lhs].append(rule)
+        rules_by_lhs[lhs].append((lhs, tuple(rhs), expr, tag, True))
         objects.update(rhs)
     objects.update(rules_by_lhs)
 
@@ -345,8 +366,8 @@ def load_explicit(source: str) -> SystemHandle:
     def successors(a, budget):
         if a not in objects:
             raise UnknownObjectError(f"unknown object {a!r}")
-        rules = rules_by_lhs.get(a, [])
-        return rules[:budget], budget >= len(rules)
+        rules = rules_by_lhs.get(a, ())
+        return (rules if budget >= len(rules) else rules[:budget]), budget >= len(rules)
 
     def parse_object(textual: str):
         label = textual.strip()

@@ -228,7 +228,6 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
         candidates.append(affine[1])
     candidates.append(desc.one)
 
-    poly_at = _as_function(polynomial, desc)
     seen = []
     for t in candidates:
         if any(t == prev for prev in seen):
@@ -244,25 +243,23 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
             if desc.leq(desc.one, c) and desc.leq(t, d):
                 return t, CERTIFIED
             continue
-        if desc.kind == "boolean":
-            if all(
-                desc.leq(desc.plus(s, t), poly_at(s))
-                for s in (False, True)
-            ):
-                return t, CERTIFIED
-            continue
+        poly_at = _as_function(polynomial, desc)
         if all(
             desc.leq(desc.plus(s, t), poly_at(s))
-            for s in desc.probe_values()
+            for s in ((False, True) if desc.kind == "boolean" else desc.probe_values())
         ):
-            return t, CANDIDATE
+            return t, CERTIFIED if desc.kind == "boolean" else CANDIDATE
     return None
 
 
 def _as_function(polynomial, desc: Semiring):
     """The polynomial compiled as a function of X, which becomes its one
-    variable."""
-    compiled = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
+    variable.  The form is kept on the polynomial under "X", which is no
+    arity, so certifying and concluding a loop compile it once."""
+    forms = polynomial._forms
+    if (desc, "X") not in forms:
+        forms[desc, "X"] = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
+    compiled = forms[desc, "X"]
     return lambda s: compiled([s], agg.DEFAULT_TRUNCATION, None)
 
 

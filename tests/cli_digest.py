@@ -9,7 +9,9 @@ and 8, in text and in JSON), ``loop`` over the scheduler built-ins
 ``os_runtime`` from ``idle()`` at depth 8, which certifies 10 loops), and
 ``loop`` on the generated systems of ``LOOP_SWEEP``, in text and in JSON,
 whose certified loops weigh less when pumped than the start's depth-indexed
-lower bound.  Each op runs through ``wars.cli.main`` in process, and one
+lower bound, and ``eval``, ``bound`` and ``oracle`` on the malformed system
+files of ``MALFORMED``, which pin the loader's message for the first failing
+rule.  Each op runs through ``wars.cli.main`` in process, and one
 line per op is printed: its label, then the sha256 of its stdout, of its
 stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
@@ -59,6 +61,29 @@ LOOP_SWEEP = (
     (354, "a1", (3,)),
     (354, "a3", (3,)),
     (378, "a0", (2, 3)),
+)
+# (name, rules, nf) of malformed ``nat_inf`` system files.
+MALFORMED = (
+    ("mentions_x", [{"lhs": "a", "rhs": ["b"], "agg": "X + v1"}], {"b": "0"}),
+    ("v3_first", [{"lhs": "a", "rhs": ["b"], "agg": "v3"}], {"b": "0"}),
+    ("v3_after_longer", [{"lhs": "a", "rhs": ["b", "b", "b"], "agg": "v3"},
+                         {"lhs": "a", "rhs": ["b", "b", "b"], "agg": "v3"},
+                         {"lhs": "c", "rhs": ["b"], "agg": "v3"}], {"b": "0"}),
+    ("duplicate_tag", [{"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": "t"},
+                       {"lhs": "a", "rhs": ["b"], "agg": "1 + v1", "tag": "t"}], {"b": "0"}),
+    ("non_string_label", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
+                          {"lhs": "a", "rhs": ["b", 5], "agg": "v1"}], {"b": "0"}),
+    ("non_string_lhs", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
+                        {"lhs": ["a"], "rhs": ["b"], "agg": "v1"}], {"b": "0"}),
+    ("non_string_tag", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
+                        {"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": 7}], {"b": "0"}),
+    ("null_tag", [{"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": None}], {"b": "0"}),
+    ("unparsable_agg", [{"lhs": "a", "rhs": ["b"], "agg": "1 +"}], {"b": "0"}),
+    ("missing_nf", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
+                    {"lhs": "a", "rhs": ["c"], "agg": "v1"}], {"b": "0"}),
+    ("two_faults", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
+                    {"lhs": "a", "rhs": ["b"], "agg": "v2", "tag": "wide"},
+                    {"lhs": "c", "rhs": ["b"], "agg": "X"}], {"b": "0"}),
 )
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
@@ -146,6 +171,21 @@ def loop_sweep_ops(workdir: Path):
                 yield f"loop system_seed={seed} {start} depth={depth} {fmt}", argv
 
 
+def malformed_ops(workdir: Path):
+    """(label, argv) of ``eval``, ``bound`` and ``oracle`` on the files of
+    ``MALFORMED``."""
+    inputs = workdir / "malformed"
+    inputs.mkdir()
+    for name, rules, nf in MALFORMED:
+        path = inputs / f"{name}.json"
+        data = {"semiring": {"kind": "nat_inf"}, "rules": rules, "nf": nf}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        system = ["--system", f"file:{path}"]
+        yield f"malformed {name} eval", ["eval", *system, "--start", "a", "--depth", "1"]
+        yield f"malformed {name} bound", ["bound", *system, "--mode", "extremal"]
+        yield f"malformed {name} oracle", ["oracle", *system, "--depth", "2"]
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -156,7 +196,7 @@ def main() -> int:
     WORKDIR.mkdir()
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops(),
-                    loop_sweep_ops(WORKDIR)):
+                    loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

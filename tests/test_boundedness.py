@@ -28,7 +28,7 @@ from wars.boundedness import (
 from wars.builtins import builtin, builtin_names, ground_terms
 from wars.evaluator import weight_lower_bound
 from wars.semiring import BOTTLENECK, INF
-from wars.system import SystemHandle, _finite_no_top, load_explicit
+from wars.system import RuleInstance, SystemHandle, _finite_no_top, load_explicit
 
 from reference_eval import reference_search_affine_embedding
 from system_gen import random_system
@@ -463,3 +463,23 @@ def test_search_matches_trying_every_table_on_generated_systems():
 def test_unknown_builtin_embedding():
     with pytest.raises(Exception, match="unknown embedding"):
         builtin_embedding("nope")
+
+
+class TestRuleWitnesses:
+    """Readers take rows, but a rule that leaves the library as a report's
+    witness is still the record public ``find_rule`` returns."""
+
+    @pytest.mark.parametrize("sys_", [CHAIN, builtin("os_runtime")], ids=["explicit", "cplx_wrap"])
+    def test_violated_rule_is_a_record(self, sys_):
+        start = next(a for a in sys_.sample_objects(None, 8) if not sys_.is_normal_form(a))
+        report = verify_embedding(sys_, Embedding(lambda obj: 0, "zero"), [start])
+        assert report.verdict == UNKNOWN
+        rule = report.witness
+        assert type(rule) is RuleInstance
+        assert rule == sys_.find_rule(start, report.details["violated_rule"])
+
+    def test_non_selective_rule_is_a_record(self):
+        report = check_sufficient_selective(CHAIN, 10)
+        assert report.details == {"non_selective_rule": "ab"}
+        assert type(report.witness) is RuleInstance
+        assert report.witness == CHAIN.find_rule("a", "ab")

@@ -192,9 +192,11 @@ def _single_error_line(captured) -> str:
 class TestDeepAggregators:
     def test_bound_lies_between_parent_limit_and_hashing_limit(self):
         # 329 levels was the deepest aggregator `wars eval` evaluated before
-        # the parser was iterative; hashing an expression failed near 490.
-        # Expressions are no longer hashed, and the compiled closures, which
-        # nest a frame per level, fail near 990.
+        # the parser was iterative.  The upper end keeps the bound clear of
+        # the compiled-closure frame limit: a compiled aggregator nests a
+        # Python frame per level when called, so `wars eval` on a nested sum
+        # fails near 990 levels.  (The name recalls a hashing limit near
+        # 490; no expression is hashed any more.)
         assert 329 <= MAX_AGGREGATOR_DEPTH < 490
 
     @pytest.mark.parametrize("levels", [329, MAX_AGGREGATOR_DEPTH])

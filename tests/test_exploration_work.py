@@ -5,7 +5,9 @@ loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
 up once per ball and asks its outer ring for normal-form status only.
-``wars loop`` explores no ball at all."""
+``wars loop`` explores no ball at all, and compiles each certified loop's
+polynomial once.  Readers inside ``wars`` take rows: a file system's rules
+become records only through public ``successors`` and ``find_rule``."""
 
 from __future__ import annotations
 
@@ -70,6 +72,18 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     assert 0 < compiles[0] <= 20
 
 
+def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
+    # Two certified loops, both affine: certify_loop compiled each polynomial
+    # for probes it never ran and conclude_unbounded compiled it again, 7 in
+    # all.  Left: one affine extraction per polynomial, one form per
+    # polynomial for its pumped witness, and the one rule aggregator.
+    compiles = _count_calls(monkeypatch, aggregator._compile)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
+    assert compiles[0] == 5
+
+
 def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
     # The cross-check once read a radius-20 DepthProfile of 7,677 objects
     # around wait(P1); the pumped witness is weighed on its own.
@@ -94,17 +108,18 @@ def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
 def test_depth_profile_enumerates_no_rules_on_its_outer_ring(monkeypatch):
     # The ring at distance 20 holds 2,560 of the 7,677 objects.  Each object
     # was asked for its rules at the full budget, and each of the 12,794
-    # rules looked up its compiled form.
+    # rules looked up its compiled form.  Counted at the row protocol, which
+    # every reader inside wars takes.
     handle = wars_builtins.builtin("os_runtime")
     lookups = _count_calls(monkeypatch, aggregator._compiled)
     budgets = collections.Counter()
-    successors = handle.successors
+    rows = handle._rows
 
-    def counted(a, rule_budget=64):
-        budgets[rule_budget] += 1
-        return successors(a, rule_budget)
+    def counted(a, budget):
+        budgets[budget] += 1
+        return rows(a, budget)
 
-    monkeypatch.setattr(handle, "successors", counted)
+    monkeypatch.setattr(handle, "_rows", counted)
     profile = DepthProfile(handle, handle.parse_object("wait(P1)"), 20)
     assert lookups[0] == 1
     assert budgets == {64: 5_117, 1: 2_560}
@@ -257,3 +272,107 @@ def test_scaled_sweep_calls_no_compiled_closure():
         "nf": {"b": "0"},
     }))
     assert _closure_calls(lambda: evaluate_to_fixpoint(chain, "a", 100)) > 0
+
+
+def _count_records(monkeypatch) -> collections.Counter:
+    """Count ``RuleInstance`` records as they are built, checked (``new``)
+    or not (``make``), and the calls into public ``successors`` and
+    ``find_rule``.  A record built during such a call counts as ``public``,
+    any other as ``internal``."""
+    counts = collections.Counter()
+    public = [0]
+    new, make = RuleInstance.__new__, RuleInstance._make.__func__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new", "public" if public[0] else "internal"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_make(cls, iterable):
+        counts["make", "public" if public[0] else "internal"] += 1
+        return make(cls, iterable)
+
+    monkeypatch.setattr(RuleInstance, "__new__", counted_new)
+    monkeypatch.setattr(RuleInstance, "_make", classmethod(counted_make))
+    for name in ("successors", "find_rule"):
+
+        def entered(self, *args, _method=getattr(SystemHandle, name), _name=name, **kwargs):
+            counts[_name] += 1
+            public[0] += 1
+            try:
+                return _method(self, *args, **kwargs)
+            finally:
+                public[0] -= 1
+
+        monkeypatch.setattr(SystemHandle, name, entered)
+    return counts
+
+
+FILE_SYSTEM = {
+    "semiring": {"kind": "nat_inf"},
+    "rules": [{"lhs": "a", "rhs": ["b", "c"], "agg": "1 + v1 + v2"},
+              {"lhs": "a", "rhs": ["c"], "agg": "v1", "tag": "skip"},
+              {"lhs": "b", "rhs": ["c"], "agg": "1 + v1"},
+              {"lhs": "b", "rhs": ["c"], "agg": "v1", "tag": "stay"}],
+    "nf": {"c": "2"},
+}
+
+
+def test_file_system_commands_build_no_rule_record(monkeypatch, capsys, tmp_path):
+    # Every rule was a checked record built by the loader, and every reader
+    # asked public successors for records.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(FILE_SYSTEM))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"a": "6", "b": "3", "c": "2"}))
+    counts = _count_records(monkeypatch)
+    system = ["--system", f"file:{path}"]
+    assert main(["eval", *system, "--start", "a", "--depth", "5"]) == 0
+    assert main(["bound", *system, "--mode", f"embed:{table}"]) == 0
+    assert main(["oracle", *system, "--depth", "3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert counts == {}
+
+
+@pytest.mark.parametrize("nf_bound, code", [("2", 0), ("1", 4)], ids=["holds", "violated"])
+def test_embedding_check_asks_each_object_for_its_rules_once(monkeypatch, capsys, tmp_path,
+                                                              nf_bound, code):
+    # The normal form c was asked for its rules again to read its weight,
+    # and a third time to report a violated weight.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(FILE_SYSTEM))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"a": "6", "b": "3", "c": nf_bound}))
+    budgets = collections.Counter()
+    rows = SystemHandle._rows
+
+    def counted(self, a, budget):
+        budgets[a, budget] += 1
+        return rows(self, a, budget)
+
+    monkeypatch.setattr(SystemHandle, "_rows", counted)
+    assert main(["bound", "--system", f"file:{path}", "--mode", f"embed:{table}"]) == code
+    out = capsys.readouterr().out
+    assert ("violated_normal_form: c" in out) == (code == 4)
+    # One question for c's weight from the check for a top-valued normal
+    # form, then one per object, in order, from the embedding check.
+    assert budgets == {("c", 1): 1, ("a", 64): 1, ("b", 64): 1, ("c", 64): 1}
+
+
+def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
+    # The loop search and the pumped check asked public successors for
+    # records of every rule they read, and cplx_wrap rewrapped each base
+    # rule into a record.  Now the loop search reads rows, cplx_wrap makes
+    # rows, and the only records come from find_rule (the polynomial and the
+    # pumped witness name rules by tag) and from os_size, the built-in
+    # under os_runtime, which still checks each rule it makes as a record.
+    counts = _count_records(monkeypatch)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
+    assert main(argv) == 0
+    assert "is the maximum" in capsys.readouterr().out
+    assert counts["successors"] == 0
+    assert counts["find_rule"] > 0
+    assert counts["make", "public"] == counts["find_rule"]
+    assert counts["make", "internal"] == 0
+    assert counts["new", "internal"] > 0
+    assert set(counts) == {"find_rule", ("make", "public"), ("new", "public"),
+                           ("new", "internal")}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wars.aggregator import Const, ProdNode, SumNode, Var
+from wars.aggregator import Const, ProdNode, SumNode, Var, parse_expr
 from wars.builtins import (
     builtin,
     builtin_names,
@@ -451,6 +451,51 @@ class TestLoadExplicit:
         with pytest.raises(SystemFormatError) as info:
             load_explicit(bad)
         assert str(info.value) == "duplicate rule tag 'r' for 'b'"
+
+
+class TestPublicRecords:
+    """The loader keeps rows; public ``successors`` and ``find_rule`` still
+    return the checked records it once built for every rule."""
+
+    @staticmethod
+    def _loaded_records(data: dict) -> dict:
+        """Per lhs, the records as the loader built them, one per rule."""
+        desc = load_explicit(json.dumps(data)).semiring
+        records: dict = {}
+        for i, spec in enumerate(data["rules"]):
+            expr = parse_expr(spec["agg"], desc)
+            rule = RuleInstance(spec["lhs"], tuple(spec["rhs"]), expr, spec.get("tag", f"r{i}"))
+            records.setdefault(spec["lhs"], []).append(rule)
+        return records
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_records_equal_hash_and_print_alike(self, seed):
+        data = random_system_json(seed)
+        sys_ = load_explicit(json.dumps(data))
+        for lhs, want in self._loaded_records(data).items():
+            got, complete = sys_.successors(lhs)
+            assert complete and got == want
+            assert all(type(r) is RuleInstance for r in got)
+            assert [hash(r) for r in got] == [hash(r) for r in want]
+            assert [repr(r) for r in got] == [repr(r) for r in want]
+            for r in want:
+                found = sys_.find_rule(lhs, r.tag)
+                assert type(found) is RuleInstance
+                assert found == r and hash(found) == hash(r) and repr(found) == repr(r)
+            # A budget cuts the list; a caller's list is its own.
+            assert sys_.successors(lhs, 1) == (want[:1], len(want) == 1)
+            got.clear()
+            assert sys_.successors(lhs)[0] == want
+
+    def test_errors_are_unchanged(self):
+        sys_ = load_explicit(TWO_STATE)
+        with pytest.raises(ValueError, match="rule_budget must be >= 1"):
+            sys_.successors("a", 0)
+        with pytest.raises(UnknownObjectError, match="unknown object 'z'"):
+            sys_.successors("z")
+        with pytest.raises(SystemError_, match="no rule tagged 'other' for a"):
+            sys_.find_rule("a", "other")
+        assert sys_.successors("b") == ([], True)
 
 
 class TestRuleRecord:
