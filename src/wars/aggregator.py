@@ -412,50 +412,37 @@ def affine_form(
 
     None when a product has two factors that mention variables, when a node
     is neither a constant, a variable, a sum nor a product, when a variable
-    exceeds ``arity``, or when a constant fails the test ``const``.  The walk
-    uses an explicit stack and folds each child into its parent as soon as
-    the child is done, left to right, as a recursive walk would.
+    exceeds ``arity``, or when a constant fails the test ``const``.  Each
+    sum or product folds its children's forms left to right.
     """
     zero, one = desc.zero, desc.one
 
-    def frame(node) -> list:
-        # [node, next child, form so far]; a product has no form before its
-        # first factor, a sum starts from zero.
-        return [node, 0, ([zero] * arity, zero) if isinstance(node, SumNode) else None]
+    def leaf(e):
+        if isinstance(e, Const) and (const is None or const(e.value)):
+            return [zero] * arity, e.value
+        if isinstance(e, Var) and e.index <= arity:
+            return [one if i == e.index else zero for i in range(1, arity + 1)], zero
+        return None
 
-    stack = [frame(expr)]
-    while True:
-        top = stack[-1]
-        node = top[0]
-        if isinstance(node, (SumNode, ProdNode)):
-            children = _children(node)
-            if top[1] < len(children):
-                top[1] += 1
-                stack.append(frame(children[top[1] - 1]))
-                continue
-            form = top[2]
-        elif isinstance(node, Const) and (const is None or const(node.value)):
-            form = [zero] * arity, node.value
-        elif isinstance(node, Var) and node.index <= arity:
-            form = [zero] * arity, zero
-            form[0][node.index - 1] = one
-        else:
+    def node(e, forms):
+        if None in forms:
             return None
-        stack.pop()
-        if not stack:
-            return form
-        parent = stack[-1]
-        acc = parent[2]
-        if isinstance(parent[0], SumNode):
-            parent[2] = [desc.plus(a, b) for a, b in zip(acc[0], form[0])], desc.plus(acc[1], form[1])
-        elif acc is None:
-            parent[2] = form
-        elif any(c != zero for c in acc[0]):
-            if any(c != zero for c in form[0]):
-                return None
-            parent[2] = [desc.times(c, form[1]) for c in acc[0]], desc.times(acc[1], form[1])
-        else:
-            parent[2] = [desc.times(acc[1], c) for c in form[0]], desc.times(acc[1], form[1])
+        if isinstance(e, SumNode):
+            acc = [zero] * arity, zero
+            for coeffs, d in forms:
+                acc = [desc.plus(a, b) for a, b in zip(acc[0], coeffs)], desc.plus(acc[1], d)
+            return acc
+        acc = forms[0]
+        for coeffs, d in forms[1:]:
+            if any(c != zero for c in acc[0]):
+                if any(c != zero for c in coeffs):
+                    return None
+                acc = [desc.times(c, d) for c in acc[0]], desc.times(acc[1], d)
+            else:
+                acc = [desc.times(acc[1], c) for c in coeffs], desc.times(acc[1], d)
+        return acc
+
+    return _reduce(expr, leaf, node)
 
 
 _TOKEN = re.compile(

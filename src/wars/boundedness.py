@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .evaluator import STABILIZED, evaluate_to_fixpoint
+from .evaluator import DEFAULT_BRANCH_TRUNC, STABILIZED, evaluate_to_fixpoint
 from .semiring import INF, NatInf, Semiring, SemiringError
-from .system import SystemError_, SystemHandle, _literal_text, _record
+from .system import DEFAULT_RULE_BUDGET, SystemError_, SystemHandle, _literal_text, _record
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -204,7 +204,7 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
 
     checked_rules = 0
     for a in objects:
-        rules, complete = sys._rows(a, 64)
+        rules, complete = sys._rows(a, DEFAULT_RULE_BUDGET)
         if not complete:
             objects_complete = False
         for r in rules:
@@ -288,8 +288,8 @@ def verify_embedding(
     sys: SystemHandle,
     embedding: Embedding,
     instances="all",
-    rule_budget: int = 64,
-    branch_trunc: int = 64,
+    rule_budget: int = DEFAULT_RULE_BUDGET,
+    branch_trunc: int = DEFAULT_BRANCH_TRUNC,
 ) -> BoundednessReport:
     """Check the interpretation-method inequalities on the given instances.
 
@@ -313,9 +313,8 @@ def verify_embedding(
         objects = list(instances)
 
     # Each touched object's embedding, called and checked on first use (None
-    # is no carrier value), and each compiled closure, kept with its aggregator.
+    # is no carrier value).
     bound_map = {}
-    compiled = {}  # (id(aggregator), arity) -> (aggregator, closure)
 
     def embed(obj):
         """The embedding of obj, or None when it is the maximum."""
@@ -366,10 +365,7 @@ def verify_embedding(
                 if eb is None:
                     return top_valued(b)
                 args.append(eb)
-            key = id(aggregator), len(args)
-            if key not in compiled:
-                compiled[key] = aggregator, agg._compiled(aggregator, desc, len(args))
-            step = compiled[key][1](args, branch_trunc, None)
+            step = agg._compiled(aggregator, desc, len(args))(args, branch_trunc, None)
             if not desc.leq(step, ea):
                 return BoundednessReport(
                     UNKNOWN,
@@ -400,7 +396,7 @@ def verify_embedding(
 
 
 def search_affine_embedding(
-    sys: SystemHandle, coeff_cap: int, rule_budget: int = 64
+    sys: SystemHandle, coeff_cap: int, rule_budget: int = DEFAULT_RULE_BUDGET
 ) -> Optional[Embedding]:
     """The least table of values up to ``coeff_cap`` that verifies
     exhaustively over ``nat_inf``; None when no table within the cap works.

@@ -62,7 +62,6 @@ def _walk(expected_steps: bool) -> SystemHandle:
             terminating=False,
         ),
         parse_object_fn=lambda text: int(text),
-        format_object_fn=str,
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda rng, count: list(range(count)),
         aggregators_finite_no_top=True,
@@ -93,7 +92,6 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
             terminating=False,
         ),
         parse_object_fn=lambda text: int(text),
-        format_object_fn=str,
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda rng, count: list(range(count)),
         aggregators_finite_no_top=False,
@@ -271,7 +269,6 @@ def _z_walk() -> SystemHandle:
             terminating=False,
         ),
         parse_object_fn=lambda text: int(text),
-        format_object_fn=str,
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=sample,
         aggregators_finite_no_top=True,
@@ -645,7 +642,6 @@ def _na_system() -> SystemHandle:
             terminating=True,
         ),
         parse_object_fn=parse,
-        format_object_fn=str,
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda rng, count: ["a"] + list(range(count - 1)),
         aggregators_finite_no_top=True,
@@ -738,7 +734,6 @@ def _bitstring_prefixes() -> SystemHandle:
             terminating=False,
         ),
         parse_object_fn=parse,
-        format_object_fn=str,
         enumerate_objects_fn=lambda: (["0", "1", "*"], True),
         enumerate_nfs_fn=lambda: (["*"], True),
         aggregators_finite_no_top=True,
@@ -776,7 +771,6 @@ def _loop_language() -> SystemHandle:
             terminating=False,
         ),
         parse_object_fn=lambda text: text.strip(),
-        format_object_fn=str,
         enumerate_objects_fn=lambda: (["a", "b"], True),
         enumerate_nfs_fn=lambda: (["b"], True),
         aggregators_finite_no_top=True,

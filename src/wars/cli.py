@@ -31,6 +31,10 @@ from .boundedness import (
 )
 from .builtins import builtin, builtin_names
 from .evaluator import (
+    DEFAULT_BRANCH_TRUNC,
+    DEFAULT_COUNT_CAP,
+    DEFAULT_RULE_BUDGET,
+    DEFAULT_VISIT_CAP,
     CountCapExceeded,
     DepthProfile,
     VisitCapExceeded,
@@ -96,15 +100,15 @@ def _common_args(parser: argparse.ArgumentParser, budgets: bool = True) -> None:
     """The budget options of ``eval`` and ``oracle``, which ``bound`` and
     ``loop`` do without, then the output option."""
     if budgets:
-        parser.add_argument("--rule-budget", type=int, default=64)
-        parser.add_argument("--branch-trunc", type=int, default=64)
+        parser.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
+        parser.add_argument("--branch-trunc", type=int, default=DEFAULT_BRANCH_TRUNC)
         # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
         parser.add_argument("--visit-cap", type=int)
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _default_visit_cap() -> int:
-    text = os.environ.get("WARS_VISIT_CAP", "100000")
+    text = os.environ.get("WARS_VISIT_CAP", str(DEFAULT_VISIT_CAP))
     try:
         return int(text)
     except ValueError:
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop.add_argument("--depth", type=int, required=True)
     p_loop.add_argument("--max-witnesses", type=int, default=16)
     # The loop search's only budget.
-    p_loop.add_argument("--rule-budget", type=int, default=64)
+    p_loop.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
     _common_args(p_loop, budgets=False)
 
     p_oracle = sub.add_parser(
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--system", required=True)
     p_oracle.add_argument("--depth", type=int, required=True)
-    p_oracle.add_argument("--count-cap", type=int, default=200_000)
+    p_oracle.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP)
     _common_args(p_oracle)
 
     p_list = sub.add_parser("list", help="list built-in systems")

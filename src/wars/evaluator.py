@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .aggregator import _compiled, affine_form
+from .aggregator import DEFAULT_TRUNCATION, _compiled, affine_form
 from .semiring import RealInf
-from .system import SystemHandle, _components
+from .system import DEFAULT_RULE_BUDGET, SystemHandle, _components
 
 LOWER_BOUND = "lower_bound"
 STABILIZED = "stabilized"
 
-DEFAULT_RULE_BUDGET = 64
-DEFAULT_BRANCH_TRUNC = 64
+DEFAULT_BRANCH_TRUNC = DEFAULT_TRUNCATION
 DEFAULT_VISIT_CAP = 100_000
+DEFAULT_COUNT_CAP = 200_000
 
 
 class EvaluatorError(Exception):
@@ -837,7 +837,7 @@ def enumerate_trees(
     a,
     depth: int,
     rule_budget: int = 8,
-    count_cap: int = 200_000,
+    count_cap: int = DEFAULT_COUNT_CAP,
 ) -> Iterator[ReductionTree]:
     """Every reduction tree rooted at ``a`` of depth at most ``depth``.
 
@@ -856,7 +856,7 @@ def enumerate_tree_weights(
     a,
     depth: int,
     rule_budget: int = 8,
-    count_cap: int = 200_000,
+    count_cap: int = DEFAULT_COUNT_CAP,
     branch_trunc: int = DEFAULT_BRANCH_TRUNC,
 ) -> list:
     """The weight of each tree of ``enumerate_trees``, in its order.

@@ -81,6 +81,9 @@ class _AllWords:
 
 ALL_WORDS = _AllWords()
 
+# A language symbol that literals print back: not eps, no delimiter, no outer whitespace.
+_SYMBOL = re.compile(r"(?!eps\Z)[^\s,{}()](?:[^,{}()]*[^\s,{}()])?")
+
 
 def _parse_number(text: str):
     text = text.strip()
@@ -160,8 +163,10 @@ class Semiring:
         raise NotImplementedError
 
     def leq(self, a, b) -> bool:
-        """Decide the natural order: a is below b."""
-        raise NotImplementedError
+        """Decide the natural order: a is below b, that is a join b is b."""
+        self.require(a)
+        self.require(b)
+        return self._join([a, b]) == b
 
     def join(self, values: Iterable):
         """Supremum of a non-empty finite collection.
@@ -212,6 +217,8 @@ class _Numeric(Semiring):
     order with the maximum as join, and number literals.  A carrier whose
     order differs overrides them."""
 
+    # The join order read off the numbers: twice as fast as building the
+    # join, and ``verify_embedding`` asks it once per rule.
     def leq(self, a, b) -> bool:
         self.require(a)
         self.require(b)
@@ -322,6 +329,7 @@ class Tropical(_Numeric):
             return INF
         return a + b
 
+    # The reversed usual order, read off the numbers as ``_Numeric.leq`` is.
     def leq(self, a, b) -> bool:
         self.require(a)
         self.require(b)
@@ -393,11 +401,6 @@ class Boolean(Semiring):
 
     def _times(self, a, b):
         return a and b
-
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return (not a) or b
 
     def _join(self, vals):
         return any(vals)
@@ -505,24 +508,23 @@ class Language(Semiring):
 
     def __init__(self, alphabet: Iterable[str]):
         symbols = tuple(alphabet)
-        # An empty symbol would let word splitting loop without advancing.
-        if not symbols or "" in symbols or len(set(symbols)) != len(symbols):
-            raise ValueError("alphabet must be a non-empty set of distinct non-empty symbols")
+        # An empty symbol would split words without advancing; the others
+        # would print word-set literals that do not parse back.
+        if not symbols or len(set(symbols)) != len(symbols) or not all(map(_SYMBOL.fullmatch, symbols)):
+            raise ValueError(
+                "alphabet must be a non-empty set of distinct non-empty symbols, none of "
+                "them 'eps', holding ',', '{', '}', '(' or ')', or with whitespace at an end"
+            )
         self.alphabet = symbols
         self.one = frozenset({""})
-        self._longest_first = sorted(symbols, key=len, reverse=True)
 
     def _split_word(self, word: str) -> bool:
-        # Greedy longest-match decomposition into alphabet symbols.
-        i = 0
-        while i < len(word):
-            for s in self._longest_first:
-                if word.startswith(s, i):
-                    i += len(s)
-                    break
-            else:
-                return False
-        return True
+        # The positions that some decomposition of a prefix reaches.
+        reached = {0}
+        for i in range(len(word)):
+            if i in reached:
+                reached.update(i + len(s) for s in self.alphabet if word.startswith(s, i))
+        return len(word) in reached
 
     def contains(self, value) -> bool:
         if value is ALL_WORDS:
@@ -547,15 +549,6 @@ class Language(Semiring):
                 "concatenation with SIGMA* leaves the finite-language carrier"
             )
         return frozenset(u + v for u in a for v in b)
-
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        if b is ALL_WORDS:
-            return True
-        if a is ALL_WORDS:
-            return False
-        return a <= b
 
     def _join(self, vals):
         if any(v is ALL_WORDS for v in vals):
@@ -642,11 +635,6 @@ class Product(Semiring):
 
     def _times(self, a, b):
         return tuple(c._times(x, y) for c, x, y in zip(self.components, a, b))
-
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return all(c.leq(x, y) for c, x, y in zip(self.components, a, b))
 
     def _join(self, vals):
         return tuple(

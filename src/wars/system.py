@@ -89,6 +89,9 @@ def _finite_no_top(expr, desc) -> bool:
 # deeper input would exhaust the recursion limit.
 MAX_AGGREGATOR_DEPTH = 400
 
+# How many rules of one object a reader asks for, unless told otherwise.
+DEFAULT_RULE_BUDGET = 64
+
 
 @dataclass
 class Flags:
@@ -159,7 +162,7 @@ class SystemHandle:
             raise ValueError("rule_budget must be >= 1")
         return self._successors(a, budget)
 
-    def successors(self, a, rule_budget: int = 64) -> tuple[list[RuleInstance], bool]:
+    def successors(self, a, rule_budget: int = DEFAULT_RULE_BUDGET) -> tuple[list[RuleInstance], bool]:
         """Up to ``rule_budget`` rules applicable to ``a``, plus completeness."""
         rows, complete = self._rows(a, rule_budget)
         return list(map(_record, rows)), complete
@@ -174,7 +177,7 @@ class SystemHandle:
         return self._nf_weight(a)
 
     def find_rule(self, a, tag: str, max_budget: int = 65536) -> RuleInstance:
-        budget = 64
+        budget = DEFAULT_RULE_BUDGET
         while True:
             rows, complete = self._rows(a, budget)
             for r in rows:
@@ -382,7 +385,6 @@ def load_explicit(source: str) -> SystemHandle:
         nf_weight_fn=lambda a: nf_weights[a],
         flags=_ExplicitFlags(rules_by_lhs),
         parse_object_fn=parse_object,
-        format_object_fn=str,
         enumerate_objects_fn=lambda: (sorted(objects), True),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
         aggregators_finite_no_top=all(

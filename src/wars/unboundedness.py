@@ -14,16 +14,16 @@ from typing import Optional
 
 from . import aggregator as agg
 from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
-from .evaluator import ReductionTree, enumerate_trees, tree_weight
+from .evaluator import DEFAULT_COUNT_CAP, ReductionTree, enumerate_trees, tree_weight
 from .semiring import NatInf, RealInf, Semiring
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
 
-# A countable sum keeps this many generated terms, both in a loop polynomial
-# and when its pumped witness is weighed, so the two sides agree.
-TRUNCATION = 64
+# A countable sum keeps this many generated terms, on a loop polynomial's
+# path, off it and when its pumped witness is weighed, so the sides agree.
+TRUNCATION = agg.DEFAULT_TRUNCATION
 
 
 class UnboundednessError(Exception):
@@ -71,7 +71,7 @@ def find_loops(
     start,
     max_depth: int,
     rule_budget: int = 8,
-    count_cap: int = 200_000,
+    count_cap: int = DEFAULT_COUNT_CAP,
     max_witnesses: int = 16,
 ) -> list[tuple[ReductionTree, tuple]]:
     """Trees rooted at a start object with some deeper leaf equal to the root.
@@ -132,40 +132,40 @@ def _loop_leaves(tree: ReductionTree):
             return
 
 
-def _tag_path(tree: ReductionTree, path: tuple) -> tuple:
-    tags, node = [], tree
+def _path_nodes(tree: ReductionTree, path: tuple) -> list:
+    """The nodes from the root down to the node at ``path``, both included."""
+    nodes = [tree]
     for idx in path:
-        tags.append(node.rule_tag)
-        node = node.children[idx]
-    return tuple(tags)
+        nodes.append(nodes[-1].children[idx])
+    return nodes
+
+
+def _tag_path(tree: ReductionTree, path: tuple) -> tuple:
+    return tuple(node.rule_tag for node in _path_nodes(tree, path)[:-1])
 
 
 def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple):
     """Tree weight as an expression in X, with the designated leaf as X.
 
-    Other normal-form leaves contribute their weights, other leaves the
-    semiring minimum; aggregators are applied symbolically and constant
-    subtrees are folded, so the result mentions X and constants only.
+    The rules on the path from the root to that leaf are applied
+    symbolically, bottom up; every subtree off the path enters as the
+    constant ``tree_weight`` gives it.  Constant subtrees are then folded,
+    so the result mentions X and constants only.
     """
     desc = sys.semiring
-    if _node_at(tree, leaf_path).children:
+    nodes = _path_nodes(tree, leaf_path)
+    if nodes[-1].children:
         raise UnboundednessError("the designated node is not a leaf")
-
-    def build(node, remaining):
-        if remaining == ():
-            return X
-        if not node.children:
-            if sys.is_normal_form(node.label):
-                return Const(sys.nf_weight(node.label))
-            return Const(desc.zero)
+    expr = X
+    for node, on_path in zip(reversed(nodes[:-1]), reversed(leaf_path)):
         rule = sys.find_rule(node.label, node.rule_tag)
-        child_exprs = []
-        for i, child in enumerate(node.children):
-            sub = remaining[1:] if remaining and remaining[0] == i else None
-            child_exprs.append(build(child, sub if sub is not None else _OFF_PATH))
-        return _apply_aggregator(rule.aggregator, child_exprs, desc)
+        child_exprs = [
+            expr if i == on_path else Const(tree_weight(sys, child, TRUNCATION))
+            for i, child in enumerate(node.children)
+        ]
+        expr = _apply_aggregator(rule.aggregator, child_exprs, desc)
 
-    polynomial = agg.fold_constants(build(tree, leaf_path), desc)
+    polynomial = agg.fold_constants(expr, desc)
     # The polynomial nests an aggregator once per loop step; its compiled
     # form nests a stack frame per level when called.
     if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
@@ -173,16 +173,6 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
             f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
         )
     return polynomial
-
-
-_OFF_PATH = ("off",)
-
-
-def _node_at(tree, path):
-    node = tree
-    for idx in path:
-        node = node.children[idx]
-    return node
 
 
 def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
@@ -326,9 +316,7 @@ def conclude_unbounded(
 def _graft(tree: ReductionTree, path: tuple, scion: ReductionTree) -> ReductionTree:
     """``tree`` with ``scion`` in place of the leaf at ``path``.  Only the
     nodes on the path are rebuilt; every subtree off it is shared."""
-    nodes = [tree]
-    for idx in path[:-1]:
-        nodes.append(nodes[-1].children[idx])
+    nodes = _path_nodes(tree, path[:-1])
     for node, idx in zip(reversed(nodes), reversed(path)):
         kids = node.children
         scion = ReductionTree(node.label, node.rule_tag, kids[:idx] + (scion,) + kids[idx + 1:])

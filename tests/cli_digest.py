@@ -9,9 +9,14 @@ and 8, in text and in JSON), ``loop`` over the scheduler built-ins
 ``os_runtime`` from ``idle()`` at depth 8, which certifies 10 loops), and
 ``loop`` on the generated systems of ``LOOP_SWEEP``, in text and in JSON,
 whose certified loops weigh less when pumped than the start's depth-indexed
-lower bound, and ``eval``, ``bound`` and ``oracle`` on the malformed system
+lower bound, ``eval``, ``bound`` and ``oracle`` on the malformed system
 files of ``MALFORMED``, which pin the loader's message for the first failing
-rule.  Each op runs through ``wars.cli.main`` in process, and one
+rule, ``loop`` on ``geometric_walk``, whose loop polynomials weigh countable
+sums off the loop path, ``bound --mode selective`` on the boolean, language
+and product files of ``ORDERED``, which compare weights in the natural order,
+and ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
+alphabets are not prefix-free or cannot all be printed back, each op in
+text and in JSON.  Each op runs through ``wars.cli.main`` in process, and one
 line per op is printed: its label, then the sha256 of its stdout, of its
 stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
@@ -84,6 +89,40 @@ MALFORMED = (
     ("two_faults", [{"lhs": "a", "rhs": ["b"], "agg": "v1"},
                     {"lhs": "a", "rhs": ["b"], "agg": "v2", "tag": "wide"},
                     {"lhs": "c", "rhs": ["b"], "agg": "X"}], {"b": "0"}),
+)
+# (name, semiring, rules, nf, bounds) of system files checked with
+# ``bound --mode selective`` at each bound; rules are bare variables, which
+# every carrier counts as selective.
+ORDERED = (
+    ("boolean", {"kind": "boolean"},
+     [{"lhs": "a", "rhs": ["b", "c"], "agg": "v1 * v2"}, {"lhs": "a", "rhs": ["c"], "agg": "v1"}],
+     {"b": "false", "c": "false"}, ("false",)),
+    ("language", {"kind": "language", "alphabet": ["0", "1"]},
+     [{"lhs": "a", "rhs": ["b"], "agg": "v1"}, {"lhs": "a", "rhs": ["c"], "agg": "v1"}],
+     {"b": "{0}", "c": "{eps,01}"}, ("{eps,0,01}", "{0,01}", "{}")),
+    ("product", {"kind": "product", "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
+     [{"lhs": "a", "rhs": ["b", "c"], "agg": "v2"}], {"b": "(2,false)", "c": "(0,true)"},
+     ("(3,true)", "(1,true)", "(inf,false)")),
+    ("nested_product",
+     {"kind": "product", "components": [
+         {"kind": "tropical"},
+         {"kind": "product", "components": [{"kind": "boolean"},
+                                            {"kind": "language", "alphabet": ["x", "yz"]}]}]},
+     [{"lhs": "a", "rhs": ["b"], "agg": "v1"}, {"lhs": "a", "rhs": ["c"], "agg": "v1"}],
+     {"b": "(4,(false,{x}))", "c": "(7,(true,{eps,yzx}))"},
+     ("(3,(true,{eps,x,yzx}))", "(5,(true,{eps,x,yzx}))", "(3,(false,{eps,x,yzx}))")),
+)
+# (name, alphabet, nf weight of t, selective bound) of word-set files with
+# the rule s -> t aggregated by ``{a} * v1`` where "a" is a symbol, else by
+# ``v1``.
+WORD_SETS = (
+    ("overlapping", ["a", "ab", "bc"], "{bc}", "{abc,ab}"),
+    ("overlapping_literal", ["a", "ab", "bc"], "{abc}", "{abc}"),
+    ("eps_symbol", ["eps", "a"], "{eps,a}", "{a}"),
+    ("comma_symbol", ["a,b", "c"], "{c}", "{c}"),
+    ("brace_symbol", ["a", "{b}"], "{a}", "{a}"),
+    ("parenthesis_symbol", ["a", "(b)"], "{a}", "{a}"),
+    ("spaced_symbol", ["a", "b "], "{a}", "{a}"),
 )
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
@@ -186,6 +225,52 @@ def malformed_ops(workdir: Path):
         yield f"malformed {name} oracle", ["oracle", *system, "--depth", "2"]
 
 
+def geometric_ops():
+    """(label, argv) of ``loop`` on ``geometric_walk`` from 2.  At depth 2 the
+    walk keeps 8 targets per jump: with the default 16, the loop search
+    enumerates 2^15 trees (about 37 s per op)."""
+    for system, depth in (("geometric_walk", 1), ("geometric_walk(prefix=8)", 1),
+                          ("geometric_walk(prefix=8)", 2)):
+        for fmt in ("text", "json"):
+            argv = ["loop", "--system", f"builtin:{system}", "--start", "2",
+                    "--depth", str(depth), "--format", fmt]
+            yield f"loop {system} 2 depth={depth} {fmt}", argv
+
+
+def _write_system(path: Path, semiring: dict, rules: list, nf: dict) -> list:
+    path.write_text(json.dumps({"semiring": semiring, "rules": rules, "nf": nf}),
+                    encoding="utf-8")
+    return ["--system", f"file:{path}"]
+
+
+def ordered_ops(workdir: Path):
+    """(label, argv) of ``bound --mode selective`` on the files of ``ORDERED``."""
+    inputs = workdir / "ordered"
+    inputs.mkdir()
+    for name, semiring, rules, nf, bounds in ORDERED:
+        system = _write_system(inputs / f"{name}.json", semiring, rules, nf)
+        for bound in bounds:
+            for fmt in ("text", "json"):
+                argv = ["bound", *system, "--mode", "selective", "--bound", bound, "--format", fmt]
+                yield f"ordered {name} selective {bound} {fmt}", argv
+
+
+def word_set_ops(workdir: Path):
+    """(label, argv) of ``eval`` and ``bound`` on the files of ``WORD_SETS``."""
+    inputs = workdir / "word-sets"
+    inputs.mkdir()
+    for name, alphabet, weight, bound in WORD_SETS:
+        agg = "{a} * v1" if "a" in alphabet else "v1"
+        rules = [{"lhs": "s", "rhs": ["t"], "agg": agg}]
+        system = _write_system(inputs / f"{name}.json", {"kind": "language", "alphabet": alphabet},
+                               rules, {"t": weight})
+        for fmt in ("text", "json"):
+            argv = ["eval", *system, "--start", "s", "--depth", "3", "--format", fmt]
+            yield f"word-set {name} eval {fmt}", argv
+            argv = ["bound", *system, "--mode", "selective", "--bound", bound, "--format", fmt]
+            yield f"word-set {name} selective {bound} {fmt}", argv
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -196,7 +281,8 @@ def main() -> int:
     WORKDIR.mkdir()
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops(),
-                    loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR)):
+                    loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
+                    ordered_ops(WORKDIR), word_set_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

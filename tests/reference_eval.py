@@ -19,6 +19,16 @@ over the tree and checks and weighs every node it meets, shared or not.
 lexicographic order and checks each with its own copy of the embedding
 inequalities, so its cost grows exponentially with the number of objects.
 
+``reference_induced_polynomial`` is the reference for
+``induced_polynomial``.  It rebuilds the whole loop tree symbolically,
+off-path subtrees included, recursing once per node, and folds the constants
+afterwards.  ``reference_affine_form`` is the reference for ``affine_form``:
+it walks an explicit stack and folds each child into its parent as soon as
+the child is done.
+
+``reference_leq`` is the natural order as ``Boolean``, ``Language`` and
+``Product`` spelled it before they read it off the join.
+
 ``reference_parse``, the ``reference_*`` expression walkers,
 ``reference_enumerate_trees`` and ``reference_loop_leaves`` are the references
 for the iterative parser, the fold-based walkers and the iterative tree
@@ -61,9 +71,9 @@ from wars.evaluator import (
     VisitCapExceeded,
     WeightBound,
 )
-from wars.semiring import INF, LiteralError, NatInf, Tropical
-from wars.system import SystemHandle
-from wars.unboundedness import UnboundednessError
+from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, NatInf, Product, Tropical
+from wars.system import MAX_AGGREGATOR_DEPTH, SystemHandle
+from wars.unboundedness import UnboundednessError, _apply_aggregator
 
 
 def reference_evaluate(expr, desc, args, truncation: int = 64):
@@ -319,6 +329,26 @@ class ReferenceProfile:
 
 
 # --------------------------------------------------------------------------
+# The natural order as the carriers that now read it off the join spelled it.
+
+
+def reference_leq(desc, a, b) -> bool:
+    desc.require(a)
+    desc.require(b)
+    if isinstance(desc, Product):
+        return all(reference_leq(c, x, y) for c, x, y in zip(desc.components, a, b))
+    if isinstance(desc, Language):
+        if b is ALL_WORDS:
+            return True
+        if a is ALL_WORDS:
+            return False
+        return a <= b
+    if isinstance(desc, Boolean):
+        return (not a) or b
+    return desc.leq(a, b)
+
+
+# --------------------------------------------------------------------------
 # Tree weighing: one recursive call per node, nothing shared.
 
 
@@ -540,6 +570,88 @@ def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
             return Const(desc.zero)
         return SumNode(tuple(terms))
     raise UnboundednessError(f"cannot substitute into {expr!r}")
+
+
+def reference_affine_form(expr, desc, arity, const=None):
+    """The affine form with an explicit stack that folds each child into its
+    parent as soon as the child is done, left to right."""
+    zero, one = desc.zero, desc.one
+
+    def frame(node) -> list:
+        # [node, next child, form so far]; a product has no form before its
+        # first factor, a sum starts from zero.
+        return [node, 0, ([zero] * arity, zero) if isinstance(node, SumNode) else None]
+
+    stack = [frame(expr)]
+    while True:
+        top = stack[-1]
+        node = top[0]
+        if isinstance(node, (SumNode, ProdNode)):
+            children = node.terms if isinstance(node, SumNode) else node.factors
+            if top[1] < len(children):
+                top[1] += 1
+                stack.append(frame(children[top[1] - 1]))
+                continue
+            form = top[2]
+        elif isinstance(node, Const) and (const is None or const(node.value)):
+            form = [zero] * arity, node.value
+        elif isinstance(node, Var) and node.index <= arity:
+            form = [zero] * arity, zero
+            form[0][node.index - 1] = one
+        else:
+            return None
+        stack.pop()
+        if not stack:
+            return form
+        parent = stack[-1]
+        acc = parent[2]
+        if isinstance(parent[0], SumNode):
+            parent[2] = [desc.plus(a, b) for a, b in zip(acc[0], form[0])], desc.plus(acc[1], form[1])
+        elif acc is None:
+            parent[2] = form
+        elif any(c != zero for c in acc[0]):
+            if any(c != zero for c in form[0]):
+                return None
+            parent[2] = [desc.times(c, form[1]) for c in acc[0]], desc.times(acc[1], form[1])
+        else:
+            parent[2] = [desc.times(acc[1], c) for c in form[0]], desc.times(acc[1], form[1])
+
+
+# --------------------------------------------------------------------------
+# Loop polynomials: the whole loop tree rebuilt symbolically, one recursive
+# call per node, off-path subtrees included.
+
+_OFF_PATH = ("off",)
+
+
+def reference_induced_polynomial(sys, tree, leaf_path):
+    desc = sys.semiring
+    node = tree
+    for idx in leaf_path:
+        node = node.children[idx]
+    if node.children:
+        raise UnboundednessError("the designated node is not a leaf")
+
+    def build(node, remaining):
+        if remaining == ():
+            return X
+        if not node.children:
+            if sys.is_normal_form(node.label):
+                return Const(sys.nf_weight(node.label))
+            return Const(desc.zero)
+        rule = sys.find_rule(node.label, node.rule_tag)
+        child_exprs = []
+        for i, child in enumerate(node.children):
+            sub = remaining[1:] if remaining and remaining[0] == i else None
+            child_exprs.append(build(child, sub if sub is not None else _OFF_PATH))
+        return _apply_aggregator(rule.aggregator, child_exprs, desc)
+
+    polynomial = agg.fold_constants(build(tree, leaf_path), desc)
+    if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
+        raise UnboundednessError(
+            f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
+        )
+    return polynomial
 
 
 # --------------------------------------------------------------------------

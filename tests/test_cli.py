@@ -837,6 +837,24 @@ def test_system_file_of_the_wrong_shape_is_bad_configuration(tmp_path, capsys, s
     assert _single_error_line(capsys.readouterr()) == f"error: {message}"
 
 
+@pytest.mark.parametrize("fmt, out", [
+    ("text", "s: {abc} (stabilized, depth 1, 2 objects)\n"),
+    ("json", '"value": "{abc}"'),
+])
+def test_language_word_over_an_alphabet_that_is_not_prefix_free(tmp_path, capsys, fmt, out):
+    # "abc" is a.bc; the longest first symbol, "ab", leaves "c".
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "language", "alphabet": ["a", "ab", "bc"]},
+        "rules": [{"lhs": "s", "rhs": ["t"], "agg": "{a} * v1"}],
+        "nf": {"t": "{bc}"},
+    }))
+    argv = ["eval", "--system", f"file:{path}", "--start", "s", "--depth", "3", "--format", fmt]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert out in captured.out and captured.err == ""
+
+
 ZERO_DENOMINATOR = "zero denominator: '1/0'"
 
 

@@ -372,3 +372,30 @@ def test_deep_constant_expression_folds_to_its_value():
     text = "1 + (" * (DEEP - 1) + "1" + ")" * (DEEP - 1)
     folded = agg.fold_constants(parse_expr(text, NAT_INF), NAT_INF)
     assert folded == Const(DEEP)
+
+
+AFFINE_CARRIERS = [
+    NAT_INF,
+    REAL_INF,
+    Product((NAT_INF, REAL_INF)),
+    Product((REAL_INF, Product((NAT_INF, NAT_INF)))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_affine_form_matches_the_stack_walker(data):
+    # Over the carriers the form is read on, whose operations never raise on
+    # carrier values: the same coefficients and constant with the same
+    # types, or None on both sides.
+    desc = data.draw(st.sampled_from(AFFINE_CARRIERS))
+    expr = data.draw(expressions(desc, bad=False, countable=data.draw(st.booleans())))
+    arity = data.draw(st.integers(0, 4))
+    const = data.draw(st.sampled_from([None, lambda v: v != desc.top]))
+
+    def typed(form):
+        return form if form is None else (_typed(form[0]), [_typed(c) for c in form[0]], _typed(form[1]))
+
+    assert typed(agg.affine_form(expr, desc, arity, const)) == (
+        typed(ref.reference_affine_form(expr, desc, arity, const))
+    )

@@ -27,9 +27,6 @@ ALLOWED = {
     ("unboundedness.py", ("_apply_aggregator", "substitute")):
         "a countable sum's generated terms are substituted in turn; countable "
         "sums nest only as deep as the program that built them",
-    ("unboundedness.py", ("build",)):
-        "the loop polynomial is built recursively over the loop tree, whose "
-        "depth is bounded by the loop search depth",
 }
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from algebra_checks import check_all
+from reference_eval import reference_leq
 from wars.semiring import (
     ALL_WORDS,
     ARCTIC,
@@ -101,6 +102,39 @@ class TestTimes:
         with pytest.raises(ValueError, match="distinct non-empty symbols"):
             Language(alphabet)
 
+    @pytest.mark.parametrize(
+        "alphabet",
+        [("eps", "a"), ("a,b", "c"), ("{a",), ("a}",), ("(a",), ("a)",), (" a",), ("a ",),
+         ("a\t",), ("\na",)],
+    )
+    def test_language_symbols_print_back(self, alphabet):
+        # Each symbol would print a literal that parses to another value, or
+        # to none.
+        with pytest.raises(ValueError, match="none of them 'eps'"):
+            Language(alphabet)
+
+
+class TestLanguageMembership:
+    # Not prefix-free: "abc" is a.bc, while the longest match "ab" leaves "c".
+    OVERLAPPING = Language(("a", "ab", "bc"))
+
+    @pytest.mark.parametrize("word", ["", "a", "ab", "abc", "abcbc", "aab", "abab", "aabc"])
+    def test_every_decomposition_counts(self, word):
+        assert self.OVERLAPPING.contains(frozenset({word}))
+        literal = "{" + (word or "eps") + "}"
+        assert self.OVERLAPPING.parse_literal(literal) == frozenset({word})
+        assert self.OVERLAPPING.format_literal(frozenset({word})) == literal
+
+    @pytest.mark.parametrize("word", ["b", "c", "ac", "abcb", "cab", "abd"])
+    def test_words_without_a_decomposition(self, word):
+        assert not self.OVERLAPPING.contains(frozenset({word}))
+        with pytest.raises(LiteralError, match="does not decompose"):
+            self.OVERLAPPING.parse_literal("{" + word + "}")
+
+    def test_inner_whitespace_is_part_of_a_symbol(self):
+        spaced = Language(("a b", "c"))
+        assert spaced.parse_literal("{ a bc }") == frozenset({"a bc"})
+
 
 class TestLeq:
     def test_tropical_order_is_reversed(self):
@@ -120,6 +154,36 @@ class TestLeq:
         assert not LANG01.leq(frozenset({"0", "1"}), frozenset({"0"}))
         assert LANG01.leq(frozenset({"0"}), ALL_WORDS)
         assert not LANG01.leq(ALL_WORDS, frozenset({"0"}))
+
+
+class TestLeqIsTheJoinOrder:
+    DESCRIPTORS = [
+        BOOLEAN,
+        LANG01,
+        Language(("a", "ab", "bc")),
+        NAT_BOOL,
+        Product((LANG01, BOOLEAN)),
+        Product((TROPICAL, Product((BOOLEAN, Language(("x", "yz")))))),
+        Product((Product((REAL_INF, BOOLEAN)), Product((LANG01, ARCTIC)))),
+    ]
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS, ids=repr)
+    def test_matches_the_spelled_out_order(self, desc):
+        rng = random.Random(5)
+        values = desc.probe_values() + [desc.sample(rng) for _ in range(40)]
+        if isinstance(desc, Language):
+            assert ALL_WORDS in values
+        for a in values:
+            for b in values:
+                assert desc.leq(a, b) is reference_leq(desc, a, b), (a, b)
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS, ids=repr)
+    def test_both_arguments_are_checked(self, desc):
+        for bad in (None, -1, "x"):
+            with pytest.raises(CarrierMismatch):
+                desc.leq(bad, desc.zero)
+            with pytest.raises(CarrierMismatch):
+                desc.leq(desc.zero, bad)
 
 
 class TestJoin:

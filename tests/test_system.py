@@ -348,6 +348,16 @@ class TestLoadExplicit:
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
             ('{"semiring": {"kind": "language", "alphabet": ["a", ""]}}',
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["eps", "a"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["a,b", "c"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["a", "{b}"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["(a)"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["a", "b "]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
             ('{"semiring": {"kind": "nat_inf"}, "rules": [{"lhs": "a", "rhs": ["a"], '
              '"agg": "1 + v1", "tag": 5}]}',
              SystemFormatError, "rule 0: 'tag' must be a string"),
@@ -358,6 +368,8 @@ class TestLoadExplicit:
         ],
         ids=["system not an object", "spec not an object", "components not a list",
              "component not an object", "repeated symbol", "empty symbol",
+             "symbol eps", "symbol with a comma", "symbol with braces",
+             "symbol with parentheses", "symbol with trailing whitespace",
              "tag a number", "tag null"],
     )
     def test_json_of_the_wrong_shape_rejected(self, tmp_path, text, error, message):

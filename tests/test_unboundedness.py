@@ -6,14 +6,19 @@ import json
 
 import pytest
 
-from reference_eval import reference_tree_weight, reference_weight_profile
+from reference_eval import (
+    reference_induced_polynomial,
+    reference_tree_weight,
+    reference_weight_profile,
+)
 from system_gen import random_system_json
 from test_level_core import LOOPS
+from wars import aggregator as agg
 from wars import unboundedness
 from wars.aggregator import Const, SumNode, X, evaluate, format_expr, parse_expr, substitute_x
 from wars.builtins import builtin
 from wars.cli import main
-from wars.evaluator import ReductionTree, weight_lower_bound
+from wars.evaluator import ReductionTree, StructuralTreeError, weight_lower_bound
 from wars.semiring import ARCTIC, BOOLEAN, NAT_INF, REAL_INF, Language
 from wars.system import load_explicit
 from wars.unboundedness import (
@@ -344,3 +349,116 @@ class TestServiceCountLoops:
         ]
         assert both
         assert any(w.t == (1, 1) and w.status == CANDIDATE for w in both)
+
+
+def _typed_shape(expr) -> list:
+    """An expression's nodes in order, each constant with its value's type,
+    since ``==`` on constants takes ``1`` and ``Fraction(1)`` for equal."""
+    return agg._reduce(
+        expr,
+        lambda e: [(type(e).__name__, type(getattr(e, "value", None)), getattr(e, "value", None))],
+        lambda e, parts: [type(e).__name__] + [p for part in parts for p in part],
+    )
+
+
+def _polynomial_outcome(derive, system, tree, path):
+    try:
+        polynomial = derive(system, tree, path)
+    except Exception as exc:  # noqa: BLE001 - every exception is compared
+        return type(exc), str(exc)
+    return format_expr(polynomial, system.semiring), _typed_shape(polynomial)
+
+
+class TestPathPolynomial:
+    """The polynomial built along the loop path, off-path subtrees weighed by
+    ``tree_weight``, against the whole-tree rebuild it replaced."""
+
+    def test_matches_the_whole_tree_rebuild_on_generated_systems(self):
+        compared = 0
+        for seed in range(400):
+            system = load_explicit(json.dumps(random_system_json(seed)))
+            for start in system.enumerate_objects()[0]:
+                for depth in (1, 2, 3):
+                    for tree, path in find_loops(system, start, depth):
+                        compared += 1
+                        assert _polynomial_outcome(induced_polynomial, system, tree, path) == (
+                            _polynomial_outcome(reference_induced_polynomial, system, tree, path)
+                        ), (seed, start, depth, path)
+        assert compared > 4000
+
+    @pytest.mark.parametrize("name", ["os_runtime", "os_size", "os_fair", "os_starv"])
+    def test_matches_the_whole_tree_rebuild_on_the_schedulers(self, name):
+        system = builtin(name)
+        starts = [system.parse_object(s) for s in ("idle()", "wait(P1)", "run(P2P1)")]
+        loops = find_loops(system, starts, 5, max_witnesses=64)
+        assert loops
+        for tree, path in loops:
+            assert _polynomial_outcome(induced_polynomial, system, tree, path) == (
+                _polynomial_outcome(reference_induced_polynomial, system, tree, path)
+            )
+
+    def test_countable_sums_off_the_path(self):
+        # Every child of a jump from 2 but the 2 is off the path; in the last
+        # tree the off-path 1 jumps too, so a countable sum is weighed there.
+        walk = builtin("geometric_walk", prefix=6)
+        tree, path = find_loops(walk, 2, 1)[0]
+        jumped = ReductionTree(1, "jump", tuple(map(ReductionTree, range(6))))
+        off_path = ReductionTree(2, "jump", tree.children[:1] + (jumped,) + tree.children[2:])
+        for tree, path in [(tree, path), (unboundedness._graft(tree, path, tree), path * 2),
+                           (off_path, path)]:
+            assert _polynomial_outcome(induced_polynomial, walk, tree, path) == (
+                _polynomial_outcome(reference_induced_polynomial, walk, tree, path)
+            )
+
+    def test_designated_leaf_object_also_off_the_path(self):
+        system = explicit(
+            {
+                "semiring": {"kind": "nat_inf"},
+                "rules": [
+                    {"lhs": "a", "rhs": ["a", "a"], "agg": "v1 + v2", "tag": "two"},
+                    {"lhs": "a", "rhs": ["b"], "agg": "1 + v1", "tag": "exit"},
+                ],
+                "nf": {"b": "2"},
+            }
+        )
+        leaf, done = ReductionTree("a"), ReductionTree("a", "exit", (ReductionTree("b"),))
+        for tree, path, text in [
+            (ReductionTree("a", "two", (done, leaf)), (1,), "3 + X"),
+            (ReductionTree("a", "two", (leaf, leaf)), (0,), "X + 0"),
+            (ReductionTree("a", "two", (leaf, leaf)), (1,), "0 + X"),
+        ]:
+            outcome = _polynomial_outcome(induced_polynomial, system, tree, path)
+            assert outcome[0] == text
+            assert outcome == _polynomial_outcome(reference_induced_polynomial, system, tree, path)
+
+    def test_long_path_within_the_nesting_bound(self):
+        tree = _chain_tree(300)
+        outcome = _polynomial_outcome(induced_polynomial, STEP, tree, (0,) * 300)
+        assert outcome[0] == " + (".join(["1"] * 300) + " + X" + ")" * 299
+        assert outcome == _polynomial_outcome(reference_induced_polynomial, STEP, tree, (0,) * 300)
+
+    def test_deep_path_is_an_error_not_a_recursion_failure(self):
+        with pytest.raises(UnboundednessError, match="nests deeper than 400 levels"):
+            induced_polynomial(STEP, _chain_tree(2_000), (0,) * 2_000)
+
+    def test_malformed_off_path_subtree_raises_what_tree_weight_raises(self):
+        bad = ReductionTree("a", "spin", (ReductionTree("a"), ReductionTree("b", "spin", (ReductionTree("b"),))))
+        with pytest.raises(StructuralTreeError, match="normal form b has children"):
+            induced_polynomial(SELF_AND_EXIT, bad, (0,))
+
+
+STEP = explicit(
+    {
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1", "tag": "step"}],
+        "nf": {},
+    }
+)
+
+
+def _chain_tree(steps: int) -> ReductionTree:
+    """``steps`` applications of STEP's one rule above the leaf ``a``."""
+    tree = ReductionTree("a")
+    for _ in range(steps):
+        tree = ReductionTree("a", "step", (tree,))
+    return tree
