@@ -37,6 +37,7 @@ from .evaluator import (
     DEFAULT_VISIT_CAP,
     CountCapExceeded,
     DepthProfile,
+    TreeTable,
     VisitCapExceeded,
     enumerate_tree_weights,
     evaluate_to_fixpoint,
@@ -312,6 +313,8 @@ def cmd_oracle(args) -> int:
     objects = enum[0]
 
     checks = []
+    # Each (object, depth) key's rows and weights, shared by every check.
+    table = TreeTable()
     # A negative depth asks for no checks, so nothing is explored.
     for a in objects if args.depth >= 0 else ():
         profile = DepthProfile(
@@ -326,9 +329,10 @@ def cmd_oracle(args) -> int:
             iterated = profile.bound(depth).value
             # One weight per tree, joined only here.
             weights = enumerate_tree_weights(
-                system, a, depth, args.rule_budget, args.count_cap, args.branch_trunc
+                system, a, depth, args.rule_budget, args.count_cap, args.branch_trunc, table
             )
-            joined = desc.join(weights)
+            # Leaves and compiled constants are checked: every weight is a carrier value.
+            joined = desc._join(weights)
             checks.append(
                 {
                     "object": system.format_object(a),

@@ -832,6 +832,13 @@ def evaluate_to_fixpoint(
     return bound
 
 
+class TreeTable(dict):
+    """(object, remaining depth) -> [its rows, its outputs or None, the call
+    that last finished it, its position there], kept by tree enumeration
+    across calls; ``held`` bounds the outputs of trees applying a rule."""
+    held = 0
+
+
 def enumerate_trees(
     sys: SystemHandle,
     a,
@@ -845,8 +852,8 @@ def enumerate_trees(
     meant as an oracle for small systems, guarded by ``count_cap``.
     """
     trees = _enumerate(
-        sys, a, depth, rule_budget, count_cap,
-        ReductionTree, lambda obj, rule: functools.partial(ReductionTree, obj, rule[3]),
+        sys, a, depth, rule_budget, count_cap, TreeTable(), ReductionTree,
+        lambda obj, rule, combos: map(functools.partial(ReductionTree, obj, rule[3]), combos),
     )
     return iter(trees)
 
@@ -858,6 +865,7 @@ def enumerate_tree_weights(
     rule_budget: int = 8,
     count_cap: int = DEFAULT_COUNT_CAP,
     branch_trunc: int = DEFAULT_BRANCH_TRUNC,
+    table: Optional[TreeTable] = None,
 ) -> list:
     """The weight of each tree of ``enumerate_trees``, in its order.
 
@@ -867,6 +875,10 @@ def enumerate_tree_weights(
     zero, and a rule applies its compiled aggregator to its children's
     weights.  Weights are neither deduplicated nor joined.  The trees are
     counted first, so ``CountCapExceeded`` comes before any aggregator runs.
+
+    ``table`` (fresh by default) keeps each (object, remaining depth) key's
+    rows and weights for later calls with this system and these budgets, as
+    ``wars oracle`` keeps one per run; it changes no result.
     """
     desc = sys.semiring
 
@@ -877,53 +889,58 @@ def enumerate_tree_weights(
         desc.require(weight)
         return weight
 
-    def node(obj, rule):
+    def node(obj, rule, combos):
         fn = _compiled(rule[2], desc, len(rule[1]))
-        return lambda args: fn(args, branch_trunc, None)
+        return map(fn, combos, itertools.repeat(branch_trunc), itertools.repeat(None))
 
-    return _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node)
+    table = TreeTable() if table is None else table
+    return _enumerate(sys, a, depth, rule_budget, count_cap, table, leaf, node)
 
 
-def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
+def _enumerate(sys, a, depth, rule_budget, count_cap, table, leaf, node) -> list:
     """One output per reduction tree rooted at ``a`` of depth at most
     ``depth``, in enumeration order: ``leaf(obj)`` for the tree that stops at
-    ``obj``, and ``node(obj, rule)(combo)`` for ``rule`` (a row) applied at
-    ``obj`` to a combination of its children's outputs.
+    ``obj``, and ``node(obj, rule, combos)`` for ``rule`` (a row) applied at
+    ``obj`` to the combinations of its children's outputs.
 
-    Every tree is counted before any output is made, so more than
-    ``count_cap`` trees raise ``CountCapExceeded`` before the builders run.
+    Rows are read and outputs built only for keys that ``table`` lacks, but
+    every tree of this call is counted first, so more than ``count_cap``
+    trees raise ``CountCapExceeded`` before the builders run.  ``held`` adds
+    every call's trees, reused or not; before it would pass ``count_cap``,
+    the lists of the keys this call does not reach are dropped.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # (object, (rule, child positions) of its rules) and the tree count of
-    # each finished frame, each after those of its children.
+    # (object, table entry, (rule, child positions) of its rules) and the
+    # tree count of each finished frame, each after those of its children.
     done: list = []
     counts: list = []
-    # (object, depth) -> position of its finished frame.
-    position: dict = {}
+    # Marks the entries of the frames this call finished.
+    call = object()
     built = 0
 
-    def frame(obj, d) -> list:
+    def frame(obj, d, entry) -> list:
         # [object, depth, its rules, next rule, the next rule's child
         # positions so far, (rule, child positions) of the rules done, trees
-        # counted so far]
-        rules = sys._rows(obj, rule_budget)[0] if d > 0 else []
-        return [obj, d, rules, 0, [], [], 1]
+        # counted so far, its table entry]
+        if entry is None:
+            entry = table[obj, d] = [sys._rows(obj, rule_budget)[0] if d > 0 else [], None, None, 0]
+        return [obj, d, entry[0], 0, [], [], 1, entry]
 
     # Depth first with an explicit stack: each rule's children are counted,
     # in order, before that rule's trees are.
-    stack = [frame(a, depth)]
+    stack = [frame(a, depth, table.get((a, depth)))]
     while stack:
         top = stack[-1]
-        obj, d, rules, i, children, applied, count = top
+        obj, d, rules, i, children, applied, count, entry = top
         if i < len(rules):
             rhs = rules[i][1]
             if len(children) < len(rhs):
-                key = (rhs[len(children)], d - 1)
-                if key in position:
-                    children.append(position[key])
+                child = table.get((rhs[len(children)], d - 1))
+                if child is not None and child[2] is call:
+                    children.append(child[3])
                 else:
-                    stack.append(frame(*key))
+                    stack.append(frame(rhs[len(children)], d - 1, child))
                 continue
             combos = math.prod(map(counts.__getitem__, children))
             built += combos
@@ -932,16 +949,23 @@ def _enumerate(sys, a, depth, rule_budget, count_cap, leaf, node) -> list:
             applied.append((rules[i], children))
             top[3], top[4], top[6] = i + 1, [], count + combos
             continue
-        position[obj, d] = len(done)
-        done.append((obj, applied))
+        entry[2], entry[3] = call, len(done)
+        done.append((obj, entry, applied))
         counts.append(count)
         stack.pop()
 
+    if table.held + built > count_cap:
+        for entry in table.values():
+            if entry[2] is not call:
+                entry[1] = None
+        table.held = 0
+    table.held += built
     outputs: list = []
-    for obj, applied in done:
-        out = [leaf(obj)]
-        for rule, children in applied:
-            combos = itertools.product(*map(outputs.__getitem__, children))
-            out.extend(map(node(obj, rule), combos))
-        outputs.append(out)
+    for obj, entry, applied in done:
+        if entry[1] is None:
+            out = [leaf(obj)]
+            for rule, children in applied:
+                out.extend(node(obj, rule, itertools.product(*map(outputs.__getitem__, children))))
+            entry[1] = out
+        outputs.append(entry[1])
     return outputs[-1]

@@ -516,6 +516,8 @@ class Language(Semiring):
                 "them 'eps', holding ',', '{', '}', '(' or ')', or with whitespace at an end"
             )
         self.alphabet = symbols
+        if self._split_word("eps"):
+            raise ValueError(f"alphabet {symbols} spells 'eps', the empty word's literal")
         self.one = frozenset({""})
 
     def _split_word(self, word: str) -> bool:

@@ -3,7 +3,10 @@
 The ops are the benchmark's op lists (``perfbench/workloads.py``, every
 workload at seeds 0-4, each with its probe), an ``eval`` sweep over the
 systems of ``tests/system_gen.py`` (seeds 0-199, every object, depths 0, 3
-and 8, in text and in JSON), ``loop`` over the scheduler built-ins
+and 8, in text and in JSON), an ``oracle`` sweep over the same systems
+(depths 0, 2 and 4, with the default caps, ``--count-cap 20``,
+``--count-cap 300`` and ``--visit-cap 2``, in JSON), which pins which cap or
+error each run meets first, ``loop`` over the scheduler built-ins
 (``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
 ``wait(P1)`` and ``run(P2P1)``, depths 1-7, in text and in JSON, and
 ``os_runtime`` from ``idle()`` at depth 8, which certifies 10 loops), and
@@ -46,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(200)
 SWEEP_DEPTHS = (0, 3, 8)
+ORACLE_DEPTHS = (0, 2, 4)
+ORACLE_CAPS = ((), ("--count-cap", "20"), ("--count-cap", "300"), ("--visit-cap", "2"))
 BENCH_SEEDS = range(5)
 LOOP_SYSTEMS = ("os_runtime", "os_size", "os_fair", "os_starv")
 LOOP_STARTS = ("idle()", "wait(P1)", "run(P2P1)")
@@ -184,6 +189,19 @@ def sweep_ops(workdir: Path):
                     yield f"eval system_seed={seed} {obj} depth={depth} {fmt}", argv
 
 
+def oracle_ops(workdir: Path):
+    """(label, argv) of the ``oracle`` sweep over generated systems."""
+    inputs = workdir / "oracle-sweep"
+    inputs.mkdir()
+    for seed in SWEEP_SEEDS:
+        _, path = _system_file(inputs, seed)
+        for depth in ORACLE_DEPTHS:
+            for caps in ORACLE_CAPS:
+                argv = ["oracle", "--system", f"file:{path}", "--depth", str(depth), *caps,
+                        "--format", "json"]
+                yield f"oracle system_seed={seed} depth={depth} {' '.join(caps) or 'default caps'}", argv
+
+
 def loop_ops():
     """(label, argv) of ``loop`` over the scheduler built-ins."""
     for name in LOOP_SYSTEMS:
@@ -280,7 +298,7 @@ def main() -> int:
     shutil.rmtree(WORKDIR, ignore_errors=True)
     WORKDIR.mkdir()
     try:
-        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), loop_ops(),
+        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
                     ordered_ops(WORKDIR), word_set_ops(WORKDIR)):
             for label, argv in ops:

@@ -7,18 +7,22 @@ only, never a compiled aggregator.  A depth query looks each compiled form
 up once per ball and asks its outer ring for normal-form status only.
 ``wars loop`` explores no ball at all, and compiles each certified loop's
 polynomial once.  Readers inside ``wars`` take rows: a file system's rules
-become records only through public ``successors`` and ``find_rule``."""
+become records only through public ``successors`` and ``find_rule``.  One
+``wars oracle`` run reads each (object, depth) key's rules and weighs each
+of its trees once, in a table of bounded size."""
 
 from __future__ import annotations
 
 import collections
 import functools
 import json
+import math
 import sys
 
 import pytest
 
-from wars import aggregator, evaluator, system
+from system_gen import random_system_json
+from wars import aggregator, cli, evaluator, system
 from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
@@ -376,3 +380,99 @@ def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
     assert counts["new", "internal"] > 0
     assert set(counts) == {"find_rule", ("make", "public"), ("new", "public"),
                            ("new", "internal")}
+
+
+def _oracle_work(monkeypatch, capsys, argv) -> tuple:
+    """Run ``wars oracle`` and count its enumeration's work: the rule reads
+    per (object, budget), the aggregator applications, and the weights its
+    table holds after each check that returned."""
+    inside = [0]
+    reads = collections.Counter()
+    applied = [0]
+    tables: list = []
+    held: list = []
+    rows = SystemHandle._rows
+    compiled = evaluator._compiled
+    enumerate_tree_weights = cli.enumerate_tree_weights
+
+    def counted_rows(self, a, budget):
+        if inside[0]:
+            reads[a, budget] += 1
+        return rows(self, a, budget)
+
+    def counted_compiled(expr, desc, arity):
+        fn = compiled(expr, desc, arity)
+
+        def apply(*args):
+            applied[0] += inside[0]
+            return fn(*args)
+        return apply
+
+    def watched(*args):
+        inside[0] = 1
+        try:
+            return enumerate_tree_weights(*args)
+        finally:
+            inside[0] = 0
+            table = args[6]
+            if table not in tables:
+                tables.append(table)
+            held.append(sum(len(entry[1]) - 1 for entry in table.values() if entry[1] is not None))
+            assert held[-1] <= table.held
+
+    monkeypatch.setattr(SystemHandle, "_rows", counted_rows)
+    monkeypatch.setattr(evaluator, "_compiled", counted_compiled)
+    monkeypatch.setattr(cli, "enumerate_tree_weights", watched)
+    assert main(argv) == 0
+    assert len(tables) == 1
+    return capsys.readouterr().out, reads, applied[0], held
+
+
+def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
+    # Each check enumerated from scratch: a key was read and weighed again
+    # by every check whose trees reach it.
+    data = random_system_json(33)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
+    out, reads, applied, held = _oracle_work(monkeypatch, capsys, argv)
+    # Naively: the trees of every key the checks reach, the checks' roots
+    # being every object at every depth up to 4.
+    by_lhs = collections.defaultdict(list)
+    for rule in data["rules"]:
+        by_lhs[rule["lhs"]].append(rule["rhs"])
+    trees: dict = {}
+
+    def count(obj, d):
+        if (obj, d) not in trees:
+            trees[obj, d] = 1 + sum(
+                math.prod(count(b, d - 1) for b in rhs) for rhs in (by_lhs[obj] if d else ())
+            )
+        return trees[obj, d]
+
+    for check in json.loads(out)["checks"]:
+        count(check["object"], check["depth"])
+    # Rules at the full budget once per key of depth >= 1; normal-form
+    # status once per key, for the tree that stops there.
+    ruled = collections.Counter(obj for obj, d in trees if d >= 1)
+    keyed = collections.Counter(obj for obj, d in trees)
+    assert reads == {**{(obj, 64): n for obj, n in ruled.items()},
+                     **{(obj, 1): n for obj, n in keyed.items()}}
+    assert applied == sum(n - 1 for n in trees.values()) == 6_406
+    assert max(held) <= 6_406
+
+
+def test_oracle_table_holds_at_most_count_cap_weights(monkeypatch, capsys, tmp_path):
+    # The largest check builds 4,773 trees that apply a rule, and all the
+    # checks 6,406: under a cap of 5,000 the table drops the lists of keys
+    # a check does not reach before its build could pass the cap, and every
+    # check still matches.  No later check reached a dropped key here.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(random_system_json(33)))
+    argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    out, _, applied, held = _oracle_work(monkeypatch, capsys, [*argv, "--count-cap", "5000"])
+    assert out == expected
+    assert 4_773 <= max(held) <= 5_000
+    assert applied == 6_406

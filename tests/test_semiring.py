@@ -113,6 +113,20 @@ class TestTimes:
         with pytest.raises(ValueError, match="none of them 'eps'"):
             Language(alphabet)
 
+    @pytest.mark.parametrize(
+        "alphabet", [("e", "p", "s"), ("ep", "s"), ("e", "ps"), ("x", "e", "p", "s"), ("e", "psx", "ps")]
+    )
+    def test_language_symbols_that_spell_eps(self, alphabet):
+        # The word 'eps' would print as {eps}, the empty word's literal.
+        with pytest.raises(ValueError, match=r"spells 'eps', the empty word's literal$"):
+            Language(alphabet)
+
+    @pytest.mark.parametrize("alphabet", [("e", "p"), ("ep", "x"), ("ps", "x"), ("epsx",)])
+    def test_language_words_print_back(self, alphabet):
+        lang = Language(alphabet)
+        words = frozenset({"", *alphabet, "".join(alphabet), alphabet[-1] + alphabet[0]})
+        assert lang.parse_literal(lang.format_literal(words)) == words
+
 
 class TestLanguageMembership:
     # Not prefix-free: "abc" is a.bc, while the longest match "ab" leaves "c".

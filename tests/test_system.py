@@ -358,6 +358,8 @@ class TestLoadExplicit:
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
             ('{"semiring": {"kind": "language", "alphabet": ["a", "b "]}}',
              LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
+            ('{"semiring": {"kind": "language", "alphabet": ["e", "p", "s"]}}',
+             LiteralError, "language semiring needs an 'alphabet' list of distinct symbols"),
             ('{"semiring": {"kind": "nat_inf"}, "rules": [{"lhs": "a", "rhs": ["a"], '
              '"agg": "1 + v1", "tag": 5}]}',
              SystemFormatError, "rule 0: 'tag' must be a string"),
@@ -370,7 +372,7 @@ class TestLoadExplicit:
              "component not an object", "repeated symbol", "empty symbol",
              "symbol eps", "symbol with a comma", "symbol with braces",
              "symbol with parentheses", "symbol with trailing whitespace",
-             "tag a number", "tag null"],
+             "symbols spelling eps", "tag a number", "tag null"],
     )
     def test_json_of_the_wrong_shape_rejected(self, tmp_path, text, error, message):
         path = tmp_path / "sys.json"

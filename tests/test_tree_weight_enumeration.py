@@ -4,23 +4,27 @@ It must give what ``reference_tree_weight`` gives on each tree of
 ``reference_enumerate_trees``, weight for weight and type for type, in the
 same order, with nothing deduplicated or joined.  It counts the trees before
 it weighs any, so a ``CountCapExceeded`` comes first, with the same message,
-even when weighing one of the trees would raise.
+even when weighing one of the trees would raise.  A table shared by a
+sequence of calls, as ``wars oracle`` shares one, changes no result and no
+error of any call, and every weight is a value of the carrier, which lets the
+oracle join them unchecked.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_eval import reference_enumerate_trees, reference_tree_weight
-from system_gen import random_system
+from system_gen import random_system, random_system_json
 from wars.builtins import builtin
 from wars.cli import main
-from wars.evaluator import CountCapExceeded, enumerate_tree_weights, weight_lower_bound
-from wars.semiring import ALL_WORDS, SemiringError
+from wars.evaluator import CountCapExceeded, TreeTable, enumerate_tree_weights, weight_lower_bound
+from wars.semiring import ALL_WORDS, SemiringError, descriptor_from_spec
 from wars.system import load_explicit
 
 SIGMA_ERROR = "concatenation with SIGMA* leaves the finite-language carrier"
@@ -135,3 +139,93 @@ class TestCountCapBeforeWeights:
 
     def test_oracle_reports_the_aggregator_error(self, tmp_path, capsys):
         assert self._oracle(tmp_path, capsys, 5) == (3, f"error: {SIGMA_ERROR}\n")
+
+
+def shared_against_fresh(sys_, queries, **budgets):
+    """Run ``queries`` ((object, depth) pairs) in order on one shared table,
+    each beside a fresh call, and return the outcomes, which must agree."""
+    table = TreeTable()
+    outcomes = []
+    for a, depth in queries:
+        shared = outcome(lambda: enumerate_tree_weights(sys_, a, depth, table=table, **budgets))
+        fresh = outcome(lambda: enumerate_tree_weights(sys_, a, depth, **budgets))
+        assert shared == fresh, (a, depth, budgets)
+        held = sum(len(entry[1]) - 1 for entry in table.values() if entry[1] is not None)
+        assert held <= table.held <= budgets["count_cap"]
+        outcomes.append(shared)
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("count_cap", [200_000, 300, 20])
+def test_shared_table_changes_no_query(seed, count_cap):
+    sys_ = random_system(seed)
+    objects = sys_.enumerate_objects()[0]
+    # In the oracle's order, then shuffled, so keys are met from any side.
+    queries = [(a, depth) for a in objects for depth in range(5)]
+    shared_against_fresh(sys_, queries, count_cap=count_cap)
+    random.Random(seed).shuffle(queries)
+    shared_against_fresh(sys_, queries, count_cap=count_cap, rule_budget=2)
+
+
+@pytest.mark.parametrize("count_cap", [4, 5])
+def test_shared_table_keeps_the_language_errors(count_cap):
+    sys_ = load_explicit(json.dumps(SIGMA_SYSTEM))
+    queries = [("c", 1), ("a", 1), ("a", 2), ("c", 2), ("a", 2), ("s", 2), ("a", 2)]
+    outcomes = shared_against_fresh(sys_, queries, count_cap=count_cap)
+    # At cap 4 the cap wins at a depth 2; at cap 5 the 4th tree's
+    # concatenation raises, as often as a depth 2 is asked for.
+    error = (CountCapExceeded, "more than 4 trees at depth 2") if count_cap == 4 else (
+        SemiringError, SIGMA_ERROR)
+    assert [o for o in outcomes if o[0] != "ok"] == [error] * 3
+    assert [o[0] for o in outcomes].index(error[0]) == 2
+
+
+# Carriers of the closure check: every simple kind, a language and products.
+CARRIERS = [{"kind": kind} for kind in ("nat_inf", "real_inf", "tropical", "arctic", "boolean",
+                                        "confidence", "bottleneck")] + [
+    {"kind": "language", "alphabet": ["0", "1"]},
+    {"kind": "product", "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
+    {"kind": "product", "components": [{"kind": "tropical"},
+                                       {"kind": "language", "alphabet": ["x", "yz"]}]},
+]
+
+
+def carrier_system(seed: int, spec: dict):
+    """The rules of ``random_system_json(seed)`` over the carrier of
+    ``spec``, with new aggregators and normal-form weights drawn from its
+    probe values."""
+    rng = random.Random(seed)
+    desc = descriptor_from_spec(spec)
+    literals = [desc.format_literal(v) for v in desc.probe_values()]
+    data = random_system_json(seed)
+
+    def expr(arity):
+        def factor():
+            return f"v{rng.randrange(1, arity + 1)}" if rng.random() < 0.6 else rng.choice(literals)
+        return " + ".join(" * ".join(factor() for _ in range(rng.randrange(1, 3)))
+                          for _ in range(rng.randrange(1, 3)))
+
+    rules = [{**rule, "agg": expr(len(rule["rhs"]))} for rule in data["rules"]]
+    nf = {obj: rng.choice(literals) for obj in data["nf"]}
+    return load_explicit(json.dumps({"semiring": spec, "rules": rules, "nf": nf}))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("spec", CARRIERS, ids=lambda spec: spec["kind"] + "".join(
+    f"-{c['kind']}" for c in spec.get("components", ())))
+def test_every_enumerated_weight_is_a_carrier_value(seed, spec):
+    sys_ = carrier_system(seed, spec)
+    desc = sys_.semiring
+    weighed = 0
+    for a in sys_.enumerate_objects()[0]:
+        for depth in range(4):
+            try:
+                weights = enumerate_tree_weights(sys_, a, depth)
+            except SemiringError as exc:  # SIGMA* times a finite word set
+                assert str(exc) == SIGMA_ERROR
+                continue
+            assert all(map(desc.contains, weights)), (a, depth)
+            assert desc.join(weights) == desc._join(weights)
+            weighed += len(weights)
+    assert weighed
