@@ -390,18 +390,27 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
     """
     if not _affine_capable(desc) or max_var(expr) != 0:
         return None
-    in_v1 = substitute_x(expr, Var(1))
-    form = affine_form(in_v1, desc, 1)
+    form = affine_form(substitute_x(expr, Var(1)), desc, 1)
     if form is None:
         return None
     (c,), d = form
-    direct = _compiled(in_v1, desc, 1)
+    direct = _as_function(expr, desc)
     for n in _AFFINE_PROBES:
         x = desc.from_count(n)
-        linear = desc.plus(desc.times(c, x), d)
-        if direct([x], DEFAULT_TRUNCATION, None) != linear:
+        if direct(x) != desc.plus(desc.times(c, x), d):
             return None
     return c, d
+
+
+def _as_function(expr, desc: Semiring):
+    """An X-polynomial compiled as a function of X, which becomes its one
+    variable.  The form is kept on the expression under "X", which is no
+    arity, so a loop polynomial is compiled once however often it is read."""
+    forms = expr._forms
+    if (desc, "X") not in forms:
+        forms[desc, "X"] = _compiled(substitute_x(expr, Var(1)), desc, 1)
+    compiled = forms[desc, "X"]
+    return lambda s: compiled([s], DEFAULT_TRUNCATION, None)
 
 
 def affine_form(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import aggregator as agg
 from .evaluator import DEFAULT_BRANCH_TRUNC, STABILIZED, evaluate_to_fixpoint
 from .semiring import INF, NatInf, Semiring, SemiringError
-from .system import DEFAULT_RULE_BUDGET, SystemError_, SystemHandle, _literal_text, _record
+from .system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_, SystemHandle, _literal_text
 
 BOUNDED_CERTIFIED = "bounded_certified"
 BOUNDED_SAMPLED = "bounded_sampled"
@@ -214,7 +214,7 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
                     UNKNOWN,
                     "selective-bounded",
                     {"non_selective_rule": r[3]},
-                    witness=_record(r),
+                    witness=RuleInstance._make(r),
                 )
     details["rules_checked"] = checked_rules
 
@@ -376,7 +376,7 @@ def verify_embedding(
                         "aggregated": desc.format_literal(step),
                         "embedding": desc.format_literal(ea),
                     },
-                    witness=_record(r),
+                    witness=RuleInstance._make(r),
                 )
 
     if exhaustive:

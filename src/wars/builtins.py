@@ -1,7 +1,10 @@
 """Built-in weighted reduction systems used throughout the analyses and tests.
 
+Successors are rows, made unchecked: every aggregator is a constant of this
+module, so every row is valid as made, but the empty jump of
+``geometric_walk(prefix=n)`` for n <= 0, which is refused where it is made.
 Each handle builds each distinct rule aggregator once and shares it among
-the rules made from it, so its facts and compiled forms are computed once.
+the rows made from it, so its facts and compiled forms are computed once.
 No expression is kept at module level: an expression holds the carriers it
 was compiled for, and some families build a carrier per handle.
 """
@@ -23,7 +26,7 @@ from .semiring import (
     Language,
     Product,
 )
-from .system import Flags, RuleInstance, SystemError_, SystemHandle, cplx_wrap
+from .system import Flags, SystemError_, SystemHandle, cplx_wrap
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +52,7 @@ def _walk(expected_steps: bool) -> SystemHandle:
             raise SystemError_(f"walk positions are naturals, got {n!r}")
         if n == 0:
             return [], True
-        return [RuleInstance(n, (n - 1, n + 1), step, "step")], True
+        return [(n, (n - 1, n + 1), step, "step", True)], True
 
     return SystemHandle(
         name=name,
@@ -79,7 +82,9 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
         if n == 0:
             return [], True
         rhs = tuple(range(prefix))
-        return [RuleInstance(n, rhs, body, "jump", rhs_complete=False)], True
+        if not rhs:
+            raise SystemError_("rule jump: empty successor sequence")
+        return [(n, rhs, body, "jump", False)], True
 
     return SystemHandle(
         name="geometric_walk",
@@ -111,7 +116,7 @@ def _os_successors(agg_for):
 
     def successors(state, budget):
         kind, queue = state
-        # (successor, tag) per rule; only the first ``budget`` become records.
+        # (successor, tag) per rule.
         if kind == "idle":
             steps = [(("wait", queue), "idle_wait"), (("run", queue), "idle_run")]
         elif kind == "wait":
@@ -121,8 +126,8 @@ def _os_successors(agg_for):
         else:
             raise SystemError_(f"not a scheduler state: {state!r}")
         expr = agg_for(kind, queue) if steps else None
-        rules = [RuleInstance(state, (b,), expr, tag) for b, tag in steps[:budget]]
-        return rules, budget >= len(steps)
+        rows = [(state, (b,), expr, tag, True) for b, tag in steps]
+        return (rows if budget >= len(rows) else rows[:budget]), budget >= len(rows)
 
     return successors
 
@@ -164,8 +169,8 @@ def _sample_os(rng, count):
             continue
         seen.add(state)
         out.append(state)
-        for rule in succ(state, 8)[0]:
-            frontier.extend(rule.rhs)
+        for row in succ(state, 8)[0]:
+            frontier.extend(row[1])
     return out
 
 
@@ -241,12 +246,12 @@ def _z_walk() -> SystemHandle:
         even = n % 2 == 0
         step = step_for(even)
         if not even:
-            rule = RuleInstance(n, (n - 2,), step, "odd_down")
+            row = (n, (n - 2,), step, "odd_down", True)
         elif n >= 2:
-            rule = RuleInstance(n, (n - 2,), step, "even_down")
+            row = (n, (n - 2,), step, "even_down", True)
         else:
-            rule = RuleInstance(n, (n + 2,), step, "even_up")
-        return [rule][:budget], True
+            row = (n, (n + 2,), step, "even_up", True)
+        return [row][:budget], True
 
     def sample(rng, count):
         out = [0]
@@ -446,11 +451,8 @@ def _addition_trs(max_size: int = 8) -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
 
     def successors(t, budget):
-        rules = [
-            RuleInstance(t, (result,), step, tag)
-            for tag, result in rewrite_steps(t)
-        ]
-        return rules[:budget], budget >= len(rules)
+        rows = [(t, (result,), step, tag, True) for tag, result in rewrite_steps(t)]
+        return rows[:budget], budget >= len(rows)
 
     def enumerate_objects():
         return ground_terms(max_size), True
@@ -590,8 +592,7 @@ def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHa
             if f[1] not in table:
                 raise SystemError_(f"unknown atom {f[1]!r}")
             return [], True
-        rule = RuleInstance(f, (f[1], f[2]), connective(f[0]), f[0])
-        return [rule][:budget], True
+        return [(f, (f[1], f[2]), connective(f[0]), f[0], True)][:budget], True
 
     return SystemHandle(
         name="boolform",
@@ -619,13 +620,10 @@ def _na_system() -> SystemHandle:
 
     def successors(a, budget):
         if a == "a":
-            rules = [
-                RuleInstance("a", (n,), step, f"pick{n}") for n in range(budget)
-            ]
-            return rules, False
+            return [("a", (n,), step, f"pick{n}", True) for n in range(budget)], False
         if a == 0:
             return [], True
-        return [RuleInstance(a, (a - 1,), step, "down")], True
+        return [(a, (a - 1,), step, "down", True)], True
 
     def parse(text):
         text = text.strip()
@@ -663,10 +661,10 @@ def _ski_rental(y: int) -> SystemHandle:
             return [], True
         _, n = state
         if n > 0:
-            rule = RuleInstance(state, (("loop", n - 1), ("loop", 0)), body, "day")
+            row = (state, (("loop", n - 1), ("loop", 0)), body, "day", True)
         else:
-            rule = RuleInstance(state, (("halt",),), v1, "exit")
-        return [rule][:budget], True
+            row = (state, (("halt",),), v1, "exit", True)
+        return [row][:budget], True
 
     def parse(text):
         text = text.strip()
@@ -711,11 +709,8 @@ def _bitstring_prefixes() -> SystemHandle:
             return [], True
         if b not in ("0", "1"):
             raise SystemError_(f"objects are '0', '1', '*'; got {b!r}")
-        rules = [
-            RuleInstance(b, (nxt, "*"), emit(b), f"{b}_to_{nxt}")
-            for nxt in ("0", "1")
-        ]
-        return rules[:budget], budget >= len(rules)
+        rows = [(b, (nxt, "*"), emit(b), f"{b}_to_{nxt}", True) for nxt in ("0", "1")]
+        return rows[:budget], budget >= len(rows)
 
     def parse(text):
         label = text.strip()
@@ -754,11 +749,8 @@ def _loop_language() -> SystemHandle:
             return [], True
         if a != "a":
             raise SystemError_(f"objects are 'a' and 'b'; got {a!r}")
-        rules = [
-            RuleInstance("a", ("a",), stay, "stay"),
-            RuleInstance("a", ("b",), v1, "exit"),
-        ]
-        return rules[:budget], budget >= len(rules)
+        rows = [("a", ("a",), stay, "stay", True), ("a", ("b",), v1, "exit", True)]
+        return rows[:budget], budget >= len(rows)
 
     return SystemHandle(
         name="loop_language",

@@ -42,7 +42,9 @@ class RuleInstance(namedtuple("RuleInstance", "lhs rhs aggregator tag rhs_comple
     successor sequence.  The aggregator may not mention X, nor more than
     ``len(rhs)`` variables when the sequence is complete; both are read from
     its facts, walked once however many rules share it.  A tuple equal only
-    to another record; ``_make`` builds one without these checks.
+    to another record.  Inside ``wars`` a rule is a plain row of these
+    fields, valid as made; the API hands a rule out as a record made from
+    its row by ``_make``, which skips the checks.
     """
 
     __slots__ = ()
@@ -124,9 +126,10 @@ class SystemHandle:
 
     ``successors_fn(a, budget)`` returns up to ``budget`` rules for ``a`` in a
     fixed enumeration order together with a completeness flag.  A rule is a
-    row: a 5-tuple in ``RuleInstance`` field order (a record is one), checked
-    where it was made, in a list no caller changes.  ``nf_weight_fn`` is
-    defined exactly on the normal forms.
+    row: a 5-tuple in ``RuleInstance`` field order, valid as made (checked
+    by the loader, by construction in a built-in), in a list no caller
+    changes.  Public ``successors`` and ``find_rule`` hand rows out as
+    records.  ``nf_weight_fn`` is defined exactly on the normal forms.
     """
 
     def __init__(
@@ -165,7 +168,7 @@ class SystemHandle:
     def successors(self, a, rule_budget: int = DEFAULT_RULE_BUDGET) -> tuple[list[RuleInstance], bool]:
         """Up to ``rule_budget`` rules applicable to ``a``, plus completeness."""
         rows, complete = self._rows(a, rule_budget)
-        return list(map(_record, rows)), complete
+        return list(map(RuleInstance._make, rows)), complete
 
     def is_normal_form(self, a) -> bool:
         rows, complete = self._rows(a, 1)
@@ -182,7 +185,7 @@ class SystemHandle:
             rows, complete = self._rows(a, budget)
             for r in rows:
                 if r[3] == tag:
-                    return _record(r)
+                    return RuleInstance._make(r)
             if complete or budget >= max_budget:
                 raise SystemError_(
                     f"no rule tagged {tag!r} for {self.format_object(a)}"
@@ -228,11 +231,6 @@ class SystemHandle:
         return f"<system {self.name} over {self.semiring.kind}>"
 
 
-def _record(row) -> RuleInstance:
-    """The public record of a row, which was checked where it was made."""
-    return row if type(row) is RuleInstance else RuleInstance._make(row)
-
-
 def cplx_wrap(base: SystemHandle) -> SystemHandle:
     """Reweigh a system so that weights count reduction steps.
 
@@ -249,7 +247,7 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
 
     def successors(a, budget):
         rows, complete = base._successors(a, budget)
-        # The base rule passed the checks, which the step cannot fail.
+        # A valid base row gives a valid step: one variable per successor.
         return [(lhs, rhs, step(len(rhs)), tag, whole)
                 for lhs, rhs, _, tag, whole in rows], complete
 

@@ -233,24 +233,13 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
             if desc.leq(desc.one, c) and desc.leq(t, d):
                 return t, CERTIFIED
             continue
-        poly_at = _as_function(polynomial, desc)
+        poly_at = agg._as_function(polynomial, desc)
         if all(
             desc.leq(desc.plus(s, t), poly_at(s))
             for s in ((False, True) if desc.kind == "boolean" else desc.probe_values())
         ):
             return t, CERTIFIED if desc.kind == "boolean" else CANDIDATE
     return None
-
-
-def _as_function(polynomial, desc: Semiring):
-    """The polynomial compiled as a function of X, which becomes its one
-    variable.  The form is kept on the polynomial under "X", which is no
-    arity, so certifying and concluding a loop compile it once."""
-    forms = polynomial._forms
-    if (desc, "X") not in forms:
-        forms[desc, "X"] = agg._compiled(agg.substitute_x(polynomial, Var(1)), desc, 1)
-    compiled = forms[desc, "X"]
-    return lambda s: compiled([s], agg.DEFAULT_TRUNCATION, None)
 
 
 def _mentions_only_x(expr) -> bool:
@@ -283,7 +272,7 @@ def conclude_unbounded(
     if witness.status != CERTIFIED:
         raise UncertifiedWitnessError("only a certified loop witness proves unboundedness")
     desc = sys.semiring
-    poly_at = _as_function(witness.polynomial, desc)
+    poly_at = agg._as_function(witness.polynomial, desc)
     pumped, values = witness.tree, []
     expected = accumulated = previous = desc.zero
     for k in range(1, k_max + 1):

@@ -15,7 +15,9 @@ whose certified loops weigh less when pumped than the start's depth-indexed
 lower bound, ``eval``, ``bound`` and ``oracle`` on the malformed system
 files of ``MALFORMED``, which pin the loader's message for the first failing
 rule, ``loop`` on ``geometric_walk``, whose loop polynomials weigh countable
-sums off the loop path, ``bound --mode selective`` on the boolean, language
+sums off the loop path, ``eval`` and ``loop`` on ``geometric_walk`` with no
+jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
+``bound --mode selective`` on the boolean, language
 and product files of ``ORDERED``, which compare weights in the natural order,
 and ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
 alphabets are not prefix-free or cannot all be printed back, each op in
@@ -255,6 +257,18 @@ def geometric_ops():
             yield f"loop {system} 2 depth={depth} {fmt}", argv
 
 
+def empty_jump_ops():
+    """(label, argv) of ``geometric_walk`` without jump targets: its rule is
+    refused at the first object that is not a normal form, and 0 is one."""
+    for command, prefix, start in (("eval", 0, 0), ("eval", 0, 1), ("eval", -3, 2),
+                                   ("loop", 0, 1)):
+        for fmt in ("text", "json"):
+            argv = [command, "--system", f"builtin:geometric_walk(prefix={prefix})",
+                    "--start", str(start), "--depth", "1" if command == "loop" else "3",
+                    "--format", fmt]
+            yield f"{command} geometric_walk(prefix={prefix}) {start} {fmt}", argv
+
+
 def _write_system(path: Path, semiring: dict, rules: list, nf: dict) -> list:
     path.write_text(json.dumps({"semiring": semiring, "rules": rules, "nf": nf}),
                     encoding="utf-8")
@@ -300,7 +314,7 @@ def main() -> int:
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
-                    ordered_ops(WORKDIR), word_set_ops(WORKDIR)):
+                    empty_jump_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

@@ -6,8 +6,9 @@ per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
 up once per ball and asks its outer ring for normal-form status only.
 ``wars loop`` explores no ball at all, and compiles each certified loop's
-polynomial once.  Readers inside ``wars`` take rows: a file system's rules
-become records only through public ``successors`` and ``find_rule``.  One
+polynomial once.  Readers inside ``wars`` take rows: a file system's or a
+built-in's rules become records only through public ``successors`` and
+``find_rule``.  One
 ``wars oracle`` run reads each (object, depth) key's rules and weighs each
 of its trees once, in a table of bounded size."""
 
@@ -79,13 +80,14 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
 def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
     # Two certified loops, both affine: certify_loop compiled each polynomial
     # for probes it never ran and conclude_unbounded compiled it again, 7 in
-    # all.  Left: one affine extraction per polynomial, one form per
-    # polynomial for its pumped witness, and the one rule aggregator.
+    # all; then the affine extraction still compiled its own probe form, 5.
+    # Left: one form per polynomial, which the extraction probes and the
+    # pumped witness reads, and the one rule aggregator.
     compiles = _count_calls(monkeypatch, aggregator._compile)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
-    assert compiles[0] == 5
+    assert compiles[0] == 3
 
 
 def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
@@ -172,8 +174,9 @@ def test_rules_built_once_are_checked_like_any_rule(expr, message):
 
 
 def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
-    # os_runtime is cplx_wrap(os_size): the wrapper rewraps each checked base
-    # rule without checking it again, where it once built every rule twice.
+    # os_runtime is cplx_wrap(os_size): the wrapper once built every rule
+    # twice, then rewrapped each checked base record without checking it
+    # again.  Now the base makes rows, and neither side checks a record.
     checks, base_rules = [0], [0]
     new = RuleInstance.__new__
 
@@ -197,7 +200,8 @@ def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
     assert main(argv) == 0
     assert "is the maximum" in capsys.readouterr().out
-    assert checks[0] == base_rules[0] > 0
+    assert base_rules[0] > 0
+    assert checks[0] == 0
 
 
 def test_component_pass_runs_only_when_termination_is_read(monkeypatch, capsys, tmp_path):
@@ -337,6 +341,17 @@ def test_file_system_commands_build_no_rule_record(monkeypatch, capsys, tmp_path
     assert counts == {}
 
 
+@pytest.mark.parametrize("name, start", [("walk_termprob", "3"),
+                                         ("addition_trs", "plus(s(0), s(0))"),
+                                         ("ski_rental(y=50)", "n0=60")])
+def test_builtin_eval_builds_no_rule_record(monkeypatch, capsys, name, start):
+    # Every built-in rule was a checked record, one per rule per object read.
+    counts = _count_records(monkeypatch)
+    assert main(["eval", "--system", f"builtin:{name}", "--start", start, "--depth", "6"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert counts == {}
+
+
 @pytest.mark.parametrize("nf_bound, code", [("2", 0), ("1", 4)], ids=["holds", "violated"])
 def test_embedding_check_asks_each_object_for_its_rules_once(monkeypatch, capsys, tmp_path,
                                                               nf_bound, code):
@@ -364,11 +379,11 @@ def test_embedding_check_asks_each_object_for_its_rules_once(monkeypatch, capsys
 
 def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
     # The loop search and the pumped check asked public successors for
-    # records of every rule they read, and cplx_wrap rewrapped each base
-    # rule into a record.  Now the loop search reads rows, cplx_wrap makes
-    # rows, and the only records come from find_rule (the polynomial and the
-    # pumped witness name rules by tag) and from os_size, the built-in
-    # under os_runtime, which still checks each rule it makes as a record.
+    # records of every rule they read, cplx_wrap rewrapped each base rule
+    # into a record, and os_size, the built-in under os_runtime, checked each
+    # rule it made as a record.  Now all three make or read rows, and the
+    # only records come from find_rule (the polynomial and the pumped witness
+    # name rules by tag), unchecked.
     counts = _count_records(monkeypatch)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
     assert main(argv) == 0
@@ -377,9 +392,8 @@ def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
     assert counts["find_rule"] > 0
     assert counts["make", "public"] == counts["find_rule"]
     assert counts["make", "internal"] == 0
-    assert counts["new", "internal"] > 0
-    assert set(counts) == {"find_rule", ("make", "public"), ("new", "public"),
-                           ("new", "internal")}
+    assert counts["new", "internal"] == 0
+    assert set(counts) == {"find_rule", ("make", "public")}
 
 
 def _oracle_work(monkeypatch, capsys, argv) -> tuple:
