@@ -73,6 +73,8 @@ def _walk(expected_steps: bool) -> SystemHandle:
 
 def _geometric_walk(prefix: int = 16) -> SystemHandle:
     """Walk with an infinite-support jump: every step lands on m with weight (1/2)^(m+1)."""
+    if not isinstance(prefix, int) or isinstance(prefix, bool):
+        raise TypeError(f"prefix must be an integer, got {prefix!r}")
 
     body = CountableSum(
         lambda m: ProdNode((Const(Fraction(1, 2 ** (m + 1))), Var(m + 1)))
@@ -769,27 +771,22 @@ def _loop_language() -> SystemHandle:
     )
 
 
+# Aliases share one entry.
 _FACTORIES = {
-    "walk_termprob": lambda **kw: _walk(expected_steps=False),
-    "biased_walk_termprob": lambda **kw: _walk(expected_steps=False),
-    "walk_expected": lambda **kw: _walk(expected_steps=True),
-    "biased_walk_expected_steps": lambda **kw: _walk(expected_steps=True),
-    "geometric_walk": lambda **kw: _geometric_walk(**kw),
-    "os_size": lambda **kw: _os_size(),
-    "os_fair": lambda **kw: _os_fair(),
-    "os_starv": lambda **kw: _os_starv(),
-    "os_runtime": lambda **kw: _os_runtime(),
-    "z_walk_safety": lambda **kw: _z_walk(),
-    "zwalk": lambda **kw: _z_walk(),
-    "addition_trs": lambda **kw: _addition_trs(**kw),
-    "addition_trs_ground": lambda **kw: _addition_trs(**kw),
-    "trs_add": lambda **kw: _addition_trs(**kw),
-    "boolform": lambda **kw: _boolform(**kw),
-    "boolean_provenance": lambda **kw: _boolform(**kw),
-    "na_system": lambda **kw: _na_system(),
-    "ski_rental": lambda **kw: _ski_rental(**kw),
-    "bitstring_prefixes": lambda **kw: _bitstring_prefixes(),
-    "loop_language": lambda **kw: _loop_language(),
+    **dict.fromkeys(("walk_termprob", "biased_walk_termprob"), functools.partial(_walk, False)),
+    **dict.fromkeys(("walk_expected", "biased_walk_expected_steps"), functools.partial(_walk, True)),
+    **dict.fromkeys(("z_walk_safety", "zwalk"), _z_walk),
+    **dict.fromkeys(("addition_trs", "addition_trs_ground", "trs_add"), _addition_trs),
+    **dict.fromkeys(("boolform", "boolean_provenance"), _boolform),
+    "geometric_walk": _geometric_walk,
+    "os_size": _os_size,
+    "os_fair": _os_fair,
+    "os_starv": _os_starv,
+    "os_runtime": _os_runtime,
+    "na_system": _na_system,
+    "ski_rental": _ski_rental,
+    "bitstring_prefixes": _bitstring_prefixes,
+    "loop_language": _loop_language,
 }
 
 

@@ -249,6 +249,8 @@ def cmd_bound(args) -> int:
 
 def cmd_loop(args) -> int:
     _check_at_least(args, depth=1, rule_budget=1, max_witnesses=1)
+    if len(args.start) > 1:
+        raise CliError(f"loop takes one --start, got {len(args.start)}")
     system = resolve_system(args.system)
     desc = system.semiring
     start = _parse_start(system, args.start[0])

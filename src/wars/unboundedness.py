@@ -9,12 +9,13 @@ object's weight to the maximum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
 from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
-from .evaluator import DEFAULT_COUNT_CAP, ReductionTree, enumerate_trees, tree_weight
+from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, tree_weight
 from .semiring import NatInf, RealInf, Semiring
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
@@ -74,62 +75,61 @@ def find_loops(
     count_cap: int = DEFAULT_COUNT_CAP,
     max_witnesses: int = 16,
 ) -> list[tuple[ReductionTree, tuple]]:
-    """Trees rooted at a start object with some deeper leaf equal to the root.
+    """Rule paths of at most ``max_depth`` steps from a start object back to
+    it, as (tree, leaf path) pairs.
 
-    Smallest depth first, deterministic order, deduplicated by the rule-tag
-    path from the root to the repeated leaf.  Returns (tree, leaf path) pairs.
+    A breadth-first walk over the rows: each level extends every (start,
+    object, rule-tag path) of the level before by each rule, in rule order,
+    and each child position, in order, and keeps the first path per key; a
+    child equal to its start closes a loop.  So loops come by depth, then by
+    rule order along the path, then by child position, one per (start, tag
+    path), and the walk stops at ``max_witnesses`` loops.  A loop's tree
+    applies its path's rules and leaves every other child bare, so its depth
+    is its path's length.  ``count_cap`` bounds the rule paths (extensions by
+    one rule and child position), counted per level before it is built.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     # Object ids may themselves be tuples, so only list/set mean a start set.
-    starts = list(start) if isinstance(start, (list, set)) else [start]
-
-    candidates = []
-    for s in starts:
-        for index, tree in enumerate(
-            enumerate_trees(sys, s, max_depth, rule_budget, count_cap)
-        ):
-            for path in _loop_leaves(tree):
-                candidates.append((tree.depth(), index, tree, path))
-
-    candidates.sort(key=lambda item: (item[0], item[1], item[3]))
-    out, seen = [], set()
-    for _, _, tree, path in candidates:
-        key = (tree.label, _tag_path(tree, path))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((tree, path))
-        if len(out) >= max_witnesses:
-            break
+    starts = list(dict.fromkeys(start if isinstance(start, (list, set)) else [start]))
+    # Hashes first: an unequal object then differs without a comparison,
+    # which recurses as deep as the two objects share a shape.
+    start_hashes = list(map(hash, starts))
+    rows = functools.cache(lambda obj: sys._rows(obj, rule_budget)[0])
+    # A level maps (start index, object, tag path) to how the walk got there:
+    # (the object before, its own link, the row applied, the child position),
+    # or None at a start.
+    level = {(i, s, ()): None for i, s in enumerate(starts)}
+    out, paths = [], 0
+    for depth in range(1, max_depth + 1):
+        paths += sum(len(row[1]) for _, obj, _ in level for row in rows(obj))
+        if paths > count_cap:
+            raise CountCapExceeded(f"more than {count_cap} rule paths at depth {depth}")
+        previous, level = level, {}
+        for (i, obj, tags), link in previous.items():
+            for row in rows(obj):
+                path = tags + (row[3],)
+                for pos, child in enumerate(row[1]):
+                    if (i, child, path) in level:
+                        continue
+                    step = level[i, child, path] = (obj, link, row, pos)
+                    if hash(child) == start_hashes[i] and child == starts[i]:
+                        out.append(_loop_tree(child, step))
+                        if len(out) >= max_witnesses:
+                            return out
     return out
 
 
-def _loop_leaves(tree: ReductionTree):
-    """The paths to the leaves below the root that carry the root's object,
-    left to right, walked with an explicit stack."""
-    nodes, path = [tree], []
-    # Hashes first: an unequal object then differs without a comparison,
-    # which recurses as deep as the two objects share a shape.
-    root = hash(tree.label)
-    while True:
-        node = nodes[-1]
-        if node.children:
-            nodes.append(node.children[0])
-            path.append(0)
-            continue
-        if path and hash(node.label) == root and node.label == tree.label:
-            yield tuple(path)
-        # Climb to the nearest ancestor with a child still to visit.
-        while path:
-            nodes.pop()
-            i = path.pop() + 1
-            if i < len(nodes[-1].children):
-                nodes.append(nodes[-1].children[i])
-                path.append(i)
-                break
-        else:
-            return
+def _loop_tree(leaf, link) -> tuple[ReductionTree, tuple]:
+    """The tree and leaf path that ``link`` leads along down to ``leaf``:
+    the rules of the path applied, every child off the path a bare leaf."""
+    tree, positions = ReductionTree(leaf), []
+    while link is not None:
+        obj, link, row, pos = link
+        kids = tuple(map(ReductionTree, row[1]))
+        tree = ReductionTree(obj, row[3], kids[:pos] + (tree,) + kids[pos + 1:])
+        positions.append(pos)
+    return tree, tuple(reversed(positions))
 
 
 def _path_nodes(tree: ReductionTree, path: tuple) -> list:

@@ -246,11 +246,10 @@ def malformed_ops(workdir: Path):
 
 
 def geometric_ops():
-    """(label, argv) of ``loop`` on ``geometric_walk`` from 2.  At depth 2 the
-    walk keeps 8 targets per jump: with the default 16, the loop search
-    enumerates 2^15 trees (about 37 s per op)."""
-    for system, depth in (("geometric_walk", 1), ("geometric_walk(prefix=8)", 1),
-                          ("geometric_walk(prefix=8)", 2)):
+    """(label, argv) of ``loop`` on ``geometric_walk`` from 2, with the
+    default 16 jump targets and with 8."""
+    for system, depth in (("geometric_walk", 1), ("geometric_walk", 2),
+                          ("geometric_walk(prefix=8)", 1), ("geometric_walk(prefix=8)", 2)):
         for fmt in ("text", "json"):
             argv = ["loop", "--system", f"builtin:{system}", "--start", "2",
                     "--depth", str(depth), "--format", fmt]

@@ -29,10 +29,15 @@ the child is done.
 ``reference_leq`` is the natural order as ``Boolean``, ``Language`` and
 ``Product`` spelled it before they read it off the join.
 
-``reference_parse``, the ``reference_*`` expression walkers,
-``reference_enumerate_trees`` and ``reference_loop_leaves`` are the references
-for the iterative parser, the fold-based walkers and the iterative tree
-walks.  They recurse once per level, so they only take shallow input.
+``reference_parse``, the ``reference_*`` expression walkers and
+``reference_enumerate_trees`` are the references for the iterative parser,
+the fold-based walkers and the iterative tree enumeration.  They recurse
+once per level, so they only take shallow input.
+
+``reference_find_loops`` is the reference for ``find_loops``.  It enumerates
+every reduction tree up to the depth with ``enumerate_trees``, finds the
+leaves that repeat the root with ``reference_loop_leaves``, and only then
+keeps one tree per (root, rule-tag path).
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from wars.evaluator import (
     StructuralTreeError,
     VisitCapExceeded,
     WeightBound,
+    enumerate_trees,
 )
 from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, NatInf, Product, Tropical
 from wars.system import MAX_AGGREGATOR_DEPTH, SystemHandle
@@ -762,7 +768,8 @@ def reference_parse(text: str, desc):
 
 
 # --------------------------------------------------------------------------
-# Tree enumeration and loop leaves: one recursive call per level.
+# Tree enumeration and loop leaves, one recursive call per level, and the
+# loop search that weighed every tree.
 
 
 def reference_enumerate_trees(sys, a, depth, rule_budget=8, count_cap=200_000):
@@ -805,6 +812,45 @@ def reference_loop_leaves(tree):
             yield from walk(child, path + (i,))
 
     yield from walk(tree, ())
+
+
+def reference_find_loops(sys, start, max_depth, rule_budget=8, count_cap=200_000,
+                         max_witnesses=16):
+    """Every reduction tree up to ``max_depth`` with each of its loop leaves,
+    sorted by (tree depth, enumeration index, leaf path), then the first
+    per (root, rule-tag path)."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    starts = list(start) if isinstance(start, (list, set)) else [start]
+
+    candidates = []
+    for s in starts:
+        for index, tree in enumerate(
+            enumerate_trees(sys, s, max_depth, rule_budget, count_cap)
+        ):
+            for path in reference_loop_leaves(tree):
+                candidates.append((tree.depth(), index, tree, path))
+
+    candidates.sort(key=lambda item: (item[0], item[1], item[3]))
+    out, seen = [], set()
+    for _, _, tree, path in candidates:
+        key = (tree.label, reference_tag_path(tree, path))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((tree, path))
+        if len(out) >= max_witnesses:
+            break
+    return out
+
+
+def reference_tag_path(tree, path) -> tuple:
+    """The rule tags from the root down to the node at ``path``."""
+    tags = []
+    for idx in path:
+        tags.append(tree.rule_tag)
+        tree = tree.children[idx]
+    return tuple(tags)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -514,9 +515,9 @@ class TestLoop:
         assert code == 4
         assert "no loops" in capsys.readouterr().out
 
-    def test_deep_chain_hits_the_count_cap(self, tmp_path, capsys):
-        # Trees deeper than the recursion limit are enumerated without
-        # recursion, until the count cap stops them.
+    def test_deep_chain_finds_no_loop(self, tmp_path, capsys):
+        # The walk follows the chain deeper than the recursion limit without
+        # recursion and answers that no path returns to c0.
         length = 1500
         chain = {
             "semiring": {"kind": "nat_inf"},
@@ -527,10 +528,46 @@ class TestLoop:
         path = tmp_path / "deep-chain.json"
         path.write_text(json.dumps(chain))
         code = main(["loop", "--system", f"file:{path}", "--start", "c0", "--depth", "1200"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == "no loops found\n"
+        assert captured.err == ""
+
+    def test_many_rule_paths_hit_the_count_cap(self, tmp_path, capsys):
+        # Eight rules from each o{i} to o{i + 1} and none back: 8^6 rule
+        # paths at depth 6, and no loop among them.
+        rules = [{"lhs": f"o{i}", "rhs": [f"o{i + 1}"], "agg": "1 + v1", "tag": f"r{j}"}
+                 for i in range(6) for j in range(8)]
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"semiring": {"kind": "nat_inf"}, "rules": rules,
+                                    "nf": {"o6": "0"}}))
+        begin = time.process_time()
+        code = main(["loop", "--system", f"file:{path}", "--start", "o0", "--depth", "6"])
+        elapsed = time.process_time() - begin
         assert code == 2
         assert _single_error_line(capsys.readouterr()) == (
-            "error: more than 200000 trees at depth 1200"
+            "error: more than 200000 rule paths at depth 6"
         )
+        assert elapsed < 1.0
+
+    def test_geometric_walk_loops_without_enumerating_trees(self, capsys):
+        # Every jump from 1..15 has 16 targets, so 2^15 trees of depth 2
+        # carry a jump-jump loop; the walk follows 256 rule paths.
+        argv = ["loop", "--system", "builtin:geometric_walk", "--start", "2", "--depth", "2",
+                "--format", "json"]
+        begin = time.process_time()
+        code = main(argv)
+        elapsed = time.process_time() - begin
+        loops = json.loads(capsys.readouterr().out)["loops"]
+        assert code == 3
+        assert [entry["trace"] for entry in loops] == [["jump"], ["jump", "jump"]]
+        assert elapsed < 1.0
+
+    def test_second_start_is_refused(self, capsys):
+        argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle(P1P2)",
+                "--start", "idle()", "--depth", "4"]
+        assert main(argv) == 1
+        assert _single_error_line(capsys.readouterr()) == "error: loop takes one --start, got 2"
 
     def test_depth_eight_pumps_every_certified_loop(self, capsys):
         # Each loop counts one step per rule, so k nested copies of a loop of
@@ -764,6 +801,24 @@ def test_resolve_system_parses_params():
     assert sys_.name == "ski_rental(y=4)"
     with pytest.raises(CliError):
         resolve_system("walk_termprob")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("walk_termprob(foo=1)", "_walk() got an unexpected keyword argument 'foo'"),
+    ("walk_expected(expected_steps=false)",
+     "_walk() got multiple values for argument 'expected_steps'"),
+    ("os_runtime(depth=2)", "_os_runtime() got an unexpected keyword argument 'depth'"),
+    ("loop_language(x=1)", "_loop_language() got an unexpected keyword argument 'x'"),
+    ("geometric_walk(prefix=x)", "prefix must be an integer, got 'x'"),
+    ("geometric_walk(prefix=true)", "prefix must be an integer, got True"),
+])
+def test_bad_builtin_parameters_are_refused(capsys, spec, message):
+    name = spec.split("(")[0]
+    argv = ["eval", "--system", f"builtin:{spec}", "--start", "1", "--depth", "1"]
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr()) == (
+        f"error: bad parameters for {name!r}: {message}"
+    )
 
 
 def test_visit_cap_env_default(monkeypatch, capsys):

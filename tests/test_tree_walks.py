@@ -1,9 +1,9 @@
-"""Tree enumeration and loop leaves without recursion.
+"""Tree enumeration and the loop search without recursion.
 
-Both are compared with the recursive versions they replaced, kept in
-``reference_eval``: the same trees in the same order, the same loop paths,
-and the same ``CountCapExceeded``.  A chain deeper than the recursion limit
-checks that neither recurses per level.
+Tree enumeration is compared with the recursive version it replaced, kept
+in ``reference_eval``: the same trees in the same order and the same
+``CountCapExceeded``.  A chain and a cycle deeper than the recursion limit
+check that neither enumeration nor the loop search recurses per level.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import sys
 
 import pytest
 
-from reference_eval import reference_enumerate_trees, reference_loop_leaves
+from reference_eval import reference_enumerate_trees
 from system_gen import random_system
 from wars.builtins import builtin
 from wars.evaluator import CountCapExceeded, enumerate_trees
 from wars.system import load_explicit
-from wars.unboundedness import _loop_leaves
+from wars.unboundedness import find_loops
 
 
 def _outcome(enumerate_, sys_, start, depth, count_cap):
@@ -35,8 +35,6 @@ def test_same_trees_in_the_same_order(seed):
         for depth in range(4):
             got = _outcome(enumerate_trees, sys_, start, depth, 200_000)
             assert got == _outcome(reference_enumerate_trees, sys_, start, depth, 200_000)
-            for tree in got[1] if got[0] == "trees" else ():
-                assert list(_loop_leaves(tree)) == list(reference_loop_leaves(tree))
 
 
 @pytest.mark.parametrize("count_cap", [1, 2, 5, 17, 60])
@@ -60,16 +58,17 @@ def test_chain_deeper_than_the_recursion_limit():
     # One tree per stopping depth: 1,201 trees from 720,600 built in all.
     trees = list(enumerate_trees(chain, "c0", depth, count_cap=10**6))
     assert [t.depth() for t in trees] == list(range(depth + 1))
-    assert all(list(_loop_leaves(t)) == [] for t in trees[-3:])
 
 
 def test_loop_leaves_of_a_deep_cycle():
-    # c0 -> c1 -> ... -> c1199 -> c0: the only loop leaf is 1,200 steps down.
+    # c0 -> c1 -> ... -> c1199 -> c0: the only loop is 1,200 steps long.
     length = 1200
+    assert length > sys.getrecursionlimit()
     cycle = load_explicit(json.dumps({
         "semiring": {"kind": "nat_inf"},
         "rules": [{"lhs": f"c{i}", "rhs": [f"c{(i + 1) % length}"], "agg": "1 + v1"}
                   for i in range(length)],
     }))
-    deepest = list(enumerate_trees(cycle, "c0", length, count_cap=10**6))[-1]
-    assert list(_loop_leaves(deepest)) == [(0,) * length]
+    loops = find_loops(cycle, "c0", length)
+    assert [path for _, path in loops] == [(0,) * length]
+    assert loops[0][0].depth() == length

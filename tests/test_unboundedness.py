@@ -7,7 +7,9 @@ import json
 import pytest
 
 from reference_eval import (
+    reference_find_loops,
     reference_induced_polynomial,
+    reference_tag_path,
     reference_tree_weight,
     reference_weight_profile,
 )
@@ -82,6 +84,62 @@ class TestFindLoops:
         loops = find_loops(osr, start, 8, max_witnesses=32)
         depths = [tree.depth() for tree, _ in loops]
         assert depths == sorted(depths)
+
+
+def _bare_off_the_path(tree: ReductionTree, path: tuple) -> bool:
+    """Whether every node off ``path`` is a leaf without a rule, and the
+    node at ``path`` is a leaf."""
+    for idx in path:
+        if any(child.children or child.rule_tag is not None
+               for i, child in enumerate(tree.children) if i != idx):
+            return False
+        tree = tree.children[idx]
+    return not tree.children
+
+
+class TestPathWalkAgainstTreeEnumeration:
+    """The walk over rule paths against the search over every reduction tree
+    that it replaced."""
+
+    def test_same_loops_on_generated_systems(self):
+        compared = 0
+        for seed in range(400):
+            system = load_explicit(json.dumps(random_system_json(seed)))
+            for start in system.enumerate_objects()[0]:
+                for depth in (1, 2, 3):
+                    loops = find_loops(system, start, depth, max_witnesses=10**6)
+                    expected = reference_find_loops(system, start, depth, max_witnesses=10**6)
+                    keys = [(tree.label, reference_tag_path(tree, path)) for tree, path in loops]
+                    assert len(keys) == len(set(keys)) == len(expected), (seed, start, depth)
+                    assert set(keys) == {
+                        (tree.label, reference_tag_path(tree, path)) for tree, path in expected
+                    }, (seed, start, depth)
+                    for tree, path in loops:
+                        assert tree.label == start
+                        assert tree.depth() == len(path)
+                        assert _bare_off_the_path(tree, path), (seed, start, depth, path)
+                    assert find_loops(system, start, depth) == loops[:16]
+                    compared += len(loops)
+        assert compared > 4000
+
+    @pytest.mark.parametrize("name", ["os_runtime", "os_size", "os_fair", "os_starv"])
+    def test_same_list_on_the_schedulers(self, name):
+        system = builtin(name)
+        for text in ("idle()", "wait(P1)", "run(P2P1)", "idle(P1P2)"):
+            start = system.parse_object(text)
+            for depth in range(1, 9):
+                assert find_loops(system, start, depth) == (
+                    reference_find_loops(system, start, depth)
+                ), (text, depth)
+
+    def test_each_tag_path_keeps_its_first_path_in_walk_order(self):
+        # 0 is a normal form, so jump>jump first returns to 2 through 1.
+        walk = builtin("geometric_walk")
+        loops = find_loops(walk, 2, 2)
+        assert [reference_tag_path(tree, path) for tree, path in loops] == [
+            ("jump",), ("jump", "jump")
+        ]
+        assert [path for _, path in loops] == [(2,), (1, 2)]
 
 
 class TestInducedPolynomial:
