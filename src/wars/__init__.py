@@ -97,9 +97,7 @@ from .evaluator import (
     enumerate_tree_weights,
     enumerate_trees,
     evaluate_to_fixpoint,
-    iterate_lower_bounds,
     tree_weight,
     truncate,
     weight_lower_bound,
-    weight_profile,
 )

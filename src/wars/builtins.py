@@ -12,6 +12,7 @@ was compiled for, and some families build a carrier per handle.
 from __future__ import annotations
 
 import functools
+import inspect
 import re
 from fractions import Fraction
 
@@ -73,9 +74,6 @@ def _walk(expected_steps: bool) -> SystemHandle:
 
 def _geometric_walk(prefix: int = 16) -> SystemHandle:
     """Walk with an infinite-support jump: every step lands on m with weight (1/2)^(m+1)."""
-    if not isinstance(prefix, int) or isinstance(prefix, bool):
-        raise TypeError(f"prefix must be an integer, got {prefix!r}")
-
     body = CountableSum(
         lambda m: ProdNode((Const(Fraction(1, 2 ** (m + 1))), Var(m + 1)))
     )
@@ -581,10 +579,8 @@ def format_formula(f) -> str:
     return "".join(out)
 
 
-def _boolform(finite_costs: bool = False, costs: dict | None = None) -> SystemHandle:
-    table = dict(costs) if costs is not None else dict(
-        _FINITE_COSTS if finite_costs else _EX_COSTS
-    )
+def _boolform(finite_costs: bool = False) -> SystemHandle:
+    table = _FINITE_COSTS if finite_costs else _EX_COSTS
     connective = functools.cache(
         lambda op: (ProdNode if op == "and" else SumNode)((Var(1), Var(2)))
     )
@@ -790,17 +786,30 @@ _FACTORIES = {
 }
 
 
+# What a parameter of each annotated type must be, as refusals name it, and
+# each factory's signature, read once: reading one costs more than most builds.
+_KINDS = {int: "an integer", bool: "a boolean"}
+_signature = functools.cache(functools.partial(inspect.signature, eval_str=True))
+
+
 def builtin(name: str, **params) -> SystemHandle:
-    """Construct a built-in system family member by name."""
+    """Construct a built-in system family member by name; ``params`` must bind
+    to the factory's signature, each of exactly its annotated type (``True``
+    is not an ``int``)."""
     factory = _FACTORIES.get(name)
     if factory is None:
         raise SystemError_(
             f"unknown built-in {name!r}; available: {', '.join(builtin_names())}"
         )
     try:
-        return factory(**params)
+        signature = _signature(factory)
+        for key, value in signature.bind(**params).arguments.items():
+            kind = signature.parameters[key].annotation
+            if type(value) is not kind:
+                raise TypeError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     except TypeError as exc:
         raise SystemError_(f"bad parameters for {name!r}: {exc}") from exc
+    return factory(**params)
 
 
 def builtin_names() -> list[str]:

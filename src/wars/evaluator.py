@@ -188,16 +188,13 @@ class _Ball:
     Objects are numbered in the breadth-first order they were admitted, so
     the objects within distance ``r`` of the start are ``objects[:ends[r]]``;
     one pass numbers each successor as it is admitted, and the rules of the
-    last distance after it.  Per object, ``rules`` holds ``None`` for a normal
-    form, else its rules as (successor numbers, compiled aggregator,
-    aggregator); a successor outside the ball is numbered -1.  ``succs``
-    holds each object's distinct successor numbers, in order.  Each
-    (aggregator, arity) is looked up once per ball.
-
-    Without ``ring``, the objects at distance ``radius`` get no rules, only
-    their normal-form status and weight: a depth query never recomputes
-    them.  With it, the ball also knows if it is ``closed`` (no rule leads
-    outside it) and its ``enumeration_complete``.
+    last distance after it, admitting nothing.  Per object, ``rules`` holds
+    ``None`` for a normal form, else its rules as (successor numbers,
+    compiled aggregator, aggregator); a successor outside the ball is
+    numbered -1.  ``succs`` holds each object's distinct successor numbers,
+    in order.  Each (aggregator, arity) is looked up once per ball.  The
+    ball knows if it is ``closed`` (no rule leads outside it) and its
+    ``enumeration_complete``.
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and ``kernels`` holds, per object with rules,
@@ -205,7 +202,7 @@ class _Ball:
     through ``out``.
     """
 
-    def __init__(self, sys, start, radius, rule_budget, visit_cap, ring=True):
+    def __init__(self, sys, start, radius, rule_budget, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
         if rule_budget < 1:
@@ -238,11 +235,8 @@ class _Ball:
                 return -1
             index[obj] = i
             objects.append(obj)
-            if ring or distance < radius:
-                rules, done = sys._rows(obj, rule_budget)
-                complete = complete and done
-            else:
-                rules, done = [], sys.is_normal_form(obj)
+            rules, done = sys._rows(obj, rule_budget)
+            complete = complete and done
             if not rules and done:
                 weight = sys._nf_weight(obj)
                 desc.require(weight)
@@ -287,9 +281,8 @@ class _Ball:
         ends.extend([len(objects)] * (radius + 1 - len(ends)))
         self.ends = ends
         self.scale = self.kernels = None
-        if ring:
-            self.closed = self.cap_radius is None and all(-1 not in s for s in succs[first:])
-            self.enumeration_complete = complete
+        self.closed = self.cap_radius is None and all(-1 not in s for s in succs[first:])
+        self.enumeration_complete = complete
         if isinstance(desc, RealInf):
             self._scale(max(radius, 1))
 
@@ -701,10 +694,11 @@ def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
 class DepthProfile:
     """The lower bounds at ``a`` for every level 0..depth, from one exploration.
 
-    ``bound(level)`` returns or raises exactly what ``weight_lower_bound`` at
-    that depth would: the objects within ``level`` of ``a`` are explored the
-    same way, so the value, the visited count and whether the visit cap was
-    hit all agree.
+    The ball is the one ``evaluate_to_fixpoint`` explores.  ``bound(level)``
+    is the one reader of a level: it returns the bound at that depth, or
+    raises ``VisitCapExceeded`` with it when the visit cap cut the ball
+    within ``level`` of ``a``.  The value, the visited count and whether the
+    cap was hit agree with a ball of radius ``level``.
     """
 
     def __init__(
@@ -718,15 +712,15 @@ class DepthProfile:
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        ball = _Ball(sys, a, depth, rule_budget, visit_cap, ring=False)
-        self.values = [ball.out(0, values[0]) for values in _levels(ball, branch_trunc, depth)]
+        ball = _Ball(sys, a, depth, rule_budget, visit_cap)
+        self._values = [ball.out(0, values[0]) for values in _levels(ball, branch_trunc, depth)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
         self._ends = ball.ends
         self._cap_radius = ball.cap_radius
 
     def bound(self, level: int) -> WeightBound:
         bound = WeightBound(
-            value=self.values[level],
+            value=self._values[level],
             status=LOWER_BOUND,
             depth_explored=level,
             budgets=dict(self.budgets),
@@ -750,40 +744,9 @@ def weight_lower_bound(
     Level zero weighs normal forms by their interpretation and everything else
     by the semiring minimum; each further level joins, over the enumerated
     rules, the aggregator applied to the previous level's successor weights.
+    Short for ``DepthProfile(...).bound(depth)``.
     """
     return DepthProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap).bound(depth)
-
-
-def weight_profile(
-    sys: SystemHandle,
-    a,
-    depth: int,
-    rule_budget: int = DEFAULT_RULE_BUDGET,
-    branch_trunc: int = DEFAULT_BRANCH_TRUNC,
-    visit_cap: int = DEFAULT_VISIT_CAP,
-) -> list:
-    """The lower-bound values at ``a`` for every level 0..depth."""
-    profile = DepthProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap)
-    profile.bound(depth)  # raises VisitCapExceeded as weight_lower_bound would
-    return profile.values
-
-
-def iterate_lower_bounds(
-    sys: SystemHandle,
-    a,
-    max_depth: int,
-    rule_budget: int = DEFAULT_RULE_BUDGET,
-    branch_trunc: int = DEFAULT_BRANCH_TRUNC,
-    visit_cap: int = DEFAULT_VISIT_CAP,
-) -> Iterator:
-    """Yield the depth-indexed lower bounds at ``a`` lazily, level by level.
-
-    Produces up to ``max_depth + 1`` values; consumers may stop early once a
-    threshold is crossed, skipping the remaining iteration work.
-    """
-    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap, ring=False)
-    for values in _levels(ball, branch_trunc, max_depth):
-        yield ball.out(0, values[0])
 
 
 def evaluate_to_fixpoint(

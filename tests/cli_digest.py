@@ -17,6 +17,8 @@ files of ``MALFORMED``, which pin the loader's message for the first failing
 rule, ``loop`` on ``geometric_walk``, whose loop polynomials weigh countable
 sums off the loop path, ``eval`` and ``loop`` on ``geometric_walk`` with no
 jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
+``eval`` and ``bound --mode extremal`` on the built-in specs of
+``REFUSED``, which pin each refused parameter's message,
 ``bound --mode selective`` on the boolean, language
 and product files of ``ORDERED``, which compare weights in the natural order,
 and ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
@@ -130,6 +132,15 @@ WORD_SETS = (
     ("brace_symbol", ["a", "{b}"], "{a}", "{a}"),
     ("parenthesis_symbol", ["a", "(b)"], "{a}", "{a}"),
     ("spaced_symbol", ["a", "b "], "{a}", "{a}"),
+)
+# (command, built-in spec) of refused built-in parameters.
+REFUSED = (
+    ("eval", "walk_termprob(foo=1)"),
+    ("eval", "ski_rental(y=x)"),
+    ("eval", "boolform(finite_costs=x)"),
+    ("eval", "boolform(costs=1)"),
+    ("eval", "addition_trs(max_size=x)"),
+    ("bound", "addition_trs(max_size=x)"),
 )
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
@@ -268,6 +279,15 @@ def empty_jump_ops():
             yield f"{command} geometric_walk(prefix={prefix}) {start} {fmt}", argv
 
 
+def refused_ops():
+    """(label, argv) of the built-in specs of ``REFUSED``."""
+    for command, spec in REFUSED:
+        query = ["--start", "1", "--depth", "1"] if command == "eval" else ["--mode", "extremal"]
+        for fmt in ("text", "json"):
+            argv = [command, "--system", f"builtin:{spec}", *query, "--format", fmt]
+            yield f"{command} {spec} {fmt}", argv
+
+
 def _write_system(path: Path, semiring: dict, rules: list, nf: dict) -> list:
     path.write_text(json.dumps({"semiring": semiring, "rules": rules, "nf": nf}),
                     encoding="utf-8")
@@ -313,7 +333,8 @@ def main() -> int:
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
-                    empty_jump_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR)):
+                    empty_jump_ops(), refused_ops(), ordered_ops(WORKDIR),
+                    word_set_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

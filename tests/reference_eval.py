@@ -278,17 +278,6 @@ def reference_weight_profile(
     return [lvl[a] for lvl in levels]
 
 
-def reference_iterate_lower_bounds(
-    sys, a, max_depth, rule_budget=64, branch_trunc=64, visit_cap=100_000
-):
-    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
-    current = ex.initial()
-    yield current[a]
-    for _ in range(max_depth):
-        current = ex.step(current, branch_trunc)
-        yield current[a]
-
-
 def reference_evaluate_to_fixpoint(
     sys, a, max_depth=256, rule_budget=64, branch_trunc=64, visit_cap=100_000
 ):

@@ -28,12 +28,11 @@ from wars.builtins import (
 )
 from wars.evaluator import (
     STABILIZED,
+    DepthProfile,
     enumerate_trees,
     evaluate_to_fixpoint,
-    iterate_lower_bounds,
     tree_weight,
     weight_lower_bound,
-    weight_profile,
 )
 from wars.semiring import (
     ARCTIC,
@@ -81,7 +80,9 @@ def test_criterion_02_random_walk_probability():
 
     previous = None
     crossed_at = None
-    for n, value in enumerate(iterate_lower_bounds(walk, 2, 500)):
+    profile = DepthProfile(walk, 2, 500)
+    for n in range(501):
+        value = profile.bound(n).value
         if previous is not None:
             assert walk.semiring.leq(previous, value), f"drop at level {n}"
         previous = value
@@ -142,8 +143,9 @@ def test_criterion_05_tuple_safety():
     assert report.verdict == BOUNDED_SAMPLED and report.sample_count == 201
     bad = (INF, True)
     for k in range(-20, 21):
-        for value in weight_profile(zwalk, k, 50):
-            assert value != bad
+        profile = DepthProfile(zwalk, k, 50)
+        for level in range(51):
+            assert profile.bound(level).value != bad
     clock.done()
 
 

@@ -804,13 +804,20 @@ def test_resolve_system_parses_params():
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("walk_termprob(foo=1)", "_walk() got an unexpected keyword argument 'foo'"),
+    ("walk_termprob(foo=1)", "got an unexpected keyword argument 'foo'"),
     ("walk_expected(expected_steps=false)",
-     "_walk() got multiple values for argument 'expected_steps'"),
-    ("os_runtime(depth=2)", "_os_runtime() got an unexpected keyword argument 'depth'"),
-    ("loop_language(x=1)", "_loop_language() got an unexpected keyword argument 'x'"),
+     "got an unexpected keyword argument 'expected_steps'"),
+    ("os_runtime(depth=2)", "got an unexpected keyword argument 'depth'"),
+    ("loop_language(x=1)", "got an unexpected keyword argument 'x'"),
     ("geometric_walk(prefix=x)", "prefix must be an integer, got 'x'"),
     ("geometric_walk(prefix=true)", "prefix must be an integer, got True"),
+    ("ski_rental(y=x)", "y must be an integer, got 'x'"),
+    ("ski_rental(y=true)", "y must be an integer, got True"),
+    ("ski_rental", "missing a required argument: 'y'"),
+    ("boolform(finite_costs=x)", "finite_costs must be a boolean, got 'x'"),
+    ("boolform(finite_costs=1)", "finite_costs must be a boolean, got 1"),
+    ("boolform(costs=1)", "got an unexpected keyword argument 'costs'"),
+    ("addition_trs(max_size=x)", "max_size must be an integer, got 'x'"),
 ])
 def test_bad_builtin_parameters_are_refused(capsys, spec, message):
     name = spec.split("(")[0]
@@ -818,6 +825,14 @@ def test_bad_builtin_parameters_are_refused(capsys, spec, message):
     assert main(argv) == 1
     assert _single_error_line(capsys.readouterr()) == (
         f"error: bad parameters for {name!r}: {message}"
+    )
+
+
+def test_bad_builtin_parameter_is_refused_before_enumeration(capsys):
+    argv = ["bound", "--system", "builtin:addition_trs(max_size=x)", "--mode", "extremal"]
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr()) == (
+        "error: bad parameters for 'addition_trs': max_size must be an integer, got 'x'"
     )
 
 

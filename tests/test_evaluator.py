@@ -12,16 +12,15 @@ from wars.builtins import builtin
 from wars.evaluator import (
     LOWER_BOUND,
     STABILIZED,
+    DepthProfile,
     ReductionTree,
     StructuralTreeError,
     VisitCapExceeded,
     enumerate_trees,
     evaluate_to_fixpoint,
-    iterate_lower_bounds,
     tree_weight,
     truncate,
     weight_lower_bound,
-    weight_profile,
 )
 from wars.semiring import ALL_WORDS
 from wars.system import load_explicit
@@ -132,7 +131,8 @@ class TestWeightLowerBound:
 
     def test_depth_monotone(self):
         walk = builtin("walk_termprob")
-        values = weight_profile(walk, 2, 12)
+        profile = DepthProfile(walk, 2, 12)
+        values = [profile.bound(level).value for level in range(13)]
         for lo, hi in zip(values, values[1:]):
             assert walk.semiring.leq(lo, hi)
 
@@ -268,10 +268,11 @@ class TestOracleEquivalence:
                         f"seed {seed}, object {a}, depth {depth}"
                     )
 
-    def test_iterate_lower_bounds_matches(self):
+    def test_profile_bounds_match_weight_lower_bound(self):
         walk = builtin("walk_termprob")
-        lazy = list(iterate_lower_bounds(walk, 2, 8))
-        assert lazy == weight_profile(walk, 2, 8)
+        profile = DepthProfile(walk, 2, 8)
+        for level in range(9):
+            assert profile.bound(level) == weight_lower_bound(walk, 2, level)
 
     def test_product_carrier(self):
         sys_ = load_explicit(

@@ -4,7 +4,7 @@ raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
-up once per ball and asks its outer ring for normal-form status only.
+up once per ball and explores the ball that the fixpoint explores.
 ``wars loop`` explores no ball at all, and compiles each certified loop's
 polynomial once.  Readers inside ``wars`` take rows: a file system's or a
 built-in's rules become records only through public ``successors`` and
@@ -28,7 +28,7 @@ from wars import builtins as wars_builtins
 from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
-from wars.evaluator import DepthProfile, evaluate_to_fixpoint, iterate_lower_bounds, weight_lower_bound
+from wars.evaluator import DepthProfile, evaluate_to_fixpoint, weight_lower_bound
 from wars.semiring import NAT_INF
 from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap, load_explicit
 
@@ -111,11 +111,12 @@ def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
     assert built == {"_Ball": 1, "DepthProfile": 1}
 
 
-def test_depth_profile_enumerates_no_rules_on_its_outer_ring(monkeypatch):
-    # The ring at distance 20 holds 2,560 of the 7,677 objects.  Each object
-    # was asked for its rules at the full budget, and each of the 12,794
-    # rules looked up its compiled form.  Counted at the row protocol, which
-    # every reader inside wars takes.
+def test_depth_profile_asks_each_object_for_its_rules_once(monkeypatch):
+    # The ring at distance 20 holds 2,560 of the 7,677 objects.  Each object,
+    # the ring's too, is asked for its rules once at the full budget, as the
+    # fixpoint asks; each of the 12,794 rules once looked up its compiled
+    # form.  Counted at the row protocol, which every reader inside wars
+    # takes.
     handle = wars_builtins.builtin("os_runtime")
     lookups = _count_calls(monkeypatch, aggregator._compiled)
     budgets = collections.Counter()
@@ -128,8 +129,8 @@ def test_depth_profile_enumerates_no_rules_on_its_outer_ring(monkeypatch):
     monkeypatch.setattr(handle, "_rows", counted)
     profile = DepthProfile(handle, handle.parse_object("wait(P1)"), 20)
     assert lookups[0] == 1
-    assert budgets == {64: 5_117, 1: 2_560}
-    assert profile.values[4::4] == [4, 8, 12, 16, 20]
+    assert budgets == {64: 7_677}
+    assert [profile.bound(level).value for level in range(4, 21, 4)] == [4, 8, 12, 16, 20]
 
 
 def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):
@@ -272,7 +273,7 @@ def test_scaled_sweep_calls_no_compiled_closure():
     walk = wars_builtins.builtin("walk_expected")
     assert _closure_calls(lambda: evaluate_to_fixpoint(walk, 3, 100)) == 0
     assert _closure_calls(lambda: weight_lower_bound(walk, 3, 100)) == 0
-    assert _closure_calls(lambda: list(iterate_lower_bounds(walk, 3, 100))) == 0
+    assert _closure_calls(lambda: DepthProfile(walk, 3, 100)) == 0
     # A ball off the integer path still calls its compiled aggregators.
     chain = load_explicit(json.dumps({
         "semiring": {"kind": "nat_inf"},

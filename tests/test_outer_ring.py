@@ -1,11 +1,11 @@
-"""Depth queries admit the outer ring by normal-form status only.
+"""Depth queries at the outer ring, the objects at distance ``depth``.
 
-``DepthProfile`` (and so ``weight_lower_bound`` and ``weight_profile``) and
-``iterate_lower_bounds`` explore the objects at distance ``depth`` without
-their rules: the level iteration never recomputes them.  Every value, of the
-same type, every visit count and every visit-cap partial must still be the
-full-sweep reference's, and a bad rule budget must still be refused when the
-start itself is the ring.
+``DepthProfile`` (and so ``weight_lower_bound``) explores the ball that
+``evaluate_to_fixpoint`` explores, ring rules included, but the level
+iteration never recomputes the ring.  Every value ``DepthProfile.bound``
+reads, of the same type, every visit count and every visit-cap partial must
+be the full-sweep reference's, and a bad rule budget must be refused when
+the start itself is the ring.
 """
 
 from __future__ import annotations
@@ -15,20 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference_eval import (
-    reference_iterate_lower_bounds,
-    reference_weight_lower_bound,
-    reference_weight_profile,
-)
+from reference_eval import reference_weight_lower_bound
 from system_gen import random_system
 from wars.evaluator import (
     DepthProfile,
     VisitCapExceeded,
-    _Ball,
     evaluate_to_fixpoint,
-    iterate_lower_bounds,
     weight_lower_bound,
-    weight_profile,
 )
 from wars.system import load_explicit
 
@@ -44,25 +37,17 @@ def outcome(fn, *args, **kwargs):
     except VisitCapExceeded as exc:
         bound = exc.partial
         return "visit cap", bound.value, type(bound.value), bound.depth_explored, bound.visited
-    if isinstance(result, list):
-        return "values", [(v, type(v)) for v in result]
     return ("bound", result.value, type(result.value), result.status,
             result.depth_explored, result.visited, result.budgets)
 
 
 def check(system, start, depth, **budgets) -> None:
-    """Every depth query against the reference."""
+    """Every level of a depth profile against the reference."""
     profile = DepthProfile(system, start, depth, **budgets)
     for level in range(depth + 1):
         assert outcome(profile.bound, level) == outcome(
             reference_weight_lower_bound, system, start, level, **budgets
         ), level
-    assert outcome(weight_profile, system, start, depth, **budgets) == outcome(
-        reference_weight_profile, system, start, depth, **budgets
-    )
-    assert outcome(lambda: list(iterate_lower_bounds(system, start, depth, **budgets))) == outcome(
-        lambda: list(reference_iterate_lower_bounds(system, start, depth, **budgets))
-    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -89,9 +74,7 @@ def test_a_bad_rule_budget_is_refused_when_the_start_is_the_ring():
     start = system.enumerate_objects()[0][0]
     for query in (
         lambda: weight_lower_bound(system, start, 0, rule_budget=0),
-        lambda: weight_profile(system, start, 0, rule_budget=0),
         lambda: DepthProfile(system, start, 0, rule_budget=0),
-        lambda: next(iterate_lower_bounds(system, start, 0, rule_budget=0)),
         lambda: evaluate_to_fixpoint(system, start, 0, rule_budget=0),
     ):
         with pytest.raises(ValueError, match="^rule_budget must be >= 1$"):
@@ -115,13 +98,10 @@ RING_ONLY = {
 
 def test_a_non_affine_aggregator_on_the_ring_only():
     system = load_explicit(json.dumps(RING_ONLY))
-    # At depth 1 the square is on the ring only: the depth query's ball runs
-    # on integers, the full ball does not.
-    assert _Ball(system, "a", 1, 64, 100_000, ring=False).scale is not None
-    assert _Ball(system, "a", 1, 64, 100_000).scale is None
-    assert _Ball(system, "a", 2, 64, 100_000, ring=False).scale is None
+    # At depth 1 the square is on the ring only, which no level recomputes.
     for depth in range(6):
         for start in ("a", "b", "c", "z"):
             check(system, start, depth)
-    assert weight_profile(system, "a", 1) == [0, Fraction(1, 3)]
-    assert type(weight_profile(system, "z", 3)[-1]) is int
+    profile = DepthProfile(system, "a", 1)
+    assert [profile.bound(level).value for level in range(2)] == [0, Fraction(1, 3)]
+    assert type(DepthProfile(system, "z", 3).bound(3).value) is int

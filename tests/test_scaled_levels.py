@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from reference_eval import (
     reference_evaluate_to_fixpoint,
-    reference_iterate_lower_bounds,
     reference_weight_lower_bound,
 )
 from wars import cli
@@ -31,7 +30,6 @@ from wars.evaluator import (
     VisitCapExceeded,
     _Ball,
     evaluate_to_fixpoint,
-    iterate_lower_bounds,
     weight_lower_bound,
 )
 from wars.system import load_explicit
@@ -98,10 +96,6 @@ def outcome(fn, *args, **kwargs):
     return raised, value, type(value), bound.status, bound.depth_explored, bound.visited
 
 
-def typed(values) -> list:
-    return [(v, type(v)) for v in values]
-
-
 def check(system, start, depth, scaled=None, **budgets) -> None:
     """Every entry point against the reference, values with their types;
     ``scaled`` tells whether the ball must run on integers, if not None."""
@@ -116,9 +110,6 @@ def check(system, start, depth, scaled=None, **budgets) -> None:
     ):
         got = outcome(fast, system, start, depth, **budgets)
         assert got == outcome(reference, system, start, depth, **budgets), fast.__name__
-    assert typed(iterate_lower_bounds(system, start, depth, **budgets)) == typed(
-        reference_iterate_lower_bounds(system, start, depth, **budgets)
-    )
     profile = DepthProfile(system, start, depth, **budgets)
     for level in range(depth + 1):
         assert outcome(profile.bound, level) == outcome(
