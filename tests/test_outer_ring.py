@@ -17,9 +17,11 @@ import pytest
 
 from reference_eval import reference_weight_lower_bound
 from system_gen import random_system
+from wars import evaluator
 from wars.evaluator import (
     DepthProfile,
     VisitCapExceeded,
+    _Ball,
     evaluate_to_fixpoint,
     weight_lower_bound,
 )
@@ -96,9 +98,23 @@ RING_ONLY = {
 }
 
 
-def test_a_non_affine_aggregator_on_the_ring_only():
+def test_a_non_affine_aggregator_on_the_ring_only(monkeypatch):
     system = load_explicit(json.dumps(RING_ONLY))
-    # At depth 1 the square is on the ring only, which no level recomputes.
+    # At depth 1 the square is on the ring only, which no level recomputes,
+    # but the ball reads the ring's rules: it runs on fractions, and so does
+    # the ball a depth query builds.
+    assert _Ball(system, "a", 1, 64, 100_000).scale is None
+    assert _Ball(system, "a", 2, 64, 100_000).scale is None
+    balls = []
+
+    def recorded(*args):
+        balls.append(_Ball(*args))
+        return balls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "_Ball", recorded)
+        DepthProfile(system, "a", 1)
+    assert [ball.scale for ball in balls] == [None]
     for depth in range(6):
         for start in ("a", "b", "c", "z"):
             check(system, start, depth)
