@@ -786,9 +786,11 @@ _FACTORIES = {
 }
 
 
-# What a parameter of each annotated type must be, as refusals name it, and
+# What a parameter of each annotated type must be, as refusals name it, the
+# largest prefix (each geometric_walk jump has that many successors), and
 # each factory's signature, read once: reading one costs more than most builds.
 _KINDS = {int: "an integer", bool: "a boolean"}
+_MAXIMA = {(_geometric_walk, "prefix"): 1024}
 _signature = functools.cache(functools.partial(inspect.signature, eval_str=True))
 
 
@@ -807,7 +809,9 @@ def builtin(name: str, **params) -> SystemHandle:
             kind = signature.parameters[key].annotation
             if type(value) is not kind:
                 raise TypeError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    except TypeError as exc:
+            if value > _MAXIMA.get((factory, key), value):
+                raise ValueError(f"{key} must be at most {_MAXIMA[factory, key]}, got {value!r}")
+    except (TypeError, ValueError) as exc:
         raise SystemError_(f"bad parameters for {name!r}: {exc}") from exc
     return factory(**params)
 

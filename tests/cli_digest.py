@@ -19,6 +19,8 @@ sums off the loop path, ``eval`` and ``loop`` on ``geometric_walk`` with no
 jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
 ``eval`` and ``bound --mode extremal`` on the built-in specs of
 ``REFUSED``, which pin each refused parameter's message,
+``bound --mode embed:<table>`` on the ``real_inf`` file of ``EMBEDDED``
+with each of its tables, which pin the message of a violated step,
 ``bound --mode selective`` on the boolean, language
 and product files of ``ORDERED``, which compare weights in the natural order,
 and ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
@@ -141,6 +143,21 @@ REFUSED = (
     ("eval", "boolform(costs=1)"),
     ("eval", "addition_trs(max_size=x)"),
     ("bound", "addition_trs(max_size=x)"),
+    # ``bound --mode extremal`` reads no rule, so a checkout without the
+    # prefix maximum answers it without making 10^9 jump targets.
+    ("bound", "geometric_walk(prefix=1000000000)"),
+)
+# (rules, nf, tables) of a ``real_inf`` file checked with ``bound --mode
+# embed:<table>``: the first table ties at every rule and normal form, in
+# int, Fraction and decimal literals; the second misses rule ``third`` by
+# 1/1000.
+EMBEDDED = (
+    [{"lhs": "a", "rhs": ["b", "c"], "agg": "1/2 * v1 + 1/2 * v2 + 4/3", "tag": "half"},
+     {"lhs": "a", "rhs": ["c"], "agg": "2 * v1", "tag": "double"},
+     {"lhs": "b", "rhs": ["c"], "agg": "v1 + 1/3", "tag": "third"}],
+    {"c": "3/2"},
+    {"ties": {"a": "3", "b": "11/6", "c": "1.5"},
+     "misses": {"a": "3", "b": "5497/3000", "c": "1.5"}},
 )
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
@@ -294,6 +311,21 @@ def _write_system(path: Path, semiring: dict, rules: list, nf: dict) -> list:
     return ["--system", f"file:{path}"]
 
 
+def embedded_ops(workdir: Path):
+    """(label, argv) of ``bound --mode embed:<table>`` on the file of
+    ``EMBEDDED``, with each of its tables."""
+    inputs = workdir / "embedded"
+    inputs.mkdir()
+    rules, nf, tables = EMBEDDED
+    system = _write_system(inputs / "system.json", {"kind": "real_inf"}, rules, nf)
+    for name, table in tables.items():
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        for fmt in ("text", "json"):
+            argv = ["bound", *system, "--mode", f"embed:{path}", "--format", fmt]
+            yield f"embedded {name} {fmt}", argv
+
+
 def ordered_ops(workdir: Path):
     """(label, argv) of ``bound --mode selective`` on the files of ``ORDERED``."""
     inputs = workdir / "ordered"
@@ -333,7 +365,7 @@ def main() -> int:
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
-                    empty_jump_ops(), refused_ops(), ordered_ops(WORKDIR),
+                    empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR), ordered_ops(WORKDIR),
                     word_set_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)

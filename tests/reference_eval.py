@@ -19,6 +19,11 @@ over the tree and checks and weighs every node it meets, shared or not.
 lexicographic order and checks each with its own copy of the embedding
 inequalities, so its cost grows exponentially with the number of objects.
 
+``reference_verify_embedding`` is the reference for ``verify_embedding``.
+It builds every rule step with the compiled aggregator and compares it in
+the carrier's order, on every carrier, as the check did before affine
+``real_inf`` steps were decided on integers.
+
 ``reference_induced_polynomial`` is the reference for
 ``induced_polynomial``.  It rebuilds the whole loop tree symbolically,
 off-path subtrees included, recursing once per node, and folds the constants
@@ -63,6 +68,10 @@ from wars.aggregator import (
     _fold,
 )
 from wars.boundedness import (
+    BOUNDED_CERTIFIED,
+    BOUNDED_SAMPLED,
+    UNKNOWN,
+    BoundednessReport,
     Embedding,
     PreconditionError,
     UnsupportedAggregatorError,
@@ -902,3 +911,89 @@ def reference_search_affine_embedding(
         if ok:
             return Embedding.from_table(table, f"affine<={coeff_cap}")
     return None
+
+
+# --------------------------------------------------------------------------
+# Embedding check: every rule step built by its compiled aggregator.
+
+
+def reference_verify_embedding(
+    sys: SystemHandle, embedding: Embedding, instances="all", rule_budget: int = 64,
+    branch_trunc: int = 64,
+) -> BoundednessReport:
+    """The interpretation-method inequalities on the given instances, each
+    rule step evaluated by its compiled aggregator and compared with
+    ``desc.leq``; each touched object is embedded and checked once."""
+    desc = sys.semiring
+    exhaustive = isinstance(instances, str) and instances == "all"
+    if exhaustive:
+        enum = sys.enumerate_objects()
+        if enum is None or not enum[1]:
+            raise PreconditionError(
+                f"system {sys.name} has no complete object enumeration; pass instances"
+            )
+        objects = enum[0]
+    else:
+        objects = list(instances)
+    bound_map = {}
+
+    def embed(obj):
+        if obj not in bound_map:
+            value = embedding(obj)
+            desc.require(value)
+            if value == desc.top:
+                return None
+            bound_map[obj] = value
+        return bound_map[obj]
+
+    def top_valued(obj):
+        details = {"top_valued_embedding": sys.format_object(obj)}
+        return BoundednessReport(UNKNOWN, "interpretation-method", details, witness=obj)
+
+    checked = 0
+    for a in objects:
+        ea = embed(a)
+        if ea is None:
+            return top_valued(a)
+        rules, complete = sys.successors(a, rule_budget)
+        if not rules and complete:
+            checked += 1
+            weight = sys.nf_weight(a)
+            if not desc.leq(weight, ea):
+                details = {
+                    "violated_normal_form": sys.format_object(a),
+                    "weight": desc.format_literal(weight),
+                    "embedding": desc.format_literal(ea),
+                }
+                return BoundednessReport(UNKNOWN, "interpretation-method", details, witness=a)
+            continue
+        if exhaustive and not complete:
+            raise PreconditionError(f"rule enumeration for {sys.format_object(a)} is not complete")
+        for r in rules:
+            checked += 1
+            args = []
+            for b in r.rhs:
+                eb = embed(b)
+                if eb is None:
+                    return top_valued(b)
+                args.append(eb)
+            step = _compiled(r.aggregator, desc, len(args))(args, branch_trunc, None)
+            if not desc.leq(step, ea):
+                details = {
+                    "violated_rule": r.tag,
+                    "lhs": sys.format_object(a),
+                    "aggregated": desc.format_literal(step),
+                    "embedding": desc.format_literal(ea),
+                }
+                return BoundednessReport(UNKNOWN, "interpretation-method", details, witness=r)
+
+    if exhaustive:
+        return BoundednessReport(
+            BOUNDED_CERTIFIED, "interpretation-method", {"instances_checked": checked},
+            bound_map=bound_map,
+        )
+    details = {"instances_checked": checked, "note": "verified on supplied instances only"}
+    return BoundednessReport(
+        BOUNDED_SAMPLED, "interpretation-method", details, sample_count=checked,
+        bound_map=bound_map,
+    )

@@ -3,13 +3,15 @@ sufficient conditions, embedding verification, and the affine search."""
 
 from __future__ import annotations
 
+import collections
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from wars.aggregator import evaluate
+from wars.aggregator import evaluate, parse_expr
 from wars.boundedness import (
     BOUNDED_CERTIFIED,
     BOUNDED_SAMPLED,
@@ -27,10 +29,10 @@ from wars.boundedness import (
 )
 from wars.builtins import builtin, builtin_names, ground_terms
 from wars.evaluator import weight_lower_bound
-from wars.semiring import BOTTLENECK, INF
+from wars.semiring import BOTTLENECK, INF, REAL_INF
 from wars.system import RuleInstance, SystemHandle, _finite_no_top, load_explicit
 
-from reference_eval import reference_search_affine_embedding
+from reference_eval import reference_search_affine_embedding, reference_verify_embedding
 from system_gen import random_system
 
 
@@ -483,3 +485,166 @@ class TestRuleWitnesses:
         assert report.details == {"non_selective_rule": "ab"}
         assert type(report.witness) is RuleInstance
         assert report.witness == CHAIN.find_rule("a", "ab")
+
+
+# ---------------------------------------------------------------------------
+# Affine real_inf steps are decided on integers: every report, and every
+# error, is the one the closure-only reference gives.
+
+_REAL_LITERALS = ("0", "1", "2", "3", "1/2", "2/3", "5/7", "0.25", "0/3")
+
+
+def _real_expr(rng: random.Random, arity: int) -> str:
+    """A sum of products of variables, int and Fraction literals and
+    bracketed sums: affine or not, with zero coefficients, now and then
+    with inf."""
+
+    def factor(depth):
+        roll = rng.random()
+        if roll < 0.45:
+            return f"v{rng.randrange(1, arity + 1)}"
+        if roll < 0.8 or depth >= 2:
+            return "inf" if rng.random() < 0.01 else rng.choice(_REAL_LITERALS)
+        return "(" + expr(depth + 1) + ")"
+
+    def term(depth):
+        return " * ".join(factor(depth) for _ in range(1 + (rng.random() < 0.35)))
+
+    def expr(depth):
+        return " + ".join(term(depth) for _ in range(rng.randint(1, 3)))
+
+    return expr(0)
+
+
+def _real_system(rng: random.Random) -> SystemHandle:
+    """An acyclic real_inf file system: rules lead from each object to later
+    ones, and the last objects are normal forms."""
+    count = rng.randint(3, 7)
+    names = [f"a{i}" for i in range(count)]
+    rules, nf = [], {}
+    for i, name in enumerate(names):
+        if i >= count - rng.randint(1, 2):
+            nf[name] = rng.choice(_REAL_LITERALS)
+            continue
+        for k in range(rng.randint(1, 3)):
+            arity = rng.randint(1, 3)
+            rhs = [rng.choice(names[i + 1:]) for _ in range(arity)]
+            rules.append({"lhs": name, "rhs": rhs, "agg": _real_expr(rng, arity), "tag": f"r{i}_{k}"})
+    return explicit({"semiring": {"kind": "real_inf"}, "rules": rules, "nf": nf})
+
+
+def _least_table(sys_, rng: random.Random, slack: bool) -> dict:
+    """The least table that holds, later objects first, each value an int
+    where it is whole half of the time; with ``slack``, some values are
+    raised a little."""
+    table = {}
+    for a in sorted(sys_.enumerate_objects()[0], key=lambda name: -int(name[1:])):
+        rules, _ = sys_.successors(a, 64)
+        steps = [evaluate(r.aggregator, REAL_INF, [table[b] for b in r.rhs])[0] for r in rules]
+        value = max(steps) if rules else sys_.nf_weight(a)
+        if value is not INF:
+            value = Fraction(value)
+            if slack and rng.random() < 0.5:
+                value += Fraction(rng.randint(1, 3), rng.randint(1, 4))
+            if value.denominator == 1 and rng.random() < 0.5:
+                value = int(value)
+        table[a] = value
+    return table
+
+
+def _missed(table: dict, rng: random.Random) -> dict:
+    """The table with one object's value lowered by 1/k, so that the rule
+    or normal form that reached it misses it; unchanged when no value is
+    large enough."""
+    k = rng.choice((1, 2, 3, 1000))
+    lowered = [a for a, v in table.items() if v is not INF and v >= Fraction(1, k)]
+    if not lowered:
+        return table
+    a = rng.choice(sorted(lowered))
+    return dict(table, **{a: table[a] - Fraction(1, k)})
+
+
+def _embedding_outcome(check, sys_, embedding, instances):
+    try:
+        r = check(sys_, embedding, instances)
+    except Exception as exc:
+        return type(exc), str(exc)
+    types = {a: type(v) for a, v in (r.bound_map or {}).items()}
+    return r.verdict, r.method, r.details, r.sample_count, r.witness, repr(r.witness), r.bound_map, types
+
+
+def _same_embedding_outcome(sys_, embedding, instances="all"):
+    got = _embedding_outcome(verify_embedding, sys_, embedding, instances)
+    assert got == _embedding_outcome(reference_verify_embedding, sys_, embedding, instances)
+    return got
+
+
+def _outcome_kind(outcome) -> str:
+    if outcome[0] != UNKNOWN:
+        return outcome[0] if isinstance(outcome[0], str) else "error"
+    return next(iter(outcome[2]))
+
+
+def test_integer_steps_report_as_the_closures_do_on_generated_systems():
+    kinds = collections.Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        sys_ = _real_system(rng)
+        tie = _least_table(sys_, rng, slack=False)
+        for table in (tie, _least_table(sys_, rng, slack=True), _missed(tie, rng)):
+            embedding = Embedding.from_table(table)
+            kinds[_outcome_kind(_same_embedding_outcome(sys_, embedding))] += 1
+            sample = rng.sample(sorted(table), rng.randint(1, len(table)))
+            kinds[_outcome_kind(_same_embedding_outcome(sys_, embedding, sample))] += 1
+    # Both verdicts, violated rules and normal forms, and top-valued tables.
+    assert kinds == {BOUNDED_SAMPLED: 328, BOUNDED_CERTIFIED: 268, "violated_rule": 165,
+                     "top_valued_embedding": 88, "violated_normal_form": 51}
+
+
+@pytest.mark.parametrize("agg_text, table", [
+    ("v1 + v2", {"a": 3, "b": 1, "c": 2}),
+    ("2/3 * v1 + 1/3 * v2", {"a": Fraction(5, 3), "b": 1, "c": 3}),
+    ("2/3 * v1 + 1/3 * v2", {"a": Fraction(5, 3) - Fraction(1, 1000), "b": 1, "c": 3}),
+    ("0 * v1 + 1/2 + v2 * 0", {"a": Fraction(1, 2), "b": 7, "c": 9}),
+    ("0 * v1 + 1/2 + v2 * 0", {"a": Fraction(499, 1000), "b": 7, "c": 9}),
+    ("(v1 + 1) * 2", {"a": 6, "b": 2, "c": 0}),
+    ("v1 * v2", {"a": 2, "b": 1, "c": 2}),
+    ("v1 * v2", {"a": 1, "b": 1, "c": 2}),
+    ("inf * v1 + v2", {"a": 5, "b": 0, "c": 5}),
+    ("inf * v1 + v2", {"a": 5, "b": 1, "c": 5}),
+    ("v1 + v2", {"a": 3, "b": INF, "c": 2}),
+    ("v1 + v2", {"a": -1, "b": 1, "c": 2}),
+    ("v1 + v3", {"a": 3, "b": 1, "c": 2}),
+], ids=["int-tie", "fraction-tie", "fraction-miss", "zero-coefficients-tie",
+        "zero-coefficients-miss", "scaled-sum", "product-holds", "product-misses",
+        "inf-times-zero", "inf-times-one", "top-valued-successor", "outside-carrier",
+        "arity"])
+def test_integer_steps_report_as_the_closures_do_on_one_rule(agg_text, table):
+    # The rule a -> (b, c) is a prefix of a longer sequence, so v3 may occur.
+    rows = {"a": [("a", ("b", "c"), parse_expr(agg_text, REAL_INF), "t", False)]}
+    sys_ = SystemHandle("one_rule", REAL_INF, lambda a, budget: (rows.get(a, []), True),
+                        {"b": 1, "c": 2}.__getitem__)
+    _same_embedding_outcome(sys_, Embedding.from_table(table), ["a"])
+
+
+def _perturbed(base, at: int, delta):
+    return Embedding(lambda n: base(n) + (delta if n == at else 0), "perturbed")
+
+
+@pytest.mark.parametrize("name, base", [
+    ("walk_expected", builtin_embedding("walk3n")),
+    ("walk_termprob", lambda n: 1),
+    ("walk_termprob", builtin_embedding("walk3n")),
+], ids=["expected-walk3n", "termprob-one", "termprob-walk3n"])
+@pytest.mark.parametrize("at, delta", [(None, 0), (7, -Fraction(1, 1000)), (40, -1), (8, 1)])
+def test_integer_steps_report_as_the_closures_do_on_the_walks(name, base, at, delta):
+    walk = builtin(name)
+    embedding = _perturbed(base, at, delta)
+    _same_embedding_outcome(walk, embedding, range(0, 60))
+    _same_embedding_outcome(walk, embedding, range(1, 60))
+
+
+def test_countable_sums_report_as_the_closures_do():
+    jump = builtin("geometric_walk", prefix=8)
+    for value in (1, Fraction(1, 2), Fraction(127, 128), Fraction(255, 256)):
+        _same_embedding_outcome(jump, Embedding(lambda n, v=value: v, "flat"), range(0, 10))

@@ -191,13 +191,12 @@ def _single_error_line(captured) -> str:
 
 
 class TestDeepAggregators:
-    def test_bound_lies_between_parent_limit_and_hashing_limit(self):
+    def test_bound_lies_between_parent_limit_and_closure_frame_limit(self):
         # 329 levels was the deepest aggregator `wars eval` evaluated before
         # the parser was iterative.  The upper end keeps the bound clear of
         # the compiled-closure frame limit: a compiled aggregator nests a
         # Python frame per level when called, so `wars eval` on a nested sum
-        # fails near 990 levels.  (The name recalls a hashing limit near
-        # 490; no expression is hashed any more.)
+        # fails near 990 levels.
         assert 329 <= MAX_AGGREGATOR_DEPTH < 490
 
     @pytest.mark.parametrize("levels", [329, MAX_AGGREGATOR_DEPTH])
@@ -834,6 +833,21 @@ def test_bad_builtin_parameter_is_refused_before_enumeration(capsys):
     assert _single_error_line(capsys.readouterr()) == (
         "error: bad parameters for 'addition_trs': max_size must be an integer, got 'x'"
     )
+
+
+def test_oversized_jump_prefix_is_refused_before_any_rule(capsys):
+    # Every jump of geometric_walk has prefix successors: accepted, this
+    # prefix would allocate them until the process is killed.
+    argv = ["eval", "--system", "builtin:geometric_walk(prefix=1000000000)", "--start", "1",
+            "--depth", "1"]
+    started = time.process_time()
+    assert main(argv) == 1
+    assert time.process_time() - started < 1.0
+    assert _single_error_line(capsys.readouterr()) == (
+        "error: bad parameters for 'geometric_walk': prefix must be at most 1024, got 1000000000"
+    )
+    (jump,), _ = resolve_system("builtin:geometric_walk(prefix=1024)").successors(1, 64)
+    assert len(jump.rhs) == 1024
 
 
 def test_visit_cap_env_default(monkeypatch, capsys):

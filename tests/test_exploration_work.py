@@ -4,13 +4,14 @@ raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
-up once per ball and explores the ball that the fixpoint explores.
-``wars loop`` explores no ball at all, and compiles each certified loop's
-polynomial once.  Readers inside ``wars`` take rows: a file system's or a
-built-in's rules become records only through public ``successors`` and
-``find_rule``.  One
-``wars oracle`` run reads each (object, depth) key's rules and weighs each
-of its trees once, in a table of bounded size."""
+up once per ball and explores the ball that the fixpoint explores.  An
+affine ``real_inf`` embedding check evaluates a compiled aggregator only for
+a violated step.  ``wars loop`` explores no ball at all, and compiles each
+certified loop's polynomial once.  Readers inside ``wars`` take rows: a
+file system's or a built-in's rules become records only through public
+``successors`` and ``find_rule``.  One ``wars oracle`` run reads each
+(object, depth) key's rules and weighs each of its trees once, in a table of
+bounded size."""
 
 from __future__ import annotations
 
@@ -249,6 +250,17 @@ def test_embedding_is_called_once_per_object(monkeypatch, capsys, samples):
     assert calls[0] == samples + 1
 
 
+def test_affine_real_embedding_check_calls_no_compiled_aggregator(monkeypatch, capsys):
+    # Each of the 300 steps was evaluated by the compiled closure in
+    # Fractions, to compare 3n with the tie 1 + 2/3*3(n-1) + 1/3*3(n+1).
+    lookups = _count_calls(monkeypatch, aggregator._compiled)
+    argv = ["bound", "--system", "builtin:walk_expected", "--mode", "embed:walk3n",
+            "--samples", "300"]
+    assert main(argv) == 3
+    assert "verified on 300 instances" in capsys.readouterr().out
+    assert lookups[0] == 0
+
+
 def _closure_calls(run) -> int:
     """The calls ``run()`` makes to functions of the compiled-aggregator
     convention ``fn(args, truncation, exact)``, each given an argument list."""
@@ -376,6 +388,23 @@ def test_embedding_check_asks_each_object_for_its_rules_once(monkeypatch, capsys
     # One question for c's weight from the check for a top-valued normal
     # form, then one per object, in order, from the embedding check.
     assert budgets == {("c", 1): 1, ("a", 64): 1, ("b", 64): 1, ("c", 64): 1}
+
+
+@pytest.mark.parametrize("kind, b, code, lookups", [
+    ("real_inf", "3", 0, 0), ("real_inf", "2.999", 4, 1), ("nat_inf", "3", 0, 4),
+], ids=["real-holds", "real-violated", "nat-holds"])
+def test_embedding_check_evaluates_only_violated_real_steps(monkeypatch, capsys, tmp_path,
+                                                            kind, b, code, lookups):
+    # Over real_inf a violated step is still evaluated, for its message; over
+    # any other carrier every step is.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(FILE_SYSTEM, semiring={"kind": kind})))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"a": "6", "b": b, "c": "2"}))
+    counted = _count_calls(monkeypatch, aggregator._compiled)
+    assert main(["bound", "--system", f"file:{path}", "--mode", f"embed:{table}"]) == code
+    assert ("aggregated: 3" in capsys.readouterr().out) == (code == 4)
+    assert counted[0] == lookups
 
 
 def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
