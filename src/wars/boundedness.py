@@ -145,7 +145,7 @@ def check_nf_top(sys: SystemHandle, nfs: Optional[Iterable] = None) -> Optional[
             return None
         nfs = enum[0]
     for a in nfs:
-        if sys.nf_weight(a) == desc.top:
+        if desc.top == sys.nf_weight(a):
             return BoundednessReport(
                 verdict=UNBOUNDED,
                 method="top-valued-normal-form",
@@ -170,7 +170,7 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
     """Bounded when normal forms stay below a common non-top bound and every
     aggregator provably returns one of its arguments."""
     desc = sys.semiring
-    if bound == desc.top:
+    if desc.top == bound:
         raise PreconditionError("the universal bound must not be the maximum")
     desc.require(bound)
 
@@ -258,7 +258,7 @@ def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
         details["normal_form_weights"] = "not fully enumerable"
         missing.append("normal_form_weights")
     else:
-        bad = [a for a in nf_enum[0] if sys.nf_weight(a) == desc.top]
+        bad = [a for a in nf_enum[0] if desc.top == sys.nf_weight(a)]
         if bad:
             details["normal_form_weights"] = (
                 f"top-valued: {sys.format_object(bad[0])}"
@@ -322,7 +322,7 @@ def verify_embedding(
         if value is None:
             value = embedding(obj)
             desc.require(value)
-            if value == desc.top:
+            if desc.top == value:
                 return None
             bound_map[obj] = value
         return value

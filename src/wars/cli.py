@@ -132,7 +132,7 @@ def _parse_start(system, text: str):
 
 
 def cmd_eval(args) -> int:
-    _check_at_least(args, depth=0, rule_budget=1, visit_cap=1)
+    _check_at_least(args, depth=0, rule_budget=1, branch_trunc=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     results = []
@@ -306,7 +306,7 @@ def cmd_loop(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_at_least(args, rule_budget=1, visit_cap=1)
+    _check_at_least(args, rule_budget=1, branch_trunc=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     enum = system.enumerate_objects()

@@ -411,42 +411,6 @@ def _cone(pending: list, ends: list, radius: int) -> list:
     return pending[: bisect.bisect_left(pending, ends[min(radius, len(ends) - 1)])]
 
 
-def _levels(ball: _Ball, branch_trunc: int, depth: int) -> Iterator:
-    """Value iteration towards the start's value at ``depth``, one level per step.
-
-    Yields, for level 0..depth, a single list updated in place, indexed like
-    ``ball.objects`` plus one last slot holding zero, where successors outside
-    the ball point.
-
-    Level j recomputes only the objects with a successor that changed at
-    level j-1 (at level 1, every object with rules).  Any other object would
-    get its level j-1 value back, so this is exactly the level-by-level
-    (Jacobi) iteration.  Level j also skips the objects farther than
-    ``depth - j`` from the start: they cannot reach the start's value at
-    level ``depth``.  Their entries go stale.
-    """
-    rules = ball.rules
-    ends = ball.ends
-    values = ball.initial + [ball.semiring.zero]
-    yield values
-
-    # Objects that level 1 recomputes; no later level recomputes others.
-    pending = [i for i in range(ends[depth - 1] if depth > 0 else 0) if rules[i]]
-    preds: list = [[] for _ in rules]
-    for i in pending:
-        for s in ball.succs[i]:
-            if s >= 0:
-                preds[s].append(i)
-
-    for level in range(1, depth + 1):
-        pending = _cone(pending, ends, depth - level)
-        changed = _recompute(pending, ball, values, branch_trunc)
-        for i, v in changed:
-            values[i] = v
-        yield values
-        pending = sorted({p for i, _ in changed for p in preds[i]})
-
-
 class _Settled:
     """The full level-by-level sweep of a ball, settled component by component.
 
@@ -463,12 +427,16 @@ class _Settled:
     component runs the delta-driven sweep on its own members, with the values
     of the objects it reads below written in level by level.
 
-    The sweep stops at level ``steps``.  ``depth`` is the last level at which
-    any object changes; if some object still changes at level ``steps``,
-    ``stable`` is false, and ``value`` is the start's value at that level when
-    the start's own cyclic component was the one cut, else None.  That
-    component comes last and no other reads it, so it sweeps only the start's
-    cone plus one ring, and again in full if that cannot tell its stability.
+    Each cyclic component sweeps to level ``steps`` at most, and every
+    component is settled even after one is still changing there: a value at
+    a level up to ``steps`` never depends on any value above it, so those
+    values are exact everywhere.  ``stable`` tells whether every object has
+    stopped changing below ``steps``; then ``depth`` is the last level at
+    which any object changes, and otherwise it is ``steps`` or more.
+    ``at(level)`` reads the start's value at a level up to ``steps`` from its
+    history.  The start's component comes last and no other reads it, so if
+    it is cyclic it sweeps only the start's cone plus one ring, and again in
+    full if that cannot tell its stability.
     """
 
     def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
@@ -494,8 +462,6 @@ class _Settled:
         self.taken: list = [None] * n + [[desc.zero]]
         self.cursor: list = [None] * n
         self.depth = 0
-        self.stable = False
-        self.value = None
 
         components = _components(self.succs)
         component_of = [0] * n
@@ -503,8 +469,9 @@ class _Settled:
             for i in component:
                 component_of[i] = k
         # Members of a cyclic component keep a history only if a higher
-        # component reads them.
+        # component reads them, or if it is the start.
         read = [False] * n
+        read[0] = True
         for i, succ in enumerate(self.succs):
             for s in succ:
                 if s >= 0 and component_of[s] != component_of[i]:
@@ -519,13 +486,13 @@ class _Settled:
                 last = self._cyclic(component, read, steps, ball.ends if start else None)
                 if last is None:
                     last = self._cyclic(component, read, steps)
-                if last >= steps and start:
-                    self.value = ball.out(0, self.values[0])
-            if last >= steps:
-                return
             self.depth = max(self.depth, last)
-        self.stable = True
-        self.value = ball.out(0, self.values[0] if self.levels[0] is None else self.taken[0][0])
+        self.stable = self.depth < steps
+
+    def at(self, level):
+        """The start's value at ``level``, which is at most ``steps``."""
+        self._extend(0, level)
+        return self.ball.out(0, self.taken[0][_at(self.levels[0], level)])
 
     def _evaluate(self, x, level):
         """Object ``x``'s value computed at ``level``, from its successors'
@@ -665,10 +632,10 @@ class _Settled:
             marked = {p for i, _ in changed for p in preds[i]}
             if changed:
                 last = level
-            if level >= steps:
-                break
             if not marked and inputs:
                 level = inputs[-1][0]  # nothing moves before the next input does
+            if level >= steps:
+                break
             while inputs and inputs[-1][0] == level:
                 _, s, u = inputs.pop()
                 values[s] = u
@@ -694,11 +661,13 @@ def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
 class DepthProfile:
     """The lower bounds at ``a`` for every level 0..depth, from one exploration.
 
-    The ball is the one ``evaluate_to_fixpoint`` explores.  ``bound(level)``
-    is the one reader of a level: it returns the bound at that depth, or
-    raises ``VisitCapExceeded`` with it when the visit cap cut the ball
-    within ``level`` of ``a``.  The value, the visited count and whether the
-    cap was hit agree with a ball of radius ``level``.
+    The ball is the one ``evaluate_to_fixpoint`` explores, settled the same
+    way to at least one level, and each level's value is read from the
+    start's history there.  ``bound(level)`` is the one reader of a level:
+    it returns the bound at that depth, or raises ``VisitCapExceeded`` with
+    it when the visit cap cut the ball within ``level`` of ``a``; a level
+    outside 0..depth raises ``ValueError``.  The value, the visited count and
+    whether the cap was hit agree with a ball of radius ``level``.
     """
 
     def __init__(
@@ -713,12 +682,15 @@ class DepthProfile:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         ball = _Ball(sys, a, depth, rule_budget, visit_cap)
-        self._values = [ball.out(0, values[0]) for values in _levels(ball, branch_trunc, depth)]
+        settled = _Settled(ball, branch_trunc, max(depth, 1))
+        self._values = [settled.at(level) for level in range(depth + 1)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
         self._ends = ball.ends
         self._cap_radius = ball.cap_radius
 
     def bound(self, level: int) -> WeightBound:
+        if not 0 <= level < len(self._values):
+            raise ValueError(f"level must be in 0..{len(self._values) - 1}, got {level}")
         bound = WeightBound(
             value=self._values[level],
             status=LOWER_BOUND,
@@ -764,7 +736,9 @@ def evaluate_to_fixpoint(
     iteration reproduces the same values everywhere; otherwise it is a plain
     lower bound at the explored depth.  The explored depth is the last level
     at which the level-by-level iteration of the whole explored set changes
-    any value, or ``max_depth`` if some value still changes there.
+    any value, or ``max_depth`` if some value still changes there, and the
+    value is the start's at that level, read from the one settle of the
+    explored set that ``DepthProfile`` reads too.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -772,19 +746,10 @@ def evaluate_to_fixpoint(
     # The extra level that can show stability is within the step budget,
     # except at max_depth 0, which still gets one level to compare.
     settled = _Settled(ball, branch_trunc, max(max_depth, 1))
-    if settled.stable:
-        value, depth_explored = settled.value, settled.depth
-    else:
-        depth_explored = max_depth
-        if settled.value is not None and max_depth > 0:
-            value = settled.value
-        else:
-            for values in _levels(ball, branch_trunc, max_depth):
-                value = ball.out(0, values[0])
-
+    depth_explored = settled.depth if settled.stable else max_depth
     certified = settled.stable and ball.closed and ball.enumeration_complete
     bound = WeightBound(
-        value=value,
+        value=settled.at(depth_explored),
         status=STABILIZED if certified else LOWER_BOUND,
         depth_explored=depth_explored,
         budgets=_budgets(rule_budget, branch_trunc, visit_cap),

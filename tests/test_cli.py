@@ -298,6 +298,10 @@ INVALID_ARGV = {
                               "--depth", "2", "--rule-budget", "0"],
     "eval zero visit cap": ["eval", "--system", "builtin:walk_termprob", "--start", "2",
                             "--depth", "2", "--visit-cap", "0"],
+    "eval zero branch trunc": ["eval", "--system", "builtin:walk_termprob", "--start", "2",
+                               "--depth", "2", "--branch-trunc", "0"],
+    "eval negative branch trunc": ["eval", "--system", "builtin:geometric_walk", "--start",
+                                   "1", "--depth", "3", "--branch-trunc", "-5"],
     "eval unparsable start": ["eval", "--system", "builtin:walk_termprob", "--start", "x(",
                               "--depth", "2"],
     "bound negative samples": ["bound", "--system", "builtin:walk_expected", "--mode",
@@ -632,6 +636,8 @@ class TestOracle:
 INVALID_ORACLE_ARGV = {
     "zero rule budget": ["--rule-budget", "0"],
     "zero visit cap": ["--visit-cap", "0"],
+    "zero branch trunc": ["--branch-trunc", "0"],
+    "negative branch trunc": ["--branch-trunc", "-5"],
     "missing system file": ["--system", "file:/nonexistent/wars-system.json"],
     "bad system spec": ["--system", "nowhere"],
 }
@@ -642,6 +648,14 @@ def test_oracle_bad_configuration_exits_3(twostate, capsys, extra):
     code = main(["oracle", "--system", f"file:{twostate}", "--depth", "2", *extra])
     assert code == 3
     _single_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command, code", [("eval", 1), ("oracle", 3)])
+def test_branch_trunc_below_one_names_the_flag(twostate, capsys, command, code):
+    start = ["--start", "a"] if command == "eval" else []
+    argv = [command, "--system", f"file:{twostate}", *start, "--depth", "3", "--branch-trunc", "-5"]
+    assert main(argv) == code
+    assert _single_error_line(capsys.readouterr()) == "error: --branch-trunc must be at least 1, got -5"
 
 
 def _nested_products(levels: int) -> str:

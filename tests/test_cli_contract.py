@@ -1,0 +1,151 @@
+"""The CLI's exit-code contract over generated argv.
+
+A small grammar draws a command, a system spec (built-ins with good and bad
+parameters, generated system files, the malformed files of
+``cli_digest.MALFORMED``, and specs that name nothing), flags with small,
+zero, negative and non-integer values, and starts.  Every run must end in an
+exit code that the README documents for its command, or in argparse's usage
+error (exit 2), and must print no traceback.  Sizes stay small (depth at most
+6, ``prefix`` at most 16, ``max_size`` at most 3), so that no draw can take
+long or take much memory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cli_digest import MALFORMED
+from system_gen import random_system_json
+from wars.cli import main
+
+# The README's exit codes per command.
+EXIT_CODES = {
+    "eval": {0, 1, 2},
+    "bound": {0, 1, 3, 4, 5},
+    "loop": {0, 1, 2, 3, 4},
+    "oracle": {0, 1, 2, 3},
+}
+
+# Flag values: mostly small, now and then zero, negative or not an integer.
+NUMBERS = ("1", "2", "3", "6") * 4 + ("0", "-1", "-2", "x", "1.5", "")
+# Whether a flag is given: usually, evenly or rarely.
+USUALLY, EVENLY, RARELY = (True,) * 9 + (False,), (True, False), (False,) * 9 + (True,)
+# Per family with parameters: the parameter and its values, good and bad.
+PARAMETERS = {
+    "geometric_walk": ("prefix", ("-3", "0", "1", "2", "16", "1025", "x", "true")),
+    "ski_rental": ("y", ("-1", "0", "1", "3", "x", "true")),
+    "addition_trs": ("max_size", ("-1", "0", "1", "2", "3", "x")),
+    "boolform": ("finite_costs", ("true", "false", "1", "x")),
+}
+# Each family's starts; files start from their own labels.
+WALK = ("0", "1", "3")
+OS = ("idle()", "wait(P1)", "run(P2P1)")
+STARTS = {
+    "geometric_walk": WALK, "ski_rental": ("n0=2", "halt"),
+    "addition_trs": ("plus(s(0),s(0))", "s(0)"), "boolform": ("Ra | Rb", "Paa & (Pab | Rb)"),
+    "walk_termprob": WALK, "walk_expected": WALK, "zwalk": ("0", "-1", "2"), "na_system": ("a",),
+    "os_runtime": OS, "os_size": OS, "os_fair": OS, "bitstring_prefixes": ("0", "*"),
+    "loop_language": ("a", "b"), "no_such_family": ("0",),
+}
+FILE_STARTS = ("a0", "a1", "a2", "a")
+# Starts that no system parses.
+UNPARSABLE = ("x(", "", "-", "plus(")
+MODES = ("extremal", "selective", "embed:walk3n", "embed:no_such_table", "bogus")
+BOUNDS = ("3", "0", "inf", "1/2", "true", "x")
+GENERATED_SEEDS = range(6)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Spec strings of generated and malformed system files, and of a file
+    that does not exist."""
+    root = tmp_path_factory.mktemp("contract")
+    specs = []
+    for seed in GENERATED_SEEDS:
+        path = root / f"gen{seed}.json"
+        path.write_text(json.dumps(random_system_json(seed)))
+        specs.append(f"file:{path}")
+    for name, rules, nf in MALFORMED:
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({"semiring": {"kind": "nat_inf"}, "rules": rules, "nf": nf}))
+        specs.append(f"file:{path}")
+    return specs + [f"file:{root / 'missing.json'}"]
+
+
+@st.composite
+def systems(draw, files):
+    """A system spec and the starts to draw for it."""
+    kind = draw(st.sampled_from(["builtin"] * 5 + ["file"] * 2 + ["bad"]))
+    if kind == "file":
+        return draw(st.sampled_from(files)), FILE_STARTS
+    if kind == "bad":
+        spec = draw(st.sampled_from(["nowhere", "builtin:", "builtin:walk_termprob(", "file:"]))
+        return spec, UNPARSABLE
+    name = draw(st.sampled_from(sorted(STARTS)))
+    if name in PARAMETERS:
+        key, values = PARAMETERS[name]
+        # An unknown parameter, now and then; addition_trs always gets a small
+        # max_size.
+        if name != "addition_trs" and draw(st.sampled_from(RARELY)):
+            key = "foo"
+        if name == "addition_trs" or draw(st.sampled_from(USUALLY)):
+            name = f"{name}({key}={draw(st.sampled_from(values))})"
+    return f"builtin:{name}", STARTS[name.split("(")[0]]
+
+
+@st.composite
+def flag(draw, name, values=NUMBERS, odds=EVENLY):
+    """``[name, value]`` or ``[]``."""
+    return [name, draw(st.sampled_from(values))] if draw(st.sampled_from(odds)) else []
+
+
+@st.composite
+def argvs(draw, files):
+    command = draw(st.sampled_from(sorted(EXIT_CODES)))
+    spec, starts = draw(systems(files))
+    argv = [command, "--system", spec]
+    depth = flag("--depth", odds=USUALLY)
+    start = flag("--start", starts * 4 + UNPARSABLE, USUALLY)
+    options = {
+        "eval": [depth, start, flag("--rule-budget"), flag("--branch-trunc"), flag("--visit-cap")],
+        "oracle": [depth, flag("--count-cap"), flag("--rule-budget"), flag("--branch-trunc"),
+                   flag("--visit-cap")],
+        "loop": [depth, start, flag("--rule-budget"), flag("--max-witnesses")],
+        "bound": [flag("--mode", MODES, USUALLY), flag("--bound", BOUNDS), flag("--samples"),
+                  flag("--seed")],
+    }[command]
+    # Now and then a flag that the command does not take.
+    stray = draw(st.sampled_from(["--start", "--depth", "--count-cap", "--seed"]))
+    options.append(flag(stray, odds=RARELY))
+    for option in options:
+        argv += draw(option)
+    argv += draw(flag("--format", ("text", "json") * 4 + ("yaml",)))
+    return argv
+
+
+def run(argv):
+    """The exit code of ``argv`` and whether argparse refused it, with its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), False, err.getvalue()
+        except SystemExit as exc:
+            return exc.code, True, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_ends_in_a_documented_exit_code(files, data):
+    argv = data.draw(argvs(files), label="argv")
+    code, usage, err = run(argv)
+    assert "Traceback" not in err
+    if usage:
+        assert code == 2 and "usage: wars" in err
+    else:
+        assert code in EXIT_CODES[argv[0]]

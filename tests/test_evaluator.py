@@ -276,6 +276,21 @@ class TestOracleEquivalence:
             got, want = profile.bound(level), reference_weight_lower_bound(walk, 2, level)
             assert (got, type(got.value)) == (want, type(want.value))
 
+    def test_profile_refuses_a_level_outside_its_depths(self):
+        # A level of -1 once read the depth-3 value labelled depth -1, and
+        # 4 raised a bare IndexError.
+        profile = DepthProfile(builtin("walk_termprob"), 1, 3)
+        for level in (-1, 4, 100):
+            with pytest.raises(ValueError, match=rf"^level must be in 0\.\.3, got {level}$"):
+                profile.bound(level)
+        assert profile.bound(3).value == Fraction(22, 27)
+        # A capped profile refuses an outside level before it raises for the cap.
+        capped = DepthProfile(builtin("walk_termprob"), 1, 3, visit_cap=2)
+        with pytest.raises(ValueError):
+            capped.bound(-1)
+        with pytest.raises(VisitCapExceeded):
+            capped.bound(3)
+
     def test_product_carrier(self):
         sys_ = load_explicit(
             json.dumps(

@@ -4,7 +4,8 @@ raise as before.  Loading and checking work: each rule is checked once, the
 loader's component pass runs only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
-up once per ball and explores the ball that the fixpoint explores.  An
+up once per ball and explores the ball that the fixpoint explores, and
+both sweep a component that still changes at the depth limit once.  An
 affine ``real_inf`` embedding check evaluates a compiled aggregator only for
 a violated step.  ``wars loop`` explores no ball at all, and compiles each
 certified loop's polynomial once.  Readers inside ``wars`` take rows: a
@@ -132,6 +133,47 @@ def test_depth_profile_asks_each_object_for_its_rules_once(monkeypatch):
     assert lookups[0] == 1
     assert budgets == {64: 7_677}
     assert [profile.bound(level).value for level in range(4, 21, 4)] == [4, 8, 12, 16, 20]
+
+
+def test_a_component_cut_below_the_start_is_swept_once(monkeypatch):
+    # c and d (objects 2 and 3 of the ball) form the one cycle, below a and
+    # b, and still change at every level.  Their sweep recomputes both at
+    # levels 1 and 2, then one a level: 12 recomputations to depth 10.  The
+    # depth limit once sent the fixpoint into a second, full sweep of a, b,
+    # c and d as well, 35 in all.
+    system = load_explicit(json.dumps({"semiring": {"kind": "nat_inf"}, "rules": [
+        {"lhs": "a", "rhs": ["b"], "agg": "1 + v1"},
+        {"lhs": "b", "rhs": ["c"], "agg": "1 + v1"},
+        {"lhs": "c", "rhs": ["d"], "agg": "1 + v1"},
+        {"lhs": "d", "rhs": ["c"], "agg": "v1"},
+        {"lhs": "d", "rhs": ["n"], "agg": "v1"},
+    ], "nf": {"n": "1"}}))
+    recomputed = []
+    recompute = evaluator._recompute
+
+    def counted(pending, *args):
+        recomputed.extend(pending)
+        return recompute(pending, *args)
+
+    monkeypatch.setattr(evaluator, "_recompute", counted)
+    built = collections.Counter()
+    for cls in (evaluator._Ball, evaluator._Settled):
+
+        def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    bound = evaluate_to_fixpoint(system, "a", 10)
+    assert (bound.value, bound.status, bound.depth_explored) == (7, "lower_bound", 10)
+    assert len(recomputed) == 12 and set(recomputed) == {2, 3}
+    assert built == {"_Ball": 1, "_Settled": 1}
+    recomputed.clear()
+    built.clear()
+    profile = DepthProfile(system, "a", 10)
+    assert [profile.bound(level).value for level in range(11)] == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7]
+    assert len(recomputed) == 12 and set(recomputed) == {2, 3}
+    assert built == {"_Ball": 1, "_Settled": 1}
 
 
 def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):

@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from reference_eval import reference_evaluate_to_fixpoint
-from wars.evaluator import VisitCapExceeded, evaluate_to_fixpoint, weight_lower_bound
+from reference_eval import reference_evaluate_to_fixpoint, reference_weight_lower_bound
+from wars.evaluator import (
+    LOWER_BOUND,
+    DepthProfile,
+    VisitCapExceeded,
+    evaluate_to_fixpoint,
+    weight_lower_bound,
+)
 from wars.system import load_explicit
 
 # Per carrier: strict one-successor aggregators, absorbing ones, two-successor
@@ -151,3 +158,72 @@ def test_kept_value_has_the_sweeps_type():
     for start in ("x", "s", "b1", "c1"):
         check(system, start, 20)
     assert type(evaluate_to_fixpoint(system, "x", 20).value) is int
+
+
+def _rule(lhs, rhs, agg):
+    return {"lhs": lhs, "rhs": rhs, "agg": agg, "tag": f"{lhs}>{'.'.join(rhs)}"}
+
+
+def _cut_system(kind, cycle, nf, start_rules):
+    """A cyclic component that still changes after many levels, below an
+    acyclic start ``a`` and a cyclic start ``top`` (``top`` and ``top2``),
+    which both read it through ``b``."""
+    rules = [*cycle, *start_rules,
+             _rule("top", ["a"], "v1"), _rule("top", ["top2"], "v1"), _rule("top2", ["top"], "v1")]
+    return load_explicit(json.dumps({"semiring": {"kind": kind}, "rules": rules, "nf": nf}))
+
+
+# Per carrier: the cycle, the normal forms and the start's rules.  ``c`` and
+# ``d`` grow by one every other level over nat_inf and real_inf; the
+# bottleneck ring ``r0``..``r5`` passes 1, then 2, around for about ten
+# levels, while ``a`` also reads 1/1 along ``p``.
+CUT_BELOW_START = {
+    "nat_inf": _cut_system(
+        "nat_inf",
+        [_rule("c", ["d"], "1 + v1"), _rule("d", ["c"], "v1"), _rule("d", ["n"], "v1")],
+        {"n": "1", "m": "0"},
+        [_rule("a", ["b", "e"], "v1 + v2"), _rule("a", ["f"], "0 * v1"),
+         _rule("b", ["c"], "2 + v1"), _rule("e", ["m"], "v1"), _rule("f", ["c"], "v1 * 3")],
+    ),
+    # An int and a Fraction weight, so the levels stay on Fractions.
+    "real_inf mixed": _cut_system(
+        "real_inf",
+        [_rule("c", ["d"], "1/3 + v1"), _rule("d", ["c"], "v1"), _rule("d", ["n"], "v1")],
+        {"n": "1", "m": "2/2"},
+        [_rule("a", ["b", "e"], "1/2 * v1 + v2"), _rule("a", ["f"], "1"),
+         _rule("b", ["c"], "2 + v1"), _rule("e", ["m"], "v1"), _rule("f", ["c"], "v1 * 0")],
+    ),
+    # Fraction weights and constants only: the levels run on integers.
+    "real_inf scaled": _cut_system(
+        "real_inf",
+        [_rule("c", ["d"], "1/3 + v1"), _rule("d", ["c"], "3/4 * v1"), _rule("d", ["n"], "v1")],
+        {"n": "1/2", "m": "2/2"},
+        [_rule("a", ["b", "e"], "1/2 * v1 + v2"), _rule("a", ["f"], "1/1"),
+         _rule("b", ["c"], "2/1 + v1"), _rule("e", ["m"], "v1"), _rule("f", ["c"], "0/1 * v1")],
+    ),
+    "bottleneck": _cut_system(
+        "bottleneck",
+        [*(_rule(f"r{i}", [f"r{(i + 1) % 6}"], "v1") for i in range(6)),
+         _rule("r3", ["one"], "v1"), _rule("r0", ["g0"], "v1"),
+         *(_rule(f"g{i}", [f"g{i + 1}"], "v1") for i in range(3)), _rule("g3", ["two"], "v1")],
+        {"one": "1/1", "two": "2", "w": "1", "q": "1/1"},
+        [_rule("a", ["w"], "v1"), _rule("a", ["p"], "v1"), _rule("p", ["q"], "v1"),
+         _rule("a", ["b"], "v1"), _rule("b", ["r0"], "v1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_BELOW_START))
+def test_cut_below_the_start_matches_full_sweep(name):
+    system = CUT_BELOW_START[name]
+    cut = 0
+    for start in ("a", "top"):
+        for max_depth in range(13):
+            want = check(system, start, max_depth)
+            # Still changing at the depth limit, below the start.
+            cut += want[3] == LOWER_BOUND and want[4] == max_depth > 1
+            profile = DepthProfile(system, start, max_depth)
+            for level in range(max_depth + 1):
+                got = outcome(profile.bound, level)
+                assert got == outcome(reference_weight_lower_bound, system, start, level)
+    assert cut >= 6

@@ -1,11 +1,13 @@
 """Depth queries at the outer ring, the objects at distance ``depth``.
 
 ``DepthProfile`` (and so ``weight_lower_bound``) explores the ball that
-``evaluate_to_fixpoint`` explores, ring rules included, but the level
-iteration never recomputes the ring.  Every value ``DepthProfile.bound``
-reads, of the same type, every visit count and every visit-cap partial must
-be the full-sweep reference's, and a bad rule budget must be refused when
-the start itself is the ring.
+``evaluate_to_fixpoint`` explores, ring rules included, and settles it as
+the fixpoint does, so it evaluates the ring too, though no value it reads
+depends on the ring.  Every value ``DepthProfile.bound`` reads, of the same
+type, every visit count and every visit-cap partial must be the full-sweep
+reference's, a bad rule budget must be refused when the start itself is the
+ring, and an aggregator that fails on the ring fails the depth query as it
+fails the fixpoint.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from wars.evaluator import (
     evaluate_to_fixpoint,
     weight_lower_bound,
 )
+from wars.semiring import SemiringError
 from wars.system import load_explicit
 
 SEEDS = range(200)
@@ -100,8 +103,9 @@ RING_ONLY = {
 
 def test_a_non_affine_aggregator_on_the_ring_only(monkeypatch):
     system = load_explicit(json.dumps(RING_ONLY))
-    # At depth 1 the square is on the ring only, which no level recomputes,
-    # but the ball reads the ring's rules: it runs on fractions, and so does
+    # At depth 1 the square is on the ring only, which no value read at the
+    # start depends on, but the ball reads the ring's rules: it runs on
+    # fractions, and so does
     # the ball a depth query builds.
     assert _Ball(system, "a", 1, 64, 100_000).scale is None
     assert _Ball(system, "a", 2, 64, 100_000).scale is None
@@ -121,3 +125,30 @@ def test_a_non_affine_aggregator_on_the_ring_only(monkeypatch):
     profile = DepthProfile(system, "a", 1)
     assert [profile.bound(level).value for level in range(2)] == [0, Fraction(1, 3)]
     assert type(DepthProfile(system, "z", 3).bound(3).value) is int
+
+
+# ``t1`` is on the ring at depth 2, and reads SIGMA* from ``t2`` at level 1;
+# concatenating it with {a} leaves the carrier.  No tree of depth 2 from
+# ``s`` applies ``t1``'s rule.
+SIGMA_ON_THE_RING = {
+    "semiring": {"kind": "language", "alphabet": ["a"]},
+    "rules": [
+        {"lhs": "s", "rhs": ["t"], "agg": "v1"},
+        {"lhs": "s", "rhs": ["t2"], "agg": "v1"},
+        {"lhs": "t", "rhs": ["t1"], "agg": "v1"},
+        {"lhs": "t1", "rhs": ["t2"], "agg": "{a} * v1"},
+        {"lhs": "t2", "rhs": ["z"], "agg": "v1"},
+    ],
+    "nf": {"z": "SIGMA*"},
+}
+
+
+def test_an_aggregator_failing_on_the_ring_fails_the_depth_query():
+    # The depth query once recomputed only the start's cone, so it never
+    # applied t1's rule and read the levels 0..2 of s as {}, {}, SIGMA*.
+    system = load_explicit(json.dumps(SIGMA_ON_THE_RING))
+    assert [str(DepthProfile(system, "s", 1).bound(level).value) for level in range(2)] == [
+        "frozenset()", "frozenset()"]
+    for query in (DepthProfile, weight_lower_bound, evaluate_to_fixpoint):
+        with pytest.raises(SemiringError, match="^concatenation with SIGMA\\* leaves"):
+            query(system, "s", 2)
