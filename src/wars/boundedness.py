@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .evaluator import DEFAULT_BRANCH_TRUNC, STABILIZED, evaluate_to_fixpoint
+from .evaluator import DEFAULT_BRANCH_TRUNC, DEFAULT_VISIT_CAP, _settle
 from .semiring import INF, NatInf, RealInf, Semiring, SemiringError
 from .system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_, SystemHandle, _literal_text
 
@@ -429,9 +429,9 @@ def search_affine_embedding(
 
     Valid tables are the pre-fixpoints of the rule operator and are closed
     under pointwise minimum, so the least one is the least fixpoint, which
-    settling each object finds.  Each non-normal-form value is an integer up
-    to the cap, so n objects settle within n * (coeff_cap + 1) levels unless
-    the least fixpoint exceeds the cap.
+    one settle of all objects finds.  Each non-normal-form value is an integer
+    up to the cap, so n objects settle within n * (coeff_cap + 1) levels
+    unless the least fixpoint exceeds the cap; the visit cap refuses none.
     """
     desc = sys.semiring
     if not isinstance(desc, NatInf):
@@ -451,13 +451,14 @@ def search_affine_embedding(
                     f"rule {tag}: aggregator is not affine in its variables"
                 )
 
-    table = {}
-    for a in objects:
-        result = evaluate_to_fixpoint(sys, a, len(objects) * (coeff_cap + 1), rule_budget)
-        # inf is above every cap.
-        if result.status != STABILIZED or result.value > coeff_cap:
-            return None
-        table[a] = result.value
+    settled = _settle(sys, objects, len(objects) * (coeff_cap + 1), rule_budget,
+                      DEFAULT_BRANCH_TRUNC, max(len(objects), DEFAULT_VISIT_CAP))
+    if not settled.certified:
+        return None
+    table = {a: settled.value(i, settled.depth) for i, a in enumerate(objects)}
+    # inf is above every cap.
+    if any(value > coeff_cap for value in table.values()):
+        return None
     embedding = Embedding.from_table(table, f"affine<={coeff_cap}")
     if verify_embedding(sys, embedding, rule_budget=rule_budget).certified():
         return embedding

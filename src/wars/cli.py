@@ -39,6 +39,7 @@ from .evaluator import (
     DepthProfile,
     TreeTable,
     VisitCapExceeded,
+    _settle,
     enumerate_tree_weights,
     evaluate_to_fixpoint,
 )
@@ -317,18 +318,16 @@ def cmd_oracle(args) -> int:
     checks = []
     # Each (object, depth) key's rows and weights, shared by every check.
     table = TreeTable()
-    # A negative depth asks for no checks, so nothing is explored.
-    for a in objects if args.depth >= 0 else ():
-        profile = DepthProfile(
-            system,
-            a,
-            args.depth,
-            rule_budget=args.rule_budget,
-            branch_trunc=args.branch_trunc,
-            visit_cap=args.visit_cap,
-        )
+    budgets = args.rule_budget, args.branch_trunc, args.visit_cap
+    # Within the cap one settle answers every check; past it, only each object's
+    # own ball tells where the cap cuts it.  A negative depth explores nothing.
+    shared = len(objects) <= args.visit_cap
+    if shared and args.depth >= 0:
+        settled = _settle(system, objects, args.depth, *budgets)
+    for i, a in enumerate(objects if args.depth >= 0 else ()):
+        profile = None if shared else DepthProfile(system, a, args.depth, *budgets)
         for depth in range(args.depth + 1):
-            iterated = profile.bound(depth).value
+            iterated = profile.bound(depth).value if profile else settled.value(i, depth)
             # One weight per tree, joined only here.
             weights = enumerate_tree_weights(
                 system, a, depth, args.rule_budget, args.count_cap, args.branch_trunc, table

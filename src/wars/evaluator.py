@@ -183,18 +183,18 @@ def truncate(tree: ReductionTree, n: int) -> ReductionTree:
 
 
 class _Ball:
-    """The objects reachable from a start within a radius and budgets.
+    """The objects reachable from some starts within a radius and budgets.
 
-    Objects are numbered in the breadth-first order they were admitted, so
-    the objects within distance ``r`` of the start are ``objects[:ends[r]]``;
-    one pass numbers each successor as it is admitted, and the rules of the
-    last distance after it, admitting nothing.  Per object, ``rules`` holds
-    ``None`` for a normal form, else its rules as (successor numbers,
-    compiled aggregator, aggregator); a successor outside the ball is
-    numbered -1.  ``succs`` holds each object's distinct successor numbers,
-    in order.  Each (aggregator, arity) is looked up once per ball.  The
-    ball knows if it is ``closed`` (no rule leads outside it) and its
-    ``enumeration_complete``.
+    Objects are numbered in the order admitted: the starts, in order and at
+    distance 0, then breadth first, so the objects within distance ``r`` of
+    the starts are ``objects[:ends[r]]``; one pass numbers each successor as
+    it is admitted, and the rules of the last distance after it, admitting
+    nothing.  Per object, ``rules`` holds ``None`` for a normal form, else its
+    rules as (successor numbers, compiled aggregator, aggregator); a
+    successor outside the ball is numbered -1.  ``succs`` holds each object's
+    distinct successor numbers, in order.  Each (aggregator, arity) is looked
+    up once per ball.  The ball knows if it is ``closed`` (no rule leads
+    outside it) and its ``enumeration_complete``.
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and ``kernels`` holds, per object with rules,
@@ -202,7 +202,7 @@ class _Ball:
     through ``out``.
     """
 
-    def __init__(self, sys, start, radius, rule_budget, visit_cap):
+    def __init__(self, sys, starts, radius, rule_budget, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
         if rule_budget < 1:
@@ -267,8 +267,9 @@ class _Ball:
             rules_of[i] = numbered
             succs.append(tuple(dict.fromkeys(flat)) if len(flat) > 1 else succ)
 
-        admit(start)
-        ends = [1]
+        for start in starts:
+            admit(start)
+        ends = [len(objects)]
         first = 0  # the first object at the outermost distance
         while len(ends) <= radius and first < ends[-1]:
             distance = len(ends)
@@ -427,16 +428,18 @@ class _Settled:
     component runs the delta-driven sweep on its own members, with the values
     of the objects it reads below written in level by level.
 
-    Each cyclic component sweeps to level ``steps`` at most, and every
-    component is settled even after one is still changing there: a value at
-    a level up to ``steps`` never depends on any value above it, so those
-    values are exact everywhere.  ``stable`` tells whether every object has
+    No object is evaluated above level ``steps``, and every component is
+    settled even after one is still changing there: a value at a level up to
+    ``steps`` never depends on any value above it, so those values are exact
+    everywhere.  ``stable`` tells whether every object has
     stopped changing below ``steps``; then ``depth`` is the last level at
     which any object changes, and otherwise it is ``steps`` or more.
-    ``at(level)`` reads the start's value at a level up to ``steps`` from its
-    history.  The start's component comes last and no other reads it, so if
-    it is cyclic it sweeps only the start's cone plus one ring, and again in
-    full if that cannot tell its stability.
+    ``certified`` adds that the ball is closed and its enumeration complete.
+    ``value(i, level)`` reads start ``i``'s value at a level up to ``steps``
+    from its history.  If cyclic, the component of object 0 sweeps only the
+    starts' cone plus one ring, and again in full if that cannot tell its
+    stability; no other component reads it unless every object is a start,
+    and then the cone is the whole ball.
     """
 
     def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
@@ -469,9 +472,8 @@ class _Settled:
             for i in component:
                 component_of[i] = k
         # Members of a cyclic component keep a history only if a higher
-        # component reads them, or if it is the start.
-        read = [False] * n
-        read[0] = True
+        # component reads them, or if they are starts.
+        read = [i < ball.ends[0] for i in range(n)]
         for i, succ in enumerate(self.succs):
             for s in succ:
                 if s >= 0 and component_of[s] != component_of[i]:
@@ -480,7 +482,7 @@ class _Settled:
         for component in components:
             x = component[0]
             if len(component) == 1 and x not in self.succs[x]:
-                last = self._acyclic(x)
+                last = self._acyclic(x, steps)
             else:
                 start = component_of[0] == component_of[x]
                 last = self._cyclic(component, read, steps, ball.ends if start else None)
@@ -488,11 +490,12 @@ class _Settled:
                     last = self._cyclic(component, read, steps)
             self.depth = max(self.depth, last)
         self.stable = self.depth < steps
+        self.certified = self.stable and ball.closed and ball.enumeration_complete
 
-    def at(self, level):
-        """The start's value at ``level``, which is at most ``steps``."""
-        self._extend(0, level)
-        return self.ball.out(0, self.taken[0][_at(self.levels[0], level)])
+    def value(self, i, level):
+        """Start ``i``'s value at ``level``, which is at most ``steps``."""
+        self._extend(i, level)
+        return self.ball.out(i, self.taken[i][_at(self.levels[i], level)])
 
     def _evaluate(self, x, level):
         """Object ``x``'s value computed at ``level``, from its successors'
@@ -502,7 +505,7 @@ class _Settled:
             values[s] = taken[s][_at(levels[s], level - 1)]
         return _value(self.ball, x, values, self.branch_trunc)
 
-    def _acyclic(self, x) -> int:
+    def _acyclic(self, x, steps) -> int:
         """Settle an object on no cycle; return its last change level."""
         initial = self.initial[x]
         if not self.ball.rules[x]:
@@ -515,7 +518,8 @@ class _Settled:
             values[s] = taken[s][0]
             if levels[s][0] >= top:
                 top = levels[s][0] + 1
-        v = _value(self.ball, x, values, self.branch_trunc)
+        # Levels above steps are never read, and a change at steps is unstable.
+        v = _value(self.ball, x, values, self.branch_trunc) if top <= steps else None
         if top == 1:
             levels[x], taken[x] = ([1, 0], [v, initial]) if v != initial else ([0], [initial])
             return levels[x][0]
@@ -529,7 +533,7 @@ class _Settled:
                     inexact += ((s, values[s]),)
         below = _value(self.ball, x, values, self.branch_trunc)
         self.cursor[x] = (top - 1, below, inexact)
-        if v != below:
+        if v is not None and v != below:
             levels[x], taken[x] = [top], [v]
         else:
             levels[x], taken[x] = [], []
@@ -650,24 +654,28 @@ class _Settled:
         return None if pruned and last < steps else last
 
 
+def _settle(sys, starts, radius, rule_budget, branch_trunc, visit_cap) -> _Settled:
+    """The ball around ``starts``, settled to ``radius`` levels, which hold the
+    extra level that can show stability; radius 0 still gets one to compare."""
+    if branch_trunc < 1:
+        raise ValueError("branch_trunc must be >= 1")
+    ball = _Ball(sys, starts, radius, rule_budget, visit_cap)
+    return _Settled(ball, branch_trunc, max(radius, 1))
+
+
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
-    return {
-        "rule_budget": rule_budget,
-        "branch_trunc": branch_trunc,
-        "visit_cap": visit_cap,
-    }
+    return {"rule_budget": rule_budget, "branch_trunc": branch_trunc, "visit_cap": visit_cap}
 
 
 class DepthProfile:
     """The lower bounds at ``a`` for every level 0..depth, from one exploration.
 
-    The ball is the one ``evaluate_to_fixpoint`` explores, settled the same
-    way to at least one level, and each level's value is read from the
-    start's history there.  ``bound(level)`` is the one reader of a level:
-    it returns the bound at that depth, or raises ``VisitCapExceeded`` with
-    it when the visit cap cut the ball within ``level`` of ``a``; a level
-    outside 0..depth raises ``ValueError``.  The value, the visited count and
-    whether the cap was hit agree with a ball of radius ``level``.
+    It settles the ball ``evaluate_to_fixpoint`` settles, ``a`` its one start,
+    and reads each level's value from ``a``'s history.  ``bound(level)``
+    returns the bound at that depth, or raises ``VisitCapExceeded`` with it
+    when the visit cap cut the ball within ``level`` of ``a``; a level outside
+    0..depth raises ``ValueError``.  The value, the visited count and whether
+    the cap was hit agree with a ball of radius ``level``.
     """
 
     def __init__(
@@ -681,12 +689,10 @@ class DepthProfile:
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        ball = _Ball(sys, a, depth, rule_budget, visit_cap)
-        settled = _Settled(ball, branch_trunc, max(depth, 1))
-        self._values = [settled.at(level) for level in range(depth + 1)]
+        settled = _settle(sys, [a], depth, rule_budget, branch_trunc, visit_cap)
+        self._values = [settled.value(0, level) for level in range(depth + 1)]
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
-        self._ends = ball.ends
-        self._cap_radius = ball.cap_radius
+        self._ends, self._cap_radius = settled.ball.ends, settled.ball.cap_radius
 
     def bound(self, level: int) -> WeightBound:
         if not 0 <= level < len(self._values):
@@ -737,25 +743,21 @@ def evaluate_to_fixpoint(
     lower bound at the explored depth.  The explored depth is the last level
     at which the level-by-level iteration of the whole explored set changes
     any value, or ``max_depth`` if some value still changes there, and the
-    value is the start's at that level, read from the one settle of the
-    explored set that ``DepthProfile`` reads too.
+    value is the start's at that level, read from its one settle, as a
+    ``DepthProfile`` reads its levels; ``branch_trunc`` must be at least 1.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    ball = _Ball(sys, a, max_depth, rule_budget, visit_cap)
-    # The extra level that can show stability is within the step budget,
-    # except at max_depth 0, which still gets one level to compare.
-    settled = _Settled(ball, branch_trunc, max(max_depth, 1))
+    settled = _settle(sys, [a], max_depth, rule_budget, branch_trunc, visit_cap)
     depth_explored = settled.depth if settled.stable else max_depth
-    certified = settled.stable and ball.closed and ball.enumeration_complete
     bound = WeightBound(
-        value=settled.at(depth_explored),
-        status=STABILIZED if certified else LOWER_BOUND,
+        value=settled.value(0, depth_explored),
+        status=STABILIZED if settled.certified else LOWER_BOUND,
         depth_explored=depth_explored,
         budgets=_budgets(rule_budget, branch_trunc, visit_cap),
-        visited=len(ball.objects),
+        visited=len(settled.ball.objects),
     )
-    if ball.cap_radius is not None:
+    if settled.ball.cap_radius is not None:
         raise VisitCapExceeded(bound)
     return bound
 

@@ -6,7 +6,12 @@ systems of ``tests/system_gen.py`` (seeds 0-199, every object, depths 0, 3
 and 8, in text and in JSON), an ``oracle`` sweep over the same systems
 (depths 0, 2 and 4, with the default caps, ``--count-cap 20``,
 ``--count-cap 300`` and ``--visit-cap 2``, in JSON), which pins which cap or
-error each run meets first, ``loop`` over the scheduler built-ins
+error each run meets first, ``oracle`` on the systems of seeds 0-19 with
+``--visit-cap`` one below, at and one above their object count n (depths 0,
+2 and 4, in JSON), which pins where a run stops settling every object at
+once and weighs each object's own ball, ``oracle`` on
+``addition_trs(max_size=k)`` for k = 0-3 at depths 0-3, in text and in JSON
+(k = 0 has no objects), ``loop`` over the scheduler built-ins
 (``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
 ``wait(P1)`` and ``run(P2P1)``, depths 1-7, in text and in JSON, and
 ``os_runtime`` from ``idle()`` at depth 8, which certifies 10 loops), and
@@ -57,6 +62,9 @@ SWEEP_SEEDS = range(200)
 SWEEP_DEPTHS = (0, 3, 8)
 ORACLE_DEPTHS = (0, 2, 4)
 ORACLE_CAPS = ((), ("--count-cap", "20"), ("--count-cap", "300"), ("--visit-cap", "2"))
+BOUNDARY_SEEDS = range(20)
+ADDITION_SIZES = range(4)
+ADDITION_DEPTHS = range(4)
 BENCH_SEEDS = range(5)
 LOOP_SYSTEMS = ("os_runtime", "os_size", "os_fair", "os_starv")
 LOOP_STARTS = ("idle()", "wait(P1)", "run(P2P1)")
@@ -232,6 +240,31 @@ def oracle_ops(workdir: Path):
                 yield f"oracle system_seed={seed} depth={depth} {' '.join(caps) or 'default caps'}", argv
 
 
+def boundary_ops(workdir: Path):
+    """(label, argv) of ``oracle`` on generated systems with ``--visit-cap``
+    at n - 1, n and n + 1, n the system's object count."""
+    inputs = workdir / "oracle-boundary"
+    inputs.mkdir()
+    for seed in BOUNDARY_SEEDS:
+        data, path = _system_file(inputs, seed)
+        n = len({label for r in data["rules"] for label in [r["lhs"], *r["rhs"]]} | set(data["nf"]))
+        for depth in ORACLE_DEPTHS:
+            for cap in (n - 1, n, n + 1):
+                argv = ["oracle", "--system", f"file:{path}", "--depth", str(depth),
+                        "--visit-cap", str(cap), "--format", "json"]
+                yield f"oracle system_seed={seed} depth={depth} --visit-cap n{cap - n:+d}", argv
+
+
+def addition_ops():
+    """(label, argv) of ``oracle`` on ``addition_trs(max_size=k)``."""
+    for size in ADDITION_SIZES:
+        for depth in ADDITION_DEPTHS:
+            for fmt in ("text", "json"):
+                argv = ["oracle", "--system", f"builtin:addition_trs(max_size={size})",
+                        "--depth", str(depth), "--format", fmt]
+                yield f"oracle addition_trs(max_size={size}) depth={depth} {fmt}", argv
+
+
 def loop_ops():
     """(label, argv) of ``loop`` over the scheduler built-ins."""
     for name in LOOP_SYSTEMS:
@@ -363,7 +396,8 @@ def main() -> int:
     shutil.rmtree(WORKDIR, ignore_errors=True)
     WORKDIR.mkdir()
     try:
-        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR), loop_ops(),
+        for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR),
+                    boundary_ops(WORKDIR), addition_ops(), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
                     empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR), ordered_ops(WORKDIR),
                     word_set_ops(WORKDIR)):

@@ -332,6 +332,19 @@ class ReferenceProfile:
         return reference_weight_lower_bound(*self._args, level, *self._budgets)
 
 
+class ReferenceSettle:
+    """Stands in for ``wars oracle``'s one settle of every object: object
+    ``i``'s value at a level is read from a ``ReferenceProfile`` of its own,
+    which raises ``VisitCapExceeded`` if the cap cuts that object's ball."""
+
+    def __init__(self, sys, objects, depth, rule_budget, branch_trunc, visit_cap):
+        self._profiles = [ReferenceProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap)
+                          for a in objects]
+
+    def value(self, i, level):
+        return self._profiles[i].bound(level).value
+
+
 # --------------------------------------------------------------------------
 # The natural order as the carriers that now read it off the join spelled it.
 

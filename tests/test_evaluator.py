@@ -168,6 +168,15 @@ class TestWeightLowerBound:
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi
 
+    @pytest.mark.parametrize("branch_trunc", [0, -5])
+    def test_branch_truncation_below_one_is_refused(self, branch_trunc, monkeypatch):
+        # Once these returned 0 at depth_explored 0; now nothing is explored.
+        geo = builtin("geometric_walk")
+        monkeypatch.setattr(geo, "_rows", lambda *args: pytest.fail("explored"))
+        for query in (evaluate_to_fixpoint, DepthProfile, weight_lower_bound):
+            with pytest.raises(ValueError, match="^branch_trunc must be >= 1$"):
+                query(geo, 1, 3, branch_trunc=branch_trunc)
+
 
 class TestFixpoint:
     def test_ski_rental_minimum(self):

@@ -12,7 +12,9 @@ certified loop's polynomial once.  Readers inside ``wars`` take rows: a
 file system's or a built-in's rules become records only through public
 ``successors`` and ``find_rule``.  One ``wars oracle`` run reads each
 (object, depth) key's rules and weighs each of its trees once, in a table of
-bounded size."""
+bounded size; within its visit cap it builds one ball and settles it once,
+weighing no level above its depth, and the affine embedding search settles
+once too."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import pytest
 from system_gen import random_system_json
 from wars import aggregator, cli, evaluator, system
 from wars import builtins as wars_builtins
-from wars.boundedness import Embedding
+from wars.boundedness import Embedding, search_affine_embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
 from wars.evaluator import DepthProfile, evaluate_to_fixpoint, weight_lower_bound
@@ -50,6 +52,19 @@ def _count_calls(monkeypatch, original) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return count
+
+
+def _count_built(monkeypatch, *classes) -> collections.Counter:
+    """Count the objects built of each of ``classes``, by class name."""
+    built = collections.Counter()
+    for cls in classes:
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 def _count_facts_walks(monkeypatch) -> list:
@@ -95,14 +110,7 @@ def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
 def test_loop_builds_no_exploration_ball(monkeypatch, capsys):
     # The cross-check once read a radius-20 DepthProfile of 7,677 objects
     # around wait(P1); the pumped witness is weighed on its own.
-    built = collections.Counter()
-    for cls in (evaluator._Ball, evaluator.DepthProfile):
-
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
+    built = _count_built(monkeypatch, evaluator._Ball, evaluator.DepthProfile)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "wait(P1)", "--depth", "6"]
     assert main(argv) == 0
     assert "is the maximum" in capsys.readouterr().out
@@ -156,14 +164,7 @@ def test_a_component_cut_below_the_start_is_swept_once(monkeypatch):
         return recompute(pending, *args)
 
     monkeypatch.setattr(evaluator, "_recompute", counted)
-    built = collections.Counter()
-    for cls in (evaluator._Ball, evaluator._Settled):
-
-        def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built[_name] += 1
-            _init(self, *args)
-
-        monkeypatch.setattr(cls, "__init__", counted_init)
+    built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled)
     bound = evaluate_to_fixpoint(system, "a", 10)
     assert (bound.value, bound.status, bound.depth_explored) == (7, "lower_bound", 10)
     assert len(recomputed) == 12 and set(recomputed) == {2, 3}
@@ -173,6 +174,69 @@ def test_a_component_cut_below_the_start_is_swept_once(monkeypatch):
     profile = DepthProfile(system, "a", 10)
     assert [profile.bound(level).value for level in range(11)] == [0, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7]
     assert len(recomputed) == 12 and set(recomputed) == {2, 3}
+    assert built == {"_Ball": 1, "_Settled": 1}
+
+
+# Three objects that each lead to a normal form of their own: no object's
+# ball holds more than two of the six.
+PAIRS = {
+    "semiring": {"kind": "nat_inf"},
+    "rules": [{"lhs": f"a{i}", "rhs": [f"n{i}"], "agg": "1 + v1"} for i in range(3)],
+    "nf": {f"n{i}": "1" for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("cap, per_object", [(100_000, False), (6, False), (5, True), (2, True)])
+def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path, cap,
+                                                   per_object):
+    # Every object was settled in a ball of its own, a DepthProfile each.
+    # Past the cap, each object's own ball still tells where the cap cuts it.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(PAIRS))
+    built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled, DepthProfile)
+    argv = ["oracle", "--system", f"file:{path}", "--depth", "3", "--visit-cap", str(cap)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    if per_object:
+        assert built == {"_Ball": 6, "_Settled": 6, "DepthProfile": 6}
+    else:
+        assert built == {"_Ball": 1, "_Settled": 1}
+
+
+def test_oracle_weighs_no_level_above_its_depth(monkeypatch, capsys, tmp_path):
+    # Every object of a 24-object squaring chain is a start, so the shared
+    # ball holds the whole chain at any depth.  Settled to its top, c00 would
+    # reach 2^(2^23); read up to depth 2, no value exceeds 2^(2^2).
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": f"c{i:02d}", "rhs": [f"c{i + 1:02d}"], "agg": "v1 * v1"}
+                  for i in range(23)],
+        "nf": {"c23": "2"},
+    }))
+    weighed = []
+    value = evaluator._value
+
+    def recorded(*args):
+        weighed.append(value(*args))
+        return weighed[-1]
+
+    monkeypatch.setattr(evaluator, "_value", recorded)
+    assert main(["oracle", "--system", f"file:{path}", "--depth", "2"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert 0 < len(weighed) and max(weighed) == 16
+
+
+def test_affine_search_settles_once(monkeypatch):
+    # Every object was settled in a ball of its own, by evaluate_to_fixpoint.
+    chain = load_explicit(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"} for i in range(4)],
+        "nf": {"c4": "0"},
+    }))
+    built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled)
+    embedding = search_affine_embedding(chain, 8)
+    assert [embedding(f"c{i}") for i in range(5)] == [4, 3, 2, 1, 0]
     assert built == {"_Ball": 1, "_Settled": 1}
 
 

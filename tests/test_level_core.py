@@ -3,10 +3,12 @@
 Every entry point must return the same value, of the same type, status,
 explored depth and visit count as the reference, and raise
 ``VisitCapExceeded`` with the same partial bound.  The ``oracle`` command,
-which reads one profile per object, must print the same bytes as when every
-depth is explored on its own, and hit a visit cap at the same depth.  The
-``loop`` command's iteration values must not exceed one reference profile
-of each loop's root.
+which settles every object at once within its visit cap and reads one
+profile per object past it, must print the same bytes as when every depth of
+every object is explored on its own, and hit a visit cap at the same depth.
+A ball with every object as a start reads each object's reference profile
+at every level.  The ``loop`` command's iteration values must not exceed
+one reference profile of each loop's root.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from reference_eval import (
     ReferenceProfile,
+    ReferenceSettle,
     reference_evaluate_to_fixpoint,
     reference_weight_lower_bound,
     reference_weight_profile,
@@ -30,6 +33,8 @@ from wars import cli
 from wars.builtins import builtin
 from wars.evaluator import (
     DepthProfile,
+    _Ball,
+    _Settled,
     VisitCapExceeded,
     WeightBound,
     evaluate_to_fixpoint,
@@ -137,10 +142,11 @@ def run_cli(argv: list[str]) -> tuple:
 
 
 def run_both(argv: list[str], module) -> tuple:
-    """Run a command as it is and with ``module.DepthProfile`` replaced by
-    the reference; both runs must agree."""
+    """Run a command as it is and with ``module.DepthProfile`` and
+    ``module._settle`` replaced by the reference; both runs must agree."""
     fast = run_cli(argv)
-    with mock.patch.object(module, "DepthProfile", ReferenceProfile):
+    with mock.patch.object(module, "DepthProfile", ReferenceProfile), \
+            mock.patch.object(module, "_settle", ReferenceSettle):
         reference = run_cli(argv)
     assert fast == reference
     return fast
@@ -221,3 +227,62 @@ def test_oracle_command_reads_one_profile_per_object(text, depth, cap):
     argv = ["oracle", "--system", f"file:{text}", "--depth", str(depth),
             "--visit-cap", str(cap), "--format", "json"]
     record(run_both(argv, cli))
+
+
+def test_every_start_reads_its_own_full_sweep():
+    # A ball with every object as a start, settled once: each object's value
+    # at each level, type included, is its own reference profile's.
+    for seed in range(400):
+        system = load_explicit(json.dumps(random_system_json(seed)))
+        objects = system.enumerate_objects()[0]
+        profiles = [reference_weight_profile(system, a, 8) for a in objects]
+        for depth in range(9):
+            steps = max(depth, 1)
+            settled = _Settled(_Ball(system, objects, depth, 64, 100_000), 64, steps)
+            for i, profile in enumerate(profiles):
+                got = [settled.value(i, level) for level in range(steps + 1)]
+                assert [(v, type(v)) for v in got] == [
+                    (v, type(v)) for v in profile[: steps + 1]
+                ], (seed, depth, objects[i])
+
+
+def per_object_oracle(system, depth, cap) -> tuple:
+    """The (object, depth, iterated) of each oracle check as one
+    ``DepthProfile`` per object gives them, up to the first visit cap hit,
+    and that hit's error line, or None."""
+    checks = []
+    for a in system.enumerate_objects()[0]:
+        profile = DepthProfile(system, a, depth, visit_cap=cap)
+        for level in range(depth + 1):
+            try:
+                value = profile.bound(level).value
+            except VisitCapExceeded as exc:
+                return checks, f"error: {exc}\n"
+            checks.append((system.format_object(a), level, _literal(system, value)))
+    return checks, None
+
+
+def test_oracle_matches_a_profile_per_object_around_the_visit_cap():
+    # With at most --visit-cap objects, the oracle settles them all at once;
+    # with more, it weighs each object's own ball.  Either way its checks are
+    # those of a profile per object, and so is where a visit cap is hit.
+    for seed in range(400):
+        text = json.dumps(random_system_json(seed))
+        system = load_explicit(text)
+        n, depth = len(system.enumerate_objects()[0]), seed % 5
+        for cap in (n - 1, n, n + 1, 100_000):
+            if cap < 1:
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),
+                                 "--visit-cap", str(cap), "--format", "json"])
+            checks, hit = per_object_oracle(system, depth, cap)
+            if hit is not None:
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", hit), (seed, cap)
+                continue
+            payload = json.loads(out.getvalue())
+            got = [(c["object"], c["depth"], c["iterated"]) for c in payload["checks"]]
+            assert got == checks, (seed, cap)
+            assert all(c["match"] == (c["iterated"] == c["enumerated"]) for c in payload["checks"])
+            assert code == (0 if payload["match"] else 1)

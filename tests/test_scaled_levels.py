@@ -100,7 +100,7 @@ def check(system, start, depth, scaled=None, **budgets) -> None:
     """Every entry point against the reference, values with their types;
     ``scaled`` tells whether the ball must run on integers, if not None."""
     if scaled is not None:
-        ball = _Ball(system, start, depth, budgets.get("rule_budget", 64),
+        ball = _Ball(system, [start], depth, budgets.get("rule_budget", 64),
                      budgets.get("visit_cap", 100_000))
         assert (ball.scale is not None) == scaled
         assert (ball.kernels is not None) == scaled
