@@ -198,8 +198,8 @@ class _Ball:
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and ``kernels`` holds, per object with rules,
-    one closure from the values to its numerator; a value leaves the core
-    through ``out``.
+    one function from the values to its numerator, bound by its forms'
+    makers; a value leaves the core through ``out``.
     """
 
     def __init__(self, sys, starts, radius, rule_budget, visit_cap):
@@ -298,9 +298,11 @@ class _Ball:
         fixed denominator D = D_levels, a rule with affine form
         ``sum(c_k * v_k) + b`` maps numerators exactly to
         ``sum(P_k * n_k) // L + B``, with ``P_k = c_k * L`` and ``B = b * D``.
-        An object's kernel reads each successor's numerator straight from
-        the values (one numbered -1 from the zero slot) and joins its rules
-        with ``max``, the join of ``_Numeric``.
+        Each (aggregator, arity) gets one maker, which binds a rule's
+        successors at its nonzero P_k to a kernel whose body is generated
+        once per shape; the kernel reads each numerator straight from the
+        values (one numbered -1 from the zero slot).  An object's kernel
+        joins its rules' with ``max``, the join of ``_Numeric``.
         """
         weights = [w for w, rs in zip(self.initial, self.rules) if rs is None]
         if not all(map(_is_fraction, weights)):
@@ -319,12 +321,11 @@ class _Ball:
         consts = [b for _, b in forms.values()] + weights
         L = math.lcm(*(c.denominator for c in coeffs))
         D = L ** levels * math.lcm(*(b.denominator for b in consts))
-        # Per form, the argument positions with their nonzero P_k, and B.
-        ints = {key: ([(k, c.numerator * (L // c.denominator)) for k, c in enumerate(cs) if c],
-                      b.numerator * (D // b.denominator))
-                for key, (cs, b) in forms.items()}
+        makers = {key: _maker([c.numerator * (L // c.denominator) for c in cs],
+                              b.numerator * (D // b.denominator), L)
+                  for key, (cs, b) in forms.items()}
         self.kernels = [
-            rs and _kernel([(succ, *ints[id(agg), len(succ)]) for succ, _, agg in rs], L)
+            rs and _join([makers[id(agg), len(succ)](succ) for succ, _, agg in rs])
             for rs in self.rules
         ]
         self.weights, self.scale = self.initial, D
@@ -346,25 +347,44 @@ def _is_fraction(value) -> bool:
     return type(value) is Fraction
 
 
-def _kernel(rules, L):
-    """An object's kernel on numerators: the ``max`` over its rules
-    ``(succ, terms, B)`` of ``sum(P_k * values[succ[k]] for k, P_k in terms)
-    // L + B``; see ``_Ball._scale``."""
-    kernels = [_rule_kernel([(succ[k], p) for k, p in terms], b, L) for succ, terms, b in rules]
-    if len(kernels) == 1:
-        return kernels[0]
-    return lambda values: max([kernel(values) for kernel in kernels])
+def _maker(ps, b, L):
+    """The maker ``succ -> (values -> sum(P_k * values[succ[k]] for P_k in
+    ps if P_k) // L + b)`` of one affine form's kernels; see ``_Ball._scale``."""
+    ks = [k for k, p in enumerate(ps) if p]
+    return _shaped(tuple(ps[k] == 1 for k in ks), L != 1, b != 0)(ks, L, b, *[ps[k] for k in ks])
 
 
-def _rule_kernel(terms, b, L):
-    """``sum(P * values[s] for s, P in terms) // L + b``."""
-    if len(terms) == 1:
-        (s, p), = terms
-        return lambda values: p * values[s] // L + b
-    if len(terms) == 2:
-        (s, p), (t, q) = terms
-        return lambda values: (p * values[s] + q * values[t]) // L + b
-    return lambda values: sum(p * values[s] for s, p in terms) // L + b
+_FORM = """\
+def form(ks, L, B, {ps}):
+    def make(succ):
+        [{ss}] = [succ[k] for k in ks]
+        def kernel(values):
+            return {body}
+        return kernel
+    return make
+"""
+
+
+@functools.cache
+def _shaped(units: tuple, scaled: bool, offset: bool):
+    """The maker factory ``form(ks, L, B, *P)`` of one shape of affine form:
+    which nonzero P_k are 1, whether L is not 1 and B is not 0.  A unit
+    costs no multiply, L = 1 no ``//`` and B = 0 no ``+``."""
+    terms = [f"values[s{k}]" if unit else f"p{k} * values[s{k}]" for k, unit in enumerate(units)]
+    body = " + ".join(terms) or "0"
+    if scaled and terms:
+        body = f"({body}) // L"
+    if offset:
+        body += " + B"
+    namespace: dict = {}
+    exec(_FORM.format(ps="".join(f"p{k}, " for k in range(len(units))),
+                      ss="".join(f"s{k}, " for k in range(len(units))), body=body), namespace)
+    return namespace["form"]
+
+
+def _join(kernels):
+    """An object's kernel: the ``max`` of its rules', the join of ``_Numeric``."""
+    return kernels[0] if len(kernels) == 1 else lambda values: max([k(values) for k in kernels])
 
 
 def _value(ball, i, values, branch_trunc):
@@ -407,11 +427,6 @@ def _at(levels: list, level: int) -> int:
     return bisect.bisect_left(levels, -level, key=operator.neg)
 
 
-def _cone(pending: list, ends: list, radius: int) -> list:
-    """The objects of the sorted ``pending`` within ``radius`` of the start."""
-    return pending[: bisect.bisect_left(pending, ends[min(radius, len(ends) - 1)])]
-
-
 class _Settled:
     """The full level-by-level sweep of a ball, settled component by component.
 
@@ -439,7 +454,8 @@ class _Settled:
     from its history.  If cyclic, the component of object 0 sweeps only the
     starts' cone plus one ring, and again in full if that cannot tell its
     stability; no other component reads it unless every object is a start,
-    and then the cone is the whole ball.
+    and then the cone is the whole ball.  After a level that changed every
+    member it could recompute, all members are pending, with no set built.
     """
 
     def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
@@ -602,6 +618,12 @@ class _Settled:
         ``steps - j + 1`` of the start, so the start and its successors keep
         their exact values.  If that left out a member and nothing changed at
         level ``steps``, the stability of the rest is unknown: return None.
+
+        Level j + 1 recomputes the members that read a change at level j.
+        After a dense level, which changed all it could recompute, those are
+        all members, cut as usual: each reads a member, and the next cone
+        reads only this one.  So it builds no set if there is no cone or it
+        has cut, where ``pruned`` comes out as the set would set it.
         """
         values, levels, taken = self.values, self.levels, self.taken
         members = sorted(component)
@@ -623,20 +645,23 @@ class _Settled:
 
         last, level, pending, pruned = 0, 1, members, False
         while True:
+            reach = len(members)  # how many members this level can recompute
             if ends is not None:
-                cone = _cone(pending, ends, steps - level + 1)
+                bound = ends[min(steps - level + 1, len(ends) - 1)]
+                cone = pending[: bisect.bisect_left(pending, bound)]
                 pruned = pruned or len(cone) < len(pending)
-                pending = cone
+                pending, reach = cone, bisect.bisect_left(members, bound)
             changed = _recompute(pending, self.ball, values, self.branch_trunc)
             for i, u in changed:
                 values[i] = u
                 if i in history:
                     history[i][0].append(level)
                     history[i][1].append(u)
-            marked = {p for i, _ in changed for p in preds[i]}
             if changed:
                 last = level
-            if not marked and inputs:
+            dense = len(changed) == reach and (pruned or ends is None)
+            marked = set() if dense else {p for i, _ in changed for p in preds[i]}
+            if not (dense or marked) and inputs:
                 level = inputs[-1][0]  # nothing moves before the next input does
             if level >= steps:
                 break
@@ -644,9 +669,9 @@ class _Settled:
                 _, s, u = inputs.pop()
                 values[s] = u
                 marked.update(readers[s])
-            if not marked:
+            if not (dense or marked):
                 break
-            pending = sorted(marked)
+            pending = members if dense else sorted(marked)
             level += 1
         for m, (lv, vs) in history.items():
             levels[m] = lv[::-1] + [0]

@@ -28,9 +28,12 @@ jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
 with each of its tables, which pin the message of a violated step,
 ``bound --mode selective`` on the boolean, language
 and product files of ``ORDERED``, which compare weights in the natural order,
-and ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
-alphabets are not prefix-free or cannot all be printed back, each op in
-text and in JSON.  Each op runs through ``wars.cli.main`` in process, and one
+``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
+alphabets are not prefix-free or cannot all be printed back, and ``eval`` on
+the affine ``real_inf`` files of ``AFFINE`` (every object, depths 0, 3 and
+12), whose levels run on integer kernels of every shape, and on both random
+walks from starts 1 and 4 at depths 300 and 400, each op in text and in
+JSON.  Each op runs through ``wars.cli.main`` in process, and one
 line per op is printed: its label, then the sha256 of its stdout, of its
 stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
@@ -167,6 +170,44 @@ EMBEDDED = (
     {"ties": {"a": "3", "b": "11/6", "c": "1.5"},
      "misses": {"a": "3", "b": "5497/3000", "c": "1.5"}},
 )
+# (name, rules as (lhs, rhs, agg), nf) of affine ``real_inf`` files whose
+# levels run on integer kernels: "whole" has integer coefficients only
+# (L = 1), "quarters" coefficients over 4, so 1/4 is a unit.  Between them
+# they hold unit and scaled terms, constants zero or not, rules without a
+# variable, rules of four and five terms, objects whose rules take different
+# shapes, and a chain e0..e5 whose far end small depths leave outside the
+# ball.
+AFFINE = (
+    ("whole",
+     [("a", ["b", "c"], "v1 + v2"),
+      ("a", ["b", "c", "d", "e0", "m"], "v1 + 2/1 * v2 + v3 + 3/1 * v4 + v5 + 1/3"),
+      ("a", ["a"], "0/1 * v1 + 1/2"),
+      ("b", ["c"], "v1"),
+      ("b", ["e0", "n"], "2/1 * v1 + 0/1 * v2"),
+      ("c", ["d", "a"], "3/1 * v1 + v2 + 1/4"),
+      ("d", ["c"], "0/1 * v1"),
+      ("d", ["e0", "n", "b"], "v1 + v2 + v3"),
+      *((f"e{k}", [f"e{k + 1}"], "v1 + 1/5") for k in range(5)),
+      ("e5", ["n"], "v1 + 1/5")],
+     {"n": "1/3", "m": "0/1"}),
+    ("quarters",
+     [("a", ["b", "c", "d", "e0"], "1/4 * v1 + 1/2 * v2 + 1/4 * v3 + 3/4 * v4"),
+      ("a", ["b", "c"], "1/4 * v1 + 1/4 * v2"),
+      ("a", ["a", "b", "c", "d", "n"], "1/4 * v1 + 1/4 * v2 + 1/4 * v3 + 1/4 * v4 + 1/4 * v5 + 1/2"),
+      ("b", ["c"], "1/4 * v1 + 1/3"),
+      ("b", ["d", "a"], "v1 + 1/2 * v2"),
+      ("c", ["d", "e0"], "3/4 * v1 + 1/4 * v2"),
+      ("c", ["m"], "0/1 * v1 + 2/3"),
+      ("c", ["a", "d"], "1/2 * v1 + 1/2 * v2"),
+      ("d", ["c", "e0"], "1/4 * v1 + 1/4 * v2 + 1/4"),
+      *((f"e{k}", [f"e{k + 1}"], "1/4 * v1 + 3/4") for k in range(5)),
+      ("e5", ["n"], "1/4 * v1 + 3/4")],
+     {"n": "1/2", "m": "0/1"}),
+)
+AFFINE_DEPTHS = (0, 3, 12)
+WALKS = ("walk_termprob", "walk_expected")
+WALK_STARTS = (1, 4)
+WALK_DEPTHS = (300, 400)
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
 
@@ -387,6 +428,28 @@ def word_set_ops(workdir: Path):
             yield f"word-set {name} selective {bound} {fmt}", argv
 
 
+def affine_ops(workdir: Path):
+    """(label, argv) of ``eval`` on the files of ``AFFINE`` and on the walks."""
+    inputs = workdir / "affine"
+    inputs.mkdir()
+    for name, rules, nf in AFFINE:
+        rows = [{"lhs": lhs, "rhs": rhs, "agg": agg} for lhs, rhs, agg in rules]
+        system = _write_system(inputs / f"{name}.json", {"kind": "real_inf"}, rows, nf)
+        for obj in sorted({lhs for lhs, _, _ in rules} | set(nf)):
+            for depth in AFFINE_DEPTHS:
+                for fmt in ("text", "json"):
+                    argv = ["eval", *system, "--start", obj, "--depth", str(depth),
+                            "--format", fmt]
+                    yield f"affine {name} {obj} depth={depth} {fmt}", argv
+    for name in WALKS:
+        for start in WALK_STARTS:
+            for depth in WALK_DEPTHS:
+                for fmt in ("text", "json"):
+                    argv = ["eval", "--system", f"builtin:{name}", "--start", str(start),
+                            "--depth", str(depth), "--format", fmt]
+                    yield f"affine {name} {start} depth={depth} {fmt}", argv
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -400,7 +463,7 @@ def main() -> int:
                     boundary_ops(WORKDIR), addition_ops(), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
                     empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR), ordered_ops(WORKDIR),
-                    word_set_ops(WORKDIR)):
+                    word_set_ops(WORKDIR), affine_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ import sys
 import pytest
 
 from system_gen import random_system_json
+from test_fixpoint_components import CUT_BELOW_START
 from wars import aggregator, cli, evaluator, system
 from wars import builtins as wars_builtins
 from wars.boundedness import Embedding, search_affine_embedding
@@ -399,6 +401,71 @@ def test_scaled_sweep_calls_no_compiled_closure():
         "nf": {"b": "0"},
     }))
     assert _closure_calls(lambda: evaluate_to_fixpoint(chain, "a", 100)) > 0
+
+
+def test_scaled_ball_builds_one_maker_per_form(monkeypatch):
+    # Each object with rules built its own rule closures from the form's
+    # integers: 302 kernels from scratch for one form.
+    makers = _count_calls(monkeypatch, evaluator._maker)
+    ball = evaluator._Ball(wars_builtins.builtin("walk_termprob"), [3], 299, 64, 100_000)
+    assert sum(rs is not None for rs in ball.rules) == 302
+    assert makers[0] == 1
+
+
+@pytest.mark.parametrize("name, start, depth, calls, objects, digest", [
+    ("walk_expected", 5, 251, 251, 32_875, "b5e807b607ae3e1c"),
+    ("walk_expected", 4, 170, 170, 15_212, "8d44ba2a16327142"),
+    ("walk_termprob", 3, 299, 299, 11_774, "d7fc30f1726259a8"),
+    ("walk_termprob", 5, 212, 212, 6_200, "1a26de9b23124b2d"),
+    ("bottleneck", None, None, 318, 518, "82e60581a47c03eb"),
+    ("nat_inf", None, None, 428, 572, "a8f5249bb5f08311"),
+    ("real_inf mixed", None, None, 450, 614, "80be0bf0649ece4e"),
+    ("real_inf scaled", None, None, 450, 614, "80be0bf0649ece4e"),
+])
+def test_sweeps_recompute_the_same_objects(monkeypatch, name, start, depth, calls, objects,
+                                           digest):
+    # The lists handed to _recompute, pinned by their count, their total
+    # length and a hash of them all, as the sweep that marked every level's
+    # predecessors produced them.  A walk query is evaluate_to_fixpoint; a
+    # CUT_BELOW_START system is that and DepthProfile from a and from top at
+    # every depth 0-12.
+    pending = []
+    recompute = evaluator._recompute
+
+    def recorded(objects, *args):
+        pending.append(list(objects))
+        return recompute(objects, *args)
+
+    monkeypatch.setattr(evaluator, "_recompute", recorded)
+    if start is not None:
+        evaluate_to_fixpoint(wars_builtins.builtin(name), start, depth)
+    else:
+        for root in ("a", "top"):
+            for max_depth in range(13):
+                evaluate_to_fixpoint(CUT_BELOW_START[name], root, max_depth)
+                DepthProfile(CUT_BELOW_START[name], root, max_depth)
+    got = hashlib.sha256(json.dumps(pending).encode()).hexdigest()[:16]
+    assert (len(pending), sum(map(len, pending)), got) == (calls, objects, digest)
+
+
+def test_dense_walk_levels_sort_no_predecessor_set(monkeypatch):
+    # Each level built the predecessors of its changed objects and sorted
+    # them: 250 sets for walk_expected from 5 at depth 251.  Once the cone
+    # has cut, a level where every object of the cone changed marks the next
+    # cone whole; only level 1, before the cut, still builds the set.  The
+    # wavefront of walk_termprob never changes a whole cone.
+    sets = [0]
+
+    def counted(iterable, *args, **kwargs):
+        sets[0] += isinstance(iterable, set)
+        return sorted(iterable, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "sorted", counted, raising=False)
+    for name, start, depth, built in (("walk_expected", 5, 251, 1), ("walk_expected", 4, 170, 1),
+                                      ("walk_termprob", 3, 299, 298)):
+        sets[0] = 0
+        evaluate_to_fixpoint(wars_builtins.builtin(name), start, depth)
+        assert sets[0] == built, name
 
 
 def _count_records(monkeypatch) -> collections.Counter:

@@ -23,7 +23,7 @@ from reference_eval import (
     reference_evaluate_to_fixpoint,
     reference_weight_lower_bound,
 )
-from wars import cli
+from wars import cli, evaluator
 from wars.builtins import builtin
 from wars.evaluator import (
     DepthProfile,
@@ -165,6 +165,77 @@ def test_kernels_match_the_fraction_sweep():
         for visit_cap in (1, 2, 4, 7):
             check(system, start, 6, scaled=True, visit_cap=visit_cap)
         check(system, start, 6, scaled=True, rule_budget=2)
+
+
+def chain(prefix: str, length: int, agg: str, last: str) -> list:
+    """``prefix0`` -> ``prefix1`` -> ... -> ``last``, each step by ``agg``:
+    small depths leave the chain's far end outside the ball."""
+    names = [f"{prefix}{k}" for k in range(length)] + [last]
+    return [rule(a, [b], agg, f"{a}>") for a, b in zip(names, names[1:])]
+
+
+# Every coefficient an integer, so L = 1: unit and integer coefficients,
+# constants zero or not, no variable at all, and five terms in one rule.
+WHOLE_SHAPES = {
+    "semiring": {"kind": "real_inf"},
+    "rules": [
+        rule("a", ["b", "c"], "v1 + v2", "sum"),
+        rule("a", ["b", "c", "d", "e0", "m"], "v1 + 2/1 * v2 + v3 + 3/1 * v4 + v5 + 1/3", "five"),
+        rule("a", ["a"], "0/1 * v1 + 1/2", "flat"),
+        rule("b", ["c"], "v1", "copy"),
+        rule("b", ["e0", "n"], "2/1 * v1 + 0/1 * v2", "double"),
+        rule("c", ["d", "a"], "3/1 * v1 + v2 + 1/4", "mixed"),
+        rule("d", ["c"], "0/1 * v1", "zero"),
+        rule("d", ["e0", "n", "b"], "v1 + v2 + v3", "three"),
+        *chain("e", 6, "v1 + 1/5", "n"),
+    ],
+    "nf": {"n": "1/3", "m": "0/1"},
+}
+
+# Coefficients over L = 4, so P_k = 1 for 1/4: unit terms beside scaled ones,
+# four and five terms, constants zero or not, and objects whose two or
+# three rules each take another shape.
+UNIT_SHAPES = {
+    "semiring": {"kind": "real_inf"},
+    "rules": [
+        rule("a", ["b", "c", "d", "e0"], "1/4 * v1 + 1/2 * v2 + 1/4 * v3 + 3/4 * v4", "four"),
+        rule("a", ["b", "c"], "1/4 * v1 + 1/4 * v2", "units"),
+        rule("a", ["a", "b", "c", "d", "n"],
+             "1/4 * v1 + 1/4 * v2 + 1/4 * v3 + 1/4 * v4 + 1/4 * v5 + 1/2", "five"),
+        rule("b", ["c"], "1/4 * v1 + 1/3", "unit"),
+        rule("b", ["d", "a"], "v1 + 1/2 * v2", "whole"),
+        rule("c", ["d", "e0"], "3/4 * v1 + 1/4 * v2", "mixed"),
+        rule("c", ["m"], "0/1 * v1 + 2/3", "constant"),
+        rule("c", ["a", "d"], "1/2 * v1 + 1/2 * v2", "half"),
+        rule("d", ["c", "e0"], "1/4 * v1 + 1/4 * v2 + 1/4", "offset"),
+        *chain("e", 5, "1/4 * v1 + 3/4", "n"),
+    ],
+    "nf": {"n": "1/2", "m": "0/1"},
+}
+
+
+def test_every_kernel_shape_matches_the_fraction_sweep(monkeypatch):
+    # The random systems rarely draw L = 1, all-unit sums without a constant
+    # or four-term rules.  Every ball here holds a shape of each kind.
+    shapes = set()
+    shaped = evaluator._shaped
+
+    def recorded(*shape):
+        shapes.add(shape)
+        return shaped(*shape)
+
+    monkeypatch.setattr(evaluator, "_shaped", recorded)
+    for data in (WHOLE_SHAPES, UNIT_SHAPES):
+        system = load_explicit(json.dumps(data))
+        starts = sorted({r["lhs"] for r in data["rules"]} | set(data["nf"]))
+        for start in starts:
+            for depth in range(13):
+                check(system, start, depth, scaled=True)
+    units = [units for units, _, _ in shapes]
+    assert {(False, False), (False, True), (True, False), (True, True)} <= {
+        (scaled, offset) for _, scaled, offset in shapes}
+    assert (True, True) in units and () in units and max(map(len, units)) >= 5
+    assert any(True in u and False in u for u in units)
 
 
 def near_miss(agg: str, weight: str = "1/2") -> dict:
