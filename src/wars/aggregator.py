@@ -300,6 +300,12 @@ def _fold(op, fns):
     return fold
 
 
+def _summed(bound, arity: int) -> bool:
+    """Whether a countable sum over ``arity`` arguments keeps a term whose
+    largest variable index is ``bound``: inf, or at most the arity."""
+    return bound is INF or bound <= arity
+
+
 def _compile_countable(expr: CountableSum, desc):
     plus, zero, top = desc._plus, desc.zero, desc.top
     # Generated terms, each as [max_var, expression, fn]: a term is compiled
@@ -331,7 +337,7 @@ def _compile_countable(expr: CountableSum, desc):
                 done = clean[0]
                 break
             mv, source, fn = term
-            if mv is not INF and mv > n:
+            if not _summed(mv, n):
                 clean[0] = False
                 continue
             if fn is None:

@@ -404,19 +404,7 @@ def _recompute(pending, ball, values, branch_trunc) -> list:
     kernels = ball.kernels
     if kernels is not None:
         return [(i, v) for i in pending if (v := kernels[i](values)) != values[i]]
-    rules, join = ball.rules, ball.semiring._join
-    changed = []
-    for i in pending:
-        # ``_value``, inlined: this loop runs every level of every sweep.
-        rs = rules[i]
-        if len(rs) == 1:
-            succ, fn, _ = rs[0]
-            v = fn([values[s] for s in succ], branch_trunc, None)
-        else:
-            v = join([fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs])
-        if v != values[i]:
-            changed.append((i, v))
-    return changed
+    return [(i, v) for i in pending if (v := _value(ball, i, values, branch_trunc)) != values[i]]
 
 
 def _at(levels: list, level: int) -> int:

@@ -213,16 +213,9 @@ class Semiring:
 
 
 class _Numeric(Semiring):
-    """Shared behaviour of the carriers of numbers and infinities: the usual
-    order with the maximum as join, and number literals.  A carrier whose
-    order differs overrides them."""
-
-    # The join order read off the numbers: twice as fast as building the
-    # join, and ``verify_embedding`` asks it once per rule.
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return a <= b
+    """Shared behaviour of the carriers of numbers and infinities: the
+    maximum as join, so the usual order, and number literals.  A carrier
+    whose order differs overrides the join."""
 
     def _join(self, vals):
         return max(vals)
@@ -328,12 +321,6 @@ class Tropical(_Numeric):
         if a is INF or b is INF:
             return INF
         return a + b
-
-    # The reversed usual order, read off the numbers as ``_Numeric.leq`` is.
-    def leq(self, a, b) -> bool:
-        self.require(a)
-        self.require(b)
-        return b <= a
 
     def _join(self, vals):
         return min(vals)

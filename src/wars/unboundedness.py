@@ -192,8 +192,7 @@ def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
             term = e.term(i)
             if term is None:
                 break
-            mv = agg.max_var(term)
-            if isinstance(mv, int) and mv <= len(child_exprs):
+            if agg._summed(agg.max_var(term), len(child_exprs)):
                 terms.append(_apply_aggregator(term, child_exprs, desc, truncation))
         return SumNode(tuple(terms)) if terms else Const(desc.zero)
 

@@ -26,6 +26,9 @@ jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
 ``REFUSED``, which pin each refused parameter's message,
 ``bound --mode embed:<table>`` on the ``real_inf`` file of ``EMBEDDED``
 with each of its tables, which pin the message of a violated step,
+``bound --mode embed:<name>`` with the built-in embeddings of
+``BUILTIN_EMBEDDINGS``, which compare ``nat_inf`` and product values in the
+natural order, in text and in JSON,
 ``bound --mode selective`` on the boolean, language
 and product files of ``ORDERED``, which compare weights in the natural order,
 ``eval`` and ``bound`` on the word-set files of ``WORD_SETS``, whose
@@ -204,6 +207,14 @@ AFFINE = (
       ("e5", ["n"], "1/4 * v1 + 3/4")],
      {"n": "1/2", "m": "0/1"}),
 )
+# (built-in, embedding, ``--samples`` or None) of ``bound --mode
+# embed:<name>``: a certified ``nat_inf`` check on 121 instances, a sampled
+# check on product values, and a violated normal form.
+BUILTIN_EMBEDDINGS = (
+    ("addition_trs(max_size=7)", "trs_add", None),
+    ("z_walk_safety", "zwalk_case", 50),
+    ("walk_termprob", "walk3n", 20),
+)
 AFFINE_DEPTHS = (0, 3, 12)
 WALKS = ("walk_termprob", "walk_expected")
 WALK_STARTS = (1, 4)
@@ -379,6 +390,17 @@ def refused_ops():
             yield f"{command} {spec} {fmt}", argv
 
 
+def builtin_embedding_ops():
+    """(label, argv) of ``bound --mode embed:<name>`` with the built-in
+    embeddings of ``BUILTIN_EMBEDDINGS``."""
+    for spec, name, samples in BUILTIN_EMBEDDINGS:
+        query = ["--samples", str(samples)] if samples else []
+        for fmt in ("text", "json"):
+            argv = ["bound", "--system", f"builtin:{spec}", "--mode", f"embed:{name}", *query,
+                    "--format", fmt]
+            yield f"bound {spec} embed:{name} {fmt}", argv
+
+
 def _write_system(path: Path, semiring: dict, rules: list, nf: dict) -> list:
     path.write_text(json.dumps({"semiring": semiring, "rules": rules, "nf": nf}),
                     encoding="utf-8")
@@ -462,8 +484,9 @@ def main() -> int:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR),
                     boundary_ops(WORKDIR), addition_ops(), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
-                    empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR), ordered_ops(WORKDIR),
-                    word_set_ops(WORKDIR), affine_ops(WORKDIR)):
+                    empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR),
+                    builtin_embedding_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR),
+                    affine_ops(WORKDIR)):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:

@@ -581,7 +581,7 @@ def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
             if term is None:
                 break
             mv = reference_max_var(term)
-            if isinstance(mv, int) and mv <= len(child_exprs):
+            if mv is INF or mv <= len(child_exprs):
                 terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
         if not terms:
             return Const(desc.zero)

@@ -14,7 +14,7 @@ file system's or a built-in's rules become records only through public
 (object, depth) key's rules and weighs each of its trees once, in a table of
 bounded size; within its visit cap it builds one ball and settles it once,
 weighing no level above its depth, and the affine embedding search settles
-once too."""
+once too.  Every object a compiled sweep evaluates is one ``_value`` call."""
 
 from __future__ import annotations
 
@@ -446,6 +446,34 @@ def test_sweeps_recompute_the_same_objects(monkeypatch, name, start, depth, call
                 DepthProfile(CUT_BELOW_START[name], root, max_depth)
     got = hashlib.sha256(json.dumps(pending).encode()).hexdigest()[:16]
     assert (len(pending), sum(map(len, pending)), got) == (calls, objects, digest)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("bottleneck", 530 + 518),
+    ("nat_inf", 615 + 572),
+    ("real_inf mixed", 636 + 614),
+    # Integer kernels are called straight, never through _value.
+    ("real_inf scaled", 636),
+])
+def test_every_evaluation_of_a_compiled_sweep_is_one_value_call(monkeypatch, name, values):
+    # _value is the one place a compiled sweep evaluates an object, for
+    # _recompute too: on the queries of test_sweeps_recompute_the_same_objects
+    # it counts the settle's own evaluations plus the objects recomputed
+    # there (518, 572 and 614).  A chain of 100 1 + v1 steps takes 2n - 1.
+    calls = _count_calls(monkeypatch, evaluator._value)
+    chain = load_explicit(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"} for i in range(100)],
+        "nf": {"c100": "0"},
+    }))
+    bound = evaluate_to_fixpoint(chain, "c0", 200)
+    assert (bound.value, bound.status, calls[0]) == (100, "stabilized", 199)
+    calls[0] = 0
+    for root in ("a", "top"):
+        for max_depth in range(13):
+            evaluate_to_fixpoint(CUT_BELOW_START[name], root, max_depth)
+            DepthProfile(CUT_BELOW_START[name], root, max_depth)
+    assert calls[0] == values
 
 
 def test_dense_walk_levels_sort_no_predecessor_set(monkeypatch):

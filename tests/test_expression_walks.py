@@ -189,6 +189,34 @@ def test_applying_an_aggregator_matches_the_recursive_substitution(data):
     )
 
 
+def _nested_sums(desc):
+    """Sums, products and countable sums of constants and variables, where a
+    countable sum's terms may hold countable sums of their own."""
+    leaf = st.builds(Const, st.sampled_from(desc.probe_values())) | st.builds(
+        Var, st.integers(1, 4))
+    return st.recursive(leaf, lambda kids: st.one_of(
+        st.builds(lambda sum_, children: (SumNode if sum_ else ProdNode)(tuple(children)),
+                  st.booleans(), st.lists(kids, min_size=1, max_size=3)),
+        st.builds(_countable, st.lists(kids, max_size=3), st.booleans(),
+                  st.sampled_from([INF, 0, 1, 2, 4])),
+    ), max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_applied_aggregator_weighs_what_the_compiled_one_does(data):
+    # The loop polynomial and the evaluator keep the same generated terms:
+    # substituting constants and then evaluating gives the compiled value.
+    desc = data.draw(st.sampled_from(CARRIERS))
+    expr = data.draw(_nested_sums(desc))
+    args = data.draw(st.lists(st.sampled_from(desc.probe_values()), max_size=4))
+    applied = _outcome(lambda: agg.evaluate(
+        _apply_aggregator(expr, [Const(a) for a in args], desc, 5), desc, [], 5)[0])
+    compiled = _outcome(lambda: agg.evaluate(expr, desc, args, 5)[0])
+    if applied[0] == compiled[0] == "value":
+        assert applied[1] == compiled[1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_finite_no_top_is_the_negated_top_search_without_countable_sums(data):

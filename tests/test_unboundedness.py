@@ -17,12 +17,14 @@ from system_gen import random_system_json
 from test_level_core import LOOPS
 from wars import aggregator as agg
 from wars import unboundedness
-from wars.aggregator import Const, SumNode, X, evaluate, format_expr, parse_expr, substitute_x
+from wars.aggregator import (
+    Const, CountableSum, SumNode, Var, X, evaluate, format_expr, parse_expr, substitute_x,
+)
 from wars.builtins import builtin
 from wars.cli import main
-from wars.evaluator import ReductionTree, StructuralTreeError, weight_lower_bound
+from wars.evaluator import ReductionTree, StructuralTreeError, tree_weight, weight_lower_bound
 from wars.semiring import ARCTIC, BOOLEAN, NAT_INF, REAL_INF, Language
-from wars.system import load_explicit
+from wars.system import SystemHandle, load_explicit
 from wars.unboundedness import (
     CANDIDATE,
     CERTIFIED,
@@ -333,6 +335,27 @@ def test_pumped_witness_weighs_the_iterated_polynomial():
                     assert desc.leq(value, profiles[start][k * loop_depth]), (system.name, start, k)
             checked += 1
     assert checked > 500
+
+
+def test_a_term_of_unbounded_variables_stays_in_the_loop_polynomial():
+    # The self-loop's one term is v1 + S, S a countable sum of the constant
+    # 1 with the default bound inf.  The evaluator keeps a term whose bound
+    # is inf; the polynomial dropped it and read 0, a candidate.
+    inner = CountableSum(lambda i: Const(1) if i == 0 else None)
+    body = CountableSum(lambda i: SumNode((Var(1), inner)) if i == 0 else None)
+    system = SystemHandle("nested_sum", NAT_INF,
+                          lambda a, budget: ([(a, ("a",), body, "step", True)], True),
+                          lambda a: 0)
+    tree, path = ReductionTree("a", "step", (ReductionTree("a"),)), (0,)
+    witness = analyze_loop(system, tree, path)
+    assert (format_expr(witness.polynomial, NAT_INF), witness.status, witness.t) == (
+        "(X + 1)", CERTIFIED, 1)
+    value, weights = NAT_INF.zero, []
+    for k in range(1, 6):
+        value = poly_at(NAT_INF, witness.polynomial, value)
+        weights.append(tree_weight(system, _nested(tree, path, k)))
+        assert weights[-1] == value
+    assert weights == [1, 2, 3, 4, 5]
 
 
 # A nat_inf self-loop whose polynomial is 1 + X.
