@@ -6,10 +6,10 @@ distinguished variable ``X`` only occurs in loop polynomials, never in rule
 aggregators.
 
 Each expression object remembers what the analyses ask of it: its facts
-(whether it mentions X, its largest variable) and its compiled form per
-carrier and arity, each computed on first use.  Expressions are found by
-identity, never hashed, so equal expressions built apart are walked and
-compiled apart.
+(whether it mentions X, its largest variable), its compiled form per
+carrier and arity and, for a loop polynomial, itself with X as v1, each
+computed on first use.  Expressions are found by identity, never hashed,
+so equal expressions built apart are walked and compiled apart.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class _Expr:
     def _forms(self) -> dict:
         """(carrier, arity) -> compiled closure, filled by ``_compiled``."""
         return {}
+
+    @functools.cached_property
+    def _in_v1(self):
+        """The expression with X as v1, as a loop polynomial's readers see it."""
+        return substitute_x(self, Var(1))
 
 
 @dataclass(frozen=True)
@@ -396,7 +401,7 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
     """
     if not _affine_capable(desc) or max_var(expr) != 0:
         return None
-    form = affine_form(substitute_x(expr, Var(1)), desc, 1)
+    form = affine_form(expr._in_v1, desc, 1)
     if form is None:
         return None
     (c,), d = form
@@ -410,12 +415,9 @@ def extract_affine(expr, desc: Semiring) -> Optional[tuple]:
 
 def _as_function(expr, desc: Semiring):
     """An X-polynomial compiled as a function of X, which becomes its one
-    variable.  The form is kept on the expression under "X", which is no
-    arity, so a loop polynomial is compiled once however often it is read."""
-    forms = expr._forms
-    if (desc, "X") not in forms:
-        forms[desc, "X"] = _compiled(substitute_x(expr, Var(1)), desc, 1)
-    compiled = forms[desc, "X"]
+    variable.  The form is kept on the polynomial's ``_in_v1``, so a loop
+    polynomial is substituted and compiled once however often it is read."""
+    compiled = _compiled(expr._in_v1, desc, 1)
     return lambda s: compiled([s], DEFAULT_TRUNCATION, None)
 
 

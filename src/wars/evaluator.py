@@ -105,58 +105,66 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
     a node's structural checks before its children and its aggregator after
     them, so a malformed tree raises its first fault in that order.
     """
-    desc = sys.semiring
-    # id(node) -> weight.  The tree holds its nodes, so no id is reused.
-    memo: dict = {}
-    # Whether a label is a normal form, and the rule per (label, tag).
-    normal: dict = {}
-    found: dict = {}
-    # Entries are (node, None) before its children, (node, its rule) after
-    # them.
-    stack = [(tree, None)]
-    while stack:
-        node, rule = stack.pop()
-        if rule is not None:
-            args = [memo[id(c)] for c in node.children]
-            memo[id(node)] = _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
-            continue
-        if id(node) in memo:
-            continue
-        label = node.label
-        if not node.children and node.rule_tag is not None:
-            raise StructuralTreeError(
-                f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
-            )
-        if label not in normal:
-            normal[label] = sys.is_normal_form(label)
-        if not node.children:
+    return _weigher(sys, branch_trunc)(tree)
+
+
+def _weigher(sys: SystemHandle, branch_trunc: int):
+    """``tree_weight`` over tables kept across the trees it is handed: the
+    weight per node id, whether a label is a normal form and the rule per
+    (label, tag).  So a tree that holds an earlier one weighs only its new
+    nodes.  It keeps every tree, so no id is reused while the tables live."""
+    desc, memo, normal, found, held = sys.semiring, {}, {}, {}, []
+
+    def weigh(tree: ReductionTree):
+        held.append(tree)
+        # Entries are (node, None) before its children, (node, its rule)
+        # after them.
+        stack = [(tree, None)]
+        while stack:
+            node, rule = stack.pop()
+            if rule is not None:
+                args = [memo[id(c)] for c in node.children]
+                memo[id(node)] = _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
+                continue
+            if id(node) in memo:
+                continue
+            label = node.label
+            if not node.children and node.rule_tag is not None:
+                raise StructuralTreeError(
+                    f"leaf {sys.format_object(label)} carries rule {node.rule_tag!r}"
+                )
+            if label not in normal:
+                normal[label] = sys.is_normal_form(label)
+            if not node.children:
+                if normal[label]:
+                    weight = sys._nf_weight(label)
+                    desc.require(weight)
+                else:
+                    weight = desc.zero
+                memo[id(node)] = weight
+                continue
             if normal[label]:
-                weight = sys._nf_weight(label)
-                desc.require(weight)
-            else:
-                weight = desc.zero
-            memo[id(node)] = weight
-            continue
-        if normal[label]:
-            raise StructuralTreeError(
-                f"normal form {sys.format_object(label)} has children"
-            )
-        if node.rule_tag is None:
-            raise StructuralTreeError(
-                f"inner node {sys.format_object(label)} names no rule"
-            )
-        key = (label, node.rule_tag)
-        if key not in found:
-            found[key] = sys.find_rule(label, node.rule_tag)
-        rule = found[key]
-        if tuple(c.label for c in node.children) != rule.rhs:
-            raise StructuralTreeError(
-                f"children of {sys.format_object(label)} do not match rule "
-                f"{node.rule_tag!r}"
-            )
-        stack.append((node, rule))
-        stack.extend((c, None) for c in reversed(node.children))
-    return memo[id(tree)]
+                raise StructuralTreeError(
+                    f"normal form {sys.format_object(label)} has children"
+                )
+            if node.rule_tag is None:
+                raise StructuralTreeError(
+                    f"inner node {sys.format_object(label)} names no rule"
+                )
+            key = (label, node.rule_tag)
+            if key not in found:
+                found[key] = sys.find_rule(label, node.rule_tag)
+            rule = found[key]
+            if tuple(c.label for c in node.children) != rule.rhs:
+                raise StructuralTreeError(
+                    f"children of {sys.format_object(label)} do not match rule "
+                    f"{node.rule_tag!r}"
+                )
+            stack.append((node, rule))
+            stack.extend((c, None) for c in reversed(node.children))
+        return memo[id(tree)]
+
+    return weigh
 
 
 def truncate(tree: ReductionTree, n: int) -> ReductionTree:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
-from .aggregator import Const, CountableSum, SumNode, Var, X, XVar
-from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, tree_weight
-from .semiring import NatInf, RealInf, Semiring
+from .aggregator import ArityError, Const, CountableSum, SumNode, Var, X, XVar
+from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, _weigher
+from .semiring import INF, NatInf, RealInf, Semiring
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
@@ -149,10 +149,11 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
 
     The rules on the path from the root to that leaf are applied
     symbolically, bottom up; every subtree off the path enters as the
-    constant ``tree_weight`` gives it.  Constant subtrees are then folded,
-    so the result mentions X and constants only.
+    constant ``tree_weight`` gives it, all weighed by one weigher.  Constant
+    subtrees are then folded, so the result mentions X and constants only.
     """
     desc = sys.semiring
+    weigh = _weigher(sys, TRUNCATION)
     nodes = _path_nodes(tree, leaf_path)
     if nodes[-1].children:
         raise UnboundednessError("the designated node is not a leaf")
@@ -160,7 +161,7 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
     for node, on_path in zip(reversed(nodes[:-1]), reversed(leaf_path)):
         rule = sys.find_rule(node.label, node.rule_tag)
         child_exprs = [
-            expr if i == on_path else Const(tree_weight(sys, child, TRUNCATION))
+            expr if i == on_path else Const(weigh(child))
             for i, child in enumerate(node.children)
         ]
         expr = _apply_aggregator(rule.aggregator, child_exprs, desc)
@@ -176,14 +177,19 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
 
 
 def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
-    """Substitute child expressions for the rule variables."""
+    """Substitute child expressions for the rule variables, raising the
+    ``ArityError`` that the compiled aggregator raises.  Like it, a countable
+    sum reads no term once its constant terms so far sum to the maximum."""
+    arity, mv = len(child_exprs), agg.max_var(expr)
+    if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
+        raise ArityError(agg._arity_message(mv, arity))
 
     def substitute(e):
         if isinstance(e, Const):
             return e
         if isinstance(e, Var):
-            if e.index > len(child_exprs):
-                return Const(desc.zero)
+            if e.index > arity:
+                raise ArityError(agg._arity_message(e.index, arity))
             return child_exprs[e.index - 1]
         if not isinstance(e, CountableSum):
             raise UnboundednessError(f"cannot substitute into {e!r}")
@@ -192,8 +198,13 @@ def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
             term = e.term(i)
             if term is None:
                 break
-            if agg._summed(agg.max_var(term), len(child_exprs)):
-                terms.append(_apply_aggregator(term, child_exprs, desc, truncation))
+            if agg._summed(agg.max_var(term), arity):
+                try:
+                    terms.append(_apply_aggregator(term, child_exprs, desc, truncation))
+                except ArityError:
+                    if not terms or agg.fold_constants(SumNode(tuple(terms)), desc) != Const(desc.top):
+                        raise
+                    break
         return SumNode(tuple(terms)) if terms else Const(desc.zero)
 
     return agg._reduce(expr, substitute, agg._rebuild)
@@ -266,18 +277,20 @@ def conclude_unbounded(
     tree of k nested copies of the loop (the loop grafted into its own
     designated leaf k - 1 times) must weigh P^k(zero) under ``tree_weight``,
     and the weights must not drop and must cover k increments.  Any
-    mismatch raises ``UnboundednessError``.
+    mismatch raises ``UnboundednessError``.  One weigher weighs them all, so
+    copy k walks only its new path and reads copy k - 1's weight.
     """
     if witness.status != CERTIFIED:
         raise UncertifiedWitnessError("only a certified loop witness proves unboundedness")
     desc = sys.semiring
     poly_at = agg._as_function(witness.polynomial, desc)
+    weigh = _weigher(sys, TRUNCATION)
     pumped, values = witness.tree, []
     expected = accumulated = previous = desc.zero
     for k in range(1, k_max + 1):
         if k > 1:
             pumped = _graft(witness.tree, witness.leaf_path, pumped)
-        weight = tree_weight(sys, pumped, TRUNCATION)
+        weight = weigh(pumped)
         expected = poly_at(expected)
         accumulated = desc.plus(accumulated, witness.t)
         if weight != expected:

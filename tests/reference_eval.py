@@ -558,20 +558,31 @@ def reference_mentions_only_x(expr) -> bool:
 
 
 def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
+    """Substitution that raises where ``reference_evaluate`` raises
+    ``ArityError``: up front for a largest variable beyond the children,
+    outside a countable sum; else at the first such variable read.  A
+    countable sum reads no term once its constant terms sum to the top."""
+    mv = reference_max_var(expr)
+    if mv is not INF and mv > len(child_exprs) and not isinstance(expr, CountableSum):
+        raise ArityError(_arity_message(mv, child_exprs))
+    return _reference_substitute(expr, child_exprs, desc, truncation)
+
+
+def _reference_substitute(expr, child_exprs, desc, truncation):
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, Var):
         if expr.index > len(child_exprs):
-            return Const(desc.zero)
+            raise ArityError(_arity_message(expr.index, child_exprs))
         return child_exprs[expr.index - 1]
     if isinstance(expr, SumNode):
         return SumNode(
-            tuple(reference_apply_aggregator(e, child_exprs, desc, truncation)
+            tuple(_reference_substitute(e, child_exprs, desc, truncation)
                   for e in expr.terms)
         )
     if isinstance(expr, ProdNode):
         return ProdNode(
-            tuple(reference_apply_aggregator(e, child_exprs, desc, truncation)
+            tuple(_reference_substitute(e, child_exprs, desc, truncation)
                   for e in expr.factors)
         )
     if isinstance(expr, CountableSum):
@@ -582,7 +593,12 @@ def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
                 break
             mv = reference_max_var(term)
             if mv is INF or mv <= len(child_exprs):
-                terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
+                try:
+                    terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
+                except ArityError:
+                    if terms and reference_fold_constants(SumNode(tuple(terms)), desc) == Const(desc.top):
+                        break
+                    raise
         if not terms:
             return Const(desc.zero)
         return SumNode(tuple(terms))

@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -34,7 +35,13 @@ from wars import builtins as wars_builtins
 from wars.boundedness import Embedding, search_affine_embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
-from wars.evaluator import DepthProfile, evaluate_to_fixpoint, weight_lower_bound
+from wars.evaluator import (
+    DepthProfile,
+    ReductionTree,
+    evaluate_to_fixpoint,
+    tree_weight,
+    weight_lower_bound,
+)
 from wars.semiring import NAT_INF
 from wars.system import RuleInstance, SystemError_, SystemHandle, cplx_wrap, load_explicit
 
@@ -107,6 +114,56 @@ def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
     assert compiles[0] == 3
+
+
+def test_loop_substitutes_each_certified_polynomial_once(monkeypatch, capsys):
+    # The affine extraction and the compiled form each put v1 for X in the
+    # polynomial, 4 in all; now both read one substituted expression.
+    substituted = _count_calls(monkeypatch, aggregator.substitute_x)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
+    assert substituted[0] == 2
+
+
+def test_loop_weighs_each_path_rule_once_per_pass(monkeypatch, capsys):
+    # Each of the five pumped copies of a certified loop was weighed from
+    # scratch, copy k holding copy k - 1, and each subtree off the path by a
+    # fresh tree_weight: 48 find_rule and 97 _rows calls for two depth-4
+    # loops.  Now the polynomial and the cross-check each read a path rule
+    # once, and each leaf's rows once.
+    counts = collections.Counter()
+    for name in ("find_rule", "_rows"):
+
+        def counted(self, *args, _original=getattr(SystemHandle, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SystemHandle, name, counted)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
+    assert counts == {"find_rule": 16, "_rows": 33}
+
+
+def test_one_weigher_keeps_every_tree_it_weighs():
+    # The weigher keys its memo by node id.  Were a tree dropped, the nodes
+    # of a later tree could take its nodes' ids and read their weights.
+    chain = load_explicit(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1", "tag": "s"}
+                  for i in range(200)],
+        "nf": {"c200": "0"},
+    }))
+    weigh = evaluator._weigher(chain, evaluator.DEFAULT_BRANCH_TRUNC)
+    rng = random.Random(30)
+    for _ in range(100):
+        length = rng.randint(1, 200)
+        tree = ReductionTree("c200")
+        for i in range(199, 199 - length, -1):
+            tree = ReductionTree(f"c{i}", "s", (tree,))
+        assert weigh(tree) == tree_weight(chain, tree) == length
+        del tree
 
 
 def test_loop_builds_no_exploration_ball(monkeypatch, capsys):

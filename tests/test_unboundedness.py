@@ -358,6 +358,49 @@ def test_a_term_of_unbounded_variables_stays_in_the_loop_polynomial():
     assert weights == [1, 2, 3, 4, 5]
 
 
+def _self_loop(body) -> tuple:
+    """A nat_inf system whose one object a steps to itself under ``body``,
+    with the loop tree and its leaf path."""
+    system = SystemHandle("nested_sum", NAT_INF,
+                          lambda a, budget: ([(a, ("a",), body, "step", True)], True),
+                          lambda a: 0)
+    return system, ReductionTree("a", "step", (ReductionTree("a"),)), (0,)
+
+
+def test_a_variable_beyond_the_arity_raises_as_the_evaluator_does():
+    # The one term v1 + v3 + S is kept, since S has bound inf; v3 names no
+    # child.  The polynomial put 0 for v3 and certified X + 0 + 1 with t = 1,
+    # while the loop tree raised.
+    inner = CountableSum(lambda i: Const(1) if i == 0 else None)
+    body = CountableSum(lambda i: SumNode((Var(1), Var(3), inner)) if i == 0 else None)
+    system, tree, path = _self_loop(body)
+    message = "aggregator mentions v3 but only 1 arguments were supplied"
+    with pytest.raises(agg.ArityError) as weighed:
+        tree_weight(system, tree)
+    with pytest.raises(agg.ArityError) as analyzed:
+        analyze_loop(system, tree, path)
+    assert str(weighed.value) == str(analyzed.value) == message
+
+
+def test_a_sum_at_the_top_reads_no_further_term():
+    # The compiled sum stops once its terms reach inf, so a later term that
+    # names v3 is never read and the tree weighs inf; the polynomial stops
+    # there too.  Below the top, the term is read and raises.
+    def loop(second):
+        inner = CountableSum(lambda i: Const(1) if i == 0 else None)
+        terms = [Const(1), Const(second), SumNode((Var(1), Var(3), inner))]
+        return _self_loop(CountableSum(lambda i: terms[i] if i < len(terms) else None))
+
+    system, tree, path = loop(NAT_INF.top)
+    assert tree_weight(system, tree) == NAT_INF.top
+    assert format_expr(induced_polynomial(system, tree, path), NAT_INF) == "inf"
+    system, tree, path = loop(2)
+    with pytest.raises(agg.ArityError, match="mentions v3"):
+        tree_weight(system, tree)
+    with pytest.raises(agg.ArityError, match="mentions v3"):
+        induced_polynomial(system, tree, path)
+
+
 # A nat_inf self-loop whose polynomial is 1 + X.
 SPIN = {
     "semiring": {"kind": "nat_inf"},
