@@ -36,7 +36,14 @@ alphabets are not prefix-free or cannot all be printed back, and ``eval`` on
 the affine ``real_inf`` files of ``AFFINE`` (every object, depths 0, 3 and
 12), whose levels run on integer kernels of every shape, and on both random
 walks from starts 1 and 4 at depths 300 and 400, each op in text and in
-JSON.  Each op runs through ``wars.cli.main`` in process, and one
+JSON.  Then ``eval`` on ``geometric_walk``, whose jumps are countable sums
+(starts 0-6 in JSON at depths 0-400 in steps of 100 and in text at depth
+100, and with ``prefix=8`` in JSON at depths 0, 100 and 200), ``bound
+--mode embed:<table> --samples 20`` on it, in text and in JSON, ``eval``,
+``loop`` and ``bound --mode extremal`` on the families of ``FAMILIES``,
+which no other op builds, ``oracle`` on those of ``ORACLE_FAMILIES`` at
+depths 0-3, ``list``, and an ``eval`` that its visit cap stops (exit 2),
+each in text and in JSON.  Each op runs through ``wars.cli.main`` in process, and one
 line per op is printed: its label, then the sha256 of its stdout, of its
 stderr and of its exit code.  Two checkouts print the same
 lines exactly when the CLI answers every op with the same bytes.
@@ -219,6 +226,28 @@ AFFINE_DEPTHS = (0, 3, 12)
 WALKS = ("walk_termprob", "walk_expected")
 WALK_STARTS = (1, 4)
 WALK_DEPTHS = (300, 400)
+# ``eval`` on ``geometric_walk``, whose jumps sum countably many terms: every
+# start at each depth in JSON and at ``GEOMETRIC_TEXT_DEPTH`` in text, and
+# with 8 jump targets at the depths of ``GEOMETRIC_SHORT_DEPTHS``.
+GEOMETRIC_STARTS = range(7)
+GEOMETRIC_DEPTHS = range(0, 401, 100)
+GEOMETRIC_TEXT_DEPTH = 100
+GEOMETRIC_SHORT_DEPTHS = range(0, 201, 100)
+# A table that dominates every sampled ``geometric_walk`` step.
+GEOMETRIC_TABLE = {str(n): "1" for n in range(20)}
+# (built-in spec, starts) of ``eval``, ``loop`` and ``bound --mode extremal``
+# on the families that no other op builds; ``oracle`` runs on those of
+# ``ORACLE_FAMILIES`` at ``ORACLE_FAMILY_DEPTHS``.
+FAMILIES = (
+    ("boolform", ("Ra | Rb", "Paa & (Pab | Rb)")),
+    ("boolform(finite_costs=true)", ("Ra | Rb", "Paa & (Pab | Rb)")),
+    ("na_system", ("a", "3")),
+    ("bitstring_prefixes", ("0", "*")),
+    ("loop_language", ("a", "b")),
+)
+FAMILY_DEPTH = 3
+ORACLE_FAMILIES = ("bitstring_prefixes", "loop_language")
+ORACLE_FAMILY_DEPTHS = range(4)
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
 
@@ -472,6 +501,58 @@ def affine_ops(workdir: Path):
                     yield f"affine {name} {start} depth={depth} {fmt}", argv
 
 
+def countable_ops(workdir: Path):
+    """(label, argv) of ``eval`` on ``geometric_walk`` and of ``bound
+    --mode embed:<table>`` on it with ``GEOMETRIC_TABLE``."""
+    for start in GEOMETRIC_STARTS:
+        for depth in GEOMETRIC_DEPTHS:
+            yield _geometric_eval("geometric_walk", start, depth, "json")
+        yield _geometric_eval("geometric_walk", start, GEOMETRIC_TEXT_DEPTH, "text")
+        for depth in GEOMETRIC_SHORT_DEPTHS:
+            yield _geometric_eval("geometric_walk(prefix=8)", start, depth, "json")
+    inputs = workdir / "countable"
+    inputs.mkdir()
+    path = inputs / "table.json"
+    path.write_text(json.dumps(GEOMETRIC_TABLE), encoding="utf-8")
+    for fmt in ("text", "json"):
+        argv = ["bound", "--system", "builtin:geometric_walk", "--mode", f"embed:{path}",
+                "--samples", "20", "--format", fmt]
+        yield f"bound geometric_walk embed:table {fmt}", argv
+
+
+def _geometric_eval(spec: str, start: int, depth: int, fmt: str) -> tuple:
+    argv = ["eval", "--system", f"builtin:{spec}", "--start", str(start),
+            "--depth", str(depth), "--format", fmt]
+    return f"eval {spec} {start} depth={depth} {fmt}", argv
+
+
+def family_ops():
+    """(label, argv) of the families of ``FAMILIES`` and ``ORACLE_FAMILIES``,
+    of ``list`` and of ``eval`` stopped by its visit cap."""
+    for spec, starts in FAMILIES:
+        system = ["--system", f"builtin:{spec}"]
+        for fmt in ("text", "json"):
+            for start in starts:
+                argv = ["eval", *system, "--start", start, "--depth", str(FAMILY_DEPTH),
+                        "--format", fmt]
+                yield f"eval {spec} {start} depth={FAMILY_DEPTH} {fmt}", argv
+                argv = ["loop", *system, "--start", start, "--depth", str(FAMILY_DEPTH),
+                        "--format", fmt]
+                yield f"loop {spec} {start} depth={FAMILY_DEPTH} {fmt}", argv
+            yield f"bound {spec} extremal {fmt}", ["bound", *system, "--mode", "extremal",
+                                                   "--format", fmt]
+    for spec in ORACLE_FAMILIES:
+        for depth in ORACLE_FAMILY_DEPTHS:
+            argv = ["oracle", "--system", f"builtin:{spec}", "--depth", str(depth),
+                    "--format", "json"]
+            yield f"oracle {spec} depth={depth} json", argv
+    for fmt in ("text", "json"):
+        yield f"list {fmt}", ["list", "--format", fmt]
+        argv = ["eval", "--system", "builtin:walk_termprob", "--start", "1", "--depth", "10",
+                "--visit-cap", "3", "--format", fmt]
+        yield f"eval walk_termprob 1 depth=10 --visit-cap 3 {fmt}", argv
+
+
 def main() -> int:
     sys.dont_write_bytecode = True
     for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
@@ -486,7 +567,7 @@ def main() -> int:
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
                     empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR),
                     builtin_embedding_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR),
-                    affine_ops(WORKDIR)):
+                    affine_ops(WORKDIR), countable_ops(WORKDIR), family_ops()):
             for label, argv in ops:
                 print(f"{label}\t{run(wars_main, argv)}", flush=True)
     finally:
