@@ -6,10 +6,12 @@ distinguished variable ``X`` only occurs in loop polynomials, never in rule
 aggregators.
 
 Each expression object remembers what the analyses ask of it: its facts
-(whether it mentions X, its largest variable), its compiled form per
-carrier and arity and, for a loop polynomial, itself with X as v1, each
-computed on first use.  Expressions are found by identity, never hashed,
-so equal expressions built apart are walked and compiled apart.
+(whether it mentions X, its largest variable, whether it holds a countable
+sum), its cut and compiled forms per carrier, arity and truncation (``_cut``
+alone decides which terms of a countable sum are read) and, for a loop
+polynomial, itself with X as v1, each computed on first use.  Expressions
+are found by identity, never hashed, so equal expressions built apart are
+walked and compiled apart.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .semiring import INF, LiteralError, NatInf, Product, RealInf, Semiring
@@ -38,13 +40,19 @@ class _Expr:
 
     @functools.cached_property
     def facts(self) -> tuple:
-        """Whether the expression mentions X, and its largest variable index
-        (INF when a countable sum's is unbounded)."""
+        """Whether the expression mentions X, its largest variable index
+        (INF when a countable sum's is unbounded), and whether it holds a
+        countable sum."""
         return _reduce(self, _leaf_facts, _node_facts)
 
     @functools.cached_property
     def _forms(self) -> dict:
-        """(carrier, arity) -> compiled closure, filled by ``_compiled``."""
+        """(carrier, arity, truncation) -> compiled closure, filled by ``_compiled``."""
+        return {}
+
+    @functools.cached_property
+    def _cuts(self) -> dict:
+        """(carrier, arity, truncation) -> (cut form, cut short), filled by ``_cut``."""
         return {}
 
     @functools.cached_property
@@ -77,6 +85,13 @@ class SumNode(_Expr):
 
 
 @dataclass(frozen=True)
+class _CutSum(SumNode):
+    """A countable sum as ``_cut`` reads it: the cut terms it keeps, as generated in ``sources``."""
+
+    sources: tuple = field(default=(), compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class ProdNode(_Expr):
     factors: tuple
 
@@ -101,6 +116,19 @@ class CountableSum(_Expr):
     def __init__(self, term: Callable[[int], object], var_bound=INF):
         self.term = term
         self.var_bound = var_bound
+        self._terms, self._ended, self._lock = [], False, threading.Lock()
+
+    def _first(self, n: int) -> tuple:
+        """The first ``n`` terms, each generated once, and whether the stream ended before."""
+        terms = self._terms
+        with self._lock:
+            while len(terms) < n and not self._ended:
+                term = self.term(len(terms))
+                if term is None:
+                    self._ended = True
+                else:
+                    terms.append(term)
+            return terms[:n], self._ended and len(terms) < n
 
     def __repr__(self) -> str:
         return "CountableSum(...)"
@@ -156,8 +184,8 @@ def _children(expr) -> tuple:
 
 
 def _rebuild(expr, children: list):
-    """A sum or product like ``expr`` over new children."""
-    return type(expr)(tuple(children))
+    """A sum (for a cut sum too) or product like ``expr`` over new children."""
+    return (SumNode if isinstance(expr, SumNode) else ProdNode)(tuple(children))
 
 
 def max_var(expr):
@@ -172,17 +200,17 @@ def _facts(expr) -> tuple:
 
 def _leaf_facts(expr) -> tuple:
     if isinstance(expr, (Const, XVar)):
-        return isinstance(expr, XVar), 0
+        return isinstance(expr, XVar), 0, False
     if isinstance(expr, Var):
-        return False, expr.index
+        return False, expr.index, False
     if isinstance(expr, CountableSum):
-        return False, expr.var_bound
+        return False, expr.var_bound, True
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
 
 
 def _node_facts(expr, facts: list) -> tuple:
-    xs, mvs = zip(*facts)
-    return any(xs), max(mvs)
+    xs, mvs, countable = zip(*facts)
+    return any(xs), max(mvs), any(countable)
 
 
 def mentions_x(expr) -> bool:
@@ -195,50 +223,71 @@ DEFAULT_TRUNCATION = 64
 def evaluate(expr, desc: Semiring, args: Sequence, truncation: int = DEFAULT_TRUNCATION):
     """Evaluate an aggregator over ``desc`` at the argument vector.
 
-    Returns (value, exact).  Finite expressions evaluate exactly; a countable
-    sum is cut off after ``truncation`` generated terms and any term whose
-    variables exceed the argument vector is skipped, so the result is always
-    below the untruncated value.  Constants are checked against the carrier
-    when the expression is compiled, the arguments once here.
+    Returns (value, exact).  Countable sums are read as ``_cut`` cuts them,
+    so the value is never above the untruncated one, and ``exact`` is False
+    when one was cut short.  Constants are checked against the carrier when
+    the expression is compiled, the arguments once here.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    fn = _compiled(expr, desc, len(args))
+    fn = _compiled(expr, desc, len(args), truncation)
     for v in args:
         desc.require(v)
-    exact = [True]
-    value = fn(args, truncation, exact)
-    return value, exact[0]
+    value = fn(args)
+    return value, not _cut(expr, desc, len(args), truncation)[1]
+
+
+def _cut(expr, desc: Semiring, arity: int, truncation: int) -> tuple:
+    """(form, cut short): ``expr`` over ``arity`` arguments with each
+    countable sum replaced by the finite sum of the terms it reads.
+
+    A countable sum reads its first ``truncation`` generated terms, skips
+    each whose largest variable exceeds the arity (unless inf), and cuts
+    each it keeps by the same rule, into a ``_CutSum`` or, keeping none,
+    ``Const(desc.zero)``.  The form is cut short unless every stream ended
+    within ``truncation`` terms and none was skipped."""
+    if not _facts(expr)[2]:
+        return expr, False
+    key = desc, arity, truncation
+    if key not in expr._cuts:
+        short = False
+
+        def leaf(e):
+            nonlocal short
+            if not isinstance(e, CountableSum):
+                return e
+            terms, ended = e._first(truncation)
+            kept = [t for t in terms if (mv := max_var(t)) is INF or mv <= arity]
+            forms = [_cut(t, desc, arity, truncation) for t in kept]
+            short = short or not ended or len(kept) < len(terms) or any(s for _, s in forms)
+            return _CutSum(tuple(f for f, _ in forms), tuple(kept)) if kept else Const(desc.zero)
+
+        expr._cuts[key] = _reduce(expr, leaf, _rebuild), short
+    return expr._cuts[key]
 
 
 # Compiled aggregators.  ``_compiled`` turns an expression into a closure
-# ``fn(args, truncation, exact)`` over the carrier's unchecked operations; the
-# arguments must already be carrier values.  ``exact`` is a one-item list that
-# a countable sum clears when it cuts its stream short, or None when the
-# caller does not ask.
+# ``fn(args)`` over the carrier's unchecked operations; the arguments must
+# already be carrier values.
 
 
-def _compiled(expr, desc: Semiring, arity: int):
+def _compiled(expr, desc: Semiring, arity: int, truncation: int):
     """The compiled form of ``expr`` over ``desc`` for ``arity`` arguments,
-    built on first use and kept on the expression.
+    its countable sums cut at ``truncation`` terms, built on first use and
+    kept on the expression.
 
-    An expression that mentions more variables than ``arity`` (and is not
-    itself a countable sum) compiles to a function raising ArityError.
-    """
+    An expression whose largest variable exceeds ``arity`` (and that is not
+    itself a countable sum) compiles to a function raising ArityError; any
+    other variable beyond ``arity`` raises when it is read."""
     # A leaf that is no expression has nowhere to keep a form; compiling it
     # raises.
     forms = expr._forms if isinstance(expr, _Expr) else {}
-    key = desc, arity
+    key = desc, arity, truncation
     fn = forms.get(key)
     if fn is None:
-        fn, mv = _compile(expr, desc)
+        fn, mv = _compile_node(expr, desc, arity, truncation)
         if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
-            message = _arity_message(mv, arity)
-
-            def arity_error(args, truncation, exact):
-                raise ArityError(message)
-
-            fn = arity_error
+            fn = _raising(_arity_message(mv, arity))
         forms[key] = fn
     return fn
 
@@ -247,35 +296,44 @@ def _arity_message(index: int, arity: int) -> str:
     return f"aggregator mentions v{index} but only {arity} arguments were supplied"
 
 
-def _compile(expr, desc):
+def _raising(message: str):
+    def arity_error(args):
+        raise ArityError(message)
+
+    return arity_error
+
+
+def _compile_node(expr, desc, arity: int, truncation: int):
     """(fn, max_var) for an expression compiled as a whole."""
-    fn, mv = _compile_node(expr, desc, False)
-    if mv is INF and not isinstance(expr, CountableSum):
-        # A countable sum inside hides how many arguments the rest needs, so
-        # the variables outside it check their index on every call.
-        fn, mv = _compile_node(expr, desc, True)
-    return fn, mv
+    plus, zero, top = desc._plus, desc.zero, desc.top
 
-
-def _compile_node(expr, desc, check_vars: bool):
     def compile_leaf(e):
         if isinstance(e, Const):
             desc.require(e.value)
             value = e.value
-            return (lambda args, truncation, exact: value), 0
+            return (lambda args: value), 0
         if isinstance(e, Var):
             i = e.index - 1
-            if not check_vars:
-                return (lambda args, truncation, exact: args[i]), e.index
-
-            def checked_var(args, truncation, exact):
-                if i >= len(args):
-                    raise ArityError(_arity_message(i + 1, len(args)))
-                return args[i]
-
-            return checked_var, e.index
+            if e.index > arity:
+                return _raising(_arity_message(e.index, arity)), e.index
+            return (lambda args: args[i]), e.index
         if isinstance(e, CountableSum):
-            return _compile_countable(e, desc), e.var_bound
+            # The kept terms from zero, in order, each compiled when first read,
+            # until the sum is the maximum.  A sum cut to Const(zero) has none.
+            sources = getattr(_cut(e, desc, arity, truncation)[0], "sources", ())
+            fns = [None] * len(sources)
+
+            def cut_sum(args):
+                acc = zero
+                for i, fn in enumerate(fns):
+                    if fn is None:
+                        fn = fns[i] = _compiled(sources[i], desc, arity, truncation)
+                    acc = plus(acc, fn(args))
+                    if acc == top:
+                        break
+                return acc
+
+            return cut_sum, e.var_bound
         if isinstance(e, XVar):
             raise AggregatorError("X is only meaningful inside loop polynomials")
         raise AggregatorError(f"not an aggregator expression: {e!r}")
@@ -293,70 +351,16 @@ def _fold(op, fns):
         return fns[0]
     if len(fns) == 2:
         f, g = fns
-        return lambda args, truncation, exact: op(f(args, truncation, exact), g(args, truncation, exact))
+        return lambda args: op(f(args), g(args))
     first, rest = fns[0], fns[1:]
 
-    def fold(args, truncation, exact):
-        acc = first(args, truncation, exact)
+    def fold(args):
+        acc = first(args)
         for f in rest:
-            acc = op(acc, f(args, truncation, exact))
+            acc = op(acc, f(args))
         return acc
 
     return fold
-
-
-def _summed(bound, arity: int) -> bool:
-    """Whether a countable sum over ``arity`` arguments keeps a term whose
-    largest variable index is ``bound``: inf, or at most the arity."""
-    return bound is INF or bound <= arity
-
-
-def _compile_countable(expr: CountableSum, desc):
-    plus, zero, top = desc._plus, desc.zero, desc.top
-    # Generated terms, each as [max_var, expression, fn]: a term is compiled
-    # on its first use, since a skipped term is never evaluated.  The lock
-    # keeps the list in stream order when several threads extend it.
-    terms: list = []
-    ended = False
-    lock = threading.Lock()
-
-    def term_at(i):
-        nonlocal ended
-        if i >= len(terms) and not ended:
-            with lock:
-                while len(terms) <= i and not ended:
-                    term = expr.term(len(terms))
-                    if term is None:
-                        ended = True
-                    else:
-                        terms.append([max_var(term), term, None])
-        return terms[i] if i < len(terms) else None
-
-    def countable(args, truncation, exact):
-        n = len(args)
-        clean = [True]  # no term skipped, every summand exact
-        acc, done = zero, False
-        for i in range(truncation):
-            term = term_at(i)
-            if term is None:
-                done = clean[0]
-                break
-            mv, source, fn = term
-            if not _summed(mv, n):
-                clean[0] = False
-                continue
-            if fn is None:
-                fn = term[2] = _compile(source, desc)[0]
-            acc = plus(acc, fn(args, truncation, clean))
-            if acc == top:
-                # Everything that could follow is absorbed by the maximum.
-                done = True
-                break
-        if not done and exact is not None:
-            exact[0] = False
-        return acc
-
-    return countable
 
 
 def substitute_x(expr, inner):
@@ -417,8 +421,8 @@ def _as_function(expr, desc: Semiring):
     """An X-polynomial compiled as a function of X, which becomes its one
     variable.  The form is kept on the polynomial's ``_in_v1``, so a loop
     polynomial is substituted and compiled once however often it is read."""
-    compiled = _compiled(expr._in_v1, desc, 1)
-    return lambda s: compiled([s], DEFAULT_TRUNCATION, None)
+    compiled = _compiled(expr._in_v1, desc, 1, DEFAULT_TRUNCATION)
+    return lambda s: compiled([s])
 
 
 def affine_form(

@@ -296,9 +296,10 @@ def verify_embedding(
     every rule of a supplied object it must dominate the aggregator applied to
     the embedded successors; and no touched object may embed to the maximum.
     ``instances="all"`` uses the complete object enumeration and yields a
-    certificate; any other iterable yields a sampled verdict that reports how
-    many instances were verified.  Affine ``real_inf`` steps are compared on
-    integers; a step's value is built only for a violation's message.
+    certificate, refused for a rule list, successor sequence or countable
+    sum cut short; any other iterable yields a sampled verdict that reports
+    how many instances were verified.  Affine ``real_inf`` steps are compared
+    on integers; a step's value is built only for a violation's message.
     """
     desc = sys.semiring
     exhaustive = isinstance(instances, str) and instances == "all"
@@ -355,11 +356,11 @@ def verify_embedding(
                 )
             continue
         if exhaustive and not complete:
-            raise PreconditionError(
-                f"rule enumeration for {sys.format_object(a)} is not complete"
-            )
+            raise PreconditionError(f"rule enumeration for {sys.format_object(a)} is not complete")
         for r in rules:
-            _, rhs, aggregator, tag, _ = r
+            _, rhs, aggregator, tag, whole = r
+            if exhaustive and (not whole or agg._cut(aggregator, desc, len(rhs), branch_trunc)[1]):
+                raise PreconditionError(f"rule {tag} for {sys.format_object(a)} is not read in full")
             checked += 1
             args = []
             for b in rhs:
@@ -370,10 +371,10 @@ def verify_embedding(
             if integer_tests is not None:
                 key = id(aggregator), len(args)
                 if key not in integer_tests:
-                    integer_tests[key] = aggregator, _integer_leq(aggregator, desc, len(args))
+                    integer_tests[key] = aggregator, _integer_leq(aggregator, desc, len(args), branch_trunc)
                 if integer_tests[key][1](args, ea):
                     continue
-            step = agg._compiled(aggregator, desc, len(args))(args, branch_trunc, None)
+            step = agg._compiled(aggregator, desc, len(args), branch_trunc)(args)
             if not desc.leq(step, ea):
                 return BoundednessReport(
                     UNKNOWN,
@@ -387,26 +388,20 @@ def verify_embedding(
                     witness=RuleInstance._make(r),
                 )
 
+    details = {"instances_checked": checked}
     if exhaustive:
-        return BoundednessReport(
-            BOUNDED_CERTIFIED,
-            "interpretation-method",
-            {"instances_checked": checked},
-            bound_map=bound_map,
-        )
-    return BoundednessReport(
-        BOUNDED_SAMPLED,
-        "interpretation-method",
-        {"instances_checked": checked, "note": "verified on supplied instances only"},
-        sample_count=checked,
-        bound_map=bound_map,
-    )
+        return BoundednessReport(BOUNDED_CERTIFIED, "interpretation-method", details,
+                                 bound_map=bound_map)
+    details["note"] = "verified on supplied instances only"
+    return BoundednessReport(BOUNDED_SAMPLED, "interpretation-method", details,
+                             sample_count=checked, bound_map=bound_map)
 
 
-def _integer_leq(aggregator, desc: RealInf, arity: int):
+def _integer_leq(aggregator, desc: RealInf, arity: int, truncation: int):
     """A test whether the step at finite arguments is at most a finite bound,
-    on integers, from the affine form with finite constants; else always False."""
-    form = agg.affine_form(aggregator, desc, arity, lambda v: v is not INF and desc.contains(v))
+    on integers, from the affine cut form with finite constants; else always False."""
+    cut = agg._cut(aggregator, desc, arity, truncation)[0]
+    form = agg.affine_form(cut, desc, arity, lambda v: v is not INF and desc.contains(v))
     if form is None:
         return lambda args, bound: False
     b, terms = form[1], [(i, c.numerator, c.denominator) for i, c in enumerate(form[0]) if c]

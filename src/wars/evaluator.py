@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .aggregator import DEFAULT_TRUNCATION, _compiled, affine_form
+from .aggregator import DEFAULT_TRUNCATION, _compiled, _cut, affine_form
 from .semiring import RealInf
 from .system import DEFAULT_RULE_BUDGET, SystemHandle, _components
 
@@ -124,7 +124,7 @@ def _weigher(sys: SystemHandle, branch_trunc: int):
             node, rule = stack.pop()
             if rule is not None:
                 args = [memo[id(c)] for c in node.children]
-                memo[id(node)] = _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
+                memo[id(node)] = _compiled(rule.aggregator, desc, len(args), branch_trunc)(args)
                 continue
             if id(node) in memo:
                 continue
@@ -198,11 +198,12 @@ class _Ball:
     the starts are ``objects[:ends[r]]``; one pass numbers each successor as
     it is admitted, and the rules of the last distance after it, admitting
     nothing.  Per object, ``rules`` holds ``None`` for a normal form, else its
-    rules as (successor numbers, compiled aggregator, aggregator); a
-    successor outside the ball is numbered -1.  ``succs`` holds each object's
-    distinct successor numbers, in order.  Each (aggregator, arity) is looked
-    up once per ball.  The ball knows if it is ``closed`` (no rule leads
-    outside it) and its ``enumeration_complete``.
+    rules as (successor numbers, compiled aggregator, form cut at
+    ``truncation`` terms); a successor outside the ball is numbered -1.
+    ``succs`` holds each object's distinct successor numbers, in order.
+    Each (aggregator, arity) is looked up once per ball.  The ball knows if
+    it is ``closed`` (no rule leads outside it) and if no rule list,
+    successor sequence or form was cut short (``enumeration_complete``).
 
     An affine rational ball stores every value as an integer numerator over
     one denominator ``scale``, and ``kernels`` holds, per object with rules,
@@ -210,7 +211,7 @@ class _Ball:
     makers; a value leaves the core through ``out``.
     """
 
-    def __init__(self, sys, starts, radius, rule_budget, visit_cap):
+    def __init__(self, sys, starts, radius, rule_budget, truncation, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
         if rule_budget < 1:
@@ -227,7 +228,7 @@ class _Ball:
         self.cap_radius: Optional[int] = None
         complete = True
         index: dict = {}
-        forms: dict = {}  # (aggregator id, arity) -> compiled form
+        forms: dict = {}  # (aggregator id, arity) -> compiled form, cut form, cut short
         distance = 0
 
         def admit(obj) -> int:
@@ -265,13 +266,14 @@ class _Ball:
             numbered, flat = [], []
             for _, rhs, aggregator, _, whole in rules:
                 key = id(aggregator), len(rhs)
-                fn = forms.get(key)
-                if fn is None:
-                    fn = forms[key] = _compiled(aggregator, desc, len(rhs))
+                if key not in forms:
+                    forms[key] = (_compiled(aggregator, desc, len(rhs), truncation),
+                                  *_cut(aggregator, desc, len(rhs), truncation))
+                fn, form, short = forms[key]
                 succ = tuple(map(find, rhs))
-                numbered.append((succ, fn, aggregator))
+                numbered.append((succ, fn, form))
                 flat += succ
-                complete = complete and whole
+                complete = complete and whole and not short
             rules_of[i] = numbered
             succs.append(tuple(dict.fromkeys(flat)) if len(flat) > 1 else succ)
 
@@ -318,10 +320,10 @@ class _Ball:
         desc = self.semiring
         forms: dict = {}  # (aggregator id, arity) -> affine form
         for rs in self.rules:
-            for succ, _, aggregator in rs or ():
-                key = id(aggregator), len(succ)
+            for succ, _, cut in rs or ():
+                key = id(cut), len(succ)
                 if key not in forms:
-                    form = affine_form(aggregator, desc, len(succ), _is_fraction)
+                    form = affine_form(cut, desc, len(succ), _is_fraction)
                     if form is None:
                         return
                     forms[key] = form
@@ -333,7 +335,7 @@ class _Ball:
                               b.numerator * (D // b.denominator), L)
                   for key, (cs, b) in forms.items()}
         self.kernels = [
-            rs and _join([makers[id(agg), len(succ)](succ) for succ, _, agg in rs])
+            rs and _join([makers[id(cut), len(succ)](succ) for succ, _, cut in rs])
             for rs in self.rules
         ]
         self.weights, self.scale = self.initial, D
@@ -395,24 +397,24 @@ def _join(kernels):
     return kernels[0] if len(kernels) == 1 else lambda values: max([k(values) for k in kernels])
 
 
-def _value(ball, i, values, branch_trunc):
+def _value(ball, i, values):
     """Object ``i``'s value from the ``values`` of its successors."""
     if ball.kernels is not None:
         return ball.kernels[i](values)
     rs, join = ball.rules[i], ball.semiring._join
     if len(rs) == 1:
         succ, fn, _ = rs[0]
-        return fn([values[s] for s in succ], branch_trunc, None)
-    return join([fn([values[s] for s in succ], branch_trunc, None) for succ, fn, _ in rs])
+        return fn([values[s] for s in succ])
+    return join([fn([values[s] for s in succ]) for succ, fn, _ in rs])
 
 
-def _recompute(pending, ball, values, branch_trunc) -> list:
+def _recompute(pending, ball, values) -> list:
     """``(object, value)`` for each object in ``pending`` whose value differs
     from its entry in ``values``."""
     kernels = ball.kernels
     if kernels is not None:
         return [(i, v) for i in pending if (v := kernels[i](values)) != values[i]]
-    return [(i, v) for i in pending if (v := _value(ball, i, values, branch_trunc)) != values[i]]
+    return [(i, v) for i in pending if (v := _value(ball, i, values)) != values[i]]
 
 
 def _at(levels: list, level: int) -> int:
@@ -454,12 +456,11 @@ class _Settled:
     member it could recompute, all members are pending, with no set built.
     """
 
-    def __init__(self, ball: _Ball, branch_trunc: int, steps: int):
+    def __init__(self, ball: _Ball, steps: int):
         desc = ball.semiring
         n = len(ball.rules)
         self.ball = ball
         self.initial = ball.initial
-        self.branch_trunc = branch_trunc
         # Scratch values, indexed like ``ball.objects`` plus the zero that
         # successors outside the ball (numbered -1) read.  Each evaluation
         # writes in the successor values it reads.
@@ -515,7 +516,7 @@ class _Settled:
         values, levels, taken = self.values, self.levels, self.taken
         for s in self.succs[x]:
             values[s] = taken[s][_at(levels[s], level - 1)]
-        return _value(self.ball, x, values, self.branch_trunc)
+        return _value(self.ball, x, values)
 
     def _acyclic(self, x, steps) -> int:
         """Settle an object on no cycle; return its last change level."""
@@ -531,7 +532,7 @@ class _Settled:
             if levels[s][0] >= top:
                 top = levels[s][0] + 1
         # Levels above steps are never read, and a change at steps is unstable.
-        v = _value(self.ball, x, values, self.branch_trunc) if top <= steps else None
+        v = _value(self.ball, x, values) if top <= steps else None
         if top == 1:
             levels[x], taken[x] = ([1, 0], [v, initial]) if v != initial else ([0], [initial])
             return levels[x][0]
@@ -543,7 +544,7 @@ class _Settled:
                 else:
                     values[s] = self.cursor[s][1]
                     inexact += ((s, values[s]),)
-        below = _value(self.ball, x, values, self.branch_trunc)
+        below = _value(self.ball, x, values)
         self.cursor[x] = (top - 1, below, inexact)
         if v is not None and v != below:
             levels[x], taken[x] = [top], [v]
@@ -647,7 +648,7 @@ class _Settled:
                 cone = pending[: bisect.bisect_left(pending, bound)]
                 pruned = pruned or len(cone) < len(pending)
                 pending, reach = cone, bisect.bisect_left(members, bound)
-            changed = _recompute(pending, self.ball, values, self.branch_trunc)
+            changed = _recompute(pending, self.ball, values)
             for i, u in changed:
                 values[i] = u
                 if i in history:
@@ -680,8 +681,8 @@ def _settle(sys, starts, radius, rule_budget, branch_trunc, visit_cap) -> _Settl
     extra level that can show stability; radius 0 still gets one to compare."""
     if branch_trunc < 1:
         raise ValueError("branch_trunc must be >= 1")
-    ball = _Ball(sys, starts, radius, rule_budget, visit_cap)
-    return _Settled(ball, branch_trunc, max(radius, 1))
+    ball = _Ball(sys, starts, radius, rule_budget, branch_trunc, visit_cap)
+    return _Settled(ball, max(radius, 1))
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
@@ -759,13 +760,14 @@ def evaluate_to_fixpoint(
     """Iterate the lower bound until it stops changing or the depth runs out.
 
     The result is stabilized only when the explored set is successor-closed,
-    every rule enumeration and successor sequence was complete, and an extra
-    iteration reproduces the same values everywhere; otherwise it is a plain
-    lower bound at the explored depth.  The explored depth is the last level
-    at which the level-by-level iteration of the whole explored set changes
-    any value, or ``max_depth`` if some value still changes there, and the
-    value is the start's at that level, read from its one settle, as a
-    ``DepthProfile`` reads its levels; ``branch_trunc`` must be at least 1.
+    no rule list, successor sequence or countable sum (at ``branch_trunc``
+    terms) was cut short, and an extra iteration reproduces the same values
+    everywhere; otherwise it is a plain lower bound at the explored depth.
+    The explored depth is the last level at which the level-by-level
+    iteration of the whole explored set changes any value, or ``max_depth``
+    if some value still changes there, and the value is the start's at that
+    level, read from its one settle, as a ``DepthProfile`` reads its levels;
+    ``branch_trunc`` must be at least 1.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -841,8 +843,7 @@ def enumerate_tree_weights(
         return weight
 
     def node(obj, rule, combos):
-        fn = _compiled(rule[2], desc, len(rule[1]))
-        return map(fn, combos, itertools.repeat(branch_trunc), itertools.repeat(None))
+        return map(_compiled(rule[2], desc, len(rule[1]), branch_trunc), combos)
 
     table = TreeTable() if table is None else table
     return _enumerate(sys, a, depth, rule_budget, count_cap, table, leaf, node)

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
-from .aggregator import ArityError, Const, CountableSum, SumNode, Var, X, XVar
+from .aggregator import ArityError, Const, CountableSum, SumNode, Var, X, XVar, _CutSum
 from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, _weigher
-from .semiring import INF, NatInf, RealInf, Semiring
+from .semiring import INF, NatInf, RealInf, Semiring, SemiringError
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
-
-# A countable sum keeps this many generated terms, on a loop polynomial's
-# path, off it and when its pumped witness is weighed, so the sides agree.
-TRUNCATION = agg.DEFAULT_TRUNCATION
 
 
 class UnboundednessError(Exception):
@@ -153,7 +149,7 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
     subtrees are then folded, so the result mentions X and constants only.
     """
     desc = sys.semiring
-    weigh = _weigher(sys, TRUNCATION)
+    weigh = _weigher(sys, agg.DEFAULT_TRUNCATION)
     nodes = _path_nodes(tree, leaf_path)
     if nodes[-1].children:
         raise UnboundednessError("the designated node is not a leaf")
@@ -176,38 +172,42 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
     return polynomial
 
 
-def _apply_aggregator(expr, child_exprs, desc, truncation: int = TRUNCATION):
-    """Substitute child expressions for the rule variables, raising the
-    ``ArityError`` that the compiled aggregator raises.  Like it, a countable
-    sum reads no term once its constant terms so far sum to the maximum."""
+def _apply_aggregator(expr, child_exprs, desc, truncation: int = agg.DEFAULT_TRUNCATION):
+    """Substitute child expressions for the rule variables in the cut form
+    of ``expr``, raising the ``ArityError`` that the compiled aggregator
+    raises.  Like it, a cut sum reads no term once the terms before fold to
+    constants that sum to the maximum.  A fault waits in its place, so the
+    first one in walk order among the terms read is raised."""
     arity, mv = len(child_exprs), agg.max_var(expr)
     if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
         raise ArityError(agg._arity_message(mv, arity))
 
     def substitute(e):
-        if isinstance(e, Const):
-            return e
         if isinstance(e, Var):
             if e.index > arity:
-                raise ArityError(agg._arity_message(e.index, arity))
+                return ArityError(agg._arity_message(e.index, arity))
             return child_exprs[e.index - 1]
-        if not isinstance(e, CountableSum):
-            raise UnboundednessError(f"cannot substitute into {e!r}")
-        terms = []
-        for i in range(truncation):
-            term = e.term(i)
-            if term is None:
-                break
-            if agg._summed(agg.max_var(term), arity):
-                try:
-                    terms.append(_apply_aggregator(term, child_exprs, desc, truncation))
-                except ArityError:
-                    if not terms or agg.fold_constants(SumNode(tuple(terms)), desc) != Const(desc.top):
-                        raise
-                    break
-        return SumNode(tuple(terms)) if terms else Const(desc.zero)
+        return e if isinstance(e, Const) else UnboundednessError(f"cannot substitute into {e!r}")
 
-    return agg._reduce(expr, substitute, agg._rebuild)
+    def node(e, kids):
+        acc = desc.zero if isinstance(e, _CutSum) else None
+        for k, kid in enumerate(kids):
+            if isinstance(kid, Exception):
+                return kid
+            if acc is not None:
+                try:
+                    folded = agg.fold_constants(kid, desc)
+                    acc = desc.plus(acc, folded.value) if isinstance(folded, Const) else None
+                except SemiringError as exc:
+                    return exc
+                if acc == desc.top:
+                    return SumNode(tuple(kids[: k + 1]))
+        return agg._rebuild(e, kids)
+
+    form = agg._reduce(agg._cut(expr, desc, arity, truncation)[0], substitute, node)
+    if isinstance(form, Exception):
+        raise form
+    return form
 
 
 def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
@@ -284,7 +284,7 @@ def conclude_unbounded(
         raise UncertifiedWitnessError("only a certified loop witness proves unboundedness")
     desc = sys.semiring
     poly_at = agg._as_function(witness.polynomial, desc)
-    weigh = _weigher(sys, TRUNCATION)
+    weigh = _weigher(sys, agg.DEFAULT_TRUNCATION)
     pumped, values = witness.tree, []
     expected = accumulated = previous = desc.zero
     for k in range(1, k_max + 1):

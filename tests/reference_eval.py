@@ -5,7 +5,9 @@ It re-walks the expression on every call and uses only the checked public
 carrier operations.  The checks run in the order the library promises:
 truncation, the expression's constants, the arguments, the arity, then the
 evaluation itself, where a countable-sum term has its constants checked just
-before its first use.
+before its first use.  The result is exact unless some countable sum is cut
+short (``reference_cut_short``): its stream runs past the truncation, it
+skips a term, or a term it keeps is cut short, read or not.
 
 ``reference_weight_lower_bound`` and its siblings are the references for the
 evaluator's level core.  Each call explores the whole ball around its start
@@ -63,7 +65,6 @@ from wars.aggregator import (
     Var,
     X,
     XVar,
-    _compile_countable,
     _compiled,
     _fold,
 )
@@ -100,7 +101,27 @@ def reference_evaluate(expr, desc, args, truncation: int = 64):
     mv = reference_max_var(expr)
     if mv is not INF and mv > len(args) and not isinstance(expr, CountableSum):
         raise ArityError(_arity_message(mv, args))
-    return _value(expr, desc, args, truncation)
+    value = _value(expr, desc, args, truncation)
+    return value, not reference_cut_short(expr, len(args), truncation)
+
+
+def reference_cut_short(expr, arity, truncation) -> bool:
+    """Whether a countable sum in ``expr`` over ``arity`` arguments is cut
+    short at ``truncation`` generated terms."""
+    if isinstance(expr, SumNode):
+        return any(reference_cut_short(e, arity, truncation) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return any(reference_cut_short(e, arity, truncation) for e in expr.factors)
+    if not isinstance(expr, CountableSum):
+        return False
+    for i in range(truncation):
+        term = expr.term(i)
+        if term is None:
+            return False
+        mv = reference_max_var(term)
+        if (mv is not INF and mv > arity) or reference_cut_short(term, arity, truncation):
+            return True
+    return True
 
 
 def _arity_message(index, args) -> str:
@@ -120,37 +141,32 @@ def reference_check_constants(expr, desc) -> None:
 
 def _value(expr, desc, args, truncation):
     if isinstance(expr, Const):
-        return expr.value, True
+        return expr.value
     if isinstance(expr, Var):
         if expr.index > len(args):
             raise ArityError(_arity_message(expr.index, args))
-        return args[expr.index - 1], True
+        return args[expr.index - 1]
     if isinstance(expr, (SumNode, ProdNode)):
         op = desc.plus if isinstance(expr, SumNode) else desc.times
         children = expr.terms if isinstance(expr, SumNode) else expr.factors
-        acc, exact = _value(children[0], desc, args, truncation)
+        acc = _value(children[0], desc, args, truncation)
         for child in children[1:]:
-            v, e = _value(child, desc, args, truncation)
-            acc = op(acc, v)
-            exact = exact and e
-        return acc, exact
+            acc = op(acc, _value(child, desc, args, truncation))
+        return acc
     if isinstance(expr, CountableSum):
-        acc, clean = desc.zero, True
+        acc = desc.zero
         for i in range(truncation):
             term = expr.term(i)
             if term is None:
-                return acc, clean
+                break
             mv = reference_max_var(term)
             if mv is not INF and mv > len(args):
-                clean = False
                 continue
             reference_check_constants(term, desc)
-            v, e = _value(term, desc, args, truncation)
-            acc = desc.plus(acc, v)
-            clean = clean and e
+            acc = desc.plus(acc, _value(term, desc, args, truncation))
             if acc == desc.top:
-                return acc, True
-        return acc, False
+                break
+        return acc
     raise TypeError(f"not an aggregator expression: {expr!r}")
 
 
@@ -161,7 +177,7 @@ def _value(expr, desc, args, truncation):
 class _Exploration:
     """The object ball reachable from a start within a depth radius and budgets."""
 
-    def __init__(self, sys, start, depth, rule_budget, visit_cap):
+    def __init__(self, sys, start, depth, rule_budget, branch_trunc, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
         self.sys = sys
@@ -185,18 +201,18 @@ class _Exploration:
             rules, complete = sys.successors(obj, rule_budget)
             if not complete:
                 self.enumeration_complete = False
-            for r in rules:
-                if not r.rhs_complete:
-                    self.enumeration_complete = False
             if not rules and complete:
                 weight = sys._nf_weight(obj)
                 desc.require(weight)
                 self.nf[obj] = weight
             else:
                 self.rules[obj] = [
-                    (r.rhs, _compiled(r.aggregator, desc, len(r.rhs)), r.aggregator)
+                    (r.rhs, _compiled(r.aggregator, desc, len(r.rhs), branch_trunc), r.aggregator)
                     for r in rules
                 ]
+            for r in rules:
+                if not r.rhs_complete or reference_cut_short(r.aggregator, len(r.rhs), branch_trunc):
+                    self.enumeration_complete = False
             return True
 
         admit(start)
@@ -223,7 +239,7 @@ class _Exploration:
                     return False
         return True
 
-    def step(self, prev: dict, branch_trunc: int) -> dict:
+    def step(self, prev: dict) -> dict:
         desc = self.sys.semiring
         zero = desc.zero
         cur = {}
@@ -233,7 +249,7 @@ class _Exploration:
                 continue
             vals = [zero]
             for rhs, fn, _ in self.rules[a]:
-                vals.append(fn([prev.get(b, zero) for b in rhs], branch_trunc, None))
+                vals.append(fn([prev.get(b, zero) for b in rhs]))
             value = vals[0] if len(vals) == 1 else desc._join(vals)
             # An equal value does not replace the stored one, so of two equal
             # values of different types an object keeps the older.
@@ -245,10 +261,10 @@ class _Exploration:
         return {a: self.nf.get(a, zero) for a in self.objects}
 
 
-def _iterate(exploration: _Exploration, depth: int, branch_trunc: int) -> list:
+def _iterate(exploration: _Exploration, depth: int) -> list:
     levels = [exploration.initial()]
     for _ in range(depth):
-        levels.append(exploration.step(levels[-1], branch_trunc))
+        levels.append(exploration.step(levels[-1]))
     return levels
 
 
@@ -261,8 +277,8 @@ def reference_weight_lower_bound(
 ):
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
-    levels = _iterate(ex, depth, branch_trunc)
+    ex = _Exploration(sys, a, depth, rule_budget, branch_trunc, visit_cap)
+    levels = _iterate(ex, depth)
     bound = WeightBound(
         levels[-1][a],
         LOWER_BOUND,
@@ -278,8 +294,8 @@ def reference_weight_lower_bound(
 def reference_weight_profile(
     sys, a, depth, rule_budget=64, branch_trunc=64, visit_cap=100_000
 ):
-    ex = _Exploration(sys, a, depth, rule_budget, visit_cap)
-    levels = _iterate(ex, depth, branch_trunc)
+    ex = _Exploration(sys, a, depth, rule_budget, branch_trunc, visit_cap)
+    levels = _iterate(ex, depth)
     if ex.cap_hit:
         raise VisitCapExceeded(
             WeightBound(levels[-1][a], LOWER_BOUND, depth, visited=len(ex.objects))
@@ -292,12 +308,12 @@ def reference_evaluate_to_fixpoint(
 ):
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    ex = _Exploration(sys, a, max_depth, rule_budget, visit_cap)
+    ex = _Exploration(sys, a, max_depth, rule_budget, branch_trunc, visit_cap)
     current = ex.initial()
     depth_explored = 0
     stable = False
     while depth_explored < max(max_depth, 1):
-        nxt = ex.step(current, branch_trunc)
+        nxt = ex.step(current)
         if nxt == current:
             stable = True
             break
@@ -397,7 +413,7 @@ def reference_tree_weight(sys, tree, branch_trunc=64):
             f"{tree.rule_tag!r}"
         )
     args = [reference_tree_weight(sys, c, branch_trunc) for c in tree.children]
-    return _compiled(rule.aggregator, desc, len(args))(args, branch_trunc, None)
+    return _compiled(rule.aggregator, desc, len(args), branch_trunc)(args)
 
 
 # --------------------------------------------------------------------------
@@ -418,6 +434,16 @@ def reference_max_var(expr):
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
 
 
+def reference_holds_countable(expr) -> bool:
+    if isinstance(expr, CountableSum):
+        return True
+    if isinstance(expr, SumNode):
+        return any(reference_holds_countable(e) for e in expr.terms)
+    if isinstance(expr, ProdNode):
+        return any(reference_holds_countable(e) for e in expr.factors)
+    return False
+
+
 def reference_mentions_x(expr) -> bool:
     if isinstance(expr, XVar):
         return True
@@ -428,29 +454,43 @@ def reference_mentions_x(expr) -> bool:
     return False
 
 
-def reference_compile_node(expr, desc, check_vars: bool):
+def reference_compile_node(expr, desc, arity, truncation):
+    """(fn, max_var), ``fn`` taking ``arity`` arguments; a countable sum
+    generates, checks and compiles each term the first time it reads it."""
     if isinstance(expr, Const):
         desc.require(expr.value)
         value = expr.value
-        return (lambda args, truncation, exact: value), 0
+        return (lambda args: value), 0
     if isinstance(expr, Var):
         i = expr.index - 1
-        if not check_vars:
-            return (lambda args, truncation, exact: args[i]), expr.index
 
-        def checked_var(args, truncation, exact):
-            if i >= len(args):
+        def var(args):
+            if i >= arity:
                 raise ArityError(_arity_message(i + 1, args))
             return args[i]
 
-        return checked_var, expr.index
+        return var, expr.index
     if isinstance(expr, (SumNode, ProdNode)):
         op = desc._plus if isinstance(expr, SumNode) else desc._times
         children = expr.terms if isinstance(expr, SumNode) else expr.factors
-        parts = [reference_compile_node(e, desc, check_vars) for e in children]
+        parts = [reference_compile_node(e, desc, arity, truncation) for e in children]
         return _fold(op, [fn for fn, _ in parts]), max(mv for _, mv in parts)
     if isinstance(expr, CountableSum):
-        return _compile_countable(expr, desc), expr.var_bound
+
+        def countable(args):
+            acc = desc.zero
+            for i in range(truncation):
+                term = expr.term(i)
+                if term is None:
+                    break
+                mv = reference_max_var(term)
+                if mv is INF or mv <= arity:
+                    acc = desc._plus(acc, reference_compile_node(term, desc, arity, truncation)[0](args))
+                    if acc == desc.top:
+                        break
+            return acc
+
+        return countable, expr.var_bound
     if isinstance(expr, XVar):
         raise AggregatorError("X is only meaningful inside loop polynomials")
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
@@ -561,7 +601,8 @@ def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
     """Substitution that raises where ``reference_evaluate`` raises
     ``ArityError``: up front for a largest variable beyond the children,
     outside a countable sum; else at the first such variable read.  A
-    countable sum reads no term once its constant terms sum to the top."""
+    countable sum reads no term once the terms it substituted so far fold
+    to constants that sum to the top."""
     mv = reference_max_var(expr)
     if mv is not INF and mv > len(child_exprs) and not isinstance(expr, CountableSum):
         raise ArityError(_arity_message(mv, child_exprs))
@@ -586,19 +627,20 @@ def _reference_substitute(expr, child_exprs, desc, truncation):
                   for e in expr.factors)
         )
     if isinstance(expr, CountableSum):
-        terms = []
+        # The sum of the terms so far while each folds to a constant.
+        terms, acc = [], desc.zero
         for i in range(truncation):
             term = expr.term(i)
             if term is None:
                 break
             mv = reference_max_var(term)
             if mv is INF or mv <= len(child_exprs):
-                try:
-                    terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
-                except ArityError:
-                    if terms and reference_fold_constants(SumNode(tuple(terms)), desc) == Const(desc.top):
+                terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
+                if acc is not None:
+                    folded = reference_fold_constants(terms[-1], desc)
+                    acc = desc.plus(acc, folded.value) if isinstance(folded, Const) else None
+                    if acc == desc.top:
                         break
-                    raise
         if not terms:
             return Const(desc.zero)
         return SumNode(tuple(terms))
@@ -910,7 +952,8 @@ def reference_search_affine_embedding(
                     f"rule {r.tag}: aggregator is not affine in its variables"
                 )
         rules_of[a] = [
-            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs))) for r in rules
+            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs), agg.DEFAULT_TRUNCATION))
+            for r in rules
         ]
 
     nf_weight = {
@@ -931,7 +974,7 @@ def reference_search_affine_embedding(
                     break
                 continue
             for rhs, step_fn in rules_of[a]:
-                step = step_fn([table[b] for b in rhs], agg.DEFAULT_TRUNCATION, None)
+                step = step_fn([table[b] for b in rhs])
                 if not desc.leq(step, ea):
                     ok = False
                     break
@@ -952,7 +995,9 @@ def reference_verify_embedding(
 ) -> BoundednessReport:
     """The interpretation-method inequalities on the given instances, each
     rule step evaluated by its compiled aggregator and compared with
-    ``desc.leq``; each touched object is embedded and checked once."""
+    ``desc.leq``; each touched object is embedded and checked once.  An
+    exhaustive check refuses a rule whose successors or countable sum are
+    cut short."""
     desc = sys.semiring
     exhaustive = isinstance(instances, str) and instances == "all"
     if exhaustive:
@@ -999,6 +1044,9 @@ def reference_verify_embedding(
         if exhaustive and not complete:
             raise PreconditionError(f"rule enumeration for {sys.format_object(a)} is not complete")
         for r in rules:
+            if exhaustive and (not r.rhs_complete
+                               or reference_cut_short(r.aggregator, len(r.rhs), branch_trunc)):
+                raise PreconditionError(f"rule {r.tag} for {sys.format_object(a)} is not read in full")
             checked += 1
             args = []
             for b in r.rhs:
@@ -1006,7 +1054,7 @@ def reference_verify_embedding(
                 if eb is None:
                     return top_valued(b)
                 args.append(eb)
-            step = _compiled(r.aggregator, desc, len(args))(args, branch_trunc, None)
+            step = _compiled(r.aggregator, desc, len(args), branch_trunc)(args)
             if not desc.leq(step, ea):
                 details = {
                     "violated_rule": r.tag,

@@ -438,6 +438,14 @@ class TestCompiledBoundaries:
         assert evaluate(outer, NAT_INF, [], truncation=4) == (4, False)
         assert evaluate(SumNode((endless, once)), NAT_INF, [], truncation=3) == (4, False)
 
+    def test_a_sum_at_the_top_before_its_stream_ends_is_not_exact(self):
+        # Its partial sums reach the maximum, so no further term is read,
+        # but the stream was cut: exact used to read True here.
+        endless = CountableSum(lambda i: Const(INF))
+        assert evaluate(endless, NAT_INF, []) == (INF, False)
+        ended = CountableSum(lambda i: Const(INF) if i < 3 else None)
+        assert evaluate(ended, NAT_INF, []) == (INF, True)
+
     def test_cached_countable_terms(self):
         calls = []
 

@@ -34,6 +34,7 @@ from wars.system import RuleInstance, SystemHandle, _finite_no_top, load_explici
 
 from reference_eval import reference_search_affine_embedding, reference_verify_embedding
 from system_gen import random_system
+from test_evaluator import fan_system
 
 
 def explicit(spec: dict):
@@ -648,3 +649,18 @@ def test_countable_sums_report_as_the_closures_do():
     jump = builtin("geometric_walk", prefix=8)
     for value in (1, Fraction(1, 2), Fraction(127, 128), Fraction(255, 256)):
         _same_embedding_outcome(jump, Embedding(lambda n, v=value: v, "flat"), range(0, 10))
+
+
+@pytest.mark.parametrize("check", [verify_embedding, reference_verify_embedding])
+def test_an_exhaustive_check_refuses_a_rule_it_cannot_read_in_full(check):
+    # The step read 64 of its 100 terms, and the check certified a = 64,
+    # though the step is 100.
+    table = {"a": 64, **{f"b{i}": 1 for i in range(100)}}
+    embedding = Embedding.from_table(table)
+    for system in (fan_system(), fan_system(complete=False)):
+        with pytest.raises(PreconditionError, match="^rule fan for a is not read in full$"):
+            check(system, embedding)
+        # A sampled check reads the step as cut and verifies the samples.
+        assert check(system, embedding, ["a"]).verdict == BOUNDED_SAMPLED
+    report = check(fan_system(), embedding, branch_trunc=200)
+    assert (report.verdict, report.details["aggregated"]) == (UNKNOWN, "100")

@@ -58,7 +58,7 @@ def test_rows_are_valid_plain_tuples(name):
             assert lhs == obj and type(rhs) is tuple and type(tag) is str and type(whole) is bool
             system._check_rule(rhs, expr, tag, whole)
             # Compiling checks every constant against the carrier.
-            aggregator._compiled(expr, handle.semiring, len(rhs))
+            aggregator._compiled(expr, handle.semiring, len(rhs), aggregator.DEFAULT_TRUNCATION)
 
 
 @pytest.mark.parametrize("prefix", [0, -3])

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference_eval import reference_weight_lower_bound
+from reference_eval import reference_evaluate_to_fixpoint, reference_weight_lower_bound
 from system_gen import random_system
+from wars.aggregator import CountableSum, Var
 from wars.builtins import builtin
 from wars.evaluator import (
     LOWER_BOUND,
@@ -23,8 +24,8 @@ from wars.evaluator import (
     truncate,
     weight_lower_bound,
 )
-from wars.semiring import ALL_WORDS
-from wars.system import load_explicit
+from wars.semiring import ALL_WORDS, NAT_INF
+from wars.system import SystemHandle, load_explicit
 
 
 def leaf(label):
@@ -369,3 +370,28 @@ class TestBitstreamWeights:
         for word in w:
             for i in range(len(word) + 1):
                 assert word[:i] in w
+
+
+def fan_system(complete: bool = True) -> SystemHandle:
+    """``a`` rewrites by rule ``fan`` to the normal forms b0..b99, each of
+    weight 1, and sums them as a countable sum of 100 terms, so ``a``
+    weighs 100; ``complete`` is the row's ``rhs_complete``."""
+    rhs = tuple(f"b{i}" for i in range(100))
+    body = CountableSum(lambda m: Var(m + 1) if m < 100 else None, var_bound=100)
+
+    def successors(obj, budget):
+        return ([("a", rhs, body, "fan", complete)], True) if obj == "a" else ([], True)
+
+    return SystemHandle("fan", NAT_INF, successors, lambda obj: 1,
+                        enumerate_objects_fn=lambda: (["a", *rhs], True))
+
+
+def test_a_countable_sum_cut_short_never_stabilizes():
+    # The sum read its first 64 terms, and the ball that held it still
+    # reported stabilized: 64, against a true weight of 100.
+    system = fan_system()
+    for fixpoint in (evaluate_to_fixpoint, reference_evaluate_to_fixpoint):
+        bound = fixpoint(system, "a", 10)
+        assert (bound.value, bound.status) == (64, LOWER_BOUND)
+        bound = fixpoint(system, "a", 10, branch_trunc=200)
+        assert (bound.value, bound.status, bound.depth_explored) == (100, STABILIZED, 1)

@@ -95,7 +95,7 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     # A cross-check that explored 4,093 objects and walked or looked up every
     # rule's aggregator per object once made 7,191 walks and 7,166 lookups.
     walks = _count_facts_walks(monkeypatch)
-    compiles = _count_calls(monkeypatch, aggregator._compile)
+    compiles = _count_calls(monkeypatch, aggregator._compile_node)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
     assert main(argv) == 0
     assert "=> weight of idle() is the maximum" in capsys.readouterr().out
@@ -109,7 +109,7 @@ def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
     # all; then the affine extraction still compiled its own probe form, 5.
     # Left: one form per polynomial, which the extraction probes and the
     # pumped witness reads, and the one rule aggregator.
-    compiles = _count_calls(monkeypatch, aggregator._compile)
+    compiles = _count_calls(monkeypatch, aggregator._compile_node)
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
@@ -304,7 +304,7 @@ def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):
     step = SumNode((Var(1), Var(2)))
     for n in range(5):
         RuleInstance(n, (n, n + 1), step, "step")
-    assert walks[0] == 1 and step.facts == (False, 2)
+    assert walks[0] == 1 and step.facts == (False, 2, False)
     # An equal expression built apart is walked apart.
     RuleInstance(0, (0, 1), SumNode((Var(1), Var(2))), "step")
     assert walks[0] == 2
@@ -427,12 +427,14 @@ def test_affine_real_embedding_check_calls_no_compiled_aggregator(monkeypatch, c
 
 
 def _closure_calls(run) -> int:
-    """The calls ``run()`` makes to functions of the compiled-aggregator
-    convention ``fn(args, truncation, exact)``, each given an argument list."""
+    """The calls ``run()`` makes to compiled aggregators: the functions of
+    ``wars.aggregator`` of the convention ``fn(args)``."""
     calls = [0]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_varnames[:3] == ("args", "truncation", "exact"):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == aggregator.__file__
+                and code.co_argcount == 1 and code.co_varnames[0] == "args"):
             calls[0] += 1
 
     previous = sys.getprofile()
@@ -464,7 +466,7 @@ def test_scaled_ball_builds_one_maker_per_form(monkeypatch):
     # Each object with rules built its own rule closures from the form's
     # integers: 302 kernels from scratch for one form.
     makers = _count_calls(monkeypatch, evaluator._maker)
-    ball = evaluator._Ball(wars_builtins.builtin("walk_termprob"), [3], 299, 64, 100_000)
+    ball = evaluator._Ball(wars_builtins.builtin("walk_termprob"), [3], 299, 64, 64, 100_000)
     assert sum(rs is not None for rs in ball.rules) == 302
     assert makers[0] == 1
 
@@ -702,8 +704,8 @@ def _oracle_work(monkeypatch, capsys, argv) -> tuple:
             reads[a, budget] += 1
         return rows(self, a, budget)
 
-    def counted_compiled(expr, desc, arity):
-        fn = compiled(expr, desc, arity)
+    def counted_compiled(expr, desc, arity, truncation):
+        fn = compiled(expr, desc, arity, truncation)
 
         def apply(*args):
             applied[0] += inside[0]

@@ -61,9 +61,9 @@ def test_one_expression_compiles_per_carrier_and_arity():
         for desc in (NAT_INF, TROPICAL):
             with pytest.raises(ArityError, match="^aggregator mentions v1 but only 0 arguments"):
                 evaluate(expr, desc, [])
-    assert _compiled(expr, NAT_INF, 1) is _compiled(expr, NAT_INF, 1)
-    assert _compiled(expr, NAT_INF, 1) is not _compiled(expr, TROPICAL, 1)
-    assert _compiled(expr, NAT_INF, 1) is not _compiled(expr, NAT_INF, 0)
+    assert _compiled(expr, NAT_INF, 1, 64) is _compiled(expr, NAT_INF, 1, 64)
+    assert _compiled(expr, NAT_INF, 1, 64) is not _compiled(expr, TROPICAL, 1, 64)
+    assert _compiled(expr, NAT_INF, 1, 64) is not _compiled(expr, NAT_INF, 0, 64)
 
 
 def test_a_failed_compile_or_facts_walk_raises_again():

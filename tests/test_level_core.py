@@ -238,7 +238,7 @@ def test_every_start_reads_its_own_full_sweep():
         profiles = [reference_weight_profile(system, a, 8) for a in objects]
         for depth in range(9):
             steps = max(depth, 1)
-            settled = _Settled(_Ball(system, objects, depth, 64, 100_000), 64, steps)
+            settled = _Settled(_Ball(system, objects, depth, 64, 64, 100_000), steps)
             for i, profile in enumerate(profiles):
                 got = [settled.value(i, level) for level in range(steps + 1)]
                 assert [(v, type(v)) for v in got] == [

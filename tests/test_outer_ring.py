@@ -107,8 +107,8 @@ def test_a_non_affine_aggregator_on_the_ring_only(monkeypatch):
     # start depends on, but the ball reads the ring's rules: it runs on
     # fractions, and so does
     # the ball a depth query builds.
-    assert _Ball(system, ["a"], 1, 64, 100_000).scale is None
-    assert _Ball(system, ["a"], 2, 64, 100_000).scale is None
+    assert _Ball(system, ["a"], 1, 64, 64, 100_000).scale is None
+    assert _Ball(system, ["a"], 2, 64, 64, 100_000).scale is None
     balls = []
 
     def recorded(*args):

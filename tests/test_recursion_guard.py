@@ -18,15 +18,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wars"
 ALLOWED = {
     ("aggregator.py", ("_affine_capable",)):
         "recurses on the components of a product carrier",
-    ("aggregator.py", ("_compile", "_compile_countable", "_compile_node",
-                       "compile_leaf", "countable")):
-        "a countable sum compiles each generated term on first use; countable "
-        "sums nest only as deep as the program that built them",
+    ("aggregator.py", ("_compile_node", "_compiled", "compile_leaf", "cut_sum")):
+        "a cut countable sum compiles each term it keeps when it first reads it; "
+        "countable sums nest only as deep as the program that built them",
+    ("aggregator.py", ("_cut", "leaf")):
+        "a countable sum's kept terms are cut by the same rule; countable sums "
+        "nest only as deep as the program that built them",
     ("semiring.py", ("descriptor_from_spec",)): "recurses on the nesting of product carriers",
     ("semiring.py", ("descriptor_to_spec",)): "recurses on the nesting of product carriers",
-    ("unboundedness.py", ("_apply_aggregator", "substitute")):
-        "a countable sum's generated terms are substituted in turn; countable "
-        "sums nest only as deep as the program that built them",
 }
 
 

@@ -23,7 +23,7 @@ from wars.aggregator import (
 from wars.builtins import builtin
 from wars.cli import main
 from wars.evaluator import ReductionTree, StructuralTreeError, tree_weight, weight_lower_bound
-from wars.semiring import ARCTIC, BOOLEAN, NAT_INF, REAL_INF, Language
+from wars.semiring import ALL_WORDS, ARCTIC, BOOLEAN, NAT_INF, REAL_INF, TROPICAL, Language, Product
 from wars.system import SystemHandle, load_explicit
 from wars.unboundedness import (
     CANDIDATE,
@@ -399,6 +399,19 @@ def test_a_sum_at_the_top_reads_no_further_term():
         tree_weight(system, tree)
     with pytest.raises(agg.ArityError, match="mentions v3"):
         induced_polynomial(system, tree, path)
+
+
+def test_substitution_stops_where_the_compiled_sum_stops():
+    # The compiled sum reads only its first term, which is the maximum; the
+    # substitution kept the second, whose concatenation with SIGMA* raised.
+    desc = Product((TROPICAL, Language(("a",))))
+    terms = [Const((0, ALL_WORDS)), agg.ProdNode((Const((1, frozenset({"a"}))), Var(1)))]
+    body = CountableSum(lambda i: terms[i] if i < len(terms) else None)
+    top = (0, ALL_WORDS)
+    assert evaluate(body, desc, [top]) == (top, True)
+    applied = unboundedness._apply_aggregator(body, [Const(top)], desc)
+    assert format_expr(applied, desc) == "(0,SIGMA*)"
+    assert evaluate(applied, desc, []) == (top, True)
 
 
 # A nat_inf self-loop whose polynomial is 1 + X.
