@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wars import aggregator
 from wars.aggregator import (
     AggregatorError,
     ArityError,
@@ -458,3 +462,34 @@ class TestCompiledBoundaries:
         assert evaluate(finite, NAT_INF, [], truncation=10) == (3, True)
         assert evaluate(finite, NAT_INF, [], truncation=10) == (3, True)
         assert calls == [0, 1, 2, 3]
+
+    def test_threads_generate_each_term_once_in_order(self):
+        # Threads cutting one sum at different truncations extend one term
+        # cache; each term must still be generated once, in stream order.
+        # The generator lets other threads run while it works.
+        calls = []
+        start = threading.Barrier(8)
+
+        def term(i):
+            calls.append(i)
+            time.sleep(0)
+            return Const(i) if i < 200 else None
+
+        def cut(n):
+            start.wait(timeout=30)
+            aggregator._cut(countable, NAT_INF, 0, n)
+
+        countable = CountableSum(term, var_bound=0)
+        threads = [threading.Thread(target=cut, args=(n,)) for n in (50, 300, 100, 250, 150, 201, 64, 128)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == list(range(201))
+        assert evaluate(countable, NAT_INF, [], truncation=300) == (sum(range(200)), True)
