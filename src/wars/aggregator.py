@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .semiring import INF, LiteralError, NatInf, Product, RealInf, Semiring
@@ -82,13 +82,6 @@ class SumNode(_Expr):
     def __post_init__(self):
         if not self.terms:
             raise AggregatorError("empty sum")
-
-
-@dataclass(frozen=True)
-class _CutSum(SumNode):
-    """A countable sum as ``_cut`` reads it: the cut terms it keeps, as generated in ``sources``."""
-
-    sources: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,7 @@ def _children(expr) -> tuple:
 
 
 def _rebuild(expr, children: list):
-    """A sum (for a cut sum too) or product like ``expr`` over new children."""
+    """A sum or product like ``expr`` over new children."""
     return (SumNode if isinstance(expr, SumNode) else ProdNode)(tuple(children))
 
 
@@ -243,9 +236,10 @@ def _cut(expr, desc: Semiring, arity: int, truncation: int) -> tuple:
 
     A countable sum reads its first ``truncation`` generated terms, skips
     each whose largest variable exceeds the arity (unless inf), and cuts
-    each it keeps by the same rule, into a ``_CutSum`` or, keeping none,
-    ``Const(desc.zero)``.  The form is cut short unless every stream ended
-    within ``truncation`` terms and none was skipped."""
+    each it keeps by the same rule, into a plain ``SumNode`` or, keeping
+    none, ``Const(desc.zero)``.  The form holds no countable sum; it is cut
+    short unless every stream ended within ``truncation`` terms and none was
+    skipped."""
     if not _facts(expr)[2]:
         return expr, False
     key = desc, arity, truncation
@@ -260,7 +254,7 @@ def _cut(expr, desc: Semiring, arity: int, truncation: int) -> tuple:
             kept = [t for t in terms if (mv := max_var(t)) is INF or mv <= arity]
             forms = [_cut(t, desc, arity, truncation) for t in kept]
             short = short or not ended or len(kept) < len(terms) or any(s for _, s in forms)
-            return _CutSum(tuple(f for f, _ in forms), tuple(kept)) if kept else Const(desc.zero)
+            return SumNode(tuple(f for f, _ in forms)) if kept else Const(desc.zero)
 
         expr._cuts[key] = _reduce(expr, leaf, _rebuild), short
     return expr._cuts[key]
@@ -272,13 +266,12 @@ def _cut(expr, desc: Semiring, arity: int, truncation: int) -> tuple:
 
 
 def _compiled(expr, desc: Semiring, arity: int, truncation: int):
-    """The compiled form of ``expr`` over ``desc`` for ``arity`` arguments,
-    its countable sums cut at ``truncation`` terms, built on first use and
-    kept on the expression.
+    """The compiled form of ``expr``'s cut form (see ``_cut``) over ``desc``
+    for ``arity`` arguments, built on first use and kept on the expression.
 
-    An expression whose largest variable exceeds ``arity`` (and that is not
-    itself a countable sum) compiles to a function raising ArityError; any
-    other variable beyond ``arity`` raises when it is read."""
+    The walk checks every constant the cut form holds, in walk order; then,
+    if the cut form names a variable beyond ``arity``, the form is a
+    function raising ArityError for the largest one."""
     # A leaf that is no expression has nowhere to keep a form; compiling it
     # raises.
     forms = expr._forms if isinstance(expr, _Expr) else {}
@@ -286,7 +279,7 @@ def _compiled(expr, desc: Semiring, arity: int, truncation: int):
     fn = forms.get(key)
     if fn is None:
         fn, mv = _compile_node(expr, desc, arity, truncation)
-        if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
+        if mv > arity:
             fn = _raising(_arity_message(mv, arity))
         forms[key] = fn
     return fn
@@ -304,8 +297,8 @@ def _raising(message: str):
 
 
 def _compile_node(expr, desc, arity: int, truncation: int):
-    """(fn, max_var) for an expression compiled as a whole."""
-    plus, zero, top = desc._plus, desc.zero, desc.top
+    """(fn, max_var) for ``expr`` compiled as its cut form, whose largest
+    variable ``max_var`` is; ``fn`` reads each variable unchecked."""
 
     def compile_leaf(e):
         if isinstance(e, Const):
@@ -314,26 +307,10 @@ def _compile_node(expr, desc, arity: int, truncation: int):
             return (lambda args: value), 0
         if isinstance(e, Var):
             i = e.index - 1
-            if e.index > arity:
-                return _raising(_arity_message(e.index, arity)), e.index
             return (lambda args: args[i]), e.index
         if isinstance(e, CountableSum):
-            # The kept terms from zero, in order, each compiled when first read,
-            # until the sum is the maximum.  A sum cut to Const(zero) has none.
-            sources = getattr(_cut(e, desc, arity, truncation)[0], "sources", ())
-            fns = [None] * len(sources)
-
-            def cut_sum(args):
-                acc = zero
-                for i, fn in enumerate(fns):
-                    if fn is None:
-                        fn = fns[i] = _compiled(sources[i], desc, arity, truncation)
-                    acc = plus(acc, fn(args))
-                    if acc == top:
-                        break
-                return acc
-
-            return cut_sum, e.var_bound
+            # The cut form holds no countable sum, so this recurses once.
+            return _compile_node(_cut(e, desc, arity, truncation)[0], desc, arity, truncation)
         if isinstance(e, XVar):
             raise AggregatorError("X is only meaningful inside loop polynomials")
         raise AggregatorError(f"not an aggregator expression: {e!r}")

@@ -307,7 +307,7 @@ def cmd_loop(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_at_least(args, rule_budget=1, branch_trunc=1, visit_cap=1)
+    _check_at_least(args, depth=0, rule_budget=1, branch_trunc=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     enum = system.enumerate_objects()
@@ -320,11 +320,11 @@ def cmd_oracle(args) -> int:
     table = TreeTable()
     budgets = args.rule_budget, args.branch_trunc, args.visit_cap
     # Within the cap one settle answers every check; past it, only each object's
-    # own ball tells where the cap cuts it.  A negative depth explores nothing.
+    # own ball tells where the cap cuts it.
     shared = len(objects) <= args.visit_cap
-    if shared and args.depth >= 0:
+    if shared:
         settled = _settle(system, objects, args.depth, *budgets)
-    for i, a in enumerate(objects if args.depth >= 0 else ()):
+    for i, a in enumerate(objects):
         profile = None if shared else DepthProfile(system, a, args.depth, *budgets)
         for depth in range(args.depth + 1):
             iterated = profile.bound(depth).value if profile else settled.value(i, depth)

@@ -693,7 +693,7 @@ class DepthProfile:
     """The lower bounds at ``a`` for every level 0..depth, from one exploration.
 
     It settles the ball ``evaluate_to_fixpoint`` settles, ``a`` its one start,
-    and reads each level's value from ``a``'s history.  ``bound(level)``
+    and reads a level's value from ``a``'s history when asked.  ``bound(level)``
     returns the bound at that depth, or raises ``VisitCapExceeded`` with it
     when the visit cap cut the ball within ``level`` of ``a``; a level outside
     0..depth raises ``ValueError``.  The value, the visited count and whether
@@ -711,22 +711,22 @@ class DepthProfile:
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        settled = _settle(sys, [a], depth, rule_budget, branch_trunc, visit_cap)
-        self._values = [settled.value(0, level) for level in range(depth + 1)]
+        self._settled = _settle(sys, [a], depth, rule_budget, branch_trunc, visit_cap)
+        self._depth = depth
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
-        self._ends, self._cap_radius = settled.ball.ends, settled.ball.cap_radius
 
     def bound(self, level: int) -> WeightBound:
-        if not 0 <= level < len(self._values):
-            raise ValueError(f"level must be in 0..{len(self._values) - 1}, got {level}")
+        if not 0 <= level <= self._depth:
+            raise ValueError(f"level must be in 0..{self._depth}, got {level}")
+        ball = self._settled.ball
         bound = WeightBound(
-            value=self._values[level],
+            value=self._settled.value(0, level),
             status=LOWER_BOUND,
             depth_explored=level,
             budgets=dict(self.budgets),
-            visited=self._ends[level],
+            visited=ball.ends[level],
         )
-        if self._cap_radius is not None and level >= self._cap_radius:
+        if ball.cap_radius is not None and level >= ball.cap_radius:
             raise VisitCapExceeded(bound)
         return bound
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
-from .aggregator import ArityError, Const, CountableSum, SumNode, Var, X, XVar, _CutSum
+from .aggregator import ArityError, Const, Var, X, XVar
 from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, _weigher
-from .semiring import INF, NatInf, RealInf, Semiring, SemiringError
+from .semiring import NatInf, RealInf, Semiring
 from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
@@ -174,40 +174,22 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
 
 def _apply_aggregator(expr, child_exprs, desc, truncation: int = agg.DEFAULT_TRUNCATION):
     """Substitute child expressions for the rule variables in the cut form
-    of ``expr``, raising the ``ArityError`` that the compiled aggregator
-    raises.  Like it, a cut sum reads no term once the terms before fold to
-    constants that sum to the maximum.  A fault waits in its place, so the
-    first one in walk order among the terms read is raised."""
-    arity, mv = len(child_exprs), agg.max_var(expr)
-    if mv is not INF and mv > arity and not isinstance(expr, CountableSum):
+    of ``expr``, which the compiled aggregator reads.  A variable beyond the
+    children raises the ``ArityError`` that it raises, for the largest one."""
+    arity = len(child_exprs)
+    form = agg._cut(expr, desc, arity, truncation)[0]
+    mv = agg.max_var(form)
+    if mv > arity:
         raise ArityError(agg._arity_message(mv, arity))
 
     def substitute(e):
         if isinstance(e, Var):
-            if e.index > arity:
-                return ArityError(agg._arity_message(e.index, arity))
             return child_exprs[e.index - 1]
-        return e if isinstance(e, Const) else UnboundednessError(f"cannot substitute into {e!r}")
+        if isinstance(e, Const):
+            return e
+        raise UnboundednessError(f"cannot substitute into {e!r}")
 
-    def node(e, kids):
-        acc = desc.zero if isinstance(e, _CutSum) else None
-        for k, kid in enumerate(kids):
-            if isinstance(kid, Exception):
-                return kid
-            if acc is not None:
-                try:
-                    folded = agg.fold_constants(kid, desc)
-                    acc = desc.plus(acc, folded.value) if isinstance(folded, Const) else None
-                except SemiringError as exc:
-                    return exc
-                if acc == desc.top:
-                    return SumNode(tuple(kids[: k + 1]))
-        return agg._rebuild(e, kids)
-
-    form = agg._reduce(agg._cut(expr, desc, arity, truncation)[0], substitute, node)
-    if isinstance(form, Exception):
-        raise form
-    return form
+    return agg._reduce(form, substitute, agg._rebuild)
 
 
 def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:

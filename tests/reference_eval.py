@@ -1,13 +1,13 @@
 """Deliberately naive references for the fast paths of the library.
 
 ``reference_evaluate`` is the reference for compiled aggregator evaluation.
-It re-walks the expression on every call and uses only the checked public
-carrier operations.  The checks run in the order the library promises:
-truncation, the expression's constants, the arguments, the arity, then the
-evaluation itself, where a countable-sum term has its constants checked just
-before its first use.  The result is exact unless some countable sum is cut
+It reads the expression as its finite form (``reference_cut``, built from
+the generated terms), re-walks that form on every call and uses only the
+checked public carrier operations.  The checks run in the order the library
+promises: truncation, the form's constants, the arguments, the arity, then
+the evaluation itself.  The result is exact unless some countable sum is cut
 short (``reference_cut_short``): its stream runs past the truncation, it
-skips a term, or a term it keeps is cut short, read or not.
+skips a term, or a term it keeps is cut short.
 
 ``reference_weight_lower_bound`` and its siblings are the references for the
 evaluator's level core.  Each call explores the whole ball around its start
@@ -95,14 +95,36 @@ from wars.unboundedness import UnboundednessError, _apply_aggregator
 def reference_evaluate(expr, desc, args, truncation: int = 64):
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    reference_check_constants(expr, desc)
+    form = reference_cut(expr, desc, len(args), truncation)
+    reference_check_constants(form, desc)
     for v in args:
         desc.require(v)
-    mv = reference_max_var(expr)
-    if mv is not INF and mv > len(args) and not isinstance(expr, CountableSum):
+    mv = reference_max_var(form)
+    if mv > len(args):
         raise ArityError(_arity_message(mv, args))
-    value = _value(expr, desc, args, truncation)
-    return value, not reference_cut_short(expr, len(args), truncation)
+    return _value(form, desc, args), not reference_cut_short(expr, len(args), truncation)
+
+
+def reference_cut(expr, desc, arity, truncation):
+    """``expr`` with each countable sum replaced by the plain sum of its
+    first ``truncation`` generated terms that name no variable beyond
+    ``arity`` (or whose largest variable is unbounded), each cut the same
+    way, or by zero when it keeps none."""
+    if isinstance(expr, SumNode):
+        return SumNode(tuple(reference_cut(e, desc, arity, truncation) for e in expr.terms))
+    if isinstance(expr, ProdNode):
+        return ProdNode(tuple(reference_cut(e, desc, arity, truncation) for e in expr.factors))
+    if not isinstance(expr, CountableSum):
+        return expr
+    kept = []
+    for i in range(truncation):
+        term = expr.term(i)
+        if term is None:
+            break
+        mv = reference_max_var(term)
+        if mv is INF or mv <= arity:
+            kept.append(reference_cut(term, desc, arity, truncation))
+    return SumNode(tuple(kept)) if kept else Const(desc.zero)
 
 
 def reference_cut_short(expr, arity, truncation) -> bool:
@@ -139,33 +161,17 @@ def reference_check_constants(expr, desc) -> None:
             reference_check_constants(e, desc)
 
 
-def _value(expr, desc, args, truncation):
+def _value(expr, desc, args):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
-        if expr.index > len(args):
-            raise ArityError(_arity_message(expr.index, args))
         return args[expr.index - 1]
     if isinstance(expr, (SumNode, ProdNode)):
         op = desc.plus if isinstance(expr, SumNode) else desc.times
         children = expr.terms if isinstance(expr, SumNode) else expr.factors
-        acc = _value(children[0], desc, args, truncation)
+        acc = _value(children[0], desc, args)
         for child in children[1:]:
-            acc = op(acc, _value(child, desc, args, truncation))
-        return acc
-    if isinstance(expr, CountableSum):
-        acc = desc.zero
-        for i in range(truncation):
-            term = expr.term(i)
-            if term is None:
-                break
-            mv = reference_max_var(term)
-            if mv is not INF and mv > len(args):
-                continue
-            reference_check_constants(term, desc)
-            acc = desc.plus(acc, _value(term, desc, args, truncation))
-            if acc == desc.top:
-                break
+            acc = op(acc, _value(child, desc, args))
         return acc
     raise TypeError(f"not an aggregator expression: {expr!r}")
 
@@ -455,42 +461,24 @@ def reference_mentions_x(expr) -> bool:
 
 
 def reference_compile_node(expr, desc, arity, truncation):
-    """(fn, max_var), ``fn`` taking ``arity`` arguments; a countable sum
-    generates, checks and compiles each term the first time it reads it."""
+    """(fn, max_var) of the finite form, ``fn`` taking ``arity`` arguments
+    and reading each variable unchecked; a countable sum compiles its
+    ``reference_cut`` form."""
     if isinstance(expr, Const):
         desc.require(expr.value)
         value = expr.value
         return (lambda args: value), 0
     if isinstance(expr, Var):
         i = expr.index - 1
-
-        def var(args):
-            if i >= arity:
-                raise ArityError(_arity_message(i + 1, args))
-            return args[i]
-
-        return var, expr.index
+        return (lambda args: args[i]), expr.index
     if isinstance(expr, (SumNode, ProdNode)):
         op = desc._plus if isinstance(expr, SumNode) else desc._times
         children = expr.terms if isinstance(expr, SumNode) else expr.factors
         parts = [reference_compile_node(e, desc, arity, truncation) for e in children]
         return _fold(op, [fn for fn, _ in parts]), max(mv for _, mv in parts)
     if isinstance(expr, CountableSum):
-
-        def countable(args):
-            acc = desc.zero
-            for i in range(truncation):
-                term = expr.term(i)
-                if term is None:
-                    break
-                mv = reference_max_var(term)
-                if mv is INF or mv <= arity:
-                    acc = desc._plus(acc, reference_compile_node(term, desc, arity, truncation)[0](args))
-                    if acc == desc.top:
-                        break
-            return acc
-
-        return countable, expr.var_bound
+        return reference_compile_node(reference_cut(expr, desc, arity, truncation), desc, arity,
+                                      truncation)
     if isinstance(expr, XVar):
         raise AggregatorError("X is only meaningful inside loop polynomials")
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
@@ -598,52 +586,25 @@ def reference_mentions_only_x(expr) -> bool:
 
 
 def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
-    """Substitution that raises where ``reference_evaluate`` raises
-    ``ArityError``: up front for a largest variable beyond the children,
-    outside a countable sum; else at the first such variable read.  A
-    countable sum reads no term once the terms it substituted so far fold
-    to constants that sum to the top."""
-    mv = reference_max_var(expr)
-    if mv is not INF and mv > len(child_exprs) and not isinstance(expr, CountableSum):
+    """Substitution into the ``reference_cut`` form, which raises the
+    ``ArityError`` that ``reference_evaluate`` raises, up front, when the
+    form names a variable beyond the children."""
+    form = reference_cut(expr, desc, len(child_exprs), truncation)
+    mv = reference_max_var(form)
+    if mv > len(child_exprs):
         raise ArityError(_arity_message(mv, child_exprs))
-    return _reference_substitute(expr, child_exprs, desc, truncation)
+    return _reference_substitute(form, child_exprs)
 
 
-def _reference_substitute(expr, child_exprs, desc, truncation):
+def _reference_substitute(expr, child_exprs):
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, Var):
-        if expr.index > len(child_exprs):
-            raise ArityError(_arity_message(expr.index, child_exprs))
         return child_exprs[expr.index - 1]
     if isinstance(expr, SumNode):
-        return SumNode(
-            tuple(_reference_substitute(e, child_exprs, desc, truncation)
-                  for e in expr.terms)
-        )
+        return SumNode(tuple(_reference_substitute(e, child_exprs) for e in expr.terms))
     if isinstance(expr, ProdNode):
-        return ProdNode(
-            tuple(_reference_substitute(e, child_exprs, desc, truncation)
-                  for e in expr.factors)
-        )
-    if isinstance(expr, CountableSum):
-        # The sum of the terms so far while each folds to a constant.
-        terms, acc = [], desc.zero
-        for i in range(truncation):
-            term = expr.term(i)
-            if term is None:
-                break
-            mv = reference_max_var(term)
-            if mv is INF or mv <= len(child_exprs):
-                terms.append(reference_apply_aggregator(term, child_exprs, desc, truncation))
-                if acc is not None:
-                    folded = reference_fold_constants(terms[-1], desc)
-                    acc = desc.plus(acc, folded.value) if isinstance(folded, Const) else None
-                    if acc == desc.top:
-                        break
-        if not terms:
-            return Const(desc.zero)
-        return SumNode(tuple(terms))
+        return ProdNode(tuple(_reference_substitute(e, child_exprs) for e in expr.factors))
     raise UnboundednessError(f"cannot substitute into {expr!r}")
 
 

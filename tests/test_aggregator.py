@@ -426,7 +426,7 @@ class TestCompiledBoundaries:
             evaluate(Var(1), NAT_INF, [-1])
 
     def test_arity_error_beside_countable_sum(self):
-        # The countable sum hides the arity, so the variable checks itself.
+        # The cut form keeps the sum's first two terms and names v3.
         with pytest.raises(ArityError, match="v3 but only 2 arguments"):
             evaluate(SumNode((GEOMETRIC, Var(3))), REAL_INF, [Fraction(1)] * 2)
 
@@ -443,12 +443,20 @@ class TestCompiledBoundaries:
         assert evaluate(SumNode((endless, once)), NAT_INF, [], truncation=3) == (4, False)
 
     def test_a_sum_at_the_top_before_its_stream_ends_is_not_exact(self):
-        # Its partial sums reach the maximum, so no further term is read,
-        # but the stream was cut: exact used to read True here.
+        # Its partial sums reach the maximum, but the stream was cut: exact
+        # used to read True here.
         endless = CountableSum(lambda i: Const(INF))
         assert evaluate(endless, NAT_INF, []) == (INF, False)
         ended = CountableSum(lambda i: Const(INF) if i < 3 else None)
         assert evaluate(ended, NAT_INF, []) == (INF, True)
+
+    def test_a_countable_sum_weighs_the_same_beside_a_constant(self):
+        # The sum may name v5, but over no arguments its cut form keeps only
+        # constants, so 0 + S weighs what S does; 0 + S once raised
+        # ArityError for v5.
+        ones = CountableSum(lambda i: Const(1), var_bound=5)
+        plus_zero = SumNode((Const(0), ones))
+        assert evaluate(plus_zero, NAT_INF, []) == evaluate(ones, NAT_INF, []) == (64, False)
 
     def test_cached_countable_terms(self):
         calls = []

@@ -634,6 +634,7 @@ class TestOracle:
 
 # A bad `oracle` configuration exits 3, apart from 1 ("mismatch").
 INVALID_ORACLE_ARGV = {
+    "negative depth": ["--depth", "-1"],
     "zero rule budget": ["--rule-budget", "0"],
     "zero visit cap": ["--visit-cap", "0"],
     "zero branch trunc": ["--branch-trunc", "0"],

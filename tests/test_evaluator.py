@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,20 @@ class TestWeightLowerBound:
         ]
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi
+
+    def test_one_level_is_read_on_a_long_chain(self):
+        # The profile behind it once read every level 0..depth, which took
+        # time quadratic in the chain's length.
+        chain = load_explicit(json.dumps({
+            "semiring": {"kind": "nat_inf"},
+            "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"}
+                      for i in range(1200)],
+            "nf": {"c1200": "0"},
+        }))
+        begin = time.process_time()
+        bound = weight_lower_bound(chain, "c0", 1200)
+        assert time.process_time() - begin < 0.5
+        assert (bound.value, bound.depth_explored, bound.visited) == (1200, 1200, 1201)
 
     @pytest.mark.parametrize("branch_trunc", [0, -5])
     def test_branch_truncation_below_one_is_refused(self, branch_trunc, monkeypatch):

@@ -508,17 +508,19 @@ def test_sweeps_recompute_the_same_objects(monkeypatch, name, start, depth, call
 
 
 @pytest.mark.parametrize("name, values", [
-    ("bottleneck", 530 + 518),
-    ("nat_inf", 615 + 572),
-    ("real_inf mixed", 636 + 614),
+    ("bottleneck", 512 + 518),
+    ("nat_inf", 538 + 572),
+    ("real_inf mixed", 580 + 614),
     # Integer kernels are called straight, never through _value.
-    ("real_inf scaled", 636),
+    ("real_inf scaled", 580),
 ])
 def test_every_evaluation_of_a_compiled_sweep_is_one_value_call(monkeypatch, name, values):
     # _value is the one place a compiled sweep evaluates an object, for
     # _recompute too: on the queries of test_sweeps_recompute_the_same_objects
     # it counts the settle's own evaluations plus the objects recomputed
-    # there (518, 572 and 614).  A chain of 100 1 + v1 steps takes 2n - 1.
+    # there (518, 572 and 614).  A profile reads no level it is not asked
+    # for, and these are asked for none.  A chain of 100 1 + v1 steps takes
+    # 2n - 1.
     calls = _count_calls(monkeypatch, evaluator._value)
     chain = load_explicit(json.dumps({
         "semiring": {"kind": "nat_inf"},

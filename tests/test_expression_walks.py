@@ -208,18 +208,32 @@ def _nested_sums(desc):
 def test_applied_aggregator_weighs_what_the_compiled_one_does(data):
     # The loop polynomial and the evaluator read the same cut form:
     # substituting constants and then evaluating gives the compiled value,
-    # or the same error.  The one exception: the substitution reads no
-    # values, so it names a variable beyond the arity outside every cut
-    # sum (left unchecked up front beside a countable sum of unbounded
-    # variables) where the compiled aggregator first meets a carrier error.
+    # or the same error.
     desc = data.draw(st.sampled_from(CARRIERS))
     expr = data.draw(_nested_sums(desc))
     args = data.draw(st.lists(st.sampled_from(desc.probe_values()), max_size=4))
+    applied, compiled = _applied_and_compiled(expr, desc, args)
+    assert applied == compiled
+
+
+def _applied_and_compiled(expr, desc, args) -> tuple:
+    """The outcomes of evaluating ``expr`` with the arguments substituted as
+    constants and of evaluating it compiled, both cut at 5 terms."""
     applied = _outcome(lambda: agg.evaluate(
         _apply_aggregator(expr, [Const(a) for a in args], desc, 5), desc, [], 5)[0])
-    compiled = _outcome(lambda: agg.evaluate(expr, desc, args, 5)[0])
-    assert applied == compiled or (
-        applied[0] is agg.ArityError and compiled[0] not in ("value", agg.ArityError))
+    return applied, _outcome(lambda: agg.evaluate(expr, desc, args, 5)[0])
+
+
+def test_a_variable_beyond_the_arity_raises_before_any_value_is_read():
+    # v3 names no argument.  The compiled aggregator once checked it only
+    # when read, beside a countable sum of unbounded variables, so it first
+    # met {a} * SIGMA* and raised a carrier error; the substitution, which
+    # reads no values, raised ArityError.
+    desc = Language(("a", "bc"))
+    unbounded = CountableSum(lambda i: Var(i + 1))
+    expr = ProdNode((Const(frozenset({"a"})), Var(2), Var(3), unbounded))
+    error = (agg.ArityError, "aggregator mentions v3 but only 2 arguments were supplied")
+    assert _applied_and_compiled(expr, desc, [frozenset(), ALL_WORDS]) == (error, error)
 
 
 @settings(max_examples=100, deadline=None)

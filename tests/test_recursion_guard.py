@@ -18,9 +18,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wars"
 ALLOWED = {
     ("aggregator.py", ("_affine_capable",)):
         "recurses on the components of a product carrier",
-    ("aggregator.py", ("_compile_node", "_compiled", "compile_leaf", "cut_sum")):
-        "a cut countable sum compiles each term it keeps when it first reads it; "
-        "countable sums nest only as deep as the program that built them",
+    ("aggregator.py", ("_compile_node", "compile_leaf")):
+        "a countable sum compiles its cut form, which holds no countable sum, "
+        "so this recurses once",
     ("aggregator.py", ("_cut", "leaf")):
         "a countable sum's kept terms are cut by the same rule; countable sums "
         "nest only as deep as the program that built them",

@@ -23,7 +23,10 @@ from wars.aggregator import (
 from wars.builtins import builtin
 from wars.cli import main
 from wars.evaluator import ReductionTree, StructuralTreeError, tree_weight, weight_lower_bound
-from wars.semiring import ALL_WORDS, ARCTIC, BOOLEAN, NAT_INF, REAL_INF, TROPICAL, Language, Product
+from wars.semiring import (
+    ALL_WORDS, ARCTIC, BOOLEAN, NAT_INF, REAL_INF, TROPICAL, CarrierMismatch, Language, Product,
+    SemiringError,
+)
 from wars.system import SystemHandle, load_explicit
 from wars.unboundedness import (
     CANDIDATE,
@@ -382,36 +385,37 @@ def test_a_variable_beyond_the_arity_raises_as_the_evaluator_does():
     assert str(weighed.value) == str(analyzed.value) == message
 
 
-def test_a_sum_at_the_top_reads_no_further_term():
-    # The compiled sum stops once its terms reach inf, so a later term that
-    # names v3 is never read and the tree weighs inf; the polynomial stops
-    # there too.  Below the top, the term is read and raises.
-    def loop(second):
-        inner = CountableSum(lambda i: Const(1) if i == 0 else None)
-        terms = [Const(1), Const(second), SumNode((Var(1), Var(3), inner))]
-        return _self_loop(CountableSum(lambda i: terms[i] if i < len(terms) else None))
-
-    system, tree, path = loop(NAT_INF.top)
-    assert tree_weight(system, tree) == NAT_INF.top
-    assert format_expr(induced_polynomial(system, tree, path), NAT_INF) == "inf"
-    system, tree, path = loop(2)
+def test_a_sum_at_the_top_reads_every_kept_term():
+    # A cut sum is a plain finite sum: reaching inf does not stop it, so the
+    # term that names v3 is read, and the loop tree and its polynomial both
+    # raise.  Every kept term's constants are checked when the sum compiles,
+    # so a -1 after inf fails the carrier check.
+    inner = CountableSum(lambda i: Const(1) if i == 0 else None)
+    terms = [Const(1), Const(NAT_INF.top), SumNode((Var(1), Var(3), inner))]
+    system, tree, path = _self_loop(CountableSum(lambda i: terms[i] if i < len(terms) else None))
     with pytest.raises(agg.ArityError, match="mentions v3"):
         tree_weight(system, tree)
     with pytest.raises(agg.ArityError, match="mentions v3"):
         induced_polynomial(system, tree, path)
+    past_top = [Const(NAT_INF.top), Const(-1)]
+    with pytest.raises(CarrierMismatch):
+        evaluate(CountableSum(lambda i: past_top[i] if i < 2 else None), NAT_INF, [])
 
 
-def test_substitution_stops_where_the_compiled_sum_stops():
-    # The compiled sum reads only its first term, which is the maximum; the
-    # substitution kept the second, whose concatenation with SIGMA* raised.
+def test_substitution_keeps_every_term_the_compiled_sum_reads():
+    # The first term is the maximum, and both readers still read the second,
+    # whose concatenation with SIGMA* leaves the finite-language carrier.
     desc = Product((TROPICAL, Language(("a",))))
     terms = [Const((0, ALL_WORDS)), agg.ProdNode((Const((1, frozenset({"a"}))), Var(1)))]
     body = CountableSum(lambda i: terms[i] if i < len(terms) else None)
     top = (0, ALL_WORDS)
-    assert evaluate(body, desc, [top]) == (top, True)
+    message = r"^concatenation with SIGMA\* leaves the finite-language carrier$"
+    with pytest.raises(SemiringError, match=message):
+        evaluate(body, desc, [top])
     applied = unboundedness._apply_aggregator(body, [Const(top)], desc)
-    assert format_expr(applied, desc) == "(0,SIGMA*)"
-    assert evaluate(applied, desc, []) == (top, True)
+    assert format_expr(applied, desc) == "(0,SIGMA*) + (1,{a}) * (0,SIGMA*)"
+    with pytest.raises(SemiringError, match=message):
+        evaluate(applied, desc, [])
 
 
 # A nat_inf self-loop whose polynomial is 1 + X.
