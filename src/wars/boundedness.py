@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
-from .evaluator import DEFAULT_BRANCH_TRUNC, DEFAULT_VISIT_CAP, _settle
+from .evaluator import DEFAULT_BRANCH_TRUNC, _settle_all
 from .semiring import INF, NatInf, RealInf, Semiring, SemiringError
 from .system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_, SystemHandle, _literal_text
 
@@ -446,8 +446,7 @@ def search_affine_embedding(
                     f"rule {tag}: aggregator is not affine in its variables"
                 )
 
-    settled = _settle(sys, objects, len(objects) * (coeff_cap + 1), rule_budget,
-                      DEFAULT_BRANCH_TRUNC, max(len(objects), DEFAULT_VISIT_CAP))
+    settled = _settle_all(sys, objects, len(objects) * (coeff_cap + 1), rule_budget)
     if not settled.certified:
         return None
     table = {a: settled.value(i, settled.depth) for i, a in enumerate(objects)}

@@ -787,10 +787,11 @@ _FACTORIES = {
 
 
 # What a parameter of each annotated type must be, as refusals name it, the
-# largest prefix (each geometric_walk jump has that many successors), and
-# each factory's signature, read once: reading one costs more than most builds.
+# largest values (a geometric_walk jump has prefix successors; addition_trs
+# lists every term up to max_size: 66,706 at 14, about 2.7x more per size),
+# and each factory's signature, read once: reading one costs more than most builds.
 _KINDS = {int: "an integer", bool: "a boolean"}
-_MAXIMA = {(_geometric_walk, "prefix"): 1024}
+_MAXIMA = {(_geometric_walk, "prefix"): 1024, (_addition_trs, "max_size"): 14}
 _signature = functools.cache(functools.partial(inspect.signature, eval_str=True))
 
 

@@ -36,10 +36,9 @@ from .evaluator import (
     DEFAULT_RULE_BUDGET,
     DEFAULT_VISIT_CAP,
     CountCapExceeded,
-    DepthProfile,
     TreeTable,
     VisitCapExceeded,
-    _settle,
+    _settle_all,
     enumerate_tree_weights,
     evaluate_to_fixpoint,
 )
@@ -98,23 +97,9 @@ def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
             print(line)
 
 
-def _common_args(parser: argparse.ArgumentParser, budgets: bool = True) -> None:
-    """The budget options of ``eval`` and ``oracle``, which ``bound`` and
-    ``loop`` do without, then the output option."""
-    if budgets:
-        parser.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
-        parser.add_argument("--branch-trunc", type=int, default=DEFAULT_BRANCH_TRUNC)
-        # Its default comes from WARS_VISIT_CAP, which ``main`` reads on every call.
-        parser.add_argument("--visit-cap", type=int)
+def _common_args(parser: argparse.ArgumentParser) -> None:
+    """The output option, which every command takes."""
     parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _default_visit_cap() -> int:
-    text = os.environ.get("WARS_VISIT_CAP", str(DEFAULT_VISIT_CAP))
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"WARS_VISIT_CAP must be an integer, got {text!r}") from None
 
 
 def _check_at_least(args, **least) -> None:
@@ -133,6 +118,12 @@ def _parse_start(system, text: str):
 
 
 def cmd_eval(args) -> int:
+    if args.visit_cap is None:  # read on every call, before any other check
+        text = os.environ.get("WARS_VISIT_CAP", str(DEFAULT_VISIT_CAP))
+        try:
+            args.visit_cap = int(text)
+        except ValueError:
+            raise CliError(f"WARS_VISIT_CAP must be an integer, got {text!r}") from None
     _check_at_least(args, depth=0, rule_budget=1, branch_trunc=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
@@ -307,30 +298,27 @@ def cmd_loop(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_at_least(args, depth=0, rule_budget=1, branch_trunc=1, visit_cap=1)
+    _check_at_least(args, depth=0, rule_budget=1)
     system = resolve_system(args.system)
     desc = system.semiring
     enum = system.enumerate_objects()
     if enum is None or not enum[1]:
         raise CliError("the oracle needs a finite explicit system")
     objects = enum[0]
+    if not objects:
+        raise CliError("the oracle needs a system with at least one object")
 
     checks = []
     # Each (object, depth) key's rows and weights, shared by every check.
     table = TreeTable()
-    budgets = args.rule_budget, args.branch_trunc, args.visit_cap
-    # Within the cap one settle answers every check; past it, only each object's
-    # own ball tells where the cap cuts it.
-    shared = len(objects) <= args.visit_cap
-    if shared:
-        settled = _settle(system, objects, args.depth, *budgets)
+    # One settle of every object answers every check.
+    settled = _settle_all(system, objects, args.depth, args.rule_budget)
     for i, a in enumerate(objects):
-        profile = None if shared else DepthProfile(system, a, args.depth, *budgets)
         for depth in range(args.depth + 1):
-            iterated = profile.bound(depth).value if profile else settled.value(i, depth)
+            iterated = settled.value(i, depth)
             # One weight per tree, joined only here.
             weights = enumerate_tree_weights(
-                system, a, depth, args.rule_budget, args.count_cap, args.branch_trunc, table
+                system, a, depth, args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, table
             )
             # Leaves and compiled constants are checked: every weight is a carrier value.
             joined = desc._join(weights)
@@ -380,6 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--system", required=True)
     p_eval.add_argument("--start", action="append", required=True)
     p_eval.add_argument("--depth", type=int, required=True)
+    p_eval.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
+    p_eval.add_argument("--branch-trunc", type=int, default=DEFAULT_BRANCH_TRUNC)
+    p_eval.add_argument("--visit-cap", type=int)  # default: WARS_VISIT_CAP
     _common_args(p_eval)
 
     p_bound = sub.add_parser("bound", help="run a boundedness check")
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
     p_bound.add_argument("--seed", type=int, default=0, help="seeds the --samples draw")
-    _common_args(p_bound, budgets=False)
+    _common_args(p_bound)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")
     p_loop.add_argument("--system", required=True)
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loop.add_argument("--max-witnesses", type=int, default=16)
     # The loop search's only budget.
     p_loop.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
-    _common_args(p_loop, budgets=False)
+    _common_args(p_loop)
 
     p_oracle = sub.add_parser(
         "oracle", help="compare value iteration against tree enumeration"
@@ -405,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--system", required=True)
     p_oracle.add_argument("--depth", type=int, required=True)
     p_oracle.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP)
+    p_oracle.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
     _common_args(p_oracle)
 
-    p_list = sub.add_parser("list", help="list built-in systems")
-    p_list.add_argument("--format", choices=("text", "json"), default="text")
+    _common_args(sub.add_parser("list", help="list built-in systems"))
 
     return parser
 
@@ -420,15 +411,12 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # Only the commands that take a visit cap read WARS_VISIT_CAP.
-        if getattr(args, "visit_cap", 0) is None:
-            args.visit_cap = _default_visit_cap()
         # Looked up per call, so that a wrapper put on a command after the
         # parser was built (as perfbench's tracer does) is the one that runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (CountCapExceeded, VisitCapExceeded) as exc:
-        # A budget blow-up.  `eval` reports a visit cap hit as a partial
-        # result itself, so only `oracle` lets one through.
+    except CountCapExceeded as exc:
+        # An enumeration blow-up; `eval` reports a visit cap hit as a partial
+        # result itself.
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except (

@@ -2,11 +2,12 @@
 
 The weight of an object is the supremum of the weights of all finite-depth
 reduction trees rooted at it.  The value iteration below computes, per depth,
-a weight that never exceeds that supremum: unexplored successors count as the
-semiring minimum, so every budget cut only lowers the result.  A value is
-reported as stabilized only when the visited object set is closed under
-successors, every enumeration was complete, and one more iteration changes
-nothing.
+a weight in which unexplored successors count as the semiring minimum, so
+every budget cut only lowers it.  It can exceed that supremum where the join
+is not selective and an aggregator reads a variable twice: ``v1 * v1`` over
+languages multiplies the weights of different trees.  A value is reported as
+stabilized only when the visited object set is closed under successors,
+every enumeration was complete, and one more iteration changes nothing.
 """
 
 from __future__ import annotations
@@ -683,6 +684,12 @@ def _settle(sys, starts, radius, rule_budget, branch_trunc, visit_cap) -> _Settl
         raise ValueError("branch_trunc must be >= 1")
     ball = _Ball(sys, starts, radius, rule_budget, branch_trunc, visit_cap)
     return _Settled(ball, max(radius, 1))
+
+
+def _settle_all(sys, objects, radius, rule_budget) -> _Settled:
+    """Every object of a finite system settled in one ball that no visit cap cuts."""
+    return _settle(sys, objects, radius, rule_budget, DEFAULT_BRANCH_TRUNC,
+                   max(len(objects), DEFAULT_VISIT_CAP))
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:

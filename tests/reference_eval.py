@@ -355,9 +355,10 @@ class ReferenceProfile:
 
 
 class ReferenceSettle:
-    """Stands in for ``wars oracle``'s one settle of every object: object
-    ``i``'s value at a level is read from a ``ReferenceProfile`` of its own,
-    which raises ``VisitCapExceeded`` if the cap cuts that object's ball."""
+    """Stands in for the evaluator's ``_settle``, by which ``wars oracle``
+    settles every object at once: object ``i``'s value at a level is read
+    from a ``ReferenceProfile`` of its own, which raises ``VisitCapExceeded``
+    if the cap cuts that object's ball."""
 
     def __init__(self, sys, objects, depth, rule_budget, branch_trunc, visit_cap):
         self._profiles = [ReferenceProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap)

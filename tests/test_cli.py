@@ -317,16 +317,23 @@ INVALID_ARGV = {
 }
 
 
-# `bound` reads no budget at all, and `loop` only the rule budget of its loop
-# search, so argparse rejects the other budget flags with a usage error.
+# `bound` reads no budget at all, `loop` only the rule budget of its loop
+# search, and `oracle` only the rule budget and count cap of its enumeration,
+# since it settles every object of its finite system in one ball that no
+# visit cap cuts.  So argparse rejects the other budget flags with a usage error.
 BOUND = ["bound", "--system", "builtin:walk_expected", "--mode", "extremal"]
 LOOP = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
+ORACLE = ["oracle", "--system", "builtin:addition_trs(max_size=3)", "--depth", "2"]
 REMOVED_FLAG_ARGV = {
     "bound zero rule budget": [*BOUND, "--rule-budget", "0"],
     "bound zero visit cap": [*BOUND, "--visit-cap", "0"],
     "bound branch trunc": [*BOUND, "--branch-trunc", "10"],
     "loop zero visit cap": [*LOOP, "--visit-cap", "0"],
     "loop branch trunc": [*LOOP, "--branch-trunc", "10"],
+    "oracle visit cap": [*ORACLE, "--visit-cap", "1"],
+    "oracle zero visit cap": [*ORACLE, "--visit-cap", "0"],
+    "oracle zero branch trunc": [*ORACLE, "--branch-trunc", "0"],
+    "oracle negative branch trunc": [*ORACLE, "--branch-trunc", "-5"],
 }
 
 
@@ -622,23 +629,39 @@ class TestOracle:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_visit_cap_hit_is_blowup(self, twostate, capsys):
-        code = main(
-            ["oracle", "--system", f"file:{twostate}", "--depth", "2", "--visit-cap", "1"]
+    @pytest.mark.parametrize("spec", ["builtin:addition_trs(max_size=0)",
+                                      'file:{"semiring": {"kind": "nat_inf"}}'])
+    def test_system_without_objects_is_refused(self, capsys, spec):
+        # No object means no check, so "all checks passed" would pass vacuously.
+        assert main(["oracle", "--system", spec, "--depth", "2"]) == 3
+        assert _single_error_line(capsys.readouterr()) == (
+            "error: the oracle needs a system with at least one object"
         )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: visit cap hit after 1 objects")
-        assert "Traceback" not in err
+
+    def test_iteration_can_exceed_every_tree(self, capsys):
+        # Over words, y weighs {a,b} as the join of its two trees, and
+        # iteration squares that join, while each tree of x squares one of
+        # them.  The join is not selective and v1 * v1 reads v1 twice, which
+        # no generated system holds.  Which value is right is left open.
+        spec = "file:" + json.dumps({
+            "semiring": {"kind": "language", "alphabet": ["a", "b"]},
+            "rules": [{"lhs": "x", "rhs": ["y"], "agg": "v1 * v1"},
+                      {"lhs": "y", "rhs": ["c1"], "agg": "v1"},
+                      {"lhs": "y", "rhs": ["c2"], "agg": "v1"}],
+            "nf": {"c1": "{a}", "c2": "{b}"},
+        })
+        assert main(["eval", "--system", spec, "--start", "x", "--depth", "3"]) == 0
+        assert capsys.readouterr().out == "x: {aa,ab,ba,bb} (stabilized, depth 2, 4 objects)\n"
+        assert main(["oracle", "--system", spec, "--depth", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "x depth 2: iterated {aa,ab,ba,bb} vs enumerated {aa,bb} MISMATCH" in lines
+        assert lines[-1] == "MISMATCH detected"
 
 
 # A bad `oracle` configuration exits 3, apart from 1 ("mismatch").
 INVALID_ORACLE_ARGV = {
     "negative depth": ["--depth", "-1"],
     "zero rule budget": ["--rule-budget", "0"],
-    "zero visit cap": ["--visit-cap", "0"],
-    "zero branch trunc": ["--branch-trunc", "0"],
-    "negative branch trunc": ["--branch-trunc", "-5"],
     "missing system file": ["--system", "file:/nonexistent/wars-system.json"],
     "bad system spec": ["--system", "nowhere"],
 }
@@ -651,10 +674,10 @@ def test_oracle_bad_configuration_exits_3(twostate, capsys, extra):
     _single_error_line(capsys.readouterr())
 
 
-@pytest.mark.parametrize("command, code", [("eval", 1), ("oracle", 3)])
+@pytest.mark.parametrize("command, code", [("eval", 1)])
 def test_branch_trunc_below_one_names_the_flag(twostate, capsys, command, code):
-    start = ["--start", "a"] if command == "eval" else []
-    argv = [command, "--system", f"file:{twostate}", *start, "--depth", "3", "--branch-trunc", "-5"]
+    argv = [command, "--system", f"file:{twostate}", "--start", "a", "--depth", "3",
+            "--branch-trunc", "-5"]
     assert main(argv) == code
     assert _single_error_line(capsys.readouterr()) == "error: --branch-trunc must be at least 1, got -5"
 
@@ -832,6 +855,7 @@ def test_resolve_system_parses_params():
     ("boolform(finite_costs=1)", "finite_costs must be a boolean, got 1"),
     ("boolform(costs=1)", "got an unexpected keyword argument 'costs'"),
     ("addition_trs(max_size=x)", "max_size must be an integer, got 'x'"),
+    ("addition_trs(max_size=15)", "max_size must be at most 14, got 15"),
 ])
 def test_bad_builtin_parameters_are_refused(capsys, spec, message):
     name = spec.split("(")[0]
@@ -865,6 +889,19 @@ def test_oversized_jump_prefix_is_refused_before_any_rule(capsys):
     assert len(jump.rhs) == 1024
 
 
+def test_oversized_term_size_is_refused_before_any_term(capsys):
+    # Every bound and oracle run lists each addition_trs term up to max_size,
+    # about 2.7 times more per size: at 18 a run did not end within 60 s
+    # under a 3 GB limit.
+    argv = ["bound", "--system", "builtin:addition_trs(max_size=1000)", "--mode", "extremal"]
+    started = time.process_time()
+    assert main(argv) == 1
+    assert time.process_time() - started < 1.0
+    assert _single_error_line(capsys.readouterr()) == (
+        "error: bad parameters for 'addition_trs': max_size must be at most 14, got 1000"
+    )
+
+
 def test_visit_cap_env_default(monkeypatch, capsys):
     monkeypatch.setenv("WARS_VISIT_CAP", "5")
     code = main(
@@ -894,23 +931,24 @@ def test_visit_cap_env_is_read_on_every_call(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["budgets"]["visit_cap"] == int(cap)
 
 
-@pytest.mark.parametrize("command, code", [("eval", 1), ("oracle", 3)])
+@pytest.mark.parametrize("command, code", [("eval", 1)])
 def test_unparsable_visit_cap_env_is_bad_configuration(monkeypatch, capsys, chain, command, code):
     monkeypatch.setenv("WARS_VISIT_CAP", "lots")
-    start = ["--start", "a"] if command == "eval" else []
-    assert main([command, "--system", f"file:{chain}", *start, "--depth", "1"]) == code
+    argv = [command, "--system", f"file:{chain}", "--start", "a", "--depth", "1"]
+    # Read before any other check, so it is the error a bad flag also meets.
+    assert main([*argv, "--rule-budget", "0"]) == code
     assert _single_error_line(capsys.readouterr()) == (
         "error: WARS_VISIT_CAP must be an integer, got 'lots'"
     )
     # An explicit flag needs no default.
-    assert main([command, "--system", f"file:{chain}", *start, "--depth", "1",
-                 "--visit-cap", "10"]) == 0
+    assert main([*argv, "--visit-cap", "10"]) == 0
 
 
 def test_commands_without_a_visit_cap_ignore_its_env(monkeypatch, capsys, chain):
     monkeypatch.setenv("WARS_VISIT_CAP", "lots")
     assert main(["bound", "--system", f"file:{chain}", "--mode", "extremal"]) == 0
     assert main(["loop", "--system", f"file:{chain}", "--start", "a", "--depth", "2"]) == 4
+    assert main(["oracle", "--system", f"file:{chain}", "--depth", "2"]) == 0
     assert "WARS_VISIT_CAP" not in capsys.readouterr().err
 
 

@@ -6,8 +6,9 @@ parameters, generated system files, the malformed files of
 zero, negative and non-integer values, and starts.  Every run must end in an
 exit code that the README documents for its command, or in argparse's usage
 error (exit 2), and must print no traceback.  Sizes stay small (depth at most
-6, ``prefix`` at most 16, ``max_size`` at most 3), so that no draw can take
-long or take much memory.
+6, ``prefix`` at most 16, ``max_size`` at most 3, apart from one value of
+each above its maximum, which is refused before any work), so that no draw
+can take long or take much memory.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ USUALLY, EVENLY, RARELY = (True,) * 9 + (False,), (True, False), (False,) * 9 + 
 PARAMETERS = {
     "geometric_walk": ("prefix", ("-3", "0", "1", "2", "16", "1025", "x", "true")),
     "ski_rental": ("y", ("-1", "0", "1", "3", "x", "true")),
-    "addition_trs": ("max_size", ("-1", "0", "1", "2", "3", "x")),
+    "addition_trs": ("max_size", ("-1", "0", "1", "2", "3", "15", "x")),
     "boolform": ("finite_costs", ("true", "false", "1", "x")),
 }
 # Each family's starts; files start from their own labels.
@@ -114,14 +115,14 @@ def argvs(draw, files):
     start = flag("--start", starts * 4 + UNPARSABLE, USUALLY)
     options = {
         "eval": [depth, start, flag("--rule-budget"), flag("--branch-trunc"), flag("--visit-cap")],
-        "oracle": [depth, flag("--count-cap"), flag("--rule-budget"), flag("--branch-trunc"),
-                   flag("--visit-cap")],
+        "oracle": [depth, flag("--count-cap"), flag("--rule-budget")],
         "loop": [depth, start, flag("--rule-budget"), flag("--max-witnesses")],
         "bound": [flag("--mode", MODES, USUALLY), flag("--bound", BOUNDS), flag("--samples"),
                   flag("--seed")],
     }[command]
     # Now and then a flag that the command does not take.
-    stray = draw(st.sampled_from(["--start", "--depth", "--count-cap", "--seed"]))
+    stray = draw(st.sampled_from(["--start", "--depth", "--count-cap", "--seed", "--visit-cap",
+                                  "--branch-trunc"]))
     options.append(flag(stray, odds=RARELY))
     for option in options:
         argv += draw(option)

@@ -12,7 +12,7 @@ certified loop's polynomial once.  Readers inside ``wars`` take rows: a
 file system's or a built-in's rules become records only through public
 ``successors`` and ``find_rule``.  One ``wars oracle`` run reads each
 (object, depth) key's rules and weighs each of its trees once, in a table of
-bounded size; within its visit cap it builds one ball and settles it once,
+bounded size; it builds one ball of every object and settles it once,
 weighing no level above its depth, and the affine embedding search settles
 once too.  Every object a compiled sweep evaluates is one ``_value`` call."""
 
@@ -245,21 +245,15 @@ PAIRS = {
 }
 
 
-@pytest.mark.parametrize("cap, per_object", [(100_000, False), (6, False), (5, True), (2, True)])
-def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path, cap,
-                                                   per_object):
-    # Every object was settled in a ball of its own, a DepthProfile each.
-    # Past the cap, each object's own ball still tells where the cap cuts it.
+def test_oracle_settles_once(monkeypatch, capsys, tmp_path):
+    # One ball holds all six objects, settled once: no object gets a
+    # DepthProfile of its own.
     path = tmp_path / "system.json"
     path.write_text(json.dumps(PAIRS))
     built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled, DepthProfile)
-    argv = ["oracle", "--system", f"file:{path}", "--depth", "3", "--visit-cap", str(cap)]
-    assert main(argv) == 0
+    assert main(["oracle", "--system", f"file:{path}", "--depth", "3"]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
-    if per_object:
-        assert built == {"_Ball": 6, "_Settled": 6, "DepthProfile": 6}
-    else:
-        assert built == {"_Ball": 1, "_Settled": 1}
+    assert built == {"_Ball": 1, "_Settled": 1}
 
 
 def test_oracle_weighs_no_level_above_its_depth(monkeypatch, capsys, tmp_path):

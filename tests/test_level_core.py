@@ -3,9 +3,8 @@
 Every entry point must return the same value, of the same type, status,
 explored depth and visit count as the reference, and raise
 ``VisitCapExceeded`` with the same partial bound.  The ``oracle`` command,
-which settles every object at once within its visit cap and reads one
-profile per object past it, must print the same bytes as when every depth of
-every object is explored on its own, and hit a visit cap at the same depth.
+which settles every object at once, must print the same bytes as when every
+depth of every object is explored on its own.
 A ball with every object as a start reads each object's reference profile
 at every level.  The ``loop`` command's iteration values must not exceed
 one reference profile of each loop's root.
@@ -22,14 +21,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reference_eval import (
-    ReferenceProfile,
     ReferenceSettle,
     reference_evaluate_to_fixpoint,
     reference_weight_lower_bound,
     reference_weight_profile,
 )
 from system_gen import random_system_json
-from wars import cli
+from wars import cli, evaluator
 from wars.builtins import builtin
 from wars.evaluator import (
     DepthProfile,
@@ -130,23 +128,18 @@ def test_entry_points_match_full_sweep(query, depth):
 
 
 def run_cli(argv: list[str]) -> tuple:
-    """Exit code and stdout of one command, or the visit-cap partial it raised."""
+    """Exit code and stdout of one command."""
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-    except VisitCapExceeded as exc:
-        bound = exc.partial
-        return "visit cap", bound.value, bound.status, bound.depth_explored, bound.visited
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
-def run_both(argv: list[str], module) -> tuple:
-    """Run a command as it is and with ``module.DepthProfile`` and
-    ``module._settle`` replaced by the reference; both runs must agree."""
+def run_both(argv: list[str]) -> tuple:
+    """Run a command as it is and with the evaluator's ``_settle`` replaced
+    by the reference; both runs must agree."""
     fast = run_cli(argv)
-    with mock.patch.object(module, "DepthProfile", ReferenceProfile), \
-            mock.patch.object(module, "_settle", ReferenceSettle):
+    with mock.patch.object(evaluator, "_settle", ReferenceSettle):
         reference = run_cli(argv)
     assert fast == reference
     return fast
@@ -222,11 +215,10 @@ def test_loop_command_without_cap_matches():
 
 
 @settings(max_examples=60, deadline=None)
-@given(explicit_systems(), st.integers(0, 4), st.integers(1, 12))
-def test_oracle_command_reads_one_profile_per_object(text, depth, cap):
-    argv = ["oracle", "--system", f"file:{text}", "--depth", str(depth),
-            "--visit-cap", str(cap), "--format", "json"]
-    record(run_both(argv, cli))
+@given(explicit_systems(), st.integers(0, 4))
+def test_oracle_command_reads_one_profile_per_object(text, depth):
+    argv = ["oracle", "--system", f"file:{text}", "--depth", str(depth), "--format", "json"]
+    record(run_both(argv))
 
 
 def test_every_start_reads_its_own_full_sweep():
@@ -246,43 +238,31 @@ def test_every_start_reads_its_own_full_sweep():
                 ], (seed, depth, objects[i])
 
 
-def per_object_oracle(system, depth, cap) -> tuple:
+def per_object_oracle(system, depth) -> list:
     """The (object, depth, iterated) of each oracle check as one
-    ``DepthProfile`` per object gives them, up to the first visit cap hit,
-    and that hit's error line, or None."""
+    ``DepthProfile`` per object gives them."""
     checks = []
     for a in system.enumerate_objects()[0]:
-        profile = DepthProfile(system, a, depth, visit_cap=cap)
+        profile = DepthProfile(system, a, depth)
         for level in range(depth + 1):
-            try:
-                value = profile.bound(level).value
-            except VisitCapExceeded as exc:
-                return checks, f"error: {exc}\n"
+            value = profile.bound(level).value
             checks.append((system.format_object(a), level, _literal(system, value)))
-    return checks, None
+    return checks
 
 
-def test_oracle_matches_a_profile_per_object_around_the_visit_cap():
-    # With at most --visit-cap objects, the oracle settles them all at once;
-    # with more, it weighs each object's own ball.  Either way its checks are
-    # those of a profile per object, and so is where a visit cap is hit.
+def test_oracle_matches_a_profile_per_object():
+    # The oracle settles every object at once; its checks are those of a
+    # profile per object.
     for seed in range(400):
         text = json.dumps(random_system_json(seed))
         system = load_explicit(text)
-        n, depth = len(system.enumerate_objects()[0]), seed % 5
-        for cap in (n - 1, n, n + 1, 100_000):
-            if cap < 1:
-                continue
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),
-                                 "--visit-cap", str(cap), "--format", "json"])
-            checks, hit = per_object_oracle(system, depth, cap)
-            if hit is not None:
-                assert (code, out.getvalue(), err.getvalue()) == (2, "", hit), (seed, cap)
-                continue
-            payload = json.loads(out.getvalue())
-            got = [(c["object"], c["depth"], c["iterated"]) for c in payload["checks"]]
-            assert got == checks, (seed, cap)
-            assert all(c["match"] == (c["iterated"] == c["enumerated"]) for c in payload["checks"])
-            assert code == (0 if payload["match"] else 1)
+        depth = seed % 5
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),
+                             "--format", "json"])
+        payload = json.loads(out.getvalue())
+        got = [(c["object"], c["depth"], c["iterated"]) for c in payload["checks"]]
+        assert got == per_object_oracle(system, depth), seed
+        assert all(c["match"] == (c["iterated"] == c["enumerated"]) for c in payload["checks"])
+        assert code == (0 if payload["match"] else 1)
