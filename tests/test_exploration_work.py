@@ -245,9 +245,15 @@ PAIRS = {
 }
 
 
-def test_oracle_settles_once(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("cap, env", [(100_000, False), (6, False), (5, True), (2, True)])
+def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path, cap, env):
     # One ball holds all six objects, settled once: no object gets a
-    # DepthProfile of its own.
+    # DepthProfile of its own.  The finite system bounds its own ball, so a
+    # default visit cap below its six objects does not cut it, and the oracle
+    # reads no WARS_VISIT_CAP.
+    monkeypatch.setattr(evaluator, "DEFAULT_VISIT_CAP", cap)
+    if env:
+        monkeypatch.setenv("WARS_VISIT_CAP", str(cap))
     path = tmp_path / "system.json"
     path.write_text(json.dumps(PAIRS))
     built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled, DepthProfile)

@@ -250,19 +250,24 @@ def per_object_oracle(system, depth) -> list:
     return checks
 
 
-def test_oracle_matches_a_profile_per_object():
-    # The oracle settles every object at once; its checks are those of a
-    # profile per object.
+def test_oracle_matches_a_profile_per_object_around_the_visit_cap(monkeypatch):
+    # The oracle settles every object at once, whatever the default visit
+    # cap: a finite system bounds its own ball.  So its checks are those of a
+    # profile per object, at the full default cap, with a default cap below,
+    # at or above its object count.
     for seed in range(400):
         text = json.dumps(random_system_json(seed))
         system = load_explicit(text)
-        depth = seed % 5
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),
-                             "--format", "json"])
-        payload = json.loads(out.getvalue())
-        got = [(c["object"], c["depth"], c["iterated"]) for c in payload["checks"]]
-        assert got == per_object_oracle(system, depth), seed
-        assert all(c["match"] == (c["iterated"] == c["enumerated"]) for c in payload["checks"])
-        assert code == (0 if payload["match"] else 1)
+        n, depth = len(system.enumerate_objects()[0]), seed % 5
+        checks = per_object_oracle(system, depth)
+        for cap in (n - 1, n, n + 1, 100_000):
+            monkeypatch.setattr(evaluator, "DEFAULT_VISIT_CAP", cap)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),
+                                 "--format", "json"])
+            payload = json.loads(out.getvalue())
+            got = [(c["object"], c["depth"], c["iterated"]) for c in payload["checks"]]
+            assert got == checks, (seed, cap)
+            assert all(c["match"] == (c["iterated"] == c["enumerated"]) for c in payload["checks"])
+            assert code == (0 if payload["match"] else 1)
