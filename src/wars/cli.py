@@ -36,10 +36,9 @@ from .evaluator import (
     DEFAULT_RULE_BUDGET,
     DEFAULT_VISIT_CAP,
     CountCapExceeded,
-    TreeTable,
     VisitCapExceeded,
     _settle_all,
-    enumerate_tree_weights,
+    _tree_weights,
     evaluate_to_fixpoint,
 )
 from .semiring import SemiringError
@@ -298,7 +297,7 @@ def cmd_loop(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_at_least(args, depth=0, rule_budget=1)
+    _check_at_least(args, depth=0, rule_budget=1, count_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
     enum = system.enumerate_objects()
@@ -309,19 +308,18 @@ def cmd_oracle(args) -> int:
         raise CliError("the oracle needs a system with at least one object")
 
     checks = []
-    # Each (object, depth) key's rows and weights, shared by every check.
-    table = TreeTable()
     # One settle of every object answers every check.
     settled = _settle_all(system, objects, args.depth, args.rule_budget)
+    # One enumeration of every check's trees, joined as each depth is weighed:
+    # leaves and compiled constants are checked, so weights are carrier values.
+    enumerated = _tree_weights(
+        system, [(a, depth) for a in objects for depth in range(args.depth + 1)],
+        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join,
+    )
     for i, a in enumerate(objects):
         for depth in range(args.depth + 1):
             iterated = settled.value(i, depth)
-            # One weight per tree, joined only here.
-            weights = enumerate_tree_weights(
-                system, a, depth, args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, table
-            )
-            # Leaves and compiled constants are checked: every weight is a carrier value.
-            joined = desc._join(weights)
+            joined = next(enumerated)
             checks.append(
                 {
                     "object": system.format_object(a),

@@ -792,13 +792,6 @@ def evaluate_to_fixpoint(
     return bound
 
 
-class TreeTable(dict):
-    """(object, remaining depth) -> [its rows, its outputs or None, the call
-    that last finished it, its position there], kept by tree enumeration
-    across calls; ``held`` bounds the outputs of trees applying a rule."""
-    held = 0
-
-
 def enumerate_trees(
     sys: SystemHandle,
     a,
@@ -811,11 +804,8 @@ def enumerate_trees(
     Includes trees that stop early at non-normal-form leaves.  Exponential;
     meant as an oracle for small systems, guarded by ``count_cap``.
     """
-    trees = _enumerate(
-        sys, a, depth, rule_budget, count_cap, TreeTable(), ReductionTree,
-        lambda obj, rule, combos: map(functools.partial(ReductionTree, obj, rule[3]), combos),
-    )
-    return iter(trees)
+    return next(_enumerate(sys, [(a, depth)], rule_budget, count_cap, ReductionTree,
+                           lambda obj, row: functools.partial(ReductionTree, obj, row[3]), iter))
 
 
 def enumerate_tree_weights(
@@ -825,21 +815,20 @@ def enumerate_tree_weights(
     rule_budget: int = 8,
     count_cap: int = DEFAULT_COUNT_CAP,
     branch_trunc: int = DEFAULT_BRANCH_TRUNC,
-    table: Optional[TreeTable] = None,
 ) -> list:
     """The weight of each tree of ``enumerate_trees``, in its order.
 
     Equal to ``tree_weight(sys, t, branch_trunc)`` for each ``t`` of
     ``enumerate_trees(sys, a, depth, rule_budget, count_cap)``, but no tree is
-    built: a tree that stops at an object weighs its normal-form weight or
-    zero, and a rule applies its compiled aggregator to its children's
-    weights.  Weights are neither deduplicated nor joined.  The trees are
+    built.  Weights are neither deduplicated nor joined.  The trees are
     counted first, so ``CountCapExceeded`` comes before any aggregator runs.
-
-    ``table`` (fresh by default) keeps each (object, remaining depth) key's
-    rows and weights for later calls with this system and these budgets, as
-    ``wars oracle`` keeps one per run; it changes no result.
     """
+    return next(_tree_weights(sys, [(a, depth)], rule_budget, count_cap, branch_trunc, list))
+
+
+def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
+    """``_enumerate`` weighing trees: a stop weighs its normal-form weight or
+    zero, a rule applies its compiled aggregator to its children's weights."""
     desc = sys.semiring
 
     def leaf(obj):
@@ -849,82 +838,94 @@ def enumerate_tree_weights(
         desc.require(weight)
         return weight
 
-    def node(obj, rule, combos):
-        return map(_compiled(rule[2], desc, len(rule[1]), branch_trunc), combos)
+    def node(obj, row):
+        return _compiled(row[2], desc, len(row[1]), branch_trunc)
 
-    table = TreeTable() if table is None else table
-    return _enumerate(sys, a, depth, rule_budget, count_cap, table, leaf, node)
+    return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish)
 
 
-def _enumerate(sys, a, depth, rule_budget, count_cap, table, leaf, node) -> list:
-    """One output per reduction tree rooted at ``a`` of depth at most
-    ``depth``, in enumeration order: ``leaf(obj)`` for the tree that stops at
-    ``obj``, and ``node(obj, rule, combos)`` for ``rule`` (a row) applied at
-    ``obj`` to the combinations of its children's outputs.
+def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish) -> Iterator:
+    """For each (object, depth) of ``roots`` in turn, ``finish`` of its
+    trees' outputs in enumeration order: ``leaf(obj)`` for the tree that
+    stops at ``obj``, then per rule (a row) ``node(obj, row)`` mapped over
+    ``itertools.product`` of its children's outputs.
 
-    Rows are read and outputs built only for keys that ``table`` lacks, but
-    every tree of this call is counted first, so more than ``count_cap``
-    trees raise ``CountCapExceeded`` before the builders run.  ``held`` adds
-    every call's trees, reused or not; before it would pass ``count_cap``,
-    the lists of the keys this call does not reach are dropped.
+    A key (object, remaining depth) takes its outputs from the keys one level
+    down, so they are built a level at a time, each key once, holding at most
+    two levels; a root is finished when its level is done.  Each object's
+    rows, ``leaf`` and ``node`` per row are read once.  The keys are found
+    top down and their trees counted bottom up, as integers capped just
+    above ``count_cap``.  Past it in all, each root sums the trees applying a
+    rule in its keys and, if that passes ``count_cap``, raises
+    ``CountCapExceeded`` in its turn; what only it and later roots reach is
+    never built.  A lone root stops looking once more of its keys than that
+    apply a rule.  A key whose build raises keeps the exception, and a key
+    above takes its first child's: a root raises it in its turn, as a
+    depth-first build, children first, would.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    # (object, table entry, (rule, child positions) of its rules) and the
-    # tree count of each finished frame, each after those of its children.
-    done: list = []
-    counts: list = []
-    # Marks the entries of the frames this call finished.
-    call = object()
-    built = 0
+    rows: dict = {}  # object -> its rows, read once
+    top = max(depth for _, depth in roots) + 1
+    counts: list = [{} for _ in range(top)]  # per remaining depth: object -> its key's trees
+    for a, depth in roots:
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        counts[depth][a] = None
+    cap, failed, ruled = max(count_cap, 0), len(roots), 0
+    for j in range(top - 1, 0, -1):
+        level = counts[j]
+        rows.update((b, sys._rows(b, rule_budget)[0]) for b in level if b not in rows)
+        ruled += sum(1 for b in level if rows[b])  # keys applying a rule, each to a tree
+        if ruled > cap and len(roots) == 1:
+            failed = 0
+            break
+        counts[j - 1].update(dict.fromkeys(c for b in level for row in rows[b] for c in row[1]))
+    needed = counts
+    if failed:
+        counts[0] = dict.fromkeys(counts[0], 1)
+        for j in range(1, top):
+            below, level = counts[j - 1], counts[j]
+            for b in level:
+                level[b] = min(cap + 2, 1 + sum(math.prod(map(below.__getitem__, row[1])) for row in rows[b]))
+        if sum(sum(level.values()) - len(level) for level in counts) > cap:
+            needed = [{} for _ in range(top)]
+            for r, (a, depth) in enumerate(roots):
+                reach = [(a,)]  # the distinct objects k rule steps from a, per k
+                for _ in range(depth):
+                    reach.append(tuple(dict.fromkeys(c for b in reach[-1] for row in rows[b] for c in row[1])))
+                if sum(counts[depth - k][b] - 1 for k, fr in enumerate(reach) for b in fr) > cap:
+                    failed = r
+                    break
+                for k, fr in enumerate(reach):
+                    needed[depth - k].update(dict.fromkeys(fr))
 
-    def frame(obj, d, entry) -> list:
-        # [object, depth, its rules, next rule, the next rule's child
-        # positions so far, (rule, child positions) of the rules done, trees
-        # counted so far, its table entry]
-        if entry is None:
-            entry = table[obj, d] = [sys._rows(obj, rule_budget)[0] if d > 0 else [], None, None, 0]
-        return [obj, d, entry[0], 0, [], [], 1, entry]
-
-    # Depth first with an explicit stack: each rule's children are counted,
-    # in order, before that rule's trees are.
-    stack = [frame(a, depth, table.get((a, depth)))]
-    while stack:
-        top = stack[-1]
-        obj, d, rules, i, children, applied, count, entry = top
-        if i < len(rules):
-            rhs = rules[i][1]
-            if len(children) < len(rhs):
-                child = table.get((rhs[len(children)], d - 1))
-                if child is not None and child[2] is call:
-                    children.append(child[3])
-                else:
-                    stack.append(frame(rhs[len(children)], d - 1, child))
-                continue
-            combos = math.prod(map(counts.__getitem__, children))
-            built += combos
-            if built > count_cap:
-                raise CountCapExceeded(f"more than {count_cap} trees at depth {depth}")
-            applied.append((rules[i], children))
-            top[3], top[4], top[6] = i + 1, [], count + combos
-            continue
-        entry[2], entry[3] = call, len(done)
-        done.append((obj, entry, applied))
-        counts.append(count)
-        stack.pop()
-
-    if table.held + built > count_cap:
-        for entry in table.values():
-            if entry[2] is not call:
-                entry[1] = None
-        table.held = 0
-    table.held += built
-    outputs: list = []
-    for obj, entry, applied in done:
-        if entry[1] is None:
-            out = [leaf(obj)]
-            for rule, children in applied:
-                out.extend(node(obj, rule, itertools.product(*map(outputs.__getitem__, children))))
-            entry[1] = out
-        outputs.append(entry[1])
-    return outputs[-1]
+    keys = set(roots[:failed])
+    leaves, fns, finished, outputs = {}, {}, {}, {}
+    errors: dict = {}  # key -> the exception its build raised
+    built = 0  # levels built
+    for r, (a, depth) in enumerate(roots):
+        if r == failed:
+            raise CountCapExceeded(f"more than {count_cap} trees at depth {depth}")
+        while built <= depth:
+            below, outputs = outputs, {}
+            for b in needed[built]:
+                rules = rows[b] if built else ()
+                failed_below = next((errors[c, built - 1] for row in rules for c in row[1]
+                                     if (c, built - 1) in errors), None) if errors else None
+                if failed_below is not None:
+                    errors[b, built] = failed_below
+                    continue
+                try:
+                    out = [leaves[b] if b in leaves else leaves.setdefault(b, leaf(b))]
+                    for row in rules:
+                        fn = fns[id(row)] if id(row) in fns else fns.setdefault(id(row), node(b, row))
+                        out.extend(map(fn, itertools.product(*map(below.__getitem__, row[1]))))
+                except Exception as exc:  # kept, and raised unchanged at its root's turn
+                    errors[b, built] = exc
+                    continue
+                outputs[b] = out
+                if (b, built) in keys:
+                    finished[b, built] = finish(out)
+            built += 1
+        if (a, depth) in errors:
+            raise errors[a, depth]
+        yield finished[a, depth]

@@ -6,7 +6,8 @@ systems of ``tests/system_gen.py`` (seeds 0-199, every object, depths 0, 3
 and 8, in text and in JSON), an ``oracle`` sweep over the same systems
 (depths 0, 2 and 4, with the default caps, ``--count-cap 20`` and
 ``--count-cap 300``, in JSON), which pins which cap or error each run meets
-first, ``oracle`` on ``addition_trs(max_size=k)`` for k = 0-3 at depths
+first, and on seed 0 with ``--count-cap 0`` and ``--count-cap -5``, which
+are refused, ``oracle`` on ``addition_trs(max_size=k)`` for k = 0-3 at depths
 0-3, in text and in JSON (k = 0 has no objects, which is refused),
 ``loop`` over the scheduler built-ins
 (``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
@@ -72,6 +73,7 @@ SWEEP_SEEDS = range(200)
 SWEEP_DEPTHS = (0, 3, 8)
 ORACLE_DEPTHS = (0, 2, 4)
 ORACLE_CAPS = ((), ("--count-cap", "20"), ("--count-cap", "300"))
+REFUSED_CAPS = (("--count-cap", "0"), ("--count-cap", "-5"))
 ADDITION_SIZES = range(4)
 ADDITION_DEPTHS = range(4)
 BENCH_SEEDS = range(5)
@@ -315,7 +317,7 @@ def oracle_ops(workdir: Path):
     for seed in SWEEP_SEEDS:
         _, path = _system_file(inputs, seed)
         for depth in ORACLE_DEPTHS:
-            for caps in ORACLE_CAPS:
+            for caps in ORACLE_CAPS + (REFUSED_CAPS if seed == 0 else ()):
                 argv = ["oracle", "--system", f"file:{path}", "--depth", str(depth), *caps,
                         "--format", "json"]
                 yield f"oracle system_seed={seed} depth={depth} {' '.join(caps) or 'default caps'}", argv

@@ -662,6 +662,8 @@ class TestOracle:
 INVALID_ORACLE_ARGV = {
     "negative depth": ["--depth", "-1"],
     "zero rule budget": ["--rule-budget", "0"],
+    "zero count cap": ["--count-cap", "0"],
+    "negative count cap": ["--count-cap", "-5"],
     "missing system file": ["--system", "file:/nonexistent/wars-system.json"],
     "bad system spec": ["--system", "nowhere"],
 }
@@ -680,6 +682,13 @@ def test_branch_trunc_below_one_names_the_flag(twostate, capsys, command, code):
             "--branch-trunc", "-5"]
     assert main(argv) == code
     assert _single_error_line(capsys.readouterr()) == "error: --branch-trunc must be at least 1, got -5"
+
+
+def test_count_cap_below_one_names_the_flag(twostate, capsys):
+    # Not exit 2, an enumeration blow-up: once "more than -5 trees at depth 1".
+    argv = ["oracle", "--system", f"file:{twostate}", "--depth", "3", "--count-cap", "-5"]
+    assert main(argv) == 3
+    assert _single_error_line(capsys.readouterr()) == "error: --count-cap must be at least 1, got -5"
 
 
 def _nested_products(levels: int) -> str:

@@ -688,18 +688,19 @@ def test_loop_builds_records_only_in_public_calls(monkeypatch, capsys):
     assert set(counts) == {"find_rule", ("make", "public")}
 
 
-def _oracle_work(monkeypatch, capsys, argv) -> tuple:
-    """Run ``wars oracle`` and count its enumeration's work: the rule reads
-    per (object, budget), the aggregator applications, and the weights its
-    table holds after each check that returned."""
+def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
+    """Run ``wars oracle``, which must exit with ``code``, and return what it
+    printed and its enumeration's work: the rule reads per (object, budget),
+    the aggregator applications, and, after each key's weights were joined,
+    the weights of the keys whose lists the enumeration still holds."""
     inside = [0]
     reads = collections.Counter()
     applied = [0]
-    tables: list = []
+    lists: list = []
     held: list = []
     rows = SystemHandle._rows
     compiled = evaluator._compiled
-    enumerate_tree_weights = cli.enumerate_tree_weights
+    tree_weights = cli._tree_weights
 
     def counted_rows(self, a, budget):
         if inside[0]:
@@ -714,36 +715,34 @@ def _oracle_work(monkeypatch, capsys, argv) -> tuple:
             return fn(*args)
         return apply
 
-    def watched(*args):
-        inside[0] = 1
-        try:
-            return enumerate_tree_weights(*args)
-        finally:
-            inside[0] = 0
-            table = args[6]
-            if table not in tables:
-                tables.append(table)
-            held.append(sum(len(entry[1]) - 1 for entry in table.values() if entry[1] is not None))
-            assert held[-1] <= table.held
+    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish):
+        def joined(weights):
+            # Referred to only by ``lists``, ``w`` and getrefcount's
+            # argument, a list was dropped by the enumeration.
+            lists.append(weights)
+            held.append(sum(len(w) for w in lists if sys.getrefcount(w) > 3))
+            return finish(weights)
+
+        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined)
+        while True:
+            inside[0] = 1
+            try:
+                value = next(checks, checks)
+            finally:
+                inside[0] = 0
+            if value is checks:
+                return
+            yield value
 
     monkeypatch.setattr(SystemHandle, "_rows", counted_rows)
     monkeypatch.setattr(evaluator, "_compiled", counted_compiled)
-    monkeypatch.setattr(cli, "enumerate_tree_weights", watched)
-    assert main(argv) == 0
-    assert len(tables) == 1
-    return capsys.readouterr().out, reads, applied[0], held
+    monkeypatch.setattr(cli, "_tree_weights", watched)
+    assert main(argv) == code
+    return capsys.readouterr(), reads, applied[0], held
 
 
-def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
-    # Each check enumerated from scratch: a key was read and weighed again
-    # by every check whose trees reach it.
-    data = random_system_json(33)
-    path = tmp_path / "system.json"
-    path.write_text(json.dumps(data))
-    argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
-    out, reads, applied, held = _oracle_work(monkeypatch, capsys, argv)
-    # Naively: the trees of every key the checks reach, the checks' roots
-    # being every object at every depth up to 4.
+def _trees(data, checks) -> dict:
+    """The number of trees of every key the checks reach, naively."""
     by_lhs = collections.defaultdict(list)
     for rule in data["rules"]:
         by_lhs[rule["lhs"]].append(rule["rhs"])
@@ -756,29 +755,61 @@ def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
             )
         return trees[obj, d]
 
-    for check in json.loads(out)["checks"]:
+    for check in checks:
         count(check["object"], check["depth"])
-    # Rules at the full budget once per key of depth >= 1; normal-form
-    # status once per key, for the tree that stops there.
-    ruled = collections.Counter(obj for obj, d in trees if d >= 1)
-    keyed = collections.Counter(obj for obj, d in trees)
-    assert reads == {**{(obj, 64): n for obj, n in ruled.items()},
-                     **{(obj, 1): n for obj, n in keyed.items()}}
-    assert applied == sum(n - 1 for n in trees.values()) == 6_406
-    assert max(held) <= 6_406
+    return trees
 
 
-def test_oracle_table_holds_at_most_count_cap_weights(monkeypatch, capsys, tmp_path):
-    # The largest check builds 4,773 trees that apply a rule, and all the
-    # checks 6,406: under a cap of 5,000 the table drops the lists of keys
-    # a check does not reach before its build could pass the cap, and every
-    # check still matches.  No later check reached a dropped key here.
+def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
+    # Each check enumerated from scratch: a key was read and weighed again
+    # by every check whose trees reach it.  Then each key was read once.
+    data = random_system_json(33)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(random_system_json(33)))
+    path.write_text(json.dumps(data))
     argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out
-    out, _, applied, held = _oracle_work(monkeypatch, capsys, [*argv, "--count-cap", "5000"])
-    assert out == expected
-    assert 4_773 <= max(held) <= 5_000
+    captured, reads, applied, _ = _oracle_work(monkeypatch, capsys, argv)
+    # The checks' roots are every object at every depth up to 4, so every
+    # object has a key of depth >= 1.
+    trees = _trees(data, json.loads(captured.out)["checks"])
+    # Rules at the full budget and normal-form status once per object.
+    objects = {obj for obj, _ in trees}
+    assert reads == {**{(obj, 64): 1 for obj in objects}, **{(obj, 1): 1 for obj in objects}}
+    assert applied == sum(n - 1 for n in trees.values()) == 6_406
+
+
+def test_oracle_holds_at_most_two_levels_of_weights(monkeypatch, capsys, tmp_path):
+    # The weights of all keys are 6,406 applied trees plus one stop per key;
+    # the enumeration builds a level from the one below and then drops that,
+    # so it holds at most the weights of two adjacent levels, and exactly
+    # that once the largest pair is built.
+    data = random_system_json(33)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
+    captured, _, applied, held = _oracle_work(monkeypatch, capsys, argv)
+    trees = _trees(data, json.loads(captured.out)["checks"])
+    level = [sum(n for (_, d), n in trees.items() if d == j) for j in range(5)]
+    assert max(held) == max(level[j - 1] + level[j] for j in range(1, 5)) < sum(level)
     assert applied == 6_406
+
+
+def test_oracle_builds_nothing_only_a_capped_check_reaches(monkeypatch, capsys, tmp_path):
+    # Under a cap of 1,000 the first checks pass and a later one has more
+    # trees: the checks before it are weighed, each key they reach once, and
+    # no key that only it and later checks reach.
+    data = random_system_json(33)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--count-cap", "1000"]
+    checks = [{"object": obj, "depth": d}
+              for obj in load_explicit(json.dumps(data)).enumerate_objects()[0] for d in range(5)]
+    reached: dict = {}
+    for n, check in enumerate(checks):
+        trees = _trees(data, [check])
+        if sum(t - 1 for t in trees.values()) > 1000:
+            break
+        reached.update(trees)
+    assert 0 < n < len(checks) - 1
+    captured, _, applied, _ = _oracle_work(monkeypatch, capsys, argv, code=2)
+    assert captured.out == "" and captured.err == f"error: more than 1000 trees at depth {checks[n]['depth']}\n"
+    assert applied == sum(t - 1 for t in reached.values()) < 6_406

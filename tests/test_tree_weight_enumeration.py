@@ -4,14 +4,18 @@ It must give what ``reference_tree_weight`` gives on each tree of
 ``reference_enumerate_trees``, weight for weight and type for type, in the
 same order, with nothing deduplicated or joined.  It counts the trees before
 it weighs any, so a ``CountCapExceeded`` comes first, with the same message,
-even when weighing one of the trees would raise.  A table shared by a
-sequence of calls, as ``wars oracle`` shares one, changes no result and no
-error of any call, and every weight is a value of the carrier, which lets the
-oracle join them unchecked.
+even when weighing one of the trees would raise.  ``wars oracle``, which
+weighs every check's trees in one enumeration, joins each check to what the
+reference's trees join to and meets the first cap or error of a fresh
+enumeration per check, and every weight is a value of the carrier, which
+lets the oracle join them unchecked.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
 import random
 
@@ -22,10 +26,11 @@ from hypothesis import strategies as st
 from reference_eval import reference_enumerate_trees, reference_tree_weight
 from system_gen import random_system, random_system_json
 from wars.builtins import builtin
+from wars import cli
 from wars.cli import main
-from wars.evaluator import CountCapExceeded, TreeTable, enumerate_tree_weights, weight_lower_bound
+from wars.evaluator import CountCapExceeded, enumerate_tree_weights, weight_lower_bound
 from wars.semiring import ALL_WORDS, SemiringError, descriptor_from_spec
-from wars.system import load_explicit
+from wars.system import SystemHandle, load_explicit
 
 SIGMA_ERROR = "concatenation with SIGMA* leaves the finite-language carrier"
 
@@ -141,44 +146,81 @@ class TestCountCapBeforeWeights:
         assert self._oracle(tmp_path, capsys, 5) == (3, f"error: {SIGMA_ERROR}\n")
 
 
-def shared_against_fresh(sys_, queries, **budgets):
-    """Run ``queries`` ((object, depth) pairs) in order on one shared table,
-    each beside a fresh call, and return the outcomes, which must agree."""
-    table = TreeTable()
-    outcomes = []
-    for a, depth in queries:
-        shared = outcome(lambda: enumerate_tree_weights(sys_, a, depth, table=table, **budgets))
-        fresh = outcome(lambda: enumerate_tree_weights(sys_, a, depth, **budgets))
-        assert shared == fresh, (a, depth, budgets)
-        held = sum(len(entry[1]) - 1 for entry in table.values() if entry[1] is not None)
-        assert held <= table.held <= budgets["count_cap"]
-        outcomes.append(shared)
-    return outcomes
+def reference_check(sys_, a, depth, count_cap, joins):
+    """The typed join of the reference's tree weights at (``a``, ``depth``),
+    or the type and message it raised; the join at the default cap is kept
+    in ``joins``, since a lower cap only adds ``CountCapExceeded``."""
+    if count_cap != 200_000:
+        try:
+            reference_enumerate_trees(sys_, a, depth, 8, count_cap)
+        except CountCapExceeded as exc:
+            return CountCapExceeded, str(exc)
+    if (a, depth) not in joins:
+        joins[a, depth] = outcome(lambda: [sys_.semiring.join(
+            [reference_tree_weight(sys_, t) for t in reference_enumerate_trees(sys_, a, depth)])])
+    return joins[a, depth]
+
+
+def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap):
+    """Run ``wars oracle`` on ``path`` at each depth and compare it with a
+    fresh reference enumeration per check, in check order: the checks
+    before the first that raises join as the reference does, types
+    included, and the run exits on that check's error, or passes."""
+    joined: list = []
+    weights = cli._tree_weights
+
+    def recorded(*args):
+        for value in weights(*args):
+            joined.append((type(value), value))
+            yield value
+
+    monkeypatch.setattr(cli, "_tree_weights", recorded)
+    checks = [(a, d) for a in sys_.enumerate_objects()[0] for d in range(max(depths) + 1)]
+    joins: dict = {}
+    for depth in depths:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["oracle", "--system", f"file:{path}", "--depth", str(depth),
+                         "--count-cap", str(count_cap), "--format", "json"])
+        ok, error = [], None
+        for a, d in checks:
+            if d <= depth:
+                kind, value = reference_check(sys_, a, d, count_cap, joins)
+                if kind != "ok":
+                    error = kind, value
+                    break
+                ok += value
+        assert joined == ok, (path, depth, count_cap)
+        joined.clear()
+        if error is not None:
+            assert (code, err.getvalue(), out.getvalue()) == (
+                2 if error[0] is CountCapExceeded else 3, f"error: {error[1]}\n", "")
+        else:
+            payload = json.loads(out.getvalue())
+            assert code == (0 if payload["match"] else 1) and err.getvalue() == ""
+            assert [c["enumerated"] for c in payload["checks"]] == [
+                sys_.semiring.format_literal(value) for _, value in ok]
 
 
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("count_cap", [200_000, 300, 20])
-def test_shared_table_changes_no_query(seed, count_cap):
-    sys_ = random_system(seed)
-    objects = sys_.enumerate_objects()[0]
-    # In the oracle's order, then shuffled, so keys are met from any side.
-    queries = [(a, depth) for a in objects for depth in range(5)]
-    shared_against_fresh(sys_, queries, count_cap=count_cap)
-    random.Random(seed).shuffle(queries)
-    shared_against_fresh(sys_, queries, count_cap=count_cap, rule_budget=2)
+def test_shared_table_changes_no_query(monkeypatch, tmp_path, seed, count_cap):
+    # The one enumeration that the oracle's checks share changes no check:
+    # seeds 0-399, each case taking every 40th, at oracle depths 0-4.
+    for s in range(seed, 400, 40):
+        path = tmp_path / f"system{s}.json"
+        path.write_text(json.dumps(random_system_json(s)))
+        shared_against_fresh(monkeypatch, random_system(s), path, range(5), count_cap)
 
 
 @pytest.mark.parametrize("count_cap", [4, 5])
-def test_shared_table_keeps_the_language_errors(count_cap):
+def test_shared_table_keeps_the_language_errors(monkeypatch, tmp_path, count_cap):
+    # At cap 4 the cap wins at a depth 2, at cap 5 the 4th tree's
+    # concatenation raises, and below depth 2 no check raises.
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(SIGMA_SYSTEM))
     sys_ = load_explicit(json.dumps(SIGMA_SYSTEM))
-    queries = [("c", 1), ("a", 1), ("a", 2), ("c", 2), ("a", 2), ("s", 2), ("a", 2)]
-    outcomes = shared_against_fresh(sys_, queries, count_cap=count_cap)
-    # At cap 4 the cap wins at a depth 2; at cap 5 the 4th tree's
-    # concatenation raises, as often as a depth 2 is asked for.
-    error = (CountCapExceeded, "more than 4 trees at depth 2") if count_cap == 4 else (
-        SemiringError, SIGMA_ERROR)
-    assert [o for o in outcomes if o[0] != "ok"] == [error] * 3
-    assert [o[0] for o in outcomes].index(error[0]) == 2
+    shared_against_fresh(monkeypatch, sys_, path, range(4), count_cap)
 
 
 # Carriers of the closure check: every simple kind, a language and products.
@@ -229,3 +271,35 @@ def test_every_enumerated_weight_is_a_carrier_value(seed, spec):
             assert desc.join(weights) == desc._join(weights)
             weighed += len(weights)
     assert weighed
+
+
+def test_first_error_of_a_depth_first_build():
+    # a -> c b and b -> e, where the normal forms c and e both fail to
+    # weigh.  Level by level e's key is built first, but the trees of a meet
+    # c first, as a depth-first build does.
+    sys_ = load_explicit(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["c", "b"], "agg": "v1 + v2"},
+                  {"lhs": "b", "rhs": ["e"], "agg": "v1"}],
+        "nf": {"c": "1", "e": "2"},
+    }))
+
+    def nf_weight(obj):
+        raise SemiringError(f"cannot weigh {obj}")
+
+    sys_._nf_weight = nf_weight
+    fast, reference = both(sys_, "a", 2)
+    assert fast == reference == (SemiringError, "cannot weigh c")
+
+
+def test_a_lone_root_stops_reading_rules_past_the_cap(monkeypatch):
+    # Within 40 steps of idle(), os_runtime's keys run to millions, over a
+    # minute's work to find them all; more than 100 of them apply a rule
+    # within the first few levels, so the count stops there.
+    osr = builtin("os_runtime")
+    reads = []
+    rows = SystemHandle._rows
+    monkeypatch.setattr(SystemHandle, "_rows", lambda self, a, budget: reads.append(a) or rows(self, a, budget))
+    fast, reference = both(osr, osr.parse_object("idle()"), 40, count_cap=100)
+    assert fast == reference == (CountCapExceeded, "more than 100 trees at depth 40")
+    assert len(reads) < 1_000
