@@ -312,9 +312,10 @@ def cmd_oracle(args) -> int:
     settled = _settle_all(system, objects, args.depth, args.rule_budget)
     # One enumeration of every check's trees, joined as each depth is weighed:
     # leaves and compiled constants are checked, so weights are carrier values.
+    # The join is idempotent, so each key keeps its distinct weights only.
     enumerated = _tree_weights(
         system, [(a, depth) for a in objects for depth in range(args.depth + 1)],
-        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join,
+        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join, True,
     )
     for i, a in enumerate(objects):
         for depth in range(args.depth + 1):

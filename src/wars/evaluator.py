@@ -820,15 +820,17 @@ def enumerate_tree_weights(
 
     Equal to ``tree_weight(sys, t, branch_trunc)`` for each ``t`` of
     ``enumerate_trees(sys, a, depth, rule_budget, count_cap)``, but no tree is
-    built.  Weights are neither deduplicated nor joined.  The trees are
-    counted first, so ``CountCapExceeded`` comes before any aggregator runs.
+    built.  One weight per tree, neither deduplicated nor joined.  The trees
+    are counted first, so ``CountCapExceeded`` comes before any aggregator.
     """
     return next(_tree_weights(sys, [(a, depth)], rule_budget, count_cap, branch_trunc, list))
 
 
-def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
+def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish, distinct=False):
     """``_enumerate`` weighing trees: a stop weighs its normal-form weight or
-    zero, a rule applies its compiled aggregator to its children's weights."""
+    zero, a rule applies its compiled aggregator to its children's weights.
+    With ``distinct`` a key keeps each distinct weight once, for a caller
+    that only joins them."""
     desc = sys.semiring
 
     def leaf(obj):
@@ -841,10 +843,10 @@ def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
     def node(obj, row):
         return _compiled(row[2], desc, len(row[1]), branch_trunc)
 
-    return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish)
+    return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, distinct)
 
 
-def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish) -> Iterator:
+def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, distinct=False) -> Iterator:
     """For each (object, depth) of ``roots`` in turn, ``finish`` of its
     trees' outputs in enumeration order: ``leaf(obj)`` for the tree that
     stops at ``obj``, then per rule (a row) ``node(obj, row)`` mapped over
@@ -861,7 +863,11 @@ def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish) -> Iterat
     never built.  A lone root stops looking once more of its keys than that
     apply a rule.  A key whose build raises keeps the exception, and a key
     above takes its first child's: a root raises it in its turn, as a
-    depth-first build, children first, would.
+    depth-first build, children first, would.  With ``distinct``, a key keeps
+    the first output of each (type, value), in order; tree counts stay.  A
+    ``finish`` that joins sees no change: joins are idempotent and pick the
+    first of equal values, and ``node`` depends on types and values, so a
+    dropped output or error repeats an earlier one.
     """
     rows: dict = {}  # object -> its rows, read once
     top = max(depth for _, depth in roots) + 1
@@ -922,6 +928,11 @@ def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish) -> Iterat
                 except Exception as exc:  # kept, and raised unchanged at its root's turn
                     errors[b, built] = exc
                     continue
+                if distinct:
+                    typed: dict = {}
+                    for v in out:
+                        typed.setdefault((type(v), v), v)
+                    out = list(typed.values())
                 outputs[b] = out
                 if (b, built) in keys:
                     finished[b, built] = finish(out)

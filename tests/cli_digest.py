@@ -7,8 +7,11 @@ and 8, in text and in JSON), an ``oracle`` sweep over the same systems
 (depths 0, 2 and 4, with the default caps, ``--count-cap 20`` and
 ``--count-cap 300``, in JSON), which pins which cap or error each run meets
 first, and on seed 0 with ``--count-cap 0`` and ``--count-cap -5``, which
-are refused, ``oracle`` on ``addition_trs(max_size=k)`` for k = 0-3 at depths
-0-3, in text and in JSON (k = 0 has no objects, which is refused),
+are refused, ``oracle`` on the same systems' rules over every carrier of
+``CARRIERS`` (``carrier_system_json``, seeds 0-19, depths 0-3, in JSON),
+most of which the sweep never draws, ``oracle`` on
+``addition_trs(max_size=k)`` for k = 0-3 at depths 0-3, in text and in
+JSON (k = 0 has no objects, which is refused),
 ``loop`` over the scheduler built-ins
 (``os_runtime``, ``os_size``, ``os_fair`` and ``os_starv`` from ``idle()``,
 ``wait(P1)`` and ``run(P2P1)``, depths 1-7, in text and in JSON, and
@@ -63,6 +66,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import shutil
 import sys
 import tempfile
@@ -250,6 +254,19 @@ FAMILIES = (
 FAMILY_DEPTH = 3
 ORACLE_FAMILIES = ("bitstring_prefixes", "loop_language")
 ORACLE_FAMILY_DEPTHS = range(4)
+# Carriers of the ``oracle`` ops on ``carrier_system_json``: every simple
+# kind, a language and products.  The carrier tests import both from here:
+# a pull request's digest also runs on its base checkout, and imports no
+# test module, since those need pytest.
+CARRIERS = [{"kind": kind} for kind in ("nat_inf", "real_inf", "tropical", "arctic", "boolean",
+                                        "confidence", "bottleneck")] + [
+    {"kind": "language", "alphabet": ["0", "1"]},
+    {"kind": "product", "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
+    {"kind": "product", "components": [{"kind": "tropical"},
+                                       {"kind": "language", "alphabet": ["x", "yz"]}]},
+]
+CARRIER_SEEDS = range(20)
+CARRIER_DEPTHS = range(4)
 WORKDIR = Path(tempfile.gettempdir()) / "wars-cli-digest"
 
 
@@ -321,6 +338,44 @@ def oracle_ops(workdir: Path):
                 argv = ["oracle", "--system", f"file:{path}", "--depth", str(depth), *caps,
                         "--format", "json"]
                 yield f"oracle system_seed={seed} depth={depth} {' '.join(caps) or 'default caps'}", argv
+
+
+def carrier_system_json(seed: int, spec: dict) -> dict:
+    """The rules of ``random_system_json(seed)`` over the carrier of
+    ``spec``, with new aggregators and normal-form weights drawn from its
+    probe values."""
+    from system_gen import random_system_json
+    from wars.semiring import descriptor_from_spec
+
+    rng = random.Random(seed)
+    desc = descriptor_from_spec(spec)
+    literals = [desc.format_literal(v) for v in desc.probe_values()]
+    data = random_system_json(seed)
+
+    def expr(arity):
+        def factor():
+            return f"v{rng.randrange(1, arity + 1)}" if rng.random() < 0.6 else rng.choice(literals)
+        return " + ".join(" * ".join(factor() for _ in range(rng.randrange(1, 3)))
+                          for _ in range(rng.randrange(1, 3)))
+
+    rules = [{**rule, "agg": expr(len(rule["rhs"]))} for rule in data["rules"]]
+    nf = {obj: rng.choice(literals) for obj in data["nf"]}
+    return {"semiring": spec, "rules": rules, "nf": nf}
+
+
+def carrier_ops(workdir: Path):
+    """(label, argv) of ``oracle`` on the generated systems over ``CARRIERS``."""
+    inputs = workdir / "carriers"
+    inputs.mkdir()
+    for spec in CARRIERS:
+        name = "-".join([spec["kind"], *(c["kind"] for c in spec.get("components", ()))])
+        for seed in CARRIER_SEEDS:
+            path = inputs / f"{name}-{seed}.json"
+            path.write_text(json.dumps(carrier_system_json(seed, spec)), encoding="utf-8")
+            for depth in CARRIER_DEPTHS:
+                argv = ["oracle", "--system", f"file:{path}", "--depth", str(depth),
+                        "--format", "json"]
+                yield f"oracle {name} system_seed={seed} depth={depth} json", argv
 
 
 def addition_ops():
@@ -550,7 +605,7 @@ def main() -> int:
     WORKDIR.mkdir()
     try:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR),
-                    addition_ops(), loop_ops(),
+                    carrier_ops(WORKDIR), addition_ops(), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
                     empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR),
                     builtin_embedding_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR),

@@ -11,10 +11,11 @@ a violated step.  ``wars loop`` explores no ball at all, and compiles each
 certified loop's polynomial once.  Readers inside ``wars`` take rows: a
 file system's or a built-in's rules become records only through public
 ``successors`` and ``find_rule``.  One ``wars oracle`` run reads each
-(object, depth) key's rules and weighs each of its trees once, in a table of
-bounded size; it builds one ball of every object and settles it once,
-weighing no level above its depth, and the affine embedding search settles
-once too.  Every object a compiled sweep evaluates is one ``_value`` call."""
+(object, depth) key's rules once, applies each rule once per combination of
+its children's distinct weights and holds two levels of them; it builds one
+ball of every object and settles it once, weighing no level above its
+depth, and the affine embedding search settles once too.  Every object a
+compiled sweep evaluates is one ``_value`` call."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import sys
 
 import pytest
 
+from reference_eval import reference_enumerate_trees, reference_tree_weight
 from system_gen import random_system_json
 from test_fixpoint_components import CUT_BELOW_START
 from wars import aggregator, cli, evaluator, system
@@ -715,7 +717,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             return fn(*args)
         return apply
 
-    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish):
+    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish, *distinct):
         def joined(weights):
             # Referred to only by ``lists``, ``w`` and getrefcount's
             # argument, a list was dropped by the enumeration.
@@ -723,7 +725,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             held.append(sum(len(w) for w in lists if sys.getrefcount(w) > 3))
             return finish(weights)
 
-        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined)
+        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined, *distinct)
         while True:
             inside[0] = 1
             try:
@@ -760,9 +762,29 @@ def _trees(data, checks) -> dict:
     return trees
 
 
+def _distinct(data, keys) -> dict:
+    """The distinct typed weights of each key's trees, naively: every tree
+    of the reference enumeration weighed by the reference."""
+    sys_ = load_explicit(json.dumps(data))
+    distinct = {}
+    for obj, d in keys:
+        weights = (reference_tree_weight(sys_, t) for t in reference_enumerate_trees(sys_, obj, d, 64))
+        distinct[obj, d] = {(type(w), w) for w in weights}
+    return distinct
+
+
+def _applications(data, distinct) -> int:
+    """Rule applications when every key of ``distinct`` is built from its
+    children's distinct weights: per key and rule, their product."""
+    return sum(math.prod(len(distinct[c, d - 1]) for c in rule["rhs"])
+               for obj, d in distinct for rule in data["rules"] if rule["lhs"] == obj and d)
+
+
 def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
     # Each check enumerated from scratch: a key was read and weighed again
-    # by every check whose trees reach it.  Then each key was read once.
+    # by every check whose trees reach it.  Then each key was read once, and
+    # each of its rules applied once per combination of its children's
+    # distinct weights, not once per tree.
     data = random_system_json(33)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(data))
@@ -774,23 +796,24 @@ def test_oracle_reads_and_weighs_each_key_once(monkeypatch, capsys, tmp_path):
     # Rules at the full budget and normal-form status once per object.
     objects = {obj for obj, _ in trees}
     assert reads == {**{(obj, 64): 1 for obj in objects}, **{(obj, 1): 1 for obj in objects}}
-    assert applied == sum(n - 1 for n in trees.values()) == 6_406
+    assert sum(n - 1 for n in trees.values()) == 6_406
+    assert applied == _applications(data, _distinct(data, trees)) == 89
 
 
 def test_oracle_holds_at_most_two_levels_of_weights(monkeypatch, capsys, tmp_path):
-    # The weights of all keys are 6,406 applied trees plus one stop per key;
-    # the enumeration builds a level from the one below and then drops that,
-    # so it holds at most the weights of two adjacent levels, and exactly
-    # that once the largest pair is built.
+    # Each key holds its distinct weights; the enumeration builds a level
+    # from the one below and then drops that, so it holds at most the
+    # distinct weights of two adjacent levels, and exactly that once the
+    # largest pair is built.
     data = random_system_json(33)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(data))
     argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--format", "json"]
     captured, _, applied, held = _oracle_work(monkeypatch, capsys, argv)
-    trees = _trees(data, json.loads(captured.out)["checks"])
-    level = [sum(n for (_, d), n in trees.items() if d == j) for j in range(5)]
+    distinct = _distinct(data, _trees(data, json.loads(captured.out)["checks"]))
+    level = [sum(len(w) for (_, d), w in distinct.items() if d == j) for j in range(5)]
     assert max(held) == max(level[j - 1] + level[j] for j in range(1, 5)) < sum(level)
-    assert applied == 6_406
+    assert applied == 89
 
 
 def test_oracle_builds_nothing_only_a_capped_check_reaches(monkeypatch, capsys, tmp_path):
@@ -812,4 +835,4 @@ def test_oracle_builds_nothing_only_a_capped_check_reaches(monkeypatch, capsys, 
     assert 0 < n < len(checks) - 1
     captured, _, applied, _ = _oracle_work(monkeypatch, capsys, argv, code=2)
     assert captured.out == "" and captured.err == f"error: more than 1000 trees at depth {checks[n]['depth']}\n"
-    assert applied == sum(t - 1 for t in reached.values()) < 6_406
+    assert applied == _applications(data, _distinct(data, reached)) == 30

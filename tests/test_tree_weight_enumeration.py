@@ -5,8 +5,9 @@ It must give what ``reference_tree_weight`` gives on each tree of
 same order, with nothing deduplicated or joined.  It counts the trees before
 it weighs any, so a ``CountCapExceeded`` comes first, with the same message,
 even when weighing one of the trees would raise.  ``wars oracle``, which
-weighs every check's trees in one enumeration, joins each check to what the
-reference's trees join to and meets the first cap or error of a fresh
+weighs every check's trees in one enumeration and keeps each key's distinct
+weights only, joins each check to what the reference's trees join to, type
+for type, on every carrier, and meets the first cap or error of a fresh
 enumeration per check, and every weight is a value of the carrier, which
 lets the oracle join them unchecked.
 """
@@ -17,20 +18,21 @@ import contextlib
 import io
 import itertools
 import json
-import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_digest import CARRIER_SEEDS, CARRIERS, carrier_system_json
 from reference_eval import reference_enumerate_trees, reference_tree_weight
 from system_gen import random_system, random_system_json
 from wars.builtins import builtin
 from wars import cli
 from wars.cli import main
-from wars.evaluator import CountCapExceeded, enumerate_tree_weights, weight_lower_bound
-from wars.semiring import ALL_WORDS, SemiringError, descriptor_from_spec
-from wars.system import SystemHandle, load_explicit
+from wars.evaluator import CountCapExceeded, _settle_all, enumerate_tree_weights, weight_lower_bound
+from wars.semiring import ALL_WORDS, SemiringError
+from wars.system import DEFAULT_RULE_BUDGET, SystemHandle, load_explicit
 
 SIGMA_ERROR = "concatenation with SIGMA* leaves the finite-language carrier"
 
@@ -223,34 +225,11 @@ def test_shared_table_keeps_the_language_errors(monkeypatch, tmp_path, count_cap
     shared_against_fresh(monkeypatch, sys_, path, range(4), count_cap)
 
 
-# Carriers of the closure check: every simple kind, a language and products.
-CARRIERS = [{"kind": kind} for kind in ("nat_inf", "real_inf", "tropical", "arctic", "boolean",
-                                        "confidence", "bottleneck")] + [
-    {"kind": "language", "alphabet": ["0", "1"]},
-    {"kind": "product", "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
-    {"kind": "product", "components": [{"kind": "tropical"},
-                                       {"kind": "language", "alphabet": ["x", "yz"]}]},
-]
-
-
+# The carriers of the closure check, ``CARRIERS``, and their systems come
+# from the CLI digest, which runs ``wars oracle`` on the same systems.
 def carrier_system(seed: int, spec: dict):
-    """The rules of ``random_system_json(seed)`` over the carrier of
-    ``spec``, with new aggregators and normal-form weights drawn from its
-    probe values."""
-    rng = random.Random(seed)
-    desc = descriptor_from_spec(spec)
-    literals = [desc.format_literal(v) for v in desc.probe_values()]
-    data = random_system_json(seed)
-
-    def expr(arity):
-        def factor():
-            return f"v{rng.randrange(1, arity + 1)}" if rng.random() < 0.6 else rng.choice(literals)
-        return " + ".join(" * ".join(factor() for _ in range(rng.randrange(1, 3)))
-                          for _ in range(rng.randrange(1, 3)))
-
-    rules = [{**rule, "agg": expr(len(rule["rhs"]))} for rule in data["rules"]]
-    nf = {obj: rng.choice(literals) for obj in data["nf"]}
-    return load_explicit(json.dumps({"semiring": spec, "rules": rules, "nf": nf}))
+    """``carrier_system_json(seed, spec)``, loaded."""
+    return load_explicit(json.dumps(carrier_system_json(seed, spec)))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -271,6 +250,64 @@ def test_every_enumerated_weight_is_a_carrier_value(seed, spec):
             assert desc.join(weights) == desc._join(weights)
             weighed += len(weights)
     assert weighed
+
+
+@pytest.mark.parametrize("count_cap", [200_000, 20])
+@pytest.mark.parametrize("spec", CARRIERS, ids=lambda spec: spec["kind"] + "".join(
+    f"-{c['kind']}" for c in spec.get("components", ())))
+def test_oracle_on_every_carrier(monkeypatch, capsys, tmp_path, spec, count_cap):
+    # The oracle keeps each key's distinct weights; every carrier's join
+    # then gives, type for type, what a fresh enumeration per check joins,
+    # and the same first cap or error (SIGMA* concatenations, over languages).
+    # Where value iteration, which runs first, concatenates with SIGMA*, the
+    # run exits 3 on that before it enumerates.
+    for seed in CARRIER_SEEDS:
+        text = json.dumps(carrier_system_json(seed, spec))
+        sys_ = load_explicit(text)
+        path = tmp_path / f"system{seed}.json"
+        path.write_text(text)
+        depths = []
+        for depth in range(4):
+            try:
+                _settle_all(sys_, sys_.enumerate_objects()[0], depth, DEFAULT_RULE_BUDGET)
+            except SemiringError as exc:
+                assert str(exc) == SIGMA_ERROR
+                assert main(["oracle", "--system", f"file:{path}", "--depth", str(depth)]) == 3
+                assert capsys.readouterr().err == f"error: {SIGMA_ERROR}\n"
+                continue
+            depths.append(depth)
+        if depths:
+            shared_against_fresh(monkeypatch, sys_, path, depths, count_cap)
+
+
+# ``real_inf`` weights 1 and 2/2: equal values of two types, which the join
+# and the aggregators tell apart, in either order at each key.
+MIXED_TYPES = {
+    "semiring": {"kind": "real_inf"},
+    "rules": [
+        {"lhs": "a", "rhs": ["f"], "agg": "v1", "tag": "f"},
+        {"lhs": "a", "rhs": ["i"], "agg": "v1", "tag": "i"},
+        {"lhs": "b", "rhs": ["i"], "agg": "v1 * 2/2", "tag": "i"},
+        {"lhs": "b", "rhs": ["f"], "agg": "v1 + 0", "tag": "f"},
+        {"lhs": "b", "rhs": ["i"], "agg": "v1", "tag": "j"},
+        {"lhs": "e", "rhs": ["i"], "agg": "v1", "tag": "i"},
+        {"lhs": "e", "rhs": ["b"], "agg": "v1", "tag": "b"},
+        {"lhs": "c", "rhs": ["a", "e"], "agg": "v1 * v2", "tag": "m"},
+        {"lhs": "c", "rhs": ["e", "a"], "agg": "v1 + 2 * v2", "tag": "p"},
+        {"lhs": "d", "rhs": ["c", "b", "e"], "agg": "v1 + v2 * v3", "tag": "d"},
+        {"lhs": "d", "rhs": ["e", "a"], "agg": "3 * v1 + v2", "tag": "s"},
+    ],
+    "nf": {"f": "2/2", "i": "1"},
+}
+
+
+@pytest.mark.parametrize("count_cap", [200_000, 20])
+def test_oracle_keeps_the_first_of_equal_weights(monkeypatch, tmp_path, count_cap):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_TYPES))
+    sys_ = load_explicit(json.dumps(MIXED_TYPES))
+    assert {type(w) for w in enumerate_tree_weights(sys_, "b", 1)} == {int, Fraction}
+    shared_against_fresh(monkeypatch, sys_, path, range(4), count_cap)
 
 
 def test_first_error_of_a_depth_first_build():
