@@ -23,8 +23,6 @@ from .semiring import (
     Semiring,
     SemiringError,
     descriptor_from_spec,
-    language,
-    product_descriptor,
 )
 from .aggregator import (
     AggregatorError,
@@ -94,10 +92,8 @@ from .evaluator import (
     StructuralTreeError,
     VisitCapExceeded,
     WeightBound,
-    enumerate_tree_weights,
     enumerate_trees,
     evaluate_to_fixpoint,
     tree_weight,
-    truncate,
     weight_lower_bound,
 )

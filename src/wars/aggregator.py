@@ -206,10 +206,6 @@ def _node_facts(expr, facts: list) -> tuple:
     return any(xs), max(mvs), any(countable)
 
 
-def mentions_x(expr) -> bool:
-    return _reduce(expr, lambda e: isinstance(e, XVar), lambda e, values: any(values))
-
-
 DEFAULT_TRUNCATION = 64
 
 

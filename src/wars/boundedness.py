@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import aggregator as agg
 from .evaluator import DEFAULT_BRANCH_TRUNC, _settle_all
@@ -136,15 +136,13 @@ def builtin_embedding(name: str) -> Embedding:
     return factory()
 
 
-def check_nf_top(sys: SystemHandle, nfs: Optional[Iterable] = None) -> Optional[BoundednessReport]:
+def check_nf_top(sys: SystemHandle) -> Optional[BoundednessReport]:
     """Report unboundedness if some normal form weighs the maximum."""
     desc = sys.semiring
-    if nfs is None:
-        enum = sys.enumerate_nfs()
-        if enum is None:
-            return None
-        nfs = enum[0]
-    for a in nfs:
+    enum = sys.enumerate_nfs()
+    if enum is None:
+        return None
+    for a in enum[0]:
         if desc.top == sys.nf_weight(a):
             return BoundednessReport(
                 verdict=UNBOUNDED,

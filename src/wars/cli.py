@@ -117,12 +117,6 @@ def _parse_start(system, text: str):
 
 
 def cmd_eval(args) -> int:
-    if args.visit_cap is None:  # read on every call, before any other check
-        text = os.environ.get("WARS_VISIT_CAP", str(DEFAULT_VISIT_CAP))
-        try:
-            args.visit_cap = int(text)
-        except ValueError:
-            raise CliError(f"WARS_VISIT_CAP must be an integer, got {text!r}") from None
     _check_at_least(args, depth=0, rule_budget=1, branch_trunc=1, visit_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
@@ -315,7 +309,7 @@ def cmd_oracle(args) -> int:
     # The join is idempotent, so each key keeps its distinct weights only.
     enumerated = _tree_weights(
         system, [(a, depth) for a in objects for depth in range(args.depth + 1)],
-        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join, True,
+        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join,
     )
     for i, a in enumerate(objects):
         for depth in range(args.depth + 1):
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--depth", type=int, required=True)
     p_eval.add_argument("--rule-budget", type=int, default=DEFAULT_RULE_BUDGET)
     p_eval.add_argument("--branch-trunc", type=int, default=DEFAULT_BRANCH_TRUNC)
-    p_eval.add_argument("--visit-cap", type=int)  # default: WARS_VISIT_CAP
+    p_eval.add_argument("--visit-cap", type=int, default=DEFAULT_VISIT_CAP)
     _common_args(p_eval)
 
     p_bound = sub.add_parser("bound", help="run a boundedness check")

@@ -168,29 +168,6 @@ def _weigher(sys: SystemHandle, branch_trunc: int):
     return weigh
 
 
-def truncate(tree: ReductionTree, n: int) -> ReductionTree:
-    """Drop all nodes deeper than ``n``; cut nodes become plain leaves."""
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    # Entries are (node, depth left, False) before the node's children and
-    # (node, depth left, True) after them; ``built`` holds finished subtrees.
-    built: list = []
-    stack = [(tree, n, False)]
-    while stack:
-        node, left, expanded = stack.pop()
-        if expanded:
-            k = len(node.children)
-            children = tuple(built[-k:])
-            del built[-k:]
-            built.append(ReductionTree(node.label, node.rule_tag, children))
-        elif left == 0 or not node.children:
-            built.append(ReductionTree(node.label))
-        else:
-            stack.append((node, left, True))
-            stack.extend((c, left - 1, False) for c in reversed(node.children))
-    return built[0]
-
-
 class _Ball:
     """The objects reachable from some starts within a radius and budgets.
 
@@ -808,28 +785,11 @@ def enumerate_trees(
                            lambda obj, row: functools.partial(ReductionTree, obj, row[3]), iter))
 
 
-def enumerate_tree_weights(
-    sys: SystemHandle,
-    a,
-    depth: int,
-    rule_budget: int = 8,
-    count_cap: int = DEFAULT_COUNT_CAP,
-    branch_trunc: int = DEFAULT_BRANCH_TRUNC,
-) -> list:
-    """The weight of each tree of ``enumerate_trees``, in its order.
-
-    Equal to ``tree_weight(sys, t, branch_trunc)`` for each ``t`` of
-    ``enumerate_trees(sys, a, depth, rule_budget, count_cap)``, but no tree is
-    built.  One weight per tree, neither deduplicated nor joined.  The trees
-    are counted first, so ``CountCapExceeded`` comes before any aggregator.
-    """
-    return next(_tree_weights(sys, [(a, depth)], rule_budget, count_cap, branch_trunc, list))
-
-
-def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish, distinct=False):
+def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
     """``_enumerate`` weighing trees: a stop weighs its normal-form weight or
     zero, a rule applies its compiled aggregator to its children's weights.
-    With ``distinct`` a key keeps each distinct weight once, for a caller
+    A key keeps each distinct weight once, so ``finish`` sees the first of
+    each (type, value) of its trees' weights, in order: enough for a caller
     that only joins them."""
     desc = sys.semiring
 
@@ -843,7 +803,7 @@ def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish, dist
     def node(obj, row):
         return _compiled(row[2], desc, len(row[1]), branch_trunc)
 
-    return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, distinct)
+    return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, True)
 
 
 def _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, distinct=False) -> Iterator:

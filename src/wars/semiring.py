@@ -691,14 +691,6 @@ CONFIDENCE = Confidence()
 BOTTLENECK = Bottleneck()
 
 
-def language(alphabet: Iterable[str]) -> Language:
-    return Language(alphabet)
-
-
-def product_descriptor(components: Iterable[Semiring]) -> Product:
-    return Product(components)
-
-
 _SIMPLE_KINDS = {
     "nat_inf": NAT_INF,
     "real_inf": REAL_INF,
@@ -742,11 +734,3 @@ def descriptor_from_spec(spec: dict, nesting: int = 1) -> Semiring:
             raise LiteralError(f"product semirings nest at most {MAX_PRODUCT_DEPTH} deep")
         return Product(descriptor_from_spec(c, nesting + 1) for c in comps)
     raise LiteralError(f"unknown semiring kind: {kind!r}")
-
-
-def descriptor_to_spec(desc: Semiring) -> dict:
-    if isinstance(desc, Language):
-        return {"kind": "language", "alphabet": list(desc.alphabet)}
-    if isinstance(desc, Product):
-        return {"kind": "product", "components": [descriptor_to_spec(c) for c in desc.components]}
-    return {"kind": desc.kind}

@@ -66,8 +66,8 @@ def _check_rule(rhs, aggregator, tag, rhs_complete=True) -> None:
     """Raise ``SystemError_`` for a rule that ``RuleInstance`` refuses."""
     if not rhs:
         raise SystemError_(f"rule {tag}: empty successor sequence")
-    mentions_x, mv, _ = agg._facts(aggregator)
-    if mentions_x:
+    has_x, mv, _ = agg._facts(aggregator)
+    if has_x:
         raise SystemError_(f"rule {tag}: rule aggregators cannot mention X")
     if rhs_complete and isinstance(mv, int) and mv > len(rhs):
         raise SystemError_(

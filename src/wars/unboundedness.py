@@ -53,7 +53,7 @@ class LoopWitness:
 @dataclass
 class UnboundednessReport:
     """``cross_check`` holds the loop's depth and, as literals, the weight of
-    k nested copies of the loop for k = 1..k_max (``iteration_values``)."""
+    k nested copies of the loop for k = 1..5 (``iteration_values``)."""
 
     object_label: str
     t_literal: str
@@ -68,7 +68,6 @@ def find_loops(
     start,
     max_depth: int,
     rule_budget: int = 8,
-    count_cap: int = DEFAULT_COUNT_CAP,
     max_witnesses: int = 16,
 ) -> list[tuple[ReductionTree, tuple]]:
     """Rule paths of at most ``max_depth`` steps from a start object back to
@@ -81,8 +80,9 @@ def find_loops(
     rule order along the path, then by child position, one per (start, tag
     path), and the walk stops at ``max_witnesses`` loops.  A loop's tree
     applies its path's rules and leaves every other child bare, so its depth
-    is its path's length.  ``count_cap`` bounds the rule paths (extensions by
-    one rule and child position), counted per level before it is built.
+    is its path's length.  ``DEFAULT_COUNT_CAP`` bounds the rule paths
+    (extensions by one rule and child position), counted per level before it
+    is built.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -99,8 +99,8 @@ def find_loops(
     out, paths = [], 0
     for depth in range(1, max_depth + 1):
         paths += sum(len(row[1]) for _, obj, _ in level for row in rows(obj))
-        if paths > count_cap:
-            raise CountCapExceeded(f"more than {count_cap} rule paths at depth {depth}")
+        if paths > DEFAULT_COUNT_CAP:
+            raise CountCapExceeded(f"more than {DEFAULT_COUNT_CAP} rule paths at depth {depth}")
         previous, level = level, {}
         for (i, obj, tags), link in previous.items():
             for row in rows(obj):
@@ -250,12 +250,10 @@ def analyze_loop(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple) -> Lo
     return witness
 
 
-def conclude_unbounded(
-    sys: SystemHandle, witness: LoopWitness, k_max: int = 5
-) -> UnboundednessReport:
+def conclude_unbounded(sys: SystemHandle, witness: LoopWitness) -> UnboundednessReport:
     """Turn a certified loop into an unboundedness verdict for its root.
 
-    Checks the polynomial P against the naive oracle: for k = 1..k_max the
+    Checks the polynomial P against the naive oracle: for k = 1..5 the
     tree of k nested copies of the loop (the loop grafted into its own
     designated leaf k - 1 times) must weigh P^k(zero) under ``tree_weight``,
     and the weights must not drop and must cover k increments.  Any
@@ -269,7 +267,7 @@ def conclude_unbounded(
     weigh = _weigher(sys, agg.DEFAULT_TRUNCATION)
     pumped, values = witness.tree, []
     expected = accumulated = previous = desc.zero
-    for k in range(1, k_max + 1):
+    for k in range(1, 6):
         if k > 1:
             pumped = _graft(witness.tree, witness.leaf_path, pumped)
         weight = weigh(pumped)

@@ -15,6 +15,8 @@ from scratch and recomputes every explored object at every level.
 
 ``reference_tree_weight`` is the reference for ``tree_weight``.  It recurses
 over the tree and checks and weighs every node it meets, shared or not.
+``cut_tree`` is no reference but a tool: it cuts a tree at a depth, for
+the tests that weigh cut trees.
 
 ``reference_search_affine_embedding`` is the reference for
 ``search_affine_embedding``.  It tries every table of values up to the cap in
@@ -421,6 +423,27 @@ def reference_tree_weight(sys, tree, branch_trunc=64):
         )
     args = [reference_tree_weight(sys, c, branch_trunc) for c in tree.children]
     return _compiled(rule.aggregator, desc, len(args), branch_trunc)(args)
+
+
+def cut_tree(tree, n):
+    """``tree`` without its nodes deeper than ``n``; a cut node becomes a
+    plain leaf.  It walks an explicit stack, so it cuts trees deeper than
+    the recursion limit."""
+    # Entries are (node, depth left, False) before the node's children and
+    # (node, depth left, True) after them; ``built`` holds finished subtrees.
+    built: list = []
+    stack = [(tree, n, False)]
+    while stack:
+        node, left, expanded = stack.pop()
+        if expanded:
+            k = len(node.children)
+            built[-k:] = [ReductionTree(node.label, node.rule_tag, tuple(built[-k:]))]
+        elif left == 0 or not node.children:
+            built.append(ReductionTree(node.label))
+        else:
+            stack.append((node, left, True))
+            stack.extend((c, left - 1, False) for c in reversed(node.children))
+    return built[0]
 
 
 # --------------------------------------------------------------------------

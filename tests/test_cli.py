@@ -911,45 +911,43 @@ def test_oversized_term_size_is_refused_before_any_term(capsys):
     )
 
 
+EVAL_WALK = ["eval", "--system", "builtin:walk_termprob", "--start", "2", "--depth", "40",
+             "--format", "json"]
+
+
 def test_visit_cap_env_default(monkeypatch, capsys):
+    # The visit cap is a flag alone: WARS_VISIT_CAP no longer sets its
+    # default, so eval runs to the end under DEFAULT_VISIT_CAP.
     monkeypatch.setenv("WARS_VISIT_CAP", "5")
-    code = main(
-        [
-            "eval",
-            "--system",
-            "builtin:walk_termprob",
-            "--start",
-            "2",
-            "--depth",
-            "40",
-            "--format",
-            "json",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert payload["budgets"]["visit_cap"] == 5
+    for flags, code, cap in (([], 0, 100_000), (["--visit-cap", "5"], 2, 5)):
+        assert main([*EVAL_WALK, *flags]) == code
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["budgets"]["visit_cap"], err) == (cap, "")
 
 
 def test_visit_cap_env_is_read_on_every_call(monkeypatch, capsys):
-    argv = ["eval", "--system", "builtin:walk_termprob", "--start", "2", "--depth", "40",
-            "--format", "json"]
+    # Set anew before every call, the variable is still unread: only the
+    # flag moves the cap.
     for cap, code in (("5", 2), ("7", 2), ("100000", 0)):
         monkeypatch.setenv("WARS_VISIT_CAP", cap)
-        assert main(argv) == code
+        assert main(EVAL_WALK) == 0
+        assert json.loads(capsys.readouterr().out)["budgets"]["visit_cap"] == 100_000
+        assert main([*EVAL_WALK, "--visit-cap", cap]) == code
         assert json.loads(capsys.readouterr().out)["budgets"]["visit_cap"] == int(cap)
 
 
 @pytest.mark.parametrize("command, code", [("eval", 1)])
 def test_unparsable_visit_cap_env_is_bad_configuration(monkeypatch, capsys, chain, command, code):
+    # An unparsable WARS_VISIT_CAP is no configuration at all: a bad flag
+    # meets its own error, and without one the command runs.
     monkeypatch.setenv("WARS_VISIT_CAP", "lots")
     argv = [command, "--system", f"file:{chain}", "--start", "a", "--depth", "1"]
-    # Read before any other check, so it is the error a bad flag also meets.
     assert main([*argv, "--rule-budget", "0"]) == code
     assert _single_error_line(capsys.readouterr()) == (
-        "error: WARS_VISIT_CAP must be an integer, got 'lots'"
+        "error: --rule-budget must be at least 1, got 0"
     )
-    # An explicit flag needs no default.
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
     assert main([*argv, "--visit-cap", "10"]) == 0
 
 

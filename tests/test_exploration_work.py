@@ -247,15 +247,12 @@ PAIRS = {
 }
 
 
-@pytest.mark.parametrize("cap, env", [(100_000, False), (6, False), (5, True), (2, True)])
-def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path, cap, env):
+@pytest.mark.parametrize("cap", [100_000, 6, 5, 2])
+def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path, cap):
     # One ball holds all six objects, settled once: no object gets a
     # DepthProfile of its own.  The finite system bounds its own ball, so a
-    # default visit cap below its six objects does not cut it, and the oracle
-    # reads no WARS_VISIT_CAP.
+    # default visit cap below its six objects does not cut it.
     monkeypatch.setattr(evaluator, "DEFAULT_VISIT_CAP", cap)
-    if env:
-        monkeypatch.setenv("WARS_VISIT_CAP", str(cap))
     path = tmp_path / "system.json"
     path.write_text(json.dumps(PAIRS))
     built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled, DepthProfile)
@@ -717,7 +714,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             return fn(*args)
         return apply
 
-    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish, *distinct):
+    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish):
         def joined(weights):
             # Referred to only by ``lists``, ``w`` and getrefcount's
             # argument, a list was dropped by the enumeration.
@@ -725,7 +722,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             held.append(sum(len(w) for w in lists if sys.getrefcount(w) > 3))
             return finish(weights)
 
-        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined, *distinct)
+        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined)
         while True:
             inside[0] = 1
             try:

@@ -150,7 +150,6 @@ def test_walkers_match_the_recursive_walkers(data):
     inner = data.draw(_leaves(desc, bad=False))
     pairs = [
         (agg.max_var, ref.reference_max_var, (expr,)),
-        (agg.mentions_x, ref.reference_mentions_x, (expr,)),
         (agg.substitute_x, ref.reference_substitute_x, (expr, inner)),
         (agg.fold_constants, ref.reference_fold_constants, (expr, desc)),
         (format_expr, ref.reference_format_expr, (expr, desc)),
@@ -409,7 +408,7 @@ def test_deep_expressions_parse_print_and_walk(shape):
     assert _same_tree(_timed(agg.substitute_x, expr, X), expr)
     # The loop-polynomial walkers, on the same tree with X for v1.
     in_x = _timed(_apply_aggregator, expr, [X], NAT_INF)
-    assert _timed(agg.mentions_x, in_x) and _timed(_mentions_only_x, in_x)
+    assert _timed(agg._facts, in_x)[0] and _timed(_mentions_only_x, in_x)
     assert _same_tree(_timed(agg.fold_constants, in_x, NAT_INF), in_x)
     constant = _timed(agg.substitute_x, in_x, Const(1))
     assert isinstance(_timed(agg.fold_constants, constant, NAT_INF), Const)

@@ -25,7 +25,6 @@ ALLOWED = {
         "a countable sum's kept terms are cut by the same rule; countable sums "
         "nest only as deep as the program that built them",
     ("semiring.py", ("descriptor_from_spec",)): "recurses on the nesting of product carriers",
-    ("semiring.py", ("descriptor_to_spec",)): "recurses on the nesting of product carriers",
 }
 
 

@@ -26,8 +26,6 @@ from wars.semiring import (
     LiteralError,
     Product,
     SemiringError,
-    descriptor_from_spec,
-    descriptor_to_spec,
 )
 
 # Whether the interpreter limits the digits of an integer printed as text.
@@ -309,13 +307,6 @@ class TestLiterals:
         # the limit stays, and hitting it is a carrier-level error.
         with pytest.raises(SemiringError, match="cannot print the value"):
             desc.format_literal(value)
-
-    def test_descriptor_specs_round_trip(self):
-        for desc in (NAT_INF, TROPICAL, LANG01, NAT_BOOL):
-            spec = descriptor_to_spec(desc)
-            again = descriptor_from_spec(spec)
-            assert again.kind == desc.kind
-            assert again.zero == desc.zero and again.top == desc.top
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: repr(d))

