@@ -444,7 +444,8 @@ def search_affine_embedding(
                     f"rule {tag}: aggregator is not affine in its variables"
                 )
 
-    settled = _settle_all(sys, objects, len(objects) * (coeff_cap + 1), rule_budget)
+    # Stability needs at least one level to compare.
+    settled = _settle_all(sys, objects, max(len(objects) * (coeff_cap + 1), 1), rule_budget)
     if not settled.certified:
         return None
     table = {a: settled.value(i, settled.depth) for i, a in enumerate(objects)}

@@ -1,8 +1,10 @@
 """Batch command line: evaluate weights, check bounds, hunt loops, run oracles.
 
 Exit codes are stable per command and documented in the README.  All output
-goes through one writer; identical configurations with identical seeds produce
-byte-identical JSON.
+goes through one writer, ``_emit``; its JSON comes from ``_json_text``, which
+writes in one pass the bytes ``json.dumps(payload, indent=2, sort_keys=True)``
+writes.  Identical configurations with identical seeds produce byte-identical
+JSON.
 """
 
 from __future__ import annotations
@@ -88,9 +90,49 @@ def resolve_system(spec: str):
     return builtin(name, **params)
 
 
-def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a string, as ``json`` writes or refuses it."""
+    if isinstance(key, (int, float)) or key is None:
+        return _ENCODE_STR(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, indent="\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` in one pass, not ``json``'s
+    pure-Python generator per container.  Non-empty dicts, lists and tuples,
+    strings, ints, booleans and None are written here as ``json`` writes them;
+    any other value (a float, an empty container) goes to ``json.dumps``, so
+    its text or error is the same.  Distinct keys sort as (key, value) pairs do.
+    """
+    if isinstance(value, str):
+        return _ENCODE_STR(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # Strings, ints and booleans, the common items, are written in place.
+        items = [(_ENCODE_STR(k) if isinstance(k, str) else _key_text(k)) + ": "
+                 + (_ENCODE_STR(v) if (t := type(v := value[k])) is str
+                    else int.__repr__(v) if t is int
+                    else ("true" if v else "false") if t is bool
+                    else _json_text(v, inner))
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [_ENCODE_STR(v) if type(v) is str else _json_text(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _emit(payload: dict, fmt: str, lines) -> None:
+    """Print ``payload`` as JSON, or else ``lines``, which only text reads."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)
@@ -155,11 +197,11 @@ def cmd_eval(args) -> int:
         },
         "results": results,
     }
-    lines = [
+    lines = (
         f"{r['start']}: {r['value']} ({r['status']}, depth {r['depth']}, "
         f"{r['visited']} objects)"
         for r in results
-    ]
+    )
     _emit(payload, args.format, lines)
     return exit_code
 
@@ -222,13 +264,14 @@ def cmd_bound(args) -> int:
             system.format_object(k): desc.format_literal(v)
             for k, v in report.bound_map.items()
         }
-    lines = [f"verdict: {report.verdict} (via {report.method})"]
-    lines += [f"  {k}: {v}" for k, v in payload["details"].items()]
-    if report.sample_count:
-        lines.append(f"  verified on {report.sample_count} instances")
-    if report.bound_map is not None and args.format != "json":
-        lines.append(f"  upper-bound map covers {len(report.bound_map)} objects")
-    _emit(payload, args.format, lines)
+    def lines():
+        yield f"verdict: {report.verdict} (via {report.method})"
+        yield from (f"  {k}: {v}" for k, v in payload["details"].items())
+        if report.sample_count:
+            yield f"  verified on {report.sample_count} instances"
+        if report.bound_map is not None:
+            yield f"  upper-bound map covers {len(report.bound_map)} objects"
+    _emit(payload, args.format, lines())
     return _BOUND_EXIT[report.verdict]
 
 
@@ -272,18 +315,18 @@ def cmd_loop(args) -> int:
         "depth": args.depth,
         "loops": reports,
     }
-    lines = []
-    for entry in reports:
-        tail = f"t={entry['t']}" if entry["t"] is not None else "no increment"
-        lines.append(
-            f"loop depth {entry['depth']} via {'>'.join(entry['trace'])}: "
-            f"{entry['polynomial']} [{entry['status']}, {tail}]"
-        )
-        if entry.get("verdict"):
-            lines.append(f"  => weight of {entry['root']} is the maximum")
-    if not reports:
-        lines.append("no loops found")
-    _emit(payload, args.format, lines)
+    def lines():
+        for entry in reports:
+            tail = f"t={entry['t']}" if entry["t"] is not None else "no increment"
+            yield (
+                f"loop depth {entry['depth']} via {'>'.join(entry['trace'])}: "
+                f"{entry['polynomial']} [{entry['status']}, {tail}]"
+            )
+            if entry.get("verdict"):
+                yield f"  => weight of {entry['root']} is the maximum"
+        if not reports:
+            yield "no loops found"
+    _emit(payload, args.format, lines())
 
     if any(e.get("verdict") == "unbounded" for e in reports):
         return 0
@@ -302,7 +345,7 @@ def cmd_oracle(args) -> int:
         raise CliError("the oracle needs a system with at least one object")
 
     checks = []
-    # One settle of every object answers every check.
+    # One settle of every object, to the depth the checks read, answers them all.
     settled = _settle_all(system, objects, args.depth, args.rule_budget)
     # One enumeration of every check's trees, joined as each depth is weighed:
     # leaves and compiled constants are checked, so weights are carrier values.
@@ -312,16 +355,21 @@ def cmd_oracle(args) -> int:
         args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join,
     )
     for i, a in enumerate(objects):
+        label = system.format_object(a)
         for depth in range(args.depth + 1):
             iterated = settled.value(i, depth)
             joined = next(enumerated)
+            match = iterated == joined
+            text = desc.format_literal(iterated)
             checks.append(
                 {
-                    "object": system.format_object(a),
+                    "object": label,
                     "depth": depth,
-                    "iterated": desc.format_literal(iterated),
-                    "enumerated": desc.format_literal(joined),
-                    "match": iterated == joined,
+                    "iterated": text,
+                    # Equal carrier values of one type print alike.
+                    "enumerated": text if match and type(iterated) is type(joined)
+                    else desc.format_literal(joined),
+                    "match": match,
                 }
             )
 
@@ -333,14 +381,12 @@ def cmd_oracle(args) -> int:
         "checks": checks,
         "match": all_match,
     }
-    lines = [
-        f"{c['object']} depth {c['depth']}: iterated {c['iterated']} "
-        f"vs enumerated {c['enumerated']} "
-        f"{'ok' if c['match'] else 'MISMATCH'}"
-        for c in checks
-    ]
-    lines.append("all checks passed" if all_match else "MISMATCH detected")
-    _emit(payload, args.format, lines)
+    def lines():
+        for c in checks:
+            yield (f"{c['object']} depth {c['depth']}: iterated {c['iterated']} "
+                   f"vs enumerated {c['enumerated']} {'ok' if c['match'] else 'MISMATCH'}")
+        yield "all checks passed" if all_match else "MISMATCH detected"
+    _emit(payload, args.format, lines())
     return 0 if all_match else 1
 
 

@@ -499,7 +499,7 @@ class _Settled:
     def _acyclic(self, x, steps) -> int:
         """Settle an object on no cycle; return its last change level."""
         initial = self.initial[x]
-        if not self.ball.rules[x]:
+        if not (steps and self.ball.rules[x]):
             self.levels[x], self.taken[x] = [0], [initial]
             return 0
         values, levels, taken = self.values, self.levels, self.taken
@@ -619,7 +619,7 @@ class _Settled:
         history = {m: ([], []) for m in members if read[m]}
 
         last, level, pending, pruned = 0, 1, members, False
-        while True:
+        while level <= steps:
             reach = len(members)  # how many members this level can recompute
             if ends is not None:
                 bound = ends[min(steps - level + 1, len(ends) - 1)]
@@ -663,10 +663,11 @@ def _settle(sys, starts, radius, rule_budget, branch_trunc, visit_cap) -> _Settl
     return _Settled(ball, max(radius, 1))
 
 
-def _settle_all(sys, objects, radius, rule_budget) -> _Settled:
-    """Every object of a finite system settled in one ball that no visit cap cuts."""
-    return _settle(sys, objects, radius, rule_budget, DEFAULT_BRANCH_TRUNC,
-                   max(len(objects), DEFAULT_VISIT_CAP))
+def _settle_all(sys, objects, steps, rule_budget) -> _Settled:
+    """Every object of a finite system settled to ``steps`` levels, no extra
+    one, in one ball that no visit cap cuts."""
+    visit_cap = max(len(objects), DEFAULT_VISIT_CAP)
+    return _Settled(_Ball(sys, objects, steps, rule_budget, DEFAULT_BRANCH_TRUNC, visit_cap), steps)
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:

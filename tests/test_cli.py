@@ -10,9 +10,11 @@ import pytest
 
 from wars.builtins import MAX_TERM_DEPTH
 from wars.cli import main, resolve_system, CliError
+from wars.evaluator import weight_lower_bound
 from wars.semiring import MAX_PRODUCT_DEPTH
-from wars.system import MAX_AGGREGATOR_DEPTH
+from wars.system import MAX_AGGREGATOR_DEPTH, load_explicit
 
+from cli_digest import carrier_system_json
 from system_gen import random_system_json
 
 # Whether the interpreter limits the digits of an integer printed as text.
@@ -637,6 +639,20 @@ class TestOracle:
         assert _single_error_line(capsys.readouterr()) == (
             "error: the oracle needs a system with at least one object"
         )
+
+    def test_depth_zero_reads_no_level_above_zero(self, capsys):
+        # Iterating this word-set system concatenates with SIGMA* at level 1,
+        # which no depth-0 check reads.
+        text = json.dumps(carrier_system_json(2, {"kind": "language", "alphabet": ["0", "1"]}))
+        assert main(["oracle", "--system", f"file:{text}", "--depth", "1"]) == 3
+        assert "SIGMA*" in capsys.readouterr().err
+        assert main(["oracle", "--system", f"file:{text}", "--depth", "0", "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        sys_ = load_explicit(text)
+        assert [c["object"] for c in checks] == list(sys_.enumerate_objects()[0])
+        for c in checks:
+            value = sys_.semiring.format_literal(weight_lower_bound(sys_, c["object"], 0).value)
+            assert (c["depth"], c["iterated"], c["enumerated"], c["match"]) == (0, value, value, True)
 
     def test_iteration_can_exceed_every_tree(self, capsys):
         # Over words, y weighs {a,b} as the join of its two trees, and

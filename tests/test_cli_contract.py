@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cli_digest import MALFORMED
 from system_gen import random_system_json
-from wars.cli import main
+from wars.cli import _json_text, main
 
 # The README's exit codes per command.
 EXIT_CODES = {
@@ -150,3 +150,33 @@ def test_every_argv_ends_in_a_documented_exit_code(files, data):
         assert code == 2 and "usage: wars" in err
     else:
         assert code in EXIT_CODES[argv[0]]
+
+
+# Text that ``json`` escapes: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\n\x1f\x7fé\u2028\ud800'),
+               max_size=6)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+           | st.floats() | TEXT)
+# Every key kind ``json`` converts; the last draws mixed kinds, which it refuses.
+KEYS = (TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
+        TEXT | st.integers() | st.floats() | st.booleans() | st.none())
+PAYLOADS = st.recursive(
+    SCALARS | st.sets(st.integers(), max_size=2),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.one_of(*(st.dictionaries(k, kids, max_size=4) for k in KEYS))),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PAYLOADS)
+def test_json_writer_writes_what_json_dumps_writes(payload):
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True)
+    except Exception as exc:  # a set, or keys of kinds that do not sort together
+        with pytest.raises(Exception) as raised:
+            _json_text(payload)
+        assert type(raised.value) is type(exc)
+    else:
+        assert _json_text(payload) == expected

@@ -24,6 +24,9 @@ ALLOWED = {
     ("aggregator.py", ("_cut", "leaf")):
         "a countable sum's kept terms are cut by the same rule; countable sums "
         "nest only as deep as the program that built them",
+    ("cli.py", ("_json_text",)):
+        "recurses on the nesting of a command's JSON payload: at most four "
+        "containers deep (a loop's trace), whatever the input",
     ("semiring.py", ("descriptor_from_spec",)): "recurses on the nesting of product carriers",
 }
 
