@@ -62,12 +62,10 @@ from .boundedness import (
     Embedding,
     EmbeddingDomainError,
     PreconditionError,
-    UnsupportedAggregatorError,
     builtin_embedding,
     check_nf_top,
     check_sufficient_extremal,
     check_sufficient_selective,
-    search_affine_embedding,
     verify_embedding,
 )
 from .unboundedness import (

@@ -10,14 +10,13 @@ explicit upper-bound map.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import aggregator as agg
-from .evaluator import DEFAULT_BRANCH_TRUNC, _settle_all
-from .semiring import INF, NatInf, RealInf, Semiring, SemiringError
+from .evaluator import DEFAULT_BRANCH_TRUNC
+from .semiring import INF, RealInf, Semiring, SemiringError
 from .system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_, SystemHandle, _literal_text
 
 BOUNDED_CERTIFIED = "bounded_certified"
@@ -36,10 +35,6 @@ class PreconditionError(BoundednessError):
 
 class EmbeddingDomainError(BoundednessError):
     """The embedding is undefined on a touched object."""
-
-
-class UnsupportedAggregatorError(BoundednessError):
-    pass
 
 
 @dataclass
@@ -194,7 +189,7 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
         # No complete universe: probe the aggregators on sampled objects, or
         # on the normal forms when the system has no sampler.
         try:
-            objects = sys.sample_objects(random.Random(0), 64)
+            objects = sys.sample_objects(64)
         except SystemError_:
             objects = list(nfs)
         objects_complete = False
@@ -412,47 +407,3 @@ def _integer_leq(aggregator, desc: RealInf, arity: int, truncation: int):
         return n * bound.denominator <= bound.numerator * d
 
     return leq
-
-
-def search_affine_embedding(
-    sys: SystemHandle, coeff_cap: int, rule_budget: int = DEFAULT_RULE_BUDGET
-) -> Optional[Embedding]:
-    """The least table of values up to ``coeff_cap`` that verifies
-    exhaustively over ``nat_inf``; None when no table within the cap works.
-
-    Valid tables are the pre-fixpoints of the rule operator and are closed
-    under pointwise minimum, so the least one is the least fixpoint, which
-    one settle of all objects finds.  Each non-normal-form value is an integer
-    up to the cap, so n objects settle within n * (coeff_cap + 1) levels
-    unless the least fixpoint exceeds the cap; the visit cap refuses none.
-    """
-    desc = sys.semiring
-    if not isinstance(desc, NatInf):
-        raise PreconditionError("affine embedding search works over the counting carrier")
-    enum = sys.enumerate_objects()
-    if enum is None or not enum[1]:
-        raise PreconditionError("affine embedding search needs a finite explicit system")
-    objects = sorted(enum[0], key=str)
-
-    for a in objects:
-        rules, complete = sys._rows(a, rule_budget)
-        if not complete:
-            raise PreconditionError("affine embedding search needs complete rule lists")
-        for _, rhs, aggregator, tag, _ in rules:
-            if agg.affine_form(aggregator, desc, len(rhs)) is None:
-                raise UnsupportedAggregatorError(
-                    f"rule {tag}: aggregator is not affine in its variables"
-                )
-
-    # Stability needs at least one level to compare.
-    settled = _settle_all(sys, objects, max(len(objects) * (coeff_cap + 1), 1), rule_budget)
-    if not settled.certified:
-        return None
-    table = {a: settled.value(i, settled.depth) for i, a in enumerate(objects)}
-    # inf is above every cap.
-    if any(value > coeff_cap for value in table.values()):
-        return None
-    embedding = Embedding.from_table(table, f"affine<={coeff_cap}")
-    if verify_embedding(sys, embedding, rule_budget=rule_budget).certified():
-        return embedding
-    return None

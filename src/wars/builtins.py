@@ -67,7 +67,7 @@ def _walk(expected_steps: bool) -> SystemHandle:
         ),
         parse_object_fn=lambda text: int(text),
         enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda rng, count: list(range(count)),
+        sample_objects_fn=lambda count: list(range(count)),
         aggregators_finite_no_top=True,
     )
 
@@ -98,7 +98,7 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
         ),
         parse_object_fn=lambda text: int(text),
         enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda rng, count: list(range(count)),
+        sample_objects_fn=lambda count: list(range(count)),
         aggregators_finite_no_top=False,
     )
 
@@ -158,7 +158,7 @@ def _format_os_state(state) -> str:
     return f"{kind}({''.join(queue)})"
 
 
-def _sample_os(rng, count):
+def _sample_os(count):
     # Deterministic breadth-first closure from idle(()).
     seen, frontier, out = set(), [("idle", ())], []
     v1 = Var(1)
@@ -253,7 +253,7 @@ def _z_walk() -> SystemHandle:
             row = (n, (n + 2,), step, "even_up", True)
         return [row][:budget], True
 
-    def sample(rng, count):
+    def sample(count):
         out = [0]
         k = 1
         while len(out) < count:
@@ -639,7 +639,7 @@ def _na_system() -> SystemHandle:
         ),
         parse_object_fn=parse,
         enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda rng, count: ["a"] + list(range(count - 1)),
+        sample_objects_fn=lambda count: ["a"] + list(range(count - 1)),
         aggregators_finite_no_top=True,
     )
 

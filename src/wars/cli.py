@@ -3,8 +3,7 @@
 Exit codes are stable per command and documented in the README.  All output
 goes through one writer, ``_emit``; its JSON comes from ``_json_text``, which
 writes in one pass the bytes ``json.dumps(payload, indent=2, sort_keys=True)``
-writes.  Identical configurations with identical seeds produce byte-identical
-JSON.
+writes.  Identical configurations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys as _sys
 
@@ -211,6 +209,10 @@ _BOUND_EXIT = {BOUNDED_CERTIFIED: 0, BOUNDED_SAMPLED: 3, UNKNOWN: 4, UNBOUNDED: 
 
 def cmd_bound(args) -> int:
     _check_at_least(args, samples=1)
+    if args.samples is not None and not args.mode.startswith("embed:"):
+        raise CliError(f"--samples is read only by embed: modes, not by {args.mode!r}")
+    if args.bound is not None and args.mode != "selective":
+        raise CliError(f"--bound is read only by selective mode, not by {args.mode!r}")
     system = resolve_system(args.system)
     desc = system.semiring
 
@@ -242,9 +244,7 @@ def cmd_bound(args) -> int:
             except BoundednessError as exc:
                 raise CliError(str(exc)) from exc
         if args.samples is not None:
-            rng = random.Random(args.seed)
-            instances = system.sample_objects(rng, args.samples)
-            report = verify_embedding(system, embedding, instances)
+            report = verify_embedding(system, embedding, system.sample_objects(args.samples))
         else:
             report = verify_embedding(system, embedding)
     else:
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--mode", required=True, help="selective | extremal | embed:<name|path>")
     p_bound.add_argument("--bound", help="universal bound literal for selective mode")
     p_bound.add_argument("--samples", type=int)
-    p_bound.add_argument("--seed", type=int, default=0, help="seeds the --samples draw")
     _common_args(p_bound)
 
     p_loop = sub.add_parser("loop", help="hunt for weight-increasing loops")

@@ -129,7 +129,6 @@ class Semiring:
     plus_is_selective = False
     times_is_selective = False
     has_extremal_property = False
-    order_is_reversed_usual = False
 
     zero = None
     one = None
@@ -306,7 +305,6 @@ class Tropical(_Numeric):
     kind = "tropical"
     plus_is_selective = True
     has_extremal_property = True
-    order_is_reversed_usual = True
     zero = INF
     one = 0
     top = 0

@@ -143,7 +143,7 @@ class SystemHandle:
         format_object_fn: Callable[[object], str] | None = None,
         enumerate_objects_fn: Callable[[], tuple] | None = None,
         enumerate_nfs_fn: Callable[[], tuple] | None = None,
-        sample_objects_fn: Callable[[object, int], list] | None = None,
+        sample_objects_fn: Callable[[int], list] | None = None,
         aggregators_finite_no_top: Optional[bool] = None,
     ):
         self.name = name
@@ -209,9 +209,9 @@ class SystemHandle:
         objs, complete = enum
         return [a for a in objs if self.is_normal_form(a)], complete
 
-    def sample_objects(self, rng, count: int) -> list:
+    def sample_objects(self, count: int) -> list:
         if self._sample_objects is not None:
-            return self._sample_objects(rng, count)
+            return self._sample_objects(count)
         enum = self.enumerate_objects()
         if enum is not None:
             return enum[0][:count]

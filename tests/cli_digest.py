@@ -24,7 +24,11 @@ rule, ``loop`` on ``geometric_walk``, whose loop polynomials weigh countable
 sums off the loop path, ``eval`` and ``loop`` on ``geometric_walk`` with no
 jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
 ``eval`` and ``bound --mode extremal`` on the built-in specs of
-``REFUSED``, which pin each refused parameter's message,
+``REFUSED``, which pin each refused parameter's message, ``eval`` on the
+system files of ``BAD_CARRIERS``, which pin the loader's message for a
+missing, unknown or mismatched carrier, the ops of ``PARSED``, which pin an
+unknown ``bound`` mode and each built-in's message for a start it refuses
+(and ``ski_rental``'s ``halt``, which it reads), in text and in JSON,
 ``bound --mode embed:<table>`` on the ``real_inf`` file of ``EMBEDDED``
 with each of its tables, which pin the message of a violated step,
 ``bound --mode embed:<name>`` with the built-in embeddings of
@@ -173,6 +177,28 @@ REFUSED = (
     # ``bound --mode extremal`` reads no rule, so a checkout without the
     # prefix maximum answers it without making 10^9 jump targets.
     ("bound", "geometric_walk(prefix=1000000000)"),
+    ("eval", "walk_termprob(3)"),
+)
+# (name, file contents) of system files refused for their carrier: no
+# semiring, an unknown kind, and a product normal form with one slot for two
+# components.
+BAD_CARRIERS = (
+    ("no_semiring", {"rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}], "nf": {"b": "0"}}),
+    ("unknown_kind", {"semiring": {"kind": "nope"},
+                      "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}], "nf": {"b": "0"}}),
+    ("short_product", {"semiring": {"kind": "product",
+                                    "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
+                       "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}], "nf": {"b": "(2)"}}),
+)
+# (built-in spec, argv tail) of a mode ``bound`` does not know and of starts
+# that each built-in's object parser refuses, or reads (``halt``).
+PARSED = (
+    ("walk_expected", ("bound", "--mode", "foo")),
+    ("walk_termprob", ("eval", "--start", "-3", "--depth", "1")),
+    ("ski_rental(y=3)", ("eval", "--start", "foo", "--depth", "1")),
+    ("ski_rental(y=3)", ("eval", "--start", "halt", "--depth", "1")),
+    ("addition_trs", ("eval", "--start", "s(0,0)", "--depth", "1")),
+    ("loop_language", ("eval", "--start", "c", "--depth", "1")),
 )
 # (rules, nf, tables) of a ``real_inf`` file checked with ``bound --mode
 # embed:<table>``: the first table ties at every rule and normal form, in
@@ -461,6 +487,22 @@ def refused_ops():
             yield f"{command} {spec} {fmt}", argv
 
 
+def parsed_ops(workdir: Path):
+    """(label, argv) of ``eval`` on the files of ``BAD_CARRIERS`` and of the
+    ops of ``PARSED``."""
+    inputs = workdir / "bad-carriers"
+    inputs.mkdir()
+    for name, data in BAD_CARRIERS:
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        yield f"bad-carrier {name} eval", ["eval", "--system", f"file:{path}", "--start", "a",
+                                           "--depth", "1"]
+    for spec, (command, *query) in PARSED:
+        for fmt in ("text", "json"):
+            argv = [command, "--system", f"builtin:{spec}", *query, "--format", fmt]
+            yield f"{command} {spec} {' '.join(query)} {fmt}", argv
+
+
 def builtin_embedding_ops():
     """(label, argv) of ``bound --mode embed:<name>`` with the built-in
     embeddings of ``BUILTIN_EMBEDDINGS``."""
@@ -607,7 +649,7 @@ def main() -> int:
         for ops in (benchmark_ops(WORKDIR), sweep_ops(WORKDIR), oracle_ops(WORKDIR),
                     carrier_ops(WORKDIR), addition_ops(), loop_ops(),
                     loop_sweep_ops(WORKDIR), malformed_ops(WORKDIR), geometric_ops(),
-                    empty_jump_ops(), refused_ops(), embedded_ops(WORKDIR),
+                    empty_jump_ops(), refused_ops(), parsed_ops(WORKDIR), embedded_ops(WORKDIR),
                     builtin_embedding_ops(), ordered_ops(WORKDIR), word_set_ops(WORKDIR),
                     affine_ops(WORKDIR), countable_ops(WORKDIR), family_ops()):
             for label, argv in ops:

@@ -18,11 +18,6 @@ over the tree and checks and weighs every node it meets, shared or not.
 ``cut_tree`` is no reference but a tool: it cuts a tree at a depth, for
 the tests that weigh cut trees.
 
-``reference_search_affine_embedding`` is the reference for
-``search_affine_embedding``.  It tries every table of values up to the cap in
-lexicographic order and checks each with its own copy of the embedding
-inequalities, so its cost grows exponentially with the number of objects.
-
 ``reference_verify_embedding`` is the reference for ``verify_embedding``.
 It builds every rule step with the compiled aggregator and compares it in
 the carrier's order, on every carrier, as the check did before affine
@@ -52,7 +47,6 @@ keeps one tree per (root, rule-tag path).
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from wars import aggregator as agg
 from wars.aggregator import (
@@ -77,7 +71,6 @@ from wars.boundedness import (
     BoundednessReport,
     Embedding,
     PreconditionError,
-    UnsupportedAggregatorError,
 )
 from wars.evaluator import (
     LOWER_BOUND,
@@ -89,7 +82,7 @@ from wars.evaluator import (
     WeightBound,
     enumerate_trees,
 )
-from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, NatInf, Product, Tropical
+from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, Product
 from wars.system import MAX_AGGREGATOR_DEPTH, SystemHandle
 from wars.unboundedness import UnboundednessError, _apply_aggregator
 
@@ -905,69 +898,6 @@ def reference_tag_path(tree, path) -> tuple:
         tags.append(tree.rule_tag)
         tree = tree.children[idx]
     return tuple(tags)
-
-
-# --------------------------------------------------------------------------
-# Embedding search: every table up to the cap, in lexicographic order.
-
-
-def reference_search_affine_embedding(
-    sys: SystemHandle, coeff_cap: int, rule_budget: int = 64
-) -> Optional[Embedding]:
-    """Enumerate finite value tables up to ``coeff_cap`` and return the first
-    that verifies exhaustively; None when no table within the cap works."""
-    desc = sys.semiring
-    if not isinstance(desc, (NatInf, Tropical)):
-        raise PreconditionError(
-            "affine embedding search works over the counting or tropical carriers"
-        )
-    enum = sys.enumerate_objects()
-    if enum is None or not enum[1]:
-        raise PreconditionError("affine embedding search needs a finite explicit system")
-    objects = sorted(enum[0], key=str)
-
-    rules_of = {}
-    for a in objects:
-        rules, complete = sys.successors(a, rule_budget)
-        if not complete:
-            raise PreconditionError("affine embedding search needs complete rule lists")
-        for r in rules:
-            if agg.affine_form(r.aggregator, desc, len(r.rhs)) is None:
-                raise UnsupportedAggregatorError(
-                    f"rule {r.tag}: aggregator is not affine in its variables"
-                )
-        rules_of[a] = [
-            (r.rhs, agg._compiled(r.aggregator, desc, len(r.rhs), agg.DEFAULT_TRUNCATION))
-            for r in rules
-        ]
-
-    nf_weight = {
-        a: sys.nf_weight(a) for a in objects if not rules_of[a]
-    }
-
-    for combo in itertools.product(range(coeff_cap + 1), repeat=len(objects)):
-        table = dict(zip(objects, combo))
-        ok = True
-        for a in objects:
-            ea = table[a]
-            if ea == desc.top:
-                ok = False
-                break
-            if not rules_of[a]:
-                if not desc.leq(nf_weight[a], ea):
-                    ok = False
-                    break
-                continue
-            for rhs, step_fn in rules_of[a]:
-                step = step_fn([table[b] for b in rhs])
-                if not desc.leq(step, ea):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Embedding.from_table(table, f"affine<={coeff_cap}")
-    return None
 
 
 # --------------------------------------------------------------------------

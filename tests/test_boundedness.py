@@ -1,5 +1,5 @@
 """Boundedness checks: top-valued normal forms, selective and extremal
-sufficient conditions, embedding verification, and the affine search."""
+sufficient conditions and embedding verification."""
 
 from __future__ import annotations
 
@@ -19,12 +19,10 @@ from wars.boundedness import (
     UNKNOWN,
     Embedding,
     PreconditionError,
-    UnsupportedAggregatorError,
     builtin_embedding,
     check_nf_top,
     check_sufficient_extremal,
     check_sufficient_selective,
-    search_affine_embedding,
     verify_embedding,
 )
 from wars.builtins import builtin, builtin_names, ground_terms
@@ -32,7 +30,7 @@ from wars.evaluator import weight_lower_bound
 from wars.semiring import BOTTLENECK, INF, REAL_INF
 from wars.system import RuleInstance, SystemHandle, _finite_no_top, load_explicit
 
-from reference_eval import reference_search_affine_embedding, reference_verify_embedding
+from reference_eval import reference_verify_embedding
 from system_gen import random_system
 from test_evaluator import fan_system
 
@@ -140,9 +138,14 @@ def _unsampled_handle(sampler=None):
     )
 
 
+def _bare_handle():
+    # Neither objects nor normal forms are enumerable.
+    return SystemHandle("bare", BOTTLENECK, lambda obj, budget: ([], True), lambda obj: 3)
+
+
 class TestSelectiveSampling:
     def test_crashing_sampler_propagates(self):
-        def sampler(rng, count):
+        def sampler(count):
             raise RuntimeError("sampler bug")
 
         with pytest.raises(RuntimeError, match="sampler bug"):
@@ -153,6 +156,23 @@ class TestSelectiveSampling:
         assert report.verdict == BOUNDED_SAMPLED
         assert report.details == {"normal_forms_checked": 1, "rules_checked": 0}
         assert report.sample_count == 1
+
+    def test_no_normal_form_enumeration_is_unknown(self):
+        report = check_sufficient_selective(_bare_handle(), 3)
+        assert (report.verdict, report.details) == (UNKNOWN, {"normal_forms": "not enumerable"})
+
+    def test_an_incomplete_rule_list_only_samples(self):
+        # Object 1 lists one rule and says it has more: every object is
+        # enumerated, but not every rule.
+        def successors(obj, budget):
+            return ([(1, (0,), parse_expr("v1", BOTTLENECK), "r", True)] if obj else []), obj == 0
+
+        sys_ = SystemHandle("partial", BOTTLENECK, successors, lambda obj: 3,
+                            enumerate_objects_fn=lambda: ([0, 1], True))
+        report = check_sufficient_selective(sys_, 3)
+        assert report.verdict == BOUNDED_SAMPLED
+        assert report.details == {"normal_forms_checked": 1, "rules_checked": 1}
+        assert report.sample_count == 2
 
 
 class TestExtremalCondition:
@@ -182,6 +202,20 @@ class TestExtremalCondition:
         report = check_sufficient_extremal(sys_)
         assert report.verdict == UNKNOWN
         assert "aggregators" in report.details["missing"]
+
+    def test_normal_forms_not_enumerable_block(self):
+        report = check_sufficient_extremal(_bare_handle())
+        assert report.verdict == UNKNOWN
+        assert report.details["normal_form_weights"] == "not fully enumerable"
+        assert "normal_form_weights" in report.details["missing"]
+
+    def test_top_valued_normal_form_blocks(self):
+        # `wars bound` answers this system by check_nf_top first; a library
+        # call reaches the extremal check's own test.
+        report = check_sufficient_extremal(builtin("boolform"))
+        assert report.verdict == UNKNOWN
+        assert report.details["normal_form_weights"] == "top-valued: Pba"
+        assert report.details["missing"] == ["normal_form_weights"]
 
     def test_terminating_chain_certifies(self):
         report = check_sufficient_extremal(CHAIN)
@@ -322,145 +356,14 @@ class TestVerifyEmbedding:
             verify_embedding(CHAIN, partial)
 
     def test_certified_bound_dominates_every_level(self):
-        e = search_affine_embedding(CHAIN, 6)
+        # CHAIN's least fixpoint.
+        e = Embedding.from_table({"a": 4, "b": 3, "c": 2})
         report = verify_embedding(CHAIN, e)
         assert report.certified()
         for a in CHAIN.enumerate_objects()[0]:
             for depth in range(13):
                 w = weight_lower_bound(CHAIN, a, depth).value
                 assert CHAIN.semiring.leq(w, report.bound_map[a])
-
-
-class TestSearchAffineEmbedding:
-    def test_minimal_single_step(self):
-        sys_ = explicit(
-            {
-                "semiring": {"kind": "nat_inf"},
-                "rules": [{"lhs": "a", "rhs": ["b"], "agg": "1 + v1"}],
-                "nf": {"b": "0"},
-            }
-        )
-        e = search_affine_embedding(sys_, 4)
-        assert e is not None
-        assert (e("a"), e("b")) == (1, 0)
-
-    def test_self_loop_has_no_finite_embedding(self):
-        sys_ = explicit(
-            {
-                "semiring": {"kind": "nat_inf"},
-                "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1"}],
-                "nf": {},
-            }
-        )
-        assert search_affine_embedding(sys_, 8) is None
-
-    def test_chain_back_substitution(self):
-        e = search_affine_embedding(CHAIN, 6)
-        assert e is not None
-        assert {x: e(x) for x in "abc"} == {"a": 4, "b": 3, "c": 2}
-
-    def test_output_reverifies(self):
-        e = search_affine_embedding(CHAIN, 6)
-        assert verify_embedding(CHAIN, e).certified()
-
-    def test_non_affine_aggregator_rejected(self):
-        sys_ = explicit(
-            {
-                "semiring": {"kind": "nat_inf"},
-                "rules": [{"lhs": "a", "rhs": ["b", "b"], "agg": "v1 * v2"}],
-                "nf": {"b": "2"},
-            }
-        )
-        with pytest.raises(UnsupportedAggregatorError):
-            search_affine_embedding(sys_, 4)
-
-    def test_wrong_carrier_rejected(self):
-        with pytest.raises(PreconditionError):
-            search_affine_embedding(BOTTLENECK_NET, 4)
-
-    def test_tropical_rejected(self):
-        # The tropical order is reversed: the first table in lexicographic
-        # order would be the weakest valid bound, not the least fixpoint.
-        sys_ = explicit(
-            {
-                "semiring": {"kind": "tropical"},
-                "rules": [
-                    {"lhs": "a", "rhs": ["b"], "agg": "3 * v1"},
-                    {"lhs": "b", "rhs": ["c"], "agg": "2 * v1"},
-                ],
-                "nf": {"c": "1"},
-            }
-        )
-        with pytest.raises(PreconditionError, match="counting carrier"):
-            search_affine_embedding(sys_, 4)
-
-    def test_long_chain_settles(self):
-        # Far beyond the reach of trying every table: 201^200 of them.
-        n = 200
-        sys_ = explicit(
-            {
-                "semiring": {"kind": "nat_inf"},
-                "rules": [
-                    {"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"}
-                    for i in range(n - 1)
-                ],
-                "nf": {f"c{n - 1}": "0"},
-            }
-        )
-        e = search_affine_embedding(sys_, n)
-        assert {f"c{i}": e(f"c{i}") for i in range(n)} == {
-            f"c{i}": n - 1 - i for i in range(n)
-        }
-
-
-def _search_outcome(search, sys_, cap):
-    """The table ``search`` returns, None, or what it raised."""
-    try:
-        e = search(sys_, cap)
-    except Exception as exc:
-        return type(exc), str(exc)
-    if e is None:
-        return None
-    return e.name, {a: e(a) for a in sys_.enumerate_objects()[0]}
-
-
-SELF_LOOP = {
-    "semiring": {"kind": "nat_inf"},
-    "rules": [{"lhs": "a", "rhs": ["a"], "agg": "1 + v1"}],
-    "nf": {},
-}
-TWO_CYCLE = {
-    "semiring": {"kind": "nat_inf"},
-    "rules": [
-        {"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": "ab"},
-        {"lhs": "b", "rhs": ["a"], "agg": "v1", "tag": "ba"},
-    ],
-    "nf": {},
-}
-
-
-@pytest.mark.parametrize("spec", [SELF_LOOP, TWO_CYCLE], ids=["self-loop", "two-cycle"])
-@pytest.mark.parametrize("cap", range(5))
-def test_search_matches_trying_every_table_on_cycles(spec, cap):
-    sys_ = explicit(spec)
-    assert _search_outcome(search_affine_embedding, sys_, cap) == _search_outcome(
-        reference_search_affine_embedding, sys_, cap
-    )
-
-
-def test_search_matches_trying_every_table_on_generated_systems():
-    # seed % 3 == 0 draws nat_inf systems of three to six objects.
-    tables = 0
-    for seed in range(0, 600, 3):
-        sys_ = random_system(seed)
-        for cap in range(4):
-            got = _search_outcome(search_affine_embedding, sys_, cap)
-            assert got == _search_outcome(reference_search_affine_embedding, sys_, cap), (
-                seed,
-                cap,
-            )
-            tables += isinstance(got, tuple) and isinstance(got[1], dict)
-    assert tables == 91
 
 
 def test_unknown_builtin_embedding():
@@ -474,7 +377,7 @@ class TestRuleWitnesses:
 
     @pytest.mark.parametrize("sys_", [CHAIN, builtin("os_runtime")], ids=["explicit", "cplx_wrap"])
     def test_violated_rule_is_a_record(self, sys_):
-        start = next(a for a in sys_.sample_objects(None, 8) if not sys_.is_normal_form(a))
+        start = next(a for a in sys_.sample_objects(8) if not sys_.is_normal_form(a))
         report = verify_embedding(sys_, Embedding(lambda obj: 0, "zero"), [start])
         assert report.verdict == UNKNOWN
         rule = report.witness
@@ -649,6 +552,24 @@ def test_countable_sums_report_as_the_closures_do():
     jump = builtin("geometric_walk", prefix=8)
     for value in (1, Fraction(1, 2), Fraction(127, 128), Fraction(255, 256)):
         _same_embedding_outcome(jump, Embedding(lambda n, v=value: v, "flat"), range(0, 10))
+
+
+@pytest.mark.parametrize("check", [verify_embedding, reference_verify_embedding])
+def test_an_exhaustive_check_refuses_a_rule_list_it_cannot_read_in_full(check):
+    sys_ = explicit(
+        {
+            "semiring": {"kind": "nat_inf"},
+            "rules": [
+                {"lhs": "a", "rhs": ["b"], "agg": "v1", "tag": "ab"},
+                {"lhs": "a", "rhs": ["c"], "agg": "v1", "tag": "ac"},
+            ],
+            "nf": {"b": "0", "c": "1"},
+        }
+    )
+    embedding = Embedding.from_table({"a": 1, "b": 0, "c": 1})
+    with pytest.raises(PreconditionError, match="^rule enumeration for a is not complete$"):
+        check(sys_, embedding, rule_budget=1)
+    assert check(sys_, embedding, rule_budget=2).verdict == BOUNDED_CERTIFIED
 
 
 @pytest.mark.parametrize("check", [verify_embedding, reference_verify_embedding])

@@ -6,8 +6,6 @@ built-ins once made themselves."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from wars import aggregator, system
@@ -31,7 +29,7 @@ def _handle(name):
 def _starts(name, handle) -> list:
     if name in PARSED_STARTS:
         return [handle.parse_object(text) for text in PARSED_STARTS[name]]
-    return handle.sample_objects(random.Random(0), 12)
+    return handle.sample_objects(12)
 
 
 def _reached(name) -> tuple:

@@ -422,6 +422,23 @@ class TestBound:
         code = main(["bound", "--system", "builtin:os_size", "--mode", "selective"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "extremal", "--samples", "5"],
+             "--samples is read only by embed: modes, not by 'extremal'"),
+            (["--mode", "embed:trs_add", "--bound", "7"],
+             "--bound is read only by selective mode, not by 'embed:trs_add'"),
+        ],
+        ids=["samples outside embed", "bound outside selective"],
+    )
+    @pytest.mark.parametrize("system", ["addition_trs", "no_such_system"])
+    def test_a_flag_the_mode_never_reads_is_refused(self, capsys, flags, message, system):
+        # Refused before the system loads: a spec that names nothing meets
+        # the same error.
+        assert main(["bound", "--system", f"builtin:{system}", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_embedding_file(self, chain, tmp_path, capsys):
         table = tmp_path / "embed.json"
         table.write_text(json.dumps({"a": "1", "b": "0"}))
@@ -811,8 +828,6 @@ class TestOutput:
             "embed:walk3n",
             "--samples",
             "20",
-            "--seed",
-            "7",
             "--format",
             "json",
         ]
@@ -823,10 +838,15 @@ class TestOutput:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["sample_count"] == 20
 
-    @pytest.mark.parametrize("command", ["eval", "loop", "oracle"])
+    @pytest.mark.parametrize("command", ["eval", "loop", "oracle", "bound"])
     def test_only_bound_takes_a_seed(self, twostate, capsys, command):
-        argv = [command, "--system", f"file:{twostate}", "--depth", "1", "--seed", "7"]
-        if command != "oracle":
+        # No command takes one: nothing draws at random.
+        argv = [command, "--system", f"file:{twostate}", "--seed", "7"]
+        if command == "bound":
+            argv += ["--mode", "extremal"]
+        else:
+            argv += ["--depth", "1"]
+        if command in ("eval", "loop"):
             argv += ["--start", "a"]
         with pytest.raises(SystemExit) as exit_:
             main(argv)

@@ -117,8 +117,7 @@ def argvs(draw, files):
         "eval": [depth, start, flag("--rule-budget"), flag("--branch-trunc"), flag("--visit-cap")],
         "oracle": [depth, flag("--count-cap"), flag("--rule-budget")],
         "loop": [depth, start, flag("--rule-budget"), flag("--max-witnesses")],
-        "bound": [flag("--mode", MODES, USUALLY), flag("--bound", BOUNDS), flag("--samples"),
-                  flag("--seed")],
+        "bound": [flag("--mode", MODES, USUALLY), flag("--bound", BOUNDS), flag("--samples")],
     }[command]
     # Now and then a flag that the command does not take.
     stray = draw(st.sampled_from(["--start", "--depth", "--count-cap", "--seed", "--visit-cap",

@@ -14,7 +14,7 @@ file system's or a built-in's rules become records only through public
 (object, depth) key's rules once, applies each rule once per combination of
 its children's distinct weights and holds two levels of them; it builds one
 ball of every object and settles it once, weighing no level above its
-depth, and the affine embedding search settles once too.  Every object a
+depth.  Every object a
 compiled sweep evaluates is one ``_value`` call."""
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from system_gen import random_system_json
 from test_fixpoint_components import CUT_BELOW_START
 from wars import aggregator, cli, evaluator, system
 from wars import builtins as wars_builtins
-from wars.boundedness import Embedding, search_affine_embedding
+from wars.boundedness import Embedding
 from wars.aggregator import X, SumNode, Var
 from wars.cli import main
 from wars.evaluator import (
@@ -283,19 +283,6 @@ def test_oracle_weighs_no_level_above_its_depth(monkeypatch, capsys, tmp_path):
     assert main(["oracle", "--system", f"file:{path}", "--depth", "2"]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
     assert 0 < len(weighed) and max(weighed) == 16
-
-
-def test_affine_search_settles_once(monkeypatch):
-    # Every object was settled in a ball of its own, by evaluate_to_fixpoint.
-    chain = load_explicit(json.dumps({
-        "semiring": {"kind": "nat_inf"},
-        "rules": [{"lhs": f"c{i}", "rhs": [f"c{i + 1}"], "agg": "1 + v1"} for i in range(4)],
-        "nf": {"c4": "0"},
-    }))
-    built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled)
-    embedding = search_affine_embedding(chain, 8)
-    assert [embedding(f"c{i}") for i in range(5)] == [4, 3, 2, 1, 0]
-    assert built == {"_Ball": 1, "_Settled": 1}
 
 
 def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):

@@ -20,14 +20,14 @@ PUBLIC_NAMES = [
     "ReductionTree", "RuleInstance", "STABILIZED", "Semiring", "SemiringError",
     "StructuralTreeError", "SumNode", "SystemFormatError", "SystemHandle", "TROPICAL",
     "UNBOUNDED", "UNKNOWN", "UnboundednessError", "UnboundednessReport",
-    "UncertifiedWitnessError", "UnknownObjectError", "UnsupportedAggregatorError", "Var",
+    "UncertifiedWitnessError", "UnknownObjectError", "Var",
     "VisitCapExceeded", "WeightBound", "X", "XVar", "analyze_loop", "builtin",
     "builtin_embedding", "builtin_names", "certify_loop", "check_nf_top",
     "check_sufficient_extremal", "check_sufficient_selective", "conclude_unbounded",
     "cplx_wrap", "descriptor_from_spec", "enumerate_trees", "evaluate",
     "evaluate_to_fixpoint", "extract_affine", "find_loops", "format_expr",
     "induced_polynomial", "load_explicit", "max_var", "parse_expr",
-    "search_affine_embedding", "substitute_x", "tree_weight", "verify_embedding",
+    "substitute_x", "tree_weight", "verify_embedding",
     "weight_lower_bound",
 ]
 

@@ -152,7 +152,6 @@ class TestLeq:
     def test_tropical_order_is_reversed(self):
         assert TROPICAL.leq(5, 3)
         assert not TROPICAL.leq(3, 5)
-        assert TROPICAL.order_is_reversed_usual
 
     @pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
     def test_reflexive(self, desc):
