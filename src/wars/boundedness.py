@@ -46,9 +46,6 @@ class BoundednessReport:
     witness: object = None
     bound_map: Optional[dict] = None
 
-    def certified(self) -> bool:
-        return self.verdict == BOUNDED_CERTIFIED
-
 
 class Embedding:
     """A map from objects to non-maximal semiring values."""
@@ -159,13 +156,20 @@ def _syntactically_selective(expr, desc: Semiring) -> bool:
     return agg._reduce(expr, lambda e: isinstance(e, agg.Var), selective)
 
 
-def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
-    """Bounded when normal forms stay below a common non-top bound and every
-    aggregator provably returns one of its arguments."""
-    desc = sys.semiring
+def _universal_bound(desc: Semiring, bound):
+    """Refuse ``bound`` unless it is a value of ``desc`` below the maximum."""
     if desc.top == bound:
         raise PreconditionError("the universal bound must not be the maximum")
     desc.require(bound)
+
+
+def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
+    """Bounded when normal forms stay below a common non-top bound and every
+    aggregator provably returns one of its arguments.  The aggregators are
+    read on every object, or on sampled ones; a system with neither gets
+    ``unknown``."""
+    desc = sys.semiring
+    _universal_bound(desc, bound)
 
     details = {}
     nf_enum = sys.enumerate_nfs()
@@ -186,12 +190,11 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
     if obj_enum is not None:
         objects, objects_complete = obj_enum
     else:
-        # No complete universe: probe the aggregators on sampled objects, or
-        # on the normal forms when the system has no sampler.
+        # No complete universe: probe the aggregators on sampled objects.
         try:
             objects = sys.sample_objects(64)
         except SystemError_:
-            objects = list(nfs)
+            return BoundednessReport(UNKNOWN, "selective-bounded", {"objects": "not enumerable"})
         objects_complete = False
 
     checked_rules = 0
@@ -293,7 +296,10 @@ def verify_embedding(
     sum cut short; any other iterable yields a sampled verdict that reports
     how many instances were verified.  Affine ``real_inf`` steps are compared
     on integers; a step's value is built only for a violation's message.
+    ``branch_trunc`` must be at least 1.
     """
+    if branch_trunc < 1:
+        raise ValueError("branch_trunc must be >= 1")
     desc = sys.semiring
     exhaustive = isinstance(instances, str) and instances == "all"
     if exhaustive:

@@ -295,33 +295,6 @@ def plus_term(a, b):
     return ("plus", a, b)
 
 
-def numeral(n: int):
-    t = ZERO_TERM
-    for _ in range(n):
-        t = s_term(t)
-    return t
-
-
-def term_size(t) -> int:
-    size, stack = 0, [t]
-    while stack:
-        t = stack.pop()
-        size += 1
-        stack.extend(t[1:])
-    return size
-
-
-def term_value(t) -> int:
-    """The natural number a ground term denotes (plus is addition): its
-    number of ``s`` nodes."""
-    value, stack = 0, [t]
-    while stack:
-        t = stack.pop()
-        value += t[0] == "s"
-        stack.extend(t[1:])
-    return value
-
-
 def rewrite_steps(t) -> list[tuple[str, tuple]]:
     """All single rewrite steps from ``t`` as (position-tagged rule tag, result),
     positions in pre-order."""
@@ -639,7 +612,7 @@ def _na_system() -> SystemHandle:
         ),
         parse_object_fn=parse,
         enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda count: ["a"] + list(range(count - 1)),
+        sample_objects_fn=lambda count: ["a", *range(count - 1)][:count],
         aggregators_finite_no_top=True,
     )
 

@@ -23,6 +23,7 @@ from .boundedness import (
     UNKNOWN,
     BoundednessError,
     Embedding,
+    _universal_bound,
     builtin_embedding,
     check_nf_top,
     check_sufficient_extremal,
@@ -208,24 +209,27 @@ _BOUND_EXIT = {BOUNDED_CERTIFIED: 0, BOUNDED_SAMPLED: 3, UNKNOWN: 4, UNBOUNDED: 
 
 
 def cmd_bound(args) -> int:
+    # The whole configuration is resolved before any check runs, so a bad one
+    # never meets a top-valued normal form's verdict.
     _check_at_least(args, samples=1)
-    if args.samples is not None and not args.mode.startswith("embed:"):
+    embed = args.mode.startswith("embed:")
+    if args.samples is not None and not embed:
         raise CliError(f"--samples is read only by embed: modes, not by {args.mode!r}")
     if args.bound is not None and args.mode != "selective":
         raise CliError(f"--bound is read only by selective mode, not by {args.mode!r}")
+    if not embed and args.mode not in ("selective", "extremal"):
+        raise CliError(f"unknown mode {args.mode!r}")
+    if args.mode == "selective" and args.bound is None:
+        raise CliError("--bound <literal> is required for selective mode")
     system = resolve_system(args.system)
     desc = system.semiring
-
-    top_report = check_nf_top(system)
-    if top_report is not None:
-        report = top_report
-    elif args.mode == "selective":
-        if args.bound is None:
-            raise CliError("--bound <literal> is required for selective mode")
-        report = check_sufficient_selective(system, desc.parse_literal(args.bound))
+    if args.mode == "selective":
+        bound = desc.parse_literal(args.bound)
+        _universal_bound(desc, bound)
+        check = functools.partial(check_sufficient_selective, system, bound)
     elif args.mode == "extremal":
-        report = check_sufficient_extremal(system)
-    elif args.mode.startswith("embed:"):
+        check = functools.partial(check_sufficient_extremal, system)
+    else:
         ref = args.mode[len("embed:"):]
         if os.path.exists(ref):
             try:
@@ -243,12 +247,9 @@ def cmd_bound(args) -> int:
                 embedding = builtin_embedding(ref)
             except BoundednessError as exc:
                 raise CliError(str(exc)) from exc
-        if args.samples is not None:
-            report = verify_embedding(system, embedding, system.sample_objects(args.samples))
-        else:
-            report = verify_embedding(system, embedding)
-    else:
-        raise CliError(f"unknown mode {args.mode!r}")
+        instances = "all" if args.samples is None else system.sample_objects(args.samples)
+        check = functools.partial(verify_embedding, system, embedding, instances)
+    report = check_nf_top(system) or check()
 
     payload = {
         "command": "bound",
@@ -352,7 +353,7 @@ def cmd_oracle(args) -> int:
     # The join is idempotent, so each key keeps its distinct weights only.
     enumerated = _tree_weights(
         system, [(a, depth) for a in objects for depth in range(args.depth + 1)],
-        args.rule_budget, args.count_cap, DEFAULT_BRANCH_TRUNC, desc._join,
+        args.rule_budget, args.count_cap, desc._join,
     )
     for i, a in enumerate(objects):
         label = system.format_object(a)

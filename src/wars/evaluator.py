@@ -105,7 +105,10 @@ def tree_weight(sys: SystemHandle, tree: ReductionTree, branch_trunc: int = DEFA
     them) costs one weighing.  The walk is depth-first and left to right, with
     a node's structural checks before its children and its aggregator after
     them, so a malformed tree raises its first fault in that order.
+    ``branch_trunc`` must be at least 1.
     """
+    if branch_trunc < 1:
+        raise ValueError("branch_trunc must be >= 1")
     return _weigher(sys, branch_trunc)(tree)
 
 
@@ -774,7 +777,7 @@ def enumerate_trees(
     sys: SystemHandle,
     a,
     depth: int,
-    rule_budget: int = 8,
+    rule_budget: int = DEFAULT_RULE_BUDGET,
     count_cap: int = DEFAULT_COUNT_CAP,
 ) -> Iterator[ReductionTree]:
     """Every reduction tree rooted at ``a`` of depth at most ``depth``.
@@ -786,9 +789,10 @@ def enumerate_trees(
                            lambda obj, row: functools.partial(ReductionTree, obj, row[3]), iter))
 
 
-def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
+def _tree_weights(sys, roots, rule_budget, count_cap, finish):
     """``_enumerate`` weighing trees: a stop weighs its normal-form weight or
-    zero, a rule applies its compiled aggregator to its children's weights.
+    zero, a rule applies its compiled aggregator, at the default truncation,
+    to its children's weights.
     A key keeps each distinct weight once, so ``finish`` sees the first of
     each (type, value) of its trees' weights, in order: enough for a caller
     that only joins them."""
@@ -802,7 +806,7 @@ def _tree_weights(sys, roots, rule_budget, count_cap, branch_trunc, finish):
         return weight
 
     def node(obj, row):
-        return _compiled(row[2], desc, len(row[1]), branch_trunc)
+        return _compiled(row[2], desc, len(row[1]), DEFAULT_BRANCH_TRUNC)
 
     return _enumerate(sys, roots, rule_budget, count_cap, leaf, node, finish, True)
 

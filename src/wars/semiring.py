@@ -9,7 +9,6 @@ flags that the analysis passes rely on.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -199,10 +198,6 @@ class Semiring:
         """Embed a small natural number; defined for additive carriers only."""
         raise SemiringError(f"{self.kind} has no canonical count embedding")
 
-    def sample(self, rng: random.Random):
-        """Draw a random carrier value (used by law and flag checks)."""
-        raise NotImplementedError
-
     def probe_values(self) -> list:
         """A small canonical value set covering zero, one, top, and midpoints."""
         raise NotImplementedError
@@ -266,9 +261,6 @@ class NatInf(_NumericCounting):
     def contains(self, value) -> bool:
         return value is INF or (isinstance(value, int) and not isinstance(value, bool) and value >= 0)
 
-    def sample(self, rng):
-        return INF if rng.random() < 0.08 else rng.randrange(0, 24)
-
     def probe_values(self):
         return [0, 1, 2, 5, 10 ** 6, INF]
 
@@ -285,11 +277,6 @@ class RealInf(_NumericCounting):
 
     def from_count(self, n: int):
         return Fraction(n)
-
-    def sample(self, rng):
-        if rng.random() < 0.08:
-            return INF
-        return Fraction(rng.randrange(0, 40), rng.randrange(1, 8))
 
     def probe_values(self):
         return [0, Fraction(1, 3), 1, 2, Fraction(9, 2), 10 ** 6, INF]
@@ -323,9 +310,6 @@ class Tropical(_Numeric):
     def _join(self, vals):
         return min(vals)
 
-    def sample(self, rng):
-        return INF if rng.random() < 0.08 else rng.randrange(0, 24)
-
     def probe_values(self):
         return [INF, 10 ** 6, 10, 5, 2, 1, 0]
 
@@ -354,14 +338,6 @@ class Arctic(_Numeric):
         if a is INF or b is INF:
             return INF
         return a + b
-
-    def sample(self, rng):
-        r = rng.random()
-        if r < 0.06:
-            return NEG_INF
-        if r < 0.12:
-            return INF
-        return rng.randrange(0, 24)
 
     def probe_values(self):
         return [NEG_INF, 0, 1, 5, 10 ** 6, INF]
@@ -402,9 +378,6 @@ class Boolean(Semiring):
         self.require(value)
         return "true" if value else "false"
 
-    def sample(self, rng):
-        return rng.random() < 0.5
-
     def probe_values(self):
         return [False, True]
 
@@ -436,10 +409,6 @@ class Confidence(_Numeric):
             raise LiteralError(f"{text!r} is outside [0, 1]")
         return v
 
-    def sample(self, rng):
-        d = rng.randrange(1, 9)
-        return Fraction(rng.randrange(0, d + 1), d)
-
     def probe_values(self):
         return [0, Fraction(1, 4), Fraction(1, 2), Fraction(7, 8), 1]
 
@@ -465,14 +434,6 @@ class Bottleneck(_Numeric):
 
     def _times(self, a, b):
         return min(a, b)
-
-    def sample(self, rng):
-        r = rng.random()
-        if r < 0.06:
-            return NEG_INF
-        if r < 0.12:
-            return INF
-        return rng.randrange(-20, 21)
 
     def probe_values(self):
         return [NEG_INF, -5, 0, 3, 10 ** 6, INF]
@@ -572,13 +533,6 @@ class Language(Semiring):
         parts = ["eps" if w == "" else w for w in sorted(value, key=lambda w: (len(w), w))]
         return "{" + ",".join(parts) + "}"
 
-    def sample(self, rng):
-        words = set()
-        for _ in range(rng.randrange(0, 4)):
-            length = rng.randrange(0, 4)
-            words.add("".join(rng.choice(self.alphabet) for _ in range(length)))
-        return frozenset(words)
-
     def probe_values(self):
         a = self.alphabet[0]
         return [
@@ -650,9 +604,6 @@ class Product(Semiring):
         self.require(value)
         inner = ",".join(c.format_literal(v) for c, v in zip(self.components, value))
         return f"({inner})"
-
-    def sample(self, rng):
-        return tuple(c.sample(rng) for c in self.components)
 
     def probe_values(self):
         probes = [c.probe_values() for c in self.components]

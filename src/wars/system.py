@@ -179,14 +179,16 @@ class SystemHandle:
             raise NotNormalFormError(f"{self.format_object(a)} is not a normal form")
         return self._nf_weight(a)
 
-    def find_rule(self, a, tag: str, max_budget: int = 65536) -> RuleInstance:
+    def find_rule(self, a, tag: str) -> RuleInstance:
+        """The rule tagged ``tag`` at ``a``, read with an eightfold budget per
+        round until a round reads 65,536 rules or more."""
         budget = DEFAULT_RULE_BUDGET
         while True:
             rows, complete = self._rows(a, budget)
             for r in rows:
                 if r[3] == tag:
                     return RuleInstance._make(r)
-            if complete or budget >= max_budget:
+            if complete or budget >= 65536:
                 raise SystemError_(
                     f"no rule tagged {tag!r} for {self.format_object(a)}"
                 )
@@ -210,6 +212,9 @@ class SystemHandle:
         return [a for a in objs if self.is_normal_form(a)], complete
 
     def sample_objects(self, count: int) -> list:
+        """The system's first ``count`` objects in its sampler's fixed order."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
         if self._sample_objects is not None:
             return self._sample_objects(count)
         enum = self.enumerate_objects()

@@ -17,7 +17,7 @@ from . import aggregator as agg
 from .aggregator import ArityError, Const, Var, X, XVar
 from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, _weigher
 from .semiring import NatInf, RealInf, Semiring
-from .system import MAX_AGGREGATOR_DEPTH, SystemHandle
+from .system import DEFAULT_RULE_BUDGET, MAX_AGGREGATOR_DEPTH, SystemHandle
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
@@ -67,7 +67,7 @@ def find_loops(
     sys: SystemHandle,
     start,
     max_depth: int,
-    rule_budget: int = 8,
+    rule_budget: int = DEFAULT_RULE_BUDGET,
     max_witnesses: int = 16,
 ) -> list[tuple[ReductionTree, tuple]]:
     """Rule paths of at most ``max_depth`` steps from a start object back to
@@ -86,6 +86,8 @@ def find_loops(
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if max_witnesses < 1:
+        raise ValueError("max_witnesses must be >= 1")
     # Object ids may themselves be tuples, so only list/set mean a start set.
     starts = list(dict.fromkeys(start if isinstance(start, (list, set)) else [start]))
     # Hashes first: an unequal object then differs without a comparison,

@@ -4,8 +4,43 @@ from __future__ import annotations
 
 import random
 
+from fractions import Fraction
+
 from wars.aggregator import Const, ProdNode, SumNode, Var
-from wars.semiring import Semiring
+from wars.semiring import INF, NEG_INF, Semiring
+
+
+def sample(desc: Semiring, rng: random.Random):
+    """A random value of ``desc``'s carrier: the law and flag checks' input.
+    Products draw their components in order."""
+    kind = desc.kind
+    if kind in ("nat_inf", "tropical"):
+        return INF if rng.random() < 0.08 else rng.randrange(0, 24)
+    if kind == "real_inf":
+        if rng.random() < 0.08:
+            return INF
+        return Fraction(rng.randrange(0, 40), rng.randrange(1, 8))
+    if kind in ("arctic", "bottleneck"):
+        r = rng.random()
+        if r < 0.06:
+            return NEG_INF
+        if r < 0.12:
+            return INF
+        return rng.randrange(0, 24) if kind == "arctic" else rng.randrange(-20, 21)
+    if kind == "boolean":
+        return rng.random() < 0.5
+    if kind == "confidence":
+        d = rng.randrange(1, 9)
+        return Fraction(rng.randrange(0, d + 1), d)
+    if kind == "language":
+        words = set()
+        for _ in range(rng.randrange(0, 4)):
+            length = rng.randrange(0, 4)
+            words.add("".join(rng.choice(desc.alphabet) for _ in range(length)))
+        return frozenset(words)
+    if kind == "product":
+        return tuple(sample(c, rng) for c in desc.components)
+    raise ValueError(f"no sampler for the {kind} carrier")
 
 
 def random_aggregator_expr(rng: random.Random, arity: int, depth: int = 0):
@@ -27,7 +62,7 @@ def random_aggregator_expr(rng: random.Random, arity: int, depth: int = 0):
 def check_semiring_laws(desc: Semiring, rng: random.Random, samples: int) -> None:
     zero, one = desc.zero, desc.one
     for _ in range(samples):
-        a, b, c = desc.sample(rng), desc.sample(rng), desc.sample(rng)
+        a, b, c = sample(desc, rng), sample(desc, rng), sample(desc, rng)
         assert desc.plus(a, b) == desc.plus(b, a)
         assert desc.plus(desc.plus(a, b), c) == desc.plus(a, desc.plus(b, c))
         assert desc.times(desc.times(a, b), c) == desc.times(a, desc.times(b, c))
@@ -46,7 +81,7 @@ def check_semiring_laws(desc: Semiring, rng: random.Random, samples: int) -> Non
 
 def check_order(desc: Semiring, rng: random.Random, samples: int) -> None:
     for _ in range(samples):
-        s, u = desc.sample(rng), desc.sample(rng)
+        s, u = sample(desc, rng), sample(desc, rng)
         assert desc.leq(s, s)
         assert desc.leq(s, desc.plus(s, u))
         assert desc.leq(desc.zero, s)
@@ -57,7 +92,7 @@ def check_order(desc: Semiring, rng: random.Random, samples: int) -> None:
 
 def check_monotonicity(desc: Semiring, rng: random.Random, samples: int) -> None:
     for _ in range(samples):
-        s, gap, u = desc.sample(rng), desc.sample(rng), desc.sample(rng)
+        s, gap, u = sample(desc, rng), sample(desc, rng), sample(desc, rng)
         t = desc.plus(s, gap)
         assert desc.leq(desc.plus(s, u), desc.plus(t, u))
         assert desc.leq(desc.times(s, u), desc.times(t, u))
@@ -67,7 +102,7 @@ def check_monotonicity(desc: Semiring, rng: random.Random, samples: int) -> None
 def check_join(desc: Semiring, rng: random.Random, samples: int) -> None:
     probes = desc.probe_values()
     for _ in range(samples):
-        values = [desc.sample(rng) for _ in range(rng.randrange(1, 5))]
+        values = [sample(desc, rng) for _ in range(rng.randrange(1, 5))]
         j = desc.join(values)
         for v in values:
             assert desc.leq(v, j)
@@ -78,7 +113,7 @@ def check_join(desc: Semiring, rng: random.Random, samples: int) -> None:
 
 def check_omega_sum(desc: Semiring, rng: random.Random, samples: int) -> None:
     for _ in range(samples):
-        t = desc.sample(rng)
+        t = sample(desc, rng)
         omega = desc.omega_sum(t)
         acc = t
         stabilized = False
@@ -99,7 +134,7 @@ def check_omega_sum(desc: Semiring, rng: random.Random, samples: int) -> None:
 
 def check_flags(desc: Semiring, rng: random.Random, samples: int) -> None:
     for _ in range(samples):
-        a, b = desc.sample(rng), desc.sample(rng)
+        a, b = sample(desc, rng), sample(desc, rng)
         if desc.plus_is_selective:
             assert desc.plus(a, b) in (a, b)
         if desc.times_is_selective:

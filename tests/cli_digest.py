@@ -27,8 +27,11 @@ jump targets (``prefix`` 0 or -3), which pin when its empty rule is refused,
 ``REFUSED``, which pin each refused parameter's message, ``eval`` on the
 system files of ``BAD_CARRIERS``, which pin the loader's message for a
 missing, unknown or mismatched carrier, the ops of ``PARSED``, which pin an
-unknown ``bound`` mode and each built-in's message for a start it refuses
-(and ``ski_rental``'s ``halt``, which it reads), in text and in JSON,
+unknown ``bound`` mode, each built-in's message and a file's for a start
+they refuse (and ``ski_rental``'s ``halt``, which it reads), the bad
+``bound`` configurations that ``boolform``'s top-valued normal form must
+not answer, and ``selective`` on ``boolform(finite_costs=true)``, whose
+objects no check can list, in text and in JSON,
 ``bound --mode embed:<table>`` on the ``real_inf`` file of ``EMBEDDED``
 with each of its tables, which pin the message of a violated step,
 ``bound --mode embed:<name>`` with the built-in embeddings of
@@ -190,8 +193,11 @@ BAD_CARRIERS = (
                                     "components": [{"kind": "nat_inf"}, {"kind": "boolean"}]},
                        "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1"}], "nf": {"b": "(2)"}}),
 )
-# (built-in spec, argv tail) of a mode ``bound`` does not know and of starts
-# that each built-in's object parser refuses, or reads (``halt``).
+# (built-in spec, or ``file:`` and the name of ``OBJECTS``' file, argv tail)
+# of a mode ``bound`` does not know, of starts that each system's object
+# parser refuses, or reads (``halt``), of bad ``bound`` configurations on a
+# system with a top-valued normal form, and of ``selective`` on a system
+# whose objects are neither enumerable nor sampled.
 PARSED = (
     ("walk_expected", ("bound", "--mode", "foo")),
     ("walk_termprob", ("eval", "--start", "-3", "--depth", "1")),
@@ -199,7 +205,17 @@ PARSED = (
     ("ski_rental(y=3)", ("eval", "--start", "halt", "--depth", "1")),
     ("addition_trs", ("eval", "--start", "s(0,0)", "--depth", "1")),
     ("loop_language", ("eval", "--start", "c", "--depth", "1")),
+    ("file:objects.json", ("eval", "--start", "nope", "--depth", "1")),
+    ("bitstring_prefixes", ("eval", "--start", "2", "--depth", "1")),
+    ("boolform", ("bound", "--mode", "foo")),
+    ("boolform", ("bound", "--mode", "selective")),
+    ("boolform", ("bound", "--mode", "embed:nope")),
+    ("boolform", ("bound", "--mode", "selective", "--bound", "inf")),
+    ("boolform(finite_costs=true)", ("bound", "--mode", "selective", "--bound", "10")),
 )
+# A small valid system file, whose objects are a and b.
+OBJECTS = {"semiring": {"kind": "nat_inf"},
+           "rules": [{"lhs": "a", "rhs": ["b"], "agg": "v1 + 1", "tag": "r"}], "nf": {"b": "0"}}
 # (rules, nf, tables) of a ``real_inf`` file checked with ``bound --mode
 # embed:<table>``: the first table ties at every rule and normal form, in
 # int, Fraction and decimal literals; the second misses rule ``third`` by
@@ -497,9 +513,11 @@ def parsed_ops(workdir: Path):
         path.write_text(json.dumps(data), encoding="utf-8")
         yield f"bad-carrier {name} eval", ["eval", "--system", f"file:{path}", "--start", "a",
                                            "--depth", "1"]
+    (inputs / "objects.json").write_text(json.dumps(OBJECTS), encoding="utf-8")
     for spec, (command, *query) in PARSED:
+        system = f"file:{inputs / spec[5:]}" if spec.startswith("file:") else f"builtin:{spec}"
         for fmt in ("text", "json"):
-            argv = [command, "--system", f"builtin:{spec}", *query, "--format", fmt]
+            argv = [command, "--system", system, *query, "--format", fmt]
             yield f"{command} {spec} {' '.join(query)} {fmt}", argv
 
 

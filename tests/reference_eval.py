@@ -16,7 +16,9 @@ from scratch and recomputes every explored object at every level.
 ``reference_tree_weight`` is the reference for ``tree_weight``.  It recurses
 over the tree and checks and weighs every node it meets, shared or not.
 ``cut_tree`` is no reference but a tool: it cuts a tree at a depth, for
-the tests that weigh cut trees.
+the tests that weigh cut trees.  So are ``numeral``, ``term_size`` and
+``term_value``, which build and measure the ground terms of
+``addition_trs``.
 
 ``reference_verify_embedding`` is the reference for ``verify_embedding``.
 It builds every rule step with the compiled aggregator and compares it in
@@ -72,6 +74,7 @@ from wars.boundedness import (
     Embedding,
     PreconditionError,
 )
+from wars.builtins import ZERO_TERM, s_term
 from wars.evaluator import (
     LOWER_BOUND,
     STABILIZED,
@@ -83,7 +86,7 @@ from wars.evaluator import (
     enumerate_trees,
 )
 from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, Product
-from wars.system import MAX_AGGREGATOR_DEPTH, SystemHandle
+from wars.system import DEFAULT_RULE_BUDGET, MAX_AGGREGATOR_DEPTH, SystemHandle
 from wars.unboundedness import UnboundednessError, _apply_aggregator
 
 
@@ -437,6 +440,38 @@ def cut_tree(tree, n):
             stack.append((node, left, True))
             stack.extend((c, left - 1, False) for c in reversed(node.children))
     return built[0]
+
+
+# --------------------------------------------------------------------------
+# Ground terms of ``addition_trs``: tools, not references.
+
+
+def numeral(n: int):
+    """The ground term s(...s(0)...) with ``n`` successors."""
+    t = ZERO_TERM
+    for _ in range(n):
+        t = s_term(t)
+    return t
+
+
+def term_size(t) -> int:
+    size, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        size += 1
+        stack.extend(t[1:])
+    return size
+
+
+def term_value(t) -> int:
+    """The natural number a ground term denotes (plus is addition): its
+    number of ``s`` nodes."""
+    value, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        value += t[0] == "s"
+        stack.extend(t[1:])
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -819,7 +854,7 @@ def reference_parse(text: str, desc):
 # loop search that weighed every tree.
 
 
-def reference_enumerate_trees(sys, a, depth, rule_budget=8, count_cap=200_000):
+def reference_enumerate_trees(sys, a, depth, rule_budget=DEFAULT_RULE_BUDGET, count_cap=200_000):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     memo: dict = {}
@@ -861,8 +896,8 @@ def reference_loop_leaves(tree):
     yield from walk(tree, ())
 
 
-def reference_find_loops(sys, start, max_depth, rule_budget=8, count_cap=200_000,
-                         max_witnesses=16):
+def reference_find_loops(sys, start, max_depth, rule_budget=DEFAULT_RULE_BUDGET,
+                         count_cap=200_000, max_witnesses=16):
     """Every reduction tree up to ``max_depth`` with each of its loop leaves,
     sorted by (tree depth, enumeration index, leaf path), then the first
     per (root, rule-tag path)."""

@@ -48,6 +48,7 @@ from wars.semiring import (
     SemiringError,
 )
 
+from algebra_checks import sample
 from reference_eval import reference_evaluate
 
 FIG_WALK = SumNode(
@@ -264,8 +265,8 @@ def test_monotone_in_arguments(desc):
             hi = [v or rng.random() < 0.5 for v in lo]
             expr = _bool_cast(expr)
         else:
-            lo = [desc.sample(rng) for _ in range(arity)]
-            hi = [desc.plus(v, desc.sample(rng)) for v in lo]
+            lo = [sample(desc, rng) for _ in range(arity)]
+            hi = [desc.plus(v, sample(desc, rng)) for v in lo]
         low, _ = evaluate(expr, desc, lo)
         high, _ = evaluate(expr, desc, hi)
         assert desc.leq(low, high)
@@ -348,7 +349,7 @@ def carrier_value(draw, desc):
         return draw(st.sampled_from(FOREIGN))
     if draw(st.booleans()):
         return draw(st.sampled_from(desc.probe_values()))
-    return desc.sample(draw(st.randoms(use_true_random=False)))
+    return sample(desc, draw(st.randoms(use_true_random=False)))
 
 
 def _outcome(evaluator, expr, desc, args, truncation):

@@ -86,6 +86,9 @@ class TestCheckNfTop:
         report = check_nf_top(builtin("boolform"))
         assert report is not None and report.verdict == UNBOUNDED
 
+    def test_no_normal_form_enumeration_is_silent(self):
+        assert check_nf_top(_bare_handle()) is None
+
 
 class TestSelectiveCondition:
     def test_constant_free_bottleneck_certifies(self):
@@ -152,10 +155,11 @@ class TestSelectiveSampling:
             check_sufficient_selective(_unsampled_handle(sampler), 3)
 
     def test_no_sampler_falls_back_to_normal_forms(self):
+        # No longer: with neither objects nor a sampler no aggregator is read,
+        # so nothing is certified or sampled.
         report = check_sufficient_selective(_unsampled_handle(), 3)
-        assert report.verdict == BOUNDED_SAMPLED
-        assert report.details == {"normal_forms_checked": 1, "rules_checked": 0}
-        assert report.sample_count == 1
+        assert (report.verdict, report.details) == (UNKNOWN, {"objects": "not enumerable"})
+        assert report.sample_count == 0
 
     def test_no_normal_form_enumeration_is_unknown(self):
         report = check_sufficient_selective(_bare_handle(), 3)
@@ -296,7 +300,7 @@ class TestVerifyEmbedding:
     def test_addition_bound_dominates_iteration(self):
         trs = builtin("addition_trs", max_size=8)
         report = verify_embedding(trs, builtin_embedding("trs_add"))
-        assert report.certified()
+        assert report.verdict == BOUNDED_CERTIFIED
         sampled = ground_terms(8)[::11]
         for t in sampled:
             for depth in (0, 4, 12):
@@ -359,7 +363,7 @@ class TestVerifyEmbedding:
         # CHAIN's least fixpoint.
         e = Embedding.from_table({"a": 4, "b": 3, "c": 2})
         report = verify_embedding(CHAIN, e)
-        assert report.certified()
+        assert report.verdict == BOUNDED_CERTIFIED
         for a in CHAIN.enumerate_objects()[0]:
             for depth in range(13):
                 w = weight_lower_bound(CHAIN, a, depth).value
@@ -585,3 +589,11 @@ def test_an_exhaustive_check_refuses_a_rule_it_cannot_read_in_full(check):
         assert check(system, embedding, ["a"]).verdict == BOUNDED_SAMPLED
     report = check(fan_system(), embedding, branch_trunc=200)
     assert (report.verdict, report.details["aggregated"]) == (UNKNOWN, "100")
+
+
+@pytest.mark.parametrize("branch_trunc", [0, -3])
+def test_a_truncation_below_one_is_refused(branch_trunc):
+    walk = builtin("walk_expected")
+    for instances in ("all", [1, 2]):
+        with pytest.raises(ValueError, match="^branch_trunc must be >= 1$"):
+            verify_embedding(walk, builtin_embedding("walk3n"), instances, branch_trunc=branch_trunc)

@@ -121,4 +121,14 @@ def test_na_system_hands_out_an_incomplete_rule_list():
     # A tag past the first budget is found by asking for more rules.
     assert handle.find_rule("a", "pick100") == RuleInstance("a", (100,), step, "pick100")
     with pytest.raises(SystemError_, match="no rule tagged 'pick' for a"):
-        handle.find_rule("a", "pick", max_budget=64)
+        handle.find_rule("a", "pick")
+
+
+@pytest.mark.parametrize("name", ["walk_expected", "os_runtime", "z_walk_safety", "na_system"])
+def test_a_sampler_returns_exactly_the_count_asked_for(name):
+    # na_system once returned ["a"] for a count of 0.
+    handle = builtin(name)
+    for count in range(4):
+        assert len(handle.sample_objects(count)) == count
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        handle.sample_objects(-1)

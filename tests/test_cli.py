@@ -439,6 +439,16 @@ class TestBound:
         assert main(["bound", "--system", f"builtin:{system}", *flags]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_selective_reads_no_rule_without_objects(self, capsys):
+        # boolform has neither an object enumeration nor a sampler, so no
+        # rule is read; its ``and`` rule is not selective.  This once read
+        # the normal forms' zero rules and printed bounded_sampled.
+        argv = ["bound", "--system", "builtin:boolform(finite_costs=true)", "--mode", "selective",
+                "--bound", "10"]
+        assert main(argv) == 4
+        assert capsys.readouterr().out == (
+            "verdict: unknown (via selective-bounded)\n  objects: not enumerable\n")
+
     def test_embedding_file(self, chain, tmp_path, capsys):
         table = tmp_path / "embed.json"
         table.write_text(json.dumps({"a": "1", "b": "0"}))

@@ -5,7 +5,10 @@ parameters, generated system files, the malformed files of
 ``cli_digest.MALFORMED``, and specs that name nothing), flags with small,
 zero, negative and non-integer values, and starts.  Every run must end in an
 exit code that the README documents for its command, or in argparse's usage
-error (exit 2), and must print no traceback.  Sizes stay small (depth at most
+error (exit 2), and must print no traceback.  Each draw is also classified:
+a bad configuration, as the README lists them, must end in its command's
+bad-configuration code (1, or 3 for ``oracle``) or in a usage error, with an
+``error:`` line, never in a verdict.  Sizes stay small (depth at most
 6, ``prefix`` at most 16, ``max_size`` at most 3, apart from one value of
 each above its maximum, which is refused before any work), so that no draw
 can take long or take much memory.
@@ -23,14 +26,23 @@ from hypothesis import strategies as st
 
 from cli_digest import MALFORMED
 from system_gen import random_system_json
-from wars.cli import _json_text, main
+from wars.boundedness import builtin_embedding
+from wars.cli import _json_text, build_parser, main, resolve_system
 
-# The README's exit codes per command.
+# The README's exit codes per command, and the one for a bad configuration.
 EXIT_CODES = {
     "eval": {0, 1, 2},
     "bound": {0, 1, 3, 4, 5},
     "loop": {0, 1, 2, 3, 4},
     "oracle": {0, 1, 2, 3},
+}
+BAD_EXIT = {"eval": 1, "bound": 1, "loop": 1, "oracle": 3}
+# The README's least meaningful value of each numeric flag, per command.
+LEAST = {
+    "eval": {"depth": 0, "rule_budget": 1, "branch_trunc": 1, "visit_cap": 1},
+    "bound": {"samples": 1},
+    "loop": {"depth": 1, "rule_budget": 1, "max_witnesses": 1},
+    "oracle": {"depth": 0, "count_cap": 1, "rule_budget": 1},
 }
 
 # Flag values: mostly small, now and then zero, negative or not an integer.
@@ -139,6 +151,53 @@ def run(argv):
             return exc.code, True, err.getvalue()
 
 
+def refused(fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises."""
+    try:
+        fn(*args)
+    except Exception:
+        return True
+    return False
+
+
+def bad_configuration(argv) -> bool:
+    """Whether argparse accepts ``argv`` but the README calls it a bad
+    configuration: a flag below its least value, a ``bound`` flag its mode
+    never reads, an unknown mode, ``selective`` without a ``--bound`` or with
+    one that does not parse or is the maximum, an embedding that no file or
+    built-in holds, ``--samples`` on a system without a sampler, a spec that
+    loads nothing, a start it cannot parse, a second start for ``loop``, and
+    for ``oracle`` a system that is not finite and explicit, or is empty."""
+    args = build_parser().parse_args(argv)
+    if any(getattr(args, name) is not None and getattr(args, name) < least
+           for name, least in LEAST[args.command].items()):
+        return True
+    if args.command == "bound":
+        embed = args.mode.startswith("embed:")
+        if (args.samples is not None and not embed) or not (embed or args.mode in ("selective", "extremal")):
+            return True
+        if (args.bound is not None) != (args.mode == "selective"):
+            return True
+    if args.command == "loop" and len(args.start) > 1:
+        return True
+    try:
+        system = resolve_system(args.system)
+    except Exception:
+        return True
+    if args.command in ("eval", "loop"):
+        return any(refused(system.parse_object, text) for text in args.start)
+    if args.command == "oracle":
+        objects = system.enumerate_objects()
+        return objects is None or not objects[1] or not objects[0]
+    desc = system.semiring
+    if args.mode == "selective":
+        return refused(desc.parse_literal, args.bound) or desc.top == desc.parse_literal(args.bound)
+    if args.mode.startswith("embed:"):
+        return (refused(builtin_embedding, args.mode[len("embed:"):])
+                or (args.samples is not None and refused(system.sample_objects, args.samples)))
+    return False
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_argv_ends_in_a_documented_exit_code(files, data):
@@ -149,6 +208,26 @@ def test_every_argv_ends_in_a_documented_exit_code(files, data):
         assert code == 2 and "usage: wars" in err
     else:
         assert code in EXIT_CODES[argv[0]]
+        if bad_configuration(argv):
+            assert code == BAD_EXIT[argv[0]] and "error: " in err
+
+
+@pytest.mark.parametrize("tail", [["--mode", mode] for mode in MODES]
+                         + [["--mode", "selective", "--bound", bound] for bound in BOUNDS]
+                         + [["--mode", mode, "--samples", "3"] for mode in MODES], ids=" ".join)
+def test_a_top_valued_normal_form_answers_only_good_configurations(tail):
+    # boolform's normal form Pba weighs the maximum, so every good
+    # configuration gets the verdict unbounded (exit 5), and only those.  A
+    # bad one gets the error that the all-finite table, with no such normal
+    # form, gets.
+    argv = ["bound", "--system", "builtin:boolform", *tail]
+    code, usage, err = run(argv)
+    assert not usage
+    if bad_configuration(argv):
+        assert code == 1 and err.startswith("error: ")
+        assert run(["bound", "--system", "builtin:boolform(finite_costs=true)", *tail]) == (1, False, err)
+    else:
+        assert (code, err) == (5, "")
 
 
 # Text that ``json`` escapes: quotes, backslashes, control characters,

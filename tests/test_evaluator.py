@@ -185,6 +185,28 @@ class TestWeightLowerBound:
                 query(geo, 1, 3, branch_trunc=branch_trunc)
 
 
+@pytest.mark.parametrize("query, message", [
+    (lambda walk: evaluate_to_fixpoint(walk, 1, max_depth=-1), "max_depth must be >= 0"),
+    (lambda walk: DepthProfile(walk, 1, -1), "depth must be >= 0"),
+    (lambda walk: weight_lower_bound(walk, 1, 3, visit_cap=0), "visit_cap must be >= 1"),
+    (lambda walk: enumerate_trees(walk, 1, -1), "depth must be >= 0"),
+], ids=["fixpoint-depth", "profile-depth", "visit-cap", "enumeration-depth"])
+def test_a_count_below_its_least_is_refused(query, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        query(builtin("walk_termprob"))
+
+
+@pytest.mark.parametrize("branch_trunc", [0, -3])
+def test_tree_weight_refuses_a_truncation_below_one(branch_trunc):
+    # Once 0 weighed the jump's countable sum as zero, and -3 gave 0 or 1/2
+    # by what the process had weighed before.
+    geo = builtin("geometric_walk", prefix=4)
+    tree = ReductionTree(2, "jump", tuple(map(ReductionTree, (0, 1, 2, 3))))
+    assert tree_weight(geo, tree) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="^branch_trunc must be >= 1$"):
+        tree_weight(geo, tree, branch_trunc)
+
+
 class TestFixpoint:
     def test_ski_rental_minimum(self):
         ski = builtin("ski_rental", y=3)

@@ -701,7 +701,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             return fn(*args)
         return apply
 
-    def watched(sys_, roots, rule_budget, count_cap, branch_trunc, finish):
+    def watched(sys_, roots, rule_budget, count_cap, finish):
         def joined(weights):
             # Referred to only by ``lists``, ``w`` and getrefcount's
             # argument, a list was dropped by the enumeration.
@@ -709,7 +709,7 @@ def _oracle_work(monkeypatch, capsys, argv, code=0) -> tuple:
             held.append(sum(len(w) for w in lists if sys.getrefcount(w) > 3))
             return finish(weights)
 
-        checks = tree_weights(sys_, roots, rule_budget, count_cap, branch_trunc, joined)
+        checks = tree_weights(sys_, roots, rule_budget, count_cap, joined)
         while True:
             inside[0] = 1
             try:

@@ -14,14 +14,12 @@ from wars.builtins import (
     builtin_names,
     format_term,
     ground_terms,
-    numeral,
     parse_term,
     plus_term,
     rewrite_steps,
     s_term,
-    term_size,
-    term_value,
 )
+from reference_eval import numeral, term_size, term_value
 from system_gen import random_system_json
 from wars.semiring import INF, LiteralError
 from wars.system import (

@@ -22,10 +22,9 @@ from wars.builtins import (
     plus_term,
     rewrite_steps,
     s_term,
-    term_size,
-    term_value,
     ZERO_TERM,
 )
+from reference_eval import term_size, term_value
 from wars.system import SystemError_
 
 

@@ -55,9 +55,9 @@ def typed(weights):
     return [(type(w), w) for w in weights]
 
 
-def tree_weights(sys_, a, depth, rule_budget=8, count_cap=200_000, branch_trunc=64):
+def tree_weights(sys_, a, depth, rule_budget=8, count_cap=200_000):
     """The weights of ``a``'s trees up to ``depth``, as one root's key keeps them."""
-    return next(_tree_weights(sys_, [(a, depth)], rule_budget, count_cap, branch_trunc, list))
+    return next(_tree_weights(sys_, [(a, depth)], rule_budget, count_cap, list))
 
 
 def first_of_each(weights):
@@ -73,11 +73,11 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-def both(sys_, a, depth, rule_budget=8, count_cap=200_000, branch_trunc=64):
-    fast = outcome(lambda: tree_weights(sys_, a, depth, rule_budget, count_cap, branch_trunc))
+def both(sys_, a, depth, rule_budget=8, count_cap=200_000):
+    fast = outcome(lambda: tree_weights(sys_, a, depth, rule_budget, count_cap))
     reference = outcome(
         lambda: first_of_each(
-            reference_tree_weight(sys_, t, branch_trunc)
+            reference_tree_weight(sys_, t)
             for t in reference_enumerate_trees(sys_, a, depth, rule_budget, count_cap)
         )
     )
@@ -100,13 +100,12 @@ def test_generated_systems_match_reference(seed):
     st.integers(0, 4),
     st.sampled_from([1, 2, 8, 64]),
     st.one_of(st.just(200_000), st.integers(0, 60)),
-    st.sampled_from([1, 2, 64]),
     st.data(),
 )
-def test_budgets_and_caps_match_reference(seed, depth, rule_budget, count_cap, trunc, data):
+def test_budgets_and_caps_match_reference(seed, depth, rule_budget, count_cap, data):
     sys_ = random_system(seed)
     a = data.draw(st.sampled_from(sys_.enumerate_objects()[0]))
-    fast, reference = both(sys_, a, depth, rule_budget, count_cap, trunc)
+    fast, reference = both(sys_, a, depth, rule_budget, count_cap)
     assert fast == reference
 
 

@@ -90,6 +90,17 @@ class TestFindLoops:
         depths = [tree.depth() for tree, _ in loops]
         assert depths == sorted(depths)
 
+    def test_a_depth_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^max_depth must be >= 1$"):
+            find_loops(SELF_AND_EXIT, "a", 0)
+
+    @pytest.mark.parametrize("max_witnesses", [0, -1])
+    def test_no_witness_asked_for_is_refused(self, max_witnesses):
+        # Once each returned one loop.
+        osr = builtin("os_runtime")
+        with pytest.raises(ValueError, match="^max_witnesses must be >= 1$"):
+            find_loops(osr, osr.parse_object("idle()"), 4, max_witnesses=max_witnesses)
+
 
 def _bare_off_the_path(tree: ReductionTree, path: tuple) -> bool:
     """Whether every node off ``path`` is a leaf without a rule, and the
