@@ -247,6 +247,8 @@ def cmd_bound(args) -> int:
                 embedding = builtin_embedding(ref)
             except BoundednessError as exc:
                 raise CliError(str(exc)) from exc
+        if args.samples is None and not (system.enumerate_objects() or ((), False))[1]:
+            raise CliError(f"system {system.name} has no complete object enumeration; pass --samples")
         instances = "all" if args.samples is None else system.sample_objects(args.samples)
         check = functools.partial(verify_embedding, system, embedding, instances)
     report = check_nf_top(system) or check()

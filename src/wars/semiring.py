@@ -82,6 +82,7 @@ ALL_WORDS = _AllWords()
 
 # A language symbol that literals print back: not eps, no delimiter, no outer whitespace.
 _SYMBOL = re.compile(r"(?!eps\Z)[^\s,{}()](?:[^,{}()]*[^\s,{}()])?")
+_INTEGER, _RATIONAL = re.compile(r"-?\d+"), re.compile(r"-?\d+[/.]\d+")
 
 
 def _parse_number(text: str):
@@ -91,9 +92,9 @@ def _parse_number(text: str):
     if text == "-inf":
         return NEG_INF
     try:
-        if re.fullmatch(r"-?\d+", text):
+        if _INTEGER.fullmatch(text):
             return int(text)
-        if re.fullmatch(r"-?\d+[/.]\d+", text):
+        if _RATIONAL.fullmatch(text):
             return Fraction(text)
     except ValueError as exc:  # past the interpreter's limit on digits
         raise LiteralError(f"numeric literal too long: {exc}") from exc

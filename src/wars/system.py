@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -277,6 +277,27 @@ def _literal_text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+def _rule_aggregator(text: str, entry, desc, rhs, tag) -> tuple:
+    """(expression, largest variable) of an aggregator text, parsed unless ``entry``
+    holds them; raises unless a rule with ``rhs`` may use it (the loader asks
+    again only for a rule with fewer successors than that variable)."""
+    if entry is None:
+        try:
+            expr = agg.parse_expr(text, desc)
+        except agg.AggregatorError as exc:
+            raise SystemFormatError(f"rule {tag}: {exc}") from exc
+        if agg.nesting_depth(expr) > MAX_AGGREGATOR_DEPTH:
+            raise SystemFormatError(f"rule {tag}: aggregator nested deeper than "
+                                    f"{MAX_AGGREGATOR_DEPTH} levels")
+        mv = agg._facts(expr)[1]
+        entry = (expr, mv if isinstance(mv, int) else 0)
+    try:
+        _check_rule(rhs, entry[0], tag)
+    except SystemError_ as exc:
+        raise SystemFormatError(str(exc)) from exc
+    return entry
+
+
 def load_explicit(source: str) -> SystemHandle:
     """Load a finite explicit system from JSON text or a file path.
 
@@ -307,51 +328,42 @@ def load_explicit(source: str) -> SystemHandle:
         raise SystemFormatError("missing 'semiring' entry")
     desc = descriptor_from_spec(data["semiring"])
 
-    rules_by_lhs: dict[str, list] = defaultdict(list)  # lhs -> its rows
+    tables: dict = {}  # lhs -> {tag: row}, both in file order
     objects: set[str] = set()
-    tags: set = set()  # (lhs, tag) of every rule so far
     rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
     if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
         raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
-    # Aggregator text -> expression: each text is parsed once per load, and
-    # the expressions it keeps alive key the (id, arity) pairs checked.
-    parsed: dict = {}
-    checked: set = set()
+    parsed: dict = {}  # aggregator text -> (expression, largest variable)
     # One pass, each rule's checks in order (JSON gives exact types).
     for i, spec in enumerate(rule_specs):
         spec = spec if type(spec) is dict else {}
         lhs, rhs = spec.get("lhs"), spec.get("rhs")
-        if type(lhs) is not str or type(rhs) is not list or not rhs or not all(map(str.__instancecheck__, rhs)):
+        if type(rhs) is list:
+            for b in rhs:
+                if type(b) is not str:
+                    rhs = None
+                    break
+        if type(lhs) is not str or type(rhs) is not list or not rhs:
             raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
-        tag = spec["tag"] if "tag" in spec else f"r{i}"
+        tag = spec.get("tag")
         if type(tag) is not str:
-            raise SystemFormatError(f"rule {i}: 'tag' must be a string")
+            if tag is not None or "tag" in spec:
+                raise SystemFormatError(f"rule {i}: 'tag' must be a string")
+            tag = f"r{i}"
         text = spec.get("agg", "")
         if type(text) is not str:
             raise SystemFormatError(f"rule {tag}: 'agg' must be a string")
-        expr = parsed.get(text)
-        if expr is None:
-            try:
-                expr = agg.parse_expr(text, desc)
-            except agg.AggregatorError as exc:
-                raise SystemFormatError(f"rule {tag}: {exc}") from exc
-            if agg.nesting_depth(expr) > MAX_AGGREGATOR_DEPTH:
-                raise SystemFormatError(
-                    f"rule {tag}: aggregator nested deeper than "
-                    f"{MAX_AGGREGATOR_DEPTH} levels"
-                )
-            parsed[text] = expr
-        if (id(expr), len(rhs)) not in checked:
-            try:
-                _check_rule(rhs, expr, tag)
-            except SystemError_ as exc:
-                raise SystemFormatError(str(exc)) from exc
-            checked.add((id(expr), len(rhs)))
-        if (lhs, tag) in tags:
+        entry = parsed.get(text)
+        if entry is None or len(rhs) < entry[1]:
+            entry = parsed[text] = _rule_aggregator(text, entry, desc, rhs, tag)
+        table = tables.get(lhs)
+        if table is None:
+            table = tables[lhs] = {}
+        elif tag in table:
             raise SystemFormatError(f"duplicate rule tag {tag!r} for {lhs!r}")
-        tags.add((lhs, tag))
-        rules_by_lhs[lhs].append((lhs, tuple(rhs), expr, tag, True))
+        table[tag] = (lhs, tuple(rhs), entry[0], tag, True)
         objects.update(rhs)
+    rules_by_lhs = {lhs: list(table.values()) for lhs, table in tables.items()}
     objects.update(rules_by_lhs)
 
     nf_weights = {}
@@ -388,10 +400,10 @@ def load_explicit(source: str) -> SystemHandle:
         nf_weight_fn=lambda a: nf_weights[a],
         flags=_ExplicitFlags(rules_by_lhs),
         parse_object_fn=parse_object,
-        enumerate_objects_fn=lambda: (sorted(objects), True),
+        enumerate_objects_fn=functools.cache(lambda: (sorted(objects), True)),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
         aggregators_finite_no_top=all(
-            _finite_no_top(expr, desc) for expr in parsed.values()
+            _finite_no_top(expr, desc) for expr, _ in parsed.values()
         ),
     )
 

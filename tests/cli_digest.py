@@ -30,8 +30,10 @@ missing, unknown or mismatched carrier, the ops of ``PARSED``, which pin an
 unknown ``bound`` mode, each built-in's message and a file's for a start
 they refuse (and ``ski_rental``'s ``halt``, which it reads), the bad
 ``bound`` configurations that ``boolform``'s top-valued normal form must
-not answer, and ``selective`` on ``boolform(finite_costs=true)``, whose
-objects no check can list, in text and in JSON,
+not answer, ``selective`` on ``boolform(finite_costs=true)``, whose
+objects no check can list, and ``embed:walk3n`` without ``--samples`` on
+``boolform``, ``boolform(finite_costs=true)`` and ``walk_expected``, whose
+objects no complete enumeration lists, in text and in JSON,
 ``bound --mode embed:<table>`` on the ``real_inf`` file of ``EMBEDDED``
 with each of its tables, which pin the message of a violated step,
 ``bound --mode embed:<name>`` with the built-in embeddings of
@@ -196,8 +198,9 @@ BAD_CARRIERS = (
 # (built-in spec, or ``file:`` and the name of ``OBJECTS``' file, argv tail)
 # of a mode ``bound`` does not know, of starts that each system's object
 # parser refuses, or reads (``halt``), of bad ``bound`` configurations on a
-# system with a top-valued normal form, and of ``selective`` on a system
-# whose objects are neither enumerable nor sampled.
+# system with a top-valued normal form, and of ``selective`` and an
+# ``embed:`` mode without ``--samples`` on systems whose objects no complete
+# enumeration lists.
 PARSED = (
     ("walk_expected", ("bound", "--mode", "foo")),
     ("walk_termprob", ("eval", "--start", "-3", "--depth", "1")),
@@ -212,6 +215,9 @@ PARSED = (
     ("boolform", ("bound", "--mode", "embed:nope")),
     ("boolform", ("bound", "--mode", "selective", "--bound", "inf")),
     ("boolform(finite_costs=true)", ("bound", "--mode", "selective", "--bound", "10")),
+    ("boolform", ("bound", "--mode", "embed:walk3n")),
+    ("boolform(finite_costs=true)", ("bound", "--mode", "embed:walk3n")),
+    ("walk_expected", ("bound", "--mode", "embed:walk3n")),
 )
 # A small valid system file, whose objects are a and b.
 OBJECTS = {"semiring": {"kind": "nat_inf"},

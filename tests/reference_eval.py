@@ -44,11 +44,21 @@ once per level, so they only take shallow input.
 every reduction tree up to the depth with ``enumerate_trees``, finds the
 leaves that repeat the root with ``reference_loop_leaves``, and only then
 keeps one tree per (root, rule-tag path).
+
+``reference_load_explicit`` is the reference for ``load_explicit`` on JSON
+text.  It reads each rule as the loader once did: a global set of (lhs, tag)
+pairs, and the rule checks once per (text, successor count) pair, spelled
+with the reference walkers.  It returns the rows, normal-form weights and
+objects it read, whether every aggregator is finite and free of the maximum,
+and termination, found by peeling off objects whose successors are all
+peeled.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from collections import namedtuple
 
 from wars import aggregator as agg
 from wars.aggregator import (
@@ -85,8 +95,8 @@ from wars.evaluator import (
     WeightBound,
     enumerate_trees,
 )
-from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, Product
-from wars.system import DEFAULT_RULE_BUDGET, MAX_AGGREGATOR_DEPTH, SystemHandle
+from wars.semiring import ALL_WORDS, INF, Boolean, Language, LiteralError, Product, descriptor_from_spec
+from wars.system import DEFAULT_RULE_BUDGET, MAX_AGGREGATOR_DEPTH, SystemFormatError, SystemHandle
 from wars.unboundedness import UnboundednessError, _apply_aggregator
 
 
@@ -1024,3 +1034,73 @@ def reference_verify_embedding(
         BOUNDED_SAMPLED, "interpretation-method", details, sample_count=checked,
         bound_map=bound_map,
     )
+
+
+ReferenceLoad = namedtuple("ReferenceLoad", "rows nf objects finite_no_top terminating")
+
+
+def reference_load_explicit(text: str) -> ReferenceLoad:
+    """What ``load_explicit`` reads from the JSON text of a system, or the
+    error it raises first."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise SystemFormatError("a system must be a JSON object")
+    if "semiring" not in data:
+        raise SystemFormatError("missing 'semiring' entry")
+    desc = descriptor_from_spec(data["semiring"])
+    rule_specs, nf_specs = data.get("rules", []), data.get("nf", {})
+    if not isinstance(rule_specs, list) or not isinstance(nf_specs, dict):
+        raise SystemFormatError("'rules' must be a JSON array and 'nf' a JSON object")
+    rows, parsed, checked, tags = {}, {}, set(), set()
+    for i, spec in enumerate(rule_specs):
+        if not isinstance(spec, dict):
+            spec = {}
+        lhs, rhs = spec.get("lhs"), spec.get("rhs")
+        if not (isinstance(lhs, str) and isinstance(rhs, list) and rhs
+                and all(isinstance(b, str) for b in rhs)):
+            raise SystemFormatError(f"rule {i}: needs a string lhs and a non-empty rhs")
+        tag = spec["tag"] if "tag" in spec else f"r{i}"
+        if not isinstance(tag, str):
+            raise SystemFormatError(f"rule {i}: 'tag' must be a string")
+        agg_text = spec.get("agg", "")
+        if not isinstance(agg_text, str):
+            raise SystemFormatError(f"rule {tag}: 'agg' must be a string")
+        if agg_text not in parsed:
+            try:
+                parsed[agg_text] = agg.parse_expr(agg_text, desc)
+            except AggregatorError as exc:
+                raise SystemFormatError(f"rule {tag}: {exc}") from exc
+            if agg.nesting_depth(parsed[agg_text]) > MAX_AGGREGATOR_DEPTH:
+                raise SystemFormatError(
+                    f"rule {tag}: aggregator nested deeper than {MAX_AGGREGATOR_DEPTH} levels")
+        expr = parsed[agg_text]
+        if (agg_text, len(rhs)) not in checked:
+            if reference_mentions_x(expr):
+                raise SystemFormatError(f"rule {tag}: rule aggregators cannot mention X")
+            mv = reference_max_var(expr)
+            if isinstance(mv, int) and mv > len(rhs):
+                raise SystemFormatError(
+                    f"rule {tag}: aggregator mentions v{mv} but rhs has {len(rhs)} entries")
+            checked.add((agg_text, len(rhs)))
+        if (lhs, tag) in tags:
+            raise SystemFormatError(f"duplicate rule tag {tag!r} for {lhs!r}")
+        tags.add((lhs, tag))
+        rows.setdefault(lhs, []).append((lhs, tuple(rhs), expr, tag, True))
+    objects = set(rows).union(*(r[1] for rs in rows.values() for r in rs))
+    nf = {}
+    for label, literal in nf_specs.items():
+        if label in rows:
+            raise SystemFormatError(f"{label!r} has rules but also a normal-form weight")
+        nf[label] = desc.parse_literal(literal if isinstance(literal, str) else json.dumps(literal))
+        objects.add(label)
+    unweighted = objects - set(rows) - set(nf)
+    if unweighted:
+        raise SystemFormatError(f"{min(unweighted)!r} is a normal form but has no weight in 'nf'")
+    left = set(rows)
+    while True:
+        peeled = {a for a in left if not any(b in left for r in rows[a] for b in r[1])}
+        if not peeled:
+            break
+        left -= peeled
+    finite_no_top = all(reference_finite_no_top(e, desc) for e in parsed.values())
+    return ReferenceLoad(rows, nf, objects, finite_no_top, not left)

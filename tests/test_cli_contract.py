@@ -165,9 +165,11 @@ def bad_configuration(argv) -> bool:
     configuration: a flag below its least value, a ``bound`` flag its mode
     never reads, an unknown mode, ``selective`` without a ``--bound`` or with
     one that does not parse or is the maximum, an embedding that no file or
-    built-in holds, ``--samples`` on a system without a sampler, a spec that
-    loads nothing, a start it cannot parse, a second start for ``loop``, and
-    for ``oracle`` a system that is not finite and explicit, or is empty."""
+    built-in holds, ``--samples`` on a system without a sampler, an ``embed:``
+    mode without ``--samples`` on a system whose objects no complete
+    enumeration lists, a spec that loads nothing, a start it cannot parse, a
+    second start for ``loop``, and for ``oracle`` a system that is not
+    finite and explicit, or is empty."""
     args = build_parser().parse_args(argv)
     if any(getattr(args, name) is not None and getattr(args, name) < least
            for name, least in LEAST[args.command].items()):
@@ -193,8 +195,12 @@ def bad_configuration(argv) -> bool:
     if args.mode == "selective":
         return refused(desc.parse_literal, args.bound) or desc.top == desc.parse_literal(args.bound)
     if args.mode.startswith("embed:"):
-        return (refused(builtin_embedding, args.mode[len("embed:"):])
-                or (args.samples is not None and refused(system.sample_objects, args.samples)))
+        if refused(builtin_embedding, args.mode[len("embed:"):]):
+            return True
+        if args.samples is None:
+            objects = system.enumerate_objects()
+            return objects is None or not objects[1]
+        return refused(system.sample_objects, args.samples)
     return False
 
 
@@ -228,6 +234,16 @@ def test_a_top_valued_normal_form_answers_only_good_configurations(tail):
         assert run(["bound", "--system", "builtin:boolform(finite_costs=true)", *tail]) == (1, False, err)
     else:
         assert (code, err) == (5, "")
+
+
+@pytest.mark.parametrize("spec", ["boolform", "boolform(finite_costs=true)", "walk_expected"])
+def test_an_exhaustive_embedding_needs_a_complete_enumeration(spec):
+    # Found with the rest of the configuration, so boolform's top-valued
+    # normal form does not answer it, and named by the flag that gives
+    # instances on the command line.
+    name = spec.split("(")[0]
+    assert run(["bound", "--system", f"builtin:{spec}", "--mode", "embed:walk3n"]) == (
+        1, False, f"error: system {name} has no complete object enumeration; pass --samples\n")
 
 
 # Text that ``json`` escapes: quotes, backslashes, control characters,

@@ -1,7 +1,9 @@
 """Exploration work per object: each aggregator's facts are walked and its
 compiled forms built once, not once per object, and the rule checks still
-raise as before.  Loading and checking work: each rule is checked once, the
-loader's component pass runs only when read, and an embedding is called once
+raise as before.  Loading and checking work: the loader parses and checks
+each aggregator text once, however many rules of any length share it, and
+checks again only a rule that then fails; the loader's component pass runs
+only when read, and an embedding is called once
 per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
 up once per ball and explores the ball that the fixpoint explores, and
@@ -355,6 +357,30 @@ def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
     assert "is the maximum" in capsys.readouterr().out
     assert base_rules[0] > 0
     assert checks[0] == 0
+
+
+def test_loader_parses_and_checks_each_text_once(monkeypatch):
+    # (text, largest variable): 3,000 rules of one to three successors share
+    # five texts.  Checks per (expression, arity) pair once made 11 here.
+    texts = (("v1", 1), ("1 + v1", 1), ("v1 * v2", 2), ("v2 + v1 + 3", 2), ("v3", 3))
+    rng = random.Random(0)
+    rules = []
+    for i in range(3000):
+        arity = rng.randrange(1, 4)
+        text = rng.choice([text for text, most in texts if most <= arity])
+        rules.append({"lhs": f"a{i % 500}", "rhs": [f"b{j}" for j in range(arity)], "agg": text})
+    data = {"semiring": {"kind": "nat_inf"}, "rules": rules, "nf": {f"b{j}": "0" for j in range(3)}}
+    parses = _count_calls(monkeypatch, aggregator.parse_expr)
+    checks = _count_calls(monkeypatch, system._check_rule)
+    assert len(load_explicit(json.dumps(data)).enumerate_objects()[0]) == 503
+    assert parses[0] == checks[0] == len(texts)
+    # A later rule with fewer successors than its text's variable is checked
+    # again, and fails.
+    parses[0] = checks[0] = 0
+    rules.insert(2000, {"lhs": "z", "rhs": ["b0", "b1"], "agg": "v3"})
+    with pytest.raises(SystemError_, match="rule r2000: aggregator mentions v3 but rhs has 2 entries"):
+        load_explicit(json.dumps(data))
+    assert parses[0] == len(texts) and checks[0] == len(texts) + 1
 
 
 def test_component_pass_runs_only_when_termination_is_read(monkeypatch, capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from wars.builtins import (
     rewrite_steps,
     s_term,
 )
-from reference_eval import numeral, term_size, term_value
+from reference_eval import numeral, reference_load_explicit, term_size, term_value
 from system_gen import random_system_json
 from wars.semiring import INF, LiteralError
 from wars.system import (
@@ -427,13 +428,18 @@ class TestLoadExplicit:
             (["v2", "v2"], "rule r0: aggregator mentions v2 but rhs has 1 entries"),
             (["v1", "v1", "X"], "rule r2: rule aggregators cannot mention X"),
             (["v1", 5], "rule r1: 'agg' must be a string"),
+            # (text, successor count): a text reused with fewer successors
+            # than its largest variable fails at that rule, not at its first.
+            ([("v1 + v3", 3), ("v1 + v3", 4), "v1", ("v1 + v3", 2)],
+             "rule r3: aggregator mentions v3 but rhs has 2 entries"),
         ],
     )
     def test_first_bad_rule_raises_with_shared_texts(self, aggs, message):
+        aggs = [a if isinstance(a, tuple) else (a, 1) for a in aggs]
         bad = json.dumps(
             {
                 "semiring": {"kind": "nat_inf"},
-                "rules": [{"lhs": f"a{i}", "rhs": ["b"], "agg": a} for i, a in enumerate(aggs)],
+                "rules": [{"lhs": f"a{i}", "rhs": ["b"] * n, "agg": a} for i, (a, n) in enumerate(aggs)],
                 "nf": {"b": "0"},
             }
         )
@@ -463,6 +469,115 @@ class TestLoadExplicit:
         with pytest.raises(SystemFormatError) as info:
             load_explicit(bad)
         assert str(info.value) == "duplicate rule tag 'r' for 'b'"
+
+
+# Aggregator texts that the rules of a generated file share.
+LOADER_TEXTS = ("2", "v1", "1 + v1", "v1 * v2", "v2 + 3", "v1 + v2 + v3", "inf * v1", "v3")
+LOADER_FAULTS = 12
+
+
+def _most(text: str) -> int:
+    return max(map(int, re.findall(r"v(\d+)", text)), default=0)
+
+
+def _loader_file(rng: random.Random) -> dict:
+    """A valid ``nat_inf`` or ``tropical`` file of up to 30 rules over up to
+    8 objects.  Tags are shared across objects or left to the loader, and
+    half of the files point rules only forward, so they terminate."""
+    names = [f"o{i}" for i in range(rng.randrange(2, 9))]
+    forward = rng.random() < 0.5
+    ruled = rng.sample(names[:-1], rng.randrange(1, len(names)))
+    rules, counts = [], {}
+    for _ in range(rng.randrange(1, 30)):
+        lhs = rng.choice(ruled)
+        pool = names[names.index(lhs) + 1:] if forward else names
+        rhs = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
+        rule = {"lhs": lhs, "rhs": rhs,
+                "agg": rng.choice([t for t in LOADER_TEXTS if _most(t) <= len(rhs)])}
+        if rng.random() < 0.7:
+            rule["tag"] = f"t{counts.get(lhs, 0)}"
+            counts[lhs] = counts.get(lhs, 0) + 1
+        rules.append(rule)
+    lhss = {r["lhs"] for r in rules}
+    weightless = sorted({b for r in rules for b in r["rhs"]} - lhss)
+    nf = {b: rng.choice(["0", "1", "3", "inf", 2, 5]) for b in weightless}
+    return {"semiring": {"kind": rng.choice(["nat_inf", "tropical"])}, "rules": rules, "nf": nf}
+
+
+def _break(rng: random.Random, data: dict) -> None:
+    """Inject one of ``LOADER_FAULTS`` kinds of fault into a file."""
+    rules, nf = data["rules"], data["nf"]
+    at = rng.randrange(len(rules))
+    spec, fault = rules[at], rng.randrange(LOADER_FAULTS)
+    if fault == 0:
+        rules[at] = rng.choice([[], "rule", 3, None])
+    elif not isinstance(spec, dict) or not isinstance(spec.get("rhs"), list):
+        return
+    elif fault in (1, 2, 3, 4):
+        field = ("lhs", "rhs", "tag", "agg")[fault - 1]
+        bad = rng.choice([None, 3, True, ["o0"], "<missing>"] + ([[], ["o0", 3]] if fault == 2 else []))
+        if bad == "<missing>":
+            spec.pop(field, None)
+        else:
+            spec[field] = bad
+    elif fault in (5, 6, 7):
+        spec["agg"] = rng.choice({5: ["v1 +", "(v1", "foo", "v0", ""],
+                                  6: ["1 + (" * 400 + "1 + v1" + ")" * 400],
+                                  7: ["X + v1", "X"]}[fault])
+    elif fault == 8:  # a text reused with fewer successors than its largest variable
+        first = {"lhs": spec.get("lhs"), "rhs": (spec["rhs"] * 3)[:3], "agg": "v1 + v2 + v3"}
+        rules.insert(at, first)
+        spec["rhs"], spec["agg"] = spec["rhs"][:rng.randrange(1, 3)], "v1 + v2 + v3"
+    elif fault == 9:  # a tag repeated for the same object, later in the file
+        rules.insert(rng.randrange(at + 1, len(rules) + 1), dict(spec, tag=spec.get("tag", f"r{at}")))
+    elif fault == 10:
+        nf[spec.get("lhs")] = "1"
+    elif nf and rng.random() < 0.5:
+        del nf[rng.choice(sorted(nf))]
+    else:
+        spec["rhs"] = spec["rhs"] + ["zz"]
+
+
+class TestLoaderAgainstReference:
+    """``load_explicit`` reads what a deliberately simple per-rule loader
+    reads, and fails first where it fails, with the same message."""
+
+    def test_generated_files(self):
+        outcomes = {"loaded": 0, "refused": 0}
+        for seed in range(400):
+            rng = random.Random(seed)
+            data = _loader_file(rng)
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+                _break(rng, data)
+            text = json.dumps(data)
+            try:
+                want = reference_load_explicit(text)
+            except Exception as exc:
+                with pytest.raises(Exception) as info:
+                    load_explicit(text)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc)), seed
+                outcomes["refused"] += 1
+                continue
+            got = load_explicit(text)
+            assert got.enumerate_objects() == (sorted(want.objects), True)
+            assert got.enumerate_nfs() == (sorted(want.nf), True)
+            for label, weight in want.nf.items():
+                assert got.nf_weight(label) == weight and type(got.nf_weight(label)) is type(weight)
+            exprs: dict = {}  # id of the reference's expression -> ids of the loader's
+            for a in sorted(want.objects):
+                rows, complete = got._rows(a, 10**6)
+                assert complete and (type(rows) is list) == (a in want.rows)
+                assert [r[:2] + r[3:] for r in rows] == [w[:2] + w[3:] for w in want.rows.get(a, [])]
+                for r, w in zip(rows, want.rows.get(a, [])):
+                    assert r[2] == w[2]
+                    exprs.setdefault(id(w[2]), set()).add(id(r[2]))
+            # One expression object per text, and one text per object.
+            assert all(len(ids) == 1 for ids in exprs.values())
+            assert len(set().union(*exprs.values())) == len(exprs)
+            assert got.aggregators_finite_no_top is want.finite_no_top
+            assert got.flags.terminating is want.terminating
+            outcomes["loaded"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 class TestPublicRecords:
