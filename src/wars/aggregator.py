@@ -7,11 +7,11 @@ aggregators.
 
 Each expression object remembers what the analyses ask of it: its facts
 (whether it mentions X, its largest variable, whether it holds a countable
-sum), its cut and compiled forms per carrier, arity and truncation (``_cut``
-alone decides which terms of a countable sum are read) and, for a loop
-polynomial, itself with X as v1, each computed on first use.  Expressions
-are found by identity, never hashed, so equal expressions built apart are
-walked and compiled apart.
+sum, how deeply it nests), its cut and compiled forms per carrier, arity
+and truncation (``_cut`` alone decides which terms of a countable sum are
+read) and, for a loop polynomial, itself with X as v1, each computed on
+first use.  Expressions are found by identity, never hashed, so equal
+expressions built apart are walked and compiled apart.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class _Expr:
     @functools.cached_property
     def facts(self) -> tuple:
         """Whether the expression mentions X, its largest variable index
-        (INF when a countable sum's is unbounded), and whether it holds a
-        countable sum."""
+        (INF when a countable sum's is unbounded), whether it holds a
+        countable sum, and its levels: one for a leaf, one more per sum or
+        product."""
         return _reduce(self, _leaf_facts, _node_facts)
 
     @functools.cached_property
@@ -167,11 +168,6 @@ def _reduce(expr, leaf, node):
         values.append(value)
 
 
-def nesting_depth(expr) -> int:
-    """Levels of an expression: one for a leaf, one more per sum or product."""
-    return _reduce(expr, lambda e: 1, lambda e, depths: 1 + max(depths))
-
-
 def _children(expr) -> tuple:
     return expr.terms if isinstance(expr, SumNode) else expr.factors
 
@@ -193,17 +189,17 @@ def _facts(expr) -> tuple:
 
 def _leaf_facts(expr) -> tuple:
     if isinstance(expr, (Const, XVar)):
-        return isinstance(expr, XVar), 0, False
+        return isinstance(expr, XVar), 0, False, 1
     if isinstance(expr, Var):
-        return False, expr.index, False
+        return False, expr.index, False, 1
     if isinstance(expr, CountableSum):
-        return False, expr.var_bound, True
+        return False, expr.var_bound, True, 1
     raise AggregatorError(f"not an aggregator expression: {expr!r}")
 
 
 def _node_facts(expr, facts: list) -> tuple:
-    xs, mvs, countable = zip(*facts)
-    return any(xs), max(mvs), any(countable)
+    xs, mvs, countable, depths = zip(*facts)
+    return any(xs), max(mvs), any(countable), 1 + max(depths)
 
 
 DEFAULT_TRUNCATION = 64

@@ -226,8 +226,8 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
 def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
     """Bounded when the system is terminating, finitely non-deterministic and
     finitely branching, the semiring is extremal, no normal form weighs top,
-    and every aggregator is finite without a top constant.  The last is read
-    from ``sys.aggregators_finite_no_top``; ``None`` leaves it unknown."""
+    and every aggregator is finite without a top constant.  The first three
+    and the last are read from ``sys.flags``; ``None`` leaves one unknown."""
     desc = sys.semiring
     details = {}
     missing = []
@@ -265,7 +265,7 @@ def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
 
     # Walking every rule again would cost a pass over the objects, and a
     # rule budget could hide a rule; the system states the fact instead.
-    agg_ok = sys.aggregators_finite_no_top
+    agg_ok = sys.flags.aggregators_finite_no_top
     if agg_ok is True:
         details["aggregators"] = "finite, no top constant"
     else:

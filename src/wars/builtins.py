@@ -64,11 +64,11 @@ def _walk(expected_steps: bool) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=lambda text: int(text),
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda count: list(range(count)),
-        aggregators_finite_no_top=True,
     )
 
 
@@ -79,6 +79,8 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
     )
 
     def successors(n, budget):
+        if not isinstance(n, int) or n < 0:
+            raise SystemError_(f"walk positions are naturals, got {n!r}")
         if n == 0:
             return [], True
         rhs = tuple(range(prefix))
@@ -95,11 +97,11 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=False,
             terminating=False,
+            aggregators_finite_no_top=False,
         ),
         parse_object_fn=lambda text: int(text),
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda count: list(range(count)),
-        aggregators_finite_no_top=False,
     )
 
 
@@ -184,12 +186,12 @@ def _os_common(name, semiring, agg_for, nf_value) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=_parse_os_state,
         format_object_fn=_format_os_state,
         enumerate_nfs_fn=lambda: ([("run", ())], True),
         sample_objects_fn=_sample_os,
-        aggregators_finite_no_top=True,
     )
 
 
@@ -272,11 +274,11 @@ def _z_walk() -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=lambda text: int(text),
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=sample,
-        aggregators_finite_no_top=True,
     )
 
 
@@ -439,11 +441,11 @@ def _addition_trs(max_size: int = 8) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=parse_term,
         format_object_fn=format_term,
         enumerate_objects_fn=enumerate_objects,
-        aggregators_finite_no_top=True,
     )
 
 
@@ -574,11 +576,11 @@ def _boolform(finite_costs: bool = False) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=lambda text: _parse_formula(text, table),
         format_object_fn=format_formula,
         enumerate_nfs_fn=lambda: ([atom(n) for n in sorted(table)], True),
-        aggregators_finite_no_top=True,
     )
 
 
@@ -592,6 +594,8 @@ def _na_system() -> SystemHandle:
     def successors(a, budget):
         if a == "a":
             return [("a", (n,), step, f"pick{n}", True) for n in range(budget)], False
+        if not isinstance(a, int) or a < 0:
+            raise SystemError_(f"objects are 'a' and the naturals, got {a!r}")
         if a == 0:
             return [], True
         return [(a, (a - 1,), step, "down", True)], True
@@ -609,11 +613,11 @@ def _na_system() -> SystemHandle:
             finitely_nondeterministic=False,
             finitely_branching=True,
             terminating=True,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=parse,
         enumerate_nfs_fn=lambda: ([0], True),
         sample_objects_fn=lambda count: ["a", *range(count - 1)][:count],
-        aggregators_finite_no_top=True,
     )
 
 
@@ -658,11 +662,11 @@ def _ski_rental(y: int) -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=True,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=parse,
         format_object_fn=fmt,
         enumerate_nfs_fn=lambda: ([("halt",)], True),
-        aggregators_finite_no_top=True,
     )
 
 
@@ -698,11 +702,11 @@ def _bitstring_prefixes() -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=parse,
         enumerate_objects_fn=lambda: (["0", "1", "*"], True),
         enumerate_nfs_fn=lambda: (["*"], True),
-        aggregators_finite_no_top=True,
     )
 
 
@@ -732,11 +736,11 @@ def _loop_language() -> SystemHandle:
             finitely_nondeterministic=True,
             finitely_branching=True,
             terminating=False,
+            aggregators_finite_no_top=True,
         ),
         parse_object_fn=lambda text: text.strip(),
         enumerate_objects_fn=lambda: (["a", "b"], True),
         enumerate_nfs_fn=lambda: (["b"], True),
-        aggregators_finite_no_top=True,
     )
 
 

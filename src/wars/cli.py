@@ -38,7 +38,7 @@ from .evaluator import (
     DEFAULT_VISIT_CAP,
     CountCapExceeded,
     VisitCapExceeded,
-    _settle_all,
+    _settle,
     _tree_weights,
     evaluate_to_fixpoint,
 )
@@ -305,10 +305,7 @@ def cmd_loop(args) -> int:
             "t": desc.format_literal(w.t) if w.t is not None else None,
         }
         if w.status == CERTIFIED:
-            verdict = conclude_unbounded(system, w)
-            entry["verdict"] = "unbounded"
-            entry["method"] = verdict.method
-            entry["cross_check"] = verdict.cross_check
+            entry.update(verdict="unbounded", **vars(conclude_unbounded(system, w)))
         reports.append(entry)
 
     payload = {
@@ -348,8 +345,10 @@ def cmd_oracle(args) -> int:
         raise CliError("the oracle needs a system with at least one object")
 
     checks = []
-    # One settle of every object, to the depth the checks read, answers them all.
-    settled = _settle_all(system, objects, args.depth, args.rule_budget)
+    # One settle of every object, to the depth the checks read, answers them
+    # all; the system bounds its own ball, so no visit cap cuts it.
+    settled = _settle(system, objects, args.depth, args.depth, args.rule_budget,
+                      DEFAULT_BRANCH_TRUNC, max(len(objects), DEFAULT_VISIT_CAP))
     # One enumeration of every check's trees, joined as each depth is weighed:
     # leaves and compiled constants are checked, so weights are carrier values.
     # The join is idempotent, so each key keeps its distinct weights only.

@@ -657,20 +657,13 @@ class _Settled:
         return None if pruned and last < steps else last
 
 
-def _settle(sys, starts, radius, rule_budget, branch_trunc, visit_cap) -> _Settled:
-    """The ball around ``starts``, settled to ``radius`` levels, which hold the
-    extra level that can show stability; radius 0 still gets one to compare."""
+def _settle(sys, starts, radius, steps, rule_budget, branch_trunc, visit_cap) -> _Settled:
+    """The ball of ``radius`` around ``starts``, settled to ``steps`` levels,
+    none above them evaluated."""
     if branch_trunc < 1:
         raise ValueError("branch_trunc must be >= 1")
     ball = _Ball(sys, starts, radius, rule_budget, branch_trunc, visit_cap)
-    return _Settled(ball, max(radius, 1))
-
-
-def _settle_all(sys, objects, steps, rule_budget) -> _Settled:
-    """Every object of a finite system settled to ``steps`` levels, no extra
-    one, in one ball that no visit cap cuts."""
-    visit_cap = max(len(objects), DEFAULT_VISIT_CAP)
-    return _Settled(_Ball(sys, objects, steps, rule_budget, DEFAULT_BRANCH_TRUNC, visit_cap), steps)
+    return _Settled(ball, steps)
 
 
 def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
@@ -680,12 +673,13 @@ def _budgets(rule_budget: int, branch_trunc: int, visit_cap: int) -> dict:
 class DepthProfile:
     """The lower bounds at ``a`` for every level 0..depth, from one exploration.
 
-    It settles the ball ``evaluate_to_fixpoint`` settles, ``a`` its one start,
-    and reads a level's value from ``a``'s history when asked.  ``bound(level)``
-    returns the bound at that depth, or raises ``VisitCapExceeded`` with it
-    when the visit cap cut the ball within ``level`` of ``a``; a level outside
-    0..depth raises ``ValueError``.  The value, the visited count and whether
-    the cap was hit agree with a ball of radius ``level``.
+    It settles the ball ``evaluate_to_fixpoint`` explores, ``a`` its one start,
+    to ``depth`` levels, and reads a level's value from ``a``'s history when
+    asked.  ``bound(level)`` returns the bound at that depth, or raises
+    ``VisitCapExceeded`` with it when the visit cap cut the ball within
+    ``level`` of ``a``; a level outside 0..depth raises ``ValueError``.  The
+    value, the visited count and whether the cap was hit agree with a ball of
+    radius ``level``.
     """
 
     def __init__(
@@ -699,7 +693,7 @@ class DepthProfile:
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self._settled = _settle(sys, [a], depth, rule_budget, branch_trunc, visit_cap)
+        self._settled = _settle(sys, [a], depth, depth, rule_budget, branch_trunc, visit_cap)
         self._depth = depth
         self.budgets = _budgets(rule_budget, branch_trunc, visit_cap)
 
@@ -759,7 +753,7 @@ def evaluate_to_fixpoint(
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    settled = _settle(sys, [a], max_depth, rule_budget, branch_trunc, visit_cap)
+    settled = _settle(sys, [a], max_depth, max(max_depth, 1), rule_budget, branch_trunc, visit_cap)
     depth_explored = settled.depth if settled.stable else max_depth
     bound = WeightBound(
         value=settled.value(0, depth_explored),

@@ -66,7 +66,7 @@ def _check_rule(rhs, aggregator, tag, rhs_complete=True) -> None:
     """Raise ``SystemError_`` for a rule that ``RuleInstance`` refuses."""
     if not rhs:
         raise SystemError_(f"rule {tag}: empty successor sequence")
-    has_x, mv, _ = agg._facts(aggregator)
+    has_x, mv, _, _ = agg._facts(aggregator)
     if has_x:
         raise SystemError_(f"rule {tag}: rule aggregators cannot mention X")
     if rhs_complete and isinstance(mv, int) and mv > len(rhs):
@@ -102,16 +102,23 @@ class Flags:
     finitely_nondeterministic: Optional[bool] = None
     finitely_branching: Optional[bool] = None
     terminating: Optional[bool] = None
+    aggregators_finite_no_top: Optional[bool] = None  # no countable sum, no constant top
 
 
 class _ExplicitFlags(Flags):
-    """An explicit system's flags.  ``terminating`` costs a quarter to a third
-    of a load and only the extremal check reads it, so it is computed on read."""
+    """An explicit system's flags.  Only the extremal check reads ``terminating``
+    (a quarter to a third of a load) and ``aggregators_finite_no_top`` (a walk
+    per aggregator text), so both are computed on read."""
 
-    def __init__(self, rules_by_lhs: dict):
+    def __init__(self, rules_by_lhs: dict, desc: Semiring, aggregators: list):
         super().__init__(finitely_nondeterministic=True, finitely_branching=True)
-        del self.terminating  # the property below computes it
+        del self.terminating, self.aggregators_finite_no_top  # the properties compute them
         self._rules_by_lhs = rules_by_lhs
+        self._desc, self._aggregators = desc, aggregators
+
+    @functools.cached_property
+    def aggregators_finite_no_top(self) -> bool:
+        return all(_finite_no_top(expr, self._desc) for expr in self._aggregators)
 
     @functools.cached_property
     def terminating(self) -> bool:
@@ -144,7 +151,6 @@ class SystemHandle:
         enumerate_objects_fn: Callable[[], tuple] | None = None,
         enumerate_nfs_fn: Callable[[], tuple] | None = None,
         sample_objects_fn: Callable[[int], list] | None = None,
-        aggregators_finite_no_top: Optional[bool] = None,
     ):
         self.name = name
         self.semiring = semiring
@@ -156,7 +162,6 @@ class SystemHandle:
         self._enumerate_objects = enumerate_objects_fn
         self._enumerate_nfs = enumerate_nfs_fn
         self._sample_objects = sample_objects_fn
-        self.aggregators_finite_no_top = aggregators_finite_no_top
 
     def _rows(self, a, budget: int) -> tuple:
         """Up to ``budget`` rules applicable to ``a`` as rows, plus
@@ -256,18 +261,20 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
         return [(lhs, rhs, step(len(rhs)), tag, whole)
                 for lhs, rhs, _, tag, whole in rows], complete
 
+    flags = copy.copy(base.flags)
+    # A step has no top constant, and is finite when every successor sequence is.
+    flags.aggregators_finite_no_top = flags.finitely_branching
     return SystemHandle(
         name=f"cplx({base.name})",
         semiring=NAT_INF,
         successors_fn=successors,
         nf_weight_fn=lambda a: 0,
-        flags=copy.copy(base.flags),
+        flags=flags,
         parse_object_fn=base._parse_object,
         format_object_fn=base._format_object,
         enumerate_objects_fn=base._enumerate_objects,
         enumerate_nfs_fn=base._enumerate_nfs,
         sample_objects_fn=base._sample_objects,
-        aggregators_finite_no_top=base.flags.finitely_branching,
     )
 
 
@@ -286,10 +293,10 @@ def _rule_aggregator(text: str, entry, desc, rhs, tag) -> tuple:
             expr = agg.parse_expr(text, desc)
         except agg.AggregatorError as exc:
             raise SystemFormatError(f"rule {tag}: {exc}") from exc
-        if agg.nesting_depth(expr) > MAX_AGGREGATOR_DEPTH:
+        _, mv, _, depth = agg._facts(expr)
+        if depth > MAX_AGGREGATOR_DEPTH:
             raise SystemFormatError(f"rule {tag}: aggregator nested deeper than "
                                     f"{MAX_AGGREGATOR_DEPTH} levels")
-        mv = agg._facts(expr)[1]
         entry = (expr, mv if isinstance(mv, int) else 0)
     try:
         _check_rule(rhs, entry[0], tag)
@@ -398,13 +405,10 @@ def load_explicit(source: str) -> SystemHandle:
         semiring=desc,
         successors_fn=successors,
         nf_weight_fn=lambda a: nf_weights[a],
-        flags=_ExplicitFlags(rules_by_lhs),
+        flags=_ExplicitFlags(rules_by_lhs, desc, [expr for expr, _ in parsed.values()]),
         parse_object_fn=parse_object,
         enumerate_objects_fn=functools.cache(lambda: (sorted(objects), True)),
         enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
-        aggregators_finite_no_top=all(
-            _finite_no_top(expr, desc) for expr, _ in parsed.values()
-        ),
     )
 
 

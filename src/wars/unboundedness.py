@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aggregator as agg
-from .aggregator import ArityError, Const, Var, X, XVar
+from .aggregator import ArityError, Const, Var, X
 from .evaluator import DEFAULT_COUNT_CAP, CountCapExceeded, ReductionTree, _weigher
 from .semiring import NatInf, RealInf, Semiring
 from .system import DEFAULT_RULE_BUDGET, MAX_AGGREGATOR_DEPTH, SystemHandle
@@ -53,12 +53,9 @@ class LoopWitness:
 @dataclass
 class UnboundednessReport:
     """``cross_check`` holds the loop's depth and, as literals, the weight of
-    k nested copies of the loop for k = 1..5 (``iteration_values``)."""
+    k nested copies of the loop for k = 1..5 (``iteration_values``).  The
+    witness holds the rest: its root, increment, polynomial and trace."""
 
-    object_label: str
-    t_literal: str
-    polynomial: str
-    trace: list[str]
     method: str = "increasing-loop"
     cross_check: dict | None = None
 
@@ -167,7 +164,7 @@ def induced_polynomial(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple)
     polynomial = agg.fold_constants(expr, desc)
     # The polynomial nests an aggregator once per loop step; its compiled
     # form nests a stack frame per level when called.
-    if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
+    if polynomial.facts[3] > MAX_AGGREGATOR_DEPTH:
         raise UnboundednessError(
             f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
         )
@@ -201,9 +198,11 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
     the polynomial to dominate s plus t for every s.  The universal condition
     is decided exactly via affine extraction over the counting carriers and by
     exhaustion over the two-element boolean carrier; elsewhere it is probed on
-    a finite value set, which yields only a candidate.
+    a finite value set, which yields only a candidate.  A polynomial with
+    a variable vN or a countable sum is refused.
     """
-    if not _mentions_only_x(polynomial):
+    _, mv, countable, _ = agg._facts(polynomial)
+    if mv != 0 or countable:
         raise UnboundednessError("loop polynomials mention X and constants only")
 
     candidates = []
@@ -234,12 +233,6 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
         ):
             return t, CERTIFIED if desc.kind == "boolean" else CANDIDATE
     return None
-
-
-def _mentions_only_x(expr) -> bool:
-    return agg._reduce(
-        expr, lambda e: isinstance(e, (Const, XVar)), lambda e, values: all(values)
-    )
 
 
 def analyze_loop(sys: SystemHandle, tree: ReductionTree, leaf_path: tuple) -> LoopWitness:
@@ -288,10 +281,6 @@ def conclude_unbounded(sys: SystemHandle, witness: LoopWitness) -> Unboundedness
         values.append(desc.format_literal(weight))
 
     return UnboundednessReport(
-        object_label=sys.format_object(witness.root),
-        t_literal=desc.format_literal(witness.t),
-        polynomial=agg.format_expr(witness.polynomial, desc),
-        trace=witness.trace(),
         cross_check={"iteration_values": values, "loop_depth": witness.tree.depth()},
     )
 

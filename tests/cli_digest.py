@@ -197,13 +197,16 @@ BAD_CARRIERS = (
 )
 # (built-in spec, or ``file:`` and the name of ``OBJECTS``' file, argv tail)
 # of a mode ``bound`` does not know, of starts that each system's object
-# parser refuses, or reads (``halt``), of bad ``bound`` configurations on a
+# parser or rules refuse, or read (``halt``), of bad ``bound`` configurations on a
 # system with a top-valued normal form, and of ``selective`` and an
 # ``embed:`` mode without ``--samples`` on systems whose objects no complete
 # enumeration lists.
 PARSED = (
     ("walk_expected", ("bound", "--mode", "foo")),
     ("walk_termprob", ("eval", "--start", "-3", "--depth", "1")),
+    ("geometric_walk", ("eval", "--start", "-3", "--depth", "3")),
+    ("na_system", ("eval", "--start", "-5", "--depth", "3")),
+    ("na_system", ("loop", "--start", "-2", "--depth", "3")),
     ("ski_rental(y=3)", ("eval", "--start", "foo", "--depth", "1")),
     ("ski_rental(y=3)", ("eval", "--start", "halt", "--depth", "1")),
     ("addition_trs", ("eval", "--start", "s(0,0)", "--depth", "1")),

@@ -368,8 +368,8 @@ class ReferenceSettle:
     from a ``ReferenceProfile`` of its own, which raises ``VisitCapExceeded``
     if the cap cuts that object's ball."""
 
-    def __init__(self, sys, objects, depth, rule_budget, branch_trunc, visit_cap):
-        self._profiles = [ReferenceProfile(sys, a, depth, rule_budget, branch_trunc, visit_cap)
+    def __init__(self, sys, objects, radius, steps, rule_budget, branch_trunc, visit_cap):
+        self._profiles = [ReferenceProfile(sys, a, radius, rule_budget, branch_trunc, visit_cap)
                           for a in objects]
 
     def value(self, i, level):
@@ -512,6 +512,15 @@ def reference_holds_countable(expr) -> bool:
     return False
 
 
+def reference_nesting_depth(expr) -> int:
+    """Levels of an expression: one for a leaf, one more per sum or product."""
+    if isinstance(expr, SumNode):
+        return 1 + max(map(reference_nesting_depth, expr.terms))
+    if isinstance(expr, ProdNode):
+        return 1 + max(map(reference_nesting_depth, expr.factors))
+    return 1
+
+
 def reference_mentions_x(expr) -> bool:
     if isinstance(expr, XVar):
         return True
@@ -637,16 +646,6 @@ def reference_syntactically_selective(expr, desc) -> bool:
     return False
 
 
-def reference_mentions_only_x(expr) -> bool:
-    if isinstance(expr, (Const, XVar)):
-        return True
-    if isinstance(expr, SumNode):
-        return all(reference_mentions_only_x(e) for e in expr.terms)
-    if isinstance(expr, ProdNode):
-        return all(reference_mentions_only_x(e) for e in expr.factors)
-    return False
-
-
 def reference_apply_aggregator(expr, child_exprs, desc, truncation: int = 64):
     """Substitution into the ``reference_cut`` form, which raises the
     ``ArityError`` that ``reference_evaluate`` raises, up front, when the
@@ -745,7 +744,7 @@ def reference_induced_polynomial(sys, tree, leaf_path):
         return _apply_aggregator(rule.aggregator, child_exprs, desc)
 
     polynomial = agg.fold_constants(build(tree, leaf_path), desc)
-    if agg.nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
+    if reference_nesting_depth(polynomial) > MAX_AGGREGATOR_DEPTH:
         raise UnboundednessError(
             f"the loop polynomial nests deeper than {MAX_AGGREGATOR_DEPTH} levels"
         )
@@ -1070,7 +1069,7 @@ def reference_load_explicit(text: str) -> ReferenceLoad:
                 parsed[agg_text] = agg.parse_expr(agg_text, desc)
             except AggregatorError as exc:
                 raise SystemFormatError(f"rule {tag}: {exc}") from exc
-            if agg.nesting_depth(parsed[agg_text]) > MAX_AGGREGATOR_DEPTH:
+            if reference_nesting_depth(parsed[agg_text]) > MAX_AGGREGATOR_DEPTH:
                 raise SystemFormatError(
                     f"rule {tag}: aggregator nested deeper than {MAX_AGGREGATOR_DEPTH} levels")
         expr = parsed[agg_text]

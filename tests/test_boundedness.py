@@ -227,7 +227,8 @@ class TestExtremalCondition:
 
     def test_unstated_aggregator_facts_leave_it_unknown(self):
         sys_ = copy.copy(CHAIN)
-        sys_.aggregators_finite_no_top = None
+        sys_.flags = copy.copy(CHAIN.flags)
+        sys_.flags.aggregators_finite_no_top = None
         report = check_sufficient_extremal(sys_)
         assert report.verdict == UNKNOWN
         assert report.details["aggregators"] == "unknown"
@@ -257,7 +258,7 @@ def _enumerable_builtins() -> list:
     ids=lambda h: h.name,
 )
 def test_stated_aggregator_facts_match_every_rule(sys_):
-    """``check_sufficient_extremal`` trusts ``aggregators_finite_no_top``;
+    """``check_sufficient_extremal`` trusts ``flags.aggregators_finite_no_top``;
     it must agree with walking every rule of every object."""
     objects, complete = sys_.enumerate_objects()
     assert complete
@@ -266,7 +267,7 @@ def test_stated_aggregator_facts_match_every_rule(sys_):
         for a in objects
         for r in sys_.successors(a, 65536)[0]
     )
-    assert sys_.aggregators_finite_no_top is walked
+    assert sys_.flags.aggregators_finite_no_top is walked
 
 
 class TestVerifyEmbedding:

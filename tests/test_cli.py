@@ -12,7 +12,7 @@ from wars.builtins import MAX_TERM_DEPTH
 from wars.cli import main, resolve_system, CliError
 from wars.evaluator import weight_lower_bound
 from wars.semiring import MAX_PRODUCT_DEPTH
-from wars.system import MAX_AGGREGATOR_DEPTH, load_explicit
+from wars.system import MAX_AGGREGATOR_DEPTH, SystemError_, load_explicit
 
 from cli_digest import carrier_system_json
 from system_gen import random_system_json
@@ -942,6 +942,33 @@ def test_oversized_jump_prefix_is_refused_before_any_rule(capsys):
     )
     (jump,), _ = resolve_system("builtin:geometric_walk(prefix=1024)").successors(1, 64)
     assert len(jump.rhs) == 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--start", "-3", "--depth", "3"],
+    ["loop", "--start", "-3", "--depth", "3"],
+], ids=["eval", "loop"])
+def test_geometric_walk_refuses_a_negative_position(capsys, argv):
+    # It answered -3 with 7516061697/8589934592, as if its jumps started there.
+    command, *rest = argv
+    assert main([command, "--system", "builtin:geometric_walk", *rest]) == 1
+    assert _single_error_line(capsys.readouterr()) == "error: walk positions are naturals, got -3"
+    with pytest.raises(SystemError_, match="^walk positions are naturals, got -3$"):
+        resolve_system("builtin:geometric_walk").successors(-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--start", "-5", "--depth", "3"],
+    ["loop", "--start", "-5", "--depth", "3"],
+], ids=["eval", "loop"])
+def test_na_system_refuses_a_negative_number(capsys, argv):
+    # It answered -5 with 3, and its loop search found no loop from -2.
+    command, *rest = argv
+    assert main([command, "--system", "builtin:na_system", *rest]) == 1
+    message = "objects are 'a' and the naturals, got -5"
+    assert _single_error_line(capsys.readouterr()) == f"error: {message}"
+    with pytest.raises(SystemError_, match=f"^{message}$"):
+        resolve_system("builtin:na_system").successors(-5)
 
 
 def test_oversized_term_size_is_refused_before_any_term(capsys):

@@ -24,7 +24,7 @@ from wars.evaluator import (
     tree_weight,
     weight_lower_bound,
 )
-from wars.semiring import ALL_WORDS, NAT_INF
+from wars.semiring import ALL_WORDS, NAT_INF, SemiringError
 from wars.system import SystemHandle, load_explicit
 
 
@@ -174,6 +174,23 @@ class TestWeightLowerBound:
         bound = weight_lower_bound(chain, "c0", 1200)
         assert time.process_time() - begin < 0.5
         assert (bound.value, bound.depth_explored, bound.visited) == (1200, 1200, 1201)
+
+    def test_depth_zero_evaluates_no_level_above_it(self):
+        # Level 1 of x concatenates SIGMA* with {b}, which leaves the carrier.
+        # A depth-0 profile once evaluated it anyway and raised, where
+        # `wars oracle --depth 0` printed the level-0 value.
+        s = load_explicit(json.dumps({
+            "semiring": {"kind": "language", "alphabet": ["a", "b"]},
+            "rules": [{"lhs": "x", "rhs": ["y"], "agg": "SIGMA* * {a} * v1"}],
+            "nf": {"y": "{b}"},
+        }))
+        assert weight_lower_bound(s, "x", 0).value == frozenset()
+        assert DepthProfile(s, "x", 0).bound(0).value == frozenset()
+        with pytest.raises(SemiringError, match="concatenation with SIGMA"):
+            weight_lower_bound(s, "x", 1)
+        # The fixpoint still settles one level more than it reads.
+        with pytest.raises(SemiringError, match="concatenation with SIGMA"):
+            evaluate_to_fixpoint(s, "x", 0)
 
     @pytest.mark.parametrize("branch_trunc", [0, -5])
     def test_branch_truncation_below_one_is_refused(self, branch_trunc, monkeypatch):

@@ -2,15 +2,15 @@
 compiled forms built once, not once per object, and the rule checks still
 raise as before.  Loading and checking work: the loader parses and checks
 each aggregator text once, however many rules of any length share it, and
-checks again only a rule that then fails; the loader's component pass runs
-only when read, and an embedding is called once
-per object.  Sweeping an affine rational ball runs its per-object kernels
+checks again only a rule that then fails, walking each text once; the
+loader's component pass and its walk for the finite-no-top flag run only
+when read, and an embedding is called once per object.  Sweeping an affine rational ball runs its per-object kernels
 only, never a compiled aggregator.  A depth query looks each compiled form
 up once per ball and explores the ball that the fixpoint explores, and
 both sweep a component that still changes at the depth limit once.  An
 affine ``real_inf`` embedding check evaluates a compiled aggregator only for
-a violated step.  ``wars loop`` explores no ball at all, and compiles each
-certified loop's polynomial once.  Readers inside ``wars`` take rows: a
+a violated step.  ``wars loop`` explores no ball at all, and compiles,
+prints and reads the facts of each certified loop's polynomial once.  Readers inside ``wars`` take rows: a
 file system's or a built-in's rules become records only through public
 ``successors`` and ``find_rule``.  One ``wars oracle`` run reads each
 (object, depth) key's rules once, applies each rule once per combination of
@@ -105,6 +105,21 @@ def test_loop_walks_and_compiles_each_aggregator_once(monkeypatch, capsys):
     assert "=> weight of idle() is the maximum" in capsys.readouterr().out
     assert 0 < walks[0] <= 20
     assert 0 < compiles[0] <= 20
+
+
+def test_loop_asks_each_question_of_a_polynomial_once(monkeypatch, capsys):
+    # Every walk of an aggregator is a _reduce call.  Per certified loop's
+    # polynomial: 4 substitutions into the path's rules, 1 constant fold,
+    # 1 facts walk (depth, X only and the largest variable), 1 substitution
+    # of X by v1, 1 affine form, 1 compile and 1 print; plus the rule
+    # aggregator's facts and compile.  There were 28: the depth and "X
+    # only" had walks of their own, and the report printed each polynomial
+    # again.
+    walks = _count_calls(monkeypatch, aggregator._reduce)
+    argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
+    assert walks[0] == 2 * 10 + 2
 
 
 def test_loop_compiles_each_certified_polynomial_once(monkeypatch, capsys):
@@ -254,7 +269,7 @@ def test_oracle_settles_once_within_the_visit_cap(monkeypatch, capsys, tmp_path,
     # One ball holds all six objects, settled once: no object gets a
     # DepthProfile of its own.  The finite system bounds its own ball, so a
     # default visit cap below its six objects does not cut it.
-    monkeypatch.setattr(evaluator, "DEFAULT_VISIT_CAP", cap)
+    monkeypatch.setattr(cli, "DEFAULT_VISIT_CAP", cap)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(PAIRS))
     built = _count_built(monkeypatch, evaluator._Ball, evaluator._Settled, DepthProfile)
@@ -292,7 +307,7 @@ def test_each_expression_is_walked_once_however_many_rules_use_it(monkeypatch):
     step = SumNode((Var(1), Var(2)))
     for n in range(5):
         RuleInstance(n, (n, n + 1), step, "step")
-    assert walks[0] == 1 and step.facts == (False, 2, False)
+    assert walks[0] == 1 and step.facts == (False, 2, False, 2)
     # An equal expression built apart is walked apart.
     RuleInstance(0, (0, 1), SumNode((Var(1), Var(2))), "step")
     assert walks[0] == 2
@@ -372,8 +387,11 @@ def test_loader_parses_and_checks_each_text_once(monkeypatch):
     data = {"semiring": {"kind": "nat_inf"}, "rules": rules, "nf": {f"b{j}": "0" for j in range(3)}}
     parses = _count_calls(monkeypatch, aggregator.parse_expr)
     checks = _count_calls(monkeypatch, system._check_rule)
+    # One walk per text, its facts: the depth check reads them too, and the
+    # finite-no-top flag waits until it is read.  There were three per text.
+    walks = _count_calls(monkeypatch, aggregator._reduce)
     assert len(load_explicit(json.dumps(data)).enumerate_objects()[0]) == 503
-    assert parses[0] == checks[0] == len(texts)
+    assert parses[0] == checks[0] == walks[0] == len(texts)
     # A later rule with fewer successors than its text's variable is checked
     # again, and fails.
     parses[0] = checks[0] = 0
@@ -406,6 +424,28 @@ def test_component_pass_runs_only_when_termination_is_read(monkeypatch, capsys, 
     assert main(["bound", "--system", f"file:{path}", "--mode", "extremal"]) == 4
     assert "terminating: refuted" in capsys.readouterr().out
     assert passes[0] == 1
+
+
+def test_finite_no_top_runs_only_when_the_flag_is_read(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "semiring": {"kind": "nat_inf"},
+        "rules": [{"lhs": "a", "rhs": ["b"], "agg": "1 + v1"},
+                  {"lhs": "b", "rhs": ["c"], "agg": "v1"},
+                  {"lhs": "b", "rhs": ["c", "c"], "agg": "v1"}],
+        "nf": {"c": "0"},
+    }))
+    walks = _count_calls(monkeypatch, system._finite_no_top)
+    assert main(["eval", "--system", f"file:{path}", "--start", "a", "--depth", "5"]) == 0
+    assert main(["bound", "--system", f"file:{path}", "--mode", "selective", "--bound", "5"]) == 4
+    assert walks[0] == 0
+    # Once per distinct text, on the extremal check's read.
+    assert main(["bound", "--system", f"file:{path}", "--mode", "extremal"]) == 0
+    assert "aggregators: finite, no top constant" in capsys.readouterr().out
+    assert walks[0] == 2
+    handle = load_explicit(str(path))
+    assert handle.flags.aggregators_finite_no_top and handle.flags.aggregators_finite_no_top
+    assert walks[0] == 4
 
 
 @pytest.mark.parametrize("samples", [2, 20])
@@ -520,19 +560,20 @@ def test_sweeps_recompute_the_same_objects(monkeypatch, name, start, depth, call
 
 
 @pytest.mark.parametrize("name, values", [
-    ("bottleneck", 512 + 518),
-    ("nat_inf", 538 + 572),
-    ("real_inf mixed", 580 + 614),
+    ("bottleneck", 510 + 518),
+    ("nat_inf", 536 + 572),
+    ("real_inf mixed", 578 + 614),
     # Integer kernels are called straight, never through _value.
-    ("real_inf scaled", 580),
+    ("real_inf scaled", 578),
 ])
 def test_every_evaluation_of_a_compiled_sweep_is_one_value_call(monkeypatch, name, values):
     # _value is the one place a compiled sweep evaluates an object, for
     # _recompute too: on the queries of test_sweeps_recompute_the_same_objects
     # it counts the settle's own evaluations plus the objects recomputed
     # there (518, 572 and 614).  A profile reads no level it is not asked
-    # for, and these are asked for none.  A chain of 100 1 + v1 steps takes
-    # 2n - 1.
+    # for, and these are asked for none; one of depth 0 evaluates no level
+    # above 0 (each of the two from a and from top once evaluated level 1).
+    # A chain of 100 1 + v1 steps takes 2n - 1.
     calls = _count_calls(monkeypatch, evaluator._value)
     chain = load_explicit(json.dumps({
         "semiring": {"kind": "nat_inf"},

@@ -44,7 +44,7 @@ from wars.semiring import (
     Product,
 )
 from wars.system import _finite_no_top
-from wars.unboundedness import _apply_aggregator, _mentions_only_x
+from wars.unboundedness import _apply_aggregator
 
 import reference_eval as ref
 
@@ -155,13 +155,14 @@ def test_walkers_match_the_recursive_walkers(data):
         (format_expr, ref.reference_format_expr, (expr, desc)),
         (_finite_no_top, ref.reference_finite_no_top, (expr, desc)),
         (_syntactically_selective, ref.reference_syntactically_selective, (expr, desc)),
-        (_mentions_only_x, ref.reference_mentions_only_x, (expr,)),
     ]
     for walker, reference, args in pairs:
         assert _outcome(walker, *args) == _outcome(reference, *args), walker.__name__
+    # All four facts, which answer "mentions X", "X and constants only"
+    # (largest variable 0, no countable sum) and the depth check.
     assert _outcome(agg._facts, expr) == _outcome(
         lambda e: (ref.reference_mentions_x(e), ref.reference_max_var(e),
-                   ref.reference_holds_countable(e)), expr
+                   ref.reference_holds_countable(e), ref.reference_nesting_depth(e)), expr
     )
 
 
@@ -401,14 +402,14 @@ def test_deep_expressions_parse_print_and_walk(shape):
     assert _timed(format_expr, again, NAT_INF) == printed
     assert _same_tree(expr, again)
     assert _timed(agg.max_var, expr) == 1
-    assert _timed(agg._facts, expr) == (False, 1, False)
+    assert _timed(agg._facts, expr) == (False, 1, False, _depth(expr))
     assert _timed(_finite_no_top, expr, NAT_INF)
     assert _timed(_syntactically_selective, expr, NAT_INF) == (shape == "parentheses")
     _timed(agg._compile_node, expr, NAT_INF, 1, 64)
     assert _same_tree(_timed(agg.substitute_x, expr, X), expr)
     # The loop-polynomial walkers, on the same tree with X for v1.
     in_x = _timed(_apply_aggregator, expr, [X], NAT_INF)
-    assert _timed(agg._facts, in_x)[0] and _timed(_mentions_only_x, in_x)
+    assert _timed(agg._facts, in_x)[:3] == (True, 0, False)
     assert _same_tree(_timed(agg.fold_constants, in_x, NAT_INF), in_x)
     constant = _timed(agg.substitute_x, in_x, Const(1))
     assert isinstance(_timed(agg.fold_constants, constant, NAT_INF), Const)

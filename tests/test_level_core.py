@@ -136,10 +136,10 @@ def run_cli(argv: list[str]) -> tuple:
 
 
 def run_both(argv: list[str]) -> tuple:
-    """Run a command as it is and with the evaluator's ``_settle`` replaced
-    by the reference; both runs must agree."""
+    """Run a command as it is and with the ``_settle`` that the command line
+    calls replaced by the reference; both runs must agree."""
     fast = run_cli(argv)
-    with mock.patch.object(evaluator, "_settle", ReferenceSettle):
+    with mock.patch.object(cli, "_settle", ReferenceSettle):
         reference = run_cli(argv)
     assert fast == reference
     return fast
@@ -261,7 +261,7 @@ def test_oracle_matches_a_profile_per_object_around_the_visit_cap(monkeypatch):
         n, depth = len(system.enumerate_objects()[0]), seed % 5
         checks = per_object_oracle(system, depth)
         for cap in (n - 1, n, n + 1, 100_000):
-            monkeypatch.setattr(evaluator, "DEFAULT_VISIT_CAP", cap)
+            monkeypatch.setattr(cli, "DEFAULT_VISIT_CAP", cap)
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(["oracle", "--system", f"file:{text}", "--depth", str(depth),

@@ -574,7 +574,7 @@ class TestLoaderAgainstReference:
             # One expression object per text, and one text per object.
             assert all(len(ids) == 1 for ids in exprs.values())
             assert len(set().union(*exprs.values())) == len(exprs)
-            assert got.aggregators_finite_no_top is want.finite_no_top
+            assert got.flags.aggregators_finite_no_top is want.finite_no_top
             assert got.flags.terminating is want.terminating
             outcomes["loaded"] += 1
         assert min(outcomes.values()) >= 100, outcomes

@@ -30,7 +30,10 @@ from system_gen import random_system, random_system_json
 from wars.builtins import builtin
 from wars import cli
 from wars.cli import main
-from wars.evaluator import CountCapExceeded, _settle_all, _tree_weights, enumerate_trees, weight_lower_bound
+from wars.evaluator import (
+    DEFAULT_BRANCH_TRUNC, DEFAULT_VISIT_CAP, CountCapExceeded, _settle, _tree_weights,
+    enumerate_trees, weight_lower_bound,
+)
 from wars.semiring import ALL_WORDS, SemiringError
 from wars.system import DEFAULT_RULE_BUDGET, SystemHandle, load_explicit
 
@@ -284,7 +287,9 @@ def test_oracle_on_every_carrier(monkeypatch, capsys, tmp_path, spec, count_cap)
         depths = []
         for depth in range(4):
             try:
-                _settle_all(sys_, sys_.enumerate_objects()[0], depth, DEFAULT_RULE_BUDGET)
+                # The settle that `wars oracle` runs.
+                _settle(sys_, sys_.enumerate_objects()[0], depth, depth, DEFAULT_RULE_BUDGET,
+                        DEFAULT_BRANCH_TRUNC, DEFAULT_VISIT_CAP)
             except SemiringError as exc:
                 assert str(exc) == SIGMA_ERROR
                 assert main(["oracle", "--system", f"file:{path}", "--depth", str(depth)]) == 3

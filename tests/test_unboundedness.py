@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -244,9 +245,22 @@ class TestCertifyLoop:
         result = certify_loop(NAT_INF, poly)
         assert result == (1, CANDIDATE)
 
-    def test_polynomial_must_be_closed(self):
-        with pytest.raises(Exception, match="X and constants"):
-            certify_loop(NAT_INF, parse_expr("v1 + X", NAT_INF))
+    @pytest.mark.parametrize("polynomial", [
+        parse_expr("v1 + X", NAT_INF),
+        SumNode((X, Const(1), CountableSum(lambda i: Const(1) if i < 2 else None, var_bound=0))),
+        CountableSum(lambda i: X if i == 0 else None, var_bound=0),
+    ], ids=["v1", "countable sum", "countable sum alone"])
+    def test_polynomial_must_be_closed(self, polynomial):
+        # The refusal reads the polynomial's facts: largest variable 0 and
+        # no countable sum.
+        with pytest.raises(UnboundednessError) as error:
+            certify_loop(NAT_INF, polynomial)
+        assert type(error.value) is UnboundednessError
+        assert str(error.value) == "loop polynomials mention X and constants only"
+
+    def test_leaf_that_is_no_expression_raises_the_facts_error(self):
+        with pytest.raises(agg.AggregatorError, match="not an aggregator expression: 3"):
+            certify_loop(NAT_INF, SumNode((X, 3)))
 
 
 class TestConcludeUnbounded:
@@ -255,10 +269,13 @@ class TestConcludeUnbounded:
         witness = analyze_loop(osr, *find_loops(osr, osr.parse_object("idle()"), 4)[0])
         assert witness.status == CERTIFIED and witness.t == 4
         report = conclude_unbounded(osr, witness)
-        assert report.object_label == "idle()"
-        assert report.t_literal == "4"
+        # The report holds what the witness does not: its root, increment,
+        # polynomial and trace are the witness's own.
+        assert [f.name for f in dataclasses.fields(report)] == ["method", "cross_check"]
         assert report.method == "increasing-loop"
-        assert len(report.trace) == 4
+        assert report.cross_check["loop_depth"] == witness.tree.depth() == 4
+        assert osr.format_object(witness.root) == "idle()"
+        assert len(witness.trace()) == 4
 
     def test_boolean_self_loop(self):
         witness = analyze_loop(SELF_AND_EXIT, *find_loops(SELF_AND_EXIT, "a", 2)[0])
