@@ -131,10 +131,10 @@ def builtin_embedding(name: str) -> Embedding:
 def check_nf_top(sys: SystemHandle) -> Optional[BoundednessReport]:
     """Report unboundedness if some normal form weighs the maximum."""
     desc = sys.semiring
-    enum = sys.enumerate_nfs()
-    if enum is None:
+    nfs = sys.enumerate_nfs()
+    if nfs is None:
         return None
-    for a in enum[0]:
+    for a in nfs:
         if desc.top == sys.nf_weight(a):
             return BoundednessReport(
                 verdict=UNBOUNDED,
@@ -172,10 +172,9 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
     _universal_bound(desc, bound)
 
     details = {}
-    nf_enum = sys.enumerate_nfs()
-    if nf_enum is None:
+    nfs = sys.enumerate_nfs()
+    if nfs is None:
         return BoundednessReport(UNKNOWN, "selective-bounded", {"normal_forms": "not enumerable"})
-    nfs, nfs_complete = nf_enum
     for a in nfs:
         if not desc.leq(sys.nf_weight(a), bound):
             return BoundednessReport(
@@ -186,22 +185,20 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
             )
     details["normal_forms_checked"] = len(nfs)
 
-    obj_enum = sys.enumerate_objects()
-    if obj_enum is not None:
-        objects, objects_complete = obj_enum
-    else:
-        # No complete universe: probe the aggregators on sampled objects.
+    # Certified when every object is listed and every rule list read whole.
+    objects = sys.enumerate_objects()
+    complete = objects is not None
+    if not complete:
+        # No object list: probe the aggregators on sampled objects.
         try:
             objects = sys.sample_objects(64)
         except SystemError_:
             return BoundednessReport(UNKNOWN, "selective-bounded", {"objects": "not enumerable"})
-        objects_complete = False
 
     checked_rules = 0
     for a in objects:
-        rules, complete = sys._rows(a, DEFAULT_RULE_BUDGET)
-        if not complete:
-            objects_complete = False
+        rules, whole = sys._rows(a, DEFAULT_RULE_BUDGET)
+        complete = complete and whole
         for r in rules:
             checked_rules += 1
             if not _syntactically_selective(r[2], desc):
@@ -213,7 +210,6 @@ def check_sufficient_selective(sys: SystemHandle, bound) -> BoundednessReport:
                 )
     details["rules_checked"] = checked_rules
 
-    complete = nfs_complete and objects_complete and obj_enum is not None
     count = len(nfs) + checked_rules
     return BoundednessReport(
         BOUNDED_CERTIFIED if complete else BOUNDED_SAMPLED,
@@ -249,19 +245,19 @@ def check_sufficient_extremal(sys: SystemHandle) -> BoundednessReport:
         details["extremal_semiring"] = "no"
         missing.append("extremal_semiring")
 
-    nf_enum = sys.enumerate_nfs()
-    if nf_enum is None or not nf_enum[1]:
+    nfs = sys.enumerate_nfs()
+    if nfs is None:
         details["normal_form_weights"] = "not fully enumerable"
         missing.append("normal_form_weights")
     else:
-        bad = [a for a in nf_enum[0] if desc.top == sys.nf_weight(a)]
+        bad = [a for a in nfs if desc.top == sys.nf_weight(a)]
         if bad:
             details["normal_form_weights"] = (
                 f"top-valued: {sys.format_object(bad[0])}"
             )
             missing.append("normal_form_weights")
         else:
-            details["normal_form_weights"] = f"checked {len(nf_enum[0])}, none top"
+            details["normal_form_weights"] = f"checked {len(nfs)}, none top"
 
     # Walking every rule again would cost a pass over the objects, and a
     # rule budget could hide a rule; the system states the fact instead.
@@ -303,12 +299,11 @@ def verify_embedding(
     desc = sys.semiring
     exhaustive = isinstance(instances, str) and instances == "all"
     if exhaustive:
-        enum = sys.enumerate_objects()
-        if enum is None or not enum[1]:
+        objects = sys.enumerate_objects()
+        if objects is None:
             raise PreconditionError(
                 f"system {sys.name} has no complete object enumeration; pass instances"
             )
-        objects = enum[0]
     else:
         objects = list(instances)
 

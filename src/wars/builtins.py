@@ -30,10 +30,43 @@ from .semiring import (
 from .system import Flags, SystemError_, SystemHandle, cplx_wrap
 
 
+def _flags(terminating: bool, finite: bool = True) -> Flags:
+    """A finitely non-deterministic built-in's flags.  No built-in aggregator
+    has a constant top, so they are finite exactly when its successor
+    sequences are."""
+    return Flags(finitely_nondeterministic=True, finitely_branching=finite,
+                 terminating=terminating, aggregators_finite_no_top=finite)
+
+
 # ---------------------------------------------------------------------------
-# Biased random walk on the naturals: n steps down with weight 2/3, up with 1/3.
+# Walks on the naturals, with 0 the only normal form.
+
+def _naturals(name: str, rule, nf_value, finite: bool) -> SystemHandle:
+    """A walk whose objects are the naturals: 0 is the normal form, weighing
+    ``nf_value``, and ``rule(n)`` is the one row of every n > 0.  ``finite``
+    says whether its successor sequences are."""
+
+    def successors(n, budget):
+        if not isinstance(n, int) or n < 0:
+            raise SystemError_(f"walk positions are naturals, got {n!r}")
+        if n == 0:
+            return [], True
+        return [rule(n)], True
+
+    return SystemHandle(
+        name=name,
+        semiring=REAL_INF,
+        successors_fn=successors,
+        nf_weight_fn=lambda n: nf_value,
+        flags=_flags(terminating=False, finite=finite),
+        parse_object_fn=int,
+        enumerate_nfs_fn=lambda: [0],
+        sample_objects_fn=lambda count: list(range(count)),
+    )
+
 
 def _walk(expected_steps: bool) -> SystemHandle:
+    """Biased random walk: n steps down with weight 2/3, up with 1/3."""
     third = Fraction(1, 3)
     parts = (
         ProdNode((Const(2 * third), Var(1))),
@@ -41,35 +74,11 @@ def _walk(expected_steps: bool) -> SystemHandle:
     )
     if expected_steps:
         step = SumNode((Const(Fraction(1)),) + parts)
-        nf_value = Fraction(0)
-        name = "walk_expected"
+        name, nf_value = "walk_expected", Fraction(0)
     else:
         step = SumNode(parts)
-        nf_value = Fraction(1)
-        name = "walk_termprob"
-
-    def successors(n, budget):
-        if not isinstance(n, int) or n < 0:
-            raise SystemError_(f"walk positions are naturals, got {n!r}")
-        if n == 0:
-            return [], True
-        return [(n, (n - 1, n + 1), step, "step", True)], True
-
-    return SystemHandle(
-        name=name,
-        semiring=REAL_INF,
-        successors_fn=successors,
-        nf_weight_fn=lambda n: nf_value,
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=False,
-            aggregators_finite_no_top=True,
-        ),
-        parse_object_fn=lambda text: int(text),
-        enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda count: list(range(count)),
-    )
+        name, nf_value = "walk_termprob", Fraction(1)
+    return _naturals(name, lambda n: (n, (n - 1, n + 1), step, "step", True), nf_value, True)
 
 
 def _geometric_walk(prefix: int = 16) -> SystemHandle:
@@ -77,32 +86,14 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
     body = CountableSum(
         lambda m: ProdNode((Const(Fraction(1, 2 ** (m + 1))), Var(m + 1)))
     )
+    rhs = tuple(range(prefix))
 
-    def successors(n, budget):
-        if not isinstance(n, int) or n < 0:
-            raise SystemError_(f"walk positions are naturals, got {n!r}")
-        if n == 0:
-            return [], True
-        rhs = tuple(range(prefix))
+    def jump(n):
         if not rhs:
             raise SystemError_("rule jump: empty successor sequence")
-        return [(n, rhs, body, "jump", False)], True
+        return (n, rhs, body, "jump", False)
 
-    return SystemHandle(
-        name="geometric_walk",
-        semiring=REAL_INF,
-        successors_fn=successors,
-        nf_weight_fn=lambda n: Fraction(1),
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=False,
-            terminating=False,
-            aggregators_finite_no_top=False,
-        ),
-        parse_object_fn=lambda text: int(text),
-        enumerate_nfs_fn=lambda: ([0], True),
-        sample_objects_fn=lambda count: list(range(count)),
-    )
+    return _naturals("geometric_walk", jump, Fraction(1), False)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +102,7 @@ def _geometric_walk(prefix: int = 16) -> SystemHandle:
 # normal form.
 
 _PROCS = ("P1", "P2")
+_PROC_SET = frozenset(_PROCS)
 
 
 def _os_successors(agg_for):
@@ -118,6 +110,8 @@ def _os_successors(agg_for):
 
     def successors(state, budget):
         kind, queue = state
+        if type(queue) is not tuple or not _PROC_SET.issuperset(queue):
+            raise SystemError_(f"not a scheduler state: {state!r}")
         # (successor, tag) per rule.
         if kind == "idle":
             steps = [(("wait", queue), "idle_wait"), (("run", queue), "idle_run")]
@@ -182,15 +176,10 @@ def _os_common(name, semiring, agg_for, nf_value) -> SystemHandle:
         semiring=semiring,
         successors_fn=_os_successors(agg_for),
         nf_weight_fn=lambda state: nf_value,
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=False,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=False),
         parse_object_fn=_parse_os_state,
         format_object_fn=_format_os_state,
-        enumerate_nfs_fn=lambda: ([("run", ())], True),
+        enumerate_nfs_fn=lambda: [("run", ())],
         sample_objects_fn=_sample_os,
     )
 
@@ -243,6 +232,8 @@ def _z_walk() -> SystemHandle:
     step_for = functools.cache(lambda even: SumNode((Const((1, even)), Var(1))))
 
     def successors(n, budget):
+        if not isinstance(n, int):
+            raise SystemError_(f"walk positions are integers, got {n!r}")
         if n == 0:
             return [], True
         even = n % 2 == 0
@@ -253,7 +244,7 @@ def _z_walk() -> SystemHandle:
             row = (n, (n - 2,), step, "even_down", True)
         else:
             row = (n, (n + 2,), step, "even_up", True)
-        return [row][:budget], True
+        return [row], True
 
     def sample(count):
         out = [0]
@@ -270,14 +261,9 @@ def _z_walk() -> SystemHandle:
         semiring=pair,
         successors_fn=successors,
         nf_weight_fn=lambda n: (0, True),
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=False,
-            aggregators_finite_no_top=True,
-        ),
-        parse_object_fn=lambda text: int(text),
-        enumerate_nfs_fn=lambda: ([0], True),
+        flags=_flags(terminating=False),
+        parse_object_fn=int,
+        enumerate_nfs_fn=lambda: [0],
         sample_objects_fn=sample,
     )
 
@@ -316,6 +302,8 @@ def rewrite_steps(t) -> list[tuple[str, tuple]]:
             stack += [(second, (sub, "2", link)), (first, (sub, "1", link))]
         elif sub[0] == "s":
             stack.append((sub[1], (sub, "1", link)))
+        elif sub != ZERO_TERM:
+            raise SystemError_(f"not a ground term: {sub!r}")
     return steps
 
 
@@ -429,23 +417,15 @@ def _addition_trs(max_size: int = 8) -> SystemHandle:
         rows = [(t, (result,), step, tag, True) for tag, result in rewrite_steps(t)]
         return rows[:budget], budget >= len(rows)
 
-    def enumerate_objects():
-        return ground_terms(max_size), True
-
     return SystemHandle(
         name="addition_trs",
         semiring=NAT_INF,
         successors_fn=successors,
         nf_weight_fn=lambda t: 0,
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=True,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=True),
         parse_object_fn=parse_term,
         format_object_fn=format_term,
-        enumerate_objects_fn=enumerate_objects,
+        enumerate_objects_fn=functools.partial(ground_terms, max_size),
     )
 
 
@@ -565,22 +545,19 @@ def _boolform(finite_costs: bool = False) -> SystemHandle:
             if f[1] not in table:
                 raise SystemError_(f"unknown atom {f[1]!r}")
             return [], True
-        return [(f, (f[1], f[2]), connective(f[0]), f[0], True)][:budget], True
+        if f[0] != "and" and f[0] != "or":
+            raise SystemError_(f"unknown connective {f[0]!r}")
+        return [(f, (f[1], f[2]), connective(f[0]), f[0], True)], True
 
     return SystemHandle(
         name="boolform",
         semiring=ARCTIC,
         successors_fn=successors,
         nf_weight_fn=lambda f: table[f[1]],
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=True,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=True),
         parse_object_fn=lambda text: _parse_formula(text, table),
         format_object_fn=format_formula,
-        enumerate_nfs_fn=lambda: ([atom(n) for n in sorted(table)], True),
+        enumerate_nfs_fn=lambda: [atom(n) for n in sorted(table)],
     )
 
 
@@ -616,7 +593,7 @@ def _na_system() -> SystemHandle:
             aggregators_finite_no_top=True,
         ),
         parse_object_fn=parse,
-        enumerate_nfs_fn=lambda: ([0], True),
+        enumerate_nfs_fn=lambda: [0],
         sample_objects_fn=lambda count: ["a", *range(count - 1)][:count],
     )
 
@@ -635,11 +612,13 @@ def _ski_rental(y: int) -> SystemHandle:
         if state == ("halt",):
             return [], True
         _, n = state
+        if state[0] != "loop" or not isinstance(n, int) or n < 0:
+            raise SystemError_(f"not a ski rental state: {state!r}")
         if n > 0:
             row = (state, (("loop", n - 1), ("loop", 0)), body, "day", True)
         else:
             row = (state, (("halt",),), v1, "exit", True)
-        return [row][:budget], True
+        return [row], True
 
     def parse(text):
         text = text.strip()
@@ -658,15 +637,10 @@ def _ski_rental(y: int) -> SystemHandle:
         semiring=TROPICAL,
         successors_fn=successors,
         nf_weight_fn=lambda state: 0,
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=True,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=True),
         parse_object_fn=parse,
         format_object_fn=fmt,
-        enumerate_nfs_fn=lambda: ([("halt",)], True),
+        enumerate_nfs_fn=lambda: [("halt",)],
     )
 
 
@@ -698,15 +672,9 @@ def _bitstring_prefixes() -> SystemHandle:
         semiring=lang,
         successors_fn=successors,
         nf_weight_fn=lambda b: frozenset({""}),
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=False,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=False),
         parse_object_fn=parse,
-        enumerate_objects_fn=lambda: (["0", "1", "*"], True),
-        enumerate_nfs_fn=lambda: (["*"], True),
+        enumerate_objects_fn=lambda: ["0", "1", "*"],
     )
 
 
@@ -732,15 +700,9 @@ def _loop_language() -> SystemHandle:
         semiring=lang,
         successors_fn=successors,
         nf_weight_fn=lambda a: frozenset({""}),
-        flags=Flags(
-            finitely_nondeterministic=True,
-            finitely_branching=True,
-            terminating=False,
-            aggregators_finite_no_top=True,
-        ),
+        flags=_flags(terminating=False),
         parse_object_fn=lambda text: text.strip(),
-        enumerate_objects_fn=lambda: (["a", "b"], True),
-        enumerate_nfs_fn=lambda: (["b"], True),
+        enumerate_objects_fn=lambda: ["a", "b"],
     )
 
 

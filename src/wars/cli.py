@@ -247,7 +247,7 @@ def cmd_bound(args) -> int:
                 embedding = builtin_embedding(ref)
             except BoundednessError as exc:
                 raise CliError(str(exc)) from exc
-        if args.samples is None and not (system.enumerate_objects() or ((), False))[1]:
+        if args.samples is None and system.enumerate_objects() is None:
             raise CliError(f"system {system.name} has no complete object enumeration; pass --samples")
         instances = "all" if args.samples is None else system.sample_objects(args.samples)
         check = functools.partial(verify_embedding, system, embedding, instances)
@@ -337,10 +337,9 @@ def cmd_oracle(args) -> int:
     _check_at_least(args, depth=0, rule_budget=1, count_cap=1)
     system = resolve_system(args.system)
     desc = system.semiring
-    enum = system.enumerate_objects()
-    if enum is None or not enum[1]:
+    objects = system.enumerate_objects()
+    if objects is None:
         raise CliError("the oracle needs a finite explicit system")
-    objects = enum[0]
     if not objects:
         raise CliError("the oracle needs a system with at least one object")
 

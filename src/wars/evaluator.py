@@ -195,8 +195,6 @@ class _Ball:
     def __init__(self, sys, starts, radius, rule_budget, truncation, visit_cap):
         if visit_cap < 1:
             raise ValueError("visit_cap must be >= 1")
-        if rule_budget < 1:
-            raise ValueError("rule_budget must be >= 1")
         desc = sys.semiring
         self.semiring = desc
         self.objects = objects = []

@@ -137,6 +137,11 @@ class SystemHandle:
     by the loader, by construction in a built-in), in a list no caller
     changes.  Public ``successors`` and ``find_rule`` hand rows out as
     records.  ``nf_weight_fn`` is defined exactly on the normal forms.
+    ``enumerate_objects_fn()`` lists a finite set of objects that rewriting
+    never leaves (for ``addition_trs(max_size=k)`` the terms of size at most
+    ``k``, though its parser and rules take larger ones), and
+    ``enumerate_nfs_fn()`` every normal form, which ``enumerate_nfs``
+    derives from the objects without it; what neither lists is ``None``.
     """
 
     def __init__(
@@ -148,8 +153,8 @@ class SystemHandle:
         flags: Flags | None = None,
         parse_object_fn: Callable[[str], object] | None = None,
         format_object_fn: Callable[[object], str] | None = None,
-        enumerate_objects_fn: Callable[[], tuple] | None = None,
-        enumerate_nfs_fn: Callable[[], tuple] | None = None,
+        enumerate_objects_fn: Callable[[], list] | None = None,
+        enumerate_nfs_fn: Callable[[], list] | None = None,
         sample_objects_fn: Callable[[int], list] | None = None,
     ):
         self.name = name
@@ -199,22 +204,16 @@ class SystemHandle:
                 )
             budget *= 8
 
-    def enumerate_objects(self) -> Optional[tuple[list, bool]]:
-        """All objects plus a completeness flag, or None for open families."""
-        if self._enumerate_objects is None:
-            return None
-        objs, complete = self._enumerate_objects()
-        return list(objs), complete
+    def enumerate_objects(self) -> Optional[list]:
+        """Every object, or None when they cannot be listed."""
+        return None if self._enumerate_objects is None else list(self._enumerate_objects())
 
-    def enumerate_nfs(self) -> Optional[tuple[list, bool]]:
+    def enumerate_nfs(self) -> Optional[list]:
+        """Every normal form, or None when they cannot be listed."""
         if self._enumerate_nfs is not None:
-            nfs, complete = self._enumerate_nfs()
-            return list(nfs), complete
-        enum = self.enumerate_objects()
-        if enum is None:
-            return None
-        objs, complete = enum
-        return [a for a in objs if self.is_normal_form(a)], complete
+            return list(self._enumerate_nfs())
+        objs = self.enumerate_objects()
+        return None if objs is None else [a for a in objs if self.is_normal_form(a)]
 
     def sample_objects(self, count: int) -> list:
         """The system's first ``count`` objects in its sampler's fixed order."""
@@ -222,9 +221,9 @@ class SystemHandle:
             raise ValueError("count must be >= 0")
         if self._sample_objects is not None:
             return self._sample_objects(count)
-        enum = self.enumerate_objects()
-        if enum is not None:
-            return enum[0][:count]
+        objs = self.enumerate_objects()
+        if objs is not None:
+            return objs[:count]
         raise SystemError_(f"system {self.name} has no object sampler")
 
     def parse_object(self, text: str):
@@ -407,8 +406,8 @@ def load_explicit(source: str) -> SystemHandle:
         nf_weight_fn=lambda a: nf_weights[a],
         flags=_ExplicitFlags(rules_by_lhs, desc, [expr for expr, _ in parsed.values()]),
         parse_object_fn=parse_object,
-        enumerate_objects_fn=functools.cache(lambda: (sorted(objects), True)),
-        enumerate_nfs_fn=lambda: (sorted(nf_weights), True),
+        enumerate_objects_fn=functools.cache(lambda: sorted(objects)),
+        enumerate_nfs_fn=lambda: sorted(nf_weights),
     )
 
 

@@ -67,48 +67,45 @@ def find_loops(
     rule_budget: int = DEFAULT_RULE_BUDGET,
     max_witnesses: int = 16,
 ) -> list[tuple[ReductionTree, tuple]]:
-    """Rule paths of at most ``max_depth`` steps from a start object back to
-    it, as (tree, leaf path) pairs.
+    """Rule paths of at most ``max_depth`` steps from the one object ``start``
+    back to it, as (tree, leaf path) pairs.
 
-    A breadth-first walk over the rows: each level extends every (start,
-    object, rule-tag path) of the level before by each rule, in rule order,
-    and each child position, in order, and keeps the first path per key; a
-    child equal to its start closes a loop.  So loops come by depth, then by
-    rule order along the path, then by child position, one per (start, tag
-    path), and the walk stops at ``max_witnesses`` loops.  A loop's tree
-    applies its path's rules and leaves every other child bare, so its depth
-    is its path's length.  ``DEFAULT_COUNT_CAP`` bounds the rule paths
-    (extensions by one rule and child position), counted per level before it
-    is built.
+    A breadth-first walk over the rows: each level extends every (object,
+    rule-tag path) of the level before by each rule, in rule order, and each
+    child position, in order, and keeps the first path per key; a child
+    equal to the start closes a loop.  So loops come by depth, then by rule
+    order along the path, then by child position, one per tag path, and the
+    walk stops at ``max_witnesses`` loops.  A loop's tree applies its path's
+    rules and leaves every other child bare, so its depth is its path's
+    length.  ``DEFAULT_COUNT_CAP`` bounds the rule paths (extensions by one
+    rule and child position), counted per level before it is built.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be >= 1")
-    # Object ids may themselves be tuples, so only list/set mean a start set.
-    starts = list(dict.fromkeys(start if isinstance(start, (list, set)) else [start]))
     # Hashes first: an unequal object then differs without a comparison,
     # which recurses as deep as the two objects share a shape.
-    start_hashes = list(map(hash, starts))
+    start_hash = hash(start)
     rows = functools.cache(lambda obj: sys._rows(obj, rule_budget)[0])
-    # A level maps (start index, object, tag path) to how the walk got there:
-    # (the object before, its own link, the row applied, the child position),
-    # or None at a start.
-    level = {(i, s, ()): None for i, s in enumerate(starts)}
+    # A level maps (object, tag path) to how the walk got there: (the object
+    # before, its own link, the row applied, the child position), or None at
+    # the start.
+    level = {(start, ()): None}
     out, paths = [], 0
     for depth in range(1, max_depth + 1):
-        paths += sum(len(row[1]) for _, obj, _ in level for row in rows(obj))
+        paths += sum(len(row[1]) for obj, _ in level for row in rows(obj))
         if paths > DEFAULT_COUNT_CAP:
             raise CountCapExceeded(f"more than {DEFAULT_COUNT_CAP} rule paths at depth {depth}")
         previous, level = level, {}
-        for (i, obj, tags), link in previous.items():
+        for (obj, tags), link in previous.items():
             for row in rows(obj):
                 path = tags + (row[3],)
                 for pos, child in enumerate(row[1]):
-                    if (i, child, path) in level:
+                    if (child, path) in level:
                         continue
-                    step = level[i, child, path] = (obj, link, row, pos)
-                    if hash(child) == start_hashes[i] and child == starts[i]:
+                    step = level[child, path] = (obj, link, row, pos)
+                    if hash(child) == start_hash and child == start:
                         out.append(_loop_tree(child, step))
                         if len(out) >= max_witnesses:
                             return out
@@ -227,10 +224,8 @@ def certify_loop(desc: Semiring, polynomial) -> Optional[tuple]:
                 return t, CERTIFIED
             continue
         poly_at = agg._as_function(polynomial, desc)
-        if all(
-            desc.leq(desc.plus(s, t), poly_at(s))
-            for s in ((False, True) if desc.kind == "boolean" else desc.probe_values())
-        ):
+        # The boolean probe values are its whole carrier.
+        if all(desc.leq(desc.plus(s, t), poly_at(s)) for s in desc.probe_values()):
             return t, CERTIFIED if desc.kind == "boolean" else CANDIDATE
     return None
 

@@ -41,9 +41,9 @@ the fold-based walkers and the iterative tree enumeration.  They recurse
 once per level, so they only take shallow input.
 
 ``reference_find_loops`` is the reference for ``find_loops``.  It enumerates
-every reduction tree up to the depth with ``enumerate_trees``, finds the
-leaves that repeat the root with ``reference_loop_leaves``, and only then
-keeps one tree per (root, rule-tag path).
+every reduction tree from the start up to the depth with ``enumerate_trees``,
+finds the leaves that repeat the root with ``reference_loop_leaves``, and
+only then keeps one tree per rule-tag path.
 
 ``reference_load_explicit`` is the reference for ``load_explicit`` on JSON
 text.  It reads each rule as the loader once did: a global set of (lhs, tag)
@@ -907,25 +907,23 @@ def reference_loop_leaves(tree):
 
 def reference_find_loops(sys, start, max_depth, rule_budget=DEFAULT_RULE_BUDGET,
                          count_cap=200_000, max_witnesses=16):
-    """Every reduction tree up to ``max_depth`` with each of its loop leaves,
-    sorted by (tree depth, enumeration index, leaf path), then the first
-    per (root, rule-tag path)."""
+    """Every reduction tree from ``start`` up to ``max_depth`` with each of
+    its loop leaves, sorted by (tree depth, enumeration index, leaf path),
+    then the first per rule-tag path."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    starts = list(start) if isinstance(start, (list, set)) else [start]
 
     candidates = []
-    for s in starts:
-        for index, tree in enumerate(
-            enumerate_trees(sys, s, max_depth, rule_budget, count_cap)
-        ):
-            for path in reference_loop_leaves(tree):
-                candidates.append((tree.depth(), index, tree, path))
+    for index, tree in enumerate(
+        enumerate_trees(sys, start, max_depth, rule_budget, count_cap)
+    ):
+        for path in reference_loop_leaves(tree):
+            candidates.append((tree.depth(), index, tree, path))
 
     candidates.sort(key=lambda item: (item[0], item[1], item[3]))
     out, seen = [], set()
     for _, _, tree, path in candidates:
-        key = (tree.label, reference_tag_path(tree, path))
+        key = reference_tag_path(tree, path)
         if key in seen:
             continue
         seen.add(key)
@@ -960,12 +958,11 @@ def reference_verify_embedding(
     desc = sys.semiring
     exhaustive = isinstance(instances, str) and instances == "all"
     if exhaustive:
-        enum = sys.enumerate_objects()
-        if enum is None or not enum[1]:
+        objects = sys.enumerate_objects()
+        if objects is None:
             raise PreconditionError(
                 f"system {sys.name} has no complete object enumeration; pass instances"
             )
-        objects = enum[0]
     else:
         objects = list(instances)
     bound_map = {}

@@ -199,7 +199,7 @@ def test_criterion_08_oracle_equivalence():
     for seed in range(200):
         sys_ = random_system(seed)
         desc = sys_.semiring
-        for a in sys_.enumerate_objects()[0]:
+        for a in sys_.enumerate_objects():
             for depth in range(5):
                 iterated = weight_lower_bound(sys_, a, depth).value
                 joined = desc.join(

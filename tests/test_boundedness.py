@@ -136,7 +136,7 @@ def _unsampled_handle(sampler=None):
         BOTTLENECK,
         lambda obj, budget: ([], True),
         lambda obj: 3,
-        enumerate_nfs_fn=lambda: ([0], True),
+        enumerate_nfs_fn=lambda: [0],
         sample_objects_fn=sampler,
     )
 
@@ -172,7 +172,7 @@ class TestSelectiveSampling:
             return ([(1, (0,), parse_expr("v1", BOTTLENECK), "r", True)] if obj else []), obj == 0
 
         sys_ = SystemHandle("partial", BOTTLENECK, successors, lambda obj: 3,
-                            enumerate_objects_fn=lambda: ([0, 1], True))
+                            enumerate_objects_fn=lambda: [0, 1])
         report = check_sufficient_selective(sys_, 3)
         assert report.verdict == BOUNDED_SAMPLED
         assert report.details == {"normal_forms_checked": 1, "rules_checked": 1}
@@ -260,8 +260,7 @@ def _enumerable_builtins() -> list:
 def test_stated_aggregator_facts_match_every_rule(sys_):
     """``check_sufficient_extremal`` trusts ``flags.aggregators_finite_no_top``;
     it must agree with walking every rule of every object."""
-    objects, complete = sys_.enumerate_objects()
-    assert complete
+    objects = sys_.enumerate_objects()
     walked = all(
         _finite_no_top(r.aggregator, sys_.semiring)
         for a in objects
@@ -365,7 +364,7 @@ class TestVerifyEmbedding:
         e = Embedding.from_table({"a": 4, "b": 3, "c": 2})
         report = verify_embedding(CHAIN, e)
         assert report.verdict == BOUNDED_CERTIFIED
-        for a in CHAIN.enumerate_objects()[0]:
+        for a in CHAIN.enumerate_objects():
             for depth in range(13):
                 w = weight_lower_bound(CHAIN, a, depth).value
                 assert CHAIN.semiring.leq(w, report.bound_map[a])
@@ -447,7 +446,7 @@ def _least_table(sys_, rng: random.Random, slack: bool) -> dict:
     where it is whole half of the time; with ``slack``, some values are
     raised a little."""
     table = {}
-    for a in sorted(sys_.enumerate_objects()[0], key=lambda name: -int(name[1:])):
+    for a in sorted(sys_.enumerate_objects(), key=lambda name: -int(name[1:])):
         rules, _ = sys_.successors(a, 64)
         steps = [evaluate(r.aggregator, REAL_INF, [table[b] for b in r.rhs])[0] for r in rules]
         value = max(steps) if rules else sys_.nf_weight(a)

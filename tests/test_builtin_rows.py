@@ -12,6 +12,7 @@ from wars import aggregator, system
 from wars.aggregator import Const, SumNode, Var
 from wars.builtins import builtin, builtin_names
 from wars.cli import main
+from wars.evaluator import weight_lower_bound
 from wars.system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_
 
 PARAMS = {"ski_rental": {"y": 50}}
@@ -122,6 +123,29 @@ def test_na_system_hands_out_an_incomplete_rule_list():
     assert handle.find_rule("a", "pick100") == RuleInstance("a", (100,), step, "pick100")
     with pytest.raises(SystemError_, match="no rule tagged 'pick' for a"):
         handle.find_rule("a", "pick")
+
+
+# Per family, an object its parser refuses, with the message its rules refuse it with.
+FOREIGN = [
+    ("os_size", ("run", ("P9",)), "not a scheduler state: ('run', ('P9',))"),
+    ("os_runtime", ("idle", ("P9", "x")), "not a scheduler state: ('idle', ('P9', 'x'))"),
+    ("ski_rental", ("loop", -3), "not a ski rental state: ('loop', -3)"),
+    ("addition_trs", ("foo",), "not a ground term: ('foo',)"),
+    ("addition_trs", ("s", ("plus", ("0",), ("foo",))), "not a ground term: ('foo',)"),
+    ("boolform", ("xor", ("atom", "Ra"), ("atom", "Rb")), "unknown connective 'xor'"),
+    ("zwalk", "a", "walk positions are integers, got 'a'"),
+]
+
+
+@pytest.mark.parametrize("name, obj, message", FOREIGN)
+def test_rules_refuse_an_object_of_no_family_member(name, obj, message):
+    handle = _handle(name)
+    for read in (handle.successors, handle.is_normal_form):
+        with pytest.raises(SystemError_) as info:
+            read(obj)
+        assert str(info.value) == message
+    with pytest.raises(SystemError_):
+        weight_lower_bound(handle, obj, 2)
 
 
 @pytest.mark.parametrize("name", ["walk_expected", "os_runtime", "z_walk_safety", "na_system"])

@@ -190,7 +190,7 @@ def bad_configuration(argv) -> bool:
         return any(refused(system.parse_object, text) for text in args.start)
     if args.command == "oracle":
         objects = system.enumerate_objects()
-        return objects is None or not objects[1] or not objects[0]
+        return not objects
     desc = system.semiring
     if args.mode == "selective":
         return refused(desc.parse_literal, args.bound) or desc.top == desc.parse_literal(args.bound)
@@ -198,8 +198,7 @@ def bad_configuration(argv) -> bool:
         if refused(builtin_embedding, args.mode[len("embed:"):]):
             return True
         if args.samples is None:
-            objects = system.enumerate_objects()
-            return objects is None or not objects[1]
+            return system.enumerate_objects() is None
         return refused(system.sample_objects, args.samples)
     return False
 

@@ -390,7 +390,7 @@ def test_loader_parses_and_checks_each_text_once(monkeypatch):
     # One walk per text, its facts: the depth check reads them too, and the
     # finite-no-top flag waits until it is read.  There were three per text.
     walks = _count_calls(monkeypatch, aggregator._reduce)
-    assert len(load_explicit(json.dumps(data)).enumerate_objects()[0]) == 503
+    assert len(load_explicit(json.dumps(data)).enumerate_objects()) == 503
     assert parses[0] == checks[0] == walks[0] == len(texts)
     # A later rule with fewer successors than its text's variable is checked
     # again, and fails.
@@ -876,7 +876,7 @@ def test_oracle_builds_nothing_only_a_capped_check_reaches(monkeypatch, capsys, 
     path.write_text(json.dumps(data))
     argv = ["oracle", "--system", f"file:{path}", "--depth", "4", "--count-cap", "1000"]
     checks = [{"object": obj, "depth": d}
-              for obj in load_explicit(json.dumps(data)).enumerate_objects()[0] for d in range(5)]
+              for obj in load_explicit(json.dumps(data)).enumerate_objects() for d in range(5)]
     reached: dict = {}
     for n, check in enumerate(checks):
         trees = _trees(data, [check])

@@ -76,7 +76,7 @@ def queries(draw):
         start = system.parse_object(str(draw(st.sampled_from(BUILTIN_STARTS[name]))))
     else:
         system = load_explicit(draw(explicit_systems()))
-        start = draw(st.sampled_from(system.enumerate_objects()[0]))
+        start = draw(st.sampled_from(system.enumerate_objects()))
     budgets = {
         "rule_budget": draw(st.sampled_from([1, 2, 64])),
         "visit_cap": draw(st.one_of(st.just(100_000), st.integers(1, 40))),
@@ -193,7 +193,7 @@ def loop_commands(draw):
     else:
         text = json.dumps(random_system_json(draw(st.integers(0, 299))))
         system = f"file:{text}"
-        start = draw(st.sampled_from(load_explicit(text).enumerate_objects()[0]))
+        start = draw(st.sampled_from(load_explicit(text).enumerate_objects()))
         depth = draw(st.integers(1, 3))
     return ["loop", "--system", system, "--start", start, "--depth", str(depth),
             "--format", "json"]
@@ -226,7 +226,7 @@ def test_every_start_reads_its_own_full_sweep():
     # at each level, type included, is its own reference profile's.
     for seed in range(400):
         system = load_explicit(json.dumps(random_system_json(seed)))
-        objects = system.enumerate_objects()[0]
+        objects = system.enumerate_objects()
         profiles = [reference_weight_profile(system, a, 8) for a in objects]
         for depth in range(9):
             steps = max(depth, 1)
@@ -242,7 +242,7 @@ def per_object_oracle(system, depth) -> list:
     """The (object, depth, iterated) of each oracle check as one
     ``DepthProfile`` per object gives them."""
     checks = []
-    for a in system.enumerate_objects()[0]:
+    for a in system.enumerate_objects():
         profile = DepthProfile(system, a, depth)
         for level in range(depth + 1):
             value = profile.bound(level).value
@@ -258,7 +258,7 @@ def test_oracle_matches_a_profile_per_object_around_the_visit_cap(monkeypatch):
     for seed in range(400):
         text = json.dumps(random_system_json(seed))
         system = load_explicit(text)
-        n, depth = len(system.enumerate_objects()[0]), seed % 5
+        n, depth = len(system.enumerate_objects()), seed % 5
         checks = per_object_oracle(system, depth)
         for cap in (n - 1, n, n + 1, 100_000):
             monkeypatch.setattr(cli, "DEFAULT_VISIT_CAP", cap)

@@ -58,7 +58,7 @@ def check(system, start, depth, **budgets) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_depth_queries_match_the_reference(seed):
     system = random_system(seed)
-    for start in system.enumerate_objects()[0]:
+    for start in system.enumerate_objects():
         for depth in DEPTHS:
             check(system, start, depth)
 
@@ -67,7 +67,7 @@ def test_depth_queries_match_the_reference(seed):
 def test_visit_caps_at_the_ring(seed):
     # Caps just below, at and just above the ball's size at the ring radius.
     system = random_system(seed)
-    for start in system.enumerate_objects()[0]:
+    for start in system.enumerate_objects():
         for depth in DEPTHS:
             size = reference_weight_lower_bound(system, start, depth).visited
             for cap in {max(size - 1, 1), size, size + 1}:
@@ -76,7 +76,7 @@ def test_visit_caps_at_the_ring(seed):
 
 def test_a_bad_rule_budget_is_refused_when_the_start_is_the_ring():
     system = random_system(0)
-    start = system.enumerate_objects()[0][0]
+    start = system.enumerate_objects()[0]
     for query in (
         lambda: weight_lower_bound(system, start, 0, rule_budget=0),
         lambda: DepthProfile(system, start, 0, rule_budget=0),

@@ -124,7 +124,7 @@ def check(system, start, depth, scaled=None, **budgets) -> None:
 @given(affine_systems(), st.data())
 def test_scaled_levels_match_the_fraction_sweep(data_json, data):
     system = load_explicit(json.dumps(data_json))
-    start = data.draw(st.sampled_from(system.enumerate_objects()[0]))
+    start = data.draw(st.sampled_from(system.enumerate_objects()))
     depth = data.draw(st.integers(0, 40))
     budgets = {
         "rule_budget": data.draw(st.sampled_from([1, 2, 64])),

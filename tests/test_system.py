@@ -139,7 +139,7 @@ class TestBuiltins:
 
     def test_cost_table_normal_forms(self):
         bf = builtin("boolform")
-        costs = {bf.format_object(a): bf.nf_weight(a) for a in bf.enumerate_nfs()[0]}
+        costs = {bf.format_object(a): bf.nf_weight(a) for a in bf.enumerate_nfs()}
         assert costs["Ra"] == 2 and costs["Pab"] == 7 and costs["Pbb"] == 10
         assert costs["Rb"] is INF
 
@@ -160,6 +160,20 @@ class TestBuiltins:
             for a in objs:
                 rules, complete = sys_.successors(a)
                 assert complete and len(rules) <= 1
+
+    def test_an_enumeration_is_a_list_or_none(self):
+        handles = [builtin(name, **({"y": 3} if name == "ski_rental" else {}))
+                   for name in builtin_names()]
+        for sys_ in [*handles, load_explicit(TWO_STATE)]:
+            for enum in (sys_.enumerate_objects(), sys_.enumerate_nfs()):
+                assert enum is None or type(enum) is list, sys_.name
+
+    @pytest.mark.parametrize("name, nfs", [("bitstring_prefixes", ["*"]),
+                                           ("loop_language", ["b"])])
+    def test_a_finite_builtin_derives_its_normal_forms(self, name, nfs):
+        sys_ = builtin(name)
+        assert sys_._enumerate_nfs is None
+        assert sys_.enumerate_nfs() == nfs
 
     def test_unknown_builtin(self):
         with pytest.raises(SystemError_, match="unknown built-in"):
@@ -217,7 +231,7 @@ class TestAdditionTrs:
 class TestLoadExplicit:
     def test_two_rule_system(self):
         sys_ = load_explicit(TWO_STATE)
-        assert sys_.enumerate_objects() == (["a", "b", "c"], True)
+        assert sys_.enumerate_objects() == ["a", "b", "c"]
         assert sys_.nf_weight("b") == 1 and sys_.nf_weight("c") == 2
         assert sys_.flags.terminating is True
 
@@ -559,8 +573,8 @@ class TestLoaderAgainstReference:
                 outcomes["refused"] += 1
                 continue
             got = load_explicit(text)
-            assert got.enumerate_objects() == (sorted(want.objects), True)
-            assert got.enumerate_nfs() == (sorted(want.nf), True)
+            assert got.enumerate_objects() == sorted(want.objects)
+            assert got.enumerate_nfs() == sorted(want.nf)
             for label, weight in want.nf.items():
                 assert got.nf_weight(label) == weight and type(got.nf_weight(label)) is type(weight)
             exprs: dict = {}  # id of the reference's expression -> ids of the loader's

@@ -90,7 +90,7 @@ def both(sys_, a, depth, rule_budget=8, count_cap=200_000):
 @pytest.mark.parametrize("seed", range(30))
 def test_generated_systems_match_reference(seed):
     sys_ = random_system(seed)
-    for a in sys_.enumerate_objects()[0]:
+    for a in sys_.enumerate_objects():
         for depth in range(5):
             fast, reference = both(sys_, a, depth)
             assert reference[0] == "ok"
@@ -107,7 +107,7 @@ def test_generated_systems_match_reference(seed):
 )
 def test_budgets_and_caps_match_reference(seed, depth, rule_budget, count_cap, data):
     sys_ = random_system(seed)
-    a = data.draw(st.sampled_from(sys_.enumerate_objects()[0]))
+    a = data.draw(st.sampled_from(sys_.enumerate_objects()))
     fast, reference = both(sys_, a, depth, rule_budget, count_cap)
     assert fast == reference
 
@@ -188,7 +188,7 @@ def shared_against_fresh(monkeypatch, sys_, path, depths, count_cap, joins=None)
             yield value
 
     monkeypatch.setattr(cli, "_tree_weights", recorded)
-    checks = [(a, d) for a in sys_.enumerate_objects()[0] for d in range(max(depths) + 1)]
+    checks = [(a, d) for a in sys_.enumerate_objects() for d in range(max(depths) + 1)]
     joins = {} if joins is None else joins
     for depth in depths:
         out, err = io.StringIO(), io.StringIO()
@@ -223,7 +223,7 @@ def system_joins():
 
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("count_cap", [200_000, 300, 20])
-def test_shared_table_changes_no_query(monkeypatch, tmp_path, system_joins, seed, count_cap):
+def test_oracle_enumeration_matches_a_fresh_one_per_check(monkeypatch, tmp_path, system_joins, seed, count_cap):
     # The one enumeration that the oracle's checks share changes no check:
     # seeds 0-399, each case taking every 40th, at oracle depths 0-4.
     for s in range(seed, 400, 40):
@@ -234,7 +234,7 @@ def test_shared_table_changes_no_query(monkeypatch, tmp_path, system_joins, seed
 
 
 @pytest.mark.parametrize("count_cap", [4, 5])
-def test_shared_table_keeps_the_language_errors(monkeypatch, tmp_path, count_cap):
+def test_oracle_enumeration_keeps_the_language_errors(monkeypatch, tmp_path, count_cap):
     # At cap 4 the cap wins at a depth 2, at cap 5 the 4th tree's
     # concatenation raises, and below depth 2 no check raises.
     path = tmp_path / "sigma.json"
@@ -257,7 +257,7 @@ def test_every_enumerated_weight_is_a_carrier_value(seed, spec):
     sys_ = carrier_system(seed, spec)
     desc = sys_.semiring
     weighed = 0
-    for a in sys_.enumerate_objects()[0]:
+    for a in sys_.enumerate_objects():
         for depth in range(4):
             try:
                 weights = tree_weights(sys_, a, depth)
@@ -288,7 +288,7 @@ def test_oracle_on_every_carrier(monkeypatch, capsys, tmp_path, spec, count_cap)
         for depth in range(4):
             try:
                 # The settle that `wars oracle` runs.
-                _settle(sys_, sys_.enumerate_objects()[0], depth, depth, DEFAULT_RULE_BUDGET,
+                _settle(sys_, sys_.enumerate_objects(), depth, depth, DEFAULT_RULE_BUDGET,
                         DEFAULT_BRANCH_TRUNC, DEFAULT_VISIT_CAP)
             except SemiringError as exc:
                 assert str(exc) == SIGMA_ERROR

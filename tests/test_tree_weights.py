@@ -94,7 +94,7 @@ TWO_FAULTS = {
 @pytest.mark.parametrize("seed", range(30))
 def test_enumerated_trees_match_reference(seed):
     sys_ = random_system(seed)
-    for a in sys_.enumerate_objects()[0]:
+    for a in sys_.enumerate_objects():
         for depth in range(4):
             trees = list(enumerate_trees(sys_, a, depth))
             expected = [reference_tree_weight(sys_, t) for t in trees]

@@ -122,7 +122,7 @@ class TestPathWalkAgainstTreeEnumeration:
         compared = 0
         for seed in range(400):
             system = load_explicit(json.dumps(random_system_json(seed)))
-            for start in system.enumerate_objects()[0]:
+            for start in system.enumerate_objects():
                 for depth in (1, 2, 3):
                     loops = find_loops(system, start, depth, max_witnesses=10**6)
                     expected = reference_find_loops(system, start, depth, max_witnesses=10**6)
@@ -335,7 +335,7 @@ def _loop_inputs():
                 yield system, system.parse_object(start), depth
     for data in [LOOPS, *map(random_system_json, range(400))]:
         system = explicit(data)
-        for start in system.enumerate_objects()[0]:
+        for start in system.enumerate_objects():
             for depth in (1, 2, 3):
                 yield system, start, depth
 
@@ -546,7 +546,7 @@ class TestPathPolynomial:
         compared = 0
         for seed in range(400):
             system = load_explicit(json.dumps(random_system_json(seed)))
-            for start in system.enumerate_objects()[0]:
+            for start in system.enumerate_objects():
                 for depth in (1, 2, 3):
                     for tree, path in find_loops(system, start, depth):
                         compared += 1
@@ -559,7 +559,7 @@ class TestPathPolynomial:
     def test_matches_the_whole_tree_rebuild_on_the_schedulers(self, name):
         system = builtin(name)
         starts = [system.parse_object(s) for s in ("idle()", "wait(P1)", "run(P2P1)")]
-        loops = find_loops(system, starts, 5, max_witnesses=64)
+        loops = [loop for start in starts for loop in find_loops(system, start, 5, max_witnesses=64)]
         assert loops
         for tree, path in loops:
             assert _polynomial_outcome(induced_polynomial, system, tree, path) == (
