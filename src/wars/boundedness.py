@@ -334,7 +334,7 @@ def verify_embedding(
         if ea is None:
             return top_valued(a)
         rules, complete = sys._rows(a, rule_budget)
-        if not rules and complete:
+        if not rules:
             checked += 1
             weight = sys._nf_weight(a)
             if not desc.leq(weight, ea):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import re
 from fractions import Fraction
 
@@ -46,12 +47,10 @@ def _naturals(name: str, rule, nf_value, finite: bool) -> SystemHandle:
     ``nf_value``, and ``rule(n)`` is the one row of every n > 0.  ``finite``
     says whether its successor sequences are."""
 
-    def successors(n, budget):
-        if not isinstance(n, int) or n < 0:
+    def successors(n):
+        if type(n) is not int or n < 0:
             raise SystemError_(f"walk positions are naturals, got {n!r}")
-        if n == 0:
-            return [], True
-        return [rule(n)], True
+        return [rule(n)] if n else []
 
     return SystemHandle(
         name=name,
@@ -108,8 +107,8 @@ _PROC_SET = frozenset(_PROCS)
 def _os_successors(agg_for):
     """``agg_for(kind, queue)`` is the aggregator of a state's rules."""
 
-    def successors(state, budget):
-        kind, queue = state
+    def successors(state):
+        kind, queue = state if type(state) is tuple and len(state) == 2 else (None, None)
         if type(queue) is not tuple or not _PROC_SET.issuperset(queue):
             raise SystemError_(f"not a scheduler state: {state!r}")
         # (successor, tag) per rule.
@@ -122,8 +121,7 @@ def _os_successors(agg_for):
         else:
             raise SystemError_(f"not a scheduler state: {state!r}")
         expr = agg_for(kind, queue) if steps else None
-        rows = [(state, (b,), expr, tag, True) for b, tag in steps]
-        return (rows if budget >= len(rows) else rows[:budget]), budget >= len(rows)
+        return [(state, (b,), expr, tag, True) for b, tag in steps]
 
     return successors
 
@@ -165,7 +163,7 @@ def _sample_os(count):
             continue
         seen.add(state)
         out.append(state)
-        for row in succ(state, 8)[0]:
+        for row in succ(state):
             frontier.extend(row[1])
     return out
 
@@ -231,11 +229,11 @@ def _z_walk() -> SystemHandle:
     pair = Product((NAT_INF, BOOLEAN))
     step_for = functools.cache(lambda even: SumNode((Const((1, even)), Var(1))))
 
-    def successors(n, budget):
-        if not isinstance(n, int):
+    def successors(n):
+        if type(n) is not int:
             raise SystemError_(f"walk positions are integers, got {n!r}")
         if n == 0:
-            return [], True
+            return []
         even = n % 2 == 0
         step = step_for(even)
         if not even:
@@ -244,7 +242,7 @@ def _z_walk() -> SystemHandle:
             row = (n, (n - 2,), step, "even_down", True)
         else:
             row = (n, (n + 2,), step, "even_up", True)
-        return [row], True
+        return [row]
 
     def sample(count):
         out = [0]
@@ -293,14 +291,16 @@ def rewrite_steps(t) -> list[tuple[str, tuple]]:
     stack = [(t, None)]
     while stack:
         sub, link = stack.pop()
-        if sub[0] == "plus":
+        arity = len(sub) if type(sub) is tuple else 0
+        if arity == 3 and sub[0] == "plus":
             first, second = sub[1], sub[2]
-            if first[0] == "s":
+            # first itself is checked when visited; a redex needs only its shape.
+            if type(first) is tuple and len(first) == 2 and first[0] == "s":
                 steps.append(_step("plus_s", link, s_term(plus_term(first[1], second))))
-            elif first[0] == "0":
+            elif first == ZERO_TERM:
                 steps.append(_step("plus_0", link, second))
             stack += [(second, (sub, "2", link)), (first, (sub, "1", link))]
-        elif sub[0] == "s":
+        elif arity == 2 and sub[0] == "s":
             stack.append((sub[1], (sub, "1", link)))
         elif sub != ZERO_TERM:
             raise SystemError_(f"not a ground term: {sub!r}")
@@ -412,10 +412,11 @@ def format_term(t) -> str:
 
 def _addition_trs(max_size: int = 8) -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
+    # The normal forms: the numerals 0, s(0), ... of size at most max_size.
+    numerals = [*itertools.accumulate(range(max_size - 1), lambda t, _: s_term(t), initial=ZERO_TERM)]
 
-    def successors(t, budget):
-        rows = [(t, (result,), step, tag, True) for tag, result in rewrite_steps(t)]
-        return rows[:budget], budget >= len(rows)
+    def successors(t):
+        return [(t, (result,), step, tag, True) for tag, result in rewrite_steps(t)]
 
     return SystemHandle(
         name="addition_trs",
@@ -426,6 +427,7 @@ def _addition_trs(max_size: int = 8) -> SystemHandle:
         parse_object_fn=parse_term,
         format_object_fn=format_term,
         enumerate_objects_fn=functools.partial(ground_terms, max_size),
+        enumerate_nfs_fn=lambda: numerals[:max_size],
     )
 
 
@@ -540,14 +542,17 @@ def _boolform(finite_costs: bool = False) -> SystemHandle:
         lambda op: (ProdNode if op == "and" else SumNode)((Var(1), Var(2)))
     )
 
-    def successors(f, budget):
-        if f[0] == "atom":
+    def successors(f):
+        arity = len(f) if type(f) is tuple else 0
+        if arity == 2 and f[0] == "atom":
             if f[1] not in table:
                 raise SystemError_(f"unknown atom {f[1]!r}")
-            return [], True
+            return []
+        if arity != 3:
+            raise SystemError_(f"not a formula: {f!r}")
         if f[0] != "and" and f[0] != "or":
             raise SystemError_(f"unknown connective {f[0]!r}")
-        return [(f, (f[1], f[2]), connective(f[0]), f[0], True)], True
+        return [(f, (f[1], f[2]), connective(f[0]), f[0], True)]
 
     return SystemHandle(
         name="boolform",
@@ -568,14 +573,12 @@ def _boolform(finite_costs: bool = False) -> SystemHandle:
 def _na_system() -> SystemHandle:
     step = SumNode((Const(1), Var(1)))
 
-    def successors(a, budget):
+    def successors(a):
         if a == "a":
-            return [("a", (n,), step, f"pick{n}", True) for n in range(budget)], False
-        if not isinstance(a, int) or a < 0:
+            return (("a", (n,), step, f"pick{n}", True) for n in itertools.count())
+        if type(a) is not int or a < 0:
             raise SystemError_(f"objects are 'a' and the naturals, got {a!r}")
-        if a == 0:
-            return [], True
-        return [(a, (a - 1,), step, "down", True)], True
+        return [(a, (a - 1,), step, "down", True)] if a else []
 
     def parse(text):
         text = text.strip()
@@ -608,17 +611,17 @@ def _ski_rental(y: int) -> SystemHandle:
     body = SumNode((ProdNode((Const(1), Var(1))), ProdNode((Const(y), Var(2)))))
     v1 = Var(1)
 
-    def successors(state, budget):
+    def successors(state):
         if state == ("halt",):
-            return [], True
-        _, n = state
-        if state[0] != "loop" or not isinstance(n, int) or n < 0:
+            return []
+        kind, n = state if type(state) is tuple and len(state) == 2 else (None, None)
+        if kind != "loop" or type(n) is not int or n < 0:
             raise SystemError_(f"not a ski rental state: {state!r}")
         if n > 0:
             row = (state, (("loop", n - 1), ("loop", 0)), body, "day", True)
         else:
             row = (state, (("halt",),), v1, "exit", True)
-        return [row], True
+        return [row]
 
     def parse(text):
         text = text.strip()
@@ -653,13 +656,12 @@ def _bitstring_prefixes() -> SystemHandle:
     lang = Language(("0", "1"))
     emit = functools.cache(lambda b: SumNode((ProdNode((Const(frozenset({b})), Var(1))), Var(2))))
 
-    def successors(b, budget):
+    def successors(b):
         if b == "*":
-            return [], True
+            return []
         if b not in ("0", "1"):
             raise SystemError_(f"objects are '0', '1', '*'; got {b!r}")
-        rows = [(b, (nxt, "*"), emit(b), f"{b}_to_{nxt}", True) for nxt in ("0", "1")]
-        return rows[:budget], budget >= len(rows)
+        return [(b, (nxt, "*"), emit(b), f"{b}_to_{nxt}", True) for nxt in ("0", "1")]
 
     def parse(text):
         label = text.strip()
@@ -687,13 +689,12 @@ def _loop_language() -> SystemHandle:
     stay = SumNode((ProdNode((Const(frozenset({"1"})), Var(1))), Var(1)))
     v1 = Var(1)
 
-    def successors(a, budget):
+    def successors(a):
         if a == "b":
-            return [], True
+            return []
         if a != "a":
             raise SystemError_(f"objects are 'a' and 'b'; got {a!r}")
-        rows = [("a", ("a",), stay, "stay", True), ("a", ("b",), v1, "exit", True)]
-        return rows[:budget], budget >= len(rows)
+        return [("a", ("a",), stay, "stay", True), ("a", ("b",), v1, "exit", True)]
 
     return SystemHandle(
         name="loop_language",
@@ -706,13 +707,12 @@ def _loop_language() -> SystemHandle:
     )
 
 
-# Aliases share one entry.
 _FACTORIES = {
-    **dict.fromkeys(("walk_termprob", "biased_walk_termprob"), functools.partial(_walk, False)),
-    **dict.fromkeys(("walk_expected", "biased_walk_expected_steps"), functools.partial(_walk, True)),
-    **dict.fromkeys(("z_walk_safety", "zwalk"), _z_walk),
-    **dict.fromkeys(("addition_trs", "addition_trs_ground", "trs_add"), _addition_trs),
-    **dict.fromkeys(("boolform", "boolean_provenance"), _boolform),
+    "walk_termprob": functools.partial(_walk, False),
+    "walk_expected": functools.partial(_walk, True),
+    "z_walk_safety": _z_walk,
+    "addition_trs": _addition_trs,
+    "boolform": _boolform,
     "geometric_walk": _geometric_walk,
     "os_size": _os_size,
     "os_fair": _os_fair,

@@ -225,7 +225,7 @@ class _Ball:
             objects.append(obj)
             rules, done = sys._rows(obj, rule_budget)
             complete = complete and done
-            if not rules and done:
+            if not rules:
                 weight = sys._nf_weight(obj)
                 desc.require(weight)
                 rules_of.append(None)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import aggregator as agg
 from .semiring import Semiring, descriptor_from_spec
@@ -131,12 +132,14 @@ class _ExplicitFlags(Flags):
 class SystemHandle:
     """A weighted sequence reduction system.
 
-    ``successors_fn(a, budget)`` returns up to ``budget`` rules for ``a`` in a
-    fixed enumeration order together with a completeness flag.  A rule is a
-    row: a 5-tuple in ``RuleInstance`` field order, valid as made (checked
-    by the loader, by construction in a built-in), in a list no caller
-    changes.  Public ``successors`` and ``find_rule`` hand rows out as
-    records.  ``nf_weight_fn`` is defined exactly on the normal forms.
+    ``successors_fn(a)`` returns every rule of ``a`` in a fixed enumeration
+    order: a list no caller changes, or an iterator when the list may be
+    endless.  A rule is a row: a 5-tuple in ``RuleInstance`` field order,
+    valid as made (checked by the loader, by construction in a built-in).
+    ``_rows`` alone cuts a list to a rule budget and says whether it was
+    whole, so an object with no rules is a normal form.  Public
+    ``successors`` and ``find_rule`` hand rows out as records.
+    ``nf_weight_fn`` is defined exactly on the normal forms.
     ``enumerate_objects_fn()`` lists a finite set of objects that rewriting
     never leaves (for ``addition_trs(max_size=k)`` the terms of size at most
     ``k``, though its parser and rules take larger ones), and
@@ -148,7 +151,7 @@ class SystemHandle:
         self,
         name: str,
         semiring: Semiring,
-        successors_fn: Callable[[object, int], tuple],
+        successors_fn: Callable[[object], Iterable[tuple]],
         nf_weight_fn: Callable[[object], object],
         flags: Flags | None = None,
         parse_object_fn: Callable[[str], object] | None = None,
@@ -170,10 +173,14 @@ class SystemHandle:
 
     def _rows(self, a, budget: int) -> tuple:
         """Up to ``budget`` rules applicable to ``a`` as rows, plus
-        completeness: what every reader inside ``wars`` takes."""
+        completeness: what every reader inside ``wars`` takes.  An iterator
+        is read one rule past the budget."""
         if budget < 1:
             raise ValueError("rule_budget must be >= 1")
-        return self._successors(a, budget)
+        rows = self._successors(a)
+        if type(rows) is not list:
+            rows = list(itertools.islice(rows, budget + 1))
+        return (rows, True) if len(rows) <= budget else (rows[:budget], False)
 
     def successors(self, a, rule_budget: int = DEFAULT_RULE_BUDGET) -> tuple[list[RuleInstance], bool]:
         """Up to ``rule_budget`` rules applicable to ``a``, plus completeness."""
@@ -181,8 +188,7 @@ class SystemHandle:
         return list(map(RuleInstance._make, rows)), complete
 
     def is_normal_form(self, a) -> bool:
-        rows, complete = self._rows(a, 1)
-        return not rows and complete
+        return not self._rows(a, 1)[0]
 
     def nf_weight(self, a):
         if not self.is_normal_form(a):
@@ -190,19 +196,12 @@ class SystemHandle:
         return self._nf_weight(a)
 
     def find_rule(self, a, tag: str) -> RuleInstance:
-        """The rule tagged ``tag`` at ``a``, read with an eightfold budget per
-        round until a round reads 65,536 rules or more."""
-        budget = DEFAULT_RULE_BUDGET
-        while True:
-            rows, complete = self._rows(a, budget)
-            for r in rows:
-                if r[3] == tag:
-                    return RuleInstance._make(r)
-            if complete or budget >= 65536:
-                raise SystemError_(
-                    f"no rule tagged {tag!r} for {self.format_object(a)}"
-                )
-            budget *= 8
+        """The rule tagged ``tag`` among the first 262,144 rules of ``a``,
+        read once, up to that rule."""
+        for r in itertools.islice(self._successors(a), 262_144):
+            if r[3] == tag:
+                return RuleInstance._make(r)
+        raise SystemError_(f"no rule tagged {tag!r} for {self.format_object(a)}")
 
     def enumerate_objects(self) -> Optional[list]:
         """Every object, or None when they cannot be listed."""
@@ -254,11 +253,11 @@ def cplx_wrap(base: SystemHandle) -> SystemHandle:
         lambda n: agg.SumNode((agg.Const(1),) + tuple(agg.Var(i + 1) for i in range(n)))
     )
 
-    def successors(a, budget):
-        rows, complete = base._successors(a, budget)
+    def successors(a):
         # A valid base row gives a valid step: one variable per successor.
-        return [(lhs, rhs, step(len(rhs)), tag, whole)
-                for lhs, rhs, _, tag, whole in rows], complete
+        # Lazy, so ``_rows`` reads no more base rules than its budget needs.
+        rules = base._successors(a)
+        return ((lhs, rhs, step(len(rhs)), tag, whole) for lhs, rhs, _, tag, whole in rules)
 
     flags = copy.copy(base.flags)
     # A step has no top constant, and is finite when every successor sequence is.
@@ -387,11 +386,10 @@ def load_explicit(source: str) -> SystemHandle:
             f"{min(unweighted)!r} is a normal form but has no weight in 'nf'"
         )
 
-    def successors(a, budget):
+    def successors(a):
         if a not in objects:
             raise UnknownObjectError(f"unknown object {a!r}")
-        rules = rules_by_lhs.get(a, ())
-        return (rules if budget >= len(rules) else rules[:budget]), budget >= len(rules)
+        return rules_by_lhs.get(a, [])
 
     def parse_object(textual: str):
         label = textual.strip()

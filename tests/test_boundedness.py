@@ -134,7 +134,7 @@ def _unsampled_handle(sampler=None):
     return SystemHandle(
         "open",
         BOTTLENECK,
-        lambda obj, budget: ([], True),
+        lambda obj: [],
         lambda obj: 3,
         enumerate_nfs_fn=lambda: [0],
         sample_objects_fn=sampler,
@@ -143,7 +143,7 @@ def _unsampled_handle(sampler=None):
 
 def _bare_handle():
     # Neither objects nor normal forms are enumerable.
-    return SystemHandle("bare", BOTTLENECK, lambda obj, budget: ([], True), lambda obj: 3)
+    return SystemHandle("bare", BOTTLENECK, lambda obj: [], lambda obj: 3)
 
 
 class TestSelectiveSampling:
@@ -166,17 +166,16 @@ class TestSelectiveSampling:
         assert (report.verdict, report.details) == (UNKNOWN, {"normal_forms": "not enumerable"})
 
     def test_an_incomplete_rule_list_only_samples(self):
-        # Object 1 lists one rule and says it has more: every object is
-        # enumerated, but not every rule.
-        def successors(obj, budget):
-            return ([(1, (0,), parse_expr("v1", BOTTLENECK), "r", True)] if obj else []), obj == 0
-
-        sys_ = SystemHandle("partial", BOTTLENECK, successors, lambda obj: 3,
-                            enumerate_objects_fn=lambda: [0, 1])
+        # Object 1 has 65 rules, one more than the check reads: every object
+        # is enumerated, but not every rule.
+        v1 = parse_expr("v1", BOTTLENECK)
+        rules = [(1, (0,), v1, f"r{n}", True) for n in range(65)]
+        sys_ = SystemHandle("partial", BOTTLENECK, lambda obj: rules if obj else [],
+                            lambda obj: 3, enumerate_objects_fn=lambda: [0, 1])
         report = check_sufficient_selective(sys_, 3)
         assert report.verdict == BOUNDED_SAMPLED
-        assert report.details == {"normal_forms_checked": 1, "rules_checked": 1}
-        assert report.sample_count == 2
+        assert report.details == {"normal_forms_checked": 1, "rules_checked": 64}
+        assert report.sample_count == 65
 
 
 class TestExtremalCondition:
@@ -530,7 +529,7 @@ def test_integer_steps_report_as_the_closures_do_on_generated_systems():
 def test_integer_steps_report_as_the_closures_do_on_one_rule(agg_text, table):
     # The rule a -> (b, c) is a prefix of a longer sequence, so v3 may occur.
     rows = {"a": [("a", ("b", "c"), parse_expr(agg_text, REAL_INF), "t", False)]}
-    sys_ = SystemHandle("one_rule", REAL_INF, lambda a, budget: (rows.get(a, []), True),
+    sys_ = SystemHandle("one_rule", REAL_INF, lambda a: rows.get(a, []),
                         {"b": 1, "c": 2}.__getitem__)
     _same_embedding_outcome(sys_, Embedding.from_table(table), ["a"])
 

@@ -6,20 +6,22 @@ built-ins once made themselves."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from wars import aggregator, system
 from wars.aggregator import Const, SumNode, Var
-from wars.builtins import builtin, builtin_names
+from wars.builtins import builtin, builtin_names, parse_term
 from wars.cli import main
 from wars.evaluator import weight_lower_bound
-from wars.system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_
+from wars.semiring import NAT_INF
+from wars.system import DEFAULT_RULE_BUDGET, RuleInstance, SystemError_, SystemHandle, cplx_wrap
 
 PARAMS = {"ski_rental": {"y": 50}}
 # Starts of the families with neither a sampler nor an object enumeration.
 FORMULAS = ("Ra & (Pab | Pbb)", "Rb | Pba & Paa")
-PARSED_STARTS = {"boolform": FORMULAS, "boolean_provenance": FORMULAS,
-                 "ski_rental": ("n0=30", "n0=60")}
+PARSED_STARTS = {"boolform": FORMULAS, "ski_rental": ("n0=30", "n0=60")}
 LEVELS = 3
 
 
@@ -119,7 +121,7 @@ def test_na_system_hands_out_an_incomplete_rule_list():
     assert step == SumNode((Const(1), Var(1)))
     assert (rules, complete) == ([RuleInstance("a", (n,), step, f"pick{n}") for n in range(3)],
                                  False)
-    # A tag past the first budget is found by asking for more rules.
+    # A tag past the budget is found by reading on.
     assert handle.find_rule("a", "pick100") == RuleInstance("a", (100,), step, "pick100")
     with pytest.raises(SystemError_, match="no rule tagged 'pick' for a"):
         handle.find_rule("a", "pick")
@@ -133,7 +135,21 @@ FOREIGN = [
     ("addition_trs", ("foo",), "not a ground term: ('foo',)"),
     ("addition_trs", ("s", ("plus", ("0",), ("foo",))), "not a ground term: ('foo',)"),
     ("boolform", ("xor", ("atom", "Ra"), ("atom", "Rb")), "unknown connective 'xor'"),
-    ("zwalk", "a", "walk positions are integers, got 'a'"),
+    ("z_walk_safety", "a", "walk positions are integers, got 'a'"),
+    # Wrong shapes, which once raised Python's own errors.
+    ("os_size", "idle", "not a scheduler state: 'idle'"),
+    ("os_size", ("run",), "not a scheduler state: ('run',)"),
+    ("ski_rental", ("loop",), "not a ski rental state: ('loop',)"),
+    ("ski_rental", ("loop", 1, 2), "not a ski rental state: ('loop', 1, 2)"),
+    ("ski_rental", ("loop", True), "not a ski rental state: ('loop', True)"),
+    ("boolform", ("atom",), "not a formula: ('atom',)"),
+    ("boolform", ("and", ("atom", "Ra")), "not a formula: ('and', ('atom', 'Ra'))"),
+    ("addition_trs", ("plus", ("0",)), "not a ground term: ('plus', ('0',))"),
+    # True equals 1 but is no position or day: it was once read as 1.
+    ("walk_termprob", True, "walk positions are naturals, got True"),
+    ("geometric_walk", True, "walk positions are naturals, got True"),
+    ("z_walk_safety", True, "walk positions are integers, got True"),
+    ("na_system", True, "objects are 'a' and the naturals, got True"),
 ]
 
 
@@ -156,3 +172,71 @@ def test_a_sampler_returns_exactly_the_count_asked_for(name):
         assert len(handle.sample_objects(count)) == count
     with pytest.raises(ValueError, match="^count must be >= 0$"):
         handle.sample_objects(-1)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_rows_cut_each_whole_rule_list_at_the_budget(name):
+    # A family states every rule; the handle alone cuts the list and says
+    # whether it was whole (four rules read show a list longer than three).
+    handle, objects, _ = _reached(name)
+    for obj in objects:
+        full = list(itertools.islice(handle._successors(obj), 4))
+        for budget in (1, 2, 3):
+            assert handle._rows(obj, budget) == (full[:budget], len(full) <= budget)
+
+
+def _endless(calls: list, pulled: list) -> SystemHandle:
+    """A handle whose object "a" has endless rules to "b", a normal form;
+    each call of its rules goes to ``calls``, each rule read to ``pulled``."""
+    v1 = Var(1)
+
+    def rules():
+        for n in itertools.count():
+            pulled.append(n)
+            yield ("a", ("b",), v1, f"r{n}", True)
+
+    def successors(a):
+        calls.append(a)
+        return rules() if a == "a" else []
+
+    return SystemHandle("endless", NAT_INF, successors, lambda a: 0)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 64, 1000])
+def test_rows_read_an_endless_list_one_rule_past_the_budget(budget):
+    calls, pulled = [], []
+    rows, complete = _endless(calls, pulled)._rows("a", budget)
+    assert [row[3] for row in rows] == [f"r{n}" for n in range(budget)] and not complete
+    assert calls == ["a"] and len(pulled) == budget + 1
+
+
+def test_cplx_wrap_reads_an_endless_list_as_lazily_as_its_base():
+    calls, pulled = [], []
+    rows, complete = cplx_wrap(_endless(calls, pulled))._rows("a", 64)
+    assert [row[2] for row in rows] == [SumNode((Const(1), Var(1)))] * 64 and not complete
+    assert calls == ["a"] and len(pulled) == 65
+
+
+def test_find_rule_reads_an_endless_list_once():
+    calls, pulled = [], []
+    handle = _endless(calls, pulled)
+    assert handle.find_rule("a", "r100").tag == "r100"
+    assert calls == ["a"] and len(pulled) == 101
+    calls.clear()
+    pulled.clear()
+    with pytest.raises(SystemError_, match="^no rule tagged 'none' for a$"):
+        handle.find_rule("a", "none")
+    assert calls == ["a"] and len(pulled) == 262_144
+
+
+def test_addition_trs_states_its_normal_forms(monkeypatch):
+    for size in range(11):
+        handle = builtin("addition_trs", max_size=size)
+        derived = [t for t in handle.enumerate_objects() if handle.is_normal_form(t)]
+        assert handle.enumerate_nfs() == derived
+    # At size 14, 66,706 terms were each asked for their rules.
+    reads = []
+    monkeypatch.setattr(SystemHandle, "_rows", lambda self, a, budget: reads.append(a))
+    nfs = builtin("addition_trs", max_size=14).enumerate_nfs()
+    assert nfs == [parse_term("s(" * k + "0" + ")" * k) for k in range(14)]
+    assert reads == []

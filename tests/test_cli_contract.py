@@ -62,9 +62,9 @@ OS = ("idle()", "wait(P1)", "run(P2P1)")
 STARTS = {
     "geometric_walk": WALK, "ski_rental": ("n0=2", "halt"),
     "addition_trs": ("plus(s(0),s(0))", "s(0)"), "boolform": ("Ra | Rb", "Paa & (Pab | Rb)"),
-    "walk_termprob": WALK, "walk_expected": WALK, "zwalk": ("0", "-1", "2"), "na_system": ("a",),
-    "os_runtime": OS, "os_size": OS, "os_fair": OS, "bitstring_prefixes": ("0", "*"),
-    "loop_language": ("a", "b"), "no_such_family": ("0",),
+    "walk_termprob": WALK, "walk_expected": WALK, "z_walk_safety": ("0", "-1", "2"),
+    "na_system": ("a",), "os_runtime": OS, "os_size": OS, "os_fair": OS,
+    "bitstring_prefixes": ("0", "*"), "loop_language": ("a", "b"), "no_such_family": ("0",),
 }
 FILE_STARTS = ("a0", "a1", "a2", "a")
 # Starts that no system parses.

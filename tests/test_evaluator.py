@@ -424,8 +424,8 @@ def fan_system(complete: bool = True) -> SystemHandle:
     rhs = tuple(f"b{i}" for i in range(100))
     body = CountableSum(lambda m: Var(m + 1) if m < 100 else None, var_bound=100)
 
-    def successors(obj, budget):
-        return ([("a", rhs, body, "fan", complete)], True) if obj == "a" else ([], True)
+    def successors(obj):
+        return [("a", rhs, body, "fan", complete)] if obj == "a" else []
 
     return SystemHandle("fan", NAT_INF, successors, lambda obj: 1,
                         enumerate_objects_fn=lambda: ["a", *rhs])

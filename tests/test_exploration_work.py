@@ -150,7 +150,7 @@ def test_loop_weighs_each_path_rule_once_per_pass(monkeypatch, capsys):
     # scratch, copy k holding copy k - 1, and each subtree off the path by a
     # fresh tree_weight: 48 find_rule and 97 _rows calls for two depth-4
     # loops.  Now the polynomial and the cross-check each read a path rule
-    # once, and each leaf's rows once.
+    # once, and each leaf's rows once; find_rule reads a rule list itself.
     counts = collections.Counter()
     for name in ("find_rule", "_rows"):
 
@@ -162,7 +162,7 @@ def test_loop_weighs_each_path_rule_once_per_pass(monkeypatch, capsys):
     argv = ["loop", "--system", "builtin:os_runtime", "--start", "idle()", "--depth", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("=> weight of idle() is the maximum") == 2
-    assert counts == {"find_rule": 16, "_rows": 33}
+    assert counts == {"find_rule": 16, "_rows": 17}
 
 
 def test_one_weigher_keeps_every_tree_it_weighs():
@@ -318,11 +318,11 @@ def _handle(expr, shared: bool) -> SystemHandle:
     expression object for every rule) or anew per call; 1 is a normal form."""
     build = functools.cache(lambda key: expr)
 
-    def successors(a, budget):
+    def successors(a):
         if a == 1:
-            return [], True
+            return []
         rule_expr = build("step") if shared else SumNode(expr.terms)
-        return [RuleInstance(a, (1,), rule_expr, "bad")], True
+        return [RuleInstance(a, (1,), rule_expr, "bad")]
 
     return SystemHandle("bad", NAT_INF, successors, lambda a: 0)
 
@@ -357,10 +357,10 @@ def test_cplx_wrap_adds_no_rule_checks(monkeypatch, capsys):
     def counting_wrap(base):
         inner = base._successors
 
-        def successors(a, budget):
-            rules, complete = inner(a, budget)
+        def successors(a):
+            rules = inner(a)
             base_rules[0] += len(rules)
-            return rules, complete
+            return rules
 
         base._successors = successors
         return cplx_wrap(base)

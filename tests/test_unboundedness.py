@@ -375,7 +375,7 @@ def test_a_term_of_unbounded_variables_stays_in_the_loop_polynomial():
     inner = CountableSum(lambda i: Const(1) if i == 0 else None)
     body = CountableSum(lambda i: SumNode((Var(1), inner)) if i == 0 else None)
     system = SystemHandle("nested_sum", NAT_INF,
-                          lambda a, budget: ([(a, ("a",), body, "step", True)], True),
+                          lambda a: [(a, ("a",), body, "step", True)],
                           lambda a: 0)
     tree, path = ReductionTree("a", "step", (ReductionTree("a"),)), (0,)
     witness = analyze_loop(system, tree, path)
@@ -393,7 +393,7 @@ def _self_loop(body) -> tuple:
     """A nat_inf system whose one object a steps to itself under ``body``,
     with the loop tree and its leaf path."""
     system = SystemHandle("nested_sum", NAT_INF,
-                          lambda a, budget: ([(a, ("a",), body, "step", True)], True),
+                          lambda a: [(a, ("a",), body, "step", True)],
                           lambda a: 0)
     return system, ReductionTree("a", "step", (ReductionTree("a"),)), (0,)
 
